@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-perf wire-bench decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
+.PHONY: all build test race bench bench-smoke bench-selftest bench-perf wire-bench decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
 
 all: build
 
@@ -37,8 +37,16 @@ check: vet fmt race
 # What CI runs on every push/PR — the same gate as `make check` plus
 # an explicit build and plain test pass and the stale-report gate,
 # kept here so the CI workflow can't drift from the Makefile.
-ci: vet fmt build test race report-check
+ci: vet fmt build test race bench-selftest report-check
 	@echo "ci OK"
+
+# The repository benchmark (bench/, see BENCHMARK.json) is a nested
+# module that `./...` does not reach, yet it imports internal/...: vet
+# it and run its tiny-shape self-test so a change to those packages
+# cannot break the benchmark unnoticed.
+bench-selftest:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # One-iteration benchmark pass: compiles and runs every benchmark
 # once so perf regressions are at least visible per-PR (CI uploads

@@ -499,6 +499,39 @@ func BenchmarkScreen(b *testing.B) {
 	}
 }
 
+// BenchmarkMatVecBatch is the measurement behind quant.BatchTile: the
+// batch-major screening GEMV at the amazon-670k shape (176 MB of
+// panels, scales and row sums per stream) for a single vector, one
+// tile and a batch of tiles. ns/item falls once a tile shares each
+// weight stream; GB/s is the traffic actually streamed
+// (BatchStreamBytes), which falls with it while the kernel is
+// multiply-bound rather than bandwidth-bound.
+func BenchmarkMatVecBatch(b *testing.B) {
+	s := perfShapes[1]
+	qw := perfScreener(b, s).QW
+	r := xrand.New(5)
+	for _, n := range []int{1, quant.BatchTile, 16} {
+		xs := make([]quant.Vector, n)
+		dsts := make([][]float32, n)
+		for i := range xs {
+			x := make([]float32, s.k)
+			for j := range x {
+				x[j] = r.Float32()*2 - 1
+			}
+			quant.QuantizeVectorInto(&xs[i], x, quant.INT4)
+			dsts[i] = make([]float32, s.l)
+		}
+		b.Run("B="+strconv.Itoa(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				qw.MatVecBatch(dsts, xs)
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/float64(n), "ns/item")
+			b.ReportMetric(float64(qw.BatchStreamBytes(n))/ns, "GB/s")
+		})
+	}
+}
+
 func BenchmarkClassifyApprox(b *testing.B) {
 	for _, s := range perfShapes {
 		b.Run(s.name, func(b *testing.B) {

@@ -214,6 +214,10 @@ func runPerf(label, filter string, passes int) report.PerfRecord {
 		for i := range batch {
 			batch[i] = h
 		}
+		dsts := make([][]float32, batchSize)
+		for i := range dsts {
+			dsts[i] = make([]float32, s.L)
+		}
 		var sink int
 		// Several short passes over the metric set, keeping one sample
 		// per pass per metric: contention storms on shared hosts outlast
@@ -225,6 +229,7 @@ func runPerf(label, filter string, passes int) report.PerfRecord {
 		classify := make(series, 0, passes)
 		into := make(series, 0, passes)
 		batchNs := make(series, 0, passes)
+		batchScreen := make(series, 0, passes)
 		for p := 0; p < passes; p++ {
 			screen = append(screen, timeIt(minTime, maxIters, func() { scr.ScreenInto(dst, h, sc) }))
 			classify = append(classify, timeIt(minTime, maxIters, func() { core.ClassifyApprox(cls, scr, h, sel) }))
@@ -233,6 +238,7 @@ func runPerf(label, filter string, passes int) report.PerfRecord {
 				_ = core.ClassifyBatchVisitCtx(context.Background(), cls, scr, batch, sel, nil,
 					func(i int, r *core.Result, _ *core.Scratch) { sink += r.Predict() })
 			}))
+			batchScreen = append(batchScreen, timeIt(minTime, 5, func() { scr.ScreenBatchInto(dsts, batch, sc) }))
 		}
 		_ = sink
 		res.ScreenNsOp = screen.min()
@@ -241,15 +247,20 @@ func runPerf(label, filter string, passes int) report.PerfRecord {
 		res.AllocsOp = testing.AllocsPerRun(5, func() { core.ClassifyApproxInto(cls, scr, h, sel, sc) })
 		sc.Release()
 		res.BatchQPS = float64(batchSize) / (batchNs.min() / 1e9)
+		// Bytes per nanosecond is GB/s.
+		res.ScreenStreamGBps = float64(scr.QW.StreamBytes()) / res.ScreenNsOp
+		res.BatchStreamGBps = float64(scr.QW.BatchStreamBytes(batchSize)) / batchScreen.min()
 		res.CV = map[string]float64{
 			report.MetricScreen:       screen.cv(),
 			report.MetricClassify:     classify.cv(),
 			report.MetricClassifyInto: into.cv(),
 			report.MetricBatch:        batchNs.cv(),
+			report.MetricBatchScreen:  batchScreen.cv(),
 		}
 
-		fmt.Fprintf(os.Stderr, "perf: %-14s screen %8.2f ms  classify %8.2f ms  into %8.2f ms  allocs %g  batch %7.1f qps  (passes %d, max cv %.1f%%)\n",
-			s.Name, res.ScreenNsOp/1e6, res.ClassifyNsOp/1e6, res.ClassifyIntoNsOp/1e6, res.AllocsOp, res.BatchQPS,
+		fmt.Fprintf(os.Stderr, "perf: %-14s screen %8.2f ms %5.2f GB/s  batch-screen %8.2f ms/item %5.2f GB/s  classify %8.2f ms  into %8.2f ms  allocs %g  batch %7.1f qps  (passes %d, max cv %.1f%%)\n",
+			s.Name, res.ScreenNsOp/1e6, res.ScreenStreamGBps, batchScreen.min()/batchSize/1e6, res.BatchStreamGBps,
+			res.ClassifyNsOp/1e6, res.ClassifyIntoNsOp/1e6, res.AllocsOp, res.BatchQPS,
 			passes, 100*maxCV(res.CV))
 		rec.Results = append(rec.Results, res)
 	}

@@ -3,12 +3,12 @@ package core
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"enmc/internal/activation"
+	"enmc/internal/quant"
 	"enmc/internal/telemetry"
 	"enmc/internal/tensor"
 )
@@ -70,18 +70,22 @@ func ClassifyApproxTraced(cls *Classifier, scr *Screener, h []float32, sel Selec
 }
 
 // classifyApprox runs one query with pooled intermediates and returns
-// a caller-owned Result (its slices are freshly allocated; everything
-// else came from and went back to the scratch pool).
+// a caller-owned Result (everything else came from and went back to
+// the scratch pool).
 func classifyApprox(cls *Classifier, scr *Screener, h []float32, sel Selection, tr *telemetry.Tracer, tid, maxShards int) *Result {
 	sc := GetScratch()
 	defer sc.Release()
 	sc.MaxShards = maxShards
-	mixed := make([]float32, scr.Cfg.Categories)
-	cands, exact := classifyInto(cls, scr, h, sel, mixed, sc, tr, tid)
+	sc.mixed[0] = growF32(sc.mixed[0], scr.Cfg.Categories)
+	return classifyInto(cls, scr, h, sel, sc.mixed[0], sc, tr, tid).clone()
+}
+
+// clone copies an arena-backed Result into caller-owned storage.
+func (r *Result) clone() *Result {
 	return &Result{
-		Mixed:      mixed,
-		Candidates: append([]int(nil), cands...),
-		Exact:      append([]float32(nil), exact...),
+		Mixed:      append([]float32(nil), r.Mixed...),
+		Candidates: append([]int(nil), r.Candidates...),
+		Exact:      append([]float32(nil), r.Exact...),
 	}
 }
 
@@ -92,49 +96,58 @@ func classifyApprox(cls *Classifier, scr *Screener, h []float32, sel Selection, 
 // so copy out anything you keep. This is the kernel a saturated
 // server loops on, one scratch per worker.
 func ClassifyApproxInto(cls *Classifier, scr *Screener, h []float32, sel Selection, sc *Scratch) *Result {
-	sc.mixed = growF32(sc.mixed, scr.Cfg.Categories)
-	cands, exact := classifyInto(cls, scr, h, sel, sc.mixed, sc, telemetry.Global(), telemetry.TrackPipeline)
-	sc.res = Result{Mixed: sc.mixed, Candidates: cands, Exact: exact}
-	return &sc.res
+	sc.mixed[0] = growF32(sc.mixed[0], scr.Cfg.Categories)
+	return classifyInto(cls, scr, h, sel, sc.mixed[0], sc, telemetry.Global(), telemetry.TrackPipeline)
 }
 
-// classifyInto is the pipeline engine: screen into mixed, select
-// candidates, recompute them exactly, merge into mixed. The returned
-// candidate/exact slices alias sc. All stage telemetry is recorded
-// here.
-func classifyInto(cls *Classifier, scr *Screener, h []float32, sel Selection, mixed []float32, sc *Scratch, tr *telemetry.Tracer, tid int) (cands []int, exact []float32) {
+// classifyInto is the single-query pipeline: screen into mixed, then
+// finishInto. The returned Result is sc's arena-backed header.
+func classifyInto(cls *Classifier, scr *Screener, h []float32, sel Selection, mixed []float32, sc *Scratch, tr *telemetry.Tracer, tid int) *Result {
 	t0 := time.Now()
 	scr.ScreenInto(mixed, h, sc)
+	screen := time.Since(t0)
+	traceSpan(tr, "screen", tid, screen)
+	return finishInto(cls, h, sel, mixed, sc, tr, tid, screen)
+}
+
+// traceSpan records a classify-stage span that ended just now.
+func traceSpan(tr *telemetry.Tracer, name string, tid int, dur time.Duration) {
+	tr.Add(telemetry.Span{Name: name, Cat: "classify", TID: tid, Start: tr.Now() - dur.Nanoseconds(), Dur: dur.Nanoseconds()})
+}
+
+// finishInto is the pipeline behind the screen: select candidates from
+// the screened logits in mixed, recompute them exactly, merge into
+// mixed. screen is the screening time attributed to this item — its
+// own, or its share of a batch-major tile — so every item records one
+// sample in each stage histogram. The Result aliases sc.
+func finishInto(cls *Classifier, h []float32, sel Selection, mixed []float32, sc *Scratch, tr *telemetry.Tracer, tid int, screen time.Duration) *Result {
 	t1 := time.Now()
-	cands = SelectCandidatesInto(mixed, sel, sc)
-	// Ascending-index recompute order: the exact gather touches one
-	// classifier row per candidate out of an l×d matrix far larger
-	// than cache, and a monotone walk keeps it page-local instead of
-	// hopping the address space in score order. No caller depends on
-	// candidate order — Exact stays j-aligned with Candidates.
-	sort.Ints(cands)
+	// Candidates come back in ascending index order: the exact gather
+	// touches one classifier row per candidate out of an l×d matrix far
+	// larger than cache, and a monotone walk keeps it page-local
+	// instead of hopping the address space in score order. No caller
+	// depends on candidate order — Exact stays j-aligned with
+	// Candidates.
+	cands := SelectCandidatesInto(mixed, sel, sc)
 	t2 := time.Now()
+	traceSpan(tr, "select", tid, t2.Sub(t1))
 	sc.exact = growF32(sc.exact, len(cands))
-	exact = sc.exact
+	exact := sc.exact
 	cls.LogitsRowsInto(exact, cands, h)
 	for j, c := range cands {
 		mixed[c] = exact[j]
 	}
 	t3 := time.Now()
+	traceSpan(tr, "exact-recompute", tid, t3.Sub(t2))
 
 	mClassifyCount.Inc()
-	mScreenNs.Observe(float64(t1.Sub(t0)))
+	mScreenNs.Observe(float64(screen))
 	mSelectNs.Observe(float64(t2.Sub(t1)))
 	mExactNs.Observe(float64(t3.Sub(t2)))
-	mClassifyNs.Observe(float64(t3.Sub(t0)))
+	mClassifyNs.Observe(float64(screen + t3.Sub(t1)))
 	mCandidates.Observe(float64(len(cands)))
-	if tr != nil {
-		base := tr.Now() - t3.Sub(t0).Nanoseconds()
-		tr.Add(telemetry.Span{Name: "screen", Cat: "classify", TID: tid, Start: base, Dur: t1.Sub(t0).Nanoseconds()})
-		tr.Add(telemetry.Span{Name: "select", Cat: "classify", TID: tid, Start: base + t1.Sub(t0).Nanoseconds(), Dur: t2.Sub(t1).Nanoseconds()})
-		tr.Add(telemetry.Span{Name: "exact-recompute", Cat: "classify", TID: tid, Start: base + t2.Sub(t0).Nanoseconds(), Dur: t3.Sub(t2).Nanoseconds()})
-	}
-	return cands, exact
+	sc.res = Result{Mixed: mixed, Candidates: cands, Exact: exact}
+	return &sc.res
 }
 
 // batchShardBudget splits GOMAXPROCS between inter-item workers and
@@ -157,10 +170,10 @@ func batchShardBudget(items int) (workers, maxShards int) {
 	return workers, maxShards
 }
 
-// ClassifyBatch applies ClassifyApprox to a batch of hidden vectors,
-// fanning out over a bounded worker pool (GOMAXPROCS workers). Output
-// order matches the input and is bit-identical to the serial loop —
-// every item's pipeline is independent and read-only over the model.
+// ClassifyBatch applies ClassifyApprox to a batch of hidden vectors
+// through the ClassifyBatchVisitCtx driver. Output order matches the
+// input and is bit-identical to the serial loop — every item's
+// pipeline is independent and read-only over the model.
 func ClassifyBatch(cls *Classifier, scr *Screener, batch [][]float32, sel Selection) []*Result {
 	return ClassifyBatchTraced(cls, scr, batch, sel, telemetry.Global())
 }
@@ -168,33 +181,7 @@ func ClassifyBatch(cls *Classifier, scr *Screener, batch [][]float32, sel Select
 // ClassifyBatchTraced is ClassifyBatch with an explicit tracer; each
 // worker's spans land on its own pipeline track.
 func ClassifyBatchTraced(cls *Classifier, scr *Screener, batch [][]float32, sel Selection, tr *telemetry.Tracer) []*Result {
-	start := time.Now()
-	out := make([]*Result, len(batch))
-	workers, maxShards := batchShardBudget(len(batch))
-	if workers <= 1 {
-		for i, h := range batch {
-			out[i] = classifyApprox(cls, scr, h, sel, tr, telemetry.TrackPipeline, 0)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(batch) {
-						return
-					}
-					out[i] = classifyApprox(cls, scr, batch[i], sel, tr, tid, maxShards)
-				}
-			}(telemetry.TrackPipeline + w)
-		}
-		wg.Wait()
-	}
-	mBatchNs.Observe(float64(time.Since(start)))
-	mBatchSize.Observe(float64(len(batch)))
+	out, _ := ClassifyBatchCtx(context.Background(), cls, scr, batch, sel, tr) // Background never cancels
 	return out
 }
 
@@ -211,15 +198,6 @@ func ClassifyApproxCtx(ctx context.Context, cls *Classifier, scr *Screener, h []
 	return classifyApprox(cls, scr, h, sel, telemetry.Global(), telemetry.TrackPipeline, 0), nil
 }
 
-// observeCancelledBatch records the work a batch performed before its
-// context was cancelled: without it, load-shedding makes dashboards
-// undercount both wall time burned and items actually classified.
-func observeCancelledBatch(start time.Time, completed int) {
-	mBatchCancelled.Inc()
-	mBatchNs.Observe(float64(time.Since(start)))
-	mBatchSize.Observe(float64(completed))
-}
-
 // ClassifyBatchCtx is ClassifyBatch with cancellation honored between
 // batch items: once ctx is done no further item starts (in-flight
 // items finish — they are short and read-only), and the call returns
@@ -228,55 +206,13 @@ func observeCancelledBatch(start time.Time, completed int) {
 // batches still observe batch_ns/batch_size (with the completed item
 // count) and bump the core.classify.batch_cancelled counter.
 func ClassifyBatchCtx(ctx context.Context, cls *Classifier, scr *Screener, batch [][]float32, sel Selection, tr *telemetry.Tracer) ([]*Result, error) {
-	start := time.Now()
 	out := make([]*Result, len(batch))
-	workers, maxShards := batchShardBudget(len(batch))
-	done := ctx.Done()
-	if workers <= 1 {
-		for i, h := range batch {
-			select {
-			case <-done:
-				observeCancelledBatch(start, i)
-				return nil, ctx.Err()
-			default:
-			}
-			out[i] = classifyApprox(cls, scr, h, sel, tr, telemetry.TrackPipeline, 0)
-		}
-	} else {
-		var next int64 = -1
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				for {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(batch) {
-						return
-					}
-					out[i] = classifyApprox(cls, scr, batch[i], sel, tr, tid, maxShards)
-				}
-			}(telemetry.TrackPipeline + w)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			completed := 0
-			for _, r := range out {
-				if r != nil {
-					completed++
-				}
-			}
-			observeCancelledBatch(start, completed)
-			return nil, err
-		}
+	err := ClassifyBatchVisitCtx(ctx, cls, scr, batch, sel, tr, func(i int, res *Result, _ *Scratch) {
+		out[i] = res.clone()
+	})
+	if err != nil {
+		return nil, err
 	}
-	mBatchNs.Observe(float64(time.Since(start)))
-	mBatchSize.Observe(float64(len(batch)))
 	return out, nil
 }
 
@@ -290,53 +226,69 @@ func ClassifyBatchCtx(ctx context.Context, cls *Classifier, scr *Screener, batch
 // post-processing such as sc.TopK over res.Mixed. visit runs
 // concurrently across workers (for distinct items i), so it must not
 // touch shared state without synchronization beyond writing i-indexed
-// outputs. Cancellation and telemetry follow ClassifyBatchCtx.
+// outputs.
+//
+// Up to GOMAXPROCS workers each claim a tile of consecutive items —
+// min(quant.BatchTile, ⌈items/workers⌉) of them — screen the tile
+// batch-major (W̃ streamed once for the tile, ScreenBatchInto) into
+// scratch-owned buffers and then finish and visit its items one by
+// one. A tile of one is the single-query pipeline, intra-query
+// sharding included. Every item is bit-identical to
+// ClassifyApproxInto.
+//
+// Cancellation is honored between tiles and between the items of a
+// tile: once ctx is done nothing further starts and the call returns
+// ctx.Err(). Cancelled batches still observe batch_ns/batch_size (with
+// the visited item count) and bump core.classify.batch_cancelled.
 func ClassifyBatchVisitCtx(ctx context.Context, cls *Classifier, scr *Screener, batch [][]float32, sel Selection, tr *telemetry.Tracer, visit func(i int, res *Result, sc *Scratch)) error {
 	start := time.Now()
 	workers, maxShards := batchShardBudget(len(batch))
-	done := ctx.Done()
-	var completed atomic.Int64
-	runWorker := func(tid int, next *int64) {
+	tile := min(quant.BatchTile, (len(batch)+workers-1)/workers)
+	var n struct{ claimed, visited atomic.Int64 } // one allocation: the workers share it
+	runWorker := func(tid int) {
 		sc := GetScratch()
 		defer sc.Release()
 		sc.MaxShards = maxShards
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			i := int(atomic.AddInt64(next, 1))
-			if i >= len(batch) {
+		for ctx.Err() == nil {
+			hi := int(n.claimed.Add(int64(tile)))
+			lo := hi - tile
+			if lo >= len(batch) {
 				return
 			}
-			sc.mixed = growF32(sc.mixed, scr.Cfg.Categories)
-			cands, exact := classifyInto(cls, scr, batch[i], sel, sc.mixed, sc, tr, tid)
-			sc.res = Result{Mixed: sc.mixed, Candidates: cands, Exact: exact}
-			visit(i, &sc.res, sc)
-			completed.Add(1)
+			hs := batch[lo:min(hi, len(batch))]
+			mixed := sc.mixed[:len(hs)]
+			for j := range mixed {
+				mixed[j] = growF32(mixed[j], scr.Cfg.Categories)
+			}
+			t0 := time.Now()
+			scr.ScreenBatchInto(mixed, hs, sc)
+			screen := time.Since(t0)
+			traceSpan(tr, "screen", tid, screen)
+			for j, h := range hs {
+				if ctx.Err() != nil {
+					return
+				}
+				visit(lo+j, finishInto(cls, h, sel, mixed[j], sc, tr, tid, screen/time.Duration(len(hs))), sc)
+				n.visited.Add(1)
+			}
 		}
 	}
-	var next int64 = -1
-	if workers <= 1 {
-		runWorker(telemetry.TrackPipeline, &next)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				runWorker(tid, &next)
-			}(telemetry.TrackPipeline + w)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			runWorker(tid)
+		}(telemetry.TrackPipeline + w)
 	}
+	runWorker(telemetry.TrackPipeline)
+	wg.Wait()
+	mBatchNs.Observe(float64(time.Since(start)))
+	mBatchSize.Observe(float64(n.visited.Load()))
 	if err := ctx.Err(); err != nil {
-		observeCancelledBatch(start, int(completed.Load()))
+		mBatchCancelled.Inc()
 		return err
 	}
-	mBatchNs.Observe(float64(time.Since(start)))
-	mBatchSize.Observe(float64(len(batch)))
 	return nil
 }
 

@@ -10,8 +10,9 @@ import (
 
 // Scratch is a per-worker arena for the approximate-classification
 // hot path. A query at Amazon-670K scale needs an l-sized logits
-// vector (~2.7 MB), a projected feature, a quantized feature, a
-// candidate-selection heap and an exact-logits buffer; allocating
+// vector (~2.7 MB; a batch worker keeps one per item of its tile), a
+// projected feature, a quantized feature, a candidate-selection
+// buffer and an exact-logits buffer; allocating
 // those per request turns a saturated server into a garbage
 // generator. A Scratch owns all of them and is recycled through a
 // sync.Pool, so the steady-state classify path allocates nothing.
@@ -36,16 +37,16 @@ type Scratch struct {
 	// its GEMV across every core.
 	MaxShards int
 
-	projected []float32    // P·h, length k
-	q         quant.Vector // quantized projected feature
-	mixed     []float32    // screen/mixed logits for arena-backed results, length l
-	exact     []float32    // exact candidate logits, length m
-	cands     []int        // threshold-selection candidate storage
-	sel       tensor.TopKBuf
-	shardSel  []tensor.TopKBuf // per-shard partial heaps (parallel top-m)
-	shardIdx  [][]int          // per-shard winner lists fed to the merge
-	post      tensor.TopKBuf   // post-classify selection, see (*Scratch).TopK
-	res       Result           // arena-backed result header
+	projected []float32      // P·h, length k
+	qs        []quant.Vector // quantized projected features, one per item screened together
+	// mixed holds screen/mixed logits for arena-backed results, length
+	// l each: [0] serves single queries, a batch tile uses one per item.
+	mixed [quant.BatchTile][]float32
+	exact []float32 // exact candidate logits, length m
+	cands []int     // threshold-selection candidate storage
+	sel   tensor.TopKBuf
+	post  tensor.TopKBuf // post-classify selection, see (*Scratch).TopK
+	res   Result         // arena-backed result header
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
@@ -70,6 +71,15 @@ func (s *Scratch) Release() { scratchPool.Put(s) }
 // until the next TopK call on this scratch.
 func (s *Scratch) TopK(x []float32, k int) []int {
 	return tensor.TopKInto(x, k, &s.post)
+}
+
+// quantized returns n scratch-owned quantized-feature slots, keeping
+// the buffers the existing ones have grown.
+func (s *Scratch) quantized(n int) []quant.Vector {
+	for len(s.qs) < n {
+		s.qs = append(s.qs, quant.Vector{})
+	}
+	return s.qs[:n]
 }
 
 // growF32 returns buf resized to n, reallocating only when capacity
@@ -99,14 +109,4 @@ func (s *Scratch) shardCount(rows int) int {
 		p = n
 	}
 	return p
-}
-
-// shardBufs returns n per-shard TopK buffers and the n-length winner-
-// list holder, growing the backing slices as needed.
-func (s *Scratch) shardBufs(n int) ([]tensor.TopKBuf, [][]int) {
-	if cap(s.shardSel) < n {
-		s.shardSel = make([]tensor.TopKBuf, n)
-		s.shardIdx = make([][]int, n)
-	}
-	return s.shardSel[:n], s.shardIdx[:n]
 }

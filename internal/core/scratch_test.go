@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"enmc/internal/projection"
@@ -75,35 +78,29 @@ func TestScreenIntoShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSelectTopMShardedBitIdentical forces the sharded top-m search
-// and checks the merged winners equal the serial selection exactly,
-// on a vector dense with ties.
-func TestSelectTopMShardedBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
+// TestSelectTopMIsSortedTopK pins the top-m contract at a serving-scale
+// length: the set tensor.TopK ranks, in ascending index order, on a
+// vector dense with ties.
+func TestSelectTopMIsSortedTopK(t *testing.T) {
 	r := xrand.New(35)
-	n := 2*shardMinRows + 123
-	z := make([]float32, n)
+	z := make([]float32, 2*shardMinRows+123)
 	for i := range z {
 		z[i] = float32(r.Intn(1000)) // many ties
 	}
-	for _, m := range []int{1, 64, 4096} {
+	sc := GetScratch()
+	defer sc.Release()
+	for _, m := range []int{0, 1, 64, 4096, len(z) + 1} {
 		want := tensor.TopK(z, m)
-		sc := GetScratch()
-		if sc.shardCount(n) < 2 {
-			t.Fatalf("shardCount(%d) not parallel", n)
-		}
+		sort.Ints(want)
 		got := SelectCandidatesInto(z, TopM(m), sc)
 		if len(got) != len(want) {
 			t.Fatalf("m=%d: len %d != %d", m, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("m=%d pos %d: sharded %d != serial %d", m, i, got[i], want[i])
+				t.Fatalf("m=%d pos %d: %d != %d", m, i, got[i], want[i])
 			}
 		}
-		sc.Release()
 	}
 }
 
@@ -232,6 +229,125 @@ func TestClassifyBatchVisitCtxMatchesBatch(t *testing.T) {
 		if g.top1 != w.Mixed[w.TopPredictions(1)[0]] {
 			t.Fatalf("item %d: top-1 logit differs", i)
 		}
+	}
+}
+
+// TestClassifyBatchVisitCtxTilesBitIdentical is the tiled driver's
+// contract: whatever the batch size (around the tile width) and worker
+// count make of the tiling, every item is visited exactly once with
+// the Mixed, Candidates and Exact that ClassifyApproxInto produces for
+// it, bit for bit.
+func TestClassifyBatchVisitCtxTilesBitIdentical(t *testing.T) {
+	cls, samples := testModel(t, 203, 32, 17) // 203 rows: the last panel is partial
+	scr, _, err := TrainScreener(cls, samples, testConfig(203, 32), TrainOptions{Epochs: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := TopM(12)
+	ref := GetScratch()
+	defer ref.Release()
+	want := make([]*Result, len(samples))
+	for i, h := range samples {
+		want[i] = ClassifyApproxInto(cls, scr, h, sel, ref).clone()
+	}
+	const T = quant.BatchTile
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, b := range []int{1, 2, 3, T, T + 1, 16, 17} {
+			visits := make([]int32, b)
+			err := ClassifyBatchVisitCtx(context.Background(), cls, scr, samples[:b], sel, nil,
+				func(i int, r *Result, _ *Scratch) {
+					atomic.AddInt32(&visits[i], 1)
+					w := want[i]
+					if len(r.Mixed) != len(w.Mixed) || len(r.Candidates) != len(w.Candidates) || len(r.Exact) != len(w.Exact) {
+						t.Errorf("procs=%d B=%d item %d: shape mismatch", procs, b, i)
+						return
+					}
+					for k := range w.Mixed {
+						if math.Float32bits(r.Mixed[k]) != math.Float32bits(w.Mixed[k]) {
+							t.Errorf("procs=%d B=%d item %d: mixed[%d] differs", procs, b, i, k)
+							return
+						}
+					}
+					for k := range w.Candidates {
+						if r.Candidates[k] != w.Candidates[k] || math.Float32bits(r.Exact[k]) != math.Float32bits(w.Exact[k]) {
+							t.Errorf("procs=%d B=%d item %d: candidate %d differs", procs, b, i, k)
+							return
+						}
+					}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range visits {
+				if n != 1 {
+					t.Fatalf("procs=%d B=%d: item %d visited %d times", procs, b, i, n)
+				}
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+}
+
+// TestClassifyBatchVisitCtxCancelMidTile cancels from inside a visit
+// in the middle of a tile: the worker finishes that item, starts
+// neither the tile's next item nor another tile, and batch telemetry
+// records the items actually visited, one stage sample each.
+func TestClassifyBatchVisitCtxCancelMidTile(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	cls, samples := testModel(t, 128, 32, 16)
+	scr, _, err := TrainScreener(cls, samples, testConfig(128, 32), TrainOptions{Epochs: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sizeSum, sizeCount := mBatchSize.Sum(), mBatchSize.Count()
+	classified, screens := mClassifyCount.Value(), mScreenNs.Count()
+	var visited []int
+	err = ClassifyBatchVisitCtx(ctx, cls, scr, samples, TopM(4), nil,
+		func(i int, _ *Result, _ *Scratch) {
+			visited = append(visited, i)
+			if i == quant.BatchTile+1 {
+				cancel()
+			}
+		})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	n := quant.BatchTile + 2
+	if len(visited) != n {
+		t.Fatalf("visited %v, want items 0..%d", visited, n-1)
+	}
+	if got := mBatchSize.Sum() - sizeSum; mBatchSize.Count() != sizeCount+1 || got != float64(n) {
+		t.Fatalf("batch_size observed %v, want %d", got, n)
+	}
+	if mClassifyCount.Value()-classified != int64(n) || mScreenNs.Count()-screens != int64(n) {
+		t.Fatal("screen_ns samples do not match classify count")
+	}
+}
+
+// TestClassifyBatchVisitCtxAllocs holds the warmed driver at the
+// handful of allocations it made before tiles (closures and the
+// counters they share): tile buffers live in the worker's scratch.
+// The workers draw that scratch from a sync.Pool, which under -race
+// drops items at random, so the count only holds on a plain build.
+func TestClassifyBatchVisitCtxAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratches at random under -race")
+	}
+	cls, samples := testModel(t, 128, 32, 16)
+	scr, _, err := TrainScreener(cls, samples, testConfig(128, 32), TrainOptions{Epochs: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		_ = ClassifyBatchVisitCtx(context.Background(), cls, scr, samples, TopM(4), nil, func(int, *Result, *Scratch) {})
+	}
+	run() // warm the arena
+	if allocs := testing.AllocsPerRun(50, run); allocs > 3 {
+		t.Fatalf("warmed ClassifyBatchVisitCtx allocates %v/op, want <= 3", allocs)
 	}
 }
 

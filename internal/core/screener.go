@@ -117,21 +117,14 @@ func (s *Screener) Screen(h []float32) []float32 {
 // range with the same per-row integer math, so the output is
 // bit-identical to the serial kernel.
 func (s *Screener) ScreenInto(dst, h []float32, sc *Scratch) {
-	if len(h) != s.Cfg.Hidden {
-		panic(fmt.Sprintf("core: Screen hidden %d != %d", len(h), s.Cfg.Hidden))
-	}
 	if len(dst) != s.Cfg.Categories {
 		panic(fmt.Sprintf("core: Screen dst %d != %d", len(dst), s.Cfg.Categories))
 	}
-	if s.QW == nil {
-		panic("core: Screen called before Freeze")
-	}
-	sc.projected = growF32(sc.projected, s.Cfg.Reduced)
-	s.P.Apply(sc.projected, h)
-	quant.QuantizeVectorInto(&sc.q, sc.projected, s.Cfg.Precision)
+	q := &sc.quantized(1)[0]
+	s.quantizeInto(q, h, sc)
 	shards := sc.shardCount(s.Cfg.Categories)
 	if shards <= 1 {
-		s.QW.MatVec(dst, &sc.q)
+		s.QW.MatVec(dst, q)
 	} else {
 		var wg sync.WaitGroup
 		chunk := (s.QW.Rows + shards - 1) / shards
@@ -143,12 +136,50 @@ func (s *Screener) ScreenInto(dst, h []float32, sc *Scratch) {
 			wg.Add(1)
 			go func(lo, hi int) {
 				defer wg.Done()
-				s.QW.MatVecRange(dst, &sc.q, lo, hi)
+				s.QW.MatVecRange(dst, q, lo, hi)
 			}(lo, hi)
 		}
 		wg.Wait()
 	}
 	tensor.Add(dst, dst, s.Bt)
+}
+
+// quantizeInto writes the quantized projected feature of h into q.
+func (s *Screener) quantizeInto(q *quant.Vector, h []float32, sc *Scratch) {
+	if len(h) != s.Cfg.Hidden {
+		panic(fmt.Sprintf("core: Screen hidden %d != %d", len(h), s.Cfg.Hidden))
+	}
+	if s.QW == nil {
+		panic("core: Screen called before Freeze")
+	}
+	sc.projected = growF32(sc.projected, s.Cfg.Reduced)
+	s.P.Apply(sc.projected, h)
+	quant.QuantizeVectorInto(q, sc.projected, s.Cfg.Precision)
+}
+
+// ScreenBatchInto is ScreenInto for a batch: dsts[i] (length l)
+// receives the approximate logits of hs[i], bit-identical to
+// ScreenInto, with zero steady-state allocations. The batch rides one
+// stream of W̃ per quant.BatchTile items instead of one per item — the
+// weight-stationary batching the Screener hardware does — on the
+// calling goroutine. A batch of one is ScreenInto itself, intra-query
+// sharding included.
+func (s *Screener) ScreenBatchInto(dsts, hs [][]float32, sc *Scratch) {
+	if len(dsts) != len(hs) {
+		panic(fmt.Sprintf("core: ScreenBatch %d dsts for %d items", len(dsts), len(hs)))
+	}
+	if len(hs) == 1 {
+		s.ScreenInto(dsts[0], hs[0], sc)
+		return
+	}
+	qs := sc.quantized(len(hs))
+	for i, h := range hs {
+		s.quantizeInto(&qs[i], h, sc)
+	}
+	s.QW.MatVecBatch(dsts, qs)
+	for _, dst := range dsts {
+		tensor.Add(dst, dst, s.Bt)
+	}
 }
 
 // ScreenFloat computes z̃ on the float32 master weights (no
@@ -171,29 +202,14 @@ func (s *Screener) WeightBytes() int64 {
 	return qBytes + int64(s.Cfg.Categories)*4 + int64(len(s.Bt))*4 + s.P.Bytes()
 }
 
-// ScreenBatch computes approximate logits for a batch of hidden
-// vectors with one weight-stationary sweep over W̃ — bit-identical to
-// calling Screen per vector, but each quantized weight row is visited
-// once for the whole batch, mirroring the hardware's batched
-// streaming.
+// ScreenBatch is ScreenBatchInto with freshly allocated outputs.
 func (s *Screener) ScreenBatch(hs [][]float32) [][]float32 {
-	if s.QW == nil {
-		panic("core: ScreenBatch called before Freeze")
-	}
-	qs := make([]*quant.Vector, len(hs))
-	for i, h := range hs {
-		if len(h) != s.Cfg.Hidden {
-			panic(fmt.Sprintf("core: ScreenBatch hidden %d != %d", len(h), s.Cfg.Hidden))
-		}
-		qs[i] = quant.QuantizeVector(s.Project(h), s.Cfg.Precision)
-	}
+	sc := GetScratch()
+	defer sc.Release()
 	out := make([][]float32, len(hs))
 	for i := range out {
 		out[i] = make([]float32, s.Cfg.Categories)
 	}
-	s.QW.MatVecBatch(out, qs)
-	for i := range out {
-		tensor.Add(out[i], out[i], s.Bt)
-	}
+	s.ScreenBatchInto(out, hs, sc)
 	return out
 }

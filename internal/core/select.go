@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"enmc/internal/tensor"
 )
@@ -46,60 +45,29 @@ func Threshold(t float32) Selection {
 }
 
 // SelectCandidates picks the candidate indices from approximate
-// logits according to the selection policy.
+// logits according to the selection policy, in ascending index order.
 func SelectCandidates(ztilde []float32, sel Selection) []int {
-	switch sel.Method {
-	case SelectTopM:
-		return tensor.TopK(ztilde, sel.M)
-	case SelectThreshold:
-		return tensor.AboveThreshold(ztilde, sel.Threshold)
-	default:
-		panic(fmt.Sprintf("core: unknown selection method %d", sel.Method))
-	}
+	sc := GetScratch()
+	defer sc.Release()
+	return append([]int(nil), SelectCandidatesInto(ztilde, sel, sc)...)
 }
 
 // SelectCandidatesInto is SelectCandidates with scratch-backed
 // storage: the returned slice aliases sc and is overwritten by the
-// next selection through it. For large category counts the top-m
-// search shards across goroutines (each shard keeps its own partial
-// heap over a disjoint row range, and the shard winners are merged),
-// returning exactly the serial result — the global top-m is a subset
-// of the shard winners and the (value, index) comparator is a total
-// order.
+// next selection through it. Both policies return a set in ascending
+// index order — the order the exact recompute gathers classifier rows
+// in; top-m is the set tensor.TopK would rank (ties toward lower
+// index), found by a linear radix select instead of a heap and a sort.
 func SelectCandidatesInto(ztilde []float32, sel Selection, sc *Scratch) []int {
 	switch sel.Method {
 	case SelectTopM:
-		return sc.selectTopM(ztilde, sel.M)
+		return tensor.TopKSetInto(ztilde, sel.M, &sc.sel)
 	case SelectThreshold:
 		sc.cands = tensor.AboveThresholdInto(sc.cands, ztilde, sel.Threshold)
 		return sc.cands
 	default:
 		panic(fmt.Sprintf("core: unknown selection method %d", sel.Method))
 	}
-}
-
-func (sc *Scratch) selectTopM(ztilde []float32, m int) []int {
-	shards := sc.shardCount(len(ztilde))
-	if shards <= 1 {
-		return tensor.TopKInto(ztilde, m, &sc.sel)
-	}
-	bufs, lists := sc.shardBufs(shards)
-	chunk := (len(ztilde) + shards - 1) / shards
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(ztilde) {
-			hi = len(ztilde)
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			lists[s] = tensor.TopKRange(ztilde, lo, hi, m, &bufs[s])
-		}(s, lo, hi)
-	}
-	wg.Wait()
-	return tensor.TopKMerge(ztilde, lists, m, &sc.sel)
 }
 
 // CalibrateThreshold tunes a threshold on validation features so the

@@ -3,7 +3,6 @@ package decode
 import (
 	"context"
 	"math"
-	"sort"
 
 	"enmc/internal/activation"
 	"enmc/internal/core"
@@ -120,7 +119,6 @@ func (s *LocalScorer) ScoreStep(_ context.Context, h []float32, m, k int) (StepS
 	// single-shot serving path bit for bit.
 	s.scr.ScreenInto(s.mixed, h, s.sc)
 	cands := core.SelectCandidatesInto(s.mixed, core.TopM(m), s.sc)
-	sort.Ints(cands)
 	if cap(s.exact) < len(cands) {
 		s.exact = make([]float32, len(cands))
 	}

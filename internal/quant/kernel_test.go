@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -116,41 +117,70 @@ func TestMatVecRangePanicsOnBadRange(t *testing.T) {
 	}
 }
 
-// TestMatVecBatchBitIdenticalToPerVector checks the weight-stationary
-// batch loop against per-vector MatVec on shapes that exercise the
-// row-block and unroll tails.
-func TestMatVecBatchBitIdenticalToPerVector(t *testing.T) {
-	r := xrand.New(23)
-	for _, bits := range []Bits{INT2, INT4, INT8} {
-		for _, shape := range [][2]int{{1, 1}, {3, 5}, {4, 8}, {6, 9}, {13, 33}} {
-			rows, cols := shape[0], shape[1]
-			w := tensor.NewMatrix(rows, cols)
-			for i := range w.Data {
-				w.Data[i] = r.NormFloat32()
+// TestMatVecBatchRangeBitIdenticalToPerVector is the batch kernel's
+// contract: for any shape (rows off the 4/8-row panels, columns off
+// the 8-wide unroll and past the 256-column lane flush), precision,
+// scale granularity, batch size around the tile and row sub-range, and
+// with hand-built vectors (no biased cache) mixed in, every output bit
+// equals the per-vector MatVec and rows outside the range stay put.
+func TestMatVecBatchRangeBitIdenticalToPerVector(t *testing.T) {
+	const sentinel = float32(-1e30)
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		bits := []Bits{INT2, INT4, INT8}[r.Intn(3)]
+		rows := 1 + r.Intn(45)
+		cols := 1 + r.Intn(40)
+		if r.Intn(4) == 0 {
+			cols = 250 + r.Intn(300)
+		}
+		w := tensor.NewMatrix(rows, cols)
+		for i := range w.Data {
+			w.Data[i] = r.NormFloat32()
+		}
+		qm := QuantizeMatrix(w, bits)
+		if r.Intn(2) == 0 {
+			qm = QuantizeMatrixPerTensor(w, bits)
+		}
+		batch := 1 + r.Intn(2*BatchTile+1)
+		xs := make([]Vector, batch)
+		got := make([][]float32, batch)
+		for b := range xs {
+			x := make([]float32, cols)
+			for i := range x {
+				x[i] = r.NormFloat32()
 			}
-			qm := QuantizeMatrix(w, bits)
-			batch := 1 + r.Intn(5)
-			xs := make([]*Vector, batch)
-			got := make([][]float32, batch)
-			for b := range xs {
-				x := make([]float32, cols)
-				for i := range x {
-					x[i] = r.NormFloat32()
-				}
-				xs[b] = QuantizeVector(x, bits)
-				got[b] = make([]float32, rows)
+			QuantizeVectorInto(&xs[b], x, bits)
+			if r.Intn(6) == 0 {
+				xs[b].biased = nil // hand-built: scalar kernel only
 			}
-			qm.MatVecBatch(got, xs)
-			for b, x := range xs {
-				want := make([]float32, rows)
-				qm.MatVec(want, x)
-				for i := range want {
-					if got[b][i] != want[i] {
-						t.Fatalf("%v %dx%d batch %d row %d: got %v want %v", bits, rows, cols, b, i, got[b][i], want[i])
+			got[b] = make([]float32, rows)
+			for i := range got[b] {
+				got[b][i] = sentinel
+			}
+		}
+		lo := r.Intn(rows + 1)
+		hi := lo + r.Intn(rows-lo+1)
+		if r.Intn(3) == 0 {
+			lo, hi = 0, rows
+		}
+		qm.MatVecBatchRange(got, xs, lo, hi)
+		want := make([]float32, rows)
+		for b := range xs {
+			qm.MatVec(want, &xs[b])
+			for i := range want {
+				if i < lo || i >= hi {
+					if got[b][i] != sentinel {
+						return false
 					}
+				} else if math.Float32bits(got[b][i]) != math.Float32bits(want[i]) {
+					return false
 				}
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -229,6 +229,28 @@ func (m *Matrix) Bytes() int64 {
 	return (int64(m.Rows)*int64(m.Cols)*int64(m.Bits) + 7) / 8
 }
 
+// StreamBytes reports the bytes one MatVec actually reads from the
+// matrix with the kernel it dispatches for a quantized vector: the
+// SWAR panels hold each INT2/INT4 weight in a 16-bit lane (four times
+// the packed INT4 image Bytes reports) plus a scale and a row sum per
+// row; unpacked rows and INT8 stream Q at a byte per weight plus the
+// scale. This is the traffic a roofline should be computed from.
+func (m *Matrix) StreamBytes() int64 {
+	if m.panels == nil {
+		return int64(len(m.Q)) + 4*int64(m.Rows)
+	}
+	return 8*int64(len(m.panels)) + int64(m.Rows&3)*int64(m.Cols) + 8*int64(m.Rows)
+}
+
+// BatchStreamBytes is StreamBytes for a MatVecBatch of b quantized
+// vectors: one stream per full tile plus one per remainder vector.
+func (m *Matrix) BatchStreamBytes(b int) int64 {
+	if m.panels != nil {
+		b = b/BatchTile + b%BatchTile
+	}
+	return int64(b) * m.StreamBytes()
+}
+
 // MatVec computes dst = dequant(m)·dequant(x) using the integer
 // datapath: per-row int32 accumulation of int8 products, then a
 // single float multiply by (rowScale · xScale). This is bit-exact
@@ -557,69 +579,124 @@ func UnpackINT2(packed []byte, n int) []int8 {
 	return out
 }
 
-// MatVecBatch computes dst[b] = dequant(m)·dequant(xs[b]) for a batch
-// of vectors with a weight-stationary loop: each weight row is read
-// once and applied to every batch element — the reuse pattern that
-// makes batched screening traffic-free on the weight side (and the
-// reason ENMC's batch-4 offloads take barely longer than batch-1).
-func (m *Matrix) MatVecBatch(dst [][]float32, xs []*Vector) {
-	if len(dst) != len(xs) {
-		panic("quant: MatVecBatch batch size mismatch")
+// BatchTile is the number of activation vectors the batch-major SWAR
+// kernel multiplies against each weight panel word it loads. Four
+// vectors' biased lanes (4 × Cols × 8 B) sit in L1 beside the four
+// accumulators; see BenchmarkMatVecBatch for the measurement.
+const BatchTile = 4
+
+// MatVecBatch computes dsts[b] = dequant(m)·dequant(xs[b]) for every
+// vector of the batch, bit-identical to MatVec per vector.
+func (m *Matrix) MatVecBatch(dsts [][]float32, xs []Vector) {
+	m.MatVecBatchRange(dsts, xs, 0, m.Rows)
+}
+
+// MatVecBatchRange is MatVecRange for a batch of vectors, streaming
+// the weights once per tile of BatchTile vectors instead of once per
+// vector: the weight-stationary reuse that makes ENMC's batch-4
+// offloads cost barely more than batch-1. Whatever the tile kernel
+// cannot take — INT8, operands without the SWAR packing, rows outside
+// the aligned panels, a batch remainder shorter than a tile — runs on
+// the single-vector kernels, so every output bit matches MatVecRange.
+func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, lo, hi int) {
+	if len(dsts) != len(xs) {
+		panic("quant: MatVecBatchRange batch size mismatch")
 	}
-	for b, x := range xs {
-		if len(x.Q) != m.Cols || len(dst[b]) != m.Rows {
-			panic(fmt.Sprintf("quant: MatVecBatch shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(x.Q), len(dst[b])))
+	for b := range xs {
+		if len(xs[b].Q) != m.Cols || len(dsts[b]) != m.Rows {
+			panic(fmt.Sprintf("quant: MatVecBatchRange shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(xs[b].Q), len(dsts[b])))
 		}
 	}
+	if lo < 0 || hi > m.Rows || lo > hi {
+		panic(fmt.Sprintf("quant: MatVecBatchRange rows [%d,%d) of %d", lo, hi, m.Rows))
+	}
+	alo, ahi := (lo+3)&^3, hi&^3
+	b := 0
+	if m.panels != nil && alo < ahi {
+		for ; b+BatchTile <= len(xs); b += BatchTile {
+			tile := xs[b : b+BatchTile]
+			if !m.swarTile(tile) {
+				break
+			}
+			m.matVecTileSWAR((*[BatchTile][]float32)(dsts[b:]), (*[BatchTile]Vector)(tile), alo, ahi)
+			for t := range tile {
+				m.matVecRangeBlocked(dsts[b+t], &tile[t], lo, alo)
+				m.matVecRangeBlocked(dsts[b+t], &tile[t], ahi, hi)
+			}
+		}
+	}
+	for ; b < len(xs); b++ {
+		m.matVecRange(dsts[b], &xs[b], lo, hi)
+	}
+}
+
+// swarTile reports whether every vector of the tile carries the
+// biased cache the SWAR kernels need.
+func (m *Matrix) swarTile(tile []Vector) bool {
+	for t := range tile {
+		if len(tile[t].biased) != m.Cols {
+			return false
+		}
+	}
+	return true
+}
+
+// matVecTileSWAR is matVecRangeSWAR over BatchTile vectors at once for
+// the 4-aligned rows [lo,hi): each panel word is loaded once and
+// multiplied into one lane accumulator per vector, with the same bias
+// correction per vector afterwards. A chunk is at most 256 columns of
+// products ≤ 15·15, so one accumulator per vector never carries
+// between lanes, and the four independent accumulators already break
+// the add dependency chain.
+func (m *Matrix) matVecTileSWAR(dsts *[BatchTile][]float32, xs *[BatchTile]Vector, lo, hi int) {
 	n := m.Cols
-	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		base := i * n
-		r0 := m.Q[base : base+n : base+n]
-		r1 := m.Q[base+n : base+2*n : base+2*n]
-		r2 := m.Q[base+2*n : base+3*n : base+3*n]
-		r3 := m.Q[base+3*n : base+4*n : base+4*n]
-		s0, s1, s2, s3 := m.Scales[i], m.Scales[i+1], m.Scales[i+2], m.Scales[i+3]
-		for b, x := range xs {
-			xq := x.Q[:n:n]
-			var a0, a1, a2, a3 int32
-			j := 0
-			for ; j+8 <= n; j += 8 {
-				x0, x1, x2, x3 := int32(xq[j]), int32(xq[j+1]), int32(xq[j+2]), int32(xq[j+3])
-				x4, x5, x6, x7 := int32(xq[j+4]), int32(xq[j+5]), int32(xq[j+6]), int32(xq[j+7])
-				a0 += int32(r0[j])*x0 + int32(r0[j+1])*x1 + int32(r0[j+2])*x2 + int32(r0[j+3])*x3 +
-					int32(r0[j+4])*x4 + int32(r0[j+5])*x5 + int32(r0[j+6])*x6 + int32(r0[j+7])*x7
-				a1 += int32(r1[j])*x0 + int32(r1[j+1])*x1 + int32(r1[j+2])*x2 + int32(r1[j+3])*x3 +
-					int32(r1[j+4])*x4 + int32(r1[j+5])*x5 + int32(r1[j+6])*x6 + int32(r1[j+7])*x7
-				a2 += int32(r2[j])*x0 + int32(r2[j+1])*x1 + int32(r2[j+2])*x2 + int32(r2[j+3])*x3 +
-					int32(r2[j+4])*x4 + int32(r2[j+5])*x5 + int32(r2[j+6])*x6 + int32(r2[j+7])*x7
-				a3 += int32(r3[j])*x0 + int32(r3[j+1])*x1 + int32(r3[j+2])*x2 + int32(r3[j+3])*x3 +
-					int32(r3[j+4])*x4 + int32(r3[j+5])*x5 + int32(r3[j+6])*x6 + int32(r3[j+7])*x7
+	bw := m.Bits.MaxLevel() + 1
+	var bx, xcorr [BatchTile]int32
+	for t := range xs {
+		var sumX int32
+		for _, q := range xs[t].Q {
+			sumX += int32(q)
+		}
+		bx[t] = xs[t].Bits.MaxLevel() + 1
+		xcorr[t] = bw*sumX + int32(n)*bw*bx[t]
+	}
+	x0, x1, x2, x3 := xs[0].biased[:n], xs[1].biased[:n], xs[2].biased[:n], xs[3].biased[:n]
+	for i := lo; i < hi; i += 4 {
+		base := (i >> 2) * n
+		pw := m.panels[base : base+n : base+n]
+		var a [BatchTile][4]int32
+		for j := 0; j < n; j += 256 {
+			end := min(j+256, n)
+			acc0, acc1, acc2, acc3 := tileLanes(pw[j:end], x0[j:end], x1[j:end], x2[j:end], x3[j:end])
+			for t, acc := range [BatchTile]uint64{acc0, acc1, acc2, acc3} {
+				a[t][0] += int32(acc & 0xffff)
+				a[t][1] += int32(acc >> 16 & 0xffff)
+				a[t][2] += int32(acc >> 32 & 0xffff)
+				a[t][3] += int32(acc >> 48 & 0xffff)
 			}
-			for ; j < n; j++ {
-				xv := int32(xq[j])
-				a0 += int32(r0[j]) * xv
-				a1 += int32(r1[j]) * xv
-				a2 += int32(r2[j]) * xv
-				a3 += int32(r3[j]) * xv
+		}
+		for t := range a {
+			xs1, dst := xs[t].Scale, dsts[t]
+			for r, sum := range a[t] {
+				dst[i+r] = float32(sum-bx[t]*m.rowSums[i+r]-xcorr[t]) * m.Scales[i+r] * xs1
 			}
-			d := dst[b]
-			d[i] = float32(a0) * s0 * x.Scale
-			d[i+1] = float32(a1) * s1 * x.Scale
-			d[i+2] = float32(a2) * s2 * x.Scale
-			d[i+3] = float32(a3) * s3 * x.Scale
 		}
 	}
-	for ; i < m.Rows; i++ {
-		row := m.Row(i)
-		scale := m.Scales[i]
-		for b, x := range xs {
-			xq := x.Q
-			var acc int32
-			for j, q := range row {
-				acc += int32(q) * int32(xq[j])
-			}
-			dst[b][i] = float32(acc) * scale * x.Scale
-		}
+}
+
+// tileLanes multiplies one chunk of panel words into four vectors'
+// lane accumulators. It is its own function, kept out of line, so the
+// four sums and five pointers get registers: inlined into the row
+// loop the compiler spills three of the accumulators to the stack.
+//
+//go:noinline
+func tileLanes(cw, c0, c1, c2, c3 []uint64) (acc0, acc1, acc2, acc3 uint64) {
+	c0, c1, c2, c3 = c0[:len(cw)], c1[:len(cw)], c2[:len(cw)], c3[:len(cw)]
+	for t, w := range cw {
+		acc0 += w * c0[t]
+		acc1 += w * c1[t]
+		acc2 += w * c2[t]
+		acc3 += w * c3[t]
 	}
+	return
 }

@@ -19,6 +19,7 @@ const (
 	MetricClassify     = "classify_ns_op"
 	MetricClassifyInto = "classify_into_ns_op"
 	MetricBatch        = "batch_ns"
+	MetricBatchScreen  = "batch_screen_ns"
 
 	// Wire-codec metrics (`enmc-bench -wire` shapes): binary frame
 	// and JSON encode/decode round trips of the cluster screen RPC.
@@ -58,6 +59,14 @@ type PerfResult struct {
 	ClassifyIntoNsOp float64 `json:"classify_into_ns_op"`
 	AllocsOp         float64 `json:"allocs_op"` // steady-state ClassifyApproxInto
 	BatchQPS         float64 `json:"batch_qps"` // ClassifyBatchVisitCtx, batch 8
+
+	// Achieved screener weight traffic, from the bytes the dispatched
+	// kernel streams (quant.Matrix.StreamBytes — 16-bit SWAR lanes,
+	// scales, row sums — not the packed INT4 image): one ScreenInto,
+	// and one ScreenBatchInto of batch 8 on one core, where a tile of
+	// items shares each stream. Absent on records older than the field.
+	ScreenStreamGBps float64 `json:"screen_stream_gbps,omitempty"`
+	BatchStreamGBps  float64 `json:"batch_stream_gbps,omitempty"`
 
 	// Wire-codec measurements (`enmc-bench -wire` shapes): one screen
 	// RPC round trip's encode+decode cost and payload size in each

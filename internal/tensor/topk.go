@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // TopK returns the indices of the k largest values in x, in
 // descending value order (ties break toward lower index). It runs in
 // O(n log k) with a bounded min-heap, mirroring the top-m candidate
@@ -18,8 +20,8 @@ func TopK(x []float32, k int) []int {
 // TopKBuf is reusable scratch for the allocation-free top-k variants:
 // it owns the bounded heap and the output index slice, so steady-state
 // selection allocates nothing. The zero value is ready to use. Slices
-// returned by TopKInto/TopKRange/TopKMerge alias the buffer and stay
-// valid only until the next call on the same buffer.
+// returned by TopKInto/TopKSetInto alias the buffer and stay valid
+// only until the next call on the same buffer.
 type TopKBuf struct {
 	items []heapItem
 	out   []int
@@ -28,24 +30,15 @@ type TopKBuf struct {
 // TopKInto is TopK with buffer-backed storage: the returned slice is
 // owned by buf and is overwritten by the next selection through it.
 func TopKInto(x []float32, k int, buf *TopKBuf) []int {
-	return TopKRange(x, 0, len(x), k, buf)
-}
-
-// TopKRange selects the k largest values of x[lo:hi] and returns
-// their *global* indices (descending value, ties toward lower index).
-// This is the per-shard kernel of the parallel candidate search: each
-// shard scans a disjoint row range with its own buffer, and the
-// shard winners are combined with TopKMerge.
-func TopKRange(x []float32, lo, hi, k int, buf *TopKBuf) []int {
-	if k <= 0 || hi <= lo {
+	if k <= 0 || len(x) == 0 {
 		return nil
 	}
-	if k > hi-lo {
-		k = hi - lo
+	if k > len(x) {
+		k = len(x)
 	}
 	items := buf.items[:0]
-	for i := lo; i < hi; i++ {
-		it := heapItem{idx: i, val: x[i]}
+	for i, v := range x {
+		it := heapItem{idx: i, val: v}
 		if len(items) < k {
 			items = append(items, it)
 			siftUp(items, len(items)-1)
@@ -60,34 +53,68 @@ func TopKRange(x []float32, lo, hi, k int, buf *TopKBuf) []int {
 	return buf.extract()
 }
 
-// TopKMerge selects the k overall largest entries from the union of
-// the candidate index lists (global indices into x), with the same
-// ordering contract as TopK. Given per-shard top-k lists from
-// TopKRange it returns exactly what a single global TopK would: the
-// global winners are necessarily among the shard winners, and the
-// (value, index) comparator is a total order, so the merged output is
-// bit-identical to the serial selection.
-func TopKMerge(x []float32, lists [][]int, k int, buf *TopKBuf) []int {
-	if k <= 0 {
+// TopKSetInto returns the indices TopK selects — the k largest values,
+// ties toward lower index — as a set in ascending index order, which
+// is what a consumer that only gathers the winners wants (the exact
+// recompute walks classifier rows in index order). It radix-selects
+// the k-th largest value over order-preserving integer keys in three
+// histogram passes (11, 11 and 10 bits), then collects everything
+// above it plus the lowest-indexed ties in one more pass: O(n) with no
+// heap and no sort, where TopK's heap costs O(n log k) plus an
+// O(k log k) extraction. -0 and +0 tie, as they do for TopK; NaNs,
+// which TopK's comparator cannot order, sort by bit pattern beyond
+// ±Inf.
+func TopKSetInto(x []float32, k int, buf *TopKBuf) []int {
+	if k <= 0 || len(x) == 0 {
 		return nil
 	}
-	items := buf.items[:0]
-	for _, list := range lists {
-		for _, idx := range list {
-			it := heapItem{idx: idx, val: x[idx]}
-			if len(items) < k {
-				items = append(items, it)
-				siftUp(items, len(items)-1)
-				continue
-			}
-			if less(items[0], it) {
-				items[0] = it
-				siftDown(items, 0)
+	if k > len(x) {
+		k = len(x)
+	}
+	// After each pass, kth&mask is the leading digits of the k-th
+	// largest key and need counts how many winners share them.
+	var kth, mask uint32
+	need := uint32(k)
+	for _, d := range [3]struct{ shift, width uint32 }{{21, 11}, {10, 11}, {0, 10}} {
+		var hist [1 << 11]uint32
+		digits := uint32(1)<<d.width - 1
+		for _, v := range x {
+			if key := orderKey(v); key&mask == kth {
+				hist[key>>d.shift&digits]++
 			}
 		}
+		b := digits
+		for ; need > hist[b]; b-- {
+			need -= hist[b]
+		}
+		kth |= b << d.shift
+		mask |= digits << d.shift
 	}
-	buf.items = items
-	return buf.extract()
+	if cap(buf.out) < k {
+		buf.out = make([]int, 0, k)
+	}
+	out := buf.out[:0]
+	for i, v := range x {
+		key := orderKey(v)
+		if key > kth {
+			out = append(out, i)
+		} else if key == kth && need > 0 {
+			need--
+			out = append(out, i)
+		}
+	}
+	buf.out = out
+	return out
+}
+
+// orderKey maps v to a uint32 whose unsigned order is v's float order
+// (sign-magnitude to biased), with -0 folded onto +0.
+func orderKey(v float32) uint32 {
+	b := math.Float32bits(v)
+	if b<<1 == 0 {
+		return 1 << 31
+	}
+	return b ^ (uint32(int32(b)>>31) | 1<<31)
 }
 
 // extract heap-sorts the retained items (best first) and writes their

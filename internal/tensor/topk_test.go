@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -84,52 +86,41 @@ func TestTopKBufReuseAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestTopKRangeGlobalIndices(t *testing.T) {
+// TestTopKSetIntoIsSortedTopK is the set-select contract: the same
+// indices TopK ranks, in ascending index order — under heavy ties,
+// signed zeros, ±Inf, values spread over many exponents (so every
+// radix pass has work to do), k ≥ n and k = 0.
+func TestTopKSetIntoIsSortedTopK(t *testing.T) {
+	inf := float32(math.Inf(1))
+	negZero := math.Float32frombits(1 << 31)
+	var buf TopKBuf
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
-		n := 2 + r.Intn(300)
-		lo := r.Intn(n)
-		hi := lo + r.Intn(n-lo+1)
-		k := 1 + r.Intn(n)
+		n := 1 + r.Intn(400)
+		k := r.Intn(n + 5) // includes 0 and k > n
 		x := dupVec(r, n)
-		var buf TopKBuf
-		return eqInts(TopKRange(x, lo, hi, k, &buf), refTopK(x, lo, hi, k))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestTopKMergeEqualsSerial is the parallel-selection contract: shard
-// x into random disjoint ranges, take per-shard top-k, merge — the
-// result must be bit-identical to a single global selection.
-func TestTopKMergeEqualsSerial(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := 1 + r.Intn(500)
-		k := 1 + r.Intn(n)
-		shards := 1 + r.Intn(6)
-		x := dupVec(r, n)
-
-		lists := make([][]int, 0, shards)
-		bufs := make([]TopKBuf, shards)
-		chunk := (n + shards - 1) / shards
-		for s := 0; s < shards; s++ {
-			lo := s * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
+		switch r.Intn(3) {
+		case 0:
+			for i := range x {
+				x[i] = r.NormFloat32() * float32(math.Exp(20*r.Float64()-10))
 			}
-			if lo >= hi {
-				continue
+		case 1:
+			special := []float32{inf, -inf, 0, negZero, 1, -1}
+			for i := range x {
+				if r.Intn(3) == 0 {
+					x[i] = special[r.Intn(len(special))]
+				}
 			}
-			lists = append(lists, TopKRange(x, lo, hi, k, &bufs[s]))
 		}
-		var merged TopKBuf
-		return eqInts(TopKMerge(x, lists, k, &merged), refTopK(x, 0, n, k))
+		want := refTopK(x, 0, n, k)
+		sort.Ints(want)
+		return eqInts(TopKSetInto(x, k, &buf), want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
+	}
+	if got := TopKSetInto(nil, 3, &buf); got != nil {
+		t.Fatalf("TopKSetInto(nil) = %v", got)
 	}
 }
 
@@ -160,5 +151,11 @@ func TestTopKZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("TopKInto steady state allocates %v/op", allocs)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		TopKSetInto(x, 64, &buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("TopKSetInto steady state allocates %v/op", allocs)
 	}
 }
