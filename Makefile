@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-selftest bench-perf wire-bench decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
+.PHONY: all build test test-purego race bench bench-smoke bench-selftest bench-perf wire-bench decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
 
 all: build
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The packages on the screening path once more with the assembly
+# kernel compiled out (-tags purego): the scalar-blocked fallback must
+# pass the same bit-identity, driver and serializer tests the AVX2
+# kernel passes in `make test`.
+test-purego:
+	$(GO) test -tags purego ./internal/quant ./internal/core ./internal/decode ./internal/distributed
 
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on.
@@ -35,9 +42,9 @@ check: vet fmt race
 	@echo "check OK"
 
 # What CI runs on every push/PR — the same gate as `make check` plus
-# an explicit build and plain test pass and the stale-report gate,
-# kept here so the CI workflow can't drift from the Makefile.
-ci: vet fmt build test race bench-selftest report-check
+# an explicit build, plain and purego test passes and the stale-report
+# gate, kept here so the CI workflow can't drift from the Makefile.
+ci: vet fmt build test test-purego race bench-selftest report-check
 	@echo "ci OK"
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a nested

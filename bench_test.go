@@ -14,8 +14,11 @@ package enmc
 import (
 	"context"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -500,12 +503,13 @@ func BenchmarkScreen(b *testing.B) {
 }
 
 // BenchmarkMatVecBatch is the measurement behind quant.BatchTile: the
-// batch-major screening GEMV at the amazon-670k shape (176 MB of
-// panels, scales and row sums per stream) for a single vector, one
-// tile and a batch of tiles. ns/item falls once a tile shares each
+// batch-major screening GEMV at the amazon-670k shape (on AVX2 a 43 MB
+// nibble image plus 2.7 MB of scales per stream) for a single vector,
+// one tile and a batch of tiles. ns/item falls once a tile shares each
 // weight stream; GB/s is the traffic actually streamed
-// (BatchStreamBytes), which falls with it while the kernel is
-// multiply-bound rather than bandwidth-bound.
+// (BatchStreamBytes) and reads against BenchmarkStreamRead, this
+// host's sequential-read roof: the single-vector kernel runs near it,
+// the tile kernel trades bandwidth for four vectors per byte.
 func BenchmarkMatVecBatch(b *testing.B) {
 	s := perfShapes[1]
 	qw := perfScreener(b, s).QW
@@ -529,6 +533,56 @@ func BenchmarkMatVecBatch(b *testing.B) {
 			b.ReportMetric(ns/float64(n), "ns/item")
 			b.ReportMetric(float64(qw.BatchStreamBytes(n))/ns, "GB/s")
 		})
+	}
+}
+
+// BenchmarkStreamRead is the STREAM-style roof the screening kernels'
+// GB/s is stated against: a sequential read (eight independent sums,
+// so the adds do not bound it) by one goroutine and by one per CPU,
+// over 256 MB — the DRAM roof on any host whose last-level cache is
+// smaller — and over 48 MB, the footprint of the amazon-670k nibble
+// image, which is the roof that kernel really runs under where a large
+// shared L3 holds it (this host: 260 MB).
+func BenchmarkStreamRead(b *testing.B) {
+	buf := make([]uint64, 256<<20/8)
+	for i := range buf {
+		buf[i] = uint64(i)
+	}
+	var sink atomic.Uint64
+	readers := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		readers = append(readers, n)
+	}
+	for _, mb := range []int{48, 256} {
+		for _, procs := range readers {
+			part := mb << 20 / 8 / procs
+			b.Run("MB="+strconv.Itoa(mb)+"/procs="+strconv.Itoa(procs), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for p := 0; p < procs; p++ {
+						wg.Add(1)
+						go func(words []uint64) {
+							defer wg.Done()
+							var s0, s1, s2, s3, s4, s5, s6, s7 uint64
+							for ; len(words) >= 8; words = words[8:] {
+								w := words[:8:8]
+								s0 += w[0]
+								s1 += w[1]
+								s2 += w[2]
+								s3 += w[3]
+								s4 += w[4]
+								s5 += w[5]
+								s6 += w[6]
+								s7 += w[7]
+							}
+							sink.Add(s0 + s1 + s2 + s3 + s4 + s5 + s6 + s7)
+						}(buf[p*part : (p+1)*part])
+					}
+					wg.Wait()
+				}
+				b.ReportMetric(float64(8*part*procs)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GB/s")
+			})
+		}
 	}
 }
 

@@ -247,7 +247,8 @@ func runPerf(label, filter string, passes int) report.PerfRecord {
 		res.AllocsOp = testing.AllocsPerRun(5, func() { core.ClassifyApproxInto(cls, scr, h, sel, sc) })
 		sc.Release()
 		res.BatchQPS = float64(batchSize) / (batchNs.min() / 1e9)
-		// Bytes per nanosecond is GB/s.
+		// Bytes per nanosecond is GB/s, over the bytes the dispatched
+		// kernel reads (the nibble image on AVX2, Q otherwise).
 		res.ScreenStreamGBps = float64(scr.QW.StreamBytes()) / res.ScreenNsOp
 		res.BatchStreamGBps = float64(scr.QW.BatchStreamBytes(batchSize)) / batchScreen.min()
 		res.CV = map[string]float64{

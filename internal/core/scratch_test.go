@@ -238,7 +238,7 @@ func TestClassifyBatchVisitCtxMatchesBatch(t *testing.T) {
 // the Mixed, Candidates and Exact that ClassifyApproxInto produces for
 // it, bit for bit.
 func TestClassifyBatchVisitCtxTilesBitIdentical(t *testing.T) {
-	cls, samples := testModel(t, 203, 32, 17) // 203 rows: the last panel is partial
+	cls, samples := testModel(t, 203, 32, 17) // 203 rows: three edge rows past the last 8-row group
 	scr, _, err := TrainScreener(cls, samples, testConfig(203, 32), TrainOptions{Epochs: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)

@@ -181,11 +181,16 @@ func synthScreener(t *testing.T, l, d, k int, bits quant.Bits, perTensor bool, s
 // TestSerializeRoundTripProperty sweeps every supported precision ×
 // odd (non-power-of-two, non-multiple-of-4) shapes and checks the
 // round trip is bit-identical: config, master weights, and screen
-// outputs on random inputs.
+// outputs on random inputs — against the original and against the
+// same weights with no acceleration structure (a hand-assembled
+// quant.Matrix screens on the scalar kernel), so a rebuilt nibble
+// image that disagreed with Q would show; equal StreamBytes says the
+// deserializer called BuildAccel and dispatches the kernel the
+// original does.
 func TestSerializeRoundTripProperty(t *testing.T) {
 	shapes := []struct{ l, d, k int }{
 		{7, 11, 3},   // tiny, everything odd
-		{33, 17, 5},  // rows%4 != 0 exercises the SWAR panel tail
+		{33, 17, 5},  // four 8-row kernel groups plus one scalar edge row
 		{61, 32, 31}, // k just under a power of two
 	}
 	for _, bits := range []quant.Bits{quant.INT2, quant.INT4, quant.INT8} {
@@ -212,15 +217,20 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 						t.Fatalf("INT%d %dx%dx%d: master weights corrupted", bits, sh.l, sh.d, sh.k)
 					}
 				}
+				if a, b := scr.QW.StreamBytes(), got.QW.StreamBytes(); a != b {
+					t.Fatalf("INT%d %dx%dx%d: StreamBytes %d before, %d after the round trip", bits, sh.l, sh.d, sh.k, a, b)
+				}
+				scalar := *got
+				scalar.QW = &quant.Matrix{Bits: got.QW.Bits, Rows: got.QW.Rows, Cols: got.QW.Cols, Scales: got.QW.Scales, Q: got.QW.Q}
 				r := xrand.New(uint64(sh.d))
 				for trial := 0; trial < 3; trial++ {
 					h := make([]float32, sh.d)
 					for i := range h {
 						h[i] = r.NormFloat32()
 					}
-					a, b := scr.Screen(h), got.Screen(h)
+					a, b, c := scr.Screen(h), got.Screen(h), scalar.Screen(h)
 					for i := range a {
-						if a[i] != b[i] {
+						if a[i] != b[i] || a[i] != c[i] {
 							t.Fatalf("INT%d perTensor=%v %dx%dx%d: screen diverged at %d",
 								bits, perTensor, sh.l, sh.d, sh.k, i)
 						}

@@ -1,0 +1,215 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// The nibble-image GEMV kernels. One chunk is 32 bytes = 64 weights:
+// byte b holds column b (low nibble) and column b+32 (high nibble),
+// each stored as q+8 in 0..15. Per chunk and row
+//
+//	lo  = w & 0x0f, hi = (w >> 4) & 0x0f          unsigned bytes ≤ 15
+//	p   = VPMADDUBSW(lo, x[0:32])                 int16: 2 products, |p| ≤ 2·15·128
+//	q   = VPMADDUBSW(hi, x[32:64])
+//	s   = p + q                                   int16: |s| ≤ 4·15·128 = 7680 < 2¹⁵
+//	acc += VPMADDWD(s, ones)                      int32 from here on
+//
+// so neither the saturating multiply-add nor the int16 add can ever
+// clip, for any int8 activation, and the widening happens every chunk.
+
+DATA nibMask<>+0(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nibMask<>+8(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nibMask<>+16(SB)/8, $0x0f0f0f0f0f0f0f0f
+DATA nibMask<>+24(SB)/8, $0x0f0f0f0f0f0f0f0f
+GLOBL nibMask<>(SB), RODATA|NOPTR, $32
+
+DATA ones16<>+0(SB)/8, $0x0001000100010001
+DATA ones16<>+8(SB)/8, $0x0001000100010001
+DATA ones16<>+16(SB)/8, $0x0001000100010001
+DATA ones16<>+24(SB)/8, $0x0001000100010001
+GLOBL ones16<>(SB), RODATA|NOPTR, $32
+
+// Y14 = nibble mask, Y15 = int16 ones in both kernels.
+
+// UNPACK loads the chunk at addr into Y8 (low nibbles) and Y9 (high).
+#define UNPACK(addr) \
+	VMOVDQU addr, Y8     \
+	VPSRLW  $4, Y8, Y9   \
+	VPAND   Y14, Y8, Y8  \
+	VPAND   Y14, Y9, Y9
+
+// MAC adds the unpacked chunk (Y8, Y9) times the activations xlo, xhi
+// (registers or memory) into acc, using t0 and t1.
+#define MAC(xlo, xhi, acc, t0, t1) \
+	VPMADDUBSW xlo, Y8, t0  \
+	VPMADDUBSW xhi, Y9, t1  \
+	VPADDW     t1, t0, t0   \
+	VPMADDWD   Y15, t0, t0  \
+	VPADDD     t0, acc, acc
+
+#define ROW8(addr, acc) \
+	UNPACK(addr)            \
+	MAC(Y12, Y13, acc, Y10, Y11)
+
+// func dotPacked8(w *byte, stride, chunks int, x, tail *int8, groups int, out *int32)
+TEXT ·dotPacked8(SB), NOSPLIT, $0-56
+	MOVQ    w+0(FP), SI
+	MOVQ    stride+8(FP), BX
+	MOVQ    groups+40(FP), CX
+	MOVQ    out+48(FP), DI
+	VMOVDQU nibMask<>(SB), Y14
+	VMOVDQU ones16<>(SB), Y15
+	LEAQ    (BX)(BX*2), R8   // 3·stride
+	LEAQ    (BX)(BX*4), R9   // 5·stride
+	LEAQ    (R8)(BX*4), R10  // 7·stride
+
+group8:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	VPXOR Y4, Y4, Y4
+	VPXOR Y5, Y5, Y5
+	VPXOR Y6, Y6, Y6
+	VPXOR Y7, Y7, Y7
+	MOVQ  SI, R12            // this chunk of row 0
+	MOVQ  x+24(FP), DX
+	MOVQ  chunks+16(FP), AX
+	MOVQ  tail+32(FP), R11
+	TESTQ AX, AX
+	JZ    tail8
+
+chunk8:
+	VMOVDQU (DX), Y12
+	VMOVDQU 32(DX), Y13
+	ROW8((R12), Y0)
+	ROW8((R12)(BX*1), Y1)
+	ROW8((R12)(BX*2), Y2)
+	ROW8((R12)(R8*1), Y3)
+	ROW8((R12)(BX*4), Y4)
+	ROW8((R12)(R9*1), Y5)
+	ROW8((R12)(R8*2), Y6)
+	ROW8((R12)(R10*1), Y7)
+	ADDQ    $32, R12
+	ADDQ    $64, DX
+	DECQ    AX
+	JNZ     chunk8
+
+tail8:
+	// One more pass over the padded last chunk, against the tail copy.
+	TESTQ R11, R11
+	JZ    reduce8
+	MOVQ  R11, DX
+	XORQ  R11, R11
+	MOVQ  $1, AX
+	JMP   chunk8
+
+reduce8:
+	// Eight 8-lane accumulators → one vector of eight row sums.
+	VPHADDD    Y1, Y0, Y0
+	VPHADDD    Y3, Y2, Y2
+	VPHADDD    Y5, Y4, Y4
+	VPHADDD    Y7, Y6, Y6
+	VPHADDD    Y2, Y0, Y0         // rows 0..3, once per 128-bit half
+	VPHADDD    Y6, Y4, Y4         // rows 4..7
+	VPERM2I128 $0x20, Y4, Y0, Y1  // low halves
+	VPERM2I128 $0x31, Y4, Y0, Y0  // high halves
+	VPADDD     Y1, Y0, Y0
+	VMOVDQU    Y0, (DI)
+	ADDQ       $32, DI
+	LEAQ       (SI)(BX*8), SI
+	DECQ       CX
+	JNZ        group8
+	VZEROUPPER
+	RET
+
+#define VEC4(xreg, acc, t0, t1) \
+	MAC((xreg)(DX*1), 32(xreg)(DX*1), acc, t0, t1)
+
+// func dotPackedTile(w *byte, stride, chunks int, xs *[4]*int8, tail *int8, rows int, out *int32)
+TEXT ·dotPackedTile(SB), NOSPLIT, $0-56
+	MOVQ    w+0(FP), SI
+	MOVQ    stride+8(FP), BX
+	MOVQ    rows+40(FP), CX
+	MOVQ    out+48(FP), DI
+	VMOVDQU nibMask<>(SB), Y14
+	VMOVDQU ones16<>(SB), Y15
+
+row4:
+	VPXOR Y0, Y0, Y0
+	VPXOR Y1, Y1, Y1
+	VPXOR Y2, Y2, Y2
+	VPXOR Y3, Y3, Y3
+	MOVQ  xs+24(FP), AX
+	MOVQ  0(AX), R8
+	MOVQ  8(AX), R9
+	MOVQ  16(AX), R10
+	MOVQ  24(AX), R11
+	MOVQ  SI, R12            // this chunk of the row
+	XORQ  DX, DX             // byte offset into the activations
+	MOVQ  chunks+16(FP), AX
+	MOVQ  tail+32(FP), R13
+	TESTQ AX, AX
+	JZ    tail4
+
+chunk4:
+	UNPACK((R12))
+	VEC4(R8, Y0, Y10, Y11)
+	VEC4(R9, Y1, Y12, Y13)
+	VEC4(R10, Y2, Y10, Y11)
+	VEC4(R11, Y3, Y12, Y13)
+	ADDQ $32, R12
+	ADDQ $64, DX
+	DECQ AX
+	JNZ  chunk4
+
+tail4:
+	// One more pass over the padded last chunk: repoint the four
+	// activation bases so that base+DX lands on their tail copies.
+	TESTQ R13, R13
+	JZ    reduce4
+	SUBQ  DX, R13
+	LEAQ  0(R13), R8
+	LEAQ  64(R13), R9
+	LEAQ  128(R13), R10
+	LEAQ  192(R13), R11
+	XORQ  R13, R13
+	MOVQ  $1, AX
+	JMP   chunk4
+
+reduce4:
+	// Four 8-lane accumulators → four int32, one per vector.
+	VPHADDD      Y1, Y0, Y0
+	VPHADDD      Y3, Y2, Y2
+	VPHADDD      Y2, Y0, Y0  // vectors 0..3, once per 128-bit half
+	VEXTRACTI128 $1, Y0, X1
+	VPADDD       X1, X0, X0
+	VMOVDQU      X0, (DI)
+	ADDQ         $16, DI
+	ADDQ         BX, SI
+	DECQ         CX
+	JNZ          row4
+	VZEROUPPER
+	RET
+
+// func hasAVX2() bool
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX     // OSXSAVE | AVX
+	CMPL CX, $0x18000000
+	JNE  done
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX              // OS saves XMM and YMM state
+	CMPL AX, $6
+	JNE  done
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	SHRL $5, BX              // AVX2
+	ANDL $1, BX
+	MOVB BX, ret+0(FP)
+
+done:
+	RET

@@ -1,0 +1,15 @@
+//go:build !amd64 || purego
+
+package quant
+
+// useAVX2 is false where the assembly kernels are not built, so
+// nothing below is ever called.
+var useAVX2 = false
+
+func dotPacked8(w *byte, stride, chunks int, x, tail *int8, groups int, out *int32) {
+	panic("quant: no assembly kernel in this build")
+}
+
+func dotPackedTile(w *byte, stride, chunks int, xs *[BatchTile]*int8, tail *int8, rows int, out *int32) {
+	panic("quant: no assembly kernel in this build")
+}

@@ -39,8 +39,8 @@ func TestMatVecBitIdenticalToScalar(t *testing.T) {
 	r := xrand.New(21)
 	for _, bits := range []Bits{INT2, INT4, INT8} {
 		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 9, 37} {
-			// 255/256/257/600 straddle the SWAR kernel's 256-column
-			// chunk flush; 600 forces multiple chunks plus a tail.
+			// 67/255/256/257/600 straddle the nibble image's
+			// 64-column chunks: whole chunks with and without a tail.
 			for _, cols := range []int{1, 3, 7, 8, 9, 15, 16, 17, 67, 255, 256, 257, 600} {
 				qm, qx := randQuantized(r, rows, cols, bits)
 				got := make([]float32, rows)
@@ -118,11 +118,11 @@ func TestMatVecRangePanicsOnBadRange(t *testing.T) {
 }
 
 // TestMatVecBatchRangeBitIdenticalToPerVector is the batch kernel's
-// contract: for any shape (rows off the 4/8-row panels, columns off
-// the 8-wide unroll and past the 256-column lane flush), precision,
-// scale granularity, batch size around the tile and row sub-range, and
-// with hand-built vectors (no biased cache) mixed in, every output bit
-// equals the per-vector MatVec and rows outside the range stay put.
+// contract: for any shape (rows off the 8-row kernel groups, columns
+// off the 8-wide unroll and the 64-column chunks), precision, scale
+// granularity, batch size around the tile and row sub-range, every
+// output bit equals the per-vector MatVec and rows outside the range
+// stay put.
 func TestMatVecBatchRangeBitIdenticalToPerVector(t *testing.T) {
 	const sentinel = float32(-1e30)
 	f := func(seed uint64) bool {
@@ -150,9 +150,6 @@ func TestMatVecBatchRangeBitIdenticalToPerVector(t *testing.T) {
 				x[i] = r.NormFloat32()
 			}
 			QuantizeVectorInto(&xs[b], x, bits)
-			if r.Intn(6) == 0 {
-				xs[b].biased = nil // hand-built: scalar kernel only
-			}
 			got[b] = make([]float32, rows)
 			for i := range got[b] {
 				got[b][i] = sentinel

@@ -5,7 +5,10 @@
 // symmetric linear quantizers for INT2/INT4/INT8, packed INT4
 // storage, and an integer MAC kernel that mirrors the hardware
 // datapath: int8 operands, int32 accumulation, one dequantization per
-// output element.
+// output element. INT2/INT4 matrices also carry a 4-bit-per-weight
+// nibble image that an AVX2 assembly kernel streams on amd64 (not
+// under -tags purego); the scalar kernel over Q runs everywhere else
+// and produces the same bits.
 package quant
 
 import (
@@ -43,12 +46,6 @@ type Vector struct {
 	Bits  Bits
 	Scale float32
 	Q     []int8
-
-	// biased caches q + (MaxLevel+1) as uint64 scalars for the SWAR
-	// GEMV kernel (INT2/INT4 only; nil otherwise). Maintained by
-	// QuantizeVectorInto; vectors built by hand simply fall back to
-	// the scalar kernel.
-	biased []uint64
 }
 
 // QuantizeVector quantizes x symmetrically at the given precision.
@@ -79,18 +76,6 @@ func QuantizeVectorInto(dst *Vector, x []float32, bits Bits) {
 	}
 	dst.Bits = bits
 	dst.Scale = scale
-	if bits <= INT4 {
-		if cap(dst.biased) < len(x) {
-			dst.biased = make([]uint64, len(x))
-		}
-		dst.biased = dst.biased[:len(x)]
-		bias := int32(maxLevel) + 1
-		for i, q := range dst.Q {
-			dst.biased[i] = uint64(int32(q) + bias)
-		}
-	} else {
-		dst.biased = nil
-	}
 }
 
 // Dequantize reconstructs the float32 vector.
@@ -111,47 +96,66 @@ type Matrix struct {
 	Scales     []float32 // len Rows
 	Q          []int8    // len Rows*Cols
 
-	// SWAR acceleration structure (INT2/INT4 only), built by
-	// BuildAccel: panels packs each aligned 4-row group column-major —
-	// panels[(i/4)*Cols+j] holds rows i..i+3 at column j as biased
-	// (always-positive) 16-bit lanes — and rowSums holds per-row Σq for
-	// the bias correction. Matrices assembled by hand (e.g. the
-	// deserializer) may leave these nil; MatVec then falls back to the
-	// scalar-blocked kernel.
-	panels  []uint64
-	rowSums []int32
+	// packed is the nibble image the AVX2 kernel streams (INT2/INT4
+	// only), built by BuildAccel: row-major, 4 bits per weight stored
+	// as q+8, each row padded to whole chunks of chunkCols columns;
+	// byte b of a chunk holds column b in its low nibble and column
+	// b+32 in its high nibble, so one 32-byte load unpacks into two
+	// vectors that line up with 64 consecutive activations. Matrices
+	// assembled by hand (e.g. by the deserializer, until it calls
+	// BuildAccel) leave it nil; MatVec then runs the scalar-blocked
+	// kernel over Q.
+	packed []byte
 }
 
-// BuildAccel (re)builds the SWAR panel packing from Q. It is called
-// by the quantizers and is safe to call on any fully-populated
-// matrix; INT8 matrices have no packing (16-bit lanes would overflow)
-// and reset it to nil.
+// Geometry of the nibble image and of one assembly call.
+const (
+	chunkCols  = 64  // columns per chunk
+	chunkBytes = 32  // bytes per chunk: two nibbles per byte
+	groupRows  = 8   // the assembly takes whole groups of this many rows
+	blockRows  = 256 // rows per assembly call (its int32 sums live on the stack)
+)
+
+// stride is the byte length of one padded row of the nibble image.
+func (m *Matrix) stride() int { return (m.Cols + chunkCols - 1) / chunkCols * chunkBytes }
+
+// usePacked reports whether MatVec dispatches the AVX2 kernel.
+func (m *Matrix) usePacked() bool { return useAVX2 && m.packed != nil }
+
+// BuildAccel (re)builds the nibble image from Q. It is called by the
+// quantizers and must be called by anything else that assembles a
+// matrix and wants the fast kernel (the deserializer does). INT8 has
+// no image, and neither has a matrix holding a value no nibble can
+// (possible only in hand-built or corrupt input): both screen on the
+// scalar-blocked kernel.
 func (m *Matrix) BuildAccel() {
-	if m.Bits > INT4 {
-		m.panels, m.rowSums = nil, nil
+	m.packed = nil
+	if m.Bits > INT4 || len(m.Q) == 0 {
 		return
 	}
-	m.rowSums = make([]int32, m.Rows)
+	stride := m.stride()
+	img := make([]byte, m.Rows*stride)
 	for i := 0; i < m.Rows; i++ {
-		var s int32
-		for _, q := range m.Row(i) {
-			s += int32(q)
+		row, dst := m.Row(i), img[i*stride:(i+1)*stride]
+		var seen uint8 // OR of every stored q+8: past 15, some q fits no nibble
+		for ; len(row) >= chunkCols; row, dst = row[chunkCols:], dst[chunkBytes:] {
+			lo, hi, d := row[:chunkBytes], row[chunkBytes:chunkCols], dst[:chunkBytes]
+			for b := range d {
+				l, h := uint8(lo[b]+8), uint8(hi[b]+8)
+				d[b] = l | h<<4
+				seen |= l | h
+			}
 		}
-		m.rowSums[i] = s
-	}
-	bias := m.Bits.MaxLevel() + 1
-	n := m.Cols
-	m.panels = make([]uint64, (m.Rows/4)*n)
-	for p := 0; p < m.Rows/4; p++ {
-		r0, r1, r2, r3 := m.Row(4*p), m.Row(4*p+1), m.Row(4*p+2), m.Row(4*p+3)
-		dst := m.panels[p*n : (p+1)*n]
-		for j := 0; j < n; j++ {
-			dst[j] = uint64(int32(r0[j])+bias) |
-				uint64(int32(r1[j])+bias)<<16 |
-				uint64(int32(r2[j])+bias)<<32 |
-				uint64(int32(r3[j])+bias)<<48
+		for j, q := range row { // the partial last chunk
+			nib := uint8(q + 8)
+			dst[j%chunkBytes] |= nib << (j / chunkBytes * 4)
+			seen |= nib
+		}
+		if seen > 15 {
+			return
 		}
 	}
+	m.packed = img
 }
 
 // QuantizeMatrix quantizes m row-wise at the given precision.
@@ -230,22 +234,24 @@ func (m *Matrix) Bytes() int64 {
 }
 
 // StreamBytes reports the bytes one MatVec actually reads from the
-// matrix with the kernel it dispatches for a quantized vector: the
-// SWAR panels hold each INT2/INT4 weight in a 16-bit lane (four times
-// the packed INT4 image Bytes reports) plus a scale and a row sum per
-// row; unpacked rows and INT8 stream Q at a byte per weight plus the
-// scale. This is the traffic a roofline should be computed from.
+// matrix with the kernel it dispatches: on the AVX2 path the padded
+// nibble image (half a byte per weight) for the whole 8-row groups and
+// Q for the rows past the last one, Q at a byte per weight otherwise,
+// plus one 4-byte scale per row either way. This is the traffic a
+// roofline should be computed from.
 func (m *Matrix) StreamBytes() int64 {
-	if m.panels == nil {
-		return int64(len(m.Q)) + 4*int64(m.Rows)
+	weights := int64(len(m.Q))
+	if m.usePacked() {
+		edge := m.Rows % groupRows
+		weights = int64(m.Rows-edge)*int64(m.stride()) + int64(edge)*int64(m.Cols)
 	}
-	return 8*int64(len(m.panels)) + int64(m.Rows&3)*int64(m.Cols) + 8*int64(m.Rows)
+	return weights + 4*int64(m.Rows)
 }
 
 // BatchStreamBytes is StreamBytes for a MatVecBatch of b quantized
 // vectors: one stream per full tile plus one per remainder vector.
 func (m *Matrix) BatchStreamBytes(b int) int64 {
-	if m.panels != nil {
+	if m.usePacked() {
 		b = b/BatchTile + b%BatchTile
 	}
 	return int64(b) * m.StreamBytes()
@@ -254,11 +260,9 @@ func (m *Matrix) BatchStreamBytes(b int) int64 {
 // MatVec computes dst = dequant(m)·dequant(x) using the integer
 // datapath: per-row int32 accumulation of int8 products, then a
 // single float multiply by (rowScale · xScale). This is bit-exact
-// with what the Screener MAC array computes. The inner loop is a
-// 4-row-blocked, 8-wide-unrolled kernel: the activation loads are
-// amortized across four weight rows and the unroll breaks the
-// accumulation dependency chain — integer addition is associative,
-// so the result is bit-identical to the scalar loop.
+// with what the Screener MAC array computes. Which kernel does the
+// accumulation (see matVecRange) does not show: integer addition is
+// associative, so every one returns the scalar loop's row sums.
 func (m *Matrix) MatVec(dst []float32, x *Vector) {
 	if len(x.Q) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("quant: MatVec shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(x.Q), len(dst)))
@@ -281,154 +285,24 @@ func (m *Matrix) MatVecRange(dst []float32, x *Vector, lo, hi int) {
 	m.matVecRange(dst, x, lo, hi)
 }
 
-// matVecRange dispatches to the fastest kernel available: the SWAR
-// path needs the matrix panel packing and a biased vector cache (both
-// INT2/INT4-only); anything else — INT8, hand-assembled operands —
+// matVecRange dispatches: whole 8-row groups go to the AVX2 kernel
+// when the nibble image exists and the CPU has AVX2; everything else —
+// INT8, hand-assembled matrices, the rows left over, other platforms —
 // takes the scalar-blocked kernel. Both produce the same int32 row
 // sums, so the choice is invisible in the output bits.
 func (m *Matrix) matVecRange(dst []float32, x *Vector, lo, hi int) {
-	if m.panels != nil && x.biased != nil && len(x.biased) == m.Cols {
-		m.matVecRangeSWAR(dst, x, lo, hi)
-		return
+	if n := (hi - lo) &^ (groupRows - 1); n > 0 && m.usePacked() {
+		m.matVecPacked([][]float32{dst}, []Vector{*x}, lo, lo+n)
+		lo += n
 	}
 	m.matVecRangeBlocked(dst, x, lo, hi)
 }
 
-// matVecRangeSWAR is the 4-rows-per-word GEMV kernel. Weights and
-// activations are biased to be strictly positive (w' = w+bw,
-// x' = x+bx with b = MaxLevel+1), four weight rows live in the 16-bit
-// lanes of one uint64, and a single 64-bit multiply by the scalar x'
-// then performs four MACs at once: lane products are at most 15·15
-// and per-lane sums are flushed to int32 accumulators every 256
-// columns, so lanes can never carry into each other. The bias is
-// removed exactly afterwards — Σw'x' = Σwx + bx·Σw + bw·Σx + n·bw·bx,
-// with Σw per row precomputed by BuildAccel — so the result is the
-// same integer the scalar kernel accumulates, hence bit-identical
-// output.
-func (m *Matrix) matVecRangeSWAR(dst []float32, x *Vector, lo, hi int) {
-	n := m.Cols
-	xb := x.biased
-	bw := m.Bits.MaxLevel() + 1
-	bx := x.Bits.MaxLevel() + 1
-	var sumX int32
-	for _, q := range x.Q {
-		sumX += int32(q)
-	}
-	xcorr := bw*sumX + int32(n)*bw*bx
-	xs := x.Scale
-
-	// Rows before the first aligned panel and past the last one run on
-	// the scalar kernel.
-	if r := lo & 3; r != 0 {
-		edge := lo + 4 - r
-		if edge > hi {
-			edge = hi
-		}
-		m.matVecRangeBlocked(dst, x, lo, edge)
-		lo = edge
-	}
-	aligned := m.Rows &^ 3
-	if aligned > hi {
-		aligned = hi
-	}
-	i := lo
-	// Two panel groups (8 rows) per pass: the activation lane vector
-	// is loaded once and feeds both panel streams, halving the load
-	// traffic that bounds the single-group loop.
-	for ; i+8 <= aligned; i += 8 {
-		base := (i >> 2) * n
-		pw0 := m.panels[base : base+n : base+n]
-		pw1 := m.panels[base+n : base+2*n : base+2*n]
-		var a0, a1, a2, a3, a4, a5, a6, a7 int32
-		j := 0
-		for j < n {
-			end := j + 256
-			if end > n {
-				end = n
-			}
-			cw0 := pw0[j:end]
-			cw1 := pw1[j:end][:len(cw0)]
-			cx := xb[j:end][:len(cw0)]
-			var accA0, accA1, accB0, accB1 uint64
-			t := 0
-			for ; t+8 <= len(cw0); t += 8 {
-				x0, x1, x2, x3 := cx[t], cx[t+1], cx[t+2], cx[t+3]
-				accA0 += cw0[t]*x0 + cw0[t+1]*x1 + cw0[t+2]*x2 + cw0[t+3]*x3
-				accB0 += cw1[t]*x0 + cw1[t+1]*x1 + cw1[t+2]*x2 + cw1[t+3]*x3
-				x4, x5, x6, x7 := cx[t+4], cx[t+5], cx[t+6], cx[t+7]
-				accA1 += cw0[t+4]*x4 + cw0[t+5]*x5 + cw0[t+6]*x6 + cw0[t+7]*x7
-				accB1 += cw1[t+4]*x4 + cw1[t+5]*x5 + cw1[t+6]*x6 + cw1[t+7]*x7
-			}
-			for ; t < len(cw0); t++ {
-				accA0 += cw0[t] * cx[t]
-				accB0 += cw1[t] * cx[t]
-			}
-			accA := accA0 + accA1
-			accB := accB0 + accB1
-			a0 += int32(accA & 0xffff)
-			a1 += int32(accA >> 16 & 0xffff)
-			a2 += int32(accA >> 32 & 0xffff)
-			a3 += int32(accA >> 48 & 0xffff)
-			a4 += int32(accB & 0xffff)
-			a5 += int32(accB >> 16 & 0xffff)
-			a6 += int32(accB >> 32 & 0xffff)
-			a7 += int32(accB >> 48 & 0xffff)
-			j = end
-		}
-		dst[i] = float32(a0-bx*m.rowSums[i]-xcorr) * m.Scales[i] * xs
-		dst[i+1] = float32(a1-bx*m.rowSums[i+1]-xcorr) * m.Scales[i+1] * xs
-		dst[i+2] = float32(a2-bx*m.rowSums[i+2]-xcorr) * m.Scales[i+2] * xs
-		dst[i+3] = float32(a3-bx*m.rowSums[i+3]-xcorr) * m.Scales[i+3] * xs
-		dst[i+4] = float32(a4-bx*m.rowSums[i+4]-xcorr) * m.Scales[i+4] * xs
-		dst[i+5] = float32(a5-bx*m.rowSums[i+5]-xcorr) * m.Scales[i+5] * xs
-		dst[i+6] = float32(a6-bx*m.rowSums[i+6]-xcorr) * m.Scales[i+6] * xs
-		dst[i+7] = float32(a7-bx*m.rowSums[i+7]-xcorr) * m.Scales[i+7] * xs
-	}
-	for ; i+4 <= aligned; i += 4 {
-		base := (i >> 2) * n
-		pw := m.panels[base : base+n : base+n]
-		var a0, a1, a2, a3 int32
-		j := 0
-		for j < n {
-			end := j + 256
-			if end > n {
-				end = n
-			}
-			// Equal-length chunk slices so the compiler drops the
-			// bounds checks; two accumulators break the add dependency
-			// chain (each covers ≤128 columns, so lanes stay <2¹⁶ even
-			// after the final lane-wise add).
-			cw := pw[j:end]
-			cx := xb[j:end][:len(cw)]
-			var acc0, acc1 uint64
-			t := 0
-			for ; t+8 <= len(cw); t += 8 {
-				acc0 += cw[t]*cx[t] + cw[t+1]*cx[t+1] + cw[t+2]*cx[t+2] + cw[t+3]*cx[t+3]
-				acc1 += cw[t+4]*cx[t+4] + cw[t+5]*cx[t+5] + cw[t+6]*cx[t+6] + cw[t+7]*cx[t+7]
-			}
-			for ; t < len(cw); t++ {
-				acc0 += cw[t] * cx[t]
-			}
-			acc := acc0 + acc1
-			a0 += int32(acc & 0xffff)
-			a1 += int32(acc >> 16 & 0xffff)
-			a2 += int32(acc >> 32 & 0xffff)
-			a3 += int32(acc >> 48 & 0xffff)
-			j = end
-		}
-		dst[i] = float32(a0-bx*m.rowSums[i]-xcorr) * m.Scales[i] * xs
-		dst[i+1] = float32(a1-bx*m.rowSums[i+1]-xcorr) * m.Scales[i+1] * xs
-		dst[i+2] = float32(a2-bx*m.rowSums[i+2]-xcorr) * m.Scales[i+2] * xs
-		dst[i+3] = float32(a3-bx*m.rowSums[i+3]-xcorr) * m.Scales[i+3] * xs
-	}
-	if i < hi {
-		m.matVecRangeBlocked(dst, x, i, hi)
-	}
-}
-
 // matVecRangeBlocked is the portable 4-row-blocked, 8-wide-unrolled
-// scalar kernel: activation loads are amortized across four weight
-// rows and the unroll breaks the accumulation dependency chain.
+// scalar kernel over Q: activation loads are amortized across four
+// weight rows and the unroll breaks the accumulation dependency chain.
+// It is the fallback for whatever the AVX2 kernel does not take and
+// the oracle that kernel is tested against.
 func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, lo, hi int) {
 	xq := x.Q
 	n := len(xq)
@@ -579,10 +453,11 @@ func UnpackINT2(packed []byte, n int) []int8 {
 	return out
 }
 
-// BatchTile is the number of activation vectors the batch-major SWAR
-// kernel multiplies against each weight panel word it loads. Four
-// vectors' biased lanes (4 × Cols × 8 B) sit in L1 beside the four
-// accumulators; see BenchmarkMatVecBatch for the measurement.
+// BatchTile is the number of activation vectors the batch-major
+// kernel multiplies against each weight chunk it loads: four int32
+// accumulators, the two unpacked nibble vectors and their temporaries
+// fit the sixteen YMM registers; see BenchmarkMatVecBatch for the
+// measurement.
 const BatchTile = 4
 
 // MatVecBatch computes dsts[b] = dequant(m)·dequant(xs[b]) for every
@@ -595,9 +470,9 @@ func (m *Matrix) MatVecBatch(dsts [][]float32, xs []Vector) {
 // the weights once per tile of BatchTile vectors instead of once per
 // vector: the weight-stationary reuse that makes ENMC's batch-4
 // offloads cost barely more than batch-1. Whatever the tile kernel
-// cannot take — INT8, operands without the SWAR packing, rows outside
-// the aligned panels, a batch remainder shorter than a tile — runs on
-// the single-vector kernels, so every output bit matches MatVecRange.
+// does not take — see matVecRange — and a batch remainder shorter than
+// a tile run on the single-vector kernels, so every output bit matches
+// MatVecRange.
 func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, lo, hi int) {
 	if len(dsts) != len(xs) {
 		panic("quant: MatVecBatchRange batch size mismatch")
@@ -610,18 +485,12 @@ func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, lo, hi int) {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("quant: MatVecBatchRange rows [%d,%d) of %d", lo, hi, m.Rows))
 	}
-	alo, ahi := (lo+3)&^3, hi&^3
 	b := 0
-	if m.panels != nil && alo < ahi {
+	if n := (hi - lo) &^ (groupRows - 1); n > 0 && m.usePacked() {
 		for ; b+BatchTile <= len(xs); b += BatchTile {
-			tile := xs[b : b+BatchTile]
-			if !m.swarTile(tile) {
-				break
-			}
-			m.matVecTileSWAR((*[BatchTile][]float32)(dsts[b:]), (*[BatchTile]Vector)(tile), alo, ahi)
-			for t := range tile {
-				m.matVecRangeBlocked(dsts[b+t], &tile[t], lo, alo)
-				m.matVecRangeBlocked(dsts[b+t], &tile[t], ahi, hi)
+			m.matVecPacked(dsts[b:b+BatchTile], xs[b:b+BatchTile], lo, lo+n)
+			for t := b; t < b+BatchTile; t++ {
+				m.matVecRangeBlocked(dsts[t], &xs[t], lo+n, hi)
 			}
 		}
 	}
@@ -630,73 +499,47 @@ func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, lo, hi int) {
 	}
 }
 
-// swarTile reports whether every vector of the tile carries the
-// biased cache the SWAR kernels need.
-func (m *Matrix) swarTile(tile []Vector) bool {
-	for t := range tile {
-		if len(tile[t].biased) != m.Cols {
-			return false
-		}
-	}
-	return true
-}
-
-// matVecTileSWAR is matVecRangeSWAR over BatchTile vectors at once for
-// the 4-aligned rows [lo,hi): each panel word is loaded once and
-// multiplied into one lane accumulator per vector, with the same bias
-// correction per vector afterwards. A chunk is at most 256 columns of
-// products ≤ 15·15, so one accumulator per vector never carries
-// between lanes, and the four independent accumulators already break
-// the add dependency chain.
-func (m *Matrix) matVecTileSWAR(dsts *[BatchTile][]float32, xs *[BatchTile]Vector, lo, hi int) {
-	n := m.Cols
-	bw := m.Bits.MaxLevel() + 1
-	var bx, xcorr [BatchTile]int32
+// matVecPacked runs the AVX2 kernel over rows [lo,hi) — whole 8-row
+// groups — for one vector or a tile of BatchTile. The assembly returns
+// raw int32 sums of (q+8)·x per row; the bias term 8·Σx is removed
+// here, exactly, and the dequantization is the very expression
+// matVecRangeBlocked uses, so the outputs are bit-identical. A row's
+// last partial chunk is multiplied against a zero-padded copy of the
+// activations' tail (the image pads with nibble 0, any value would do).
+func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, lo, hi int) {
+	stride, full := m.stride(), m.Cols/chunkCols
+	var (
+		tails [BatchTile][chunkCols]int8
+		tail  *int8
+		xp    [BatchTile]*int8
+		bias  [BatchTile]int32
+		acc   [blockRows * BatchTile]int32
+	)
 	for t := range xs {
-		var sumX int32
-		for _, q := range xs[t].Q {
-			sumX += int32(q)
+		q := xs[t].Q
+		for _, v := range q {
+			bias[t] += 8 * int32(v)
 		}
-		bx[t] = xs[t].Bits.MaxLevel() + 1
-		xcorr[t] = bw*sumX + int32(n)*bw*bx[t]
+		xp[t] = &q[0]
+		if rem := q[full*chunkCols:]; len(rem) > 0 {
+			copy(tails[t][:], rem)
+			tail = &tails[0][0]
+		}
 	}
-	x0, x1, x2, x3 := xs[0].biased[:n], xs[1].biased[:n], xs[2].biased[:n], xs[3].biased[:n]
-	for i := lo; i < hi; i += 4 {
-		base := (i >> 2) * n
-		pw := m.panels[base : base+n : base+n]
-		var a [BatchTile][4]int32
-		for j := 0; j < n; j += 256 {
-			end := min(j+256, n)
-			acc0, acc1, acc2, acc3 := tileLanes(pw[j:end], x0[j:end], x1[j:end], x2[j:end], x3[j:end])
-			for t, acc := range [BatchTile]uint64{acc0, acc1, acc2, acc3} {
-				a[t][0] += int32(acc & 0xffff)
-				a[t][1] += int32(acc >> 16 & 0xffff)
-				a[t][2] += int32(acc >> 32 & 0xffff)
-				a[t][3] += int32(acc >> 48 & 0xffff)
-			}
+	for ; lo < hi; lo += blockRows {
+		n := min(blockRows, hi-lo)
+		w := &m.packed[lo*stride]
+		if len(xs) == 1 {
+			dotPacked8(w, stride, full, xp[0], tail, n/groupRows, &acc[0])
+		} else {
+			dotPackedTile(w, stride, full, &xp, tail, n, &acc[0])
 		}
-		for t := range a {
-			xs1, dst := xs[t].Scale, dsts[t]
-			for r, sum := range a[t] {
-				dst[i+r] = float32(sum-bx[t]*m.rowSums[i+r]-xcorr[t]) * m.Scales[i+r] * xs1
+		scales := m.Scales[lo : lo+n]
+		for t := range xs {
+			dst, xscale := dsts[t][lo:lo+n], xs[t].Scale
+			for r, s := range scales {
+				dst[r] = float32(acc[r*len(xs)+t]-bias[t]) * s * xscale
 			}
 		}
 	}
-}
-
-// tileLanes multiplies one chunk of panel words into four vectors'
-// lane accumulators. It is its own function, kept out of line, so the
-// four sums and five pointers get registers: inlined into the row
-// loop the compiler spills three of the accumulators to the stack.
-//
-//go:noinline
-func tileLanes(cw, c0, c1, c2, c3 []uint64) (acc0, acc1, acc2, acc3 uint64) {
-	c0, c1, c2, c3 = c0[:len(cw)], c1[:len(cw)], c2[:len(cw)], c3[:len(cw)]
-	for t, w := range cw {
-		acc0 += w * c0[t]
-		acc1 += w * c1[t]
-		acc2 += w * c2[t]
-		acc3 += w * c3[t]
-	}
-	return
 }

@@ -61,10 +61,13 @@ type PerfResult struct {
 	BatchQPS         float64 `json:"batch_qps"` // ClassifyBatchVisitCtx, batch 8
 
 	// Achieved screener weight traffic, from the bytes the dispatched
-	// kernel streams (quant.Matrix.StreamBytes — 16-bit SWAR lanes,
-	// scales, row sums — not the packed INT4 image): one ScreenInto,
-	// and one ScreenBatchInto of batch 8 on one core, where a tile of
-	// items shares each stream. Absent on records older than the field.
+	// kernel streams (quant.Matrix.StreamBytes — the padded nibble
+	// image plus a scale per row where the AVX2 kernel runs, Q at a
+	// byte per weight plus scales elsewhere; records up to
+	// BENCH_2026-08-06.json#5 counted the 16-bit-lane panels that
+	// kernel read): one ScreenInto, and one ScreenBatchInto of batch 8
+	// on one core, where a tile of items shares each stream. Absent on
+	// records older than the field.
 	ScreenStreamGBps float64 `json:"screen_stream_gbps,omitempty"`
 	BatchStreamGBps  float64 `json:"batch_stream_gbps,omitempty"`
 

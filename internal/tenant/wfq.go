@@ -78,11 +78,14 @@ func (q *WFQ[T]) Push(c Class, item T) error {
 	}
 	q.queues[i] = append(q.queues[i], item)
 	q.depth++
-	q.mu.Unlock()
+	// Signal under the lock: Close closes ready under the same lock, so
+	// a Push that passed the closed check can never send on a closed
+	// channel. The send never blocks (buffered, with a default arm).
 	select {
 	case q.ready <- struct{}{}:
 	default:
 	}
+	q.mu.Unlock()
 	return nil
 }
 
@@ -161,12 +164,11 @@ func (q *WFQ[T]) popLocked(i int) T {
 // drains them); Ready is closed so a blocked consumer wakes.
 func (q *WFQ[T]) Close() {
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.closed {
-		q.mu.Unlock()
 		return
 	}
 	q.closed = true
-	q.mu.Unlock()
 	close(q.ready)
 }
 

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -338,5 +339,59 @@ func TestWFQConcurrentHammer(t *testing.T) {
 	}
 	if consumed != want {
 		t.Fatalf("consumed %d of %d accepted", consumed, want)
+	}
+}
+
+// TestWFQPushCloseRace is the drain race: producers pushing in a loop
+// while Close lands. A Push that passed the closed check must never
+// send on the closed Ready channel (a panic fails the test binary),
+// every Push returns nil, ErrClosed or ErrQueueFull, and everything
+// admitted is still poppable afterwards. Run with -race.
+func TestWFQPushCloseRace(t *testing.T) {
+	const producers = 4
+	for round := 0; round < 300; round++ {
+		// Roomy queues so pushes keep being admitted (and keep
+		// signalling) right up to the Close.
+		q := NewWFQ[int](1<<12, DefaultWeights)
+		var admitted [producers]int
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				<-start
+				for i := 0; ; i++ {
+					switch err := q.Push(Classes[(p+i)%NumClasses], i); err {
+					case nil:
+						admitted[p]++
+					case ErrQueueFull:
+					case ErrClosed:
+						return
+					default:
+						t.Errorf("Push: unexpected error %v", err)
+						return
+					}
+				}
+			}(p)
+		}
+		close(start)
+		for q.Len() < round%64 { // vary how far in the Close lands
+			runtime.Gosched()
+		}
+		q.Close()
+		wg.Wait()
+		want := 0
+		for _, n := range admitted {
+			want += n
+		}
+		counts, _ := drainCount(q)
+		got := 0
+		for _, n := range counts {
+			got += n
+		}
+		if got != want {
+			t.Fatalf("round %d: admitted %d items, popped %d", round, want, got)
+		}
 	}
 }

@@ -18,13 +18,21 @@ func TopK(x []float32, k int) []int {
 }
 
 // TopKBuf is reusable scratch for the allocation-free top-k variants:
-// it owns the bounded heap and the output index slice, so steady-state
-// selection allocates nothing. The zero value is ready to use. Slices
-// returned by TopKInto/TopKSetInto alias the buffer and stay valid
-// only until the next call on the same buffer.
+// it owns the bounded heap, the set select's side buffer and the
+// output index slice, so steady-state selection allocates nothing. The
+// zero value is ready to use. Slices returned by TopKInto/TopKSetInto
+// alias the buffer and stay valid only until the next call on the same
+// buffer.
 type TopKBuf struct {
 	items []heapItem
+	side  []keyed
 	out   []int
+}
+
+// keyed is one element of the set select's threshold bucket.
+type keyed struct {
+	idx int
+	key uint32
 }
 
 // TopKInto is TopK with buffer-backed storage: the returned slice is
@@ -57,13 +65,15 @@ func TopKInto(x []float32, k int, buf *TopKBuf) []int {
 // ties toward lower index — as a set in ascending index order, which
 // is what a consumer that only gathers the winners wants (the exact
 // recompute walks classifier rows in index order). It radix-selects
-// the k-th largest value over order-preserving integer keys in three
-// histogram passes (11, 11 and 10 bits), then collects everything
-// above it plus the lowest-indexed ties in one more pass: O(n) with no
-// heap and no sort, where TopK's heap costs O(n log k) plus an
-// O(k log k) extraction. -0 and +0 tie, as they do for TopK; NaNs,
-// which TopK's comparator cannot order, sort by bit pattern beyond
-// ±Inf.
+// over order-preserving integer keys in two sweeps of x: a histogram
+// of the leading 11 key bits finds the bucket holding the k-th largest
+// key; the second sweep emits every index above that bucket and copies
+// the bucket itself — the only keys still undecided — into a side
+// buffer, on which the remaining 21 bits are resolved and whose
+// winners are merged back in index order. O(n) with no heap and no
+// sort, where TopK's heap costs O(n log k) plus an O(k log k)
+// extraction. -0 and +0 tie, as they do for TopK; NaNs, which TopK's
+// comparator cannot order, sort by bit pattern beyond ±Inf.
 func TopKSetInto(x []float32, k int, buf *TopKBuf) []int {
 	if k <= 0 || len(x) == 0 {
 		return nil
@@ -71,16 +81,39 @@ func TopKSetInto(x []float32, k int, buf *TopKBuf) []int {
 	if k > len(x) {
 		k = len(x)
 	}
-	// After each pass, kth&mask is the leading digits of the k-th
-	// largest key and need counts how many winners share them.
-	var kth, mask uint32
+	const lowBits = 21
+	var hist [1 << 11]uint32
+	for _, v := range x {
+		hist[orderKey(v)>>lowBits]++
+	}
+	// need counts the winners still to be found at or below bucket top.
 	need := uint32(k)
-	for _, d := range [3]struct{ shift, width uint32 }{{21, 11}, {10, 11}, {0, 10}} {
-		var hist [1 << 11]uint32
+	top := uint32(len(hist) - 1)
+	for ; need > hist[top]; top-- {
+		need -= hist[top]
+	}
+	if cap(buf.out) < k {
+		buf.out = make([]int, 0, k)
+	}
+	out, side := buf.out[:0], buf.side[:0]
+	for i, v := range x {
+		key := orderKey(v)
+		if d := key >> lowBits; d > top {
+			out = append(out, i)
+		} else if d == top {
+			side = append(side, keyed{i, key})
+		}
+	}
+	buf.side = side
+	// After each pass, kth&mask is the next digits of the k-th largest
+	// key and need counts how many winners share them.
+	kth, mask := top<<lowBits, uint32(1<<32-1<<lowBits)
+	for _, d := range [2]struct{ shift, width uint32 }{{10, 11}, {0, 10}} {
+		hist = [1 << 11]uint32{}
 		digits := uint32(1)<<d.width - 1
-		for _, v := range x {
-			if key := orderKey(v); key&mask == kth {
-				hist[key>>d.shift&digits]++
+		for _, e := range side {
+			if e.key&mask == kth {
+				hist[e.key>>d.shift&digits]++
 			}
 		}
 		b := digits
@@ -90,17 +123,27 @@ func TopKSetInto(x []float32, k int, buf *TopKBuf) []int {
 		kth |= b << d.shift
 		mask |= digits << d.shift
 	}
-	if cap(buf.out) < k {
-		buf.out = make([]int, 0, k)
-	}
-	out := buf.out[:0]
-	for i, v := range x {
-		key := orderKey(v)
-		if key > kth {
-			out = append(out, i)
-		} else if key == kth && need > 0 {
+	// Keep the bucket's winners — above the k-th key, plus its
+	// lowest-indexed ties — then merge the two ascending runs from the
+	// back: out[:above] and the winners fill out[:k] exactly.
+	won := side[:0]
+	for _, e := range side {
+		if e.key > kth {
+			won = append(won, e)
+		} else if e.key == kth && need > 0 {
 			need--
-			out = append(out, i)
+			won = append(won, e)
+		}
+	}
+	i, j := len(out)-1, len(won)-1
+	out = out[:len(out)+len(won)]
+	for p := len(out) - 1; j >= 0; p-- {
+		if i >= 0 && out[i] > won[j].idx {
+			out[p] = out[i]
+			i--
+		} else {
+			out[p] = won[j].idx
+			j--
 		}
 	}
 	buf.out = out

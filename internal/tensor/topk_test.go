@@ -89,7 +89,8 @@ func TestTopKBufReuseAcrossCalls(t *testing.T) {
 // TestTopKSetIntoIsSortedTopK is the set-select contract: the same
 // indices TopK ranks, in ascending index order — under heavy ties,
 // signed zeros, ±Inf, values spread over many exponents (so every
-// radix pass has work to do), k ≥ n and k = 0.
+// radix pass has work to do), values packed into one first-pass bucket
+// (so the whole input goes through the side buffer), k ≥ n and k = 0.
 func TestTopKSetIntoIsSortedTopK(t *testing.T) {
 	inf := float32(math.Inf(1))
 	negZero := math.Float32frombits(1 << 31)
@@ -99,7 +100,13 @@ func TestTopKSetIntoIsSortedTopK(t *testing.T) {
 		n := 1 + r.Intn(400)
 		k := r.Intn(n + 5) // includes 0 and k > n
 		x := dupVec(r, n)
-		switch r.Intn(3) {
+		switch r.Intn(4) {
+		case 3:
+			// One leading-11-bit bucket: [1, 1.25) shares sign, exponent
+			// and the top two mantissa bits.
+			for i := range x {
+				x[i] = 1 + float32(r.Intn(1<<12))/(1<<14)
+			}
 		case 0:
 			for i := range x {
 				x[i] = r.NormFloat32() * float32(math.Exp(20*r.Float64()-10))
