@@ -13,12 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The packages on the screening path once more with the assembly
-# kernel compiled out (-tags purego): the scalar-blocked fallback must
-# pass the same bit-identity, driver and serializer tests the AVX2
-# kernel passes in `make test`.
+# The packages on the classify path once more with the assembly
+# kernels compiled out (-tags purego): the scalar fallbacks — quant's
+# blocked screen, tensor's Dot-loop gather — must pass the same
+# bit-identity, driver, serving and serializer tests the AVX2 and SSE
+# kernels pass in `make test`.
 test-purego:
-	$(GO) test -tags purego ./internal/quant ./internal/core ./internal/decode ./internal/distributed
+	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server
 
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on.

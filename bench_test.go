@@ -515,16 +515,7 @@ func BenchmarkMatVecBatch(b *testing.B) {
 	qw := perfScreener(b, s).QW
 	r := xrand.New(5)
 	for _, n := range []int{1, quant.BatchTile, 16} {
-		xs := make([]quant.Vector, n)
-		dsts := make([][]float32, n)
-		for i := range xs {
-			x := make([]float32, s.k)
-			for j := range x {
-				x[j] = r.Float32()*2 - 1
-			}
-			quant.QuantizeVectorInto(&xs[i], x, quant.INT4)
-			dsts[i] = make([]float32, s.l)
-		}
+		dsts, xs := screenBatchOperands(s, r, n)
 		b.Run("B="+strconv.Itoa(n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				qw.MatVecBatch(dsts, xs)
@@ -536,25 +527,86 @@ func BenchmarkMatVecBatch(b *testing.B) {
 	}
 }
 
+// screenBatchOperands returns n random INT4 activation vectors of the
+// shape's reduced dimension and an output vector for each.
+func screenBatchOperands(s perfShape, r *xrand.RNG, n int) (dsts [][]float32, xs []quant.Vector) {
+	xs = make([]quant.Vector, n)
+	dsts = make([][]float32, n)
+	for i := range xs {
+		x := make([]float32, s.k)
+		for j := range x {
+			x[j] = r.Float32()*2 - 1
+		}
+		quant.QuantizeVectorInto(&xs[i], x, quant.INT4)
+		dsts[i] = make([]float32, s.l)
+	}
+	return dsts, xs
+}
+
+// BenchmarkMatVecBatchCold is BenchmarkMatVecBatch with the weight image
+// pushed out of every cache before each timed call (an untimed read of
+// 600 MB), next to the same call on a cached image: the gap between
+// the two is how far the screen's time can swing with what a shared
+// last-level cache happens to hold, which is what the kernels'
+// software prefetch is there to close.
+func BenchmarkMatVecBatchCold(b *testing.B) {
+	s := perfShapes[1]
+	qw := perfScreener(b, s).QW
+	r := xrand.New(5)
+	evict := make([]uint64, 600<<20/8)
+	for i := range evict {
+		evict[i] = uint64(i)
+	}
+	var sink uint64
+	for _, n := range []int{1, quant.BatchTile} {
+		dsts, xs := screenBatchOperands(s, r, n)
+		for _, cold := range []bool{false, true} {
+			b.Run("B="+strconv.Itoa(n)+"/cold="+strconv.FormatBool(cold), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if cold {
+						b.StopTimer()
+						for _, v := range evict {
+							sink += v
+						}
+						b.StartTimer()
+					}
+					qw.MatVecBatch(dsts, xs)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(ns/float64(n), "ns/item")
+			})
+		}
+	}
+	_ = sink
+}
+
+// benchProcs lists the goroutine counts the bandwidth benchmarks run
+// at: one, and one per CPU where there is more than one.
+func benchProcs() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkStreamRead is the STREAM-style roof the screening kernels'
 // GB/s is stated against: a sequential read (eight independent sums,
 // so the adds do not bound it) by one goroutine and by one per CPU,
 // over 256 MB — the DRAM roof on any host whose last-level cache is
 // smaller — and over 48 MB, the footprint of the amazon-670k nibble
 // image, which is the roof that kernel really runs under where a large
-// shared L3 holds it (this host: 260 MB).
+// shared L3 holds it (this host: 260 MB). One scalar stream per
+// goroutine is latency-bound, so over 256 MB this is a floor for the
+// DRAM roof, not the roof: BenchmarkGatherRows, which keeps eight row
+// streams in flight per core, reads 1.7–2× as fast.
 func BenchmarkStreamRead(b *testing.B) {
 	buf := make([]uint64, 256<<20/8)
 	for i := range buf {
 		buf[i] = uint64(i)
 	}
 	var sink atomic.Uint64
-	readers := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		readers = append(readers, n)
-	}
 	for _, mb := range []int{48, 256} {
-		for _, procs := range readers {
+		for _, procs := range benchProcs() {
 			part := mb << 20 / 8 / procs
 			b.Run("MB="+strconv.Itoa(mb)+"/procs="+strconv.Itoa(procs), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -583,6 +635,52 @@ func BenchmarkStreamRead(b *testing.B) {
 				b.ReportMetric(float64(8*part*procs)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GB/s")
 			})
 		}
+	}
+}
+
+// BenchmarkGatherRows is the exact candidate gather at the amazon-670k
+// shape (m = 13 401 ascending rows of a 670 091×512 float32 W, 27.4 MB
+// per item) the way serving meets it: every call takes a different row
+// set. It rotates through 16 stratified random sets — 439 MB of distinct
+// rows, more than this host's 260 MB L3 — so the rows come from DRAM,
+// where a probe that re-gathers one fixed set (bench/'s core.exact_us,
+// tensor.gather_us) reads them from L3. GB/s is stated against
+// BenchmarkStreamRead at 256 MB.
+func BenchmarkGatherRows(b *testing.B) {
+	s := perfShapes[1]
+	w := perfClassifier(b, s).W
+	h := perfHidden(s)
+	r := xrand.New(77)
+	sets := make([][]int, 16)
+	for i := range sets {
+		sets[i] = make([]int, s.m)
+		for j := range sets[i] {
+			lo, hi := j*s.l/s.m, (j+1)*s.l/s.m
+			sets[i][j] = lo + r.Intn(hi-lo)
+		}
+	}
+	for _, procs := range benchProcs() {
+		b.Run("procs="+strconv.Itoa(procs), func(b *testing.B) {
+			dsts := make([][]float32, procs)
+			for p := range dsts {
+				dsts[p] = make([]float32, s.m)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for p := 0; p < procs; p++ {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						w.MatVecRows(dsts[p], sets[(i*procs+p)%len(sets)], h)
+					}(p)
+				}
+				wg.Wait()
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns/float64(procs), "ns/item")
+			b.ReportMetric(float64(procs*s.m*s.d*4)/ns, "GB/s")
+		})
 	}
 }
 

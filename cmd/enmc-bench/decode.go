@@ -49,7 +49,7 @@ var decodeShapes = []decodeShape{
 }
 
 // overlapWindow matches the candidate cache's effective history depth
-// (the auto-sized cache holds ~4×m slots, i.e. about four steps of
+// (the harness sizes the cache at 4×m slots, i.e. about four steps of
 // survivors) — the overlap that predicts the hit rate is against the
 // union of the last few steps, not just the previous one.
 const overlapWindow = 4
@@ -110,7 +110,7 @@ func runDecodeBench(label string, passes int) report.PerfRecord {
 			}
 		}
 		uncachedScorer := decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{CacheSlots: -1})
-		cachedScorer := decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{VerifyEvery: -1})
+		cachedScorer := decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{CacheSlots: 4 * s.M, VerifyEvery: -1})
 		uncached := make(series, 0, passes)
 		cached := make(series, 0, passes)
 		for p := 0; p < passes; p++ {
@@ -150,7 +150,7 @@ func measureHitRate(ctx context.Context, inst *workload.Instance, scr *core.Scre
 	h := make([]float32, dec.Hidden())
 	hn := make([]float32, dec.Hidden())
 	for _, h0 := range inst.Test {
-		sc := decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{VerifyEvery: -1})
+		sc := decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{CacheSlots: 4 * m, VerifyEvery: -1})
 		dec.NormalizeStartInto(h, h0)
 		for t := 0; t < dec.MaxLen(); t++ {
 			st, err := sc.ScoreStep(ctx, h, m, 1)
@@ -214,7 +214,7 @@ func measureDecodeOverlap(inst *workload.Instance, scr *core.Screener, dec *work
 }
 
 // measureAgreementBLEU decodes every probe sequence twice — screened
-// (cached scorer, the serving path) and full (exact argmax over all l
+// (the default scorer, the serving path) and full (exact argmax over all l
 // classes) — and scores the screened sequences against the full ones
 // as corpus BLEU. This is the committed quality gate's number.
 func measureAgreementBLEU(ctx context.Context, inst *workload.Instance, scr *core.Screener, dec *workload.Decoder, m int) float64 {

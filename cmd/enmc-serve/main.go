@@ -122,7 +122,7 @@ func main() {
 	decodeMaxLen := flag.Int("decode-maxlen", 64, "decode sequence length cap")
 	decodeSeed := flag.Uint64("decode-seed", 1, "decoder dynamics seed")
 	decodeWidth := flag.Int("decode-width", 8, "maximum beam width")
-	decodeCache := flag.Int("decode-cache", 0, "candidate-cache slots per session (0: auto 4×m, negative: disable)")
+	decodeCache := flag.Int("decode-cache", 0, "candidate-cache slots per session (0: no cache, gather from the classifier)")
 	decodeVerify := flag.Int("decode-verify-every", 64, "exact-recompute cache verification period in steps (negative: off)")
 
 	tenantsPath := flag.String("tenants", "", "tenant config JSON (multi-tenant QoS: API keys, classes, quotas, pins; SIGHUP re-reads)")

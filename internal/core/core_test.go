@@ -75,6 +75,34 @@ func TestLogitsRowsMatchesFull(t *testing.T) {
 	}
 }
 
+// TestLogitsRowsIndependentOfGrouping: the gather kernel takes rows in
+// groups of four and finishes the rest on the scalar loop, so where a
+// row falls in its list decides which of the two scores it. A row's
+// logit must not depend on that — a node scoring one candidate list
+// and shards scoring their slices of it (other lengths, other group
+// boundaries) have to agree bit for bit.
+func TestLogitsRowsIndependentOfGrouping(t *testing.T) {
+	cls, samples := testModel(t, 97, 37, 1) // 37 columns: nine quads and a scalar tail
+	h := samples[0]
+	rows := make([]int, 0, 61)
+	for r := 0; r < 97; r += 1 + r%3 {
+		rows = append(rows, r)
+	}
+	whole := cls.LogitsRows(rows, h)
+	full := cls.Logits(h)
+	for cut := 0; cut <= len(rows); cut++ {
+		split := append(cls.LogitsRows(rows[:cut], h), cls.LogitsRows(rows[cut:], h)...)
+		for j := range whole {
+			if math.Float32bits(split[j]) != math.Float32bits(whole[j]) {
+				t.Fatalf("cut %d: row %d scored %v in the split lists, %v in the whole one", cut, rows[j], split[j], whole[j])
+			}
+			if math.Float32bits(whole[j]) != math.Float32bits(full[rows[j]]) {
+				t.Fatalf("row %d: gathered %v, full classifier %v", rows[j], whole[j], full[rows[j]])
+			}
+		}
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config{Categories: 10, Hidden: 8, Reduced: 2, Precision: quant.INT4}
 	if err := good.Validate(); err != nil {

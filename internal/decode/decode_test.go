@@ -64,8 +64,8 @@ func pumpAll(t *testing.T, svc *Service, mode Mode, width int, h0 []float32) ([]
 // the cache demonstrates a >50% hit rate.
 func TestCachedBitIdentity(t *testing.T) {
 	inst, scr, dec := testModel(t)
-	cached := newTestService(inst, scr, dec, 0)
-	uncached := newTestService(inst, scr, dec, -1)
+	cached := newTestService(inst, scr, dec, 4*24)
+	uncached := newTestService(inst, scr, dec, 0) // the zero value: no cache
 	defer cached.Shutdown()
 	defer uncached.Shutdown()
 
@@ -79,7 +79,10 @@ func TestCachedBitIdentity(t *testing.T) {
 	for i, h0 := range inst.Test {
 		got, h, m := pumpAll(t, cached, Greedy, 1, h0)
 		hits, misses = hits+h, misses+m
-		plain, _, _ := pumpAll(t, uncached, Greedy, 1, h0)
+		plain, ph, pm := pumpAll(t, uncached, Greedy, 1, h0)
+		if ph != 0 || pm != 0 {
+			t.Fatalf("probe %d: zero-value scorer used a cache (%d hits, %d misses)", i, ph, pm)
+		}
 		want := dec.Decode(h0, dec.MaxLen(), ref)
 		for j := range want {
 			if got[j] != want[j] {

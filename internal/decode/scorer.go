@@ -37,19 +37,18 @@ type Scorer interface {
 
 // LocalScorer runs the full screening pipeline in-process: screen →
 // select top-m → exact recompute (through the hot-class candidate
-// cache) → merge → rank. Its greedy token is bit-identical to
-// core.ClassifyApproxInto + Result.Predict for the same (h, m): the
-// stages run in the same order with the same kernels, and the cache
-// only relocates bytes (see rowCache).
+// cache, when one is configured) → merge → rank. Its greedy token is
+// bit-identical to core.ClassifyApproxInto + Result.Predict for the
+// same (h, m): the stages run in the same order with the same
+// arithmetic, and the cache only relocates bytes (see rowCache).
 type LocalScorer struct {
 	cls *core.Classifier
 	scr *core.Screener
 	sc  *core.Scratch
 
-	cache        *rowCache
-	lazyCacheMul int
-	verifyEvery  int
-	step         int
+	cache       *rowCache
+	verifyEvery int
+	step        int
 
 	mixed   []float32
 	exact   []float32
@@ -62,11 +61,12 @@ type LocalScorer struct {
 // LocalScorerConfig tunes a LocalScorer. Zero values select sensible
 // defaults.
 type LocalScorerConfig struct {
-	// CacheSlots sizes the candidate cache arena (rows). 0 → 4× the
-	// largest m the session will use, set lazily on first step.
-	// Negative disables the cache entirely (the exact recompute then
-	// gathers from the classifier every step — the uncached reference
-	// path the bit-identity tests compare against).
+	// CacheSlots sizes the candidate cache arena (rows). Zero or
+	// negative means no cache: the exact recompute gathers straight
+	// from the classifier every step, on tensor's gather kernel. That
+	// is the default because the cache is measured speed-neutral
+	// (0.97–0.98×) while its arena costs 4·slots·d bytes per session
+	// and its row-at-a-time scoring bypasses the kernel.
 	CacheSlots int
 	// VerifyEvery recomputes the candidate logits from the classifier
 	// every n-th step and compares bit-for-bit with the cached values;
@@ -88,13 +88,7 @@ func NewLocalScorer(cls *core.Classifier, scr *core.Screener, cfg LocalScorerCon
 	if s.verifyEvery == 0 {
 		s.verifyEvery = 64
 	}
-	switch {
-	case cfg.CacheSlots < 0:
-		// Cache disabled: every step gathers from the classifier.
-	case cfg.CacheSlots == 0:
-		// Sized on first step, once the session's m is known.
-		s.lazyCacheMul = 4
-	default:
+	if cfg.CacheSlots > 0 {
 		s.cache = newRowCache(cls, cfg.CacheSlots)
 	}
 	return s
@@ -109,10 +103,6 @@ func (s *LocalScorer) Close() {
 
 // ScoreStep implements Scorer.
 func (s *LocalScorer) ScoreStep(_ context.Context, h []float32, m, k int) (StepScore, error) {
-	if s.cache == nil && s.lazyCacheMul > 0 {
-		s.cache = newRowCache(s.cls, s.lazyCacheMul*m)
-		s.lazyCacheMul = 0
-	}
 	// Stages mirror core.classifyInto exactly — screen, select top-m,
 	// ascending-index exact recompute, merge — so the mixed vector
 	// (and hence the greedy argmax and any top-k of it) matches the

@@ -1,7 +1,11 @@
 package quant
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"enmc/internal/tensor"
@@ -205,6 +209,54 @@ func TestBuildAccelRejectsUnpackable(t *testing.T) {
 	for i, w := range refMatVec(qm, qx) {
 		if got[i] != w {
 			t.Fatalf("row %d: %v != %v", i, got[i], w)
+		}
+	}
+}
+
+// TestParallelQuantizeMatchesSerial: the quantizers and BuildAccel split
+// their rows across up to GOMAXPROCS goroutines; Q, Scales and the
+// nibble image must be the bytes the single-goroutine run produces —
+// including the verdict that one unpackable value, wherever its block,
+// leaves the matrix without an image.
+func TestParallelQuantizeMatchesSerial(t *testing.T) {
+	r := xrand.New(41)
+	w := tensor.NewMatrix(2051, 130) // four blocks at GOMAXPROCS 4, with an odd last one
+	for i := range w.Data {
+		w.Data[i] = float32(r.NormFloat64())
+	}
+	build := func(procs int, perTensor bool, bits Bits, poison int) *Matrix {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		quantize := QuantizeMatrix
+		if perTensor {
+			quantize = QuantizeMatrixPerTensor
+		}
+		qm := quantize(w, bits)
+		if poison >= 0 {
+			qm.Q[poison] = 9
+			qm.BuildAccel()
+		}
+		return qm
+	}
+	for _, bits := range []Bits{INT2, INT4, INT8} {
+		for _, perTensor := range []bool{false, true} {
+			for _, poison := range []int{-1, 3, 1000*130 + 129, len(w.Data) - 1} {
+				serial, parallel := build(1, perTensor, bits, poison), build(4, perTensor, bits, poison)
+				what := fmt.Sprintf("%v perTensor=%v poison=%d", bits, perTensor, poison)
+				if !slices.Equal(serial.Q, parallel.Q) {
+					t.Fatalf("%s: Q differs", what)
+				}
+				for i := range serial.Scales {
+					if math.Float32bits(serial.Scales[i]) != math.Float32bits(parallel.Scales[i]) {
+						t.Fatalf("%s: scale %d differs", what, i)
+					}
+				}
+				if !bytes.Equal(serial.packed, parallel.packed) {
+					t.Fatalf("%s: nibble image differs", what)
+				}
+				if wantImage := bits <= INT4 && poison < 0; (parallel.packed != nil) != wantImage {
+					t.Fatalf("%s: image built = %v, want %v", what, parallel.packed != nil, wantImage)
+				}
+			}
 		}
 	}
 }

@@ -13,6 +13,9 @@ package quant
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"enmc/internal/tensor"
 )
@@ -122,6 +125,31 @@ func (m *Matrix) stride() int { return (m.Cols + chunkCols - 1) / chunkCols * ch
 // usePacked reports whether MatVec dispatches the AVX2 kernel.
 func (m *Matrix) usePacked() bool { return useAVX2 && m.packed != nil }
 
+// forRowBlocks calls fn(lo, hi) over a partition of the rows [0, rows)
+// of a cols-wide matrix into contiguous blocks, one goroutine per
+// block: up to GOMAXPROCS of them, and never one for less than
+// blockElems elements, so small matrices stay on the calling goroutine.
+// The quantizers' rows are independent, which makes their output the
+// same bytes however the rows are split.
+func forRowBlocks(rows, cols int, fn func(lo, hi int)) {
+	const blockElems = 1 << 16
+	workers := min(runtime.GOMAXPROCS(0), rows*cols/blockElems)
+	if workers <= 1 {
+		fn(0, rows)
+		return
+	}
+	var wg sync.WaitGroup
+	per := (rows + workers - 1) / workers
+	for lo := 0; lo < rows; lo += per {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			fn(lo, hi)
+		}(lo, min(lo+per, rows))
+	}
+	wg.Wait()
+}
+
 // BuildAccel (re)builds the nibble image from Q. It is called by the
 // quantizers and must be called by anything else that assembles a
 // matrix and wants the fast kernel (the deserializer does). INT8 has
@@ -135,27 +163,32 @@ func (m *Matrix) BuildAccel() {
 	}
 	stride := m.stride()
 	img := make([]byte, m.Rows*stride)
-	for i := 0; i < m.Rows; i++ {
-		row, dst := m.Row(i), img[i*stride:(i+1)*stride]
+	var unpackable atomic.Bool // some block met a value that fits no nibble
+	forRowBlocks(m.Rows, m.Cols, func(lo, hi int) {
 		var seen uint8 // OR of every stored q+8: past 15, some q fits no nibble
-		for ; len(row) >= chunkCols; row, dst = row[chunkCols:], dst[chunkBytes:] {
-			lo, hi, d := row[:chunkBytes], row[chunkBytes:chunkCols], dst[:chunkBytes]
-			for b := range d {
-				l, h := uint8(lo[b]+8), uint8(hi[b]+8)
-				d[b] = l | h<<4
-				seen |= l | h
+		for i := lo; i < hi; i++ {
+			row, dst := m.Row(i), img[i*stride:(i+1)*stride]
+			for ; len(row) >= chunkCols; row, dst = row[chunkCols:], dst[chunkBytes:] {
+				low, high, d := row[:chunkBytes], row[chunkBytes:chunkCols], dst[:chunkBytes]
+				for b := range d {
+					l, h := uint8(low[b]+8), uint8(high[b]+8)
+					d[b] = l | h<<4
+					seen |= l | h
+				}
+			}
+			for j, q := range row { // the partial last chunk
+				nib := uint8(q + 8)
+				dst[j%chunkBytes] |= nib << (j / chunkBytes * 4)
+				seen |= nib
 			}
 		}
-		for j, q := range row { // the partial last chunk
-			nib := uint8(q + 8)
-			dst[j%chunkBytes] |= nib << (j / chunkBytes * 4)
-			seen |= nib
-		}
 		if seen > 15 {
-			return
+			unpackable.Store(true)
 		}
+	})
+	if !unpackable.Load() {
+		m.packed = img
 	}
-	m.packed = img
 }
 
 // QuantizeMatrix quantizes m row-wise at the given precision.
@@ -168,18 +201,20 @@ func QuantizeMatrix(m *tensor.Matrix, bits Bits) *Matrix {
 		Q:      make([]int8, m.Rows*m.Cols),
 	}
 	maxLevel := bits.MaxLevel()
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		scale := tensor.MaxAbs(row) / float32(maxLevel)
-		if scale == 0 {
-			scale = 1
+	forRowBlocks(m.Rows, m.Cols, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := m.Row(i)
+			scale := tensor.MaxAbs(row) / float32(maxLevel)
+			if scale == 0 {
+				scale = 1
+			}
+			qm.Scales[i] = scale
+			qrow := qm.Q[i*m.Cols : (i+1)*m.Cols]
+			for j, v := range row {
+				qrow[j] = clampRound(v/scale, maxLevel)
+			}
 		}
-		qm.Scales[i] = scale
-		qrow := qm.Q[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			qrow[j] = clampRound(v/scale, maxLevel)
-		}
-	}
+	})
 	qm.BuildAccel()
 	return qm
 }
@@ -203,9 +238,12 @@ func QuantizeMatrixPerTensor(m *tensor.Matrix, bits Bits) *Matrix {
 	for i := range qm.Scales {
 		qm.Scales[i] = scale
 	}
-	for i, v := range m.Data {
-		qm.Q[i] = clampRound(v/scale, maxLevel)
-	}
+	forRowBlocks(m.Rows, m.Cols, func(lo, hi int) {
+		q := qm.Q[lo*m.Cols : hi*m.Cols]
+		for i, v := range m.Data[lo*m.Cols : hi*m.Cols] {
+			q[i] = clampRound(v/scale, maxLevel)
+		}
+	})
 	qm.BuildAccel()
 	return qm
 }

@@ -98,10 +98,22 @@ func (l *Local) ClassifyBatch(ctx context.Context, batch [][]float32, m, topK in
 		func(i int, r *core.Result, sc *core.Scratch) {
 			idx := sc.TopK(r.Mixed, topK)
 			cands := make([]Candidate, len(idx))
+			ranked := len(idx) > 0
 			for j, c := range idx {
-				cands[j] = Candidate{Class: c, Logit: r.Mixed[c]}
+				v := r.Mixed[c]
+				cands[j] = Candidate{Class: c, Logit: v}
+				ranked = ranked && v == v
 			}
-			out[i] = Outcome{Class: r.Predict(), TopK: cands}
+			// The head of a NaN-free ranking is the argmax (same
+			// tie rule; tensor.TestTopKHeadIsArgMax), which saves a
+			// second sweep of all l logits. A NaN among the ranked
+			// values means the two could differ: sweep then.
+			out[i] = Outcome{TopK: cands}
+			if ranked {
+				out[i].Class = idx[0]
+			} else {
+				out[i].Class = r.Predict()
+			}
 		})
 	if err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func decodeFixture(t *testing.T, cfg decode.Config) (*Server, *httptest.Server, 
 	}
 	dec := workload.NewDecoderFor(inst.Classifier, 7, 12)
 	svc := decode.NewService(cfg, dec, func() decode.Scorer {
-		return decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{})
+		return decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{CacheSlots: 4 * cfg.TopM})
 	})
 	t.Cleanup(svc.Shutdown)
 	s, err := New(&fakeBackend{hidden: 32, categories: 96}, Config{})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -610,6 +611,45 @@ func TestEndToEndLocalBackend(t *testing.T) {
 		direct := core.ClassifyApprox(inst.Classifier, scr, inst.Test[i], core.TopM(8)).Predict()
 		if r.Class != direct {
 			t.Fatalf("batch item %d: served %d != direct %d", i, r.Class, direct)
+		}
+	}
+}
+
+// TestLocalClassIsArgMaxAtEveryTopK: Local takes the class from the
+// head of its top-k ranking when it has one and sweeps for the argmax
+// only when it has none (top_k 0) or the ranking met a NaN — the served
+// class must be Result.Predict() every time.
+func TestLocalClassIsArgMaxAtEveryTopK(t *testing.T) {
+	inst := workload.Generate(
+		workload.Spec{Name: "class-test", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
+		workload.GenOptions{Seed: 13, Train: 128, Valid: 8, Test: 8})
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
+		Categories: 96, Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 3,
+	}, core.TrainOptions{Epochs: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend, err := NewLocal(inst.Classifier, scr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A hidden vector with a NaN makes every exact logit NaN while the
+	// screened ones stay finite; at m = l the whole mixed vector is
+	// NaN, where ArgMax answers 0 and a ranking of two or more does not.
+	poisoned := append([]float32(nil), inst.Test[0]...)
+	poisoned[3] = float32(math.NaN())
+	batch := append([][]float32{poisoned}, inst.Test...)
+	for _, m := range []int{8, 96} {
+		for _, topK := range []int{0, 1, 3, 96, 200} {
+			outs, err := backend.ClassifyBatch(context.Background(), batch, m, topK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, h := range batch {
+				if want := core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(m)).Predict(); outs[i].Class != want {
+					t.Fatalf("m=%d top_k=%d item %d: class %d, Predict %d", m, topK, i, outs[i].Class, want)
+				}
+			}
 		}
 	}
 }

@@ -1,0 +1,50 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// dotRows4 accumulates four rows against x over their first 4·quads
+// columns: acc[4r+j] is, for row cur[r], the sum over columns ≡ j
+// (mod 4) in ascending order, each product rounded before it is added
+// (MULPS then ADDPS) — Dot's four partial sums. While it reads column c
+// of the current rows it prefetches column c of the rows in next.
+// Baseline SSE only, so every amd64 CPU runs it.
+//
+//go:noescape
+func dotRows4(cur, next *[4]*float32, x *float32, quads int, acc *[16]float32)
+
+// matVecRows is the gather behind MatVec and MatVecRows (rows == nil:
+// the matrix's own rows in order). Whole groups of four rows go to
+// dotRows4; the partial sums it returns are folded, and the last
+// Cols%4 columns added, exactly as Dot does. The ascending candidate
+// list is known up front, so each call also names the four rows after
+// its own — clamped to the last row of the list, so the look-ahead
+// never leaves the list, let alone Data — and the cold miss at every
+// row start overlaps the arithmetic of the group before it.
+func (m *Matrix) matVecRows(dst []float32, rows []int, x []float32) {
+	n, quads := len(dst), m.Cols/4
+	whole := n &^ 3
+	if quads == 0 {
+		whole = 0
+	}
+	var (
+		cur, next [4]*float32
+		acc       [16]float32
+	)
+	for j := 0; j < whole; j += 4 {
+		for t := range cur {
+			cur[t] = &m.listRow(rows, j+t)[0]
+			next[t] = &m.listRow(rows, min(j+4+t, n-1))[0]
+		}
+		dotRows4(&cur, &next, &x[0], quads, &acc)
+		for t := 0; t < 4; t++ {
+			s := acc[4*t] + acc[4*t+1] + acc[4*t+2] + acc[4*t+3]
+			if c := 4 * quads; c < m.Cols {
+				for row := m.listRow(rows, j+t); c < m.Cols; c++ {
+					s += float32(row[c] * x[c])
+				}
+			}
+			dst[j+t] = s
+		}
+	}
+	m.dotRows(dst, rows, x, whole)
+}

@@ -76,24 +76,50 @@ func (m *Matrix) T() *Matrix {
 func (m *Matrix) Bytes() int64 { return int64(len(m.Data)) * 4 }
 
 // MatVec computes dst = m·x. dst must have length m.Rows and x length
-// m.Cols. It panics on shape mismatch.
+// m.Cols. It panics on shape mismatch. Every dst[i] has the bits of
+// Dot(m.Row(i), x); see MatVecRows.
 func (m *Matrix) MatVec(dst, x []float32) {
 	if len(x) != m.Cols || len(dst) != m.Rows {
 		panic(fmt.Sprintf("tensor: MatVec shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(x), len(dst)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		dst[i] = Dot(m.Row(i), x)
-	}
+	m.matVecRows(dst, nil, x)
 }
 
 // MatVecRows computes dst[j] = m.Row(rows[j])·x for a candidate
-// subset, which is exactly the candidates-only classification kernel.
+// subset, which is exactly the candidates-only classification kernel
+// (paper Fig. 6(c)). On amd64 rows are taken four at a time by an SSE
+// assembly kernel that prefetches the next four; whatever it does not
+// take — the last len(rows)%4 rows, a matrix under four columns, other
+// architectures, -tags purego — runs Dot. Both sum in Dot's order with
+// separately rounded products, so dst[j] has the bits of
+// Dot(m.Row(rows[j]), x) whichever path computed it and wherever the
+// row sits in the list (a NaN result is NaN on both, but its sign and
+// payload, which Go does not specify, may differ).
 func (m *Matrix) MatVecRows(dst []float32, rows []int, x []float32) {
 	if len(dst) != len(rows) {
 		panic("tensor: MatVecRows length mismatch")
 	}
-	for j, r := range rows {
-		dst[j] = Dot(m.Row(r), x)
+	if len(x) != m.Cols {
+		panic(fmt.Sprintf("tensor: MatVecRows %dx%d · %d", m.Rows, m.Cols, len(x)))
+	}
+	m.matVecRows(dst, rows, x)
+}
+
+// listRow returns row j of a gather list: m.Row(rows[j]), or m.Row(j)
+// when rows is nil and the list is the matrix's own rows in order.
+func (m *Matrix) listRow(rows []int, j int) []float32 {
+	if rows != nil {
+		j = rows[j]
+	}
+	return m.Row(j)
+}
+
+// dotRows is the scalar gather: dst[j] = Dot(row j of the list, x) for
+// from ≤ j < len(dst). It is the fallback of matVecRows and the oracle
+// its assembly is tested against.
+func (m *Matrix) dotRows(dst []float32, rows []int, x []float32, from int) {
+	for j := from; j < len(dst); j++ {
+		dst[j] = Dot(m.listRow(rows, j), x)
 	}
 }
 
@@ -120,6 +146,14 @@ func MatMul(a, b *Matrix) *Matrix {
 }
 
 // Dot returns the inner product of a and b (equal lengths required).
+// Lane j of four partial sums takes the elements ≡ j (mod 4) in order,
+// the sums fold as ((s0+s1)+s2)+s3 and the last len%4 elements are
+// added one by one. Each product is written float32(a·b): the explicit
+// conversion rounds it before the add, which forbids the compiler from
+// fusing the two into an FMA (it would on arm64, and on amd64 under
+// GOAMD64=v3). The assembly gather kernel multiplies and adds
+// separately in this same order, so a logit's bits do not depend on
+// which of the two computed it.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("tensor: Dot length mismatch")
@@ -128,14 +162,14 @@ func Dot(a, b []float32) float32 {
 	n := len(a)
 	i := 0
 	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float32(a[i] * b[i])
+		s1 += float32(a[i+1] * b[i+1])
+		s2 += float32(a[i+2] * b[i+2])
+		s3 += float32(a[i+3] * b[i+3])
 	}
 	s := s0 + s1 + s2 + s3
 	for ; i < n; i++ {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }

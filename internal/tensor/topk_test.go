@@ -73,6 +73,55 @@ func TestTopKIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// TestTopKHeadIsArgMax is the property server.Local.ClassifyBatch
+// leans on to skip its argmax sweep: for every k ≥ 1 the head of the
+// ranking is ArgMax(x) — on ties, ±Inf and ±0 as on random finite
+// values. NaN separates the two (neither comparator orders it), but
+// never silently: whenever they disagree, a NaN is among the k ranked
+// values, which is the condition the caller falls back on.
+func TestTopKHeadIsArgMax(t *testing.T) {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negZero := float32(math.Copysign(0, -1))
+	alphabet := []float32{-inf, -2, negZero, 0, 1, 1, inf}
+	f := func(seed uint64, withNaN bool) bool {
+		r := xrand.New(seed)
+		n := 1 + r.Intn(200)
+		x := make([]float32, n)
+		for i := range x {
+			switch r.Intn(3) {
+			case 0:
+				x[i] = alphabet[r.Intn(len(alphabet))]
+			case 1:
+				x[i] = float32(r.NormFloat64())
+			default:
+				x[i] = float32(r.Intn(5)) // ties
+			}
+			if withNaN && r.Intn(10) == 0 {
+				x[i] = nan
+			}
+		}
+		var buf TopKBuf
+		for _, k := range []int{1, 2, 1 + r.Intn(n), n, n + 3} {
+			idx := TopKInto(x, k, &buf)
+			sawNaN := false
+			for _, c := range idx {
+				sawNaN = sawNaN || x[c] != x[c]
+			}
+			if idx[0] != ArgMax(x) && !sawNaN {
+				t.Logf("x=%v k=%d: head %d, argmax %d", x, k, idx[0], ArgMax(x))
+				return false
+			}
+			if !withNaN && sawNaN {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTopKBufReuseAcrossCalls(t *testing.T) {
 	r := xrand.New(9)
 	var buf TopKBuf
