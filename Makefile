@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race bench bench-smoke bench-selftest bench-perf wire-bench decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
+.PHONY: all build test test-purego race bench bench-smoke bench-selftest bench-perf decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
 
 all: build
 
@@ -78,18 +78,6 @@ PERF_SHAPES ?=
 bench-perf:
 	$(GO) run ./cmd/enmc-bench -perf -shapes '$(PERF_SHAPES)' \
 		-label "bench-perf $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)" \
-		-json $(BENCH_FILE) $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE) -maxreg $(MAXREG))
-
-# Wire-codec harness: the cluster screen RPC in both codecs — binary
-# frame (protocol v2) vs the JSON fallback — appended to the same
-# governed trajectory (schema 1, interleaved passes, CV disclosure),
-# so the binary-vs-JSON speedup and byte savings enter BENCHMARK.md
-# through the validity gate rather than as prose claims. The speedup
-# columns are computed within each record, so they stay meaningful
-# even across machine changes. After a local run: `make report`.
-wire-bench:
-	$(GO) run ./cmd/enmc-bench -wire \
-		-label "wire-bench $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)" \
 		-json $(BENCH_FILE) $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE) -maxreg $(MAXREG))
 
 # Streaming-decode harness: one screened autoregressive decode step

@@ -3,7 +3,7 @@ package main
 // Streaming-decode benchmark harness: -decode measures one screened
 // autoregressive decode step (screen → top-m exact → argmax → state
 // update) with the cross-step candidate cache off and on, and appends
-// the result to the same governed trajectory as -perf/-wire. The
+// the result to the same governed trajectory as -perf. The
 // acceptance comparison (cached vs uncached speedup) is WITHIN one
 // record, so it stays valid across machines.
 //

@@ -37,25 +37,21 @@ func main() {
 	metrics := flag.Bool("metrics", false, "dump the telemetry registry as JSON to stderr after the run")
 	pprofAddr := flag.String("pprof", "", "serve pprof/expvar/metrics HTTP on this address (e.g. localhost:6060)")
 	perf := flag.Bool("perf", false, "run the hot-path perf harness (Table 2 serving shapes) instead of the experiments")
-	wire := flag.Bool("wire", false, "run the cluster wire-codec harness (binary frame vs JSON screen RPC) instead of the experiments")
 	decodeBench := flag.Bool("decode", false, "run the streaming-decode harness (per-token screened decode, candidate cache on/off, agreement BLEU) instead of the experiments")
 	bleuFloor := flag.Float64("bleu-floor", 0, "with -decode: fail when screened-vs-full agreement BLEU falls below this (0 disables the gate)")
-	perfJSON := flag.String("json", "", "with -perf/-wire/-decode: append the PerfRecord to this JSON trajectory file (e.g. BENCH_2026-08-06.json)")
-	perfLabel := flag.String("label", "dev", "with -perf/-wire/-decode: label stored in the PerfRecord")
+	perfJSON := flag.String("json", "", "with -perf/-decode: append the PerfRecord to this JSON trajectory file (e.g. BENCH_2026-08-06.json)")
+	perfLabel := flag.String("label", "dev", "with -perf/-decode: label stored in the PerfRecord")
 	perfShapesFlag := flag.String("shapes", "", "with -perf: comma-separated substrings selecting shapes (empty = all)")
-	baseline := flag.String("baseline", "", "with -perf/-wire/-decode: trajectory file whose latest per-shape results are the regression baseline")
-	maxReg := flag.Float64("maxreg", 1.5, "with -baseline: fail when screen/classify/wire ns/op exceed baseline by this factor")
-	perfPasses := flag.Int("passes", 5, "with -perf/-wire/-decode: interleaved timing passes per shape (governance requires >= 5 for committed records)")
+	baseline := flag.String("baseline", "", "with -perf/-decode: trajectory file whose latest per-shape results are the regression baseline")
+	maxReg := flag.Float64("maxreg", 1.5, "with -baseline: fail when screen/classify/decode ns/op exceed baseline by this factor")
+	perfPasses := flag.Int("passes", 5, "with -perf/-decode: interleaved timing passes per shape (governance requires >= 5 for committed records)")
 	flag.Parse()
 
-	if *perf || *wire || *decodeBench {
+	if *perf || *decodeBench {
 		var rec report.PerfRecord
-		switch {
-		case *wire:
-			rec = runWire(*perfLabel, *perfPasses)
-		case *decodeBench:
+		if *decodeBench {
 			rec = runDecodeBench(*perfLabel, *perfPasses)
-		default:
+		} else {
 			rec = runPerf(*perfLabel, *perfShapesFlag, *perfPasses)
 		}
 		out := json.NewEncoder(os.Stdout)

@@ -312,8 +312,8 @@ func appendPerfFile(path string, rec report.PerfRecord) error {
 // matching shape whose hot metrics grew by more than maxReg fails.
 // The per-shape baseline is the LAST record carrying that shape, not
 // the file's last record — the trajectory interleaves kernel shapes
-// (-perf) and wire shapes (-wire), and a wire-only append must not
-// silently disable the kernel tripwire (or vice versa). The bound is
+// (-perf) and decode shapes (-decode), and a decode-only append must
+// not silently disable the kernel tripwire (or vice versa). The bound is
 // generous on purpose — it is a cross-machine tripwire for
 // order-of-magnitude regressions (an accidental O(n log n) → O(n²), a
 // lost fast path), not a microbenchmark gate; same-machine trend
@@ -356,8 +356,6 @@ func comparePerf(rec report.PerfRecord, baselinePath string, maxReg float64) err
 		}
 		check("screen_ns_op", cur.ScreenNsOp, b.ScreenNsOp)
 		check("classify_into_ns_op", cur.ClassifyIntoNsOp, b.ClassifyIntoNsOp)
-		check("wire_encode_ns_op", cur.WireEncodeNsOp, b.WireEncodeNsOp)
-		check("wire_decode_ns_op", cur.WireDecodeNsOp, b.WireDecodeNsOp)
 		check("decode_token_ns_op", cur.DecodeTokenNsOp, b.DecodeTokenNsOp)
 		check("decode_cached_token_ns_op", cur.DecodeCachedTokenNsOp, b.DecodeCachedTokenNsOp)
 	}

@@ -7,7 +7,6 @@
 //
 //	enmc-serve                             # demo model, :8080
 //	enmc-serve -classifier cls.bin -screener scr.bin -addr :8080
-//	enmc-serve -shards 4                   # sharded demo backend
 //	enmc-serve -model-root ./models        # versioned registry + hot swap
 //	enmc-serve -cluster "h1:9090,h2:9090;h3:9091,h4:9091"
 //	                                       # scatter-gather router over
@@ -66,7 +65,6 @@ import (
 	"enmc/internal/cluster"
 	"enmc/internal/core"
 	"enmc/internal/decode"
-	"enmc/internal/distributed"
 	"enmc/internal/quant"
 	"enmc/internal/registry"
 	"enmc/internal/server"
@@ -92,8 +90,7 @@ func main() {
 
 	clsPath := flag.String("classifier", "", "serialized classifier (SaveClassifier format)")
 	scrPath := flag.String("screener", "", "serialized screener (SaveScreener format)")
-	featPath := flag.String("features", "", "serialized features for shard screener training (WriteFeatures format)")
-	shards := flag.Int("shards", 1, "row-shard the class space across N local shards (sharded backend)")
+	featPath := flag.String("features", "", "serialized features to train the screener from when -screener is absent (WriteFeatures format)")
 
 	clusterMap := flag.String("cluster", "", "route to networked enmc-shard workers: replica URLs comma-separated, shards semicolon-separated (e.g. 'h1:9090,h2:9090;h3:9091,h4:9091')")
 	clusterTimeout := flag.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout")
@@ -101,7 +98,6 @@ func main() {
 	clusterHedge := flag.Duration("cluster-hedge", 0, "hedge a shard RPC onto another replica after this delay (floor under -cluster-hedge-quantile; 0 disables)")
 	clusterHedgeQ := flag.Float64("cluster-hedge-quantile", 0, "adaptive hedging: hedge after this quantile of observed shard latency (0 disables)")
 	clusterHealthEvery := flag.Duration("cluster-health-interval", 500*time.Millisecond, "per-replica /readyz probe period")
-	clusterWire := flag.String("wire", "binary", "shard RPC codec: binary (negotiated, falls back per replica) or json (force JSON)")
 
 	modelRoot := flag.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
 	modelVersion := flag.String("model-version", "", "registry version to serve at startup (default newest)")
@@ -112,8 +108,8 @@ func main() {
 	demoClasses := flag.Int("demo-classes", 4096, "demo model: class count")
 	demoDim := flag.Int("demo-dim", 128, "demo model: hidden dimension")
 	demoSeed := flag.Uint64("demo-seed", 7, "demo model: generation/training seed")
-	epochs := flag.Int("epochs", 4, "demo/shard screener distillation epochs")
-	bits := flag.Int("bits", 4, "demo/shard screening precision: 2, 4 or 8")
+	epochs := flag.Int("epochs", 4, "screener distillation epochs")
+	bits := flag.Int("bits", 4, "screening precision: 2, 4 or 8")
 
 	decodeOn := flag.Bool("decode", false, "enable streaming autoregressive decode sessions on POST /v1/decode")
 	decodeMaxSessions := flag.Int("decode-max-sessions", 256, "decode session cap (429 past this)")
@@ -150,9 +146,6 @@ func main() {
 	var localCls *core.Classifier
 	var localScr *core.Screener
 	if *clusterMap != "" {
-		if *clusterWire != "binary" && *clusterWire != "json" {
-			fatalIf(fmt.Errorf("-wire must be binary or json, got %q", *clusterWire))
-		}
 		shardMap, err := cluster.ParseShardMap(*clusterMap)
 		fatalIf(err)
 		dialCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -163,7 +156,6 @@ func main() {
 			HedgeAfter:     *clusterHedge,
 			HedgeQuantile:  *clusterHedgeQ,
 			HealthInterval: *clusterHealthEvery,
-			WireJSON:       *clusterWire == "json",
 		})
 		cancel()
 		fatalIf(err)
@@ -191,9 +183,10 @@ func main() {
 		fatalIf(err)
 		backend = mgr.Swappable()
 	} else {
-		cls, scr, feats := buildModel(*clsPath, *scrPath, *featPath, *demoClasses, *demoDim, *demoSeed, *epochs, *bits)
-		backend = buildBackend(cls, scr, feats, *shards, *bits, *epochs, *demoSeed)
-		localCls, localScr = cls, scr
+		localCls, localScr = buildModel(*clsPath, *scrPath, *featPath, *demoClasses, *demoDim, *demoSeed, *epochs, *bits)
+		local, err := server.NewLocal(localCls, localScr)
+		fatalIf(err)
+		backend = local
 	}
 
 	var tenants *tenant.Resolver
@@ -314,8 +307,8 @@ func main() {
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go func() {
-		log.Printf("serving %d classes × %d dims on %s (shards=%d queue=%d batch=%d/%s)",
-			backend.Categories(), backend.Hidden(), ln.Addr(), *shards, *queueCap, *maxBatch, *maxDelay)
+		log.Printf("serving %d classes × %d dims on %s (queue=%d batch=%d/%s)",
+			backend.Categories(), backend.Hidden(), ln.Addr(), *queueCap, *maxBatch, *maxDelay)
 		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 			log.Fatal(err)
 		}
@@ -374,9 +367,8 @@ func main() {
 }
 
 // buildModel loads the classifier/screener pair from disk, or trains
-// a synthetic demo pair when no paths are given. It also returns
-// training features when available (needed for shard retraining).
-func buildModel(clsPath, scrPath, featPath string, classes, dim int, seed uint64, epochs, bits int) (*core.Classifier, *core.Screener, [][]float32) {
+// a synthetic demo pair when no paths are given.
+func buildModel(clsPath, scrPath, featPath string, classes, dim int, seed uint64, epochs, bits int) (*core.Classifier, *core.Screener) {
 	if clsPath != "" {
 		f, err := os.Open(clsPath)
 		fatalIf(err)
@@ -391,29 +383,25 @@ func buildModel(clsPath, scrPath, featPath string, classes, dim int, seed uint64
 			fatalIf(err)
 			fatalIf(g.Close())
 		}
-		var feats [][]float32
-		if featPath != "" {
-			h, err := os.Open(featPath)
-			fatalIf(err)
-			feats, err = core.ReadFeatures(h)
-			fatalIf(err)
-			fatalIf(h.Close())
-		}
 		if scr == nil {
-			if len(feats) == 0 {
+			if featPath == "" {
 				fatalIf(fmt.Errorf("need -screener or -features alongside -classifier"))
 			}
+			h, err := os.Open(featPath)
+			fatalIf(err)
+			feats, err := core.ReadFeatures(h)
+			fatalIf(err)
+			fatalIf(h.Close())
 			scr = train(cls, feats, bits, epochs, seed)
 		}
-		return cls, scr, feats
+		return cls, scr
 	}
 
 	log.Printf("no -classifier given: training a %d×%d demo model", classes, dim)
 	inst := workload.Generate(
 		workload.Spec{Name: "serve-demo", Categories: classes, Hidden: dim, LatentRank: 32, ZipfS: 1.05},
 		workload.GenOptions{Seed: seed, Train: 512, Valid: 32, Test: 32})
-	scr := train(inst.Classifier, inst.Train, bits, epochs, seed)
-	return inst.Classifier, scr, inst.Train
+	return inst.Classifier, train(inst.Classifier, inst.Train, bits, epochs, seed)
 }
 
 func train(cls *core.Classifier, feats [][]float32, bits, epochs int, seed uint64) *core.Screener {
@@ -426,27 +414,6 @@ func train(cls *core.Classifier, feats [][]float32, bits, epochs int, seed uint6
 	}, core.TrainOptions{Epochs: epochs, Seed: seed + 1})
 	fatalIf(err)
 	return scr
-}
-
-func buildBackend(cls *core.Classifier, scr *core.Screener, feats [][]float32, shards, bits, epochs int, seed uint64) server.Backend {
-	if shards <= 1 {
-		b, err := server.NewLocal(cls, scr)
-		fatalIf(err)
-		return b
-	}
-	if len(feats) == 0 {
-		fatalIf(fmt.Errorf("-shards > 1 needs training features (-features, or demo mode)"))
-	}
-	set, err := distributed.ShardClassifier(cls, shards, feats, core.Config{
-		Hidden:    cls.Hidden(),
-		Reduced:   cls.Hidden() / 4,
-		Precision: quant.Bits(bits),
-		Seed:      seed,
-	}, core.TrainOptions{Epochs: epochs, Seed: seed + 1})
-	fatalIf(err)
-	b, err := server.NewSharded(set)
-	fatalIf(err)
-	return b
 }
 
 func fatalIf(err error) {

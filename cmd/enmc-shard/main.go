@@ -78,12 +78,7 @@ func main() {
 	epochs := flag.Int("epochs", 4, "shard screener distillation epochs")
 	bits := flag.Int("bits", 4, "shard screening precision: 2, 4 or 8")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
-	wire := flag.String("wire", "binary", "screen reply codec: binary (accept+answer v2 frames) or json (refuse frames with 415, reply JSON)")
 	flag.Parse()
-
-	if *wire != "binary" && *wire != "json" {
-		fatalIf(fmt.Errorf("-wire must be binary or json, got %q", *wire))
-	}
 
 	cls, feats, version := loadGlobal(*clsPath, *featPath, *modelRoot, *modelVersion,
 		*demoClasses, *demoDim, *demoSeed)
@@ -102,9 +97,6 @@ func main() {
 
 	worker, err := cluster.NewWorker(shard)
 	fatalIf(err)
-	if *wire == "json" {
-		worker.ForceJSONWire()
-	}
 	if *logRequests || *logJSON {
 		worker.SetRequestLog(telemetry.NewRequestLog(os.Stderr, telemetry.RequestLogOptions{
 			JSON: *logJSON,

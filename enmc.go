@@ -190,13 +190,7 @@ func Classify(c *Classifier, s *Screener, h []float32, sel Selection, opts ...Op
 // bounded worker pool (GOMAXPROCS workers); results are ordered and
 // bit-identical to the serial loop.
 func ClassifyBatch(c *Classifier, s *Screener, batch [][]float32, sel Selection, opts ...Option) []*Result {
-	var o callOpts
-	o.apply(opts)
-	inner := core.ClassifyBatchTraced(c.inner, s.inner, batch, sel, o.tracer)
-	out := make([]*Result, len(inner))
-	for i, res := range inner {
-		out[i] = &Result{Logits: res.Mixed, Candidates: res.Candidates}
-	}
+	out, _ := ClassifyBatchContext(context.Background(), c, s, batch, sel, opts...) // Background never cancels
 	return out
 }
 

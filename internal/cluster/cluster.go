@@ -1,9 +1,9 @@
 // Package cluster turns the in-process row-sharded decomposition of
 // internal/distributed into a multi-process serving topology: shard
 // workers (cmd/enmc-shard) each own a contiguous row-slice of the
-// class space and expose a compact HTTP/JSON shard API, while a
-// Router scatter-gathers every query across all shards concurrently
-// and merges the global top-k.
+// class space and expose a compact HTTP shard API (binary screen
+// frames, JSON control plane), while a Router scatter-gathers every
+// query across all shards concurrently and merges the global top-k.
 //
 // The wire protocol is the paper's scale-out sketch made concrete:
 // each node keeps an approximate screener, screens its slice
@@ -44,30 +44,15 @@ var (
 	mReplicaEjected   = telemetry.Default().Counter("cluster.replica_ejected")
 	mReplicaReadmit   = telemetry.Default().Counter("cluster.replica_readmitted")
 	mRPCNs            = telemetry.Default().Histogram("cluster.shard_rpc_ns", telemetry.LatencyBuckets())
-
-	// Wire codec negotiation (see codec.go): RPCs by reply codec, and
-	// how often a binary attempt had to renegotiate down to JSON
-	// (pre-v2 worker, or a worker pinned by -wire json).
-	mWireBinaryRPCs = telemetry.Default().Counter("cluster.wire_binary_rpcs")
-	mWireJSONRPCs   = telemetry.Default().Counter("cluster.wire_json_rpcs")
-	mWireFallbacks  = telemetry.Default().Counter("cluster.wire_fallback_total")
 )
 
-// --- wire format (/v1/shard/*) ---
+// --- wire structs (/v1/shard/*; codec.go frames the screen pair) ---
 
 // WireCandidate is one exact (class, logit) pair in GLOBAL class
-// numbering — the only payload that crosses the gather wire. Keys
-// are single letters because a reply carries shards×m of these.
+// numbering — the only payload that crosses the gather wire.
 type WireCandidate struct {
-	Class int     `json:"c"`
-	Logit float32 `json:"l"`
-}
-
-// ScreenRequest is the POST /v1/shard/screen body: a batch of hidden
-// vectors plus the per-shard screening budget m.
-type ScreenRequest struct {
-	Batch [][]float32 `json:"batch"`
-	M     int         `json:"m"`
+	Class int
+	Logit float32
 }
 
 // ScreenResponse is the shard's reply: for every batch item, its
@@ -79,37 +64,32 @@ type ScreenRequest struct {
 // request receipt, so the router can rebase them under its own RPC
 // span without any cross-host clock agreement.
 type ScreenResponse struct {
-	Offset  int               `json:"offset"`
-	Classes int               `json:"classes"`
-	Version string            `json:"model_version,omitempty"`
-	Items   [][]WireCandidate `json:"items"`
-	Spans   []SpanWire        `json:"spans,omitempty"`
+	Offset  int
+	Classes int
+	Version string
+	Items   [][]WireCandidate
+	Spans   []SpanWire
 }
 
 // SpanWire is one worker-side span in a traced ScreenResponse. Start
 // is nanoseconds since the worker received the request — relative by
 // construction, so rebasing onto the router's RPC span start yields a
-// correctly nested timeline with no clock sync. Keys are single
-// letters because a traced reply carries one per pipeline stage.
+// correctly nested timeline with no clock sync.
 type SpanWire struct {
-	Name  string `json:"n"`
-	Cat   string `json:"c,omitempty"`
-	TID   int    `json:"t"`
-	Start int64  `json:"s"`
-	Dur   int64  `json:"d"`
+	Name  string
+	Cat   string
+	TID   int
+	Start int64
+	Dur   int64
 }
 
 // ShardInfo is the GET /v1/shard/info body: the static identity the
-// router reads once at Dial to learn the shard map geometry. Codecs
-// advertises the screen codecs the worker accepts ("v2", "json"); a
-// pre-v2 worker's info simply lacks the field, and the router treats
-// any absence the same way it treats a 415 — fall back to JSON.
+// router reads once at Dial to learn the shard map geometry.
 type ShardInfo struct {
-	Offset  int      `json:"offset"`
-	Classes int      `json:"classes"`
-	Hidden  int      `json:"hidden"`
-	Version string   `json:"model_version,omitempty"`
-	Codecs  []string `json:"codecs,omitempty"`
+	Offset  int    `json:"offset"`
+	Classes int    `json:"classes"`
+	Hidden  int    `json:"hidden"`
+	Version string `json:"model_version,omitempty"`
 }
 
 // ParseShardMap parses a router shard-map spec: shards separated by

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -117,6 +116,27 @@ func assertOutcome(t *testing.T, item int, got server.Outcome, want []distribute
 	}
 }
 
+// screenFrame encodes a v2 request frame or fails the test.
+func screenFrame(t testing.TB, m int, batch [][]float32) []byte {
+	t.Helper()
+	frame, err := AppendScreenRequest(nil, m, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// decodeReply decodes a v2 response frame into a scratch of its own,
+// so the returned views stay valid for the rest of the test.
+func decodeReply(t testing.TB, frame []byte) *ScreenResponse {
+	t.Helper()
+	sr, err := DecodeScreenResponse(frame, new(WireScratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
 // stall never answers a screen request: it drains the body (so the
 // server's background read can detect the client hanging up) and
 // blocks until the router abandons the attempt or the test tears
@@ -170,14 +190,6 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	post := func(path, body string) *http.Response {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
 
 	info, err := fetchInfo(context.Background(), http.DefaultClient, srv.URL, time.Second)
 	if err != nil {
@@ -195,15 +207,6 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	if c := get("/v1/shard/screen").StatusCode; c != http.StatusMethodNotAllowed {
 		t.Fatalf("GET screen = %d", c)
-	}
-	if c := post("/v1/shard/screen", "{").StatusCode; c != http.StatusBadRequest {
-		t.Fatalf("bad JSON = %d", c)
-	}
-	if c := post("/v1/shard/screen", `{"batch":[],"m":3}`).StatusCode; c != http.StatusBadRequest {
-		t.Fatalf("empty batch = %d", c)
-	}
-	if c := post("/v1/shard/screen", `{"batch":[[1,2,3]],"m":3}`).StatusCode; c != http.StatusBadRequest {
-		t.Fatalf("wrong dim = %d", c)
 	}
 
 	// Drain fails readiness but not liveness.
@@ -602,18 +605,24 @@ func stubShard(t *testing.T, info ShardInfo, cands []WireCandidate) string {
 	})
 	mux.HandleFunc("/readyz", func(rw http.ResponseWriter, _ *http.Request) { rw.WriteHeader(http.StatusOK) })
 	mux.HandleFunc("/v1/shard/screen", func(rw http.ResponseWriter, req *http.Request) {
-		var sr ScreenRequest
-		if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
+		frame, _ := io.ReadAll(req.Body)
+		_, batch, err := DecodeScreenRequest(frame, new(WireScratch))
+		if err != nil {
 			writeError(rw, http.StatusBadRequest, err.Error())
 			return
 		}
-		items := make([][]WireCandidate, len(sr.Batch))
+		items := make([][]WireCandidate, len(batch))
 		for i := range items {
 			items[i] = cands
 		}
-		writeJSON(rw, http.StatusOK, ScreenResponse{
+		reply, err := AppendScreenResponse(nil, &ScreenResponse{
 			Offset: info.Offset, Classes: info.Classes, Version: info.Version, Items: items,
 		})
+		if err != nil {
+			t.Error(err)
+		}
+		rw.Header().Set("Content-Type", ContentTypeScreenV2)
+		_, _ = rw.Write(reply)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)

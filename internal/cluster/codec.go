@@ -1,13 +1,8 @@
 package cluster
 
-// Binary wire codec v2 for the cluster screen RPC (/v1/shard/screen).
-//
-// PR 5's wire realized the O(m) gather traffic as JSON text: every
-// float32 in a ScreenRequest batch was encoded as decimal ASCII and
-// re-parsed on the worker, and every ScreenResponse decode allocated
-// fresh slices — ~4-10× payload bloat plus encode/decode CPU on both
-// sides of every RPC, hedges and failovers included. This codec packs
-// the same structures as little-endian length-prefixed binary frames:
+// Binary wire codec v2 — the only codec of the cluster screen RPC
+// (/v1/shard/screen). Requests and replies are little-endian
+// length-prefixed binary frames:
 //
 //	header (12 bytes, both kinds):
 //	  [0:4]   magic "ENM2"
@@ -31,16 +26,14 @@ package cluster
 //
 // Floats travel as raw bits, so NaN/Inf and every denormal round-trip
 // bit-exactly — the merged cluster result over this codec is
-// bit-identical to the JSON path (encoding/json emits the shortest
-// round-tripping decimal for float32) and to single-node
-// core.ClassifyApprox.
+// bit-identical to the in-process distributed.Classify and to
+// single-node core.ClassifyApprox.
 //
 // Decoding is strict: wrong magic/version/kind, a payload length that
 // disagrees with the body, counts that overflow or do not sum to the
 // pair block, truncation at any field boundary, and trailing bytes
-// all reject the frame — the binary path is no less defensive than
-// the JSON one. Frames over MaxFrameBytes are refused before any
-// allocation is sized from attacker-controlled counts.
+// all reject the frame. Frames over MaxFrameBytes are refused before
+// any allocation is sized from attacker-controlled counts.
 //
 // Encode appends into caller-supplied buffers and decode reuses a
 // pooled WireScratch, so the steady-state RPC path allocates nothing
@@ -51,24 +44,17 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
-// Content types negotiated on the screen RPC. The router sends its
-// preferred codec as Content-Type and lists everything it can decode
-// in Accept; the worker answers in the best codec both sides share.
-const (
-	ContentTypeJSON     = "application/json"
-	ContentTypeScreenV2 = "application/x-enmc-screen-v2"
-
-	// AcceptScreenV2 is the Accept header a binary-capable router
-	// sends: prefer v2, always willing to fall back to JSON.
-	AcceptScreenV2 = ContentTypeScreenV2 + ", " + ContentTypeJSON
-)
+// ContentTypeScreenV2 is the media type of both screen frames. A
+// worker refuses any other request Content-Type with 415.
+const ContentTypeScreenV2 = "application/x-enmc-screen-v2"
 
 // WireVersion is the frame version this codec speaks. A bump means a
-// layout change; old peers negotiate down to JSON instead of
-// misparsing.
+// layout change; a peer on another version rejects the frame (400)
+// instead of misparsing it.
 const WireVersion = 2
 
 const (
@@ -337,7 +323,7 @@ func (s *WireScratch) growItems(n int) [][]WireCandidate {
 // buffer and returns the full frame bytes (header included). The
 // reader is wrapped in io.LimitReader at MaxFrameBytes so a missing
 // or lying length prefix cannot force an unbounded read, and the
-// length prefix is validated before the payload is sized.
+// buffer grows only with the bytes that arrive.
 func (s *WireScratch) ReadFrame(r io.Reader) ([]byte, error) {
 	lr := io.LimitReader(r, MaxFrameBytes+frameHeaderLen)
 	if cap(s.buf) < frameHeaderLen {
@@ -352,14 +338,18 @@ func (s *WireScratch) ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, wireErrorf("payload length %d exceeds limit %d", payload, MaxFrameBytes)
 	}
 	total := frameHeaderLen + int(payload)
-	if cap(s.buf) < total {
-		nb := make([]byte, total)
-		copy(nb, head)
-		s.buf = nb
-	}
-	s.buf = s.buf[:total]
-	if _, err := io.ReadFull(lr, s.buf[frameHeaderLen:]); err != nil {
-		return nil, wireErrorf("reading %d-byte payload: %v", payload, err)
+	// The prefix is only the peer's claim: grow toward it as bytes
+	// actually arrive, so a 12-byte body cannot size a 1 GiB buffer.
+	s.buf = head
+	for len(s.buf) < total {
+		if len(s.buf) == cap(s.buf) {
+			s.buf = slices.Grow(s.buf, len(s.buf)) // double
+		}
+		n, err := io.ReadFull(lr, s.buf[len(s.buf):min(cap(s.buf), total)])
+		s.buf = s.buf[:len(s.buf)+n]
+		if err != nil {
+			return nil, wireErrorf("reading %d-byte payload: %v", payload, err)
+		}
 	}
 	return s.buf, nil
 }

@@ -31,11 +31,6 @@ func (r *Router) probeLoop(s *routerShard, rep *replica) {
 				succs++
 				if !rep.healthy.Load() && succs >= r.cfg.ReadmitThreshold {
 					rep.healthy.Store(true)
-					// A readmitted replica may be a restarted — possibly
-					// upgraded — process: clear any JSON-codec pin so the
-					// next query re-offers the binary frame (rpcOnce
-					// re-pins in one round trip if it still refuses).
-					rep.jsonOnly.Store(false)
 					mReplicaReadmit.Inc()
 					mShardsHealthy.Set(float64(r.HealthyShards()))
 				}

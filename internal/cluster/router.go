@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +51,6 @@ type RouterConfig struct {
 	// ReadmitThreshold re-admits an ejected replica after this many
 	// consecutive probe successes (default 2).
 	ReadmitThreshold int
-	// WireJSON forces the scatter leg onto the JSON codec, never
-	// offering the binary frame (the -wire json escape hatch). Off,
-	// the router encodes binary and renegotiates per replica on 415
-	// or 400 — see rpcOnce.
-	WireJSON bool
 	// Client overrides the HTTP client (default: pooled transport).
 	Client *http.Client
 	// Tracer receives per-shard RPC spans on TrackClusterBase+i;
@@ -89,14 +83,9 @@ func (c *RouterConfig) defaults() {
 // the probe loop (and optimistically true at start); the data path
 // only reads it to order failover candidates — an ejected replica is
 // still tried as a last resort, so recovery never waits on a probe.
-// jsonOnly pins the replica to the JSON codec after a failed binary
-// negotiation (pre-v2 worker, or -wire json on the worker); it resets
-// when the probe loop readmits the replica, so a restarted — possibly
-// upgraded — worker gets re-offered the binary frame.
 type replica struct {
-	url      string
-	healthy  atomic.Bool
-	jsonOnly atomic.Bool
+	url     string
+	healthy atomic.Bool
 }
 
 // routerShard is the router's view of one row-slice: its replicas,
@@ -144,21 +133,14 @@ func (s *routerShard) replicaOrderInto(order []*replica) []*replica {
 }
 
 // wireBody is the scatter payload shared by every shard, hedge, and
-// failover retry of one micro-batch: the binary frame is encoded once
-// into a pooled buffer, and the JSON rendering is produced lazily —
-// only when some replica actually needs the fallback codec. The
-// refcount returns the pooled buffer when the last reader is done;
-// readers are counted per HTTP request body (see reqBody), because
-// Body.Close is the only point the transport guarantees it has
-// stopped reading.
+// failover retry of one micro-batch: the frame is encoded once into a
+// pooled buffer. The refcount returns the pooled buffer when the last
+// reader is done; readers are counted per HTTP request body (see
+// reqBody), because Body.Close is the only point the transport
+// guarantees it has stopped reading.
 type wireBody struct {
 	bin  []byte
 	refs atomic.Int32
-
-	req      ScreenRequest
-	jsonOnce sync.Once
-	jsonBuf  []byte
-	jsonErr  error
 }
 
 // acquire takes a ref the caller knows is safe: some live ref (the
@@ -186,13 +168,6 @@ func (b *wireBody) release() {
 		PutEncodeBuf(b.bin)
 		b.bin = nil
 	}
-}
-
-// json renders the JSON fallback body at most once. The buffer is
-// GC-owned (not pooled): fallbacks are the rare path.
-func (b *wireBody) json() ([]byte, error) {
-	b.jsonOnce.Do(func() { b.jsonBuf, b.jsonErr = json.Marshal(b.req) })
-	return b.jsonBuf, b.jsonErr
 }
 
 // reqBody hands a view of the shared scatter payload to the HTTP
@@ -260,12 +235,6 @@ func Dial(ctx context.Context, cfg RouterConfig) (*Router, error) {
 				lastErr = err
 				continue
 			}
-			// A worker that advertises codecs but not "v2" never gets
-			// offered the binary frame; one that advertises nothing
-			// (pre-v2) is probed optimistically and falls back on 400.
-			if len(info.Codecs) > 0 && !codecListed(info.Codecs, "v2") {
-				rep.jsonOnly.Store(true)
-			}
 			s.offset, s.classes = info.Offset, info.Classes
 			v := info.Version
 			s.version.Store(&v)
@@ -315,15 +284,6 @@ func Dial(ctx context.Context, cfg RouterConfig) (*Router, error) {
 		}
 	}
 	return r, nil
-}
-
-func codecListed(codecs []string, want string) bool {
-	for _, c := range codecs {
-		if c == want {
-			return true
-		}
-	}
-	return false
 }
 
 func fetchInfo(ctx context.Context, client *http.Client, base string, timeout time.Duration) (*ShardInfo, error) {
@@ -460,17 +420,13 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 		per = 1
 	}
 	// One encode per micro-batch, shared by every shard, hedge, and
-	// retry. Binary is skipped entirely under -wire json; the JSON
-	// rendering is lazy either way (wireBody.json).
-	wb := &wireBody{req: ScreenRequest{Batch: batch, M: per}}
-	wb.refs.Store(1)
-	if !r.cfg.WireJSON {
-		bin, err := AppendScreenRequest(GetEncodeBuf(), per, batch)
-		if err != nil {
-			return nil, server.Partial{}, err
-		}
-		wb.bin = bin
+	// retry.
+	bin, err := AppendScreenRequest(GetEncodeBuf(), per, batch)
+	if err != nil {
+		return nil, server.Partial{}, err
 	}
+	wb := &wireBody{bin: bin}
+	wb.refs.Store(1)
 	defer wb.release()
 
 	replies := make([]*ScreenResponse, len(r.shards))
@@ -687,11 +643,12 @@ func (r *Router) hedgeDelay(s *routerShard) time.Duration {
 // record a span on the shard's trace lane; when the request context
 // carries a trace, the trace ships to the worker on the wire headers
 // and the worker's returned spans are rebased under this attempt's
-// span on the shard's process lane (PID 1+id).
+// span on the shard's process lane (PID 1+id). Any non-200 — a 415 or
+// 400 from a worker that does not speak this frame included — is an
+// ordinary failed attempt.
 //
-// The returned WireScratch (nil for JSON replies) owns the decoded
-// response's backing memory; the caller releases it once done with
-// the response.
+// The returned WireScratch owns the decoded response's backing
+// memory; the caller releases it once done with the response.
 func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *wireBody, nItems int) (*ScreenResponse, *WireScratch, error) {
 	mShardRPCTotal.Inc()
 	tr := r.tracer()
@@ -711,38 +668,12 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 		}
 		return nil, nil, err
 	}
-	binary := wb.bin != nil && !rep.jsonOnly.Load()
-	sr, sc, status, err := r.screenRPC(actx, s, rep, wb, nItems, binary, tc, traced)
-	if err != nil && binary &&
-		(status == http.StatusUnsupportedMediaType || status == http.StatusBadRequest) {
-		// A pre-v2 worker answers 400 (its JSON decoder chokes on the
-		// binary frame); a worker pinned by -wire json answers 415.
-		// Renegotiate down inline — this consumes no failover attempt,
-		// so negotiation is invisible to retry accounting. 415 is an
-		// unambiguous codec refusal, so the replica is pinned jsonOnly
-		// immediately; 400 is ambiguous (a v2 worker also answers 400
-		// to a genuinely bad request, e.g. a feature-length mismatch),
-		// so pin only if the same request then succeeds as JSON —
-		// proof the frame, not the request, was refused. The pin
-		// clears on health-probe readmission (see probeLoop), so a
-		// worker that restarts upgraded gets re-offered the frame.
-		mWireFallbacks.Inc()
-		badFrame := status == http.StatusBadRequest
-		if !badFrame {
-			rep.jsonOnly.Store(true)
-		}
-		sr, sc, _, err = r.screenRPC(actx, s, rep, wb, nItems, false, tc, traced)
-		if badFrame && err == nil {
-			rep.jsonOnly.Store(true)
-		}
-	}
+	sr, sc, err := r.screenRPC(actx, s, rep, wb, tc, traced)
 	if err != nil {
 		return fail(err)
 	}
 	if len(sr.Items) != nItems {
-		if sc != nil {
-			sc.Release()
-		}
+		sc.Release()
 		return fail(fmt.Errorf("cluster: shard %d replica %s: %d items in reply, want %d", s.id, rep.url, len(sr.Items), nItems))
 	}
 	elapsed := time.Since(start)
@@ -767,35 +698,26 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 			})
 		}
 	}
-	// Copy the version out of the response: on the binary path
-	// sr.Version lives inside pooled WireScratch memory, and the next
-	// decode into a recycled scratch would rewrite the field under
-	// concurrent distinctVersions readers.
+	// Copy the version out of the response: sr.Version lives inside
+	// pooled WireScratch memory, and the next decode into a recycled
+	// scratch would rewrite the field under concurrent
+	// distinctVersions readers.
 	v := sr.Version
 	s.version.Store(&v)
 	return sr, sc, nil
 }
 
-// screenRPC is one HTTP round trip to one replica in one codec. The
-// non-zero status return lets rpcOnce tell a negotiation refusal
-// (415/400) from a transport error. Bodies are read to EOF on every
-// path so the connection goes back to the keep-alive pool.
-func (r *Router) screenRPC(ctx context.Context, s *routerShard, rep *replica, wb *wireBody, nItems int, binary bool, tc telemetry.TraceCtx, traced bool) (*ScreenResponse, *WireScratch, int, error) {
-	var payload []byte
-	if binary {
-		payload = wb.bin
-	} else {
-		var err error
-		if payload, err = wb.json(); err != nil {
-			return nil, nil, 0, err
-		}
-	}
+// screenRPC is one HTTP round trip to one replica. Bodies are read to
+// EOF on every path so the connection goes back to the keep-alive
+// pool.
+func (r *Router) screenRPC(ctx context.Context, s *routerShard, rep *replica, wb *wireBody, tc telemetry.TraceCtx, traced bool) (*ScreenResponse, *WireScratch, error) {
+	payload := wb.bin
 	wb.acquire()
 	rb := &reqBody{Reader: bytes.NewReader(payload), wb: wb}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/shard/screen", rb)
 	if err != nil {
 		_ = rb.Close()
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	req.ContentLength = int64(len(payload))
 	// GetBody keeps the transport's silent replay on a stale
@@ -808,13 +730,7 @@ func (r *Router) screenRPC(ctx context.Context, s *routerShard, rep *replica, wb
 		}
 		return &reqBody{Reader: bytes.NewReader(payload), wb: wb}, nil
 	}
-	if binary {
-		req.Header.Set("Content-Type", ContentTypeScreenV2)
-		req.Header.Set("Accept", AcceptScreenV2)
-	} else {
-		req.Header.Set("Content-Type", ContentTypeJSON)
-		req.Header.Set("Accept", ContentTypeJSON)
-	}
+	req.Header.Set("Content-Type", ContentTypeScreenV2)
 	if traced {
 		// This attempt is the worker's parent span: a fresh span ID
 		// under the request's trace.
@@ -824,37 +740,22 @@ func (r *Router) screenRPC(ctx context.Context, s *routerShard, rep *replica, wb
 	}
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, nil, resp.StatusCode, fmt.Errorf("cluster: shard %d replica %s: HTTP %d", s.id, rep.url, resp.StatusCode)
+		return nil, nil, fmt.Errorf("cluster: shard %d replica %s: HTTP %d", s.id, rep.url, resp.StatusCode)
 	}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeScreenV2) {
-		sc := GetWireScratch()
-		frame, err := sc.ReadFrame(resp.Body)
-		if err != nil {
-			sc.Release()
-			return nil, nil, 0, fmt.Errorf("cluster: shard %d replica %s: bad reply: %w", s.id, rep.url, err)
-		}
+	sc := GetWireScratch()
+	frame, err := sc.ReadFrame(resp.Body)
+	if err == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
-		sr, err := DecodeScreenResponse(frame, sc)
-		if err != nil {
-			sc.Release()
-			return nil, nil, 0, fmt.Errorf("cluster: shard %d replica %s: bad reply: %w", s.id, rep.url, err)
+		var sr *ScreenResponse
+		if sr, err = DecodeScreenResponse(frame, sc); err == nil {
+			return sr, sc, nil
 		}
-		mWireBinaryRPCs.Inc()
-		return sr, sc, http.StatusOK, nil
 	}
-	var sr ScreenResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxFrameBytes)).Decode(&sr); err != nil {
-		return nil, nil, 0, fmt.Errorf("cluster: shard %d replica %s: bad reply: %w", s.id, rep.url, err)
-	}
-	// The decoder stops at the closing brace; drain the trailing
-	// newline (and anything else) so the transport sees EOF and the
-	// connection is reused instead of torn down.
-	_, _ = io.Copy(io.Discard, resp.Body)
-	mWireJSONRPCs.Inc()
-	return &sr, nil, http.StatusOK, nil
+	sc.Release()
+	return nil, nil, fmt.Errorf("cluster: shard %d replica %s: bad reply: %w", s.id, rep.url, err)
 }

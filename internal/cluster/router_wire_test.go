@@ -3,43 +3,76 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"enmc/internal/distributed"
+	"enmc/internal/core"
 )
 
-func mustJSON(t testing.TB, v interface{}) []byte {
+// --- the screen endpoint speaks one codec ---
+
+// screenCase is one body posted to /v1/shard/screen and the status the
+// worker must answer it with.
+type screenCase struct {
+	name        string
+	contentType string
+	body        []byte
+	want        int
+}
+
+// screenCases: the v2 frame is served; everything else is refused —
+// a foreign (or missing) Content-Type with 415, a malformed frame or
+// a batch the shard cannot screen with 400.
+func screenCases(t testing.TB, batch [][]float32) []screenCase {
+	frame := screenFrame(t, 8, batch)
+	badVersion := append([]byte(nil), frame...)
+	badVersion[4] = WireVersion + 1
+	return []screenCase{
+		{"v2 frame", ContentTypeScreenV2, frame, http.StatusOK},
+		{"json body", "application/json", []byte(`{"batch":[[1,2,3]],"m":3}`), http.StatusUnsupportedMediaType},
+		{"no content type", "", frame, http.StatusUnsupportedMediaType},
+		{"truncated frame", ContentTypeScreenV2, frame[:len(frame)-5], http.StatusBadRequest},
+		{"trailing bytes", ContentTypeScreenV2, append(append([]byte(nil), frame...), 0, 0, 0), http.StatusBadRequest},
+		{"bad version byte", ContentTypeScreenV2, badVersion, http.StatusBadRequest},
+		{"empty batch", ContentTypeScreenV2, screenFrame(t, 8, nil), http.StatusBadRequest},
+		{"wrong feature length", ContentTypeScreenV2, screenFrame(t, 8, [][]float32{{1, 2, 3}}), http.StatusBadRequest},
+	}
+}
+
+// postScreen posts one case through client. The Accept header asks for
+// JSON on purpose: the reply codec must not depend on it.
+func postScreen(t testing.TB, client *http.Client, base string, c screenCase) (int, http.Header, []byte) {
 	t.Helper()
-	b, err := json.Marshal(v)
+	req, _ := http.NewRequest(http.MethodPost, base+"/v1/shard/screen", bytes.NewReader(c.body))
+	if c.contentType != "" {
+		req.Header.Set("Content-Type", c.contentType)
+	}
+	req.Header.Set("Accept", "application/json")
+	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
-}
-
-func decodeJSONBody(t testing.TB, r io.Reader, v interface{}) {
-	t.Helper()
-	if err := json.NewDecoder(r).Decode(v); err != nil {
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return resp.StatusCode, resp.Header, body
 }
 
-// --- codec negotiation at the worker surface ---
-
-// TestWorkerBinaryScreen drives the worker's binary path directly:
-// a v2 request frame with a v2-listing Accept must come back as a v2
-// response frame whose decoded content is identical — bit-for-bit in
-// the logits — to the JSON answer for the same batch.
-func TestWorkerBinaryScreen(t *testing.T) {
+// TestWorkerScreenContentTypes: a v2 frame comes back as a v2 frame —
+// whatever the Accept header says — whose candidates are the shard's
+// own pipeline bit for bit; every refusal carries a JSON error body.
+func TestWorkerScreenContentTypes(t *testing.T) {
 	inst, shards, _ := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
@@ -49,310 +82,151 @@ func TestWorkerBinaryScreen(t *testing.T) {
 	defer srv.Close()
 
 	batch := inst.Test[:3]
-	const m = 8
-	frame, err := AppendScreenRequest(nil, m, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/shard/screen", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", ContentTypeScreenV2)
-	req.Header.Set("Accept", AcceptScreenV2)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("binary screen = %d: %s", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeScreenV2 {
-		t.Fatalf("reply Content-Type = %q, want %q", ct, ContentTypeScreenV2)
-	}
-	sc := GetWireScratch()
-	defer sc.Release()
-	raw, err := sc.ReadFrame(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin, err := DecodeScreenResponse(raw, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Same batch over JSON: decoded answers must match exactly.
-	jreq, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/shard/screen",
-		bytes.NewReader(mustJSON(t, ScreenRequest{Batch: batch, M: m})))
-	jreq.Header.Set("Content-Type", ContentTypeJSON)
-	jreq.Header.Set("Accept", ContentTypeJSON)
-	jresp, err := http.DefaultClient.Do(jreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("json screen = %d", jresp.StatusCode)
-	}
-	if ct := jresp.Header.Get("Content-Type"); ct != ContentTypeJSON {
-		t.Fatalf("json reply Content-Type = %q", ct)
-	}
-	var js ScreenResponse
-	decodeJSONBody(t, jresp.Body, &js)
-
-	if bin.Offset != js.Offset || bin.Classes != js.Classes || bin.Version != js.Version {
-		t.Fatalf("identity differs across codecs: %d/%d/%q vs %d/%d/%q",
-			bin.Offset, bin.Classes, bin.Version, js.Offset, js.Classes, js.Version)
-	}
-	if len(bin.Items) != len(js.Items) {
-		t.Fatalf("item count differs: %d vs %d", len(bin.Items), len(js.Items))
-	}
-	for i := range js.Items {
-		if len(bin.Items[i]) != len(js.Items[i]) {
-			t.Fatalf("item %d: %d vs %d candidates", i, len(bin.Items[i]), len(js.Items[i]))
-		}
-		for j := range js.Items[i] {
-			if bin.Items[i][j] != js.Items[i][j] {
-				t.Fatalf("item %d[%d]: binary %+v, json %+v", i, j, bin.Items[i][j], js.Items[i][j])
+	for _, c := range screenCases(t, batch) {
+		t.Run(c.name, func(t *testing.T) {
+			status, hdr, body := postScreen(t, srv.Client(), srv.URL, c)
+			if status != c.want {
+				t.Fatalf("status = %d, want %d: %s", status, c.want, body)
 			}
-		}
-	}
-}
-
-// TestWorkerForceJSONWire: a worker pinned by -wire json refuses the
-// binary frame with 415 (the router's signal to renegotiate) but
-// keeps answering JSON, and stops advertising the v2 codec in info.
-func TestWorkerForceJSONWire(t *testing.T) {
-	inst, shards, _ := fixture(t)
-	w, err := NewWorker(shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.Info().Codecs; len(got) != 2 || got[0] != "v2" {
-		t.Fatalf("default codecs = %v, want [v2 json]", got)
-	}
-	w.ForceJSONWire()
-	if got := w.Info().Codecs; len(got) != 1 || got[0] != "json" {
-		t.Fatalf("forced codecs = %v, want [json]", got)
-	}
-	srv := httptest.NewServer(w.Handler())
-	defer srv.Close()
-
-	frame, err := AppendScreenRequest(nil, 4, inst.Test[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/shard/screen", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", ContentTypeScreenV2)
-	req.Header.Set("Accept", AcceptScreenV2)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnsupportedMediaType {
-		t.Fatalf("binary frame to -wire json worker = %d, want 415", resp.StatusCode)
-	}
-
-	// JSON still answers JSON — even when the Accept offers v2.
-	jreq, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/shard/screen",
-		bytes.NewReader(mustJSON(t, ScreenRequest{Batch: inst.Test[:1], M: 4})))
-	jreq.Header.Set("Content-Type", ContentTypeJSON)
-	jreq.Header.Set("Accept", AcceptScreenV2)
-	jresp, err := http.DefaultClient.Do(jreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jresp.Body.Close()
-	if jresp.StatusCode != http.StatusOK {
-		t.Fatalf("json screen = %d", jresp.StatusCode)
-	}
-	if ct := jresp.Header.Get("Content-Type"); ct != ContentTypeJSON {
-		t.Fatalf("pinned worker answered Content-Type %q", ct)
-	}
-}
-
-// --- mixed-codec cluster bit-identity (the correctness bar) ---
-
-// TestMixedCodecCluster runs a binary-preferring router against a
-// cluster where one shard is pinned to JSON: the router must fall
-// back on that shard alone (one renegotiation round trip, then
-// sticky), every query must succeed, and the merged top-k must be
-// bit-identical to an all-JSON router AND to the in-process scatter —
-// the rolling-upgrade invariant.
-func TestMixedCodecCluster(t *testing.T) {
-	inst, shards, _ := fixture(t)
-	urls := make([][]string, len(shards))
-	workers := make([]*Worker, len(shards))
-	for i, sh := range shards {
-		w, err := NewWorker(sh)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers[i] = w
-		srv := httptest.NewServer(w.Handler())
-		t.Cleanup(srv.Close)
-		urls[i] = []string{srv.URL}
-	}
-
-	binRPCsBefore := mWireBinaryRPCs.Value()
-	jsonRPCsBefore := mWireJSONRPCs.Value()
-	fallbacksBefore := mWireFallbacks.Value()
-
-	rBin := dialT(t, RouterConfig{ShardMap: urls})
-	rJSON := dialT(t, RouterConfig{ShardMap: urls, WireJSON: true})
-
-	// Pin shard 1 to JSON AFTER Dial — the router already believes it
-	// speaks v2, so the first query must renegotiate via 415 at run
-	// time, exactly like a worker rolled back mid-flight. (A pin
-	// visible at Dial is pre-applied from info.Codecs instead; that
-	// path is TestDialPrePinsJSONOnlyReplica.)
-	workers[1].ForceJSONWire()
-
-	ctx := context.Background()
-	batch := inst.Test[:5]
-	const m, topK = 24, 5
-	per := (m + fixShards - 1) / fixShards
-	for round := 0; round < 3; round++ {
-		outsBin, p, err := rBin.ClassifyBatchPartial(ctx, batch, m, topK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Partial {
-			t.Fatalf("mixed-codec round %d degraded: %+v", round, p)
-		}
-		outsJSON, _, err := rJSON.ClassifyBatchPartial(ctx, batch, m, topK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, h := range batch {
-			want, err := distributed.ClassifyCtx(ctx, shards, h, per, topK)
-			if err != nil {
-				t.Fatal(err)
+			if status != http.StatusOK {
+				var eb errorBody
+				if err := json.Unmarshal(body, &eb); err != nil || eb.Error == "" {
+					t.Fatalf("refusal body is not a JSON error: %q (%v)", body, err)
+				}
+				return
 			}
-			assertOutcome(t, i, outsBin[i], want)
-			assertOutcome(t, i, outsJSON[i], want)
-		}
-	}
-
-	if mWireBinaryRPCs.Value() <= binRPCsBefore {
-		t.Fatal("no binary RPCs recorded in a mixed cluster")
-	}
-	if mWireJSONRPCs.Value() <= jsonRPCsBefore {
-		t.Fatal("no JSON RPCs recorded in a mixed cluster")
-	}
-	got := mWireFallbacks.Value() - fallbacksBefore
-	if got < 1 {
-		t.Fatal("pinned shard never triggered a codec fallback")
-	}
-	// Sticky: the binary router renegotiates shard 1 once, not per
-	// round. (The JSON router never offers binary, so never falls
-	// back; Dial read Codecs and may even have pre-pinned.)
-	if got > 2 {
-		t.Fatalf("fallback fired %d times across 3 rounds — the JSON pin is not sticky", got)
+			if ct := hdr.Get("Content-Type"); ct != ContentTypeScreenV2 {
+				t.Fatalf("reply Content-Type = %q, want %q", ct, ContentTypeScreenV2)
+			}
+			sr := decodeReply(t, body)
+			sh := shards[0]
+			if sr.Offset != sh.Offset || sr.Classes != sh.Classifier.Categories() || sr.Version != sh.Version {
+				t.Fatalf("identity = %d/%d/%q", sr.Offset, sr.Classes, sr.Version)
+			}
+			if len(sr.Items) != len(batch) {
+				t.Fatalf("%d items, want %d", len(sr.Items), len(batch))
+			}
+			for i, h := range batch {
+				res := core.ClassifyApprox(sh.Classifier, sh.Screener, h, core.TopM(8))
+				if len(sr.Items[i]) != len(res.Candidates) {
+					t.Fatalf("item %d: %d candidates, want %d", i, len(sr.Items[i]), len(res.Candidates))
+				}
+				for j, cand := range res.Candidates {
+					want := WireCandidate{Class: sh.Offset + cand, Logit: res.Exact[j]}
+					if got := sr.Items[i][j]; got != want {
+						t.Fatalf("item %d[%d] = %+v, want %+v", i, j, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestDialPrePinsJSONOnlyReplica: a worker whose info advertises no
-// v2 codec is never offered the binary frame — Dial pins it, so not
-// even the first query pays the renegotiation round trip.
-func TestDialPrePinsJSONOnlyReplica(t *testing.T) {
-	_, shards, _ := fixture(t)
+// TestReadFrameLyingLengthPrefix: the length prefix is the peer's
+// claim, not a fact — a header announcing the largest legal payload
+// over an empty body is a prompt error that sizes no buffer from the
+// claim (the scratch goes back to the pool afterwards).
+func TestReadFrameLyingLengthPrefix(t *testing.T) {
+	hdr := appendHeader(nil, frameKindRequest)
+	binary.LittleEndian.PutUint32(hdr[8:], MaxFrameBytes)
+	sc := new(WireScratch)
+	if _, err := sc.ReadFrame(bytes.NewReader(hdr)); err == nil {
+		t.Fatal("header with no payload accepted")
+	}
+	if cap(sc.buf) > 1<<16 {
+		t.Fatalf("a %d-byte body grew the read buffer to %d bytes", len(hdr), cap(sc.buf))
+	}
+}
+
+// FuzzWorkerScreenBody: whatever bytes arrive as a v2 body, the worker
+// neither panics nor answers anything but 200 or 400, and a 200 is a
+// frame that decodes to one candidate list per request item.
+func FuzzWorkerScreenBody(f *testing.F) {
+	inst, shards, _ := fixture(f)
 	w, err := NewWorker(shards[0])
 	if err != nil {
-		t.Fatal(err)
+		f.Fatal(err)
 	}
-	w.ForceJSONWire()
-	var binaryPosts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/v1/shard/screen" && req.Header.Get("Content-Type") == ContentTypeScreenV2 {
-			binaryPosts.Add(1)
+	h := w.Handler()
+	valid := screenFrame(f, 8, inst.Test[:1])
+	f.Add(valid)
+	// Every truncation boundary, verbatim and with the length prefix
+	// patched to match (as TestDecodeTruncationEveryBoundary does).
+	for n := 0; n < len(valid); n++ {
+		cut := append([]byte(nil), valid[:n]...)
+		f.Add(cut)
+		if n >= frameHeaderLen {
+			patched := append([]byte(nil), cut...)
+			binary.LittleEndian.PutUint32(patched[8:], uint32(n-frameHeaderLen))
+			f.Add(patched)
 		}
-		w.Handler().ServeHTTP(rw, req)
-	}))
-	defer srv.Close()
-
-	// Single-shard map only tiles if this worker covers [0, classes).
-	info := w.Info()
-	if info.Offset != 0 {
-		t.Fatalf("fixture shard 0 offset = %d", info.Offset)
 	}
-	r := dialT(t, RouterConfig{ShardMap: [][]string{{srv.URL}}})
-	if _, _, err := r.ClassifyBatchPartial(context.Background(), [][]float32{make([]float32, fixHidden)}, 8, 3); err != nil {
-		t.Fatal(err)
+	// nItems·hidden overflows: past uint64 bytes, and exactly 2^32.
+	for _, dim := range []uint32{math.MaxUint32, 1 << 16} {
+		over := append([]byte(nil), valid[:frameHeaderLen]...)
+		over = appendU32(appendU32(appendU32(over, 8), dim), dim)
+		binary.LittleEndian.PutUint32(over[8:], 12)
+		f.Add(over)
 	}
-	if n := binaryPosts.Load(); n != 0 {
-		t.Fatalf("router sent %d binary frames to a replica that advertised json-only", n)
-	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/shard/screen", bytes.NewReader(data))
+		req.Header.Set("Content-Type", ContentTypeScreenV2)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code == http.StatusBadRequest {
+			return
+		}
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+		}
+		_, batch, err := DecodeScreenRequest(data, new(WireScratch))
+		if err != nil {
+			t.Fatalf("200 for a frame that does not decode: %v", err)
+		}
+		if sr := decodeReply(t, rec.Body.Bytes()); len(sr.Items) != len(batch) {
+			t.Fatalf("%d items in reply, %d in request", len(sr.Items), len(batch))
+		}
+	})
 }
 
-// TestLegacy400FallbackPinsAfterJSONSuccess: a worker that speaks no
-// v2 on the screen endpoint (a pre-v2 JSON decoder choking on the
-// frame with 400) triggers the inline JSON retry, and — because the
-// SAME request then succeeds as JSON — pins the replica, so later
-// queries skip the wasted binary round trip.
-func TestLegacy400FallbackPinsAfterJSONSuccess(t *testing.T) {
+// TestWorker400IsAnRPCFailure: a worker's 400 to a genuinely bad
+// request (feature-length mismatch) is an ordinary failed attempt —
+// one per replica, counted in shard_rpc_errors, never repeated in
+// another codec — and leaves the replicas serving well-formed traffic.
+func TestWorker400IsAnRPCFailure(t *testing.T) {
 	inst, shards, _ := fixture(t)
-	w, err := NewWorker(shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	var binaryPosts atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-		if req.URL.Path == "/v1/shard/screen" && strings.HasPrefix(req.Header.Get("Content-Type"), ContentTypeScreenV2) {
-			binaryPosts.Add(1)
-			// A pre-v2 worker knows nothing of the v2 media type: it
-			// feeds the frame to its JSON decoder and answers 400.
-			req.Header.Set("Content-Type", ContentTypeJSON)
-		}
-		w.Handler().ServeHTTP(rw, req)
-	}))
-	defer srv.Close()
+	var mu sync.Mutex
+	posts := map[int][]string{} // replica → Content-Type of each screen POST
+	urls, _ := startWorkers(t, shards[:1], 2, func(_, rep int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/v1/shard/screen" {
+				mu.Lock()
+				posts[rep] = append(posts[rep], req.Header.Get("Content-Type"))
+				mu.Unlock()
+			}
+			h.ServeHTTP(rw, req)
+		})
+	})
+	r := dialT(t, RouterConfig{ShardMap: urls})
 
-	fallbacksBefore := mWireFallbacks.Value()
-	r := dialT(t, RouterConfig{ShardMap: [][]string{{srv.URL}}})
-	for q := 0; q < 3; q++ {
-		if _, _, err := r.ClassifyBatchPartial(context.Background(), inst.Test[:1], 8, 3); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := binaryPosts.Load(); n != 1 {
-		t.Fatalf("%d binary frames across 3 queries, want 1 (400 + JSON success must pin the replica)", n)
-	}
-	if got := mWireFallbacks.Value() - fallbacksBefore; got != 1 {
-		t.Fatalf("wire_fallbacks advanced by %d, want 1", got)
-	}
-}
-
-// TestGenuine400DoesNotPinJSONOnly: a v2 worker 400-ing a genuinely
-// bad request (wrong feature length) is NOT a codec refusal — the
-// JSON retry fails identically, and the replica must not be degraded
-// to JSON for all later (well-formed) traffic.
-func TestGenuine400DoesNotPinJSONOnly(t *testing.T) {
-	inst, shards, _ := fixture(t)
-	w, err := NewWorker(shards[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(w.Handler())
-	defer srv.Close()
-
-	r := dialT(t, RouterConfig{ShardMap: [][]string{{srv.URL}}, MaxAttempts: 2})
+	rpcBefore, errBefore := mShardRPCTotal.Value(), mShardRPCErrors.Value()
 	bad := [][]float32{make([]float32, fixHidden+1)}
 	if _, _, err := r.ClassifyBatchPartial(context.Background(), bad, 8, 3); err == nil {
 		t.Fatal("wrong-geometry batch unexpectedly succeeded")
 	}
-	if r.shards[0].replicas[0].jsonOnly.Load() {
-		t.Fatal("a genuine 400 pinned the replica JSON-only")
+	for rep := 0; rep < 2; rep++ {
+		if got := posts[rep]; len(got) != 1 || got[0] != ContentTypeScreenV2 {
+			t.Fatalf("replica %d saw screen POSTs %q, want exactly one %q", rep, got, ContentTypeScreenV2)
+		}
 	}
-	// The replica still takes well-formed traffic over the binary codec.
-	binBefore := mWireBinaryRPCs.Value()
+	if got := mShardRPCTotal.Value() - rpcBefore; got != 2 {
+		t.Fatalf("shard_rpc_total advanced by %d, want 2", got)
+	}
+	if got := mShardRPCErrors.Value() - errBefore; got != 2 {
+		t.Fatalf("shard_rpc_errors advanced by %d, want 2", got)
+	}
 	if _, _, err := r.ClassifyBatchPartial(context.Background(), inst.Test[:1], 8, 3); err != nil {
-		t.Fatal(err)
-	}
-	if mWireBinaryRPCs.Value() <= binBefore {
-		t.Fatal("no binary RPC after a genuine 400 — replica wrongly degraded")
+		t.Fatalf("well-formed query after the 400s: %v", err)
 	}
 }
 
@@ -413,48 +287,49 @@ func TestModelVersionConcurrentWithQueries(t *testing.T) {
 
 // --- keep-alive regression (the satellite leak fix) ---
 
-// TestKeepAliveConnectionReuse pins the drain-to-EOF fix: Dial plus a
-// series of sequential queries against one replica must ride ONE TCP
-// connection. Before the fix, the JSON decoder left the trailing
-// newline unread, the transport saw an un-drained body, and every
-// RPC opened a fresh connection.
+// TestKeepAliveConnectionReuse pins the drain-to-EOF rule: Dial, a
+// series of sequential queries, and every refusal the screen endpoint
+// can answer (415 after draining the foreign body, 400 after a bad
+// frame) must ride ONE TCP connection. A body or reply left unread
+// makes the transport open a fresh connection per RPC.
 func TestKeepAliveConnectionReuse(t *testing.T) {
-	for _, codec := range []struct {
-		name     string
-		wireJSON bool
-	}{{"binary", false}, {"json", true}} {
-		t.Run(codec.name, func(t *testing.T) {
-			_, shards, _ := fixture(t)
-			w, err := NewWorker(shards[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			var conns atomic.Int64
-			srv := httptest.NewUnstartedServer(w.Handler())
-			srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
-				if state == http.StateNew {
-					conns.Add(1)
-				}
-			}
-			srv.Start()
-			defer srv.Close()
+	_, shards, _ := fixture(t)
+	w, err := NewWorker(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns atomic.Int64
+	srv := httptest.NewUnstartedServer(w.Handler())
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
 
-			r := dialT(t, RouterConfig{
-				ShardMap: [][]string{{srv.URL}},
-				WireJSON: codec.wireJSON,
-				Client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
-				Timeout:  5 * time.Second,
-			})
-			batch := [][]float32{make([]float32, fixHidden)}
-			for q := 0; q < 8; q++ {
-				if _, _, err := r.ClassifyBatchPartial(context.Background(), batch, 8, 3); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := conns.Load(); n != 1 {
-				t.Fatalf("%d connections for Dial + 8 sequential queries, want 1 (body not drained to EOF?)", n)
-			}
-		})
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
+	r := dialT(t, RouterConfig{
+		ShardMap: [][]string{{srv.URL}},
+		Client:   client,
+		Timeout:  5 * time.Second,
+	})
+	batch := [][]float32{make([]float32, fixHidden)}
+	for q := 0; q < 8; q++ {
+		if _, _, err := r.ClassifyBatchPartial(context.Background(), batch, 8, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("%d connections for Dial + 8 sequential queries, want 1 (body not drained to EOF?)", n)
+	}
+	for _, c := range screenCases(t, batch) {
+		if status, _, _ := postScreen(t, client, srv.URL, c); status != c.want {
+			t.Fatalf("%s: status = %d, want %d", c.name, status, c.want)
+		}
+		if n := conns.Load(); n != 1 {
+			t.Fatalf("%s: %d connections, want 1 (refusal tore the connection down)", c.name, n)
+		}
 	}
 }
 

@@ -20,12 +20,12 @@ func TestWorkerSpansOnlyWhenTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(ScreenRequest{Batch: inst.Test[:2], M: 4})
+	body := screenFrame(t, 4, inst.Test[:2])
 
-	post := func(trace bool) ScreenResponse {
+	post := func(trace bool) *ScreenResponse {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodPost, "/v1/shard/screen", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("Content-Type", ContentTypeScreenV2)
 		if trace {
 			telemetry.InjectTrace(req.Header, telemetry.NewTraceCtx())
 		}
@@ -37,11 +37,7 @@ func TestWorkerSpansOnlyWhenTraced(t *testing.T) {
 		if rec.Header().Get(telemetry.HeaderRequestID) == "" {
 			t.Fatal("shard reply missing X-Request-Id")
 		}
-		var sr ScreenResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
-			t.Fatal(err)
-		}
-		return sr
+		return decodeReply(t, rec.Body.Bytes())
 	}
 
 	if sr := post(false); len(sr.Spans) != 0 {

@@ -16,11 +16,9 @@ import (
 )
 
 var (
-	mWorkerRequests   = telemetry.Default().Counter("cluster.worker.screen_requests")
-	mWorkerItems      = telemetry.Default().Counter("cluster.worker.screen_items")
-	mWorkerTraced     = telemetry.Default().Counter("cluster.worker.traced_requests")
-	mWorkerBinaryReqs = telemetry.Default().Counter("cluster.worker.binary_requests")
-	mWorkerBinaryResp = telemetry.Default().Counter("cluster.worker.binary_replies")
+	mWorkerRequests = telemetry.Default().Counter("cluster.worker.screen_requests")
+	mWorkerItems    = telemetry.Default().Counter("cluster.worker.screen_items")
+	mWorkerTraced   = telemetry.Default().Counter("cluster.worker.traced_requests")
 )
 
 // Worker serves one shard's row-slice of the class space over HTTP:
@@ -30,7 +28,7 @@ var (
 //
 // Endpoints:
 //
-//	POST /v1/shard/screen  — ScreenRequest in, ScreenResponse out
+//	POST /v1/shard/screen  — v2 request frame in, response frame out
 //	GET  /v1/shard/info    — shard geometry + model version
 //	GET  /healthz          — liveness
 //	GET  /readyz           — readiness (503 once Drain has begun;
@@ -39,7 +37,6 @@ type Worker struct {
 	shard    distributed.Shard
 	mux      *http.ServeMux
 	draining atomic.Bool
-	jsonWire atomic.Bool // -wire json: refuse the binary screen codec
 	slo      *telemetry.SLO
 	reqLog   atomic.Pointer[telemetry.RequestLog]
 }
@@ -72,13 +69,6 @@ func NewWorker(sh distributed.Shard) (*Worker, error) {
 func (w *Worker) SetRequestLog(l *telemetry.RequestLog) {
 	w.reqLog.Store(l)
 }
-
-// ForceJSONWire pins the worker to the JSON screen codec (-wire
-// json): binary requests are refused with 415 so a binary-preferring
-// router negotiates down, and replies are always JSON regardless of
-// Accept. The tool for staging mixed-codec rolling upgrades and for
-// emulating a pre-v2 worker in tests and smokes.
-func (w *Worker) ForceJSONWire() { w.jsonWire.Store(true) }
 
 // Handler returns the worker's HTTP handler wrapped in the worker's
 // observability middleware (request-ID echo, SLO observation,
@@ -126,20 +116,13 @@ func (w *Worker) handleSLO(rw http.ResponseWriter, r *http.Request) {
 	writeJSON(rw, http.StatusOK, w.slo.Summary())
 }
 
-// Info returns the shard's wire identity, advertising which screen
-// codecs this worker accepts (a pre-v2 worker's info simply lacks the
-// field — the router treats absence as JSON-only on fallback).
+// Info returns the shard's wire identity.
 func (w *Worker) Info() ShardInfo {
-	codecs := []string{"v2", "json"}
-	if w.jsonWire.Load() {
-		codecs = []string{"json"}
-	}
 	return ShardInfo{
 		Offset:  w.shard.Offset,
 		Classes: w.shard.Classifier.Categories(),
 		Hidden:  w.shard.Classifier.Hidden(),
 		Version: w.shard.Version,
-		Codecs:  codecs,
 	}
 }
 
@@ -169,73 +152,51 @@ func (w *Worker) handleInfo(rw http.ResponseWriter, r *http.Request) {
 // every item in the batch on the core worker pool, honoring the
 // request context so a router timeout aborts between items.
 //
-// Codec negotiation: the request's Content-Type selects the request
-// decoder (application/json or the v2 binary frame), and the reply is
-// binary exactly when the request's Accept lists the v2 type and the
-// worker is not pinned to JSON (-wire json answers 415 to binary
-// requests, which is what tells a binary-preferring router to fall
-// back). Both decode paths read the body to EOF so the keep-alive
-// connection is reusable, and the binary path decodes into a pooled
-// scratch so the steady state allocates nothing.
+// One codec: the body must be a v2 request frame and the reply is a
+// v2 response frame whatever the Accept header says. Any other
+// Content-Type is refused with 415 after a bounded drain — Go's server
+// only auto-drains small remainders, so an unread body would tear down
+// the keep-alive connection. The frame decodes into a pooled scratch,
+// so the steady state allocates nothing.
 func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(rw, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	mWorkerRequests.Inc()
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeScreenV2) {
+		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, MaxFrameBytes))
+		writeError(rw, http.StatusUnsupportedMediaType, "POST "+ContentTypeScreenV2)
+		return
+	}
 	sc := GetWireScratch()
 	defer sc.Release()
-
-	var req ScreenRequest
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeScreenV2) {
-		if w.jsonWire.Load() {
-			// Drain the (possibly multi-MB) frame before refusing it:
-			// Go's server only auto-drains small remainders, so an
-			// unread body would tear down the keep-alive connection the
-			// router is about to reuse for the JSON retry.
-			_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, MaxFrameBytes))
-			rw.Header().Set("Accept", ContentTypeJSON)
-			writeError(rw, http.StatusUnsupportedMediaType, "binary screen codec disabled (-wire json); POST "+ContentTypeJSON)
-			return
-		}
-		mWorkerBinaryReqs.Inc()
-		frame, err := sc.ReadFrame(r.Body)
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, "bad frame: "+err.Error())
-			return
-		}
-		if n, _ := io.Copy(io.Discard, io.LimitReader(r.Body, 16)); n != 0 {
-			writeError(rw, http.StatusBadRequest, "bad frame: trailing bytes after the length-prefixed frame")
-			return
-		}
-		m, batch, err := DecodeScreenRequest(frame, sc)
-		if err != nil {
-			writeError(rw, http.StatusBadRequest, "bad frame: "+err.Error())
-			return
-		}
-		req.M, req.Batch = m, batch
-	} else {
-		if err := json.NewDecoder(io.LimitReader(r.Body, MaxFrameBytes)).Decode(&req); err != nil {
-			writeError(rw, http.StatusBadRequest, "bad JSON: "+err.Error())
-			return
-		}
-		// Drain the remainder (at least the encoder's trailing newline)
-		// so the client's transport sees EOF and reuses the connection.
-		_, _ = io.Copy(io.Discard, r.Body)
+	frame, err := sc.ReadFrame(r.Body)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, "bad frame: "+err.Error())
+		return
 	}
-	if len(req.Batch) == 0 {
+	if n, _ := io.Copy(io.Discard, io.LimitReader(r.Body, 16)); n != 0 {
+		writeError(rw, http.StatusBadRequest, "bad frame: trailing bytes after the length-prefixed frame")
+		return
+	}
+	m, batch, err := DecodeScreenRequest(frame, sc)
+	if err != nil {
+		writeError(rw, http.StatusBadRequest, "bad frame: "+err.Error())
+		return
+	}
+	if len(batch) == 0 {
 		writeError(rw, http.StatusBadRequest, "empty batch")
 		return
 	}
 	d := w.shard.Classifier.Hidden()
-	for i, h := range req.Batch {
+	for i, h := range batch {
 		if len(h) != d {
 			writeError(rw, http.StatusBadRequest,
 				fmt.Sprintf("item %d: feature length %d, want %d", i, len(h), d))
 			return
 		}
 	}
-	m := req.M
 	if m < 1 {
 		m = 1
 	}
@@ -247,12 +208,12 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 		Offset:  w.shard.Offset,
 		Classes: w.shard.Classifier.Categories(),
 		Version: w.shard.Version,
-		Items:   sc.growItems(len(req.Batch)),
+		Items:   sc.growItems(len(batch)),
 	}
 	// One flat candidate arena for the whole reply: item i owns the
 	// disjoint region [i*m, (i+1)*m), so the concurrent visit callbacks
 	// below never share bytes and the per-item `make` is gone.
-	flat := sc.growCands(len(req.Batch) * m)
+	flat := sc.growCands(len(batch) * m)
 
 	// Trace propagation: when the router shipped a trace context, the
 	// screen pipeline records into a fresh per-request tracer whose
@@ -267,8 +228,8 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 		tr = telemetry.NewTracer()
 	}
 	reqStart := tr.Now()
-	err := core.ClassifyBatchVisitCtx(r.Context(), w.shard.Classifier, w.shard.Screener,
-		req.Batch, core.TopM(m), tr,
+	err = core.ClassifyBatchVisitCtx(r.Context(), w.shard.Classifier, w.shard.Screener,
+		batch, core.TopM(m), tr,
 		func(i int, res *core.Result, _ *core.Scratch) {
 			cands := flat[i*m : i*m+len(res.Candidates) : i*m+m]
 			for j, c := range res.Candidates {
@@ -283,7 +244,7 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 	}
 	if traced {
 		tr.Add(telemetry.Span{
-			Name: fmt.Sprintf("shard screen ×%d", len(req.Batch)), Cat: "shard",
+			Name: fmt.Sprintf("shard screen ×%d", len(batch)), Cat: "shard",
 			TID: telemetry.TrackPipeline, Start: reqStart, Dur: tr.Now() - reqStart,
 			Trace: tc.TraceID,
 		})
@@ -293,22 +254,17 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	mWorkerItems.Add(int64(len(req.Batch)))
-	if !w.jsonWire.Load() && strings.Contains(r.Header.Get("Accept"), ContentTypeScreenV2) {
-		mWorkerBinaryResp.Inc()
-		buf, encErr := AppendScreenResponse(GetEncodeBuf(), &resp)
-		if encErr != nil {
-			writeError(rw, http.StatusInternalServerError, encErr.Error())
-			return
-		}
-		rw.Header().Set("Content-Type", ContentTypeScreenV2)
-		rw.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		rw.WriteHeader(http.StatusOK)
-		_, _ = rw.Write(buf)
-		PutEncodeBuf(buf)
+	mWorkerItems.Add(int64(len(batch)))
+	buf, err := AppendScreenResponse(GetEncodeBuf(), &resp)
+	if err != nil {
+		writeError(rw, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeJSON(rw, http.StatusOK, resp)
+	rw.Header().Set("Content-Type", ContentTypeScreenV2)
+	rw.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	rw.WriteHeader(http.StatusOK)
+	_, _ = rw.Write(buf)
+	PutEncodeBuf(buf)
 }
 
 type errorBody struct {

@@ -175,27 +175,8 @@ func batchShardBudget(items int) (workers, maxShards int) {
 // input and is bit-identical to the serial loop — every item's
 // pipeline is independent and read-only over the model.
 func ClassifyBatch(cls *Classifier, scr *Screener, batch [][]float32, sel Selection) []*Result {
-	return ClassifyBatchTraced(cls, scr, batch, sel, telemetry.Global())
-}
-
-// ClassifyBatchTraced is ClassifyBatch with an explicit tracer; each
-// worker's spans land on its own pipeline track.
-func ClassifyBatchTraced(cls *Classifier, scr *Screener, batch [][]float32, sel Selection, tr *telemetry.Tracer) []*Result {
-	out, _ := ClassifyBatchCtx(context.Background(), cls, scr, batch, sel, tr) // Background never cancels
+	out, _ := ClassifyBatchCtx(context.Background(), cls, scr, batch, sel, telemetry.Global()) // Background never cancels
 	return out
-}
-
-// ClassifyApproxCtx is ClassifyApprox with a cancellation point: it
-// returns ctx.Err() without touching the model when the context is
-// already done. A single item's pipeline (one screen matmul plus a
-// few candidate rows) is the finest abort granularity the math
-// offers, so the check sits at item boundaries rather than inside
-// the matmul.
-func ClassifyApproxCtx(ctx context.Context, cls *Classifier, scr *Screener, h []float32, sel Selection) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return classifyApprox(cls, scr, h, sel, telemetry.Global(), telemetry.TrackPipeline, 0), nil
 }
 
 // ClassifyBatchCtx is ClassifyBatch with cancellation honored between

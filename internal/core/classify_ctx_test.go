@@ -15,20 +15,6 @@ func trainedTestScreener(t testing.TB, cls *Classifier, samples [][]float32, cfg
 	return scr
 }
 
-func TestClassifyApproxCtxCanceled(t *testing.T) {
-	cls, samples := testModel(t, 64, 32, 16)
-	scr := trainedTestScreener(t, cls, samples, testConfig(64, 32))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ClassifyApproxCtx(ctx, cls, scr, samples[0], TopM(4)); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	res, err := ClassifyApproxCtx(context.Background(), cls, scr, samples[0], TopM(4))
-	if err != nil || res == nil {
-		t.Fatalf("live context: res=%v err=%v", res, err)
-	}
-}
-
 func TestClassifyBatchCtxMatchesBatch(t *testing.T) {
 	cls, samples := testModel(t, 64, 32, 24)
 	scr := trainedTestScreener(t, cls, samples, testConfig(64, 32))
@@ -74,6 +60,11 @@ func TestClassifyBatchCtxEarlyReturn(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("pre-canceled batch still took %s", elapsed)
+	}
+	// A single item is the finest abort granularity: a done context
+	// returns before the model is touched.
+	if res, err := ClassifyBatchCtx(ctx, cls, scr, batch[:1], TopM(8), nil); err != context.Canceled || res != nil {
+		t.Fatalf("pre-canceled single item: res=%v err=%v", res, err)
 	}
 
 	ctx2, cancel2 := context.WithCancel(context.Background())

@@ -338,14 +338,13 @@ type ClassifyBatchResponse struct {
 // ModelStatusResponse is the GET /v1/model body: the active model
 // identity plus lifecycle counters.
 type ModelStatusResponse struct {
-	Version       string   `json:"version"`
-	Categories    int      `json:"categories"`
-	Hidden        int      `json:"hidden"`
-	ShardVersions []string `json:"shard_versions,omitempty"`
-	VersionSkew   bool     `json:"version_skew,omitempty"`
-	SwapTotal     int64    `json:"swap_total"`
-	CanaryReject  int64    `json:"canary_rejected"`
-	Draining      bool     `json:"draining"`
+	Version      string `json:"version"`
+	Categories   int    `json:"categories"`
+	Hidden       int    `json:"hidden"`
+	VersionSkew  bool   `json:"version_skew,omitempty"`
+	SwapTotal    int64  `json:"swap_total"`
+	CanaryReject int64  `json:"canary_rejected"`
+	Draining     bool   `json:"draining"`
 }
 
 // ReloadRequest is the optional POST /v1/model/reload body; an empty
@@ -566,7 +565,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	resp := ModelStatusResponse{
+	writeJSON(w, http.StatusOK, ModelStatusResponse{
 		Version:      versionOf(s.backend),
 		Categories:   s.backend.Categories(),
 		Hidden:       s.backend.Hidden(),
@@ -574,11 +573,7 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 		SwapTotal:    mSwapTotal.Value(),
 		CanaryReject: mCanaryRejected.Value(),
 		Draining:     s.Draining(),
-	}
-	if sv, ok := shardVersionsOf(s.backend); ok {
-		resp.ShardVersions = sv
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // handleModelReload triggers a hot swap: POST /v1/model/reload with
@@ -644,18 +639,6 @@ func (s *Server) versionSkew() bool {
 		return sr.VersionSkew()
 	}
 	return false
-}
-
-// shardVersionsOf unwraps to a per-shard version list when the
-// backend (or the backend inside a Swappable) is sharded.
-func shardVersionsOf(b Backend) ([]string, bool) {
-	if sw, ok := b.(*Swappable); ok {
-		b = sw.Current()
-	}
-	if sh, ok := b.(*Sharded); ok {
-		return sh.ShardVersions(), true
-	}
-	return nil, false
 }
 
 func (s *Server) clampTopK(k int) int {

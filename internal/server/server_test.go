@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"enmc/internal/core"
-	"enmc/internal/distributed"
 	"enmc/internal/quant"
 	"enmc/internal/tenant"
 	"enmc/internal/workload"
@@ -652,59 +651,4 @@ func TestLocalClassIsArgMaxAtEveryTopK(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestShardedBackendServes: the sharded backend answers through the
-// identical handler surface.
-func TestShardedBackendServes(t *testing.T) {
-	inst := workload.Generate(
-		workload.Spec{Name: "serve-shard", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
-		workload.GenOptions{Seed: 17, Train: 128, Valid: 8, Test: 8})
-	backend := shardedBackend(t, inst, 3)
-	s, err := New(backend, Config{TopM: 9, MaxDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Drain()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if backend.Categories() != 96 {
-		t.Fatalf("sharded categories = %d", backend.Categories())
-	}
-	buf, _ := json.Marshal(ClassifyRequest{H: inst.Test[0], TopK: 4})
-	resp, err := postClassify(ts, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var out ClassifyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Class < 0 || out.Class >= 96 {
-		t.Fatalf("class %d out of range", out.Class)
-	}
-	if len(out.TopK) == 0 {
-		t.Fatal("no candidates")
-	}
-}
-
-func shardedBackend(t *testing.T, inst *workload.Instance, n int) *Sharded {
-	t.Helper()
-	// Mirrors the distributed.ShardClassifier wiring in cmd/enmc-serve.
-	shards, err := distributed.ShardClassifier(inst.Classifier, n, inst.Train, core.Config{
-		Hidden: inst.Classifier.Hidden(), Reduced: 8, Precision: quant.INT4, Seed: 5,
-	}, core.TrainOptions{Epochs: 2, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSharded(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

@@ -69,6 +69,15 @@ type slot struct {
 	retire  func(version string)
 }
 
+// tag is the version label responses carry: the Swap-installed one,
+// or the inner backend's own when the slot has none.
+func (s *slot) tag() string {
+	if s.version != "" {
+		return s.version
+	}
+	return versionOf(s.backend)
+}
+
 func (s *slot) release() {
 	if s.refs.Add(-1) == 0 && s.retire != nil {
 		s.retire(s.version)
@@ -150,7 +159,7 @@ func (s *Swappable) classifyBatchTagged(ctx context.Context, batch [][]float32, 
 	sl := s.acquire()
 	defer sl.release()
 	outs, err := sl.backend.ClassifyBatch(ctx, batch, m, topK)
-	return outs, sl.version, err
+	return outs, sl.tag(), err
 }
 
 // Hidden implements Backend.
@@ -172,14 +181,11 @@ func (s *Swappable) Categories() int {
 func (s *Swappable) ModelVersion() string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.cur.version != "" {
-		return s.cur.version
-	}
-	return versionOf(s.cur.backend)
+	return s.cur.tag()
 }
 
 // VersionSkew implements SkewReporter by delegating to the inner
-// backend (a wrapped Sharded can be mid-rollout even when the
+// backend (a wrapped cluster router can be mid-rollout even when the
 // wrapper itself swaps atomically).
 func (s *Swappable) VersionSkew() bool {
 	s.mu.RLock()
@@ -188,12 +194,4 @@ func (s *Swappable) VersionSkew() bool {
 		return sr.VersionSkew()
 	}
 	return false
-}
-
-// Current returns the active backend (unpinned — for introspection,
-// not for classification).
-func (s *Swappable) Current() Backend {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.cur.backend
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"enmc/internal/core"
-	"enmc/internal/distributed"
 	"enmc/internal/quant"
 	"enmc/internal/workload"
 )
@@ -321,75 +320,69 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardedReplaceAndSkew: independent shard reloads must validate
-// row coverage, surface version skew while shards disagree, and keep
-// serving correct answers throughout.
-func TestShardedReplaceAndSkew(t *testing.T) {
-	inst := workload.Generate(
-		workload.Spec{Name: "swap-shard", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
-		workload.GenOptions{Seed: 23, Train: 128, Valid: 8, Test: 8})
-	b := shardedBackend(t, inst, 3)
+// skewBackend is a backend mid-rollout: it reports two model versions
+// at once, the way cluster.Router does while its shards disagree.
+type skewBackend struct{ fakeBackend }
 
-	// Tag the initial deployment uniformly.
-	shards := b.Shards()
-	for i := range shards {
-		shards[i].Version = "v1"
-		if err := b.ReplaceShard(i, shards[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.VersionSkew() || b.ModelVersion() != "v1" {
-		t.Fatalf("uniform deployment: skew=%v version=%q", b.VersionSkew(), b.ModelVersion())
-	}
+func (*skewBackend) ModelVersion() string { return "v1,v2" }
+func (*skewBackend) VersionSkew() bool    { return true }
 
-	// Roll one shard forward: skew appears.
-	upgraded := shards[1]
-	upgraded.Version = "v2"
-	if err := b.ReplaceShard(1, upgraded); err != nil {
-		t.Fatal(err)
-	}
-	if !b.VersionSkew() {
-		t.Fatal("no skew mid-rollout")
-	}
-	if b.ModelVersion() != "v1,v2" {
-		t.Fatalf("mixed version = %q, want v1,v2", b.ModelVersion())
-	}
-	if sv := b.ShardVersions(); sv[0] != "v1" || sv[1] != "v2" || sv[2] != "v1" {
-		t.Fatalf("shard versions = %v", sv)
-	}
-
-	// Still serves mid-rollout.
-	outs, err := b.ClassifyBatch(context.Background(), inst.Test[:2], 9, 3)
+// TestSkewSurfacedOverHTTP: a backend that reports version skew must
+// show it — version_skew true and the joined model_version — on every
+// classify response and on /v1/model, bare or behind a Swappable that
+// carries no version label of its own.
+func TestSkewSurfacedOverHTTP(t *testing.T) {
+	bare := &skewBackend{fakeBackend{hidden: 8, categories: 32}}
+	wrapped, err := NewSwappable(&skewBackend{fakeBackend{hidden: 8, categories: 32}}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) != 2 || len(outs[0].TopK) == 0 {
-		t.Fatalf("bad outcomes mid-rollout: %+v", outs)
-	}
+	for name, backend := range map[string]Backend{"bare": bare, "swappable": wrapped} {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(backend, Config{MaxDelay: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Drain()
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
 
-	// Bad replacements are rejected.
-	wrongOffset := shards[2]
-	wrongOffset.Offset++
-	if err := b.ReplaceShard(2, wrongOffset); err == nil {
-		t.Fatal("offset mismatch accepted")
-	}
-	if err := b.ReplaceShard(0, distributed.Shard{}); err == nil {
-		t.Fatal("incomplete shard accepted")
-	}
-	if err := b.ReplaceShard(99, shards[0]); err == nil {
-		t.Fatal("out-of-range index accepted")
-	}
+			check := func(path string, version string, skew bool) {
+				t.Helper()
+				if version != "v1,v2" || !skew {
+					t.Fatalf("%s: model_version=%q version_skew=%v, want \"v1,v2\" true", path, version, skew)
+				}
+			}
+			decode := func(resp *http.Response, err error, v interface{}) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status = %d", resp.StatusCode)
+				}
+				if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Finish the rollout: skew clears.
-	for i := range shards {
-		sh := b.Shards()[i]
-		sh.Version = "v2"
-		if err := b.ReplaceShard(i, sh); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if b.VersionSkew() || b.ModelVersion() != "v2" {
-		t.Fatalf("post-rollout: skew=%v version=%q", b.VersionSkew(), b.ModelVersion())
+			var one ClassifyResponse
+			resp, err := postClassify(ts, classifyBody(t, 8))
+			decode(resp, err, &one)
+			check("/v1/classify", one.ModelVersion, one.VersionSkew)
+
+			var many ClassifyBatchResponse
+			body, _ := json.Marshal(ClassifyBatchRequest{Batch: [][]float32{make([]float32, 8), make([]float32, 8)}})
+			resp, err = ts.Client().Post(ts.URL+"/v1/classify_batch", "application/json", bytes.NewReader(body))
+			decode(resp, err, &many)
+			check("/v1/classify_batch", many.ModelVersion, many.VersionSkew)
+
+			var model ModelStatusResponse
+			resp, err = ts.Client().Get(ts.URL + "/v1/model")
+			decode(resp, err, &model)
+			check("/v1/model", model.Version, model.VersionSkew)
+		})
 	}
 }
 

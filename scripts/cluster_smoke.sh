@@ -55,13 +55,12 @@ go build -o "$WORK/enmc-serve" ./cmd/enmc-serve
 go build -o "$WORK/enmc-loadgen" ./cmd/enmc-loadgen
 cd "$WORK"
 
-start_shard() { # start_shard <shard-idx> <replica-name> <addr> [extra flags...]
+start_shard() { # start_shard <shard-idx> <replica-name> <addr>
     local idx=$1 rep=$2 addr=$3
-    shift 3
     rm -f "$WORK/port-$idx-$rep"
     ./enmc-shard -shard-index "$idx" -shard-count 3 \
         -demo-classes "$CLASSES" -demo-dim "$DIM" -epochs 3 \
-        -addr "$addr" -port-file "$WORK/port-$idx-$rep" "$@" \
+        -addr "$addr" -port-file "$WORK/port-$idx-$rep" \
         >>"$WORK/shard-$idx-$rep.log" 2>&1 &
     local pid=$!
     PIDS+=("$pid")
@@ -168,54 +167,4 @@ if [ -n "$ART" ]; then
     echo "   loadgen report -> $ART/cluster-3x2_$(date -u +%Y-%m-%d).json"
 fi
 
-echo "== phase 4: mixed codecs (one JSON-only worker behind a binary-preferring router) =="
-# Restart shard 2 replica b pinned to the JSON wire — the router keeps
-# preferring the binary frame everywhere else and must negotiate JSON
-# with this one replica transparently (advertised codecs at probe time,
-# 415 fallback mid-flight). Merges must stay bit-identical to an
-# all-JSON router over the same shard map.
-kill -9 "$SHARD_2_b_PID" 2>/dev/null || true
-start_shard 2 b "127.0.0.1:$PORT_2_b" -wire json
-wait_port "$WORK/port-2-b" "restarted JSON-wire shard 2 replica b"
-sleep 0.5
-
-echo "-- starting a second (all-JSON, -wire json) router as the reference"
-./enmc-serve -cluster "$SPEC" -cluster-health-interval 100ms -wire json \
-    -addr 127.0.0.1:0 -port-file "$WORK/port-serve-json" \
-    >"$WORK/serve-json.log" 2>&1 &
-PIDS+=("$!")
-wait_port "$WORK/port-serve-json" "enmc-serve (json wire)"
-PORT_JSON="$(cat "$WORK/port-serve-json")"
-
-for k in 1 2 3 5 7; do
-    code="$(curl -s -o "$WORK/resp-bin.json" -w '%{http_code}' \
-        -X POST -H 'Content-Type: application/json' \
-        -d "{\"h\":[$VEC],\"top_k\":$k}" "$BASE/v1/classify")"
-    [ "$code" = "200" ] || { cat "$WORK/resp-bin.json"; echo "FAIL: mixed-codec classify (top_k=$k) got HTTP $code"; exit 1; }
-    grep -q '"partial":false' "$WORK/resp-bin.json" || { echo "FAIL: mixed-codec response not full: $(cat "$WORK/resp-bin.json")"; exit 1; }
-    code="$(curl -s -o "$WORK/resp-json.json" -w '%{http_code}' \
-        -X POST -H 'Content-Type: application/json' \
-        -d "{\"h\":[$VEC],\"top_k\":$k}" "http://127.0.0.1:$PORT_JSON/v1/classify")"
-    [ "$code" = "200" ] || { cat "$WORK/resp-json.json"; echo "FAIL: json-wire classify (top_k=$k) got HTTP $code"; exit 1; }
-    # queue_us is a per-request timing observation — the only field
-    # allowed to differ. Classes and logits must match bit-for-bit.
-    sed 's/"queue_us":[0-9]*/"queue_us":X/' "$WORK/resp-bin.json" >"$WORK/resp-bin-norm.json"
-    sed 's/"queue_us":[0-9]*/"queue_us":X/' "$WORK/resp-json.json" >"$WORK/resp-json-norm.json"
-    cmp -s "$WORK/resp-bin-norm.json" "$WORK/resp-json-norm.json" || {
-        echo "FAIL: mixed-codec merge differs from all-JSON merge (top_k=$k)"
-        diff "$WORK/resp-bin-norm.json" "$WORK/resp-json-norm.json" || true
-        exit 1
-    }
-done
-echo "-- mixed-codec merges bit-identical to all-JSON merges (top_k 1,2,3,5,7)"
-
-echo "-- mixed-codec loadgen (must stay clean)"
-if ! ./enmc-loadgen -addr "127.0.0.1:$PORT" -dim "$DIM" -duration "$DUR_POST" -concurrency 4 \
-    -fail-on-error -fail-on-partial >"$WORK/loadgen-mixed.log" 2>&1; then
-    cat "$WORK/loadgen-mixed.log"
-    echo "FAIL: mixed-codec cluster produced failed or partial responses"
-    exit 1
-fi
-grep -E "ok:|errors:|wire:" "$WORK/loadgen-mixed.log" || true
-
-echo "cluster-smoke OK: replica failover clean, dead shard degraded to partial:true [1], restart recovered full merges, mixed-codec merges bit-identical"
+echo "cluster-smoke OK: replica failover clean, dead shard degraded to partial:true [1], restart recovered full merges"
