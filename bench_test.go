@@ -367,19 +367,19 @@ func BenchmarkClassifyTelemetry(b *testing.B) {
 			}
 		}
 	})
-	b.Run("tracer-off", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.ClassifyApproxTraced(inst.Classifier, scr, h, sel, nil)
-		}
-	})
-	b.Run("tracer-on", func(b *testing.B) {
-		tr := telemetry.NewTracer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			core.ClassifyApproxTraced(inst.Classifier, scr, h, sel, tr)
-		}
-	})
+	batch := [][]float32{h}
+	visit := func(int, *core.Result, *core.Scratch) {}
+	for _, tc := range []struct {
+		name string
+		tr   *telemetry.Tracer
+	}{{"tracer-off", nil}, {"tracer-on", telemetry.NewTracer()}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = core.ClassifyBatchVisitCtx(context.Background(), inst.Classifier, scr, batch, sel, tc.tr, visit)
+			}
+		})
+	}
 }
 
 func BenchmarkFullClassification(b *testing.B) {

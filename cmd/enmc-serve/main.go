@@ -95,8 +95,7 @@ func main() {
 	clusterMap := flag.String("cluster", "", "route to networked enmc-shard workers: replica URLs comma-separated, shards semicolon-separated (e.g. 'h1:9090,h2:9090;h3:9091,h4:9091')")
 	clusterTimeout := flag.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout")
 	clusterAttempts := flag.Int("cluster-attempts", 0, "attempts per shard per query incl. failover (default: one per replica, min 2)")
-	clusterHedge := flag.Duration("cluster-hedge", 0, "hedge a shard RPC onto another replica after this delay (floor under -cluster-hedge-quantile; 0 disables)")
-	clusterHedgeQ := flag.Float64("cluster-hedge-quantile", 0, "adaptive hedging: hedge after this quantile of observed shard latency (0 disables)")
+	clusterHedge := flag.Duration("cluster-hedge", 0, "hedge a shard RPC onto another replica after this delay (0 disables)")
 	clusterHealthEvery := flag.Duration("cluster-health-interval", 500*time.Millisecond, "per-replica /readyz probe period")
 
 	modelRoot := flag.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
@@ -154,7 +153,6 @@ func main() {
 			Timeout:        *clusterTimeout,
 			MaxAttempts:    *clusterAttempts,
 			HedgeAfter:     *clusterHedge,
-			HedgeQuantile:  *clusterHedgeQ,
 			HealthInterval: *clusterHealthEvery,
 		})
 		cancel()

@@ -180,10 +180,8 @@ func (r *Result) Probabilities() []float32 {
 // latencies and candidate counts land in the telemetry registry (see
 // MetricsSnapshot); pass WithTracer to also record per-stage spans.
 func Classify(c *Classifier, s *Screener, h []float32, sel Selection, opts ...Option) *Result {
-	var o callOpts
-	o.apply(opts)
-	res := core.ClassifyApproxTraced(c.inner, s.inner, h, sel, o.tracer)
-	return &Result{Logits: res.Mixed, Candidates: res.Candidates}
+	res, _ := ClassifyContext(context.Background(), c, s, h, sel, opts...) // Background never cancels
+	return res
 }
 
 // ClassifyBatch applies Classify to a batch of hidden vectors over a
@@ -194,14 +192,14 @@ func ClassifyBatch(c *Classifier, s *Screener, batch [][]float32, sel Selection,
 	return out
 }
 
-// ClassifyContext is Classify with a cancellation point: when ctx is
-// already done it returns ctx.Err() without touching the model.
-// Serving stacks thread per-request deadlines through here.
+// ClassifyContext is Classify with cancellation: when ctx is done
+// before the pipeline starts, or while it runs, it returns ctx.Err()
+// and a nil result. Serving stacks thread per-request deadlines
+// through here.
 func ClassifyContext(ctx context.Context, c *Classifier, s *Screener, h []float32, sel Selection, opts ...Option) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return Classify(c, s, h, sel, opts...), nil
+	out := make([]*Result, 1)
+	_, err := classify(ctx, out, c, s, [][]float32{h}, sel, opts)
+	return out[0], err
 }
 
 // ClassifyBatchContext is ClassifyBatch with cancellation honored
@@ -209,15 +207,22 @@ func ClassifyContext(ctx context.Context, c *Classifier, s *Screener, h []float3
 // the call returns ctx.Err() with a nil slice. In-flight items (one
 // screen matmul plus a few exact rows each) run to completion.
 func ClassifyBatchContext(ctx context.Context, c *Classifier, s *Screener, batch [][]float32, sel Selection, opts ...Option) ([]*Result, error) {
+	return classify(ctx, make([]*Result, len(batch)), c, s, batch, sel, opts)
+}
+
+// classify is the one pipeline behind every facade entry point: it
+// runs batch through core.ClassifyBatchVisitCtx with the options'
+// tracer and copies each item's result out of the worker arena into
+// out[i]. On error it clears out and returns a nil slice.
+func classify(ctx context.Context, out []*Result, c *Classifier, s *Screener, batch [][]float32, sel Selection, opts []Option) ([]*Result, error) {
 	var o callOpts
 	o.apply(opts)
-	inner, err := core.ClassifyBatchCtx(ctx, c.inner, s.inner, batch, sel, o.tracer)
+	err := core.ClassifyBatchVisitCtx(ctx, c.inner, s.inner, batch, sel, o.tracer, func(i int, res *core.Result, _ *core.Scratch) {
+		out[i] = &Result{Logits: append([]float32(nil), res.Mixed...), Candidates: append([]int(nil), res.Candidates...)}
+	})
 	if err != nil {
+		clear(out)
 		return nil, err
-	}
-	out := make([]*Result, len(inner))
-	for i, res := range inner {
-		out[i] = &Result{Logits: res.Mixed, Candidates: res.Candidates}
 	}
 	return out, nil
 }

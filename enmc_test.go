@@ -2,9 +2,12 @@ package enmc
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"enmc/internal/core"
 	"enmc/internal/workload"
 )
 
@@ -110,6 +113,37 @@ func TestClassifyBatchPublic(t *testing.T) {
 	out := ClassifyBatch(cls, scr, samples[:5], TopM(4))
 	if len(out) != 5 {
 		t.Fatal("batch size")
+	}
+}
+
+// TestClassifyContext: a done context returns context.Canceled and no
+// result; a live one returns exactly core.ClassifyApprox's numbers.
+func TestClassifyContext(t *testing.T) {
+	cls, scr, test := trainedModel(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := ClassifyContext(ctx, cls, scr, test[0], TopM(8)); err != context.Canceled || res != nil {
+		t.Fatalf("cancelled: res=%v err=%v, want nil, context.Canceled", res, err)
+	}
+	for i, h := range test[:4] {
+		got, err := ClassifyContext(context.Background(), cls, scr, h, TopM(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.ClassifyApprox(cls.inner, scr.inner, h, TopM(8))
+		if len(got.Logits) != len(want.Mixed) || len(got.Candidates) != len(want.Candidates) {
+			t.Fatalf("item %d: shape mismatch", i)
+		}
+		for k := range want.Mixed {
+			if math.Float32bits(got.Logits[k]) != math.Float32bits(want.Mixed[k]) {
+				t.Fatalf("item %d: logit %d differs", i, k)
+			}
+		}
+		for k := range want.Candidates {
+			if got.Candidates[k] != want.Candidates[k] {
+				t.Fatalf("item %d: candidate %d differs", i, k)
+			}
+		}
 	}
 }
 

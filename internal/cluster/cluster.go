@@ -17,7 +17,7 @@
 // map with R replicas per shard, per-replica health probing with
 // consecutive-failure ejection and re-admission, per-attempt
 // timeouts with bounded retry-then-failover across replicas, hedged
-// requests after an observed latency quantile, and partial-failure
+// requests after a fixed delay, and partial-failure
 // degradation — when every replica of a shard is down the merged
 // top-k of the surviving shards is served with the response marked
 // partial instead of failing the query.

@@ -253,7 +253,7 @@ func TestRouterMatchesInProcess(t *testing.T) {
 	}
 	per := (m + fixShards - 1) / fixShards
 	for i, h := range batch {
-		want, err := distributed.ClassifyCtx(ctx, shards, h, per, topK)
+		want, err := distributed.Classify(shards, h, per, topK)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 )
 
@@ -64,46 +62,4 @@ func (r *Router) probeOnce(rep *replica) bool {
 	defer resp.Body.Close()
 	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode == http.StatusOK
-}
-
-// latWindow is a fixed-size sliding window of observed RPC
-// latencies feeding the adaptive hedge delay. Writes are frequent
-// and cheap (mutex + ring slot); quantile reads copy the window.
-type latWindow struct {
-	mu   sync.Mutex
-	buf  [64]time.Duration
-	n    int // filled entries (≤ len(buf))
-	next int // ring cursor
-}
-
-func (w *latWindow) observe(d time.Duration) {
-	w.mu.Lock()
-	w.buf[w.next] = d
-	w.next = (w.next + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.mu.Unlock()
-}
-
-// quantile returns the q-quantile of the window, or 0 when empty
-// (callers treat 0 as "no estimate yet").
-func (w *latWindow) quantile(q float64) time.Duration {
-	w.mu.Lock()
-	n := w.n
-	tmp := make([]time.Duration, n)
-	copy(tmp, w.buf[:n])
-	w.mu.Unlock()
-	if n == 0 {
-		return 0
-	}
-	sort.Slice(tmp, func(a, b int) bool { return tmp[a] < tmp[b] })
-	idx := int(q * float64(n-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return tmp[idx]
 }

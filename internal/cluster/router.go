@@ -32,14 +32,9 @@ type RouterConfig struct {
 	// order, so a single-replica shard gets a same-replica retry.
 	MaxAttempts int
 	// HedgeAfter launches a hedge attempt on another replica when
-	// the first has not answered after this long (default 0:
-	// disabled unless HedgeQuantile is set; with HedgeQuantile it is
-	// the floor under the adaptive delay).
+	// the first has not answered after this long, capped at Timeout
+	// (default 0: disabled).
 	HedgeAfter time.Duration
-	// HedgeQuantile makes the hedge delay adaptive: hedge after this
-	// quantile of the shard's recently observed RPC latency (e.g.
-	// 0.9). 0 disables adaptation.
-	HedgeQuantile float64
 	// HealthInterval is the per-replica /readyz probe period
 	// (default 500ms; negative disables probing).
 	HealthInterval time.Duration
@@ -88,9 +83,8 @@ type replica struct {
 	healthy atomic.Bool
 }
 
-// routerShard is the router's view of one row-slice: its replicas,
-// the round-robin cursor, and a sliding latency window that feeds
-// the adaptive hedge delay.
+// routerShard is the router's view of one row-slice: its replicas and
+// the round-robin cursor.
 type routerShard struct {
 	id      int
 	offset  int
@@ -99,7 +93,6 @@ type routerShard struct {
 
 	replicas []*replica
 	next     atomic.Uint32
-	lat      latWindow
 }
 
 // orderPool recycles the failover-order backing arrays so the router
@@ -574,7 +567,7 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 	}
 
 	var hedgeC <-chan time.Time
-	if hd := r.hedgeDelay(s); hd > 0 && attempts > 1 {
+	if hd := min(r.cfg.HedgeAfter, r.cfg.Timeout); hd > 0 && attempts > 1 {
 		t := time.NewTimer(hd)
 		defer t.Stop()
 		hedgeC = t.C
@@ -621,31 +614,13 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 	}
 }
 
-// hedgeDelay picks the point past which a second attempt launches:
-// the configured quantile of the shard's recent RPC latencies when
-// adaptive hedging is on (floored by HedgeAfter), else the static
-// HedgeAfter, else disabled.
-func (r *Router) hedgeDelay(s *routerShard) time.Duration {
-	d := r.cfg.HedgeAfter
-	if r.cfg.HedgeQuantile > 0 {
-		if q := s.lat.quantile(r.cfg.HedgeQuantile); q > d {
-			d = q
-		}
-	}
-	if d > r.cfg.Timeout {
-		d = r.cfg.Timeout
-	}
-	return d
-}
-
 // rpcOnce is one attempt against one replica under the per-attempt
-// timeout. Successful attempts feed the shard's latency window and
-// record a span on the shard's trace lane; when the request context
-// carries a trace, the trace ships to the worker on the wire headers
-// and the worker's returned spans are rebased under this attempt's
-// span on the shard's process lane (PID 1+id). Any non-200 — a 415 or
-// 400 from a worker that does not speak this frame included — is an
-// ordinary failed attempt.
+// timeout. Successful attempts record a span on the shard's trace
+// lane; when the request context carries a trace, the trace ships to
+// the worker on the wire headers and the worker's returned spans are
+// rebased under this attempt's span on the shard's process lane
+// (PID 1+id). Any non-200 — a 415 or 400 from a worker that does not
+// speak this frame included — is an ordinary failed attempt.
 //
 // The returned WireScratch owns the decoded response's backing
 // memory; the caller releases it once done with the response.
@@ -676,9 +651,7 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 		sc.Release()
 		return fail(fmt.Errorf("cluster: shard %d replica %s: %d items in reply, want %d", s.id, rep.url, len(sr.Items), nItems))
 	}
-	elapsed := time.Since(start)
-	s.lat.observe(elapsed)
-	mRPCNs.Observe(float64(elapsed))
+	mRPCNs.Observe(float64(time.Since(start)))
 	if tr.Enabled() {
 		tr.Add(telemetry.Span{
 			Name: fmt.Sprintf("rpc %s", rep.url), Cat: "rpc",

@@ -56,28 +56,12 @@ func (r *Result) TopPredictions(k int) []int { return tensor.TopK(r.Mixed, k) }
 
 // ClassifyApprox runs the full inference pipeline of Section 4.2:
 // screen, select candidates, recompute candidates exactly against the
-// full classifier, and merge. Stage latencies and the candidate count
-// land in the telemetry registry; spans are recorded only when a
-// global tracer is installed.
+// full classifier, and merge. It is ClassifyApproxInto on a pooled
+// scratch with the Result copied out, so the caller owns it.
 func ClassifyApprox(cls *Classifier, scr *Screener, h []float32, sel Selection) *Result {
-	return classifyApprox(cls, scr, h, sel, telemetry.Global(), telemetry.TrackPipeline, 0)
-}
-
-// ClassifyApproxTraced is ClassifyApprox with an explicit tracer for
-// per-stage spans (nil falls back to pure metrics).
-func ClassifyApproxTraced(cls *Classifier, scr *Screener, h []float32, sel Selection, tr *telemetry.Tracer) *Result {
-	return classifyApprox(cls, scr, h, sel, tr, telemetry.TrackPipeline, 0)
-}
-
-// classifyApprox runs one query with pooled intermediates and returns
-// a caller-owned Result (everything else came from and went back to
-// the scratch pool).
-func classifyApprox(cls *Classifier, scr *Screener, h []float32, sel Selection, tr *telemetry.Tracer, tid, maxShards int) *Result {
 	sc := GetScratch()
 	defer sc.Release()
-	sc.MaxShards = maxShards
-	sc.mixed[0] = growF32(sc.mixed[0], scr.Cfg.Categories)
-	return classifyInto(cls, scr, h, sel, sc.mixed[0], sc, tr, tid).clone()
+	return ClassifyApproxInto(cls, scr, h, sel, sc).clone()
 }
 
 // clone copies an arena-backed Result into caller-owned storage.
@@ -89,25 +73,23 @@ func (r *Result) clone() *Result {
 	}
 }
 
-// ClassifyApproxInto is ClassifyApprox running entirely in sc's
-// arena: zero allocations in steady state. The returned Result is
-// arena-backed — its slices alias sc and are overwritten by the next
-// pipeline call on the same scratch (and invalid after sc.Release),
-// so copy out anything you keep. This is the kernel a saturated
-// server loops on, one scratch per worker.
+// ClassifyApproxInto is the single-query driver: screen into sc's
+// mixed buffer, then finishInto. It runs entirely in sc's arena: zero
+// allocations in steady state. Stage latencies and the candidate count
+// land in the telemetry registry; spans are recorded only when a
+// global tracer is installed. The returned Result is arena-backed —
+// its slices alias sc and are overwritten by the next pipeline call on
+// the same scratch (and invalid after sc.Release), so copy out
+// anything you keep. This is the kernel a saturated server loops on,
+// one scratch per worker.
 func ClassifyApproxInto(cls *Classifier, scr *Screener, h []float32, sel Selection, sc *Scratch) *Result {
 	sc.mixed[0] = growF32(sc.mixed[0], scr.Cfg.Categories)
-	return classifyInto(cls, scr, h, sel, sc.mixed[0], sc, telemetry.Global(), telemetry.TrackPipeline)
-}
-
-// classifyInto is the single-query pipeline: screen into mixed, then
-// finishInto. The returned Result is sc's arena-backed header.
-func classifyInto(cls *Classifier, scr *Screener, h []float32, sel Selection, mixed []float32, sc *Scratch, tr *telemetry.Tracer, tid int) *Result {
+	tr := telemetry.Global()
 	t0 := time.Now()
-	scr.ScreenInto(mixed, h, sc)
+	scr.ScreenInto(sc.mixed[0], h, sc)
 	screen := time.Since(t0)
-	traceSpan(tr, "screen", tid, screen)
-	return finishInto(cls, h, sel, mixed, sc, tr, tid, screen)
+	traceSpan(tr, "screen", telemetry.TrackPipeline, screen)
+	return finishInto(cls, h, sel, sc.mixed[0], sc, tr, telemetry.TrackPipeline, screen)
 }
 
 // traceSpan records a classify-stage span that ended just now.
@@ -170,44 +152,17 @@ func batchShardBudget(items int) (workers, maxShards int) {
 	return workers, maxShards
 }
 
-// ClassifyBatch applies ClassifyApprox to a batch of hidden vectors
-// through the ClassifyBatchVisitCtx driver. Output order matches the
-// input and is bit-identical to the serial loop — every item's
-// pipeline is independent and read-only over the model.
-func ClassifyBatch(cls *Classifier, scr *Screener, batch [][]float32, sel Selection) []*Result {
-	out, _ := ClassifyBatchCtx(context.Background(), cls, scr, batch, sel, telemetry.Global()) // Background never cancels
-	return out
-}
-
-// ClassifyBatchCtx is ClassifyBatch with cancellation honored between
-// batch items: once ctx is done no further item starts (in-flight
-// items finish — they are short and read-only), and the call returns
-// ctx.Err() with a nil slice. Serving stacks use this so a client
-// disconnect or deadline stops burning CPU mid-batch. Cancelled
-// batches still observe batch_ns/batch_size (with the completed item
-// count) and bump the core.classify.batch_cancelled counter.
-func ClassifyBatchCtx(ctx context.Context, cls *Classifier, scr *Screener, batch [][]float32, sel Selection, tr *telemetry.Tracer) ([]*Result, error) {
-	out := make([]*Result, len(batch))
-	err := ClassifyBatchVisitCtx(ctx, cls, scr, batch, sel, tr, func(i int, res *Result, _ *Scratch) {
-		out[i] = res.clone()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ClassifyBatchVisitCtx is the zero-copy batch driver for serving
-// stacks: instead of materializing caller-owned Results (an l-sized
-// allocation per item — megabytes of garbage per request at extreme
-// scale), it invokes visit(i, res, sc) on the worker goroutine with
-// an arena-backed Result. The Result and anything reached through it
-// are recycled as soon as visit returns, so visit must copy out what
-// it keeps; sc is the worker's scratch, handy for scratch-backed
-// post-processing such as sc.TopK over res.Mixed. visit runs
-// concurrently across workers (for distinct items i), so it must not
-// touch shared state without synchronization beyond writing i-indexed
-// outputs.
+// ClassifyBatchVisitCtx is the batch driver every context-aware
+// caller runs (serving stacks, the enmc facade). Instead of
+// materializing caller-owned Results (an l-sized allocation per item —
+// megabytes of garbage per request at extreme scale), it invokes
+// visit(i, res, sc) on the worker goroutine with an arena-backed
+// Result. The Result and anything reached through it are recycled as
+// soon as visit returns, so visit must copy out what it keeps; sc is
+// the worker's scratch, handy for scratch-backed post-processing such
+// as sc.TopK over res.Mixed. visit runs concurrently across workers
+// (for distinct items i), so it must not touch shared state without
+// synchronization beyond writing i-indexed outputs.
 //
 // Up to GOMAXPROCS workers each claim a tile of consecutive items —
 // min(quant.BatchTile, ⌈items/workers⌉) of them — screen the tile

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -325,13 +326,15 @@ func TestClassifyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := ClassifyBatch(cls, scr, samples[:4], TopM(5))
-	if len(out) != 4 {
-		t.Fatalf("batch results = %d", len(out))
+	cands := make([]int, 4) // per item; 0 means never visited
+	err = ClassifyBatchVisitCtx(context.Background(), cls, scr, samples[:4], TopM(5), nil,
+		func(i int, r *Result, _ *Scratch) { cands[i] = len(r.Candidates) })
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, r := range out {
-		if len(r.Candidates) != 5 {
-			t.Fatal("batch candidate count")
+	for i, n := range cands {
+		if n != 5 {
+			t.Fatalf("item %d: %d candidates, want 5", i, n)
 		}
 	}
 }
@@ -455,7 +458,13 @@ func TestScreenBatchMatchesScreen(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := samples[:6]
-	got := scr.ScreenBatch(batch)
+	sc := GetScratch()
+	defer sc.Release()
+	got := make([][]float32, len(batch))
+	for b := range got {
+		got[b] = make([]float32, scr.Cfg.Categories)
+	}
+	scr.ScreenBatchInto(got, batch, sc)
 	for b, h := range batch {
 		want := scr.Screen(h)
 		for i := range want {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"enmc/internal/projection"
 	"enmc/internal/quant"
@@ -181,17 +182,27 @@ func TestClassifyApproxIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchVisitCtxMatchesBatch checks the zero-copy batch
-// driver delivers every item, in order, with the same numbers as the
-// materializing API.
+// TestClassifyBatchVisitCtxMatchesBatch checks the batch driver
+// delivers every item, in order, with the same numbers as the
+// caller-owned single-item pipeline.
 func TestClassifyBatchVisitCtxMatchesBatch(t *testing.T) {
-	cls, samples := testModel(t, 256, 32, 9)
-	scr, _, err := TrainScreener(cls, samples, testConfig(256, 32), TrainOptions{Epochs: 2, Seed: 3})
+	checkBatchVisitMatchesApprox(t, 256, 9, 12)
+}
+
+// TestClassifyBatchCtxMatchesBatch is the same check on a smaller
+// model with a narrower candidate budget (64 rows, m=6).
+func TestClassifyBatchCtxMatchesBatch(t *testing.T) {
+	checkBatchVisitMatchesApprox(t, 64, 24, 6)
+}
+
+func checkBatchVisitMatchesApprox(t *testing.T, l, items, m int) {
+	t.Helper()
+	cls, samples := testModel(t, l, 32, items)
+	scr, _, err := TrainScreener(cls, samples, testConfig(l, 32), TrainOptions{Epochs: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := TopM(12)
-	want := ClassifyBatch(cls, scr, samples, sel)
+	sel := TopM(m)
 
 	type snap struct {
 		pred  int
@@ -210,7 +221,8 @@ func TestClassifyBatchVisitCtxMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range want {
+	for i, h := range samples {
+		w := ClassifyApprox(cls, scr, h, sel)
 		g := got[i]
 		if g == nil {
 			t.Fatalf("item %d not visited", i)
@@ -377,9 +389,58 @@ func TestClassifyBatchVisitCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestClassifyBatchCtxCancelledTelemetry pins the satellite fix: a
-// cancelled ClassifyBatchCtx must record batch telemetry rather than
-// vanish from the dashboards.
+// TestClassifyBatchCtxEarlyReturn proves cancellation aborts a
+// ClassifyBatchVisitCtx batch early: a pre-cancelled context returns
+// at once without visiting a large batch or a single item (the finest
+// abort granularity), and a cancel racing a large in-flight batch
+// surfaces context.Canceled instead of running to completion.
+func TestClassifyBatchCtxEarlyReturn(t *testing.T) {
+	cls, samples := testModel(t, 256, 64, 16)
+	scr, _, err := TrainScreener(cls, samples, testConfig(256, 64), TrainOptions{Epochs: 2, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Large batch of shared vectors: big enough that full completion
+	// takes visible time, cheap to construct.
+	batch := make([][]float32, 20000)
+	for i := range batch {
+		batch[i] = samples[i%len(samples)]
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, b := range [][][]float32{batch, batch[:1]} {
+		visited := 0
+		start := time.Now()
+		err := ClassifyBatchVisitCtx(ctx, cls, scr, b, TopM(8), nil,
+			func(int, *Result, *Scratch) { visited++ })
+		if err != context.Canceled {
+			t.Fatalf("B=%d: err = %v, want context.Canceled", len(b), err)
+		}
+		if visited != 0 {
+			t.Fatalf("B=%d: visited %d items under a dead context", len(b), visited)
+		}
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Fatalf("B=%d: pre-cancelled batch still took %s", len(b), elapsed)
+		}
+	}
+
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(2 * time.Millisecond)
+		cancel2()
+	}()
+	err = ClassifyBatchVisitCtx(ctx2, cls, scr, batch, TopM(8), nil, func(int, *Result, *Scratch) {})
+	// A fast machine may legitimately finish first; only a wrong error
+	// value is a failure.
+	if err != nil && err != context.Canceled {
+		t.Fatalf("mid-flight cancel: err = %v", err)
+	}
+}
+
+// TestClassifyBatchCtxCancelledTelemetry checks a cancelled
+// ClassifyBatchVisitCtx batch still records batch telemetry rather than
+// vanishing from the dashboards: the cancelled-batch counter, batch_ns,
+// and one zero-item batch_size sample.
 func TestClassifyBatchCtxCancelledTelemetry(t *testing.T) {
 	cls, samples := testModel(t, 128, 32, 4)
 	scr, _, err := TrainScreener(cls, samples, testConfig(128, 32), TrainOptions{Epochs: 1, Seed: 3})
@@ -388,17 +449,20 @@ func TestClassifyBatchCtxCancelledTelemetry(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	beforeCancelled := mBatchCancelled.Value()
-	beforeBatches := mBatchNs.Count()
-	res, err := ClassifyBatchCtx(ctx, cls, scr, samples, TopM(4), nil)
-	if err != context.Canceled || res != nil {
-		t.Fatalf("ClassifyBatchCtx = %v, %v", res, err)
+	cancelled, batches := mBatchCancelled.Value(), mBatchNs.Count()
+	sizeSum, sizeCount := mBatchSize.Sum(), mBatchSize.Count()
+	err = ClassifyBatchVisitCtx(ctx, cls, scr, samples, TopM(4), nil, func(int, *Result, *Scratch) {})
+	if err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if mBatchCancelled.Value() != beforeCancelled+1 {
+	if mBatchCancelled.Value() != cancelled+1 {
 		t.Fatal("cancelled batch not counted")
 	}
-	if mBatchNs.Count() != beforeBatches+1 {
+	if mBatchNs.Count() != batches+1 {
 		t.Fatal("cancelled batch did not observe batch_ns")
+	}
+	if mBatchSize.Count() != sizeCount+1 || mBatchSize.Sum() != sizeSum {
+		t.Fatalf("cancelled batch_size observed %v, want one zero sample", mBatchSize.Sum()-sizeSum)
 	}
 }
 
@@ -424,7 +488,9 @@ func TestScratchPoolRace(t *testing.T) {
 			for iter := 0; iter < 8; iter++ {
 				switch g % 3 {
 				case 0:
-					ClassifyBatch(cls, scr, samples, sel)
+					for _, h := range samples {
+						ClassifyApprox(cls, scr, h, sel)
+					}
 				case 1:
 					if err := ClassifyBatchVisitCtx(context.Background(), cls, scr, samples, sel, nil,
 						func(i int, r *Result, sc *Scratch) { _ = r.Predict() }); err != nil {

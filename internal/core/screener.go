@@ -166,7 +166,7 @@ func (s *Screener) quantizeInto(q *quant.Vector, h []float32, sc *Scratch) {
 // sharding included.
 func (s *Screener) ScreenBatchInto(dsts, hs [][]float32, sc *Scratch) {
 	if len(dsts) != len(hs) {
-		panic(fmt.Sprintf("core: ScreenBatch %d dsts for %d items", len(dsts), len(hs)))
+		panic(fmt.Sprintf("core: ScreenBatchInto %d dsts for %d items", len(dsts), len(hs)))
 	}
 	if len(hs) == 1 {
 		s.ScreenInto(dsts[0], hs[0], sc)
@@ -200,16 +200,4 @@ func (s *Screener) ScreenFloat(h []float32) []float32 {
 func (s *Screener) WeightBytes() int64 {
 	qBytes := (int64(s.Cfg.Categories)*int64(s.Cfg.Reduced)*int64(s.Cfg.Precision) + 7) / 8
 	return qBytes + int64(s.Cfg.Categories)*4 + int64(len(s.Bt))*4 + s.P.Bytes()
-}
-
-// ScreenBatch is ScreenBatchInto with freshly allocated outputs.
-func (s *Screener) ScreenBatch(hs [][]float32) [][]float32 {
-	sc := GetScratch()
-	defer sc.Release()
-	out := make([][]float32, len(hs))
-	for i := range out {
-		out[i] = make([]float32, s.Cfg.Categories)
-	}
-	s.ScreenBatchInto(out, hs, sc)
-	return out
 }

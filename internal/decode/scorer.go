@@ -103,7 +103,7 @@ func (s *LocalScorer) Close() {
 
 // ScoreStep implements Scorer.
 func (s *LocalScorer) ScoreStep(_ context.Context, h []float32, m, k int) (StepScore, error) {
-	// Stages mirror core.classifyInto exactly — screen, select top-m,
+	// Stages mirror core.ClassifyApproxInto exactly — screen, select top-m,
 	// ascending-index exact recompute, merge — so the mixed vector
 	// (and hence the greedy argmax and any top-k of it) matches the
 	// single-shot serving path bit for bit.

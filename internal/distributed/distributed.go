@@ -15,12 +15,8 @@
 package distributed
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"enmc/internal/compiler"
 	"enmc/internal/core"
@@ -51,105 +47,33 @@ type Candidate struct {
 	Logit float32
 }
 
-// Classify screens every shard locally with a per-shard top-m budget,
-// recomputes local candidates exactly, and merges the global top-k,
-// descending by exact logit.
+// Classify is the in-process reference scatter: it screens every
+// shard in turn with core.ClassifyApprox under a per-shard top-m
+// budget, globalizes each shard's exact candidates, and merges the
+// global top-k, descending by exact logit. It is the bit-identity
+// oracle the networked cluster router is held to.
 func Classify(shards []Shard, h []float32, perShardM, topK int) ([]Candidate, error) {
-	return ClassifyCtx(context.Background(), shards, h, perShardM, topK)
-}
-
-// ClassifyCtx is Classify with cancellation honored between shards:
-// once ctx is done no further shard is screened and the call returns
-// ctx.Err() — the abort path a serving frontend uses when the client
-// deadline expires mid-scatter.
-//
-// Shards are screened by a bounded pool of workers (at most
-// GOMAXPROCS, at most one per shard) instead of sequentially; the
-// merged result is bit-identical to the sequential scan because every
-// shard contributes exactly the same candidate list and Merge orders
-// the union deterministically (descending exact logit, ties by
-// ascending class).
-func ClassifyCtx(ctx context.Context, shards []Shard, h []float32, perShardM, topK int) ([]Candidate, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("distributed: no shards")
 	}
+	var merged []Candidate
 	for i, s := range shards {
 		if s.Classifier == nil || s.Screener == nil {
 			return nil, fmt.Errorf("distributed: shard %d incomplete", i)
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		return classifySequential(ctx, shards, h, perShardM, topK)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Indexed slots keep the gather order independent of worker
-	// scheduling; each worker claims the next unscanned shard.
-	perShard := make([][]Candidate, len(shards))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(shards) || ctx.Err() != nil {
-					return
-				}
-				perShard[i] = shardCandidates(shards[i], h, perShardM)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, c := range perShard {
-		total += len(c)
-	}
-	merged := make([]Candidate, 0, total)
-	for _, c := range perShard {
-		merged = append(merged, c...)
-	}
-	return Merge(merged, topK), nil
-}
-
-// classifySequential is the reference single-goroutine scan the
-// parallel fan-out must stay bit-identical to (pinned by test).
-func classifySequential(ctx context.Context, shards []Shard, h []float32, perShardM, topK int) ([]Candidate, error) {
-	var merged []Candidate
-	for _, s := range shards {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		res := core.ClassifyApprox(s.Classifier, s.Screener, h, core.TopM(perShardM))
+		for j, c := range res.Candidates {
+			merged = append(merged, Candidate{Class: s.Offset + c, Logit: res.Exact[j]})
 		}
-		merged = append(merged, shardCandidates(s, h, perShardM)...)
 	}
 	return Merge(merged, topK), nil
-}
-
-// shardCandidates screens one shard and globalizes its exact
-// candidate pairs — the unit of work both scan orders share.
-func shardCandidates(s Shard, h []float32, perShardM int) []Candidate {
-	res := core.ClassifyApprox(s.Classifier, s.Screener, h, core.TopM(perShardM))
-	out := make([]Candidate, len(res.Candidates))
-	for j, c := range res.Candidates {
-		out[j] = Candidate{Class: s.Offset + c, Logit: res.Exact[j]}
-	}
-	return out
 }
 
 // Merge ranks a gathered candidate pool descending by exact logit
 // (ties broken by ascending class) and truncates to topK (topK <= 0
 // keeps everything). It mutates and returns cands. This is the
-// aggregator step shared by the in-process scatter (ClassifyCtx) and
-// the networked cluster router.
+// aggregator step shared by the in-process scatter (Classify) and the
+// networked cluster router.
 func Merge(cands []Candidate, topK int) []Candidate {
 	sort.Slice(cands, func(a, b int) bool {
 		if cands[a].Logit != cands[b].Logit {

@@ -1,6 +1,7 @@
 package distributed
 
 import (
+	"strings"
 	"testing"
 
 	"enmc/internal/compiler"
@@ -93,6 +94,36 @@ func TestClassifyValidation(t *testing.T) {
 	}
 	if _, err := Classify([]Shard{{}}, make([]float32, 4), 1, 1); err == nil {
 		t.Fatal("incomplete shard accepted")
+	}
+	inst := testInstance(t)
+	shards, err := ShardClassifier(inst.Classifier, 2, inst.Train, trainCfg(), core.TrainOptions{Epochs: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := Classify(shards, inst.Test[0], 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(merged) != 3 {
+		t.Fatalf("top-k = %d, want 3", len(merged))
+	}
+}
+
+// TestClassifyCtxErrorPaths checks Classify's error paths on a real
+// shard set: no shards, and a later shard missing its screener, which
+// must error by index rather than panic.
+func TestClassifyCtxErrorPaths(t *testing.T) {
+	if _, err := Classify(nil, make([]float32, 4), 1, 1); err == nil {
+		t.Fatal("empty shards accepted")
+	}
+	inst := testInstance(t)
+	shards, err := ShardClassifier(inst.Classifier, 2, inst.Train, trainCfg(), core.TrainOptions{Epochs: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := []Shard{shards[0], {Offset: shards[1].Offset, Classifier: shards[1].Classifier}}
+	if _, err := Classify(broken, inst.Test[0], 4, 3); err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("incomplete shard 1: err = %v", err)
 	}
 }
 

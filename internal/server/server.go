@@ -10,7 +10,7 @@
 //	POST /v1/classify_batch  {"batch":[[...],...], "top_k":5} — a
 //	     caller-formed batch, run directly on the backend worker pool
 //	     under the request's context (deadline threads down to
-//	     core.ClassifyApprox item boundaries)
+//	     core.ClassifyBatchVisitCtx item boundaries)
 //	POST /v1/decode          {"h0":[...]} / {"session":"..."} — open or
 //	     continue a streaming decode session (SSE or NDJSON frames,
 //	     one per emitted token; see decode.go and internal/decode)

@@ -105,7 +105,7 @@ echo "== loadgen with JSON report =="
     -fail-on-error -log-json -scenario cluster-3x2-observability \
     >"$WORK/loadgen.json" 2>&1 || {
     cat "$WORK/loadgen.json"; echo "FAIL: loadgen reported errors"; exit 1; }
-grep -q '"schema": "enmc-loadgen/v1"' "$WORK/loadgen.json" || {
+grep -q '"schema": "enmc-loadgen/v2"' "$WORK/loadgen.json" || {
     echo "FAIL: loadgen report carries no schema tag"; exit 1; }
 
 OK=$(grep -o '"ok": [0-9]*' "$WORK/loadgen.json" | head -1 | awk '{print $2}')
