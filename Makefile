@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race bench bench-smoke bench-selftest bench-perf decode-bench decode-bleu decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
+.PHONY: all build test test-purego race bench bench-smoke bench-selftest decode-smoke vet fmt check ci cover clean swap-smoke cluster-smoke metrics-smoke qos-smoke train-checkpoint report report-check
 
 all: build
 
@@ -62,52 +62,11 @@ bench-selftest:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... | tee bench-smoke.txt
 
-# Hot-path perf harness at the paper's serving shapes. Appends a
-# dated, labeled PerfRecord to BENCH_FILE — by default the committed
-# trajectory itself, so every run extends the number series the
-# report is built from — and fails on a >MAXREG slowdown of
-# screen/classify vs the last committed record: a generous
-# cross-machine tripwire for lost fast paths, not a microbenchmark
-# gate. PERF_SHAPES narrows the run (CI uses the small shape only);
-# CI overrides BENCH_FILE so runner records never enter the committed
-# trajectory. After a local run: `make report` and commit both files.
-BENCH_BASELINE ?= $(firstword $(wildcard BENCH_*.json))
-BENCH_FILE ?= $(if $(BENCH_BASELINE),$(BENCH_BASELINE),BENCH_$(shell date -u +%Y-%m-%d).json)
-MAXREG ?= 1.75
-PERF_SHAPES ?=
-bench-perf:
-	$(GO) run ./cmd/enmc-bench -perf -shapes '$(PERF_SHAPES)' \
-		-label "bench-perf $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)" \
-		-json $(BENCH_FILE) $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE) -maxreg $(MAXREG))
-
-# Streaming-decode harness: one screened autoregressive decode step
-# with the cross-step candidate cache off and on, plus the quality
-# triplet behind it (cache hit rate, windowed survivor overlap,
-# screened-vs-full agreement BLEU), appended to the same governed
-# trajectory. The BLEU floor rides along so a committed record can
-# never claim a decode speedup from a screener that stopped agreeing
-# with full decoding. After a local run: `make report`.
-DECODE_BLEU_FLOOR ?= 0.50
-decode-bench:
-	$(GO) run ./cmd/enmc-bench -decode \
-		-label "decode-bench $(shell git rev-parse --short HEAD 2>/dev/null || echo dev)" \
-		-json $(BENCH_FILE) $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE) -maxreg $(MAXREG)) \
-		-bleu-floor $(DECODE_BLEU_FLOOR)
-
-# Fast agreement gate only (no trajectory append): decode the probe
-# corpus screened and full, fail if corpus BLEU drops below the
-# committed floor. This is what CI runs per-PR — it catches screener
-# or decoder changes that silently break per-token screening quality.
-decode-bleu:
-	$(GO) run ./cmd/enmc-bench -decode -passes 1 -label decode-bleu \
-		-bleu-floor $(DECODE_BLEU_FLOOR)
-
 # Benchmark governance (see BENCHMARKING.md): regenerate the committed
-# BENCHMARK.md from the measurement corpus — the BENCH_*.json
-# trajectory plus the loadgen JSON reports under benchdata/loadgen —
-# after the validity gate admits it. report-check is the CI stale gate:
-# it fails when the committed report differs from a fresh rendering or
-# when the gate rejects the corpus.
+# BENCHMARK.md from the repository benchmark's record sets under
+# benchdata/gate/ after the gate admits them. report-check is the CI
+# stale gate: it fails when the committed report differs from a fresh
+# rendering or when the gate rejects the corpus.
 report:
 	$(GO) run ./cmd/enmc-report -out BENCHMARK.md
 

@@ -411,8 +411,8 @@ func BenchmarkINT4GEMV(b *testing.B) {
 // numerics don't matter here, only kernel time and allocation
 // behavior. The "into" variants are the arena-backed zero-allocation
 // path a saturated server loops on; compare the allocs/op columns
-// under -benchmem. cmd/enmc-bench -perf records the same shapes into
-// a BENCH_<date>.json trajectory file.
+// under -benchmem. The committed end-to-end numbers come from the
+// repository benchmark (bench/, BENCHMARK.md), not from these.
 
 type perfShape struct {
 	name    string

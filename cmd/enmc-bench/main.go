@@ -25,7 +25,6 @@ import (
 
 	"enmc"
 	"enmc/internal/experiments"
-	"enmc/internal/report"
 )
 
 func main() {
@@ -36,59 +35,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON of the algorithm pipeline to this file")
 	metrics := flag.Bool("metrics", false, "dump the telemetry registry as JSON to stderr after the run")
 	pprofAddr := flag.String("pprof", "", "serve pprof/expvar/metrics HTTP on this address (e.g. localhost:6060)")
-	perf := flag.Bool("perf", false, "run the hot-path perf harness (Table 2 serving shapes) instead of the experiments")
-	decodeBench := flag.Bool("decode", false, "run the streaming-decode harness (per-token screened decode, candidate cache on/off, agreement BLEU) instead of the experiments")
-	bleuFloor := flag.Float64("bleu-floor", 0, "with -decode: fail when screened-vs-full agreement BLEU falls below this (0 disables the gate)")
-	perfJSON := flag.String("json", "", "with -perf/-decode: append the PerfRecord to this JSON trajectory file (e.g. BENCH_2026-08-06.json)")
-	perfLabel := flag.String("label", "dev", "with -perf/-decode: label stored in the PerfRecord")
-	perfShapesFlag := flag.String("shapes", "", "with -perf: comma-separated substrings selecting shapes (empty = all)")
-	baseline := flag.String("baseline", "", "with -perf/-decode: trajectory file whose latest per-shape results are the regression baseline")
-	maxReg := flag.Float64("maxreg", 1.5, "with -baseline: fail when screen/classify/decode ns/op exceed baseline by this factor")
-	perfPasses := flag.Int("passes", 5, "with -perf/-decode: interleaved timing passes per shape (governance requires >= 5 for committed records)")
 	flag.Parse()
-
-	if *perf || *decodeBench {
-		var rec report.PerfRecord
-		if *decodeBench {
-			rec = runDecodeBench(*perfLabel, *perfPasses)
-		} else {
-			rec = runPerf(*perfLabel, *perfShapesFlag, *perfPasses)
-		}
-		out := json.NewEncoder(os.Stdout)
-		out.SetIndent("", "  ")
-		if err := out.Encode(rec); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Compare before appending: -baseline and -json may name the
-		// same trajectory file, and the regression check must run
-		// against the previous last record, not the fresh one.
-		compareErr := error(nil)
-		if *baseline != "" {
-			compareErr = comparePerf(rec, *baseline, *maxReg)
-		}
-		if *perfJSON != "" {
-			if err := appendPerfFile(*perfJSON, rec); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "perf: appended record to %s\n", *perfJSON)
-		}
-		if compareErr != nil {
-			fmt.Fprintln(os.Stderr, compareErr)
-			os.Exit(1)
-		}
-		if *decodeBench && *bleuFloor > 0 {
-			for _, res := range rec.Results {
-				if res.IsDecode() && res.DecodeAgreementBLEU < *bleuFloor {
-					fmt.Fprintf(os.Stderr, "decode: %s agreement BLEU %.4f below floor %.4f — screened decoding no longer tracks full decoding\n",
-						res.Shape, res.DecodeAgreementBLEU, *bleuFloor)
-					os.Exit(1)
-				}
-			}
-		}
-		return
-	}
 
 	if *pprofAddr != "" {
 		addr, err := enmc.ServeDebug(*pprofAddr)

@@ -22,8 +22,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"enmc/internal/report"
 )
 
 // decodeResult is one session's observation.
@@ -230,8 +228,8 @@ func summarizeDecode(results []decodeResult, hosts []string, scenario string, d 
 	sortDur(sessLats)
 
 	if logJSON {
-		out := report.LoadReport{
-			Schema:          report.LoadSchemaV2,
+		out := LoadReport{
+			Schema:          LoadSchemaV2,
 			Scenario:        scenario,
 			Date:            runStart.UTC().Format("2006-01-02"),
 			Requests:        len(results),
@@ -240,7 +238,7 @@ func summarizeDecode(results []decodeResult, hosts []string, scenario string, d 
 			BytesOut:        bytesOut,
 			BytesIn:         bytesIn,
 			WireMBPerSec:    mbPerSec(bytesOut+bytesIn, d),
-			Decode: &report.LoadDecode{
+			Decode: &LoadDecode{
 				Sessions:            len(results),
 				OK:                  ok,
 				DroppedStreams:      dropped,

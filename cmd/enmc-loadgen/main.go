@@ -60,8 +60,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"enmc/internal/report"
 )
 
 type result struct {
@@ -182,8 +180,8 @@ func main() {
 	seed := flag.Int64("seed", 42, "feature generation seed")
 	failOnError := flag.Bool("fail-on-error", false, "exit 1 if any request gets a non-200 answer (hot-swap smoke: below capacity, every request must succeed)")
 	failOnPartial := flag.Bool("fail-on-partial", false, "exit 1 if any 200 was flagged partial (cluster smoke: with a healthy replica left per shard, no response may degrade)")
-	logJSON := flag.Bool("log-json", false, "emit the report as one JSON document on stdout instead of text (machine-readable for CI and enmc-report ingestion)")
-	scenario := flag.String("scenario", "", "scenario name stamped into the -log-json report (how enmc-report groups and titles load-test rows)")
+	logJSON := flag.Bool("log-json", false, "emit the report as one JSON document on stdout instead of text (machine-readable for CI assertions)")
+	scenario := flag.String("scenario", "", "scenario name stamped into the -log-json report")
 	flag.Parse()
 
 	var mix []mixEntry
@@ -560,16 +558,16 @@ func finish(results []result, ok, partial, errKinds int, failOnError, failOnPart
 	}
 }
 
-// tenantBreakdown folds the results into one report.LoadTenant per
+// tenantBreakdown folds the results into one LoadTenant per
 // mix entry, in mix order.
-func tenantBreakdown(results []result, mix []mixEntry) []report.LoadTenant {
+func tenantBreakdown(results []result, mix []mixEntry) []LoadTenant {
 	if len(mix) == 0 {
 		return nil
 	}
-	out := make([]report.LoadTenant, len(mix))
+	out := make([]LoadTenant, len(mix))
 	lats := make([][]time.Duration, len(mix))
 	for i, e := range mix {
-		out[i] = report.LoadTenant{Tenant: e.name, Class: e.class, Weight: e.weight}
+		out[i] = LoadTenant{Tenant: e.name, Class: e.class, Weight: e.weight}
 	}
 	for _, r := range results {
 		if r.tenant < 0 || r.tenant >= len(mix) {
@@ -606,11 +604,8 @@ func tenantBreakdown(results []result, mix []mixEntry) []report.LoadTenant {
 
 // reportJSON is the -log-json report: one machine-readable document on
 // stdout with the aggregate stats plus the per-target request-ID and
-// Retry-After observations CI smokes assert on. The document is a
-// report.LoadReport — the type the enmc-report parser decodes — and
-// carries the schema tag that parser checks, so a format change here
-// without a matching bump there is caught instead of misread.
-func reportJSON(results []result, hosts []string, scenario string, perTarget []targetStats, perTenant []report.LoadTenant, errByStatus map[int]int,
+// Retry-After observations CI smokes assert on, tagged LoadSchemaV2.
+func reportJSON(results []result, hosts []string, scenario string, perTarget []targetStats, perTenant []LoadTenant, errByStatus map[int]int,
 	lats []time.Duration, successTimes []time.Time,
 	ok, degraded, partial, items int, d time.Duration, runStart, runEnd time.Time) {
 	var bytesOut, bytesIn int64
@@ -618,8 +613,8 @@ func reportJSON(results []result, hosts []string, scenario string, perTarget []t
 		bytesOut += t.bytesOut
 		bytesIn += t.bytesIn
 	}
-	out := report.LoadReport{
-		Schema:          report.LoadSchemaV2,
+	out := LoadReport{
+		Schema:          LoadSchemaV2,
 		Scenario:        scenario,
 		Date:            runStart.UTC().Format("2006-01-02"),
 		Requests:        len(results),
@@ -664,7 +659,7 @@ func reportJSON(results []result, hosts []string, scenario string, perTarget []t
 		out.MaxSuccessGapMs = float64(maxGap) / float64(time.Millisecond)
 	}
 	for i, t := range perTarget {
-		jt := report.LoadTarget{
+		jt := LoadTarget{
 			Target: hosts[i], Requests: t.total, OK: t.ok, Errors: t.total - t.ok,
 			Partial: t.partial, WithRequestID: t.withReqID, SampleRequestIDs: t.sampleIDs,
 			RetryAfter429: t.retry429, RetryAfterValues: sortedKeys(t.retryVals),

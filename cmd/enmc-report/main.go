@@ -1,21 +1,19 @@
-// Command enmc-report is the benchmark-governance pipeline: it
-// ingests the committed perf-trajectory files (BENCH_*.json, written
-// by `enmc-bench -perf`) and load-test reports (`enmc-loadgen
-// -log-json`, dropped by the smoke scripts), applies the validity
-// gate (N interleaved passes, per-metric coefficient of variation,
-// machine-fingerprint matching for trend ratios), and regenerates the
-// committed BENCHMARK.md.
+// Command enmc-report regenerates the committed BENCHMARK.md from the
+// repository benchmark's record sets under benchdata/gate/ (each one
+// `bash bench/run.sh --out benchdata/gate/<YYYY-MM-DD>_<label>`), with
+// metric names, units and directions from BENCHMARK.json. A set that
+// fails the gate (fewer than 5 runs of a workload, a run that is not
+// correct, two hosts in one set, malformed JSON) rejects the corpus.
 //
 // Usage:
 //
-//	enmc-report                      # regenerate BENCHMARK.md in place
-//	enmc-report -check               # CI stale gate: fail if the committed
-//	                                 # report differs from a fresh rendering
-//	                                 # or the gate rejects the corpus
-//	enmc-report -bench 'BENCH_*.json,fresh.json' -out /tmp/preview.md
+//	enmc-report           # regenerate BENCHMARK.md in place
+//	enmc-report -check    # CI stale gate: fail if the committed report
+//	                      # differs from a fresh rendering or the gate
+//	                      # rejects the corpus
 //
-// Exit codes: 0 ok; 1 corpus rejected by the validity gate (or I/O
-// error); 2 the committed report is stale (-check only).
+// Exit codes: 0 ok; 1 corpus rejected (or I/O error); 2 the committed
+// report is stale (-check only).
 package main
 
 import (
@@ -27,36 +25,27 @@ import (
 )
 
 func main() {
-	bench := flag.String("bench", "BENCH_*.json", "comma-separated globs of perf-trajectory files (JSON arrays of PerfRecord)")
-	loadgen := flag.String("loadgen", "benchdata/loadgen/*.json", "comma-separated globs of enmc-loadgen -log-json reports (empty: skip the section)")
 	out := flag.String("out", "BENCHMARK.md", "report path to write (or, with -check, to compare against)")
 	check := flag.Bool("check", false, "do not write: fail if -out differs from a fresh rendering (the CI stale-report gate)")
-	minPasses := flag.Int("min-passes", 5, "validity gate: required interleaved passes per shape for governed records")
-	noisyCV := flag.Float64("noisy-cv", 0.10, "validity gate: flag records whose max per-metric CV exceeds this")
-	discardCV := flag.Float64("discard-cv", 0.35, "validity gate: drop records whose max per-metric CV exceeds this from trend tables")
 	flag.Parse()
 
-	cfg := report.GateConfig{MinPasses: *minPasses, NoisyCV: *noisyCV, DiscardCV: *discardCV}
-	rep, err := report.Build(cfg, *bench, *loadgen)
+	rep, err := report.Build("BENCHMARK.json", "benchdata/gate")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "enmc-report: corpus rejected: %v\n", err)
 		os.Exit(1)
 	}
 	rendered := rep.Render()
-
 	if *check {
 		if err := report.Check(rendered, *out); err != nil {
 			fmt.Fprintf(os.Stderr, "enmc-report: %v\n", err)
 			os.Exit(2)
 		}
-		fmt.Fprintf(os.Stderr, "enmc-report: %s is current (%d records, %d load reports)\n",
-			*out, len(rep.Assessments), len(rep.Loads))
+		fmt.Fprintf(os.Stderr, "enmc-report: %s is current\n", *out)
 		return
 	}
 	if err := os.WriteFile(*out, []byte(rendered), 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "enmc-report: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "enmc-report: wrote %s (%d records, %d load reports)\n",
-		*out, len(rep.Assessments), len(rep.Loads))
+	fmt.Fprintf(os.Stderr, "enmc-report: wrote %s\n", *out)
 }

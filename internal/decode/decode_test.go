@@ -215,25 +215,56 @@ func BenchmarkCandidateOverlap(b *testing.B) {
 	b.ReportMetric(overlap, "overlap")
 }
 
-// TestAgreementBLEU compares screened greedy decoding against
-// full-classifier decoding on the probe corpus. The committed CI
-// floor lives in the Makefile decode-bleu gate; here we assert a
-// lenient sanity bound.
-func TestAgreementBLEU(t *testing.T) {
-	inst, scr, dec := testModel(t)
-	svc := newTestService(inst, scr, dec, 0)
-	defer svc.Shutdown()
-	var cands, refs [][]int
-	for _, h0 := range inst.Test {
-		got, _, _ := pumpAll(t, svc, Greedy, 1, h0)
-		full := dec.Decode(h0, dec.MaxLen(), inst.Classifier.Predict)
-		cands = append(cands, got)
-		refs = append(refs, full)
+// demoModel is decode-demo-1k: l=1024, d=64, k=32 at INT8 over 16
+// probes of 32 tokens, screened at m=192 — a screener strong enough
+// (k = d/2) that its survivors contain the exact argmax nearly every
+// step, the regime the decode service targets.
+func demoModel(t testing.TB) (*workload.Instance, *core.Screener, *workload.Decoder) {
+	t.Helper()
+	inst := workload.Generate(
+		workload.Spec{Name: "decode-demo-1k", Categories: 1024, Hidden: 64, LatentRank: 16, ZipfS: 1},
+		workload.GenOptions{Seed: 7, Train: 512, Valid: 32, Test: 16})
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
+		Categories: 1024, Hidden: 64, Reduced: 32, Precision: quant.INT8, Seed: 7,
+	}, core.TrainOptions{Epochs: 5, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
-	bleu := metrics.BLEU(cands, refs)
-	t.Logf("agreement BLEU %.4f", bleu)
-	if bleu < 0.5 {
-		t.Fatalf("agreement BLEU %.3f below sanity floor 0.5", bleu)
+	return inst, scr, workload.NewDecoderFor(inst.Classifier, 7, 32)
+}
+
+// TestAgreementBLEU compares screened greedy decoding against
+// full-classifier decoding on the probe corpus, as corpus BLEU: per-
+// token screening quality is a gate, not a dashboard. Both shapes must
+// stay at or above 0.50.
+func TestAgreementBLEU(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		model func(testing.TB) (*workload.Instance, *core.Screener, *workload.Decoder)
+		topM  int
+	}{
+		{"decode-test", testModel, 24},
+		{"decode-demo-1k", demoModel, 192},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, scr, dec := tc.model(t)
+			svc := NewService(Config{TopM: tc.topM}, dec, func() Scorer {
+				return NewLocalScorer(inst.Classifier, scr, LocalScorerConfig{})
+			})
+			defer svc.Shutdown()
+			var cands, refs [][]int
+			for _, h0 := range inst.Test {
+				got, _, _ := pumpAll(t, svc, Greedy, 1, h0)
+				full := dec.Decode(h0, dec.MaxLen(), inst.Classifier.Predict)
+				cands = append(cands, got)
+				refs = append(refs, full)
+			}
+			bleu := metrics.BLEU(cands, refs)
+			t.Logf("agreement BLEU %.4f", bleu)
+			if bleu < 0.5 {
+				t.Fatalf("agreement BLEU %.3f below the floor 0.50", bleu)
+			}
+		})
 	}
 }
 

@@ -1,11 +1,12 @@
+// Package report renders the committed BENCHMARK.md from the
+// repository benchmark's own run records: the sets that
+// `bash bench/run.sh --out benchdata/gate/<YYYY-MM-DD>_<label>` wrote.
+// Metric names, units and directions come from BENCHMARK.json, which
+// this package reads and never edits. A set is one cohort: it is
+// admitted only whole, and any violation rejects the corpus, so the
+// document CI regenerates and byte-compares is never built on half an
+// input.
 package report
-
-// Corpus ingestion: glob the trajectory and load-test files, parse
-// them strictly, and pin a deterministic ordering so the rendered
-// report is byte-stable across regenerations. File names sort
-// lexically and both corpora use dated names (BENCH_YYYY-MM-DD.json,
-// <scenario>_YYYY-MM-DD.json), so lexical order is chronological
-// order.
 
 import (
 	"bytes"
@@ -14,146 +15,153 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
+	"time"
 )
 
-// SourceRecord is one PerfRecord tagged with where it came from, so
-// gate findings and disclosure rows can name their source.
-type SourceRecord struct {
-	File  string // path as globbed
-	Index int    // position within the file's array, 0-based
-	Rec   PerfRecord
+// minRuns is the number of records every workload needs in every set.
+const minRuns = 5
+
+// spec is the part of BENCHMARK.json the report reads.
+type spec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+		Why  string `json:"why"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name   string `json:"name"`
+		Unit   string `json:"unit"`
+		Better string `json:"better"`
+	} `json:"end_to_end"`
 }
 
-// Ref is the record's stable human-readable identity in the report.
-func (s SourceRecord) Ref() string {
-	return fmt.Sprintf("%s#%d", filepath.Base(s.File), s.Index)
+// hostInfo is the machine and toolchain fingerprint a run record carries.
+// Records on different hosts measure the hosts as much as the code, so
+// a set holds one host and no Δ is drawn across two.
+type hostInfo struct {
+	CPU        string `json:"cpu"`
+	NProc      int    `json:"nproc"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
 }
 
-// SourceLoad is one loadgen report tagged with its file.
-type SourceLoad struct {
-	File string
-	Rep  LoadReport
+// record is what the report reads of one untraced run record.
+type record struct {
+	Workload string   `json:"workload"`
+	Host     hostInfo `json:"host"`
+	Result   struct {
+		Correct   bool `json:"correct"`
+		Attempted int  `json:"attempted"`
+		Failed    int  `json:"failed"`
+		Metrics   map[string]struct {
+			Value float64 `json:"value"`
+			Unit  string  `json:"unit"`
+		} `json:"metrics"`
+	} `json:"result"`
 }
 
-// expandGlobs resolves comma-separated glob patterns to a sorted,
-// deduplicated file list. A pattern that matches nothing is not an
-// error — callers decide whether an empty corpus is acceptable — but
-// a malformed pattern is.
-func expandGlobs(patterns string) ([]string, error) {
-	seen := map[string]bool{}
-	var files []string
-	for _, pat := range strings.Split(patterns, ",") {
-		pat = strings.TrimSpace(pat)
-		if pat == "" {
-			continue
-		}
-		matches, err := filepath.Glob(pat)
-		if err != nil {
-			return nil, fmt.Errorf("bad glob %q: %w", pat, err)
-		}
-		for _, m := range matches {
-			if !seen[m] {
-				seen[m] = true
-				files = append(files, m)
-			}
-		}
+// set is one admitted record set: a directory of runs on one host.
+type set struct {
+	name string
+	host hostInfo
+	runs map[string][]record // by workload
+}
+
+// Report is an admitted corpus, ready to render.
+type Report struct {
+	spec spec
+	sets []set // oldest first
+}
+
+// Build reads the benchmark definition at specPath and every record
+// set directly under root, and admits the corpus or names the file
+// that rejects it.
+func Build(specPath, root string) (*Report, error) {
+	var r Report
+	if err := decodeFile(specPath, &r.spec); err != nil {
+		return nil, err
 	}
-	sort.Strings(files)
-	return files, nil
-}
-
-// LoadBench reads every trajectory file matched by the comma-separated
-// glob patterns. Parsing is strict: a file that is not a well-formed
-// JSON array of records (truncated writes included) rejects the whole
-// corpus — a report silently built on half an input is worse than no
-// report.
-func LoadBench(patterns string) ([]SourceRecord, error) {
-	files, err := expandGlobs(patterns)
+	dirs, err := filepath.Glob(filepath.Join(root, "*"))
 	if err != nil {
 		return nil, err
 	}
-	var out []SourceRecord
-	for _, f := range files {
-		data, err := os.ReadFile(f)
+	sort.Strings(dirs) // dated names: lexical order is chronological
+	for _, dir := range dirs {
+		s, err := r.loadSet(dir)
 		if err != nil {
 			return nil, err
 		}
-		var recs []PerfRecord
-		dec := json.NewDecoder(bytes.NewReader(data))
-		if err := dec.Decode(&recs); err != nil {
-			return nil, fmt.Errorf("%s: malformed trajectory: %v", f, err)
-		}
-		if err := rejectTrailing(dec, f); err != nil {
-			return nil, err
-		}
-		for i, r := range recs {
-			if r.Date == "" {
-				return nil, fmt.Errorf("%s#%d: record has no date", filepath.Base(f), i)
-			}
-			if len(r.Results) == 0 {
-				return nil, fmt.Errorf("%s#%d: record has no results", filepath.Base(f), i)
-			}
-			out = append(out, SourceRecord{File: f, Index: i, Rec: r})
-		}
+		r.sets = append(r.sets, s)
 	}
-	return out, nil
+	if len(r.sets) == 0 {
+		return nil, fmt.Errorf("empty benchmark corpus: no record sets under %s", root)
+	}
+	return &r, nil
 }
 
-// LoadLoadgen reads every loadgen report matched by the patterns and
-// enforces the schema version: a missing or unrecognized schema tag
-// rejects the corpus so a future loadgen format change can never be
-// silently misread as today's fields.
-func LoadLoadgen(patterns string) ([]SourceLoad, error) {
-	files, err := expandGlobs(patterns)
+// loadSet reads the untraced records of one set (the glob
+// `bench/run.sh --compare` reads) and applies the gate: a dated name,
+// every record correct and carrying every end-to-end metric in its
+// declared unit, one host, and minRuns runs of every workload.
+func (r *Report) loadSet(dir string) (set, error) {
+	s := set{name: filepath.Base(dir), runs: map[string][]record{}}
+	if len(s.name) < 12 || s.name[10] != '_' {
+		return s, fmt.Errorf("%s: record set is not named <YYYY-MM-DD>_<label>", dir)
+	}
+	if _, err := time.Parse("2006-01-02", s.name[:10]); err != nil {
+		return s, fmt.Errorf("%s: record set is not named <YYYY-MM-DD>_<label>: %v", dir, err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*-trace0.json"))
 	if err != nil {
-		return nil, err
+		return s, err
 	}
-	var out []SourceLoad
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return nil, err
-		}
-		var rep LoadReport
-		dec := json.NewDecoder(bytes.NewReader(data))
-		if err := dec.Decode(&rep); err != nil {
-			return nil, fmt.Errorf("%s: malformed loadgen report: %v", f, err)
-		}
-		if err := rejectTrailing(dec, f); err != nil {
-			return nil, err
-		}
-		if rep.Schema != LoadSchemaV1 && rep.Schema != LoadSchemaV2 {
-			return nil, fmt.Errorf("%s: unsupported loadgen schema %q (want %q or %q)",
-				filepath.Base(f), rep.Schema, LoadSchemaV1, LoadSchemaV2)
-		}
-		if rep.Requests <= 0 {
-			return nil, fmt.Errorf("%s: loadgen report carries no requests", filepath.Base(f))
-		}
-		out = append(out, SourceLoad{File: f, Rep: rep})
+	known := map[string]bool{}
+	for _, w := range r.spec.Workloads {
+		known[w.Name] = true
 	}
-	// Deterministic table order: scenario, then date, then file name as
-	// the final tiebreak (file list is already sorted, so this sort is
-	// stable across regenerations regardless of glob grouping).
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Rep.Scenario != b.Rep.Scenario {
-			return a.Rep.Scenario < b.Rep.Scenario
+	for i, f := range files {
+		var rec record
+		if err := decodeFile(f, &rec); err != nil {
+			return s, err
 		}
-		if a.Rep.Date != b.Rep.Date {
-			return a.Rep.Date < b.Rep.Date
+		if !known[rec.Workload] {
+			return s, fmt.Errorf("%s: workload %q is not in BENCHMARK.json", f, rec.Workload)
 		}
-		return a.File < b.File
-	})
-	return out, nil
+		if !rec.Result.Correct {
+			return s, fmt.Errorf("%s: run is not correct (%d of %d answers failed)", f, rec.Result.Failed, rec.Result.Attempted)
+		}
+		for _, m := range r.spec.EndToEnd {
+			if got, ok := rec.Result.Metrics[m.Name]; !ok || got.Unit != m.Unit {
+				return s, fmt.Errorf("%s: record does not carry %s in %s", f, m.Name, m.Unit)
+			}
+		}
+		if i == 0 {
+			s.host = rec.Host
+		} else if rec.Host != s.host {
+			return s, fmt.Errorf("%s: host %+v differs from %s's %+v: a set is one host", f, rec.Host, filepath.Base(files[0]), s.host)
+		}
+		s.runs[rec.Workload] = append(s.runs[rec.Workload], rec)
+	}
+	for _, w := range r.spec.Workloads {
+		if n := len(s.runs[w.Name]); n < minRuns {
+			return s, fmt.Errorf("%s: workload %s has %d run(s), the gate requires >= %d", dir, w.Name, n, minRuns)
+		}
+	}
+	return s, nil
 }
 
-// rejectTrailing fails when a decoded document is followed by more
-// content — the concatenated-document corruption a truncated rewrite
-// plus append can produce.
-func rejectTrailing(dec *json.Decoder, file string) error {
-	if dec.More() {
-		return fmt.Errorf("%s: trailing data after JSON document", file)
+// decodeFile parses one JSON document strictly: malformed or truncated
+// JSON, or anything after the document, is an error.
+func decodeFile(path string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s: malformed JSON: %v", path, err)
+	}
+	if len(bytes.TrimSpace(data[dec.InputOffset():])) > 0 {
+		return fmt.Errorf("%s: trailing data after JSON document", path)
 	}
 	return nil
 }

@@ -1,10 +1,9 @@
 package report
 
 // Rendering BENCHMARK.md. Everything here must be byte-deterministic
-// given the same input corpus: no timestamps, no map-order iteration,
-// no locale-dependent formatting. CI regenerates the document and
-// fails on any diff, so a nondeterministic renderer would make the
-// stale-report gate flap.
+// given the same corpus: no timestamps, no map-order iteration. CI
+// regenerates the document and fails on any diff, so a
+// nondeterministic renderer would make the stale-report gate flap.
 
 import (
 	"fmt"
@@ -12,458 +11,99 @@ import (
 	"strings"
 )
 
-// Report is the fully ingested, gated corpus ready to render.
-type Report struct {
-	Cfg         GateConfig
-	Assessments []Assessment
-	Loads       []SourceLoad
-}
-
-// Build ingests both corpora and applies the gate. benchPatterns must
-// match at least one record; loadPatterns may match none (the serving
-// section is then omitted with a note).
-func Build(cfg GateConfig, benchPatterns, loadPatterns string) (*Report, error) {
-	recs, err := LoadBench(benchPatterns)
-	if err != nil {
-		return nil, err
-	}
-	asmts, err := ApplyGate(cfg, recs)
-	if err != nil {
-		return nil, err
-	}
-	var loads []SourceLoad
-	if loadPatterns != "" {
-		if loads, err = LoadLoadgen(loadPatterns); err != nil {
-			return nil, err
-		}
-	}
-	return &Report{Cfg: cfg.withDefaults(), Assessments: asmts, Loads: loads}, nil
-}
-
 // Render produces the complete BENCHMARK.md contents.
 func (r *Report) Render() string {
 	var b strings.Builder
-	r.header(&b)
-	r.kernelTrends(&b)
-	r.wireTrends(&b)
-	r.decodeTrends(&b)
-	r.loadTests(&b)
-	r.disclosure(&b)
+	runs := 0
+	for _, s := range r.sets {
+		for _, recs := range s.runs {
+			runs += len(recs)
+		}
+	}
+	fmt.Fprintf(&b, "# ENMC Benchmark Report\n\n")
+	fmt.Fprintf(&b, "<!-- Generated by `make report` (cmd/enmc-report) from the record sets under\n")
+	fmt.Fprintf(&b, "     benchdata/gate/ and the metric definitions in BENCHMARK.json. Do not edit\n")
+	fmt.Fprintf(&b, "     by hand: `make report-check` fails on any drift. -->\n\n")
+	fmt.Fprintf(&b, "Every number below is a run of the repository benchmark, kept by\n")
+	fmt.Fprintf(&b, "`bash bench/run.sh --workload all --repeat 5 --out benchdata/gate/<date>_<label>`;\n")
+	fmt.Fprintf(&b, "the rules are in [BENCHMARKING.md](BENCHMARKING.md). A record set is admitted\n")
+	fmt.Fprintf(&b, "whole or not at all: every workload has at least %d runs, every run checked its\n", minRuns)
+	fmt.Fprintf(&b, "answers correct, and every run shares one host. Quartiles follow Python's\n")
+	fmt.Fprintf(&b, "`statistics.quantiles(n=4)`, as `bash bench/run.sh --compare` prints them;\n")
+	fmt.Fprintf(&b, "spread is (q3 − q1) / median. Δ is a set's median over the previous set's, and\n")
+	fmt.Fprintf(&b, "reads `n/c` when the two sets ran on different hosts.\n\n")
+	fmt.Fprintf(&b, "Corpus: %d record set(s), %d run(s).\n\n", len(r.sets), runs)
+
+	for _, w := range r.spec.Workloads {
+		fmt.Fprintf(&b, "## %s\n\n%s.\n\n", w.Name, w.Why)
+		fmt.Fprintf(&b, "| metric | unit | better | set | median | q1 | q3 | spread | n | Δ |\n")
+		fmt.Fprintf(&b, "|--------|------|--------|-----|-------:|---:|---:|-------:|--:|--:|\n")
+		for _, m := range r.spec.EndToEnd {
+			var prev *set
+			var prevMed float64
+			for i := range r.sets {
+				s := &r.sets[i]
+				var xs []float64
+				for _, rec := range s.runs[w.Name] {
+					xs = append(xs, rec.Result.Metrics[m.Name].Value)
+				}
+				q1, med, q3 := quartiles(xs)
+				delta := "—"
+				switch {
+				case prev != nil && prev.host != s.host:
+					delta = "n/c"
+				case prev != nil && prevMed != 0:
+					delta = fmt.Sprintf("%.2f×", med/prevMed)
+				}
+				spread := "—"
+				if med != 0 {
+					spread = fmt.Sprintf("%.2f%%", 100*(q3-q1)/med)
+				}
+				fmt.Fprintf(&b, "| %s | %s | %s | %s | %.5g | %.5g | %.5g | %s | %d | %s |\n",
+					m.Name, m.Unit, m.Better, s.name, med, q1, q3, spread, len(xs), delta)
+				prev, prevMed = s, med
+			}
+		}
+		fmt.Fprintf(&b, "\n")
+	}
+
+	fmt.Fprintf(&b, "## Record sets\n\n")
+	fmt.Fprintf(&b, "The host every run of a set shares, the runs per workload (in the order of the\n")
+	fmt.Fprintf(&b, "sections above), and the answers the runs attempted and failed in total.\n\n")
+	fmt.Fprintf(&b, "| set | cpu | nproc | GOMAXPROCS | go | runs per workload | attempted | failed |\n")
+	fmt.Fprintf(&b, "|-----|-----|------:|-----------:|----|-------------------|----------:|-------:|\n")
+	for _, s := range r.sets {
+		var counts []string
+		attempted, failed := 0, 0
+		for _, w := range r.spec.Workloads {
+			counts = append(counts, fmt.Sprint(len(s.runs[w.Name])))
+			for _, rec := range s.runs[w.Name] {
+				attempted += rec.Result.Attempted
+				failed += rec.Result.Failed
+			}
+		}
+		fmt.Fprintf(&b, "| %s | %s | %d | %d | %s | %s | %d | %d |\n",
+			s.name, s.host.CPU, s.host.NProc, s.host.GoMaxProcs, s.host.Go,
+			strings.Join(counts, " / "), attempted, failed)
+	}
 	return b.String()
 }
 
-func (r *Report) header(b *strings.Builder) {
-	var nOK, nLegacy, nFlagged, nDiscarded int
-	files := map[string]bool{}
-	for _, a := range r.Assessments {
-		files[a.Src.File] = true
-		switch a.Class {
-		case ClassOK:
-			nOK++
-		case ClassLegacy:
-			nLegacy++
-		case ClassFlagged:
-			nFlagged++
-		case ClassDiscarded:
-			nDiscarded++
-		}
+// quartiles is Python's statistics.quantiles(xs, n=4) (the default
+// "exclusive" method, which extrapolates below the least and above the
+// greatest of two or three values); a single value is its own
+// quartiles, as in Python 3.13.
+func quartiles(xs []float64) (q1, q2, q3 float64) {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	n := len(xs)
+	if n == 1 {
+		return xs[0], xs[0], xs[0]
 	}
-	fmt.Fprintf(b, "# ENMC Benchmark Report\n\n")
-	fmt.Fprintf(b, "<!-- Generated by `make report` (cmd/enmc-report). Do not edit by hand:\n")
-	fmt.Fprintf(b, "     `make report-check` and the CI report-check job fail on any drift\n")
-	fmt.Fprintf(b, "     between this file and the committed measurement corpus. -->\n\n")
-	fmt.Fprintf(b, "Governance rules live in [BENCHMARKING.md](BENCHMARKING.md). Gate thresholds for this\n")
-	fmt.Fprintf(b, "rendering: min %d interleaved passes per shape; max per-metric CV > %.1f%% flagged (†),\n",
-		r.Cfg.MinPasses, 100*r.Cfg.NoisyCV)
-	fmt.Fprintf(b, "> %.1f%% discarded from trends, judged per shape; trend ratios are refused (`n/c`)\n",
-		100*r.Cfg.DiscardCV)
-	fmt.Fprintf(b, "between records whose go version, GOMAXPROCS, or CPU model differ.\n\n")
-	fmt.Fprintf(b, "Corpus: %d trajectory file(s), %d record(s) — %d ok, %d legacy, %d flagged, %d discarded — and %d load-test report(s).\n\n",
-		len(files), len(r.Assessments), nOK, nLegacy, nFlagged, nDiscarded, len(r.Loads))
-}
-
-// shapeKey orders and titles the per-shape trend tables.
-type shapeRow struct {
-	a   Assessment
-	res PerfResult
-}
-
-func (r *Report) kernelTrends(b *strings.Builder) {
-	fmt.Fprintf(b, "## Single-node kernel trend\n\n")
-	fmt.Fprintf(b, "ns/op values are the minimum over the record's interleaved timing passes\n")
-	fmt.Fprintf(b, "(fastest observed iteration; see `cmd/enmc-bench/perf.go`). Δ columns are the\n")
-	fmt.Fprintf(b, "ratio vs the previous admitted record of the same shape — lower is faster —\n")
-	fmt.Fprintf(b, "and appear only when both records share a machine fingerprint. † marks a\n")
-	fmt.Fprintf(b, "measurement the gate flagged as noisy; measurements over the discard\n")
-	fmt.Fprintf(b, "threshold are omitted here entirely (details under Validity).\n\n")
-
-	byShape := map[string][]shapeRow{}
-	for _, a := range r.Assessments {
-		for _, res := range a.Src.Rec.Results {
-			// Admission is per shape: a record noisy on one shape can
-			// still contribute its clean measurements elsewhere. Wire
-			// codec and decode shapes render in their own sections.
-			if res.IsWire() || res.IsDecode() || !a.ShapeClass(res.Shape).Class.Admitted() {
-				continue
-			}
-			byShape[res.Shape] = append(byShape[res.Shape], shapeRow{a: a, res: res})
-		}
+	at := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - 4*j)
+		return (xs[j-1]*(4-delta) + xs[j]*delta) / 4
 	}
-	shapes := make([]string, 0, len(byShape))
-	for s := range byShape {
-		shapes = append(shapes, s)
-	}
-	sort.Strings(shapes)
-	if len(shapes) == 0 {
-		fmt.Fprintf(b, "_No admitted records._\n\n")
-		return
-	}
-	for _, shape := range shapes {
-		rows := byShape[shape]
-		first := rows[0].res
-		fmt.Fprintf(b, "### %s (l=%d d=%d k=%d m=%d)\n\n", shape, first.L, first.D, first.K, first.M)
-		fmt.Fprintf(b, "| record | date | label | screen ms/op | classify ms/op | into ms/op | allocs/op | batch qps | screen GB/s | batch GB/s | Δscreen | Δinto |\n")
-		fmt.Fprintf(b, "|--------|------|-------|-------------:|---------------:|-----------:|----------:|----------:|------------:|-----------:|--------:|------:|\n")
-		for i, row := range rows {
-			dScreen, dInto := "—", "—"
-			if i > 0 {
-				prev := rows[i-1]
-				if Comparable(prev.a.Src.Rec, row.a.Src.Rec) {
-					dScreen = ratio(row.res.ScreenNsOp, prev.res.ScreenNsOp)
-					dInto = ratio(row.res.ClassifyIntoNsOp, prev.res.ClassifyIntoNsOp)
-				} else {
-					dScreen, dInto = "n/c", "n/c"
-				}
-			}
-			mark := ""
-			if row.a.ShapeClass(shape).Class == ClassFlagged {
-				mark = " †"
-			}
-			fmt.Fprintf(b, "| %s%s | %s | %s | %s | %s | %s | %g | %s | %s | %s | %s | %s |\n",
-				row.a.Src.Ref(), mark, row.a.Src.Rec.Date, cell(row.a.Src.Rec.Label, 56),
-				ms(row.res.ScreenNsOp), ms(row.res.ClassifyNsOp), ms(row.res.ClassifyIntoNsOp),
-				row.res.AllocsOp, qps(row.res.BatchQPS), qps(row.res.ScreenStreamGBps), qps(row.res.BatchStreamGBps), dScreen, dInto)
-		}
-		fmt.Fprintf(b, "\n")
-	}
-}
-
-// wireTrends renders the cluster wire-codec shapes (`enmc-bench
-// -wire`): per record, both codecs' encode+decode cost and payload
-// bytes for one screen RPC round trip, with the binary-vs-JSON
-// speedup and byte ratio computed WITHIN the row — those two columns
-// stay meaningful even across machine-fingerprint changes, which is
-// what the ≥3× acceptance bar reads.
-func (r *Report) wireTrends(b *strings.Builder) {
-	byShape := map[string][]shapeRow{}
-	for _, a := range r.Assessments {
-		for _, res := range a.Src.Rec.Results {
-			if !res.IsWire() || !a.ShapeClass(res.Shape).Class.Admitted() {
-				continue
-			}
-			byShape[res.Shape] = append(byShape[res.Shape], shapeRow{a: a, res: res})
-		}
-	}
-	if len(byShape) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "## Cluster wire codec trend\n\n")
-	fmt.Fprintf(b, "One screen RPC round trip (request encode + response decode on the router,\n")
-	fmt.Fprintf(b, "request decode + response encode on the worker) per codec; ns values are\n")
-	fmt.Fprintf(b, "minima over the record's interleaved passes. Speedup is JSON time over binary\n")
-	fmt.Fprintf(b, "time and bytes× is JSON payload over binary payload, both within the row.\n\n")
-	shapes := make([]string, 0, len(byShape))
-	for s := range byShape {
-		shapes = append(shapes, s)
-	}
-	sort.Strings(shapes)
-	for _, shape := range shapes {
-		rows := byShape[shape]
-		first := rows[0].res
-		fmt.Fprintf(b, "### %s (l=%d d=%d k=%d m=%d)\n\n", shape, first.L, first.D, first.K, first.M)
-		fmt.Fprintf(b, "| record | date | bin enc µs | bin dec µs | json enc µs | json dec µs | speedup | bin KB | json KB | bytes× |\n")
-		fmt.Fprintf(b, "|--------|------|-----------:|-----------:|------------:|------------:|--------:|-------:|--------:|-------:|\n")
-		for _, row := range rows {
-			res := row.res
-			mark := ""
-			if row.a.ShapeClass(shape).Class == ClassFlagged {
-				mark = " †"
-			}
-			fmt.Fprintf(b, "| %s%s | %s | %s | %s | %s | %s | %s | %.1f | %.1f | %s |\n",
-				row.a.Src.Ref(), mark, row.a.Src.Rec.Date,
-				us(res.WireEncodeNsOp), us(res.WireDecodeNsOp),
-				us(res.WireJSONEncodeNsOp), us(res.WireJSONDecodeNsOp),
-				ratio(res.WireJSONEncodeNsOp+res.WireJSONDecodeNsOp, res.WireEncodeNsOp+res.WireDecodeNsOp),
-				float64(res.WireBinaryBytes)/1024, float64(res.WireJSONBytes)/1024,
-				ratio(float64(res.WireJSONBytes), float64(res.WireBinaryBytes)))
-		}
-		fmt.Fprintf(b, "\n")
-	}
-}
-
-// decodeTrends renders the streaming-decode shapes (`enmc-bench
-// -decode`): per-token screened decode cost with the candidate cache
-// off and on, plus the measured hit rate / candidate overlap behind
-// the cached number and the screened-vs-full agreement BLEU. The
-// cached-vs-uncached speedup is computed WITHIN the row, so it stays
-// meaningful across machine-fingerprint changes.
-func (r *Report) decodeTrends(b *strings.Builder) {
-	byShape := map[string][]shapeRow{}
-	for _, a := range r.Assessments {
-		for _, res := range a.Src.Rec.Results {
-			if !res.IsDecode() || !a.ShapeClass(res.Shape).Class.Admitted() {
-				continue
-			}
-			byShape[res.Shape] = append(byShape[res.Shape], shapeRow{a: a, res: res})
-		}
-	}
-	if len(byShape) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "## Streaming decode trend\n\n")
-	fmt.Fprintf(b, "One screened autoregressive decode step (screen → top-m exact → argmax →\n")
-	fmt.Fprintf(b, "state update); ns values are minima over the record's interleaved passes.\n")
-	fmt.Fprintf(b, "Speedup is uncached time over cached time within the row. Hit %% and overlap %%\n")
-	fmt.Fprintf(b, "are the measured cross-step candidate-cache hit rate and the windowed\n")
-	fmt.Fprintf(b, "screener-survivor overlap that makes it possible; BLEU is whole-sequence\n")
-	fmt.Fprintf(b, "agreement of screened vs full decoding on the probe corpus.\n\n")
-	shapes := make([]string, 0, len(byShape))
-	for s := range byShape {
-		shapes = append(shapes, s)
-	}
-	sort.Strings(shapes)
-	for _, shape := range shapes {
-		rows := byShape[shape]
-		first := rows[0].res
-		fmt.Fprintf(b, "### %s (l=%d d=%d k=%d m=%d)\n\n", shape, first.L, first.D, first.K, first.M)
-		fmt.Fprintf(b, "| record | date | tok µs | cached tok µs | speedup | hit %% | overlap %% | BLEU |\n")
-		fmt.Fprintf(b, "|--------|------|-------:|--------------:|--------:|------:|----------:|-----:|\n")
-		for _, row := range rows {
-			res := row.res
-			mark := ""
-			if row.a.ShapeClass(shape).Class == ClassFlagged {
-				mark = " †"
-			}
-			fmt.Fprintf(b, "| %s%s | %s | %s | %s | %s | %.1f | %.1f | %.4f |\n",
-				row.a.Src.Ref(), mark, row.a.Src.Rec.Date,
-				us(res.DecodeTokenNsOp), us(res.DecodeCachedTokenNsOp),
-				ratio(res.DecodeTokenNsOp, res.DecodeCachedTokenNsOp),
-				100*res.DecodeCacheHitRate, 100*res.DecodeOverlap,
-				res.DecodeAgreementBLEU)
-		}
-		fmt.Fprintf(b, "\n")
-	}
-}
-
-func (r *Report) loadTests(b *strings.Builder) {
-	fmt.Fprintf(b, "## Serving and cluster load tests\n\n")
-	if len(r.Loads) == 0 {
-		fmt.Fprintf(b, "_No load-test reports in the corpus._\n\n")
-		return
-	}
-	classify, decodes := []SourceLoad{}, []SourceLoad{}
-	for _, l := range r.Loads {
-		if l.Rep.Decode != nil {
-			decodes = append(decodes, l)
-		} else {
-			classify = append(classify, l)
-		}
-	}
-	r.classifyLoadTable(b, classify)
-	r.decodeLoadTable(b, decodes)
-	r.tenantLoadTable(b, r.Loads)
-}
-
-// tenantLoadTable renders the `-tenant-mix` per-tenant QoS breakdown:
-// one row per (scenario, tenant), showing how the admission classes
-// split the run's rejections and latency. Only reports that carry a
-// tenants array contribute rows.
-func (r *Report) tenantLoadTable(b *strings.Builder, loads []SourceLoad) {
-	any := false
-	for _, l := range loads {
-		if len(l.Rep.Tenants) > 0 {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return
-	}
-	fmt.Fprintf(b, "Per-tenant QoS breakdown (`enmc-loadgen -tenant-mix`): how the server's\n")
-	fmt.Fprintf(b, "admission classes split one mixed-tenant run. 429s are quota/shed rejections,\n")
-	fmt.Fprintf(b, "503s are drain/backend failures; the QoS contract is that batch-class tenants\n")
-	fmt.Fprintf(b, "absorb the pressure while interactive tenants keep their latency and zero 5xx.\n\n")
-	fmt.Fprintf(b, "| scenario | date | tenant | class | requests | ok | 429 | 503 | other | p50 ms | p99 ms |\n")
-	fmt.Fprintf(b, "|----------|------|--------|-------|---------:|---:|----:|----:|------:|-------:|-------:|\n")
-	for _, l := range loads {
-		rep := l.Rep
-		scen := rep.Scenario
-		if scen == "" {
-			scen = "(unnamed)"
-		}
-		for _, tn := range rep.Tenants {
-			fmt.Fprintf(b, "| %s | %s | %s | %s | %d | %d | %d | %d | %d | %.1f | %.1f |\n",
-				cell(scen, 40), rep.Date, cell(tn.Tenant, 24), tn.Class,
-				tn.Requests, tn.OK, tn.Status429, tn.Status503, tn.OtherErrors,
-				tn.P50Ms, tn.P99Ms)
-		}
-	}
-	fmt.Fprintf(b, "\n")
-}
-
-func (r *Report) classifyLoadTable(b *strings.Builder, loads []SourceLoad) {
-	if len(loads) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "End-to-end HTTP load (`enmc-loadgen -log-json`, schema `%s`/`%s`), one row\n", LoadSchemaV1, LoadSchemaV2)
-	fmt.Fprintf(b, "per committed report. Error %% counts non-200 answers; partial %% counts degraded\n")
-	fmt.Fprintf(b, "cluster merges (responses served with missing shards). Max gap is the longest\n")
-	fmt.Fprintf(b, "interval between consecutive successful answers — the stall detector. Wire MB/s\n")
-	fmt.Fprintf(b, "is bytes moved both directions over the run (v2 reports; — for v1).\n\n")
-	fmt.Fprintf(b, "| scenario | date | requests | ok | err %% | partial %% | p50 ms | p90 ms | p99 ms | max ms | cls/s | wire MB/s | max gap ms |\n")
-	fmt.Fprintf(b, "|----------|------|---------:|---:|------:|----------:|-------:|-------:|-------:|-------:|------:|----------:|-----------:|\n")
-	for _, l := range loads {
-		rep := l.Rep
-		scen := rep.Scenario
-		if scen == "" {
-			scen = "(unnamed)"
-		}
-		errs := 0
-		for _, n := range rep.Errors {
-			errs += n
-		}
-		wire := "—"
-		if rep.WireMBPerSec > 0 {
-			wire = fmt.Sprintf("%.2f", rep.WireMBPerSec)
-		}
-		fmt.Fprintf(b, "| %s | %s | %d | %d | %s | %s | %.1f | %.1f | %.1f | %.1f | %.1f | %s | %.0f |\n",
-			cell(scen, 40), rep.Date, rep.Requests, rep.OK,
-			pctCell(errs, rep.Requests), pctCell(rep.Partial, rep.OK),
-			rep.P50Ms, rep.P90Ms, rep.P99Ms, rep.MaxMs, rep.PerSecond, wire, rep.MaxSuccessGapMs)
-	}
-	fmt.Fprintf(b, "\n")
-}
-
-// decodeLoadTable renders the `-decode` scenario reports: streaming
-// session load against /v1/decode, with the stream-shaped latency
-// columns (time to first token, inter-token gap) classify rows do not
-// have. Dropped counts streams cut before their terminal done frame.
-func (r *Report) decodeLoadTable(b *strings.Builder, loads []SourceLoad) {
-	if len(loads) == 0 {
-		return
-	}
-	fmt.Fprintf(b, "Streaming decode load (`enmc-loadgen -decode -log-json`): open- or closed-loop\n")
-	fmt.Fprintf(b, "session arrivals against /v1/decode, one frame per token. TTFT is request\n")
-	fmt.Fprintf(b, "start to first token frame; gap is between consecutive frames of one session.\n\n")
-	fmt.Fprintf(b, "| scenario | date | sessions | ok | dropped | evicted | tokens | tok/s | tok/sess | ttft p50 ms | ttft p99 ms | gap p50 ms | gap p99 ms |\n")
-	fmt.Fprintf(b, "|----------|------|---------:|---:|--------:|--------:|-------:|------:|---------:|------------:|------------:|-----------:|-----------:|\n")
-	for _, l := range loads {
-		rep, d := l.Rep, l.Rep.Decode
-		scen := rep.Scenario
-		if scen == "" {
-			scen = "(unnamed)"
-		}
-		fmt.Fprintf(b, "| %s | %s | %d | %d | %d | %d | %d | %.1f | %.1f | %.1f | %.1f | %.2f | %.2f |\n",
-			cell(scen, 40), rep.Date, d.Sessions, d.OK, d.DroppedStreams, d.Evicted,
-			d.Tokens, d.TokensPerSec, d.TokensPerSessionMean,
-			d.TTFTP50Ms, d.TTFTP99Ms, d.GapP50Ms, d.GapP99Ms)
-	}
-	fmt.Fprintf(b, "\n")
-}
-
-func (r *Report) disclosure(b *strings.Builder) {
-	fmt.Fprintf(b, "## Validity and machine-noise disclosure\n\n")
-	fmt.Fprintf(b, "Every ingested record and the gate's verdict. CV is the coefficient of\n")
-	fmt.Fprintf(b, "variation of per-pass minima, the record's own noise measurement; `max CV`\n")
-	fmt.Fprintf(b, "is the worst metric across all shapes and the verdict is the record's worst\n")
-	fmt.Fprintf(b, "shape (per-shape detail in the notes). Records on different machines are\n")
-	fmt.Fprintf(b, "never compared: a Δ of `n/c` above means the fingerprint below changed.\n\n")
-	fmt.Fprintf(b, "| record | date | go | GOMAXPROCS | cpu | passes | max CV | verdict | notes |\n")
-	fmt.Fprintf(b, "|--------|------|----|-----------:|-----|-------:|-------:|---------|-------|\n")
-	for _, a := range r.Assessments {
-		rec := a.Src.Rec
-		cpu := rec.CPUModel
-		if cpu == "" {
-			cpu = "unrecorded"
-		}
-		passes := "—"
-		if p := minPasses(rec); p > 0 {
-			passes = fmt.Sprintf("%d", p)
-		}
-		maxCV := "—"
-		if a.MaxCV >= 0 {
-			maxCV = fmt.Sprintf("%.1f%%", 100*a.MaxCV)
-		}
-		fmt.Fprintf(b, "| %s | %s | %s | %d | %s | %s | %s | %s | %s |\n",
-			a.Src.Ref(), rec.Date, rec.GoVersion, rec.GOMAXPROCS, cell(cpu, 40),
-			passes, maxCV, a.Class, cell(strings.Join(a.Reasons, "; "), 240))
-	}
-	fmt.Fprintf(b, "\n")
-	if len(r.Loads) > 0 {
-		fmt.Fprintf(b, "Load-test corpus:\n\n")
-		for _, l := range r.Loads {
-			fmt.Fprintf(b, "- `%s` — scenario `%s`, schema `%s`, %d target(s)\n",
-				l.File, orDash(l.Rep.Scenario), l.Rep.Schema, len(l.Rep.Targets))
-		}
-		fmt.Fprintf(b, "\n")
-	}
-}
-
-func minPasses(rec PerfRecord) int {
-	min := 0
-	for _, res := range rec.Results {
-		if res.Passes > 0 && (min == 0 || res.Passes < min) {
-			min = res.Passes
-		}
-	}
-	return min
-}
-
-// ms renders nanoseconds as milliseconds with fixed precision.
-func ms(ns float64) string { return fmt.Sprintf("%.2f", ns/1e6) }
-
-// us renders nanoseconds as microseconds with fixed precision.
-func us(ns float64) string { return fmt.Sprintf("%.1f", ns/1e3) }
-
-func qps(v float64) string {
-	if v == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("%.1f", v)
-}
-
-func ratio(cur, prev float64) string {
-	if prev <= 0 || cur <= 0 {
-		return "—"
-	}
-	return fmt.Sprintf("%.2f×", cur/prev)
-}
-
-func pctCell(n, of int) string {
-	if of == 0 {
-		return "—"
-	}
-	return fmt.Sprintf("%.1f%%", 100*float64(n)/float64(of))
-}
-
-func orDash(s string) string {
-	if s == "" {
-		return "—"
-	}
-	return s
-}
-
-// cell makes a string safe inside a markdown table cell and bounds its
-// width deterministically (rune-wise truncation with an ellipsis).
-func cell(s string, max int) string {
-	s = strings.ReplaceAll(s, "|", "\\|")
-	s = strings.ReplaceAll(s, "\n", " ")
-	runes := []rune(s)
-	if len(runes) > max {
-		s = string(runes[:max-1]) + "…"
-	}
-	if s == "" {
-		return "—"
-	}
-	return s
+	return at(1), at(2), at(3)
 }

@@ -2,306 +2,308 @@ package report
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// writeFile drops contents into dir under name and returns the path.
-func writeFile(t *testing.T, dir, name, contents string) string {
-	t.Helper()
-	p := filepath.Join(dir, name)
-	if err := os.WriteFile(p, []byte(contents), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
+// testSpec is a two-workload, two-metric BENCHMARK.json.
+const testSpec = `{
+  "workloads": [{"name": "w-a", "why": "first"}, {"name": "w-b", "why": "second"}],
+  "end_to_end": [
+    {"name": "cls_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "lat_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+  ]
+}`
 
-// goodRecord returns a schema-1 record that passes the gate.
-func goodRecord(date, label, goVer, cpu string, passes int, cv float64) PerfRecord {
-	return PerfRecord{
-		Schema: 1, Date: date, Label: label, GoVersion: goVer, GOMAXPROCS: 1, CPUModel: cpu,
-		Results: []PerfResult{{
-			Shape: "wiki-lstm-33k", L: 33278, D: 1500, K: 375, M: 666,
-			ScreenNsOp: 4e6, ClassifyNsOp: 5e6, ClassifyIntoNsOp: 5e6,
-			AllocsOp: 0, BatchQPS: 170, Passes: passes,
-			CV: map[string]float64{
-				MetricScreen:       cv,
-				MetricClassify:     cv / 2,
-				MetricClassifyInto: cv / 2,
-				MetricBatch:        cv / 2,
+var hostA = hostInfo{CPU: "cpu-a", NProc: 2, GoMaxProcs: 2, Go: "go1.24.0"}
+
+// run is one record as bench/run.sh --out writes it (fields the report
+// does not read included).
+func run(workload string, seed int, host hostInfo, correct bool, cls float64) string {
+	failed := 0
+	if !correct {
+		failed = 3
+	}
+	rec := map[string]any{
+		"workload": workload, "seed": seed, "seconds": 20, "trace": false, "host": host,
+		"samples": map[string]int{"lat_p50_ms": 100},
+		"result": map[string]any{
+			"correct": correct, "attempted": 100, "failed": failed,
+			"metrics": map[string]any{
+				"cls_per_s":  map[string]any{"value": cls, "unit": "1/s"},
+				"lat_p50_ms": map[string]any{"value": 1000 / cls, "unit": "ms"},
 			},
-		}},
+		},
 	}
-}
-
-func marshalRecs(t *testing.T, recs ...PerfRecord) string {
-	t.Helper()
-	data, err := json.MarshalIndent(recs, "", "  ")
+	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	return string(data) + "\n"
 }
 
+// corpus is a benchmark definition plus a record-set root in a temp dir.
+type corpus struct {
+	t          *testing.T
+	spec, root string
+}
+
+func newCorpus(t *testing.T) *corpus {
+	dir := t.TempDir()
+	c := &corpus{t: t, spec: filepath.Join(dir, "BENCHMARK.json"), root: filepath.Join(dir, "gate")}
+	c.write(c.spec, testSpec)
+	return c
+}
+
+func (c *corpus) write(path, contents string) {
+	c.t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		c.t.Fatal(err)
+	}
+	if err := os.WriteFile(path, []byte(contents), 0o644); err != nil {
+		c.t.Fatal(err)
+	}
+}
+
+// addSet writes a valid set: runs per workload, seeds 1.., cls_per_s
+// base, base+1, ...
+func (c *corpus) addSet(name string, host hostInfo, runs int, base float64) {
+	for _, w := range []string{"w-a", "w-b"} {
+		for i := 1; i <= runs; i++ {
+			c.file(name, fmt.Sprintf("%s-seed%d-trace0.json", w, i), run(w, i, host, true, base+float64(i-1)))
+		}
+	}
+}
+
+func (c *corpus) file(set, name, contents string) {
+	c.write(filepath.Join(c.root, set, name), contents)
+}
+
+func (c *corpus) render() (string, error) {
+	rep, err := Build(c.spec, c.root)
+	if err != nil {
+		return "", err
+	}
+	return rep.Render(), nil
+}
+
+// rejected asserts the corpus is refused with an error containing want.
+func (c *corpus) rejected(want string) {
+	c.t.Helper()
+	_, err := c.render()
+	if err == nil {
+		c.t.Fatal("corpus admitted")
+	}
+	if !strings.Contains(err.Error(), want) {
+		c.t.Fatalf("rejection %q does not mention %q", err, want)
+	}
+}
+
 func TestLoadBenchMalformedJSON(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"garbage":      "not json at all",
-		"truncated":    `[{"date":"2026-08-06","label":"x","go_version":"go1.24.0","gomaxprocs":1,"results":[{"shape":"a"`,
-		"wrong-shape":  `{"date":"2026-08-06"}`, // object, not array
-		"trailing":     `[] []`,
-		"no-date":      `[{"label":"x","go_version":"go1.24.0","gomaxprocs":1,"results":[{"shape":"a"}]}]`,
-		"empty-record": `[{"date":"2026-08-06","label":"x","go_version":"go1.24.0","gomaxprocs":1,"results":[]}]`,
+	good := run("w-a", 9, hostA, true, 10)
+	cases := map[string]struct{ set, file, contents string }{
+		"garbage":      {"2026-10-15_x", "w-a-seed9-trace0.json", "not json at all"},
+		"truncated":    {"2026-10-15_x", "w-a-seed9-trace0.json", good[:len(good)/2]},
+		"wrong-shape":  {"2026-10-15_x", "w-a-seed9-trace0.json", "[" + good + "]"},
+		"trailing":     {"2026-10-15_x", "w-a-seed9-trace0.json", good + "}"},
+		"no-date":      {"x", "w-a-seed9-trace0.json", good},
+		"empty-record": {"2026-10-15_x", "w-a-seed9-trace0.json", "{}"},
 	}
-	for name, contents := range cases {
+	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			sub := filepath.Join(dir, name)
-			if err := os.Mkdir(sub, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			writeFile(t, sub, "BENCH_bad.json", contents)
-			if _, err := LoadBench(filepath.Join(sub, "*.json")); err == nil {
-				t.Fatalf("%s: corrupt corpus was accepted", name)
-			}
+			c := newCorpus(t)
+			c.addSet(tc.set, hostA, 5, 10)
+			c.file(tc.set, tc.file, tc.contents)
+			c.rejected(tc.set)
 		})
 	}
 }
 
-func TestGateRejectsTooFewPasses(t *testing.T) {
-	rec := goodRecord("2026-08-07", "short run", "go1.24.0", "cpu-a", 3, 0.01)
-	_, err := ApplyGate(GateConfig{}, []SourceRecord{{File: "BENCH_x.json", Rec: rec}})
-	if err == nil {
-		t.Fatal("schema-1 record with 3 passes passed the N>=5 gate")
+func TestGateRejectsTooFewRuns(t *testing.T) {
+	c := newCorpus(t)
+	c.addSet("2026-10-15_x", hostA, 5, 10)
+	if err := os.Remove(filepath.Join(c.root, "2026-10-15_x", "w-b-seed5-trace0.json")); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "passes") {
-		t.Fatalf("rejection does not explain the pass count: %v", err)
-	}
+	c.rejected("workload w-b has 4 run(s)")
 }
 
-func TestGateRejectsMissingCV(t *testing.T) {
-	rec := goodRecord("2026-08-07", "no cv", "go1.24.0", "cpu-a", 5, 0.01)
-	rec.Results[0].CV = nil
-	_, err := ApplyGate(GateConfig{}, []SourceRecord{{Rec: rec}})
-	if err == nil {
-		t.Fatal("schema-1 record without CV disclosure passed the gate")
-	}
+func TestGateRejectsMixedHosts(t *testing.T) {
+	c := newCorpus(t)
+	c.addSet("2026-10-15_x", hostA, 5, 10)
+	other := hostA
+	other.NProc = 4
+	c.file("2026-10-15_x", "w-b-seed3-trace0.json", run("w-b", 3, other, true, 12))
+	c.rejected("w-b-seed3-trace0.json: host")
 }
 
+func TestGateRejectsIncorrectRecord(t *testing.T) {
+	c := newCorpus(t)
+	c.addSet("2026-10-15_x", hostA, 5, 10)
+	c.file("2026-10-15_x", "w-a-seed2-trace0.json", run("w-a", 2, hostA, false, 11))
+	c.rejected("w-a-seed2-trace0.json: run is not correct")
+}
+
+// A record that does not match BENCHMARK.json — an undeclared
+// workload, or an end-to-end metric missing or in another unit — was
+// written against another definition of the benchmark.
 func TestGateRejectsUnknownSchema(t *testing.T) {
-	rec := goodRecord("2026-08-07", "future", "go1.24.0", "cpu-a", 5, 0.01)
-	rec.Schema = PerfSchemaVersion + 1
-	_, err := ApplyGate(GateConfig{}, []SourceRecord{{Rec: rec}})
-	if err == nil {
-		t.Fatal("record from a future schema passed the gate")
-	}
-}
-
-func TestGateClassesByCV(t *testing.T) {
-	mk := func(cv float64) SourceRecord {
-		return SourceRecord{Rec: goodRecord("2026-08-07", "x", "go1.24.0", "cpu-a", 5, cv)}
-	}
-	legacy := SourceRecord{Rec: PerfRecord{
-		Date: "2026-08-06", Label: "old", GoVersion: "go1.24.0", GOMAXPROCS: 1,
-		Results: []PerfResult{{Shape: "wiki-lstm-33k", ScreenNsOp: 1, ClassifyIntoNsOp: 1}},
-	}}
-	asmts, err := ApplyGate(GateConfig{}, []SourceRecord{legacy, mk(0.02), mk(0.2), mk(0.5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Class{ClassLegacy, ClassOK, ClassFlagged, ClassDiscarded}
-	for i, a := range asmts {
-		if a.Class != want[i] {
-			t.Errorf("record %d: class %v, want %v (maxCV %.2f)", i, a.Class, want[i], a.MaxCV)
-		}
-	}
-	if asmts[3].Class.Admitted() {
-		t.Error("discarded record still admitted to trends")
-	}
-	if !asmts[2].Class.Admitted() || !asmts[0].Class.Admitted() {
-		t.Error("flagged/legacy records must stay admitted")
-	}
-}
-
-// A record clean on one shape and stormy on another keeps the clean
-// measurement in trends: the gate judges noise per shape, and the
-// record-level verdict is the worst shape.
-func TestGatePerShapeAdmission(t *testing.T) {
-	rec := goodRecord("2026-08-07", "mixed", "go1.24.0", "cpu-a", 5, 0.02)
-	rec.Results = append(rec.Results, PerfResult{
-		Shape: "amazon-670k", L: 670091, D: 512, K: 128, M: 13401,
-		ScreenNsOp: 36e6, ClassifyNsOp: 68e6, ClassifyIntoNsOp: 56e6,
-		BatchQPS: 15, Passes: 5,
-		CV: map[string]float64{MetricScreen: 0.52, MetricClassify: 0.41},
-	})
-	asmts, err := ApplyGate(GateConfig{}, []SourceRecord{{Rec: rec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := asmts[0]
-	if a.Class != ClassDiscarded {
-		t.Fatalf("record verdict %v, want worst-shape discarded", a.Class)
-	}
-	if got := a.ShapeClass("wiki-lstm-33k").Class; got != ClassOK {
-		t.Errorf("clean shape classed %v, want ok", got)
-	}
-	if got := a.ShapeClass("amazon-670k").Class; got != ClassDiscarded {
-		t.Errorf("stormy shape classed %v, want discarded", got)
-	}
-
-	dir := t.TempDir()
-	writeFile(t, dir, "BENCH_mixed.json", marshalRecs(t, rec))
-	rep, err := Build(GateConfig{}, filepath.Join(dir, "*.json"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.Render()
-	if !strings.Contains(out, "### wiki-lstm-33k") {
-		t.Error("clean shape missing from trend tables")
-	}
-	if strings.Contains(out, "### amazon-670k") {
-		t.Error("discarded shape still rendered a trend table")
-	}
-	if !strings.Contains(out, "amazon-670k: max CV 52.0%") {
-		t.Error("disclosure missing the per-shape discard reason")
-	}
-}
-
-func TestMixedGoVersionRefusedInTrend(t *testing.T) {
-	dir := t.TempDir()
-	a := goodRecord("2026-08-06", "first", "go1.22.0", "cpu-a", 5, 0.01)
-	b := goodRecord("2026-08-07", "second", "go1.24.0", "cpu-a", 5, 0.01)
-	writeFile(t, dir, "BENCH_2026-08-06.json", marshalRecs(t, a, b))
-	rep, err := Build(GateConfig{}, filepath.Join(dir, "BENCH_*.json"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.Render()
-	if !strings.Contains(out, "n/c") {
-		t.Fatal("trend table compared records across go versions; want n/c refusal")
-	}
-	if strings.Contains(out, "1.00×") {
-		t.Fatal("a cross-machine ratio was rendered")
-	}
-
-	// Same fingerprint → the ratio must appear.
-	c := goodRecord("2026-08-08", "third", "go1.24.0", "cpu-a", 5, 0.01)
-	writeFile(t, dir, "BENCH_2026-08-06.json", marshalRecs(t, a, b, c))
-	rep, err = Build(GateConfig{}, filepath.Join(dir, "BENCH_*.json"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := rep.Render(); !strings.Contains(out, "1.00×") {
-		t.Fatal("same-fingerprint adjacent records did not get a trend ratio")
-	}
-}
-
-func TestCPUModelMismatchRefused(t *testing.T) {
-	a := goodRecord("2026-08-06", "first", "go1.24.0", "cpu-a", 5, 0.01)
-	b := goodRecord("2026-08-07", "second", "go1.24.0", "cpu-b", 5, 0.01)
-	if Comparable(a, b) {
-		t.Fatal("records on different CPUs reported comparable")
-	}
-	// Legacy records (no CPU recorded) never match a recorded one.
-	b.CPUModel = ""
-	if Comparable(a, b) {
-		t.Fatal("record without CPU model compared against one with it")
-	}
-}
-
-func TestDeterministicRendering(t *testing.T) {
-	dir := t.TempDir()
-	// Shapes intentionally in non-alphabetical order inside the record.
-	rec := goodRecord("2026-08-06", "multi-shape", "go1.24.0", "cpu-a", 5, 0.01)
-	rec.Results = append(rec.Results, PerfResult{
-		Shape: "amazon-670k", L: 670091, D: 512, K: 128, M: 13401,
-		ScreenNsOp: 3e7, ClassifyNsOp: 5e7, ClassifyIntoNsOp: 5e7, BatchQPS: 19,
-		Passes: 5, CV: map[string]float64{MetricScreen: 0.01},
-	})
-	writeFile(t, dir, "BENCH_2026-08-06.json", marshalRecs(t, rec))
-	loads := filepath.Join(dir, "loadgen")
-	if err := os.Mkdir(loads, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	mkLoad := func(name, scenario, date string) {
-		writeFile(t, loads, name, `{"schema":"enmc-loadgen/v1","scenario":"`+scenario+`","date":"`+date+
-			`","requests":100,"duration_seconds":5,"ok":100,"classifications":100,"classifications_per_sec":20,`+
-			`"degraded":0,"partial":0,"p50_ms":1,"p90_ms":2,"p99_ms":3,"max_ms":4,"max_success_gap_ms":50,"targets":[]}`)
-	}
-	// File names chosen so lexical file order differs from scenario order.
-	mkLoad("z-first.json", "alpha-scenario", "2026-08-06")
-	mkLoad("a-second.json", "zeta-scenario", "2026-08-06")
-
-	build := func() string {
-		rep, err := Build(GateConfig{}, filepath.Join(dir, "BENCH_*.json"), filepath.Join(loads, "*.json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Render()
-	}
-	first, second := build(), build()
-	if first != second {
-		t.Fatal("two renderings of the same corpus differ")
-	}
-	// Shape sections alphabetical.
-	if strings.Index(first, "### amazon-670k") > strings.Index(first, "### wiki-lstm-33k") {
-		t.Fatal("shape sections not in sorted order")
-	}
-	// Load scenarios sorted by scenario name, not file name.
-	if strings.Index(first, "alpha-scenario") > strings.Index(first, "zeta-scenario") {
-		t.Fatal("load-test rows not sorted by scenario")
-	}
-}
-
-func TestLoadgenSchemaRejected(t *testing.T) {
-	dir := t.TempDir()
-	cases := map[string]string{
-		"unknown-version": `{"schema":"enmc-loadgen/v99","requests":10,"ok":10,"targets":[]}`,
-		"missing-schema":  `{"requests":10,"ok":10,"targets":[]}`,
-		"malformed":       `{"schema":"enmc-loadgen/v1","requests":`,
-		"no-requests":     `{"schema":"enmc-loadgen/v1","requests":0,"ok":0,"targets":[]}`,
-	}
-	for name, contents := range cases {
+	for name, edit := range map[string]func(string) string{
+		"workload": func(s string) string { return strings.Replace(s, `"w-a"`, `"w-z"`, 1) },
+		"unit":     func(s string) string { return strings.Replace(s, `"unit": "ms"`, `"unit": "us"`, 1) },
+		"metric":   func(s string) string { return strings.Replace(s, `"cls_per_s"`, `"qps"`, 1) },
+	} {
 		t.Run(name, func(t *testing.T) {
-			sub := filepath.Join(dir, name)
-			if err := os.Mkdir(sub, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			writeFile(t, sub, "run.json", contents)
-			if _, err := LoadLoadgen(filepath.Join(sub, "*.json")); err == nil {
-				t.Fatalf("%s: invalid loadgen report was accepted", name)
-			}
+			c := newCorpus(t)
+			c.addSet("2026-10-15_x", hostA, 5, 10)
+			c.file("2026-10-15_x", "w-a-seed1-trace0.json", edit(run("w-a", 1, hostA, true, 10)))
+			c.rejected("w-a-seed1-trace0.json")
 		})
 	}
 }
 
-func TestLoadgenValidAccepted(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, dir, "run.json",
-		`{"schema":"enmc-loadgen/v1","scenario":"s","date":"2026-08-08","requests":10,"ok":10,"targets":[{"target":"h:1","requests":10,"ok":10,"errors":0,"partial":0,"with_request_id":10,"retry_after_429":0}]}`)
-	loads, err := LoadLoadgen(filepath.Join(dir, "*.json"))
+// Traced records carry per-layer metrics, not the end-to-end ones; the
+// report reads *-trace0.json only, as `bench/run.sh --compare` does.
+func TestTraceRecordsIgnored(t *testing.T) {
+	c := newCorpus(t)
+	c.addSet("2026-10-15_x", hostA, 5, 10)
+	c.file("2026-10-15_x", "w-a-seed1-trace1.json", "not a run record")
+	c.file("2026-10-15_x", "w-a-seed1-trace1.chrome.json", "[]")
+	out, err := c.render()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loads) != 1 || loads[0].Rep.Scenario != "s" || len(loads[0].Rep.Targets) != 1 {
-		t.Fatalf("parsed report wrong: %+v", loads)
+	if !strings.Contains(out, "| 2026-10-15_x | cpu-a | 2 | 2 | go1.24.0 | 5 / 5 | 1000 | 0 |") {
+		t.Fatalf("trace1 files changed the set:\n%s", out)
 	}
 }
 
 func TestEmptyBenchCorpusRejected(t *testing.T) {
-	if _, err := ApplyGate(GateConfig{}, nil); err == nil {
-		t.Fatal("empty corpus passed the gate")
+	c := newCorpus(t)
+	c.rejected("empty benchmark corpus")
+	// A set directory without a single untraced record is a set
+	// missing every workload.
+	c.file("2026-10-15_x", "w-a-seed1-trace1.json", "{}")
+	c.rejected("workload w-a has 0 run(s)")
+}
+
+func TestMixedGoVersionRefusedInTrend(t *testing.T) {
+	c := newCorpus(t)
+	c.addSet("2026-10-14_old", hostA, 5, 10)
+	newer := hostA
+	newer.Go = "go1.25.0"
+	c.addSet("2026-10-15_new", newer, 5, 10)
+	out, err := c.render()
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if _, err := Build(GateConfig{}, filepath.Join(dir, "BENCH_*.json"), ""); err == nil {
-		t.Fatal("Build with zero matched trajectory files succeeded")
+	if !strings.Contains(out, "| cls_per_s | 1/s | higher | 2026-10-15_new | 12 | 10.5 | 13.5 | 25.00% | 5 | n/c |") {
+		t.Fatalf("cross-toolchain Δ not refused:\n%s", out)
+	}
+	if strings.Contains(out, "×") {
+		t.Fatalf("a cross-host ratio was rendered:\n%s", out)
+	}
+
+	// Same host → the ratio appears: medians 12 → 14.
+	c.addSet("2026-10-16_third", newer, 5, 12)
+	if out, err = c.render(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "| cls_per_s | 1/s | higher | 2026-10-16_third | 14 | 12.5 | 15.5 | 21.43% | 5 | 1.17× |") {
+		t.Fatalf("same-host sets got no Δ:\n%s", out)
+	}
+}
+
+func TestCPUModelMismatchRefused(t *testing.T) {
+	c := newCorpus(t)
+	c.addSet("2026-10-14_a", hostA, 5, 10)
+	b := hostA
+	b.CPU = "cpu-b"
+	c.addSet("2026-10-15_b", b, 5, 10)
+	out, err := c.render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(out, "| n/c |") != 4 { // 2 workloads × 2 metrics
+		t.Fatalf("sets on different CPUs compared:\n%s", out)
+	}
+}
+
+func TestDeterministicRendering(t *testing.T) {
+	c := newCorpus(t)
+	// Written newest first: the order sets were made in must not matter.
+	c.addSet("2026-10-16_b", hostA, 6, 20)
+	c.addSet("2026-10-15_a", hostA, 5, 10)
+	first, err := c.render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := c.render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != second {
+		t.Fatal("two renderings of the same corpus differ")
+	}
+	if strings.Index(first, "| 2026-10-15_a |") > strings.Index(first, "| 2026-10-16_b |") {
+		t.Fatal("sets not in date order")
+	}
+	if strings.Index(first, "## w-a") > strings.Index(first, "## w-b") {
+		t.Fatal("workloads not in BENCHMARK.json order")
+	}
+}
+
+// TestRenderDisclosure pins the record-set table: host, runs per
+// workload, attempted and failed totals.
+func TestRenderDisclosure(t *testing.T) {
+	c := newCorpus(t)
+	host := hostInfo{CPU: "Example CPU @ 2.10GHz", NProc: 8, GoMaxProcs: 4, Go: "go1.24.0"}
+	c.addSet("2026-10-15_x", host, 5, 10)
+	c.file("2026-10-15_x", "w-b-seed6-trace0.json", run("w-b", 6, host, true, 15))
+	out, err := c.render()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"## Record sets",
+		"| 2026-10-15_x | Example CPU @ 2.10GHz | 8 | 4 | go1.24.0 | 5 / 6 | 1100 | 0 |",
+		"Corpus: 1 record set(s), 11 run(s).",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// The expected values are Python's statistics.quantiles(xs, n=4);
+// Python 3.13 returns a single value as its own quartiles.
+func TestQuartilesMatchPython(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		want [3]float64
+	}{
+		{[]float64{4.5}, [3]float64{4.5, 4.5, 4.5}},
+		{[]float64{3, 1}, [3]float64{0.5, 2, 3.5}},
+		{[]float64{7, 2.5}, [3]float64{1.375, 4.75, 8.125}},
+		{[]float64{5, 1, 4, 2, 3}, [3]float64{1.5, 3, 4.5}},
+		{[]float64{12.5, 3, 7.25, 1, 9, 4.5, 10, 2, 6, 8}, [3]float64{2.75, 6.625, 9.25}},
+	} {
+		q1, q2, q3 := quartiles(tc.xs)
+		if got := [3]float64{q1, q2, q3}; got != tc.want {
+			t.Errorf("quartiles(%v) = %v, want %v", tc.xs, got, tc.want)
+		}
 	}
 }
 
 func TestCheckStaleReport(t *testing.T) {
 	dir := t.TempDir()
-	path := writeFile(t, dir, "BENCHMARK.md", "line one\nline two\n")
+	path := filepath.Join(dir, "BENCHMARK.md")
+	if err := os.WriteFile(path, []byte("line one\nline two\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := Check("line one\nline two\n", path); err != nil {
 		t.Fatalf("current report reported stale: %v", err)
 	}
@@ -318,60 +320,5 @@ func TestCheckStaleReport(t *testing.T) {
 	// Pure length difference (common prefix identical).
 	if err := Check("line one\nline two\nline three\n", path); err == nil {
 		t.Fatal("longer regeneration not detected as stale")
-	}
-}
-
-// TestRenderDisclosure pins the disclosure table's key behaviors: the
-// machine fingerprint, the gate verdicts, and the flagged marker in
-// the trend table.
-func TestRenderDisclosure(t *testing.T) {
-	dir := t.TempDir()
-	legacy := PerfRecord{
-		Date: "2026-08-05", Label: "hand-written snapshot", GoVersion: "go1.24.0", GOMAXPROCS: 1,
-		Results: []PerfResult{{Shape: "wiki-lstm-33k", ScreenNsOp: 8e6, ClassifyNsOp: 9e6, ClassifyIntoNsOp: 9e6}},
-	}
-	noisy := goodRecord("2026-08-07", "noisy host", "go1.24.0", "Example CPU @ 2.10GHz", 5, 0.2)
-	writeFile(t, dir, "BENCH_2026-08-05.json", marshalRecs(t, legacy, noisy))
-	rep, err := Build(GateConfig{}, filepath.Join(dir, "BENCH_*.json"), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := rep.Render()
-	for _, want := range []string{
-		"legacy", "flagged", "unrecorded", "Example CPU @ 2.10GHz", "20.0%", "†",
-		"## Validity and machine-noise disclosure",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered report missing %q", want)
-		}
-	}
-}
-
-func TestTenantTableRendered(t *testing.T) {
-	rep := LoadReport{
-		Schema: LoadSchemaV2, Scenario: "qos-smoke", Date: "2026-08-08",
-		Requests: 100, OK: 80,
-		Tenants: []LoadTenant{
-			{Tenant: "alice", Class: "interactive", Weight: 8, Requests: 80, OK: 80, P50Ms: 2.5, P99Ms: 9.1},
-			{Tenant: "bob", Class: "batch", Weight: 2, Requests: 20, OK: 0, Status429: 20},
-		},
-	}
-	r := &Report{Loads: []SourceLoad{{File: "run.json", Rep: rep}}}
-	var b strings.Builder
-	r.tenantLoadTable(&b, r.Loads)
-	out := b.String()
-	for _, want := range []string{"| alice | interactive |", "| bob | batch |", "| 20 | 0 | 20 | 0 | 0 |"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("tenant table missing %q:\n%s", want, out)
-		}
-	}
-
-	// No tenants array → no table at all (single-tenant runs are
-	// byte-identical to before).
-	rep.Tenants = nil
-	var b2 strings.Builder
-	(&Report{}).tenantLoadTable(&b2, []SourceLoad{{Rep: rep}})
-	if b2.Len() != 0 {
-		t.Fatalf("tenant table rendered for a tenant-less report:\n%s", b2.String())
 	}
 }

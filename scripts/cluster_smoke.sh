@@ -21,10 +21,9 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 WORK="$(mktemp -d)"
 PIDS=()
-# Benchmark governance: when SMOKE_ARTIFACTS names a directory, the
-# loadgen JSON report lands there (where enmc-report ingests it, and
-# where CI uploads it as an artifact). SMOKE_DURATION stretches the
-# loadgen runs for nightly full-length passes.
+# When SMOKE_ARTIFACTS names a directory, the loadgen JSON report
+# lands there, where CI uploads it as an artifact. SMOKE_DURATION
+# stretches the loadgen runs for nightly full-length passes.
 ART="${SMOKE_ARTIFACTS:-}"
 if [ -n "$ART" ]; then
     mkdir -p "$ART"
@@ -153,7 +152,7 @@ for _ in $(seq 1 100); do
 done
 [ -n "$recovered" ] || { echo "FAIL: cluster never recovered after restart: $(cat "$WORK/resp.json")"; exit 1; }
 
-echo "-- post-recovery loadgen (must stay clean; JSON report for enmc-report)"
+echo "-- post-recovery loadgen (must stay clean; JSON report)"
 if ! ./enmc-loadgen -addr "127.0.0.1:$PORT" -dim "$DIM" -duration "$DUR_POST" -concurrency 4 \
     -fail-on-error -fail-on-partial -log-json -scenario cluster-3x2 \
     >"$WORK/loadgen-cluster.json" 2>"$WORK/loadgen2.err"; then

@@ -20,9 +20,8 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 WORK="$(mktemp -d)"
 PIDS=()
-# Benchmark governance: when SMOKE_ARTIFACTS names a directory, the
-# loadgen JSON reports land there (where enmc-report ingests them, and
-# where CI uploads them as artifacts).
+# When SMOKE_ARTIFACTS names a directory, the loadgen JSON reports
+# land there, where CI uploads them as artifacts.
 ART="${SMOKE_ARTIFACTS:-}"
 if [ -n "$ART" ]; then
     mkdir -p "$ART"

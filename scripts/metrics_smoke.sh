@@ -23,10 +23,9 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 WORK="$(mktemp -d)"
 PIDS=()
-# Benchmark governance: with SMOKE_ARTIFACTS set, the loadgen JSON
-# report and the captured Perfetto trace are copied there (enmc-report
-# ingestion / CI artifact upload). SMOKE_DURATION stretches the load
-# for nightly full-length passes.
+# With SMOKE_ARTIFACTS set, the loadgen JSON report and the captured
+# Perfetto trace are copied there for CI artifact upload.
+# SMOKE_DURATION stretches the load for nightly full-length passes.
 ART="${SMOKE_ARTIFACTS:-}"
 if [ -n "$ART" ]; then
     mkdir -p "$ART"
@@ -135,8 +134,7 @@ curl -sf "http://127.0.0.1:$DEBUG_PORT/debug/spans" >"$WORK/trace.json"
 ./enmc-promlint -spans "$WORK/trace.json" -min-pids 2
 
 if [ -n "$ART" ]; then
-    # Traces live in a subdirectory so the report tool's
-    # <artifacts>/*.json loadgen glob never tries to parse one.
+    # Traces live in a subdirectory, apart from the loadgen reports.
     mkdir -p "$ART/traces"
     cp "$WORK/loadgen.json" "$ART/cluster-3x2-observability_$(date -u +%Y-%m-%d).json"
     cp "$WORK/trace.json" "$ART/traces/cluster-3x2_$(date -u +%Y-%m-%d).perfetto.json"

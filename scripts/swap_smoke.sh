@@ -16,9 +16,9 @@ set -euo pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 WORK="$(mktemp -d)"
 SERVE_PID=""
-# Benchmark governance: with SMOKE_ARTIFACTS set, the loadgen JSON
-# report is copied there for enmc-report ingestion / CI upload;
-# SMOKE_DURATION stretches the run for nightly full-length passes.
+# With SMOKE_ARTIFACTS set, the loadgen JSON report is copied there
+# for CI artifact upload; SMOKE_DURATION stretches the run for nightly
+# full-length passes.
 ART="${SMOKE_ARTIFACTS:-}"
 if [ -n "$ART" ]; then
     mkdir -p "$ART"
