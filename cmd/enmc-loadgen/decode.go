@@ -7,8 +7,7 @@ package main
 // from a unary call, so the scenario measures what a stream consumer
 // feels: TTFT (request start → first token frame), the inter-token
 // gap distribution, and per-session token counts — plus the count of
-// dropped streams (cut before their done frame), which the cluster
-// failover smoke asserts is zero.
+// dropped streams (cut before their done frame).
 
 import (
 	"bufio"
@@ -49,9 +48,8 @@ type decodeFrame struct {
 	Error   string `json:"error"`
 }
 
-func runDecode(client *http.Client, p *pool, hosts []string, dim, maxTokens int, mode string, width int,
-	seed int64, rate float64, workers int, duration time.Duration,
-	scenario string, failOnError, failOnDropped, logJSON bool) {
+func runDecode(client *http.Client, p *pool, dim, maxTokens int, mode string, width int,
+	seed int64, rate float64, workers int, duration time.Duration) {
 	var (
 		mu      sync.Mutex
 		results []decodeResult
@@ -61,8 +59,7 @@ func runDecode(client *http.Client, p *pool, hosts []string, dim, maxTokens int,
 		results = append(results, r)
 		mu.Unlock()
 	}
-	runStart := time.Now()
-	deadline := runStart.Add(duration)
+	deadline := time.Now().Add(duration)
 	var wg sync.WaitGroup
 	if rate > 0 {
 		// Open loop: sessions arrive at the configured rate no matter
@@ -105,7 +102,7 @@ func runDecode(client *http.Client, p *pool, hosts []string, dim, maxTokens int,
 		}
 	}
 	wg.Wait()
-	summarizeDecode(results, hosts, scenario, duration, runStart, failOnError, failOnDropped, logJSON)
+	summarizeDecode(results, duration)
 }
 
 func decodePayload(rng *rand.Rand, dim int, mode string, width, maxTokens int) []byte {
@@ -184,8 +181,7 @@ func issueDecode(client *http.Client, p *pool, body []byte) decodeResult {
 	return r
 }
 
-func summarizeDecode(results []decodeResult, hosts []string, scenario string, d time.Duration,
-	runStart time.Time, failOnError, failOnDropped, logJSON bool) {
+func summarizeDecode(results []decodeResult, d time.Duration) {
 	var ok, dropped, evicted, tokens int
 	var bytesOut, bytesIn int64
 	var ttfts, gaps, sessLats []time.Duration
@@ -219,7 +215,6 @@ func summarizeDecode(results []decodeResult, hosts []string, scenario string, d 
 		gaps = append(gaps, r.gaps...)
 		sessLats = append(sessLats, r.latency)
 	}
-	ms := func(v time.Duration) float64 { return float64(v) / float64(time.Millisecond) }
 	sortDur := func(s []time.Duration) {
 		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	}
@@ -227,113 +222,50 @@ func summarizeDecode(results []decodeResult, hosts []string, scenario string, d 
 	sortDur(gaps)
 	sortDur(sessLats)
 
-	if logJSON {
-		out := LoadReport{
-			Schema:          LoadSchemaV2,
-			Scenario:        scenario,
-			Date:            runStart.UTC().Format("2006-01-02"),
-			Requests:        len(results),
-			DurationSeconds: d.Seconds(),
-			OK:              ok,
-			BytesOut:        bytesOut,
-			BytesIn:         bytesIn,
-			WireMBPerSec:    mbPerSec(bytesOut+bytesIn, d),
-			Decode: &LoadDecode{
-				Sessions:            len(results),
-				OK:                  ok,
-				DroppedStreams:      dropped,
-				Evicted:             evicted,
-				Tokens:              tokens,
-				TokensPerSec:        float64(tokens) / d.Seconds(),
-				TokensPerSessionMin: tokMin,
-				TokensPerSessionMax: tokMax,
-			},
-		}
-		if ok > 0 {
-			out.Decode.TokensPerSessionMean = float64(tokens) / float64(ok)
-		}
-		if len(errByStatus) > 0 {
-			out.Errors = map[string]int{}
-			for c, n := range errByStatus {
-				label := fmt.Sprintf("%d", c)
-				if c == 0 {
-					label = "transport"
-				}
-				out.Errors[label] = n
-			}
-		}
-		if len(sessLats) > 0 {
-			out.P50Ms, out.P90Ms = ms(quantile(sessLats, 0.50)), ms(quantile(sessLats, 0.90))
-			out.P99Ms, out.MaxMs = ms(quantile(sessLats, 0.99)), ms(sessLats[len(sessLats)-1])
-		}
-		if len(ttfts) > 0 {
-			out.Decode.TTFTP50Ms, out.Decode.TTFTP90Ms = ms(quantile(ttfts, 0.50)), ms(quantile(ttfts, 0.90))
-			out.Decode.TTFTP99Ms, out.Decode.TTFTMaxMs = ms(quantile(ttfts, 0.99)), ms(ttfts[len(ttfts)-1])
-		}
-		if len(gaps) > 0 {
-			out.Decode.GapP50Ms = ms(quantile(gaps, 0.50))
-			out.Decode.GapP99Ms = ms(quantile(gaps, 0.99))
-			out.Decode.GapMaxMs = ms(gaps[len(gaps)-1])
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			panic(err)
-		}
+	fmt.Printf("decode sessions: %d over %s\n", len(results), d)
+	fmt.Printf("  ok: %d (%d tokens, %.1f tok/s)  dropped: %d  evicted: %d\n",
+		ok, tokens, float64(tokens)/d.Seconds(), dropped, evicted)
+	codes := make([]int, 0, len(errByStatus))
+	for c := range errByStatus {
+		codes = append(codes, c)
+	}
+	sort.Ints(codes)
+	if len(codes) == 0 {
+		fmt.Printf("  errors: none\n")
 	} else {
-		fmt.Printf("decode sessions: %d over %s\n", len(results), d)
-		fmt.Printf("  ok: %d (%d tokens, %.1f tok/s)  dropped: %d  evicted: %d\n",
-			ok, tokens, float64(tokens)/d.Seconds(), dropped, evicted)
-		codes := make([]int, 0, len(errByStatus))
-		for c := range errByStatus {
-			codes = append(codes, c)
-		}
-		sort.Ints(codes)
-		if len(codes) == 0 {
-			fmt.Printf("  errors: none\n")
-		} else {
-			fmt.Printf("  errors:")
-			for _, c := range codes {
-				label := fmt.Sprintf("%d %s", c, http.StatusText(c))
-				if c == 0 {
-					label = "transport/shed"
-				}
-				fmt.Printf("  [%s] %d (%.1f%%)", label, errByStatus[c], pct(errByStatus[c], len(results)))
+		fmt.Printf("  errors:")
+		for _, c := range codes {
+			label := fmt.Sprintf("%d %s", c, http.StatusText(c))
+			if c == 0 {
+				label = "transport/shed"
 			}
-			fmt.Println()
+			fmt.Printf("  [%s] %d (%.1f%%)", label, errByStatus[c], pct(errByStatus[c], len(results)))
 		}
-		if len(ttfts) > 0 {
-			fmt.Printf("  ttft p50 %s  p90 %s  p99 %s  max %s\n",
-				quantile(ttfts, 0.50), quantile(ttfts, 0.90), quantile(ttfts, 0.99), ttfts[len(ttfts)-1])
-		}
-		if len(gaps) > 0 {
-			fmt.Printf("  inter-token gap p50 %s  p99 %s  max %s\n",
-				quantile(gaps, 0.50), quantile(gaps, 0.99), gaps[len(gaps)-1])
-		}
-		if ok > 0 {
-			fmt.Printf("  tokens/session mean %.1f  min %d  max %d\n",
-				float64(tokens)/float64(ok), tokMin, tokMax)
-		}
-		if len(sessLats) > 0 {
-			fmt.Printf("  session p50 %s  p99 %s  max %s\n",
-				quantile(sessLats, 0.50), quantile(sessLats, 0.99), sessLats[len(sessLats)-1])
-		}
-		if n := len(results); n > 0 {
-			fmt.Printf("  wire: %.0f B/req out  %.0f B/req in  %.2f MB/s\n",
-				float64(bytesOut)/float64(n), float64(bytesIn)/float64(n), mbPerSec(bytesOut+bytesIn, d))
-		}
+		fmt.Println()
+	}
+	if len(ttfts) > 0 {
+		fmt.Printf("  ttft p50 %s  p90 %s  p99 %s  max %s\n",
+			quantile(ttfts, 0.50), quantile(ttfts, 0.90), quantile(ttfts, 0.99), ttfts[len(ttfts)-1])
+	}
+	if len(gaps) > 0 {
+		fmt.Printf("  inter-token gap p50 %s  p99 %s  max %s\n",
+			quantile(gaps, 0.50), quantile(gaps, 0.99), gaps[len(gaps)-1])
+	}
+	if ok > 0 {
+		fmt.Printf("  tokens/session mean %.1f  min %d  max %d\n",
+			float64(tokens)/float64(ok), tokMin, tokMax)
+	}
+	if len(sessLats) > 0 {
+		fmt.Printf("  session p50 %s  p99 %s  max %s\n",
+			quantile(sessLats, 0.50), quantile(sessLats, 0.99), sessLats[len(sessLats)-1])
+	}
+	if n := len(results); n > 0 {
+		fmt.Printf("  wire: %.0f B/req out  %.0f B/req in  %.2f MB/s\n",
+			float64(bytesOut)/float64(n), float64(bytesIn)/float64(n), mbPerSec(bytesOut+bytesIn, d))
 	}
 
 	if ok == 0 {
 		fmt.Fprintln(os.Stderr, "no successful decode sessions")
-		os.Exit(1)
-	}
-	if failOnError && len(errByStatus) > 0 {
-		fmt.Fprintf(os.Stderr, "fail-on-error: %d sessions did not get 200\n", len(results)-ok-dropped)
-		os.Exit(1)
-	}
-	if failOnDropped && dropped > 0 {
-		fmt.Fprintf(os.Stderr, "fail-on-dropped: %d streams were cut before their done frame\n", dropped)
 		os.Exit(1)
 	}
 }

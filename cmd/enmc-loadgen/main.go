@@ -37,12 +37,11 @@
 // cluster routers from one process.
 //
 // The report tracks the serving layer's observability contract too:
-// how many responses echoed X-Request-Id (with per-target samples for
-// cross-referencing server request logs) and whether 429s carried
+// how many responses echoed X-Request-Id and whether 429s carried
 // Retry-After. Bytes on the wire are accounted per request (body out;
 // Content-Length in, counting the stream when the server chunks) and
-// reported as B/req and MB/s, total and per target. -log-json emits
-// the whole report as one JSON document on stdout for CI assertions.
+// reported as B/req and MB/s, total and per target. The exit status is
+// 1 when no request succeeded.
 package main
 
 import (
@@ -175,13 +174,8 @@ func main() {
 	decodeTokens := flag.Int("decode-tokens", 0, "tokens to request per decode session (0: session's max length)")
 	decodeMode := flag.String("decode-mode", "greedy", "decode session mode: greedy or beam")
 	decodeWidth := flag.Int("decode-width", 0, "beam width for -decode-mode beam")
-	failOnDropped := flag.Bool("fail-on-dropped", false, "exit 1 if any decode stream was cut before its done frame (cluster failover smoke: failover must re-pin, not drop)")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
 	seed := flag.Int64("seed", 42, "feature generation seed")
-	failOnError := flag.Bool("fail-on-error", false, "exit 1 if any request gets a non-200 answer (hot-swap smoke: below capacity, every request must succeed)")
-	failOnPartial := flag.Bool("fail-on-partial", false, "exit 1 if any 200 was flagged partial (cluster smoke: with a healthy replica left per shard, no response may degrade)")
-	logJSON := flag.Bool("log-json", false, "emit the report as one JSON document on stdout instead of text (machine-readable for CI assertions)")
-	scenario := flag.String("scenario", "", "scenario name stamped into the -log-json report")
 	flag.Parse()
 
 	var mix []mixEntry
@@ -229,9 +223,8 @@ func main() {
 	}
 
 	if *decodeOn {
-		runDecode(client, p, hosts, *dim, *decodeTokens, *decodeMode, *decodeWidth,
-			*seed, *rate, *concurrency, *duration,
-			*scenario, *failOnError, *failOnDropped, *logJSON)
+		runDecode(client, p, *dim, *decodeTokens, *decodeMode, *decodeWidth,
+			*seed, *rate, *concurrency, *duration)
 		return
 	}
 
@@ -254,7 +247,7 @@ func main() {
 		closedLoop(&wg, client, p, mix, *dim, *batch, *topK, *seed, *concurrency, deadline, record)
 	}
 	wg.Wait()
-	summarize(results, hosts, mix, *scenario, *duration, runStart, time.Now(), *failOnError, *failOnPartial, *logJSON)
+	summarize(results, hosts, mix, *duration, runStart, time.Now())
 }
 
 func closedLoop(wg *sync.WaitGroup, client *http.Client, p *pool, mix []mixEntry, dim, batch, topK int, seed int64, workers int, deadline time.Time, record func(result)) {
@@ -395,7 +388,7 @@ func issue(client *http.Client, p *pool, body []byte, tenantKey string) result {
 	return r
 }
 
-func summarize(results []result, hosts []string, mix []mixEntry, scenario string, d time.Duration, runStart, runEnd time.Time, failOnError, failOnPartial, logJSON bool) {
+func summarize(results []result, hosts []string, mix []mixEntry, d time.Duration, runStart, runEnd time.Time) {
 	var ok, degraded, partial, items int
 	var bytesOut, bytesIn int64
 	var lats []time.Duration
@@ -409,14 +402,10 @@ func summarize(results []result, hosts []string, mix []mixEntry, scenario string
 		t.bytesIn += r.bytesIn
 		bytesOut += r.bytesOut
 		bytesIn += r.bytesIn
-		// Observability satellites: every server response should echo a
-		// request ID; 429s should carry Retry-After. Track both so the
-		// smoke can assert the contract end to end.
+		// Observability contract: every server response should echo a
+		// request ID; 429s should carry Retry-After.
 		if r.reqID != "" {
 			t.withReqID++
-			if len(t.sampleIDs) < 3 {
-				t.sampleIDs = append(t.sampleIDs, r.reqID)
-			}
 		}
 		if r.code == http.StatusTooManyRequests && r.retryAfter != "" {
 			t.retry429++
@@ -442,13 +431,6 @@ func summarize(results []result, hosts []string, mix []mixEntry, scenario string
 			continue
 		}
 		errByStatus[r.code]++
-	}
-	perTenant := tenantBreakdown(results, mix)
-	if logJSON {
-		reportJSON(results, hosts, scenario, perTarget, perTenant, errByStatus, lats, successTimes,
-			ok, degraded, partial, items, d, runStart, runEnd)
-		finish(results, ok, partial, len(errByStatus), failOnError, failOnPartial)
-		return
 	}
 	fmt.Printf("requests: %d over %s\n", len(results), d)
 	fmt.Printf("  ok: %d (%d classifications, %.1f/s)  degraded: %d (%.1f%%)  partial: %d (%.1f%%)\n",
@@ -510,13 +492,7 @@ func summarize(results []result, hosts []string, mix []mixEntry, scenario string
 		fmt.Printf("  max gap between successes: %s\n", maxGap.Round(time.Millisecond))
 	}
 
-	// Per-tenant breakdown of a -tenant-mix run: the QoS split.
-	for _, tn := range perTenant {
-		fmt.Printf("  tenant %-12s %-11s req %-6d ok %-6d 429 %-5d 503 %-4d other %-4d p50 %-9s p99 %s\n",
-			tn.Tenant, tn.Class, tn.Requests, tn.OK, tn.Status429, tn.Status503, tn.OtherErrors,
-			time.Duration(tn.P50Ms*float64(time.Millisecond)).Round(10*time.Microsecond),
-			time.Duration(tn.P99Ms*float64(time.Millisecond)).Round(10*time.Microsecond))
-	}
+	printTenants(results, mix)
 
 	// Per-target breakdown: only meaningful (and only printed) when a
 	// -targets pool was given.
@@ -539,144 +515,48 @@ func summarize(results []result, hosts []string, mix []mixEntry, scenario string
 		}
 	}
 
-	finish(results, ok, partial, len(codes), failOnError, failOnPartial)
-}
-
-// finish applies the shared exit-code policy of both report formats.
-func finish(results []result, ok, partial, errKinds int, failOnError, failOnPartial bool) {
 	if ok == 0 {
 		fmt.Fprintln(os.Stderr, "no successful requests")
 		os.Exit(1)
 	}
-	if failOnError && errKinds > 0 {
-		fmt.Fprintf(os.Stderr, "fail-on-error: %d requests did not get 200\n", len(results)-ok)
-		os.Exit(1)
-	}
-	if failOnPartial && partial > 0 {
-		fmt.Fprintf(os.Stderr, "fail-on-partial: %d responses were partial merges\n", partial)
-		os.Exit(1)
-	}
 }
 
-// tenantBreakdown folds the results into one LoadTenant per
-// mix entry, in mix order.
-func tenantBreakdown(results []result, mix []mixEntry) []LoadTenant {
-	if len(mix) == 0 {
-		return nil
+// printTenants prints the per-tenant breakdown of a -tenant-mix run —
+// the QoS split — in mix order.
+func printTenants(results []result, mix []mixEntry) {
+	type row struct {
+		req, ok, s429, s503, other int
+		lats                       []time.Duration
 	}
-	out := make([]LoadTenant, len(mix))
-	lats := make([][]time.Duration, len(mix))
-	for i, e := range mix {
-		out[i] = LoadTenant{Tenant: e.name, Class: e.class, Weight: e.weight}
-	}
+	rows := make([]row, len(mix))
 	for _, r := range results {
-		if r.tenant < 0 || r.tenant >= len(mix) {
+		if r.tenant < 0 {
 			continue
 		}
-		tn := &out[r.tenant]
-		tn.Requests++
+		tn := &rows[r.tenant]
+		tn.req++
 		switch r.code {
 		case http.StatusOK:
-			tn.OK++
-			lats[r.tenant] = append(lats[r.tenant], r.latency)
-			if r.degraded {
-				tn.Degraded++
-			}
+			tn.ok++
+			tn.lats = append(tn.lats, r.latency)
 		case http.StatusTooManyRequests:
-			tn.Status429++
+			tn.s429++
 		case http.StatusServiceUnavailable:
-			tn.Status503++
-		default:
-			tn.OtherErrors++
+			tn.s503++
+		default: // transport failures and any other status
+			tn.other++
 		}
 	}
-	ms := func(v time.Duration) float64 { return float64(v) / float64(time.Millisecond) }
-	for i := range out {
-		if len(lats[i]) == 0 {
-			continue
+	for i, e := range mix {
+		tn := rows[i]
+		var p50, p99 time.Duration
+		if len(tn.lats) > 0 {
+			sort.Slice(tn.lats, func(a, b int) bool { return tn.lats[a] < tn.lats[b] })
+			p50, p99 = quantile(tn.lats, 0.50), quantile(tn.lats, 0.99)
 		}
-		sort.Slice(lats[i], func(a, b int) bool { return lats[i][a] < lats[i][b] })
-		out[i].P50Ms = ms(quantile(lats[i], 0.50))
-		out[i].P99Ms = ms(quantile(lats[i], 0.99))
-	}
-	return out
-}
-
-// reportJSON is the -log-json report: one machine-readable document on
-// stdout with the aggregate stats plus the per-target request-ID and
-// Retry-After observations CI smokes assert on, tagged LoadSchemaV2.
-func reportJSON(results []result, hosts []string, scenario string, perTarget []targetStats, perTenant []LoadTenant, errByStatus map[int]int,
-	lats []time.Duration, successTimes []time.Time,
-	ok, degraded, partial, items int, d time.Duration, runStart, runEnd time.Time) {
-	var bytesOut, bytesIn int64
-	for _, t := range perTarget {
-		bytesOut += t.bytesOut
-		bytesIn += t.bytesIn
-	}
-	out := LoadReport{
-		Schema:          LoadSchemaV2,
-		Scenario:        scenario,
-		Date:            runStart.UTC().Format("2006-01-02"),
-		Requests:        len(results),
-		DurationSeconds: d.Seconds(),
-		OK:              ok,
-		Classifications: items,
-		PerSecond:       float64(items) / d.Seconds(),
-		Degraded:        degraded,
-		Partial:         partial,
-		BytesOut:        bytesOut,
-		BytesIn:         bytesIn,
-		WireMBPerSec:    mbPerSec(bytesOut+bytesIn, d),
-		Tenants:         perTenant,
-	}
-	if len(errByStatus) > 0 {
-		out.Errors = map[string]int{}
-		for c, n := range errByStatus {
-			label := fmt.Sprintf("%d", c)
-			if c == 0 {
-				label = "transport"
-			}
-			out.Errors[label] = n
-		}
-	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		ms := func(v time.Duration) float64 { return float64(v) / float64(time.Millisecond) }
-		out.P50Ms, out.P90Ms = ms(quantile(lats, 0.50)), ms(quantile(lats, 0.90))
-		out.P99Ms, out.MaxMs = ms(quantile(lats, 0.99)), ms(lats[len(lats)-1])
-	}
-	if len(successTimes) > 0 {
-		sort.Slice(successTimes, func(i, j int) bool { return successTimes[i].Before(successTimes[j]) })
-		maxGap := successTimes[0].Sub(runStart)
-		for i := 1; i < len(successTimes); i++ {
-			if g := successTimes[i].Sub(successTimes[i-1]); g > maxGap {
-				maxGap = g
-			}
-		}
-		if g := runEnd.Sub(successTimes[len(successTimes)-1]); g > maxGap {
-			maxGap = g
-		}
-		out.MaxSuccessGapMs = float64(maxGap) / float64(time.Millisecond)
-	}
-	for i, t := range perTarget {
-		jt := LoadTarget{
-			Target: hosts[i], Requests: t.total, OK: t.ok, Errors: t.total - t.ok,
-			Partial: t.partial, WithRequestID: t.withReqID, SampleRequestIDs: t.sampleIDs,
-			RetryAfter429: t.retry429, RetryAfterValues: sortedKeys(t.retryVals),
-			BytesOut: t.bytesOut, BytesIn: t.bytesIn,
-			WireMBPerSec: mbPerSec(t.bytesOut+t.bytesIn, d),
-		}
-		if len(t.lats) > 0 {
-			sort.Slice(t.lats, func(a, b int) bool { return t.lats[a] < t.lats[b] })
-			jt.P50Ms = float64(quantile(t.lats, 0.50)) / float64(time.Millisecond)
-			jt.P99Ms = float64(quantile(t.lats, 0.99)) / float64(time.Millisecond)
-		}
-		out.Targets = append(out.Targets, jt)
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		panic(err)
+		fmt.Printf("  tenant %-12s %-11s req %-6d ok %-6d 429 %-5d 503 %-4d other %-4d p50 %-9s p99 %s\n",
+			e.name, e.class, tn.req, tn.ok, tn.s429, tn.s503, tn.other,
+			p50.Round(10*time.Microsecond), p99.Round(10*time.Microsecond))
 	}
 }
 
@@ -697,7 +577,6 @@ func sortedKeys(m map[string]bool) []string {
 type targetStats struct {
 	total, ok, partial int
 	withReqID          int
-	sampleIDs          []string
 	retry429           int
 	retryVals          map[string]bool
 	lats               []time.Duration

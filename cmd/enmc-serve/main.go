@@ -53,12 +53,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -74,65 +75,81 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	debugAddr := flag.String("debug-addr", "", "pprof/expvar/metrics listen address (empty: disabled)")
-	debugPortFile := flag.String("debug-port-file", "", "write the debug listener's bound port here (for scripts with -debug-addr :0)")
-	portFile := flag.String("port-file", "", "write the bound port here once listening (for scripts with -addr :0)")
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	if err := run(os.Args[1:], os.Stderr, sig, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "enmc-serve:", err)
+		os.Exit(1)
+	}
+}
 
-	traceOn := flag.Bool("trace", false, "install a global tracer: per-request spans, trace-context propagation to cluster shards, /debug/spans export on the debug listener")
-	logRequests := flag.Bool("log-requests", false, "emit one structured request-log record per /v1/* request on stderr")
-	logJSON := flag.Bool("log-json", false, "request log as JSON lines (implies -log-requests; default: text)")
-	slowLog := flag.Duration("slow-log", 250*time.Millisecond, "request-log slow threshold: requests above this log at WARN")
-	sloWindow := flag.Duration("slo-window", 5*time.Minute, "SLO rolling window")
-	sloAvail := flag.Float64("slo-availability", 0.999, "SLO availability objective (fraction of requests that must not 5xx)")
-	sloLatency := flag.Duration("slo-latency", 250*time.Millisecond, "SLO latency objective")
-	sloLatencyTarget := flag.Float64("slo-latency-target", 0.99, "fraction of requests that must beat -slo-latency")
+// run is the whole server: it parses args, serves until SIGINT or
+// SIGTERM arrives on sig (SIGHUP re-reads the configuration), drains,
+// and returns once every listener and goroutine it started is gone.
+// Logs and request logs go to stderr. listening, when non-nil, is
+// called with the bound API and debug addresses (debug "" without
+// -debug-addr) once both accept connections.
+func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(api, debug string)) error {
+	fs := flag.NewFlagSet("enmc-serve", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	debugAddr := fs.String("debug-addr", "", "pprof/expvar/metrics listen address (empty: disabled)")
 
-	clsPath := flag.String("classifier", "", "serialized classifier (SaveClassifier format)")
-	scrPath := flag.String("screener", "", "serialized screener (SaveScreener format)")
-	featPath := flag.String("features", "", "serialized features to train the screener from when -screener is absent (WriteFeatures format)")
+	traceOn := fs.Bool("trace", false, "install a global tracer: per-request spans, trace-context propagation to cluster shards, /debug/spans export on the debug listener")
+	logRequests := fs.Bool("log-requests", false, "emit one structured request-log record per /v1/* request on stderr")
+	logJSON := fs.Bool("log-json", false, "request log as JSON lines (implies -log-requests; default: text)")
+	slowLog := fs.Duration("slow-log", 250*time.Millisecond, "request-log slow threshold: requests above this log at WARN")
+	sloWindow := fs.Duration("slo-window", 5*time.Minute, "SLO rolling window")
+	sloAvail := fs.Float64("slo-availability", 0.999, "SLO availability objective (fraction of requests that must not 5xx)")
+	sloLatency := fs.Duration("slo-latency", 250*time.Millisecond, "SLO latency objective")
+	sloLatencyTarget := fs.Float64("slo-latency-target", 0.99, "fraction of requests that must beat -slo-latency")
 
-	clusterMap := flag.String("cluster", "", "route to networked enmc-shard workers: replica URLs comma-separated, shards semicolon-separated (e.g. 'h1:9090,h2:9090;h3:9091,h4:9091')")
-	clusterTimeout := flag.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout")
-	clusterAttempts := flag.Int("cluster-attempts", 0, "attempts per shard per query incl. failover (default: one per replica, min 2)")
-	clusterHedge := flag.Duration("cluster-hedge", 0, "hedge a shard RPC onto another replica after this delay (0 disables)")
-	clusterHealthEvery := flag.Duration("cluster-health-interval", 500*time.Millisecond, "per-replica /readyz probe period")
+	clsPath := fs.String("classifier", "", "serialized classifier (SaveClassifier format)")
+	scrPath := fs.String("screener", "", "serialized screener (SaveScreener format)")
+	featPath := fs.String("features", "", "serialized features to train the screener from when -screener is absent (WriteFeatures format)")
 
-	modelRoot := flag.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
-	modelVersion := flag.String("model-version", "", "registry version to serve at startup (default newest)")
-	canaryFloor := flag.Float64("canary-floor", 0.9, "reject a reload whose probe top-K agreement falls below this (negative: disable)")
-	canaryTopK := flag.Int("canary-topk", 5, "K for the canary top-K agreement")
-	canaryProbe := flag.String("canary-probe", "", "probe feature file (WriteFeatures format; default: version's shipped probe)")
+	clusterMap := fs.String("cluster", "", "route to networked enmc-shard workers: replica URLs comma-separated, shards semicolon-separated (e.g. 'h1:9090,h2:9090;h3:9091,h4:9091')")
+	clusterTimeout := fs.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout")
+	clusterAttempts := fs.Int("cluster-attempts", 0, "attempts per shard per query incl. failover (default: one per replica, min 2)")
+	clusterHedge := fs.Duration("cluster-hedge", 0, "hedge a shard RPC onto another replica after this delay (0 disables)")
+	clusterHealthEvery := fs.Duration("cluster-health-interval", 500*time.Millisecond, "per-replica /readyz probe period")
 
-	demoClasses := flag.Int("demo-classes", 4096, "demo model: class count")
-	demoDim := flag.Int("demo-dim", 128, "demo model: hidden dimension")
-	demoSeed := flag.Uint64("demo-seed", 7, "demo model: generation/training seed")
-	epochs := flag.Int("epochs", 4, "screener distillation epochs")
-	bits := flag.Int("bits", 4, "screening precision: 2, 4 or 8")
+	modelRoot := fs.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
+	modelVersion := fs.String("model-version", "", "registry version to serve at startup (default newest)")
+	canaryFloor := fs.Float64("canary-floor", 0.9, "reject a reload whose probe top-K agreement falls below this (negative: disable)")
+	canaryTopK := fs.Int("canary-topk", 5, "K for the canary top-K agreement")
+	canaryProbe := fs.String("canary-probe", "", "probe feature file (WriteFeatures format; default: version's shipped probe)")
 
-	decodeOn := flag.Bool("decode", false, "enable streaming autoregressive decode sessions on POST /v1/decode")
-	decodeMaxSessions := flag.Int("decode-max-sessions", 256, "decode session cap (429 past this)")
-	decodeTTL := flag.Duration("decode-ttl", time.Minute, "idle decode sessions are evicted after this")
-	decodeDeadline := flag.Duration("decode-deadline", 0, "per-token latency budget: the screening budget m degrades toward the floor before missing it (0: off)")
-	decodeMaxLen := flag.Int("decode-maxlen", 64, "decode sequence length cap")
-	decodeSeed := flag.Uint64("decode-seed", 1, "decoder dynamics seed")
-	decodeWidth := flag.Int("decode-width", 8, "maximum beam width")
-	decodeCache := flag.Int("decode-cache", 0, "candidate-cache slots per session (0: no cache, gather from the classifier)")
-	decodeVerify := flag.Int("decode-verify-every", 64, "exact-recompute cache verification period in steps (negative: off)")
+	demoClasses := fs.Int("demo-classes", 4096, "demo model: class count")
+	demoDim := fs.Int("demo-dim", 128, "demo model: hidden dimension")
+	demoSeed := fs.Uint64("demo-seed", 7, "demo model: generation/training seed")
+	epochs := fs.Int("epochs", 4, "screener distillation epochs")
+	bits := fs.Int("bits", 4, "screening precision: 2, 4 or 8")
 
-	tenantsPath := flag.String("tenants", "", "tenant config JSON (multi-tenant QoS: API keys, classes, quotas, pins; SIGHUP re-reads)")
-	shedFrac := flag.Float64("shed-frac", 0.75, "higher-class queue fraction past which lower classes are shed at admission")
+	decodeOn := fs.Bool("decode", false, "enable streaming autoregressive decode sessions on POST /v1/decode")
+	decodeMaxSessions := fs.Int("decode-max-sessions", 256, "decode session cap (429 past this)")
+	decodeTTL := fs.Duration("decode-ttl", time.Minute, "idle decode sessions are evicted after this")
+	decodeDeadline := fs.Duration("decode-deadline", 0, "per-token latency budget: the screening budget m degrades toward the floor before missing it (0: off)")
+	decodeMaxLen := fs.Int("decode-maxlen", 64, "decode sequence length cap")
+	decodeSeed := fs.Uint64("decode-seed", 1, "decoder dynamics seed")
+	decodeWidth := fs.Int("decode-width", 8, "maximum beam width")
+	decodeCache := fs.Int("decode-cache", 0, "candidate-cache slots per session (0: no cache, gather from the classifier)")
+	decodeVerify := fs.Int("decode-verify-every", 64, "exact-recompute cache verification period in steps (negative: off)")
 
-	maxBatch := flag.Int("max-batch", 32, "micro-batch flush size")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batch flush delay")
-	queueCap := flag.Int("queue-cap", 256, "admission queue bound (429 past this)")
-	flushWorkers := flag.Int("flush-workers", 2, "concurrent batch flushes")
-	topM := flag.Int("m", 0, "screening budget TopM (default classes/64)")
-	mFloor := flag.Int("m-floor", 0, "degradation floor for TopM (default TopM/4)")
-	watermark := flag.Float64("watermark", 0.5, "queue-depth fraction where degradation starts")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
-	flag.Parse()
+	tenantsPath := fs.String("tenants", "", "tenant config JSON (multi-tenant QoS: API keys, classes, quotas, pins; SIGHUP re-reads)")
+	shedFrac := fs.Float64("shed-frac", 0.75, "higher-class queue fraction past which lower classes are shed at admission")
 
+	maxBatch := fs.Int("max-batch", 32, "micro-batch flush size")
+	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "micro-batch flush delay")
+	queueCap := fs.Int("queue-cap", 256, "admission queue bound (429 past this)")
+	flushWorkers := fs.Int("flush-workers", 2, "concurrent batch flushes")
+	topM := fs.Int("m", 0, "screening budget TopM (default classes/64)")
+	mFloor := fs.Int("m-floor", 0, "degradation floor for TopM (default TopM/4)")
+	watermark := fs.Float64("watermark", 0.5, "queue-depth fraction where degradation starts")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
+
+	logger := log.New(stderr, "", log.LstdFlags)
 	if *traceOn {
 		// Install before Dial so the cluster router names its process
 		// lanes and ships trace contexts on shard RPCs.
@@ -146,7 +163,9 @@ func main() {
 	var localScr *core.Screener
 	if *clusterMap != "" {
 		shardMap, err := cluster.ParseShardMap(*clusterMap)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		dialCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		router, err = cluster.Dial(dialCtx, cluster.RouterConfig{
 			ShardMap:       shardMap,
@@ -156,49 +175,56 @@ func main() {
 			HealthInterval: *clusterHealthEvery,
 		})
 		cancel()
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		defer router.Close()
-		log.Printf("cluster router: %d shards, %d classes (version %q)",
+		logger.Printf("cluster router: %d shards, %d classes (version %q)",
 			router.Shards(), router.Categories(), router.ModelVersion())
 		backend = router
 	} else if *modelRoot != "" {
 		store, err := registry.Open(*modelRoot)
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		var probe [][]float32
 		if *canaryProbe != "" {
-			f, err := os.Open(*canaryProbe)
-			fatalIf(err)
-			probe, err = core.ReadFeatures(f)
-			fatalIf(err)
-			fatalIf(f.Close())
+			if probe, err = readFeatures(*canaryProbe); err != nil {
+				return err
+			}
 		}
 		mgr, err = registry.NewManager(store, *modelVersion, registry.Options{
 			ProbeTopK:      *canaryTopK,
 			AgreementFloor: *canaryFloor,
 			Probe:          probe,
-			Logf:           log.Printf,
+			Logf:           logger.Printf,
 		})
-		fatalIf(err)
+		if err != nil {
+			return err
+		}
 		backend = mgr.Swappable()
 	} else {
-		localCls, localScr = buildModel(*clsPath, *scrPath, *featPath, *demoClasses, *demoDim, *demoSeed, *epochs, *bits)
-		local, err := server.NewLocal(localCls, localScr)
-		fatalIf(err)
-		backend = local
+		var err error
+		if localCls, localScr, err = buildModel(logger, *clsPath, *scrPath, *featPath, *demoClasses, *demoDim, *demoSeed, *epochs, *bits); err != nil {
+			return err
+		}
+		if backend, err = server.NewLocal(localCls, localScr); err != nil {
+			return err
+		}
 	}
 
 	var tenants *tenant.Resolver
 	if *tenantsPath != "" {
 		var err error
-		tenants, err = tenant.LoadResolver(*tenantsPath)
-		fatalIf(err)
-		names := tenants.Tenants()
-		log.Printf("tenant config: %d tenants from %s", len(names), *tenantsPath)
+		if tenants, err = tenant.LoadResolver(*tenantsPath); err != nil {
+			return err
+		}
+		logger.Printf("tenant config: %d tenants from %s", len(tenants.Tenants()), *tenantsPath)
 	}
 
 	var reqLog *telemetry.RequestLog
 	if *logRequests || *logJSON {
-		reqLog = telemetry.NewRequestLog(os.Stderr, telemetry.RequestLogOptions{
+		reqLog = telemetry.NewRequestLog(stderr, telemetry.RequestLogOptions{
 			JSON: *logJSON,
 			Slow: *slowLog,
 		})
@@ -229,13 +255,13 @@ func main() {
 		SLO:           slo,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer srv.Drain()
 	if mgr != nil {
 		srv.SetReloader(mgr.Reload)
 	}
 
-	var decodeSvc *decode.Service
 	if *decodeOn {
 		dcfg := decode.Config{
 			MaxSessions: *decodeMaxSessions,
@@ -245,29 +271,23 @@ func main() {
 			MFloor:      *mFloor,
 			MaxWidth:    *decodeWidth,
 		}
+		var decodeSvc *decode.Service
 		switch {
 		case mgr != nil:
-			fatalIf(fmt.Errorf("-decode is not supported with -model-root (hot swap would invalidate session state)"))
+			return fmt.Errorf("-decode is not supported with -model-root (hot swap would invalidate session state)")
 		case router != nil:
 			// The decoder dynamics need the classifier rows, which a
 			// router never holds — regenerate the demo model the workers
-			// were sharded from. Generate's RNG depends only on the seed,
-			// so matching -demo-* flags reproduce the workers' classifier
-			// bit-for-bit.
+			// were sharded from (matching -demo-* flags reproduce it bit
+			// for bit).
 			if router.Categories() != *demoClasses || router.Hidden() != *demoDim {
-				fatalIf(fmt.Errorf("-decode over -cluster: router serves %d×%d but -demo-classes/-demo-dim say %d×%d; point the demo flags at the cluster's model",
-					router.Categories(), router.Hidden(), *demoClasses, *demoDim))
+				return fmt.Errorf("-decode over -cluster: router serves %d×%d but -demo-classes/-demo-dim say %d×%d; point the demo flags at the cluster's model",
+					router.Categories(), router.Hidden(), *demoClasses, *demoDim)
 			}
-			inst := workload.Generate(
-				workload.Spec{Name: "serve-demo", Categories: *demoClasses, Hidden: *demoDim, LatentRank: 32, ZipfS: 1.05},
-				workload.GenOptions{Seed: *demoSeed, Train: 1, Valid: 1, Test: 1})
-			dec := workload.NewDecoderFor(inst.Classifier, *decodeSeed, *decodeMaxLen)
+			dec := workload.NewDecoderFor(workload.Demo(*demoClasses, *demoDim, *demoSeed).Classifier, *decodeSeed, *decodeMaxLen)
 			decodeSvc = decode.NewService(dcfg, dec, func() decode.Scorer { return router.NewDecodeScorer() })
-			log.Printf("decode sessions enabled over the cluster (per-token scatter, session affinity)")
+			logger.Printf("decode sessions enabled over the cluster (per-token scatter, session affinity)")
 		default:
-			if localCls == nil || localScr == nil {
-				fatalIf(fmt.Errorf("-decode needs a local classifier+screener"))
-			}
 			dec := workload.NewDecoderFor(localCls, *decodeSeed, *decodeMaxLen)
 			decodeSvc = decode.NewService(dcfg, dec, func() decode.Scorer {
 				return decode.NewLocalScorer(localCls, localScr, decode.LocalScorerConfig{
@@ -275,134 +295,145 @@ func main() {
 					VerifyEvery: *decodeVerify,
 				})
 			})
-			log.Printf("decode sessions enabled (local scorer, candidate cache)")
+			logger.Printf("decode sessions enabled (local scorer, candidate cache)")
 		}
+		// Runs before the deferred srv.Drain, after the API listener's
+		// Shutdown: by then every in-flight stream has completed.
+		defer decodeSvc.Shutdown()
 		srv.SetDecode(decodeSvc)
 	}
 
+	var dbg string
 	if *debugAddr != "" {
-		dbg, err := telemetry.ServeDebugWith(*debugAddr, func() {
-			slo.Publish(telemetry.Default())
-		})
+		var stop func()
+		dbg, stop, err = telemetry.ServeDebug(*debugAddr, func() { slo.Publish(telemetry.Default()) })
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("debug endpoint on http://%s (pprof, /metrics, /debug/vars, /debug/spans)", dbg)
-		if *debugPortFile != "" {
-			_, dbgPort, err := net.SplitHostPort(dbg)
-			fatalIf(err)
-			fatalIf(os.WriteFile(*debugPortFile, []byte(dbgPort+"\n"), 0o644))
-		}
+		defer stop()
+		logger.Printf("debug endpoint on http://%s (pprof, /metrics, /debug/vars, /debug/spans)", dbg)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if *portFile != "" {
-		port := ln.Addr().(*net.TCPAddr).Port
-		fatalIf(os.WriteFile(*portFile, []byte(strconv.Itoa(port)+"\n"), 0o644))
+		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() {
-		log.Printf("serving %d classes × %d dims on %s (queue=%d batch=%d/%s)",
-			backend.Categories(), backend.Hidden(), ln.Addr(), *queueCap, *maxBatch, *maxDelay)
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Fatal(err)
-		}
-	}()
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+	logger.Printf("serving %d classes × %d dims on %s (queue=%d batch=%d/%s)",
+		backend.Categories(), backend.Hidden(), ln.Addr(), *queueCap, *maxBatch, *maxDelay)
+	if listening != nil {
+		listening(ln.Addr().String(), dbg)
+	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM, syscall.SIGHUP)
+	// SIGHUP = "re-read config": the tenant file (quotas, keys, pins —
+	// zero dropped in-flight requests, bad config keeps the previous
+	// generation serving) and, with -model-root, the newest model
+	// version. A failed canary or load keeps the current version
+	// serving — rollback is the default, not an action.
+	var reloads sync.WaitGroup
+	defer reloads.Wait()
 	for {
-		got := <-sig
-		if got == syscall.SIGHUP {
-			// SIGHUP = "re-read config": the tenant file (quotas, keys,
-			// pins — zero dropped in-flight requests, bad config keeps
-			// the previous generation serving) and, with -model-root,
-			// the newest model version. A failed canary or load keeps
-			// the current version serving — rollback is the default,
-			// not an action.
-			if tenants != nil {
-				if err := tenants.Reload(); err != nil {
-					log.Printf("SIGHUP tenant reload failed (previous config still serving): %v", err)
-				} else {
-					log.Printf("SIGHUP tenant reload: %d tenants", len(tenants.Tenants()))
-				}
+		var got os.Signal
+		select {
+		case err := <-serveErr:
+			return err
+		case got = <-sig:
+		}
+		if got != syscall.SIGHUP {
+			logger.Printf("%s: draining (readiness down, intake stopped)", got)
+			break
+		}
+		if tenants != nil {
+			if err := tenants.Reload(); err != nil {
+				logger.Printf("SIGHUP tenant reload failed (previous config still serving): %v", err)
+			} else {
+				logger.Printf("SIGHUP tenant reload: %d tenants", len(tenants.Tenants()))
 			}
-			if mgr == nil {
-				if tenants == nil {
-					log.Printf("SIGHUP: no -model-root or -tenants configured, ignoring")
-				}
-				continue
+		}
+		if mgr == nil {
+			if tenants == nil {
+				logger.Printf("SIGHUP: no -model-root or -tenants configured, ignoring")
 			}
-			go func() {
-				active, err := mgr.Reload(context.Background(), "")
-				if err != nil {
-					log.Printf("SIGHUP reload failed (still serving %q): %v", active, err)
-					return
-				}
-				log.Printf("SIGHUP reload: serving %q", active)
-			}()
 			continue
 		}
-		log.Printf("%s: draining (readiness down, intake stopped)", got)
-		break
+		reloads.Add(1)
+		go func() {
+			defer reloads.Done()
+			active, err := mgr.Reload(context.Background(), "")
+			if err != nil {
+				logger.Printf("SIGHUP reload failed (still serving %q): %v", active, err)
+				return
+			}
+			logger.Printf("SIGHUP reload: serving %q", active)
+		}()
 	}
 	srv.Drain()
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("shutdown: %v", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-	if decodeSvc != nil {
-		// After Shutdown returns every in-flight stream has completed;
-		// new sessions were already refused once draining began.
-		decodeSvc.Shutdown()
-	}
-	log.Printf("drained cleanly")
+	logger.Printf("drained cleanly")
+	return nil
 }
 
 // buildModel loads the classifier/screener pair from disk, or trains
 // a synthetic demo pair when no paths are given.
-func buildModel(clsPath, scrPath, featPath string, classes, dim int, seed uint64, epochs, bits int) (*core.Classifier, *core.Screener) {
-	if clsPath != "" {
-		f, err := os.Open(clsPath)
-		fatalIf(err)
-		cls, err := core.ReadClassifier(f)
-		fatalIf(err)
-		fatalIf(f.Close())
-		var scr *core.Screener
-		if scrPath != "" {
-			g, err := os.Open(scrPath)
-			fatalIf(err)
-			scr, err = core.ReadScreener(g)
-			fatalIf(err)
-			fatalIf(g.Close())
-		}
-		if scr == nil {
-			if featPath == "" {
-				fatalIf(fmt.Errorf("need -screener or -features alongside -classifier"))
-			}
-			h, err := os.Open(featPath)
-			fatalIf(err)
-			feats, err := core.ReadFeatures(h)
-			fatalIf(err)
-			fatalIf(h.Close())
-			scr = train(cls, feats, bits, epochs, seed)
-		}
-		return cls, scr
+func buildModel(logger *log.Logger, clsPath, scrPath, featPath string, classes, dim int, seed uint64, epochs, bits int) (*core.Classifier, *core.Screener, error) {
+	if clsPath == "" {
+		logger.Printf("no -classifier given: training a %d×%d demo model", classes, dim)
+		inst := workload.Demo(classes, dim, seed)
+		scr, err := train(inst.Classifier, inst.Train, bits, epochs, seed)
+		return inst.Classifier, scr, err
 	}
-
-	log.Printf("no -classifier given: training a %d×%d demo model", classes, dim)
-	inst := workload.Generate(
-		workload.Spec{Name: "serve-demo", Categories: classes, Hidden: dim, LatentRank: 32, ZipfS: 1.05},
-		workload.GenOptions{Seed: seed, Train: 512, Valid: 32, Test: 32})
-	return inst.Classifier, train(inst.Classifier, inst.Train, bits, epochs, seed)
+	f, err := os.Open(clsPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	cls, err := core.ReadClassifier(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", clsPath, err)
+	}
+	if scrPath != "" {
+		g, err := os.Open(scrPath)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer g.Close()
+		scr, err := core.ReadScreener(g)
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s: %w", scrPath, err)
+		}
+		return cls, scr, nil
+	}
+	if featPath == "" {
+		return nil, nil, fmt.Errorf("need -screener or -features alongside -classifier")
+	}
+	feats, err := readFeatures(featPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	scr, err := train(cls, feats, bits, epochs, seed)
+	return cls, scr, err
 }
 
-func train(cls *core.Classifier, feats [][]float32, bits, epochs int, seed uint64) *core.Screener {
+func readFeatures(path string) ([][]float32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	feats, err := core.ReadFeatures(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return feats, nil
+}
+
+func train(cls *core.Classifier, feats [][]float32, bits, epochs int, seed uint64) (*core.Screener, error) {
 	scr, _, err := core.TrainScreener(cls, feats, core.Config{
 		Categories: cls.Categories(),
 		Hidden:     cls.Hidden(),
@@ -410,13 +441,5 @@ func train(cls *core.Classifier, feats [][]float32, bits, epochs int, seed uint6
 		Precision:  quant.Bits(bits),
 		Seed:       seed,
 	}, core.TrainOptions{Epochs: epochs, Seed: seed + 1})
-	fatalIf(err)
-	return scr
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return scr, err
 }

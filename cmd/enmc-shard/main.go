@@ -36,12 +36,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
+	"sync"
 	"syscall"
 	"time"
 
@@ -54,34 +55,59 @@ import (
 	"enmc/internal/workload"
 )
 
+// readyGrace bounds how long a draining worker keeps its listener
+// open waiting for a /readyz probe to see the 503: two of the router's
+// default 500 ms probe periods.
+const readyGrace = time.Second
+
 func main() {
-	addr := flag.String("addr", ":9090", "listen address")
-	portFile := flag.String("port-file", "", "write the bound port here once listening (for scripts with -addr :0)")
-	debugAddr := flag.String("debug-addr", "", "pprof/expvar/metrics listen address (empty: disabled)")
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stderr, sig, nil); err != nil {
+		fmt.Fprintln(os.Stderr, "enmc-shard:", err)
+		os.Exit(1)
+	}
+}
 
-	shardIndex := flag.Int("shard-index", 0, "this worker's shard (row-slice) index")
-	shardCount := flag.Int("shard-count", 1, "total shards in the cluster")
+// run is the whole worker: it parses args, serves until a signal
+// arrives on sig, drains, and returns once every listener and
+// goroutine it started is gone. Logs and request logs go to stderr.
+// listening, when non-nil, is called with the bound worker and debug
+// addresses (debug "" without -debug-addr) once both accept
+// connections.
+func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(api, debug string)) error {
+	fs := flag.NewFlagSet("enmc-shard", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":9090", "listen address")
+	debugAddr := fs.String("debug-addr", "", "pprof/expvar/metrics listen address (empty: disabled)")
 
-	clsPath := flag.String("classifier", "", "serialized GLOBAL classifier (SaveClassifier format)")
-	featPath := flag.String("features", "", "features for shard screener training (WriteFeatures format)")
-	modelRoot := flag.String("model-root", "", "versioned model registry root (classifier + probe from the registry)")
-	modelVersion := flag.String("model-version", "", "registry version to serve (default newest)")
-	label := flag.String("label", "", "model version label advertised in shard replies (non-registry mode)")
+	shardIndex := fs.Int("shard-index", 0, "this worker's shard (row-slice) index")
+	shardCount := fs.Int("shard-count", 1, "total shards in the cluster")
 
-	logRequests := flag.Bool("log-requests", false, "emit one structured request-log record per shard RPC on stderr")
-	logJSON := flag.Bool("log-json", false, "request log as JSON lines (implies -log-requests; default: text)")
-	slowLog := flag.Duration("slow-log", 250*time.Millisecond, "request-log slow threshold: requests above this log at WARN")
+	clsPath := fs.String("classifier", "", "serialized GLOBAL classifier (SaveClassifier format)")
+	featPath := fs.String("features", "", "features for shard screener training (WriteFeatures format)")
+	modelRoot := fs.String("model-root", "", "versioned model registry root (classifier + probe from the registry)")
+	modelVersion := fs.String("model-version", "", "registry version to serve (default newest)")
+	label := fs.String("label", "", "model version label advertised in shard replies (non-registry mode)")
 
-	demoClasses := flag.Int("demo-classes", 4096, "demo model: class count")
-	demoDim := flag.Int("demo-dim", 128, "demo model: hidden dimension")
-	demoSeed := flag.Uint64("demo-seed", 7, "demo model: generation/training seed")
-	epochs := flag.Int("epochs", 4, "shard screener distillation epochs")
-	bits := flag.Int("bits", 4, "shard screening precision: 2, 4 or 8")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
-	flag.Parse()
+	logRequests := fs.Bool("log-requests", false, "emit one structured request-log record per shard RPC on stderr")
+	logJSON := fs.Bool("log-json", false, "request log as JSON lines (implies -log-requests; default: text)")
+	slowLog := fs.Duration("slow-log", 250*time.Millisecond, "request-log slow threshold: requests above this log at WARN")
 
-	cls, feats, version := loadGlobal(*clsPath, *featPath, *modelRoot, *modelVersion,
+	demoClasses := fs.Int("demo-classes", 4096, "demo model: class count")
+	demoDim := fs.Int("demo-dim", 128, "demo model: hidden dimension")
+	demoSeed := fs.Uint64("demo-seed", 7, "demo model: generation/training seed")
+	epochs := fs.Int("epochs", 4, "shard screener distillation epochs")
+	bits := fs.Int("bits", 4, "shard screening precision: 2, 4 or 8")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
+
+	logger := log.New(stderr, "", log.LstdFlags)
+	cls, feats, version, err := loadGlobal(logger, *clsPath, *featPath, *modelRoot, *modelVersion,
 		*demoClasses, *demoDim, *demoSeed)
+	if err != nil {
+		return err
+	}
 	if *label != "" {
 		version = *label
 	}
@@ -92,108 +118,138 @@ func main() {
 		Precision: quant.Bits(*bits),
 		Seed:      *demoSeed,
 	}, core.TrainOptions{Epochs: *epochs, Seed: *demoSeed + 1})
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	shard.Version = version
 
 	worker, err := cluster.NewWorker(shard)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	if *logRequests || *logJSON {
-		worker.SetRequestLog(telemetry.NewRequestLog(os.Stderr, telemetry.RequestLogOptions{
+		worker.SetRequestLog(telemetry.NewRequestLog(stderr, telemetry.RequestLogOptions{
 			JSON: *logJSON,
 			Slow: *slowLog,
 		}))
 	}
 
+	var dbg string
 	if *debugAddr != "" {
-		dbg, err := telemetry.ServeDebug(*debugAddr)
-		fatalIf(err)
-		log.Printf("debug endpoint on http://%s", dbg)
+		var stop func()
+		if dbg, stop, err = telemetry.ServeDebug(*debugAddr); err != nil {
+			return err
+		}
+		defer stop()
+		logger.Printf("debug endpoint on http://%s", dbg)
 	}
 
 	ln, err := net.Listen("tcp", *addr)
-	fatalIf(err)
-	if *portFile != "" {
-		port := ln.Addr().(*net.TCPAddr).Port
-		fatalIf(os.WriteFile(*portFile, []byte(strconv.Itoa(port)+"\n"), 0o644))
+	if err != nil {
+		return err
 	}
-	httpSrv := &http.Server{Handler: worker.Handler()}
-	go func() {
-		info := worker.Info()
-		log.Printf("shard %d/%d serving rows [%d,%d) of %d dims on %s (version %q)",
-			*shardIndex, *shardCount, info.Offset, info.Offset+info.Classes, info.Hidden, ln.Addr(), version)
-		if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Fatal(err)
+	// probed closes once a /readyz has answered 503: some prober has
+	// seen the drain, so the listener may go.
+	probed := make(chan struct{})
+	var probedOnce sync.Once
+	handler := worker.Handler()
+	httpSrv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			handler.ServeHTTP(w, r)
+			return
 		}
-	}()
+		sr := &telemetry.StatusRecorder{ResponseWriter: w}
+		handler.ServeHTTP(sr, r)
+		if sr.Status() == http.StatusServiceUnavailable {
+			probedOnce.Do(func() { close(probed) })
+		}
+	})}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- httpSrv.Serve(ln) }()
+	info := worker.Info()
+	logger.Printf("shard %d/%d serving rows [%d,%d) of %d dims on %s (version %q)",
+		*shardIndex, *shardCount, info.Offset, info.Offset+info.Classes, info.Hidden, ln.Addr(), version)
+	if listening != nil {
+		listening(ln.Addr().String(), dbg)
+	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	got := <-sig
-	log.Printf("%s: draining (readiness down)", got)
+	select {
+	case err := <-serveErr:
+		return err
+	case got := <-sig:
+		logger.Printf("%s: draining (readiness down)", got)
+	}
 	worker.Drain()
+	select {
+	case <-probed:
+	case <-time.After(readyGrace):
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("shutdown: %v", err)
-		os.Exit(1)
+		return fmt.Errorf("shutdown: %w", err)
 	}
-	log.Printf("drained cleanly")
+	logger.Printf("drained cleanly")
+	return nil
 }
 
 // loadGlobal resolves the global model this worker slices: registry
 // version, explicit files, or a trained demo instance.
-func loadGlobal(clsPath, featPath, modelRoot, modelVersion string, classes, dim int, seed uint64) (*core.Classifier, [][]float32, string) {
+func loadGlobal(logger *log.Logger, clsPath, featPath, modelRoot, modelVersion string, classes, dim int, seed uint64) (*core.Classifier, [][]float32, string, error) {
 	var feats [][]float32
 	if featPath != "" {
 		f, err := os.Open(featPath)
-		fatalIf(err)
-		fs, err := core.ReadFeatures(f)
-		fatalIf(err)
-		fatalIf(f.Close())
-		feats = fs
+		if err != nil {
+			return nil, nil, "", err
+		}
+		defer f.Close()
+		if feats, err = core.ReadFeatures(f); err != nil {
+			return nil, nil, "", fmt.Errorf("%s: %w", featPath, err)
+		}
 	}
 
 	if modelRoot != "" {
 		store, err := registry.Open(modelRoot)
-		fatalIf(err)
+		if err != nil {
+			return nil, nil, "", err
+		}
 		if modelVersion == "" {
 			latest, err := store.Latest()
-			fatalIf(err)
+			if err != nil {
+				return nil, nil, "", err
+			}
 			modelVersion = latest.Version
 		}
 		loaded, err := store.Load(modelVersion)
-		fatalIf(err)
+		if err != nil {
+			return nil, nil, "", err
+		}
 		if feats == nil {
 			feats = loaded.Probe
 		}
 		if len(feats) == 0 {
-			fatalIf(fmt.Errorf("version %q ships no probe features; pass -features for shard screener training", modelVersion))
+			return nil, nil, "", fmt.Errorf("version %q ships no probe features; pass -features for shard screener training", modelVersion)
 		}
-		return loaded.Classifier, feats, loaded.Manifest.Version
+		return loaded.Classifier, feats, loaded.Manifest.Version, nil
 	}
 
 	if clsPath != "" {
 		f, err := os.Open(clsPath)
-		fatalIf(err)
-		cls, err := core.ReadClassifier(f)
-		fatalIf(err)
-		fatalIf(f.Close())
-		if len(feats) == 0 {
-			fatalIf(fmt.Errorf("need -features alongside -classifier for shard screener training"))
+		if err != nil {
+			return nil, nil, "", err
 		}
-		return cls, feats, ""
+		defer f.Close()
+		cls, err := core.ReadClassifier(f)
+		if err != nil {
+			return nil, nil, "", fmt.Errorf("%s: %w", clsPath, err)
+		}
+		if len(feats) == 0 {
+			return nil, nil, "", fmt.Errorf("need -features alongside -classifier for shard screener training")
+		}
+		return cls, feats, "", nil
 	}
 
-	log.Printf("no -classifier/-model-root given: training a %d×%d demo model", classes, dim)
-	inst := workload.Generate(
-		workload.Spec{Name: "shard-demo", Categories: classes, Hidden: dim, LatentRank: 32, ZipfS: 1.05},
-		workload.GenOptions{Seed: seed, Train: 512, Valid: 32, Test: 32})
-	return inst.Classifier, inst.Train, ""
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	logger.Printf("no -classifier/-model-root given: training a %d×%d demo model", classes, dim)
+	inst := workload.Demo(classes, dim, seed)
+	return inst.Classifier, inst.Train, "", nil
 }

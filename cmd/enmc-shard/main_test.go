@@ -1,0 +1,175 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"runtime"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+
+	"enmc/internal/cluster"
+	"enmc/internal/core"
+	"enmc/internal/distributed"
+	"enmc/internal/quant"
+	"enmc/internal/workload"
+)
+
+// syncBuffer is an io.Writer several goroutines may log into.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// screen posts a v2 screen frame and decodes the reply's candidates.
+func screen(t *testing.T, c *http.Client, base string, frame []byte) [][]cluster.WireCandidate {
+	t.Helper()
+	resp, err := c.Post(base+"/v1/shard/screen", cluster.ContentTypeScreenV2, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("screen on %s: status %d, %v: %s", base, resp.StatusCode, err, body)
+	}
+	sc := cluster.GetWireScratch()
+	defer sc.Release()
+	out, err := cluster.DecodeScreenResponse(body, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([][]cluster.WireCandidate, len(out.Items))
+	for i, it := range out.Items {
+		items[i] = append([]cluster.WireCandidate(nil), it...)
+	}
+	return items
+}
+
+// TestShardScenario: run with demo flags and -log-json serves its
+// slice of the demo model. /v1/shard/info reports the slice; a screen
+// reply is Float32bits-identical to an in-test ShardOne worker's; the
+// request log carries req_id; SIGTERM turns /readyz to 503 before the
+// listener goes, and run then returns nil. No goroutine outlives run.
+func TestShardScenario(t *testing.T) {
+	base := runtime.NumGoroutine()
+	stderr := &syncBuffer{}
+	sig := make(chan os.Signal, 1)
+	done := make(chan error, 1)
+	bound := make(chan string, 1)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-shard-index", "1", "-shard-count", "3",
+			"-demo-classes", "96", "-demo-dim", "32", "-epochs", "2", "-log-json"},
+			stderr, sig, func(api, _ string) { bound <- "http://" + api })
+	}()
+	var addr string
+	select {
+	case addr = <-bound:
+	case err := <-done:
+		t.Fatalf("run returned before listening: %v\n%s", err, stderr)
+	}
+
+	inst := workload.Demo(96, 32, 7)
+	ref, err := distributed.ShardOne(inst.Classifier, 3, 1, inst.Train, core.Config{
+		Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 7,
+	}, core.TrainOptions{Epochs: 2, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := cluster.NewWorker(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSrv := httptest.NewServer(w.Handler())
+	defer refSrv.Close()
+	c := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{}}
+	defer c.CloseIdleConnections()
+
+	resp, err := c.Get(addr + "/v1/shard/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info cluster.ShardInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := w.Info(); info != want {
+		t.Fatalf("/v1/shard/info = %+v, want %+v", info, want)
+	}
+
+	frame, err := cluster.AppendScreenRequest(nil, 6, inst.Test[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := screen(t, c, addr, frame), screen(t, c, refSrv.URL, frame)
+	if len(got) != len(want) {
+		t.Fatalf("%d items, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) || len(want[i]) == 0 {
+			t.Fatalf("item %d: %d candidates, reference %d", i, len(got[i]), len(want[i]))
+		}
+		for j, wc := range want[i] {
+			if gc := got[i][j]; gc.Class != wc.Class || math.Float32bits(gc.Logit) != math.Float32bits(wc.Logit) {
+				t.Fatalf("item %d candidate %d: %+v, reference %+v", i, j, gc, wc)
+			}
+		}
+	}
+	if !strings.Contains(stderr.String(), `"req_id"`) {
+		t.Fatalf("no JSON request log with req_id:\n%s", stderr)
+	}
+
+	sig <- syscall.SIGTERM
+	for {
+		resp, err := c.Get(addr + "/readyz")
+		if err != nil {
+			t.Fatalf("listener closed before /readyz answered 503: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("run did not return after SIGTERM")
+	}
+
+	refSrv.Close()
+	c.CloseIdleConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still running, %d before the test:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -27,8 +27,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"enmc/internal/core"
@@ -38,35 +41,50 @@ import (
 )
 
 func main() {
-	clsPath := flag.String("classifier", "", "serialized classifier (SaveClassifier format)")
-	featPath := flag.String("features", "", "serialized hidden-state samples (WriteFeatures format)")
-	outPath := flag.String("out", "screener.bin", "output path for the trained screener")
-	k := flag.Int("k", 0, "reduced dimension (default d/4)")
-	bits := flag.Int("bits", 4, "screening precision: 2, 4 or 8")
-	epochs := flag.Int("epochs", 8, "distillation epochs")
-	seed := flag.Uint64("seed", 1, "projection/training seed")
-	demo := flag.Bool("demo", false, "write demo-cls.bin and demo-feats.bin, then exit")
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "enmc-train:", err)
+		os.Exit(1)
+	}
+}
 
-	regRoot := flag.String("registry", "", "publish into this versioned model registry instead of -out")
-	version := flag.String("version", "", "registry version to publish (required with -registry)")
-	parent := flag.String("parent", "", "parent version recorded in the manifest")
-	ckptEvery := flag.Int("checkpoint-every", 2, "registry mode: checkpoint every N epochs")
-	stopAfter := flag.Int("stop-after", 0, "registry mode: interrupt after N epochs (testing resume; 0 = run to completion)")
-	probeCount := flag.Int("probe", 32, "registry mode: held-out probe samples reserved from the feature tail")
-	flag.Parse()
+// run is the whole command: progress goes to stdout, flag errors and
+// usage to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("enmc-train", flag.ExitOnError)
+	fs.SetOutput(stderr)
+	clsPath := fs.String("classifier", "", "serialized classifier (SaveClassifier format)")
+	featPath := fs.String("features", "", "serialized hidden-state samples (WriteFeatures format)")
+	outPath := fs.String("out", "screener.bin", "output path for the trained screener")
+	k := fs.Int("k", 0, "reduced dimension (default d/4)")
+	bits := fs.Int("bits", 4, "screening precision: 2, 4 or 8")
+	epochs := fs.Int("epochs", 8, "distillation epochs")
+	seed := fs.Uint64("seed", 1, "projection/training seed")
+	demo := fs.Bool("demo", false, "write demo-cls.bin and demo-feats.bin, then exit")
+
+	regRoot := fs.String("registry", "", "publish into this versioned model registry instead of -out")
+	version := fs.String("version", "", "registry version to publish (required with -registry)")
+	parent := fs.String("parent", "", "parent version recorded in the manifest")
+	ckptEvery := fs.Int("checkpoint-every", 2, "registry mode: checkpoint every N epochs")
+	stopAfter := fs.Int("stop-after", 0, "registry mode: interrupt after N epochs (testing resume; 0 = run to completion)")
+	probeCount := fs.Int("probe", 32, "registry mode: held-out probe samples reserved from the feature tail")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 
 	if *demo {
-		writeDemo()
-		return
+		return writeDemo(stdout)
 	}
 	if *clsPath == "" || *featPath == "" {
-		fmt.Fprintln(os.Stderr, "usage: enmc-train -classifier cls.bin -features feats.bin [-out scr.bin | -registry dir -version v1]")
-		os.Exit(2)
+		return errors.New("usage: enmc-train -classifier cls.bin -features feats.bin [-out scr.bin | -registry dir -version v1]")
 	}
 
-	cls := loadClassifier(*clsPath)
-	feats := loadFeatures(*featPath)
-	fmt.Printf("classifier: %d classes × %d dims; %d training samples\n",
+	cls, err := loadClassifier(*clsPath)
+	if err != nil {
+		return err
+	}
+	feats, err := loadFeatures(*featPath)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "classifier: %d classes × %d dims; %d training samples\n",
 		cls.Categories(), cls.Hidden(), len(feats))
 
 	kk := *k
@@ -80,112 +98,122 @@ func main() {
 		Precision:  quant.Bits(*bits),
 		Seed:       *seed,
 	}
+	logf := func(format string, args ...interface{}) {
+		fmt.Fprintf(stdout, format+"\n", args...)
+	}
 
 	if *regRoot != "" {
 		if *version == "" {
-			fmt.Fprintln(os.Stderr, "enmc-train: -registry needs -version")
-			os.Exit(2)
+			return errors.New("-registry needs -version")
 		}
-		trainToRegistry(cls, feats, cfg, *regRoot, *version, *parent, *epochs, *ckptEvery, *stopAfter, *probeCount, *seed)
-		return
+		return trainToRegistry(stdout, logf, cls, feats, cfg, *regRoot, *version, *parent, *epochs, *ckptEvery, *stopAfter, *probeCount, *seed)
 	}
 
 	scr, stats, err := core.TrainScreener(cls, feats, cfg, core.TrainOptions{
 		Epochs: *epochs,
 		Seed:   *seed + 1,
-		Logf: func(format string, args ...interface{}) {
-			fmt.Printf(format+"\n", args...)
-		},
+		Logf:   logf,
 	})
-	fatalIf(err)
-	fmt.Printf("converged: final MSE %.6g over %d epochs\n",
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "converged: final MSE %.6g over %d epochs\n",
 		stats.EpochLoss[len(stats.EpochLoss)-1], len(stats.EpochLoss))
 
 	out, err := os.Create(*outPath)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	n, err := scr.WriteTo(out)
-	fatalIf(err)
-	fatalIf(out.Close())
-	fmt.Printf("wrote %s (%.2f MB; %.1f%% of the classifier)\n",
+	if cerr := out.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", *outPath, err)
+	}
+	fmt.Fprintf(stdout, "wrote %s (%.2f MB; %.1f%% of the classifier)\n",
 		*outPath, float64(n)/(1<<20), 100*float64(scr.WeightBytes())/float64(cls.WeightBytes()))
+	return nil
 }
 
 // trainToRegistry runs the checkpointed training flow: resume from an
 // existing checkpoint if one exists, stop early under -stop-after
 // (leaving the checkpoint for the next invocation), publish into the
 // registry on completion.
-func trainToRegistry(cls *core.Classifier, feats [][]float32, cfg core.Config,
-	root, version, parent string, epochs, ckptEvery, stopAfter, probeCount int, seed uint64) {
+func trainToRegistry(stdout io.Writer, logf func(string, ...interface{}), cls *core.Classifier, feats [][]float32, cfg core.Config,
+	root, version, parent string, epochs, ckptEvery, stopAfter, probeCount int, seed uint64) error {
 	store, err := registry.Open(root)
-	fatalIf(err)
+	if err != nil {
+		return err
+	}
 	if store.HasCheckpoint(version) {
-		fmt.Printf("resuming %q from checkpoint %s\n", version, store.CheckpointDir(version))
+		fmt.Fprintf(stdout, "resuming %q from checkpoint %s\n", version, store.CheckpointDir(version))
 	}
 	m, published, err := store.TrainRun(cls, feats, registry.TrainSpec{
-		Version: version,
-		Parent:  parent,
-		Cfg:     cfg,
-		Opt: core.TrainOptions{
-			Seed: seed + 1,
-			Logf: func(format string, args ...interface{}) {
-				fmt.Printf(format+"\n", args...)
-			},
-		},
+		Version:         version,
+		Parent:          parent,
+		Cfg:             cfg,
+		Opt:             core.TrainOptions{Seed: seed + 1, Logf: logf},
 		TotalEpochs:     epochs,
 		CheckpointEvery: ckptEvery,
 		StopAfter:       stopAfter,
 		ProbeCount:      probeCount,
 	})
-	fatalIf(err)
-	if !published {
-		fmt.Printf("interrupted after -stop-after; checkpoint at %s — rerun to resume\n",
-			store.CheckpointDir(version))
-		return
+	if err != nil {
+		return err
 	}
-	fmt.Printf("published %s/%s (seq %d, %s, final MSE %.6g, probe %d)\n",
+	if !published {
+		fmt.Fprintf(stdout, "interrupted after -stop-after; checkpoint at %s — rerun to resume\n",
+			store.CheckpointDir(version))
+		return nil
+	}
+	fmt.Fprintf(stdout, "published %s/%s (seq %d, %s, final MSE %.6g, probe %d)\n",
 		root, m.Version, m.Seq, m.PrecisionString(), m.Train.FinalLoss, probeCount)
+	return nil
 }
 
-func loadClassifier(path string) *core.Classifier {
+func loadClassifier(path string) (*core.Classifier, error) {
 	f, err := os.Open(path)
-	fatalIf(err)
+	if err != nil {
+		return nil, err
+	}
 	defer f.Close()
 	cls, err := core.ReadClassifier(f)
-	fatalIf(err)
-	return cls
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return cls, nil
 }
 
-func loadFeatures(path string) [][]float32 {
+func loadFeatures(path string) ([][]float32, error) {
 	f, err := os.Open(path)
-	fatalIf(err)
+	if err != nil {
+		return nil, err
+	}
 	defer f.Close()
 	feats, err := core.ReadFeatures(f)
-	fatalIf(err)
-	return feats
-}
-
-func writeDemo() {
-	spec := workload.Spec{Name: "demo", Categories: 2048, Hidden: 128, LatentRank: 32, ZipfS: 1.05}
-	inst := workload.Generate(spec, workload.GenOptions{Seed: 7, Train: 512, Valid: 32, Test: 32})
-
-	cf, err := os.Create("demo-cls.bin")
-	fatalIf(err)
-	_, err = inst.Classifier.WriteTo(cf)
-	fatalIf(err)
-	fatalIf(cf.Close())
-
-	ff, err := os.Create("demo-feats.bin")
-	fatalIf(err)
-	_, err = core.WriteFeatures(ff, inst.Train)
-	fatalIf(err)
-	fatalIf(ff.Close())
-	fmt.Println("wrote demo-cls.bin and demo-feats.bin; now run:")
-	fmt.Println("  enmc-train -classifier demo-cls.bin -features demo-feats.bin -out demo-scr.bin")
-}
-
-func fatalIf(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	return feats, nil
+}
+
+func writeDemo(stdout io.Writer) error {
+	inst := workload.Demo(2048, 128, 7)
+	var cls, feats bytes.Buffer
+	if _, err := inst.Classifier.WriteTo(&cls); err != nil {
+		return err
+	}
+	if _, err := core.WriteFeatures(&feats, inst.Train); err != nil {
+		return err
+	}
+	if err := os.WriteFile("demo-cls.bin", cls.Bytes(), 0o644); err != nil {
+		return err
+	}
+	if err := os.WriteFile("demo-feats.bin", feats.Bytes(), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, "wrote demo-cls.bin and demo-feats.bin; now run:")
+	fmt.Fprintln(stdout, "  enmc-train -classifier demo-cls.bin -features demo-feats.bin -out demo-scr.bin")
+	return nil
 }

@@ -91,7 +91,7 @@ func (r *Router) NewDecodeScorer() *DecodeScorer {
 	return &DecodeScorer{r: r, aff: r.NewAffinity(), batch: make([][]float32, 1)}
 }
 
-// Affinity exposes the session's pin state (testing/smoke).
+// Affinity exposes the session's pin state (testing/debug).
 func (ds *DecodeScorer) Affinity() *Affinity { return ds.aff }
 
 // ScoreStep implements decode.Scorer.

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
+	"net/http/pprof"
 	"sync"
 )
 
@@ -62,33 +62,39 @@ func SpansHandler() http.Handler {
 //	/debug/pprof/*  — net/http/pprof profiles
 //	/debug/vars     — expvar, including the "enmc" registry snapshot
 //	/debug/spans    — global tracer as Chrome trace JSON (?drain=1)
-//	/metrics        — the default registry in Prometheus text format
+//	/metrics        — the default registry in Prometheus text format,
+//	                  after running this call's collect hooks
 //	/metrics.json   — the same snapshot as plain JSON
 //
-// It returns the bound address (useful with ":0") after the listener
-// is live; the server itself runs until the process exits.
-func ServeDebug(addr string) (string, error) {
-	return ServeDebugWith(addr)
-}
-
-var debugOnce sync.Once
-
-// ServeDebugWith is ServeDebug plus scrape-time collector hooks for
-// the Prometheus endpoint (see PrometheusHandler).
-func ServeDebugWith(addr string, collect ...func()) (string, error) {
+// Each call serves its own mux, so two debug servers in one process
+// each run their own collectors. It returns the bound address (useful
+// with ":0") once the listener is live, and a stop function that closes
+// the listener and its connections and waits for the server goroutine.
+func ServeDebug(addr string, collect ...func()) (bound string, stop func(), err error) {
 	PublishExpvar()
-	debugOnce.Do(func() {
-		http.Handle("/metrics", PrometheusHandler(Default(), collect...))
-		http.Handle("/metrics.json", MetricsJSONHandler())
-		http.Handle("/debug/spans", SpansHandler())
-	})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/vars", expvar.Handler())
+	mux.Handle("/debug/spans", SpansHandler())
+	mux.Handle("/metrics", PrometheusHandler(Default(), collect...))
+	mux.Handle("/metrics.json", MetricsJSONHandler())
+
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("telemetry: debug listener: %w", err)
+		return "", nil, fmt.Errorf("telemetry: debug listener: %w", err)
 	}
+	srv := &http.Server{Handler: mux}
+	done := make(chan struct{})
 	go func() {
-		// Serve on the default mux, where pprof and expvar registered.
-		_ = http.Serve(ln, nil)
+		defer close(done)
+		_ = srv.Serve(ln) // ErrServerClosed once stop runs
 	}()
-	return ln.Addr().String(), nil
+	return ln.Addr().String(), func() {
+		_ = srv.Close() // the listener and connections are all it owns
+		<-done
+	}, nil
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // Exposition-format parser: the validating half of promexpo. It
-// exists so the tests and the CI metrics smoke (cmd/enmc-promlint)
-// check a live scrape against the same grammar the writer claims to
-// emit, instead of grepping for substrings.
+// exists so the tests — down to the serving scenarios in
+// cmd/enmc-serve — check a live scrape against the same grammar the
+// writer claims to emit, instead of grepping for substrings.
 
 // PromSample is one parsed sample line.
 type PromSample struct {

@@ -297,6 +297,18 @@ func Generate(spec Spec, opts GenOptions) *Instance {
 	return inst
 }
 
+// Demo generates the demo model the command-line tools build when no
+// model is given: a classes×dim classifier of latent rank 32 with
+// Zipf(1.05) class frequencies, plus 512/32/32 train/valid/test
+// samples. The instance depends only on the arguments, so processes
+// given the same -demo-* flags hold bit-identical classifiers — what
+// lets a cluster router regenerate the model its shard workers sliced.
+func Demo(classes, dim int, seed uint64) *Instance {
+	return Generate(
+		Spec{Name: "demo", Categories: classes, Hidden: dim, LatentRank: 32, ZipfS: 1.05},
+		GenOptions{Seed: seed, Train: 512, Valid: 32, Test: 32})
+}
+
 // zipf draws class indices with probability ∝ 1/(rank+2)^s over a
 // fixed random permutation, approximated by inverse-CDF sampling on
 // a precomputed table when l is small and by rejection otherwise.

@@ -108,6 +108,27 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestDemoBitIdentical: two Demo calls with the same arguments build
+// Float32bits-equal classifiers — the invariant that lets processes
+// started with matching -demo-* flags share one model.
+func TestDemoBitIdentical(t *testing.T) {
+	a, b := Demo(96, 32, 7), Demo(96, 32, 7)
+	if a.Classifier.Categories() != 96 || a.Classifier.Hidden() != 32 || len(a.Train) != 512 {
+		t.Fatalf("demo shape %d×%d, %d train samples",
+			a.Classifier.Categories(), a.Classifier.Hidden(), len(a.Train))
+	}
+	for i, w := range a.Classifier.W.Data {
+		if math.Float32bits(w) != math.Float32bits(b.Classifier.W.Data[i]) {
+			t.Fatalf("weight %d differs across calls", i)
+		}
+	}
+	for i, bias := range a.Classifier.B {
+		if math.Float32bits(bias) != math.Float32bits(b.Classifier.B[i]) {
+			t.Fatalf("bias %d differs across calls", i)
+		}
+	}
+}
+
 func TestGenerateShapesAndSplits(t *testing.T) {
 	spec := Spec{Name: "t", Categories: 200, Hidden: 24, LatentRank: 8, ZipfS: 1}
 	inst := Generate(spec, GenOptions{Seed: 1, Train: 10, Valid: 5, Test: 7})

@@ -94,7 +94,11 @@ func DisableDRAMMetrics() { dram.DisableMetrics() }
 // ServeDebug starts an HTTP observability endpoint on addr
 // (host:port, ":0" picks a free port) exposing net/http/pprof
 // profiles under /debug/pprof/, expvar under /debug/vars (including
-// the registry snapshot as the "enmc" var), and the plain-JSON
-// registry snapshot at /metrics. It returns the bound address; the
+// the registry snapshot as the "enmc" var), and the registry in
+// Prometheus text at /metrics (plain JSON at /metrics.json). It
+// returns the bound address; the
 // server runs until the process exits.
-func ServeDebug(addr string) (string, error) { return telemetry.ServeDebug(addr) }
+func ServeDebug(addr string) (string, error) {
+	bound, _, err := telemetry.ServeDebug(addr)
+	return bound, err
+}
