@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race bench bench-smoke bench-selftest vet fmt check ci cover clean report report-check
+.PHONY: all build test test-purego race fuzz bench bench-smoke bench-selftest vet fmt check ci cover clean report report-check
 
 all: build
 
@@ -28,6 +28,20 @@ test-purego:
 # resume).
 race:
 	$(GO) test -race ./...
+
+# Every Fuzz* target in the module, one at a time (go test fuzzes one
+# target per run), for 30 s each. `make test` runs only their seed
+# corpora; this is the nightly pass that searches past them. A failing
+# target writes its input under the package's testdata/fuzz/ and the
+# pass goes on to the next target, failing at the end.
+fuzz:
+	@failed=; for dir in $$(grep -rl --include='*_test.go' --exclude-dir=bench '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -d' ' -f2); do \
+			echo "fuzz $$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime 30s $$dir || failed="$$failed $$dir:$$target"; \
+		done; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz failures:$$failed"; exit 1; fi
 
 bench:
 	$(GO) test -bench . -benchtime 100x -benchmem ./...

@@ -27,7 +27,10 @@
 // Endpoints: POST /v1/classify, POST /v1/classify_batch, POST
 // /v1/decode (with -decode), GET /v1/model, POST /v1/model/reload,
 // GET /v1/slo, GET /v1/tenants, GET /metrics (Prometheus text), GET
-// /healthz, GET /readyz.
+// /healthz, GET /readyz. Both classify endpoints are admitted into the
+// same micro-batching queue: a caller batch of n items is one queue
+// entry that counts n toward -queue-cap, so a batch larger than
+// -queue-cap is refused (400).
 //
 // With -tenants the server resolves the X-Enmc-Api-Key header against
 // an on-disk tenant config: each tenant gets a QoS class
@@ -141,7 +144,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 
 	maxBatch := fs.Int("max-batch", 32, "micro-batch flush size")
 	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "micro-batch flush delay")
-	queueCap := fs.Int("queue-cap", 256, "admission queue bound (429 past this)")
+	queueCap := fs.Int("queue-cap", 256, "per-class admission queue bound in items (429 past it; also the largest /v1/classify_batch)")
 	flushWorkers := fs.Int("flush-workers", 2, "concurrent batch flushes")
 	topM := fs.Int("m", 0, "screening budget TopM (default classes/64)")
 	mFloor := fs.Int("m-floor", 0, "degradation floor for TopM (default TopM/4)")

@@ -337,6 +337,28 @@ func classify(c *http.Client, base, key string, h []float32) (reply, error) {
 	return r, err
 }
 
+// classifyBatch posts hs to /v1/classify_batch under API key and
+// returns the status. A transport failure is an error.
+func classifyBatch(c *http.Client, base, key string, hs [][]float32) (int, error) {
+	body, err := json.Marshal(server.ClassifyBatchRequest{Batch: hs, TopK: 3})
+	if err != nil {
+		return 0, err
+	}
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/classify_batch", bytes.NewReader(body))
+	if err != nil {
+		return 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Enmc-Api-Key", key)
+	resp, err := c.Do(req)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	_, err = io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, err
+}
+
 // getJSON decodes a GET's 200 body into v.
 func getJSON(t *testing.T, c *http.Client, url string, v any) {
 	t.Helper()
@@ -846,13 +868,15 @@ const tenantsGen2 = `{"tenants": [
 
 // TestQoSScenario: a paced interactive tenant (alice) against a
 // 32-worker batch flood (bob) on a queue of 8, batch 8, one flush
-// worker. Mid-load the tenant file is rewritten and SIGHUP reloads it:
-// from then on bob is served no faster than his new quota. Alice sees
-// no 429, no 5xx, no transport error and a p99 within budget, and her
-// admissions are counted under her labels; bob draws 429s; the batch
-// class absorbs at least 95 % of shed + degraded + throttled; the tenant
-// pinned to v1 is served by v1 while alice gets the active v2; and
-// /v1/tenants lists alice and bob.
+// worker, and a second bob flood of 4-item /v1/classify_batch posts,
+// which queue in the same batch class. Mid-load the tenant file is
+// rewritten and SIGHUP reloads it: from then on bob is served no faster
+// than his new quota. Alice sees no 429, no 5xx, no transport error and
+// a p99 within budget, and her admissions are counted under her labels;
+// bob draws 429s and never a 5xx; the batch class absorbs at least 95 %
+// of shed + degraded + throttled; the tenant pinned to v1 is served by
+// v1 while alice gets the active v2; and /v1/tenants lists alice and
+// bob.
 func TestQoSScenario(t *testing.T) {
 	noLeaks(t)
 	store, _ := registryFixture(t)
@@ -886,7 +910,7 @@ func TestQoSScenario(t *testing.T) {
 
 	var mu sync.Mutex
 	var aliceLat []time.Duration
-	var aliceBad, bobTransport, bob429 atomic.Int64
+	var aliceBad, bobTransport, bob429, bobBatchOK, bobBatch429, bobBatchBad atomic.Int64
 	stopAlice := hammer(1, func(rng *rand.Rand) {
 		r, err := classify(c, s.api, "alice", randVec(rng, demoDim))
 		if err != nil || r.status != http.StatusOK {
@@ -912,6 +936,21 @@ func TestQoSScenario(t *testing.T) {
 			bobServedAfter.Add(1)
 		}
 	})
+	stopBobBatch := hammer(8, func(rng *rand.Rand) {
+		hs := make([][]float32, 4)
+		for i := range hs {
+			hs[i] = randVec(rng, demoDim)
+		}
+		switch code, err := classifyBatch(c, s.api, "bob", hs); {
+		case err == nil && code == http.StatusOK:
+			bobBatchOK.Add(1)
+		case err == nil && code == http.StatusTooManyRequests:
+			bobBatch429.Add(1)
+		default:
+			bobBatchBad.Add(1)
+		}
+	})
+	defer stopBobBatch()
 	defer stopBob()
 	defer stopAlice()
 
@@ -928,17 +967,24 @@ func TestQoSScenario(t *testing.T) {
 	time.Sleep(time.Second)
 	stopBob()
 	sinceReload := time.Since(reloadedAt)
+	stopBobBatch()
 	stopAlice()
 
 	sort.Slice(aliceLat, func(i, j int) bool { return aliceLat[i] < aliceLat[j] })
 	if len(aliceLat) == 0 || aliceBad.Load() != 0 {
 		t.Fatalf("alice: %d served, %d refused or failed", len(aliceLat), aliceBad.Load())
 	}
-	if p99 := aliceLat[len(aliceLat)*99/100]; p99 > qosP99Budget {
+	p99 := aliceLat[len(aliceLat)*99/100]
+	t.Logf("alice: %d served, p99 %s; bob: %d single 429s, batches %d served / %d 429s",
+		len(aliceLat), p99, bob429.Load(), bobBatchOK.Load(), bobBatch429.Load())
+	if p99 > qosP99Budget {
 		t.Errorf("alice p99 %s over the %s budget", p99, qosP99Budget)
 	}
 	if bob429.Load() == 0 || bobTransport.Load() != 0 {
 		t.Errorf("bob: %d 429s, %d transport errors; want some 429s and no transport error", bob429.Load(), bobTransport.Load())
+	}
+	if n := bobBatchBad.Load(); n != 0 {
+		t.Errorf("bob's batches: %d answered neither 200 nor 429", n)
 	}
 	// The new bucket holds one token and refills 5 a second.
 	if n, quota := bobServedAfter.Load(), 2+5*sinceReload.Seconds(); float64(n) > quota {

@@ -48,47 +48,43 @@ var mClassDepth = func() [tenant.NumClasses]*telemetry.Gauge {
 	return g
 }()
 
-// request is one queued single-item classification.
+// request is one queued classification entry: one item from
+// /v1/classify, n items from /v1/classify_batch. It is never split
+// across flushes.
 type request struct {
 	ctx  context.Context
-	h    []float32
+	hs   [][]float32
 	topK int
 	enq  time.Time
 	resp chan reply // buffered(1): the flush worker never blocks on it
 	// class is the owning tenant's priority class — the WFQ queue the
 	// request waits in and the degradation policy applied to it.
 	class tenant.Class
-	// tenantName labels telemetry; pinned routes the flush to a pinned
-	// model version ("" = active model).
-	tenantName string
-	pinned     string
-	// tc is the request's distributed trace context (zero when
-	// untraced). A flush adopts the first live request's tc — one
-	// micro-batch serves many requests, so the batch-level fan-out is
-	// attributed to the trace that opened it.
-	tc telemetry.TraceCtx
+	// pinned routes the flush to a pinned model version ("" = active
+	// model).
+	pinned string
 }
 
-// reply carries a request's outcome plus the serving metadata
-// surfaced in the response body.
+// reply carries a request's outcomes (one per item) plus the serving
+// metadata surfaced in the response body.
 type reply struct {
-	out      Outcome
+	outs     []Outcome
 	m        int
 	degraded bool
-	batch    int
+	batch    int // items in the flush
 	queuedNs int64
 	version  string  // model version that served the batch
 	partial  Partial // cluster degradation state (zero off-cluster)
 	err      error
 }
 
-// batcher is the dynamic micro-batching scheduler: single requests
-// are admitted into a per-class weighted-fair queue (deficit round
-// robin — see internal/tenant), a collector goroutine drains it in
-// DRR order into class-homogeneous batches (flushing when MaxBatch
-// accumulate or the oldest has waited MaxDelay), and a small pool of
-// flush workers fans each batch into the backend's worker-pool
-// ClassifyBatch.
+// batcher is the dynamic micro-batching scheduler: requests are
+// admitted into a per-class weighted-fair queue (deficit round robin
+// over items — see internal/tenant), a collector goroutine drains it
+// in DRR order into class-homogeneous batches (flushing when MaxBatch
+// items accumulate or the oldest has waited MaxDelay), and a small
+// pool of flush workers fans each batch into the backend's
+// worker-pool ClassifyBatch.
 type batcher struct {
 	cfg     Config
 	backend Backend
@@ -99,7 +95,6 @@ type batcher struct {
 	q     *tenant.WFQ[*request]
 	flush chan []*request
 	wg    sync.WaitGroup // collector + flush workers
-	depth atomic.Int64
 }
 
 func newBatcher(cfg Config, backend Backend) *batcher {
@@ -120,17 +115,18 @@ func newBatcher(cfg Config, backend Backend) *batcher {
 
 // enqueue admits a request or rejects it immediately: ErrDraining
 // once drain has begun, ErrShed when the ladder is protecting a
-// higher class, ErrOverloaded when the request's class queue is full.
+// higher class, ErrOverloaded when the request's items do not fit in
+// its class queue.
 func (b *batcher) enqueue(r *request) error {
 	if b.shouldShed(r.class) {
 		mShed.Inc()
 		return ErrShed
 	}
-	switch err := b.q.Push(r.class, r); err {
+	n := len(r.hs)
+	switch err := b.q.Push(r.class, r, n); err {
 	case nil:
-		b.depth.Add(1)
-		mQueueDepth.Add(1)
-		mClassDepth[r.class.Index()].Add(1)
+		mQueueDepth.Add(float64(n))
+		mClassDepth[r.class.Index()].Add(float64(n))
 		mEnqueued.Inc()
 		return nil
 	case tenant.ErrClosed:
@@ -152,9 +148,10 @@ func (b *batcher) drain() {
 // collect is the batching loop: DRR picks the class of the next
 // flush, then the batch is gathered class-homogeneously (PopClass —
 // the class borrows against future quanta for the batch's tail) until
-// it is full or MaxDelay has elapsed, and handed to a flush worker. A
-// flush never mixes classes, so one screening budget applies to the
-// whole batch.
+// it holds MaxBatch items or MaxDelay has elapsed, and handed to a
+// flush worker. Entries are whole, so a flush can exceed MaxBatch by
+// less than one entry. A flush never mixes classes, so one screening
+// budget applies to the whole batch.
 func (b *batcher) collect() {
 	defer b.wg.Done()
 	for {
@@ -168,25 +165,30 @@ func (b *batcher) collect() {
 		}
 		b.popped(r)
 		pending := []*request{r}
-		if b.q.Closed() {
-			// Draining: gather what is already queued, never wait.
-			for len(pending) < b.cfg.MaxBatch {
+		items := len(r.hs)
+		if items > 1 || b.q.Closed() {
+			// A caller-formed batch has already amortized, and a draining
+			// queue has no arrivals to wait for: gather what is already
+			// queued, never wait.
+			for items < b.cfg.MaxBatch {
 				r2, ok := b.q.PopClass(class)
 				if !ok {
 					break
 				}
 				b.popped(r2)
 				pending = append(pending, r2)
+				items += len(r2.hs)
 			}
 			b.flush <- pending
 			continue
 		}
 		timer := time.NewTimer(b.cfg.MaxDelay)
 	gather:
-		for len(pending) < b.cfg.MaxBatch {
+		for items < b.cfg.MaxBatch {
 			if r2, ok := b.q.PopClass(class); ok {
 				b.popped(r2)
 				pending = append(pending, r2)
+				items += len(r2.hs)
 				continue
 			}
 			// The class queue is momentarily empty: wait for another
@@ -207,9 +209,9 @@ func (b *batcher) collect() {
 }
 
 func (b *batcher) popped(r *request) {
-	b.depth.Add(-1)
-	mQueueDepth.Add(-1)
-	mClassDepth[r.class.Index()].Add(-1)
+	n := float64(len(r.hs))
+	mQueueDepth.Add(-n)
+	mClassDepth[r.class.Index()].Add(-n)
 	mQueueNs.Observe(float64(time.Since(r.enq)))
 }
 
@@ -222,14 +224,14 @@ func (b *batcher) flushWorker() {
 
 // doFlush classifies one collected batch. Requests whose context has
 // already expired are answered with their context error without
-// touching the model; the rest run under the batcher's own lifetime
-// context so a graceful drain always completes admitted work. The
-// screening budget is the flush class's — batches are class-
-// homogeneous by construction.
+// touching the model; the rest run under flushContext. The screening
+// budget is the flush class's — batches are class-homogeneous by
+// construction.
 func (b *batcher) doFlush(batch []*request) {
 	start := time.Now()
 	m, degraded := b.effectiveM(batch[0].class)
 	live := make([]*request, 0, len(batch))
+	items := 0
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
 			mExpired.Inc()
@@ -237,20 +239,13 @@ func (b *batcher) doFlush(batch []*request) {
 			continue
 		}
 		live = append(live, r)
+		items += len(r.hs)
 	}
 	if len(live) == 0 {
 		return
 	}
-	fctx := context.Background()
-	for _, r := range live {
-		// Batch-level trace adoption: the flush runs under the first
-		// traced request in the batch, so cluster RPC spans land in a
-		// trace (requests batched behind it share the timeline).
-		if r.tc.Valid() {
-			fctx = telemetry.WithTraceCtx(fctx, r.tc)
-			break
-		}
-	}
+	fctx, release := flushContext(live)
+	defer release()
 	// Partition by pinned model version (insertion-ordered; almost
 	// always the single "" group serving the active model) so one
 	// flush can serve tenants pinned to different registry versions.
@@ -263,14 +258,50 @@ func (b *batcher) doFlush(batch []*request) {
 		groups[r.pinned] = append(groups[r.pinned], r)
 	}
 	for _, ver := range versions {
-		b.flushGroup(fctx, groups[ver], ver, m, degraded, start, len(live))
+		b.flushGroup(fctx, groups[ver], ver, m, degraded, start, items)
 	}
-	mFlushSize.Observe(float64(len(live)))
+	mFlushSize.Observe(float64(items))
 	mFlushNs.Observe(float64(time.Since(start)))
 }
 
+// flushContext is the context a flush runs under. It is cancelled once
+// every live requester's context is done — so a client deadline aborts
+// the backend between items, as it would on the handler goroutine —
+// and never while one requester still waits, so a graceful drain
+// answers every admitted request. The flush adopts the first traced
+// request's trace, so cluster RPC spans land in a trace (requests
+// batched behind it share the timeline). release frees the watchers.
+func flushContext(live []*request) (ctx context.Context, release func()) {
+	ctx, cancel := context.WithCancel(context.Background())
+	for _, r := range live {
+		if tc, ok := telemetry.TraceCtxFrom(r.ctx); ok {
+			ctx = telemetry.WithTraceCtx(ctx, tc)
+			break
+		}
+	}
+	var waiting atomic.Int64
+	waiting.Store(int64(len(live)))
+	gone := func() {
+		if waiting.Add(-1) == 0 {
+			cancel()
+		}
+	}
+	stops := make([]func() bool, len(live))
+	for i, r := range live {
+		stops[i] = context.AfterFunc(r.ctx, gone)
+	}
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+	}
+}
+
 // flushGroup classifies the subset of a flush bound to one model
-// version ("" = the active backend) and answers its requests.
+// version ("" = the active backend) and answers its requests: the
+// entries' items go to the backend as one batch (the vectors are not
+// copied), and each entry gets its own slice of the outcomes back.
 func (b *batcher) flushGroup(fctx context.Context, group []*request, pinned string, m int, degraded bool, start time.Time, batchSize int) {
 	backend := b.backend
 	if pinned != "" {
@@ -283,23 +314,25 @@ func (b *batcher) flushGroup(fctx context.Context, group []*request, pinned stri
 			return
 		}
 	}
-	hs := make([][]float32, len(group))
+	hs := make([][]float32, 0, batchSize)
 	maxK := 1
-	for i, r := range group {
-		hs[i] = r.h
-		if r.topK > maxK {
-			maxK = r.topK
-		}
+	for _, r := range group {
+		hs = append(hs, r.hs...)
+		maxK = max(maxK, r.topK)
 	}
 	outs, version, partial, err := classifyTagged(fctx, backend, hs, m, maxK)
-	for i, r := range group {
+	off := 0
+	for _, r := range group {
 		rep := reply{m: m, degraded: degraded, batch: batchSize, queuedNs: start.Sub(r.enq).Nanoseconds(), version: version, partial: partial, err: err}
 		if err == nil {
-			rep.out = outs[i]
-			if r.topK < len(rep.out.TopK) {
-				rep.out.TopK = rep.out.TopK[:r.topK]
+			rep.outs = outs[off : off+len(r.hs)]
+			for i := range rep.outs {
+				if o := &rep.outs[i]; r.topK < len(o.TopK) {
+					o.TopK = o.TopK[:r.topK]
+				}
 			}
 		}
+		off += len(r.hs)
 		r.resp <- rep
 	}
 }

@@ -5,12 +5,9 @@
 //
 // Endpoints:
 //
-//	POST /v1/classify        {"h":[...], "top_k":5}  — single item,
-//	     admitted into the micro-batching queue
+//	POST /v1/classify        {"h":[...], "top_k":5}  — single item
 //	POST /v1/classify_batch  {"batch":[[...],...], "top_k":5} — a
-//	     caller-formed batch, run directly on the backend worker pool
-//	     under the request's context (deadline threads down to
-//	     core.ClassifyBatchVisitCtx item boundaries)
+//	     caller-formed batch of at most QueueCap items
 //	POST /v1/decode          {"h0":[...]} / {"session":"..."} — open or
 //	     continue a streaming decode session (SSE or NDJSON frames,
 //	     one per emitted token; see decode.go and internal/decode)
@@ -23,12 +20,16 @@
 // admission queue — a deficit-round-robin weighted-fair scheduler
 // across interactive/standard/batch (see internal/tenant). A full
 // class queue answers 429 with Retry-After instead of queueing
-// unboundedly; past the watermark the screening budget TopM shrinks
-// toward MFloor class-aware (batch first, interactive last — see
-// degrade.go), surfaced per-response as "m"/"degraded"/"class" and in
-// telemetry. Every 429/503 carries Retry-After and a machine-readable
-// "reason". Drain fails readiness first, stops intake (503), and
-// completes every admitted request.
+// unboundedly. Both classify endpoints share that queue: a caller
+// batch is one entry that counts its n items toward queue depth and
+// quota and is never split across flushes, and a flush runs until
+// every requester in it has gone, so a client deadline threads down to
+// core.ClassifyBatchVisitCtx item boundaries. Past the watermark the
+// screening budget TopM shrinks toward MFloor class-aware (batch
+// first, interactive last — see degrade.go), surfaced per-response as
+// "m"/"degraded"/"class" and in telemetry. Every 429/503 carries
+// Retry-After and a machine-readable "reason". Drain fails readiness
+// first, stops intake (503), and completes every admitted request.
 package server
 
 import (
@@ -63,14 +64,16 @@ var (
 // defaults in New.
 type Config struct {
 	// MaxBatch flushes the micro-batch queue at this many pending
-	// items (default 32).
+	// items (default 32). A caller batch is never split, so a flush
+	// can exceed it by less than one batch.
 	MaxBatch int
 	// MaxDelay flushes the queue when the batch has been open this
 	// long (default 2ms) — the latency bound a single idle request
 	// pays for batching.
 	MaxDelay time.Duration
-	// QueueCap bounds each priority class's admission queue; a full
-	// class queue answers 429 (default 256).
+	// QueueCap bounds each priority class's admission queue in items;
+	// a request whose items do not fit answers 429, and a batch of more
+	// than QueueCap items 400 (default 256).
 	QueueCap int
 	// FlushWorkers is the number of batches that may be in flight on
 	// the backend concurrently (default 2).
@@ -86,8 +89,6 @@ type Config struct {
 	Watermark float64
 	// MaxTopK caps the per-request top_k (default 64).
 	MaxTopK int
-	// MaxBatchItems caps a /v1/classify_batch request (default 1024).
-	MaxBatchItems int
 	// RetryAfter is the hint sent with 429/503 (default 1s).
 	RetryAfter time.Duration
 	// RequestLog emits one structured record per /v1/* request (nil:
@@ -143,9 +144,6 @@ func (c *Config) defaults(categories int) {
 	}
 	if c.MaxTopK <= 0 {
 		c.MaxTopK = 64
-	}
-	if c.MaxBatchItems <= 0 {
-		c.MaxBatchItems = 1024
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -368,195 +366,144 @@ type errorBody struct {
 
 // --- handlers ---
 
+// handleClassify and handleClassifyBatch each decode their own request
+// type and write their own response type; everything in between is
+// classify, which they share.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { mClassifyNs.Observe(float64(time.Since(start))) }()
+	var body ClassifyRequest
+	if !decodePost(w, r, &body) {
+		return
+	}
+	rep, ten, ok := s.classify(w, r, [][]float32{body.H}, body.TopK)
+	if !ok {
+		return
+	}
+	writeJSON(w, http.StatusOK, ClassifyResponse{
+		Class: rep.outs[0].Class, TopK: rep.outs[0].TopK, M: rep.m, Degraded: rep.degraded,
+		BatchSize: rep.batch, QueueUs: rep.queuedNs / 1e3,
+		Tenant: ten.Name, QoSClass: string(ten.Class),
+		ModelVersion: rep.version, VersionSkew: s.versionSkew(),
+		Partial: rep.partial.Partial, MissingShards: rep.partial.MissingShards,
+	})
+}
+
+func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	defer func() { mClassifyBatchNs.Observe(float64(time.Since(start))) }()
+	var body ClassifyBatchRequest
+	if !decodePost(w, r, &body) {
+		return
+	}
+	rep, ten, ok := s.classify(w, r, body.Batch, body.TopK)
+	if !ok {
+		return
+	}
+	resp := ClassifyBatchResponse{
+		Results: make([]BatchItem, len(rep.outs)), M: rep.m, Degraded: rep.degraded,
+		Tenant: ten.Name, QoSClass: string(ten.Class),
+		ModelVersion: rep.version, VersionSkew: s.versionSkew(),
+		Partial: rep.partial.Partial, MissingShards: rep.partial.MissingShards,
+	}
+	for i, o := range rep.outs {
+		resp.Results[i] = BatchItem{Class: o.Class, TopK: o.TopK}
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// decodePost counts a classify request, requires POST and decodes the
+// JSON body into v. On failure it has answered 405 or 400.
+func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 	mRequests.Inc()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+		return false
 	}
-	var body ClassifyRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
+		return false
 	}
-	if len(body.H) != s.backend.Hidden() {
+	return true
+}
+
+// classify is the one admission path of both classify endpoints: hs is
+// one item from /v1/classify or a caller's whole batch. It validates
+// every item, resolves the tenant and charges it len(hs) quota tokens,
+// enqueues one entry of len(hs) items, waits for the entry's flush or
+// the client, and fills the request metadata. On failure it has
+// written the error (400, quota 429, writeUnavailable's table, or 504
+// once the client's context is done) and reports false.
+func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32, topK int) (reply, *tenant.Tenant, bool) {
+	if len(hs) == 0 || len(hs) > s.cfg.QueueCap {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("feature length %d, want %d", len(body.H), s.backend.Hidden()))
-		return
+			fmt.Sprintf("batch of %d items, want 1 to %d (the queue capacity)", len(hs), s.cfg.QueueCap))
+		return reply{}, nil, false
 	}
-	topK := s.clampTopK(body.TopK)
+	for i, h := range hs {
+		if len(h) != s.backend.Hidden() {
+			writeError(w, http.StatusBadRequest,
+				fmt.Sprintf("item %d: feature length %d, want %d", i, len(h), s.backend.Hidden()))
+			return reply{}, nil, false
+		}
+	}
 	ten := s.tenantFor(r)
 	ts := s.tstats.For(ten)
-	if !s.allowQuota(w, ten, ts, 1) {
-		return
+	if !s.allowQuota(w, ten, ts, float64(len(hs))) {
+		return reply{}, nil, false
 	}
 
+	ctx := r.Context()
 	req := &request{
-		ctx:        r.Context(),
-		h:          body.H,
-		topK:       topK,
-		enq:        time.Now(),
-		resp:       make(chan reply, 1),
-		class:      ten.Class,
-		tenantName: ten.Name,
-		pinned:     ten.Pinned,
-	}
-	if tc, ok := telemetry.TraceCtxFrom(r.Context()); ok {
-		req.tc = tc
+		ctx:    ctx,
+		hs:     hs,
+		topK:   s.clampTopK(topK),
+		enq:    time.Now(),
+		resp:   make(chan reply, 1),
+		class:  ten.Class,
+		pinned: ten.Pinned,
 	}
 	if err := s.b.enqueue(req); err != nil {
 		if err == ErrOverloaded || err == ErrShed {
 			ts.Shed.Inc()
 		}
 		s.writeUnavailable(w, err)
-		return
+		return reply{}, nil, false
 	}
-	meta := metaFrom(r.Context())
+	var rep reply
 	select {
-	case rep := <-req.resp:
-		if meta != nil {
-			meta.items = 1
-			meta.batch = rep.batch
-			meta.queueNs = rep.queuedNs
-			meta.version = rep.version
-			meta.degraded = rep.degraded
-			meta.partial = rep.partial.Partial
-			meta.missing = rep.partial.MissingShards
-			if rep.err != nil {
-				meta.errMsg = rep.err.Error()
-			}
-		}
+	case rep = <-req.resp:
+	case <-ctx.Done():
+		// The flush worker still answers req.resp (buffered), so
+		// nothing leaks; the client has gone or timed out.
+		rep.err = ctx.Err()
+	}
+	if meta := metaFrom(ctx); meta != nil {
+		meta.items = len(hs)
+		meta.batch = rep.batch
+		meta.queueNs = rep.queuedNs
+		meta.version = rep.version
+		meta.degraded = rep.degraded
+		meta.partial = rep.partial.Partial
+		meta.missing = rep.partial.MissingShards
 		if rep.err != nil {
-			mStatus5xx.Inc()
-			s.retryAfterHeader(w)
-			writeErrorReason(w, http.StatusServiceUnavailable, "backend", rep.err.Error())
-			return
+			meta.errMsg = rep.err.Error()
 		}
+	}
+	switch {
+	case rep.err == nil:
 		ts.Admitted.Inc()
 		if rep.degraded {
 			ts.Degraded.Inc()
 		}
-		writeJSON(w, http.StatusOK, ClassifyResponse{
-			Class:         rep.out.Class,
-			TopK:          rep.out.TopK,
-			M:             rep.m,
-			Degraded:      rep.degraded,
-			BatchSize:     rep.batch,
-			QueueUs:       rep.queuedNs / 1e3,
-			Tenant:        ten.Name,
-			QoSClass:      string(ten.Class),
-			ModelVersion:  rep.version,
-			VersionSkew:   s.versionSkew(),
-			Partial:       rep.partial.Partial,
-			MissingShards: rep.partial.MissingShards,
-		})
-	case <-r.Context().Done():
-		// The flush worker will still drain req.resp (buffered), so
-		// nothing leaks; the client has gone or timed out.
+		return rep, ten, true
+	case ctx.Err() != nil:
 		mStatus5xx.Inc()
-		if meta != nil {
-			meta.errMsg = r.Context().Err().Error()
-		}
-		writeError(w, http.StatusGatewayTimeout, r.Context().Err().Error())
+		writeError(w, http.StatusGatewayTimeout, ctx.Err().Error())
+	default:
+		s.writeUnavailable(w, rep.err)
 	}
-}
-
-func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	defer func() { mClassifyBatchNs.Observe(float64(time.Since(start))) }()
-	mRequests.Inc()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.Draining() {
-		s.writeUnavailable(w, ErrDraining)
-		return
-	}
-	var body ClassifyBatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
-	}
-	if len(body.Batch) == 0 {
-		writeError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(body.Batch) > s.cfg.MaxBatchItems {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("batch of %d exceeds limit %d", len(body.Batch), s.cfg.MaxBatchItems))
-		return
-	}
-	for i, h := range body.Batch {
-		if len(h) != s.backend.Hidden() {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("item %d: feature length %d, want %d", i, len(h), s.backend.Hidden()))
-			return
-		}
-	}
-	topK := s.clampTopK(body.TopK)
-	ten := s.tenantFor(r)
-	ts := s.tstats.For(ten)
-	// A caller-formed batch charges its item count against the quota —
-	// one bucket token per classified item.
-	if !s.allowQuota(w, ten, ts, float64(len(body.Batch))) {
-		return
-	}
-	if s.b.shouldShed(ten.Class) {
-		ts.Shed.Inc()
-		mShed.Inc()
-		s.writeUnavailable(w, ErrShed)
-		return
-	}
-
-	// Caller-formed batches bypass the micro-batcher (they already
-	// amortize) but share the class-aware degradation policy, and run
-	// under the request's own context so a client deadline aborts
-	// between items.
-	backend := s.backend
-	if ten.Pinned != "" {
-		var perr error
-		backend, perr = s.b.resolvePinned(ten.Pinned)
-		if perr != nil {
-			mStatus5xx.Inc()
-			s.retryAfterHeader(w)
-			writeErrorReason(w, http.StatusServiceUnavailable, "backend", perr.Error())
-			return
-		}
-	}
-	m, degraded := s.b.effectiveM(ten.Class)
-	outs, version, partial, err := classifyTagged(r.Context(), backend, body.Batch, m, topK)
-	if meta := metaFrom(r.Context()); meta != nil {
-		meta.items = len(body.Batch)
-		meta.version = version
-		meta.degraded = degraded
-		meta.partial = partial.Partial
-		meta.missing = partial.MissingShards
-		if err != nil {
-			meta.errMsg = err.Error()
-		}
-	}
-	if err != nil {
-		mStatus5xx.Inc()
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-		return
-	}
-	ts.Admitted.Inc()
-	if degraded {
-		ts.Degraded.Inc()
-	}
-	resp := ClassifyBatchResponse{
-		Results: make([]BatchItem, len(outs)), M: m, Degraded: degraded,
-		Tenant: ten.Name, QoSClass: string(ten.Class),
-		ModelVersion: version, VersionSkew: s.versionSkew(),
-		Partial: partial.Partial, MissingShards: partial.MissingShards,
-	}
-	for i, o := range outs {
-		resp.Results[i] = BatchItem{Class: o.Class, TopK: o.TopK}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return reply{}, nil, false
 }
 
 // handleModel reports the active model: GET /v1/model.
@@ -664,22 +611,24 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
-// writeUnavailable maps admission errors: full class queue or load
-// shed → 429, draining → 503, all with a Retry-After hint and a
-// machine-readable reason.
+// writeUnavailable maps admission and flush errors, all with a
+// Retry-After hint and a machine-readable reason: full class queue or
+// load shed → 429, draining → 503, and any other error — the backend's
+// or a pinned version's — → 503 "backend".
 func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
 	s.retryAfterHeader(w)
-	code := http.StatusServiceUnavailable
-	reason := "draining"
+	code, reason := http.StatusServiceUnavailable, "backend"
 	switch err {
 	case ErrOverloaded:
-		code = http.StatusTooManyRequests
-		reason = "overloaded"
+		code, reason = http.StatusTooManyRequests, "overloaded"
 		mStatus429.Inc()
 	case ErrShed:
-		code = http.StatusTooManyRequests
-		reason = "shed"
+		code, reason = http.StatusTooManyRequests, "shed"
 		mStatus429.Inc()
+	case ErrDraining:
+		reason = "draining"
+	default:
+		mStatus5xx.Inc()
 	}
 	writeErrorReason(w, code, reason, err.Error())
 }

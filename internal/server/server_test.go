@@ -21,15 +21,20 @@ import (
 // fakeBackend is a controllable Backend: when gate is non-nil every
 // ClassifyBatch blocks until the gate closes (or the ctx dies),
 // which lets tests hold the pipeline at a precise saturation point.
+// A non-nil fail makes every call fail with it.
 type fakeBackend struct {
 	hidden     int
 	categories int
 	gate       chan struct{}
+	fail       error
 
-	calls atomic.Int64
-	mu    sync.Mutex
-	sizes []int
-	ms    []int
+	calls       atomic.Int64
+	inflight    atomic.Int64
+	maxInflight atomic.Int64 // most calls ever in flight at once
+	ctxReturns  atomic.Int64 // calls that returned on ctx before the gate opened
+	mu          sync.Mutex
+	sizes       []int
+	ms          []int
 }
 
 func (f *fakeBackend) Hidden() int     { return f.hidden }
@@ -37,6 +42,10 @@ func (f *fakeBackend) Categories() int { return f.categories }
 
 func (f *fakeBackend) ClassifyBatch(ctx context.Context, batch [][]float32, m, topK int) ([]Outcome, error) {
 	f.calls.Add(1)
+	n := f.inflight.Add(1)
+	defer f.inflight.Add(-1)
+	for old := f.maxInflight.Load(); n > old && !f.maxInflight.CompareAndSwap(old, n); old = f.maxInflight.Load() {
+	}
 	f.mu.Lock()
 	f.sizes = append(f.sizes, len(batch))
 	f.ms = append(f.ms, m)
@@ -45,8 +54,12 @@ func (f *fakeBackend) ClassifyBatch(ctx context.Context, batch [][]float32, m, t
 		select {
 		case <-f.gate:
 		case <-ctx.Done():
+			f.ctxReturns.Add(1)
 			return nil, ctx.Err()
 		}
+	}
+	if f.fail != nil {
+		return nil, f.fail
 	}
 	out := make([]Outcome, len(batch))
 	for i := range out {
@@ -423,7 +436,7 @@ func TestShedPolicy(t *testing.T) {
 	}
 	// Simulate an interactive backlog past the shed threshold.
 	for i := 0; i < 80; i++ {
-		if err := b.q.Push(tenant.Interactive, &request{class: tenant.Interactive}); err != nil {
+		if err := b.q.Push(tenant.Interactive, &request{class: tenant.Interactive}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -464,33 +477,50 @@ func TestClassifyDeadline(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointDeadline: /v1/classify_batch threads the request
-// context into the backend, so an expired deadline aborts the batch.
+// TestBatchEndpointDeadline: both classify endpoints thread the
+// client's context into the backend call, so an expired deadline
+// answers 504 and aborts the backend call on its context — before the
+// gate opens, not after.
 func TestBatchEndpointDeadline(t *testing.T) {
-	fb := &fakeBackend{hidden: 4, categories: 32, gate: make(chan struct{})}
-	s, err := New(fb, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { close(fb.gate); s.Drain() }()
+	for path, v := range map[string]any{
+		"/v1/classify":       ClassifyRequest{H: []float32{1, 2, 3, 4}, TopK: 1},
+		"/v1/classify_batch": ClassifyBatchRequest{Batch: [][]float32{{1, 2, 3, 4}}, TopK: 1},
+	} {
+		t.Run(path, func(t *testing.T) {
+			fb := &fakeBackend{hidden: 4, categories: 32, gate: make(chan struct{})}
+			s, err := New(fb, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { close(fb.gate); s.Drain() }()
 
-	body, _ := json.Marshal(ClassifyBatchRequest{Batch: [][]float32{{1, 2, 3, 4}}, TopK: 1})
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	req := httptest.NewRequest(http.MethodPost, "/v1/classify_batch", bytes.NewReader(body)).WithContext(ctx)
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		s.Handler().ServeHTTP(rec, req)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("batch handler hung past its deadline")
-	}
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504", rec.Code)
+			body, _ := json.Marshal(v)
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			done := make(chan struct{})
+			go func() {
+				s.Handler().ServeHTTP(rec, req)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("handler hung past its deadline")
+			}
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Fatalf("status = %d, want 504", rec.Code)
+			}
+			if fb.calls.Load() != 1 {
+				t.Fatalf("%d backend calls, want 1 (the deadline must expire inside the backend)", fb.calls.Load())
+			}
+			for deadline := time.Now().Add(5 * time.Second); fb.ctxReturns.Load() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the backend call is still waiting on the gate after the client's deadline")
+				}
+			}
+		})
 	}
 }
 
@@ -498,7 +528,7 @@ func TestBatchEndpointDeadline(t *testing.T) {
 // wrong method, oversized and empty batches.
 func TestValidation(t *testing.T) {
 	fb := &fakeBackend{hidden: 8, categories: 32}
-	s, err := New(fb, Config{MaxBatchItems: 4})
+	s, err := New(fb, Config{QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func fill(t *testing.T, q *WFQ[int], c Class, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := q.Push(c, i); err != nil {
+		if err := q.Push(c, i, 1); err != nil {
 			t.Fatalf("Push(%s, %d): %v", c, i, err)
 		}
 	}
@@ -117,6 +117,49 @@ func TestWFQStarvationFreedom(t *testing.T) {
 	}
 }
 
+// Item shares: with every class saturated by a mix of 1- and 16-item
+// entries — mostly single items for interactive, mostly batches for
+// batch — the items served per class still track the weights. Charged
+// one per entry, the batch class would be served ~16× its share.
+func TestWFQItemShares(t *testing.T) {
+	const maxN = 16
+	weights := DefaultWeights // 8:4:1
+	q := NewWFQ[int](1<<13, weights)
+	bigPer8 := [NumClasses]int{1, 4, 7} // 16-item entries per 8, by class
+	for ci, c := range Classes {
+		for k := 0; q.LenClass(c) <= 1<<13-maxN; k++ {
+			n := 1
+			if k%8 < bigPer8[ci] {
+				n = maxN
+			}
+			if err := q.Push(c, n, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const served = 20 * 13 * maxN // 20 rotations' worth of 16-item entries
+	var counts [NumClasses]int
+	total := 0
+	for total < served {
+		n, c, ok := q.Pop()
+		if !ok {
+			t.Fatalf("Pop ran dry after %d items with backlog", total)
+		}
+		counts[c.Index()] += n
+		total += n
+	}
+	wsum := 0
+	for _, w := range weights {
+		wsum += w
+	}
+	for i, c := range Classes {
+		want := total * weights[i] / wsum
+		if tol := weights[i] + maxN; counts[i] < want-tol || counts[i] > want+tol {
+			t.Errorf("class %s served %d items, want %d ± %d (weight %d/%d)", c, counts[i], want, tol, weights[i], wsum)
+		}
+	}
+}
+
 // Deficit accounting under adversarial arrivals: producers that
 // alternate bursts and silences must not let any class accumulate
 // credit while idle, and totals must conserve (pushed == popped).
@@ -135,7 +178,7 @@ func TestWFQDeficitAdversarial(t *testing.T) {
 			}
 			burst := rng.Intn(8)
 			for i := 0; i < burst; i++ {
-				if err := q.Push(c, step); err == nil {
+				if err := q.Push(c, step, 1); err == nil {
 					pushed[c.Index()]++
 				}
 			}
@@ -175,18 +218,41 @@ func TestWFQDeficitAdversarial(t *testing.T) {
 	t.Fatal("interactive arrival waited more than one rotation")
 }
 
+// Bounds count items, per class: an n-item entry that brings its class
+// to exactly the cap is admitted, one more item is not, and Close stops
+// intake but not the drain.
 func TestWFQBounds(t *testing.T) {
-	q := NewWFQ[int](2, DefaultWeights)
+	q := NewWFQ[int](8, DefaultWeights)
+	if err := q.Push(Interactive, 0, 9); err != ErrQueueFull {
+		t.Fatalf("Push(9 items) at cap 8: %v, want ErrQueueFull", err)
+	}
+	if err := q.Push(Interactive, 0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Push(Interactive, 0, 5); err != nil {
+		t.Fatalf("Push to depth 3+5 = cap: %v", err)
+	}
+	if err := q.Push(Interactive, 0, 1); err != ErrQueueFull {
+		t.Fatalf("Push to cap+1: %v, want ErrQueueFull", err)
+	}
+	if depths, _ := q.Depths(); depths[Interactive.Index()] != 8 || q.LenClass(Interactive) != 8 || q.Len() != 8 {
+		t.Fatalf("Depths %v, LenClass %d, Len %d: want 8 items in 2 entries", depths, q.LenClass(Interactive), q.Len())
+	}
+	if _, ok := q.PopClass(Interactive); !ok || q.LenClass(Interactive) != 5 {
+		t.Fatalf("after popping the 3-item entry: %d items queued, want 5", q.LenClass(Interactive))
+	}
+
+	q = NewWFQ[int](2, DefaultWeights)
 	fill(t, q, Standard, 2)
-	if err := q.Push(Standard, 9); err != ErrQueueFull {
+	if err := q.Push(Standard, 9, 1); err != ErrQueueFull {
 		t.Fatalf("Push over cap: %v, want ErrQueueFull", err)
 	}
 	// Other classes have their own bound.
-	if err := q.Push(Batch, 1); err != nil {
+	if err := q.Push(Batch, 1, 1); err != nil {
 		t.Fatalf("Push other class: %v", err)
 	}
 	q.Close()
-	if err := q.Push(Batch, 2); err != ErrClosed {
+	if err := q.Push(Batch, 2, 1); err != ErrClosed {
 		t.Fatalf("Push after close: %v, want ErrClosed", err)
 	}
 	// Drain still works after close.
@@ -244,11 +310,15 @@ func TestWFQConcurrentHammer(t *testing.T) {
 			if c == Batch {
 				ten = res.Resolve("kb")
 			}
+			// Random entry sizes, each pushed with its size as the value so
+			// the consumer can count items.
+			rng := rand.New(rand.NewSource(int64(pi)))
 			n := 0
 			for i := 0; i < perProducer; i++ {
-				ten.Allow(1)
-				if err := q.Push(c, i); err == nil {
-					n++
+				size := 1 + rng.Intn(16)
+				ten.Allow(float64(size))
+				if err := q.Push(c, size, size); err == nil {
+					n += size
 				}
 			}
 			accepted[pi] = n
@@ -293,8 +363,7 @@ func TestWFQConcurrentHammer(t *testing.T) {
 	go func() {
 		defer close(done)
 		for {
-			item, c, ok := q.Pop()
-			_ = item
+			size, c, ok := q.Pop()
 			if !ok {
 				select {
 				case _, open := <-q.Ready():
@@ -306,11 +375,11 @@ func TestWFQConcurrentHammer(t *testing.T) {
 					return
 				}
 			}
-			consumed++
+			consumed += size
 			// Gather a few more of the same class, batcher-style.
 			for g := 0; g < 3; g++ {
-				if _, ok := q.PopClass(c); ok {
-					consumed++
+				if size, ok := q.PopClass(c); ok {
+					consumed += size
 				} else {
 					break
 				}
@@ -362,7 +431,7 @@ func TestWFQPushCloseRace(t *testing.T) {
 				defer wg.Done()
 				<-start
 				for i := 0; ; i++ {
-					switch err := q.Push(Classes[(p+i)%NumClasses], i); err {
+					switch err := q.Push(Classes[(p+i)%NumClasses], i, 1+i%4); err {
 					case nil:
 						admitted[p]++
 					case ErrQueueFull:
