@@ -379,6 +379,11 @@ func DecodeScreenRequest(data []byte, sc *WireScratch) (m int, batch [][]float32
 	if hidden > maxWireHidden {
 		return 0, nil, wireErrorf("hidden dim %d exceeds limit %d", hidden, maxWireHidden)
 	}
+	if nItems == 0 && hidden != 0 {
+		// The encoder writes hidden 0 for an empty batch; anything else
+		// would decode to a frame that re-encodes differently.
+		return 0, nil, wireErrorf("empty batch declares hidden dim %d", hidden)
+	}
 	want := uint64(nItems) * uint64(hidden) * 4
 	if uint64(cur.remaining()) != want {
 		return 0, nil, wireErrorf("batch geometry %d×%d needs %d payload bytes, frame carries %d",

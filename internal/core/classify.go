@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -26,6 +27,11 @@ var (
 	mBatchNs        = telemetry.Default().Histogram("core.classify.batch_ns", telemetry.LatencyBuckets())
 	mBatchSize      = telemetry.Default().Histogram("core.classify.batch_size", telemetry.CountBuckets())
 	mBatchCancelled = telemetry.Default().Counter("core.classify.batch_cancelled")
+	// The two fallbacks of the one-sweep select (see SelectCandidatesInto
+	// and Scratch.RankMixed): each counts an item that paid a second
+	// sweep of its l logits because a bound failed.
+	mSelectBracketMiss = telemetry.Default().Counter("core.classify.select_bracket_miss")
+	mRankFullSweep     = telemetry.Default().Counter("core.classify.rank_full_sweep")
 )
 
 // Result is the outcome of screening-based classification: the mixed
@@ -39,6 +45,14 @@ type Result struct {
 	Candidates []int
 	// Exact holds the exact logits for Candidates, aligned by index.
 	Exact []float32
+	// Floor is the smallest approximate logit among the Candidates,
+	// read before the exact values replace them. Every non-candidate's
+	// approximate logit is ≤ Floor under either selection policy, so an
+	// exact logit above Floor outranks every entry of Mixed outside the
+	// candidates. Floor is NaN when that bound cannot be given — a NaN
+	// among the candidates, or one that may sit among the others — and
+	// +Inf when there are no candidates.
+	Floor float32
 }
 
 // Probabilities normalizes the mixed vector with softmax.
@@ -70,6 +84,7 @@ func (r *Result) clone() *Result {
 		Mixed:      append([]float32(nil), r.Mixed...),
 		Candidates: append([]int(nil), r.Candidates...),
 		Exact:      append([]float32(nil), r.Exact...),
+		Floor:      r.Floor,
 	}
 }
 
@@ -116,8 +131,17 @@ func finishInto(cls *Classifier, h []float32, sel Selection, mixed []float32, sc
 	sc.exact = growF32(sc.exact, len(cands))
 	exact := sc.exact
 	cls.LogitsRowsInto(exact, cands, h)
+	floor, nan := float32(math.Inf(1)), sc.maybeNaN
 	for j, c := range cands {
+		if v := mixed[c]; v < floor {
+			floor = v
+		} else if v != v {
+			nan = true
+		}
 		mixed[c] = exact[j]
+	}
+	if nan {
+		floor = float32(math.NaN())
 	}
 	t3 := time.Now()
 	traceSpan(tr, "exact-recompute", tid, t3.Sub(t2))
@@ -128,7 +152,7 @@ func finishInto(cls *Classifier, h []float32, sel Selection, mixed []float32, sc
 	mExactNs.Observe(float64(t3.Sub(t2)))
 	mClassifyNs.Observe(float64(screen + t3.Sub(t1)))
 	mCandidates.Observe(float64(len(cands)))
-	sc.res = Result{Mixed: mixed, Candidates: cands, Exact: exact}
+	sc.res = Result{Mixed: mixed, Candidates: cands, Exact: exact, Floor: floor}
 	return &sc.res
 }
 

@@ -45,8 +45,11 @@ type Scratch struct {
 	exact []float32 // exact candidate logits, length m
 	cands []int     // threshold-selection candidate storage
 	sel   tensor.TopKBuf
-	post  tensor.TopKBuf // post-classify selection, see (*Scratch).TopK
-	res   Result         // arena-backed result header
+	// maybeNaN is false when the last selection proved the screened
+	// logits free of NaNs (see Result.Floor).
+	maybeNaN bool
+	post     tensor.TopKBuf // post-classify ranking, see TopK and RankMixed
+	res      Result         // arena-backed result header
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(Scratch) }}
@@ -71,6 +74,44 @@ func (s *Scratch) Release() { scratchPool.Put(s) }
 // until the next TopK call on this scratch.
 func (s *Scratch) TopK(x []float32, k int) []int {
 	return tensor.TopKInto(x, k, &s.post)
+}
+
+// RankMixed returns what tensor.TopKInto(r.Mixed, k) returns — the k
+// largest mixed logits, descending, ties toward the lower index — for
+// a Result whose Candidates ascend (every pipeline result's do). When
+// the k-th largest of the m exact logits is strictly above r.Floor,
+// which bounds every non-candidate, and none of them is NaN, those k
+// candidates are the answer and only the m exact logits are ranked;
+// otherwise all l mixed logits are, and
+// core.classify.rank_full_sweep is bumped. On a NaN-free answer the
+// head is also r.Predict() (same tie rule), so k = 1 finds the class.
+// The returned slice is valid until the next RankMixed or TopK call on
+// this scratch.
+func (s *Scratch) RankMixed(r *Result, k int) []int {
+	if k <= 0 || len(r.Mixed) == 0 {
+		return nil
+	}
+	if k <= len(r.Exact) {
+		top := tensor.TopKInto(r.Exact, k, &s.post)
+		if r.Exact[top[k-1]] > r.Floor && !hasNaN(r.Exact) {
+			for j, p := range top {
+				top[j] = r.Candidates[p]
+			}
+			return top
+		}
+	}
+	mRankFullSweep.Inc()
+	return tensor.TopKInto(r.Mixed, k, &s.post)
+}
+
+// hasNaN reports whether x holds a NaN.
+func hasNaN(x []float32) bool {
+	for _, v := range x {
+		if v != v {
+			return true
+		}
+	}
+	return false
 }
 
 // quantized returns n scratch-owned quantized-feature slots, keeping

@@ -111,37 +111,34 @@ func (s *Screener) Screen(h []float32) []float32 {
 
 // ScreenInto is Screen with a caller-provided destination (length l)
 // and scratch arena: the projection, quantization and GEMV all run in
-// reused buffers, so the steady-state cost is zero allocations. For
-// large category counts the GEMV is sharded row-wise across
-// goroutines (up to sc.MaxShards); every shard writes a disjoint dst
-// range with the same per-row integer math, so the output is
-// bit-identical to the serial kernel.
+// reused buffers, so the steady-state cost is zero allocations. The
+// bias is added in the GEMV's dequantization epilogue, so the logits
+// are written once and never re-read here. For large category counts
+// the GEMV is sharded row-wise across goroutines (up to sc.MaxShards);
+// every shard writes a disjoint dst range with the same per-row math,
+// so the output is bit-identical to the serial kernel.
 func (s *Screener) ScreenInto(dst, h []float32, sc *Scratch) {
 	if len(dst) != s.Cfg.Categories {
 		panic(fmt.Sprintf("core: Screen dst %d != %d", len(dst), s.Cfg.Categories))
 	}
 	q := &sc.quantized(1)[0]
 	s.quantizeInto(q, h, sc)
+	rows := s.QW.Rows
 	shards := sc.shardCount(s.Cfg.Categories)
 	if shards <= 1 {
-		s.QW.MatVec(dst, q)
-	} else {
-		var wg sync.WaitGroup
-		chunk := (s.QW.Rows + shards - 1) / shards
-		for lo := 0; lo < s.QW.Rows; lo += chunk {
-			hi := lo + chunk
-			if hi > s.QW.Rows {
-				hi = s.QW.Rows
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				s.QW.MatVecRange(dst, q, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
+		s.QW.MatVecRange(dst, q, s.Bt, 0, rows)
+		return
 	}
-	tensor.Add(dst, dst, s.Bt)
+	var wg sync.WaitGroup
+	chunk := (rows + shards - 1) / shards
+	for lo := 0; lo < rows; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			s.QW.MatVecRange(dst, q, s.Bt, lo, hi)
+		}(lo, min(lo+chunk, rows))
+	}
+	wg.Wait()
 }
 
 // quantizeInto writes the quantized projected feature of h into q.
@@ -176,10 +173,7 @@ func (s *Screener) ScreenBatchInto(dsts, hs [][]float32, sc *Scratch) {
 	for i, h := range hs {
 		s.quantizeInto(&qs[i], h, sc)
 	}
-	s.QW.MatVecBatch(dsts, qs)
-	for _, dst := range dsts {
-		tensor.Add(dst, dst, s.Bt)
-	}
+	s.QW.MatVecBatchRange(dsts, qs, s.Bt, 0, s.QW.Rows)
 }
 
 // ScreenFloat computes z̃ on the float32 master weights (no

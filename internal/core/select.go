@@ -57,13 +57,20 @@ func SelectCandidates(ztilde []float32, sel Selection) []int {
 // next selection through it. Both policies return a set in ascending
 // index order — the order the exact recompute gathers classifier rows
 // in; top-m is the set tensor.TopK would rank (ties toward lower
-// index), found by a linear radix select instead of a heap and a sort.
+// index), found by a sample-bracketed linear radix select instead of a
+// heap and a sort. A bracket that fell back to the full select bumps
+// core.classify.select_bracket_miss.
 func SelectCandidatesInto(ztilde []float32, sel Selection, sc *Scratch) []int {
 	switch sel.Method {
 	case SelectTopM:
-		return tensor.TopKSetInto(ztilde, sel.M, &sc.sel)
+		cands := tensor.TopKSetInto(ztilde, sel.M, &sc.sel)
+		if sc.sel.Missed {
+			mSelectBracketMiss.Inc()
+		}
+		sc.maybeNaN = sc.sel.MaybeNaN
+		return cands
 	case SelectThreshold:
-		sc.cands = tensor.AboveThresholdInto(sc.cands, ztilde, sel.Threshold)
+		sc.cands, sc.maybeNaN = tensor.AboveThresholdInto(sc.cands, ztilde, sel.Threshold)
 		return sc.cands
 	default:
 		panic(fmt.Sprintf("core: unknown selection method %d", sel.Method))

@@ -28,6 +28,9 @@ func Assemble(line string) (Instruction, error) {
 		return Instruction{}, errEmptyLine
 	}
 	fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+	if len(fields) == 0 {
+		return Instruction{}, fmt.Errorf("isa: no mnemonic: %q", line)
+	}
 	mnemonic := strings.ToUpper(fields[0])
 	args := fields[1:]
 

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -76,7 +77,7 @@ func TestMatVecRangeCoversAndIsDisjoint(t *testing.T) {
 		lo := 0
 		for lo < rows {
 			hi := lo + 1 + r.Intn(rows-lo)
-			qm.MatVecRange(got, qx, lo, hi)
+			qm.MatVecRange(got, qx, nil, lo, hi)
 			lo = hi
 		}
 		for i := range want {
@@ -89,7 +90,7 @@ func TestMatVecRangeCoversAndIsDisjoint(t *testing.T) {
 		for i := range probe {
 			probe[i] = sentinel
 		}
-		qm.MatVecRange(probe, qx, 0, 0)
+		qm.MatVecRange(probe, qx, nil, 0, 0)
 		for _, v := range probe {
 			if v != sentinel {
 				return false
@@ -112,7 +113,7 @@ func TestMatVecRangePanicsOnBadRange(t *testing.T) {
 					t.Fatalf("MatVecRange(%d,%d) did not panic", bad[0], bad[1])
 				}
 			}()
-			qm.MatVecRange(dst, qx, bad[0], bad[1])
+			qm.MatVecRange(dst, qx, nil, bad[0], bad[1])
 		}()
 	}
 }
@@ -160,7 +161,7 @@ func TestMatVecBatchRangeBitIdenticalToPerVector(t *testing.T) {
 		if r.Intn(3) == 0 {
 			lo, hi = 0, rows
 		}
-		qm.MatVecBatchRange(got, xs, lo, hi)
+		qm.MatVecBatchRange(got, xs, nil, lo, hi)
 		want := make([]float32, rows)
 		for b := range xs {
 			qm.MatVec(want, &xs[b])
@@ -209,5 +210,72 @@ func TestQuantizeVectorIntoReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("QuantizeVectorInto steady state allocates %v/op", allocs)
+	}
+}
+
+// TestBiasEpilogueMatchesAdd is the bias fold's contract: MatVecRange
+// and MatVecBatchRange with a bias produce, bit for bit, MatVec followed
+// by tensor.Add — on the AVX2 single-vector and tile kernels and on the
+// scalar kernel, over disjoint row shards, at INT2/INT4/INT8. The
+// biases span magnitudes far above and below the products', so a
+// fused multiply-add (one rounding instead of two) would show.
+func TestBiasEpilogueMatchesAdd(t *testing.T) {
+	r := xrand.New(61)
+	check := func(t *testing.T) {
+		for _, bits := range []Bits{INT2, INT4, INT8} {
+			for _, shape := range [][2]int{{1, 7}, {37, 65}, {515, 130}} {
+				rows, cols := shape[0], shape[1]
+				qm, _ := randQuantized(r, rows, cols, bits)
+				b := make([]float32, rows)
+				for i := range b {
+					b[i] = r.NormFloat32() * float32(math.Exp(12*r.Float64()-6))
+				}
+				xs := make([]Vector, 2*BatchTile+1)
+				want := make([][]float32, len(xs))
+				for v := range xs {
+					x := make([]float32, cols)
+					for i := range x {
+						x[i] = r.NormFloat32()
+					}
+					QuantizeVectorInto(&xs[v], x, bits)
+					want[v] = make([]float32, rows)
+					qm.MatVec(want[v], &xs[v])
+					tensor.Add(want[v], want[v], b)
+				}
+				// Shards as the screener cuts them: off the 8-row groups.
+				cuts := []int{0, rows / 3, rows / 3 * 2, rows}
+				got := make([][]float32, len(xs))
+				for v := range xs {
+					got[v] = make([]float32, rows)
+					for s := 0; s+1 < len(cuts); s++ {
+						qm.MatVecRange(got[v], &xs[v], b, cuts[s], cuts[s+1])
+					}
+				}
+				compareBits(t, fmt.Sprintf("%v %dx%d single", bits, rows, cols), got, want)
+				for v := range got {
+					clear(got[v])
+				}
+				for s := 0; s+1 < len(cuts); s++ {
+					qm.MatVecBatchRange(got, xs, b, cuts[s], cuts[s+1])
+				}
+				compareBits(t, fmt.Sprintf("%v %dx%d batch", bits, rows, cols), got, want)
+			}
+		}
+	}
+	t.Run("dispatched", check)
+	t.Run("scalar", func(t *testing.T) {
+		scalarOnly(t)
+		check(t)
+	})
+}
+
+func compareBits(t *testing.T, what string, got, want [][]float32) {
+	t.Helper()
+	for v := range want {
+		for i := range want[v] {
+			if math.Float32bits(got[v][i]) != math.Float32bits(want[v][i]) {
+				t.Fatalf("%s vector %d row %d: %v, MatVec+Add %v", what, v, i, got[v][i], want[v][i])
+			}
+		}
 	}
 }

@@ -47,7 +47,7 @@ func checkPacked(t testing.TB, m *Matrix, xs []Vector, ranges ...[2]int) {
 	got := make([][]float32, len(xs))
 	for b := range xs {
 		want[b] = make([]float32, m.Rows)
-		m.matVecRangeBlocked(want[b], &xs[b], 0, m.Rows)
+		m.matVecRangeBlocked(want[b], &xs[b], nil, 0, m.Rows)
 		got[b] = make([]float32, m.Rows)
 	}
 	for _, rg := range ranges {
@@ -58,7 +58,7 @@ func checkPacked(t testing.TB, m *Matrix, xs []Vector, ranges ...[2]int) {
 					got[b][i] = sentinel
 				}
 			}
-			m.MatVecBatchRange(got[:batch], xs[:batch], lo, hi)
+			m.MatVecBatchRange(got[:batch], xs[:batch], nil, lo, hi)
 			for b := 0; b < batch; b++ {
 				for i, g := range got[b] {
 					w := sentinel

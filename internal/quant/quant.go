@@ -302,25 +302,25 @@ func (m *Matrix) BatchStreamBytes(b int) int64 {
 // accumulation (see matVecRange) does not show: integer addition is
 // associative, so every one returns the scalar loop's row sums.
 func (m *Matrix) MatVec(dst []float32, x *Vector) {
-	if len(x.Q) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("quant: MatVec shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(x.Q), len(dst)))
-	}
-	m.matVecRange(dst, x, 0, m.Rows)
+	m.MatVecRange(dst, x, nil, 0, m.Rows)
 }
 
-// MatVecRange computes dst[i] = dequant(m).Row(i)·dequant(x) for rows
-// lo ≤ i < hi only, leaving the rest of dst untouched. dst is indexed
-// globally (length m.Rows), so disjoint ranges can be filled from
-// concurrent goroutines — the shard kernel of the intra-query
-// parallel screening GEMV.
-func (m *Matrix) MatVecRange(dst []float32, x *Vector, lo, hi int) {
-	if len(x.Q) != m.Cols || len(dst) != m.Rows {
-		panic(fmt.Sprintf("quant: MatVecRange shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(x.Q), len(dst)))
+// MatVecRange computes dst[i] = dequant(m).Row(i)·dequant(x) + b[i]
+// for rows lo ≤ i < hi only, leaving the rest of dst untouched; a nil
+// b adds nothing. dst and b are indexed globally (length m.Rows), so
+// disjoint ranges can be filled from concurrent goroutines — the shard
+// kernel of the intra-query parallel screening GEMV. The bias is added
+// in the dequantization epilogue while the row is in registers, and the
+// result is bit-identical to MatVec followed by tensor.Add (see
+// dequant).
+func (m *Matrix) MatVecRange(dst []float32, x *Vector, b []float32, lo, hi int) {
+	if len(x.Q) != m.Cols || len(dst) != m.Rows || (b != nil && len(b) != m.Rows) {
+		panic(fmt.Sprintf("quant: MatVecRange shapes %dx%d · %d + %d -> %d", m.Rows, m.Cols, len(x.Q), len(b), len(dst)))
 	}
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("quant: MatVecRange rows [%d,%d) of %d", lo, hi, m.Rows))
 	}
-	m.matVecRange(dst, x, lo, hi)
+	m.matVecRange(dst, x, b, lo, hi)
 }
 
 // matVecRange dispatches: whole 8-row groups go to the AVX2 kernel
@@ -328,12 +328,27 @@ func (m *Matrix) MatVecRange(dst []float32, x *Vector, lo, hi int) {
 // INT8, hand-assembled matrices, the rows left over, other platforms —
 // takes the scalar-blocked kernel. Both produce the same int32 row
 // sums, so the choice is invisible in the output bits.
-func (m *Matrix) matVecRange(dst []float32, x *Vector, lo, hi int) {
+func (m *Matrix) matVecRange(dst []float32, x *Vector, b []float32, lo, hi int) {
 	if n := (hi - lo) &^ (groupRows - 1); n > 0 && m.usePacked() {
-		m.matVecPacked([][]float32{dst}, []Vector{*x}, lo, lo+n)
+		m.matVecPacked([][]float32{dst}, []Vector{*x}, b, lo, lo+n)
 		lo += n
 	}
-	m.matVecRangeBlocked(dst, x, lo, hi)
+	m.matVecRangeBlocked(dst, x, b, lo, hi)
+}
+
+// dequant is the epilogue every kernel ends a row with: the row's
+// int32 sum times the row and vector scales, plus the row's bias when
+// b is non-nil. The float32 conversion rounds the product before the
+// add, which forbids fusing the two into an FMA (the Go spec allows
+// that contraction across an unconverted x*y + z, and the compiler
+// performs it on FMA targets such as arm64): the sum is the one MatVec
+// followed by tensor.Add computes, bit for bit.
+func dequant(acc int32, s, xs float32, b []float32, i int) float32 {
+	v := float32(acc) * s * xs
+	if b != nil {
+		return float32(v) + b[i]
+	}
+	return v
 }
 
 // matVecRangeBlocked is the portable 4-row-blocked, 8-wide-unrolled
@@ -341,7 +356,7 @@ func (m *Matrix) matVecRange(dst []float32, x *Vector, lo, hi int) {
 // weight rows and the unroll breaks the accumulation dependency chain.
 // It is the fallback for whatever the AVX2 kernel does not take and
 // the oracle that kernel is tested against.
-func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, lo, hi int) {
+func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, b []float32, lo, hi int) {
 	xq := x.Q
 	n := len(xq)
 	cols := m.Cols
@@ -374,10 +389,10 @@ func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, lo, hi int) {
 			a2 += int32(r2[j]) * xv
 			a3 += int32(r3[j]) * xv
 		}
-		dst[i] = float32(a0) * m.Scales[i] * xs
-		dst[i+1] = float32(a1) * m.Scales[i+1] * xs
-		dst[i+2] = float32(a2) * m.Scales[i+2] * xs
-		dst[i+3] = float32(a3) * m.Scales[i+3] * xs
+		dst[i] = dequant(a0, m.Scales[i], xs, b, i)
+		dst[i+1] = dequant(a1, m.Scales[i+1], xs, b, i+1)
+		dst[i+2] = dequant(a2, m.Scales[i+2], xs, b, i+2)
+		dst[i+3] = dequant(a3, m.Scales[i+3], xs, b, i+3)
 	}
 	for ; i < hi; i++ {
 		base := i * cols
@@ -393,7 +408,7 @@ func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, lo, hi int) {
 		for ; j < n; j++ {
 			acc += int32(row[j]) * int32(xq[j])
 		}
-		dst[i] = float32(acc) * m.Scales[i] * xs
+		dst[i] = dequant(acc, m.Scales[i], xs, b, i)
 	}
 }
 
@@ -501,7 +516,7 @@ const BatchTile = 4
 // MatVecBatch computes dsts[b] = dequant(m)·dequant(xs[b]) for every
 // vector of the batch, bit-identical to MatVec per vector.
 func (m *Matrix) MatVecBatch(dsts [][]float32, xs []Vector) {
-	m.MatVecBatchRange(dsts, xs, 0, m.Rows)
+	m.MatVecBatchRange(dsts, xs, nil, 0, m.Rows)
 }
 
 // MatVecBatchRange is MatVecRange for a batch of vectors, streaming
@@ -510,53 +525,55 @@ func (m *Matrix) MatVecBatch(dsts [][]float32, xs []Vector) {
 // offloads cost barely more than batch-1. Whatever the tile kernel
 // does not take — see matVecRange — and a batch remainder shorter than
 // a tile run on the single-vector kernels, so every output bit matches
-// MatVecRange.
-func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, lo, hi int) {
+// MatVecRange. b, if non-nil, is added to every vector's rows.
+func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, b []float32, lo, hi int) {
 	if len(dsts) != len(xs) {
 		panic("quant: MatVecBatchRange batch size mismatch")
 	}
-	for b := range xs {
-		if len(xs[b].Q) != m.Cols || len(dsts[b]) != m.Rows {
-			panic(fmt.Sprintf("quant: MatVecBatchRange shapes %dx%d · %d -> %d", m.Rows, m.Cols, len(xs[b].Q), len(dsts[b])))
+	for t := range xs {
+		if len(xs[t].Q) != m.Cols || len(dsts[t]) != m.Rows || (b != nil && len(b) != m.Rows) {
+			panic(fmt.Sprintf("quant: MatVecBatchRange shapes %dx%d · %d + %d -> %d", m.Rows, m.Cols, len(xs[t].Q), len(b), len(dsts[t])))
 		}
 	}
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("quant: MatVecBatchRange rows [%d,%d) of %d", lo, hi, m.Rows))
 	}
-	b := 0
+	t := 0
 	if n := (hi - lo) &^ (groupRows - 1); n > 0 && m.usePacked() {
-		for ; b+BatchTile <= len(xs); b += BatchTile {
-			m.matVecPacked(dsts[b:b+BatchTile], xs[b:b+BatchTile], lo, lo+n)
-			for t := b; t < b+BatchTile; t++ {
-				m.matVecRangeBlocked(dsts[t], &xs[t], lo+n, hi)
+		for ; t+BatchTile <= len(xs); t += BatchTile {
+			m.matVecPacked(dsts[t:t+BatchTile], xs[t:t+BatchTile], b, lo, lo+n)
+			for v := t; v < t+BatchTile; v++ {
+				m.matVecRangeBlocked(dsts[v], &xs[v], b, lo+n, hi)
 			}
 		}
 	}
-	for ; b < len(xs); b++ {
-		m.matVecRange(dsts[b], &xs[b], lo, hi)
+	for ; t < len(xs); t++ {
+		m.matVecRange(dsts[t], &xs[t], b, lo, hi)
 	}
 }
 
 // matVecPacked runs the AVX2 kernel over rows [lo,hi) — whole 8-row
 // groups — for one vector or a tile of BatchTile. The assembly returns
-// raw int32 sums of (q+8)·x per row; the bias term 8·Σx is removed
-// here, exactly, and the dequantization is the very expression
-// matVecRangeBlocked uses, so the outputs are bit-identical. A row's
-// last partial chunk is multiplied against a zero-padded copy of the
-// activations' tail (the image pads with nibble 0, any value would do).
-func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, lo, hi int) {
+// raw int32 sums of (q+8)·x per row; the nibble offset 8·Σx is removed
+// here, exactly, and the epilogue is the very expression
+// matVecRangeBlocked uses (dequant, spelled out so the bias test is
+// hoisted out of the row loop), so the outputs are bit-identical. A
+// row's last partial chunk is multiplied against a zero-padded copy of
+// the activations' tail (the image pads with nibble 0, any value would
+// do).
+func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi int) {
 	stride, full := m.stride(), m.Cols/chunkCols
 	var (
 		tails [BatchTile][chunkCols]int8
 		tail  *int8
 		xp    [BatchTile]*int8
-		bias  [BatchTile]int32
+		nib8  [BatchTile]int32
 		acc   [blockRows * BatchTile]int32
 	)
 	for t := range xs {
 		q := xs[t].Q
 		for _, v := range q {
-			bias[t] += 8 * int32(v)
+			nib8[t] += 8 * int32(v)
 		}
 		xp[t] = &q[0]
 		if rem := q[full*chunkCols:]; len(rem) > 0 {
@@ -574,9 +591,16 @@ func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, lo, hi int) {
 		}
 		scales := m.Scales[lo : lo+n]
 		for t := range xs {
-			dst, xscale := dsts[t][lo:lo+n], xs[t].Scale
+			dst, xscale, off := dsts[t][lo:lo+n], xs[t].Scale, nib8[t]
+			if b == nil {
+				for r, s := range scales {
+					dst[r] = float32(acc[r*len(xs)+t]-off) * s * xscale
+				}
+				continue
+			}
+			bias := b[lo : lo+n]
 			for r, s := range scales {
-				dst[r] = float32(acc[r*len(xs)+t]-bias[t]) * s * xscale
+				dst[r] = float32(float32(acc[r*len(xs)+t]-off)*s*xscale) + bias[r]
 			}
 		}
 	}

@@ -87,16 +87,21 @@ func (l *Local) Categories() int { return l.Classifier.Categories() }
 // each item's Result stays in the worker's scratch arena and only the
 // small Outcome (predicted class + top-k candidates) is copied out,
 // instead of materializing an l-sized mixed-logit vector per item.
+// The ranking is Scratch.RankMixed: usually the m exact logits alone,
+// the whole mixed vector only when Result.Floor cannot vouch for them.
 func (l *Local) ClassifyBatch(ctx context.Context, batch [][]float32, m, topK int) ([]Outcome, error) {
 	out := make([]Outcome, len(batch))
 	err := core.ClassifyBatchVisitCtx(ctx, l.Classifier, l.Screener, batch, core.TopM(m), telemetry.Global(),
 		func(i int, r *core.Result, sc *core.Scratch) {
-			idx := sc.TopK(r.Mixed, topK)
-			cands := make([]Candidate, len(idx))
+			// top_k = 0 still ranks one: its head is the class.
+			idx := sc.RankMixed(r, max(topK, 1))
+			cands := make([]Candidate, min(max(topK, 0), len(idx)))
 			ranked := len(idx) > 0
 			for j, c := range idx {
 				v := r.Mixed[c]
-				cands[j] = Candidate{Class: c, Logit: v}
+				if j < len(cands) {
+					cands[j] = Candidate{Class: c, Logit: v}
+				}
 				ranked = ranked && v == v
 			}
 			// The head of a NaN-free ranking is the argmax (same

@@ -18,21 +18,29 @@ func TopK(x []float32, k int) []int {
 }
 
 // TopKBuf is reusable scratch for the allocation-free top-k variants:
-// it owns the bounded heap, the set select's side buffer and the
+// it owns the bounded heap, the set select's undecided keys and the
 // output index slice, so steady-state selection allocates nothing. The
 // zero value is ready to use. Slices returned by TopKInto/TopKSetInto
 // alias the buffer and stay valid only until the next call on the same
 // buffer.
 type TopKBuf struct {
 	items []heapItem
-	side  []keyed
 	out   []int
-}
+	// The set select's undecided values — the bracket's survivors, or
+	// the full select's threshold bucket — as keys and indices into x,
+	// in index order.
+	keys []uint32
+	at   []int
 
-// keyed is one element of the set select's threshold bucket.
-type keyed struct {
-	idx int
-	key uint32
+	// Missed reports that the last TopKSetInto bracketed its input
+	// (see there) and the bracket failed, so the full radix select ran
+	// after the bracket's sweep. The output is the same either way.
+	Missed bool
+	// MaybeNaN is false when the last TopKSetInto that selected at
+	// least one index proved x free of NaNs; it is set whenever x holds
+	// a NaN, and also when it holds ±Inf (the proof is a by-product of
+	// the select's first histogram, whose end buckets hold both).
+	MaybeNaN bool
 }
 
 // TopKInto is TopK with buffer-backed storage: the returned slice is
@@ -61,93 +69,249 @@ func TopKInto(x []float32, k int, buf *TopKBuf) []int {
 	return buf.extract()
 }
 
+// Geometry of TopKSetInto's sampled bracket.
+const (
+	bracketMinN   = 1 << 16 // inputs at least this long are bracketed
+	bracketSample = 4096    // strided sample the cut is read from
+	// The bracket is tried only when its cut is expected to keep at
+	// most 1/bracketMaxShare of x, and abandoned once it has kept twice
+	// that: past it, the sweep costs more than it saves.
+	bracketMaxShare = 8
+)
+
 // TopKSetInto returns the indices TopK selects — the k largest values,
 // ties toward lower index — as a set in ascending index order, which
 // is what a consumer that only gathers the winners wants (the exact
-// recompute walks classifier rows in index order). It radix-selects
-// over order-preserving integer keys in two sweeps of x: a histogram
-// of the leading 11 key bits finds the bucket holding the k-th largest
-// key; the second sweep emits every index above that bucket and copies
-// the bucket itself — the only keys still undecided — into a side
-// buffer, on which the remaining 21 bits are resolved and whose
-// winners are merged back in index order. O(n) with no heap and no
-// sort, where TopK's heap costs O(n log k) plus an O(k log k)
-// extraction. -0 and +0 tie, as they do for TopK; NaNs, which TopK's
-// comparator cannot order, sort by bit pattern beyond ±Inf.
+// recompute walks classifier rows in index order). -0 and +0 tie, as
+// they do for TopK; NaNs, which TopK's comparator cannot order, sort by
+// bit pattern beyond ±Inf.
+//
+// An input of at least 2¹⁶ values is first bracketed: a cut τ is read
+// off a strided sample of 4096 values at a rank widened to keep about
+// 1.6·k values, one sweep keeps every value that is !(v < τ) — NaNs
+// included — and the k-th largest of those survivors alone is resolved
+// by the digit descent the full select also ends in, after which one
+// pass emits the winners in index order. Every value at or above τ survives, so
+// whenever the survivors' k-th largest is still ≥ τ the winners are
+// all among them, in the same index order, with the same ties: the
+// answer is the one the full select gives. When the bracket keeps
+// fewer than k such values (a sample that misjudged the input, as a
+// periodic one can) or far more than planned, the full radix select
+// runs instead and buf.Missed says so.
 func TopKSetInto(x []float32, k int, buf *TopKBuf) []int {
+	buf.Missed, buf.MaybeNaN = false, false
 	if k <= 0 || len(x) == 0 {
 		return nil
 	}
-	if k > len(x) {
-		k = len(x)
+	k = min(k, len(x))
+	if len(x) >= bracketMinN {
+		if out, ok := buf.bracketed(x, k); ok {
+			return out
+		}
 	}
+	return buf.radixSelect(x, k)
+}
+
+// bracketed is TopKSetInto's sampled front end; it reports false,
+// having selected nothing, when the full select must run instead.
+func (b *TopKBuf) bracketed(x []float32, k int) ([]int, bool) {
+	n := len(x)
+	// mu sample values are expected above the k-th largest. The cut
+	// sits 60 % further down the sample (≈ 1.6·k survivors), and at
+	// least four standard deviations plus eight further, which keeps a
+	// short bracket improbable when mu is small.
+	mu := float64(k) * bracketSample / float64(n)
+	r := int(mu + max(0.6*mu, 4*math.Sqrt(mu)+8))
+	if r >= bracketSample/bracketMaxShare {
+		return nil, false
+	}
+	var sample [bracketSample]uint32
+	stride := n / bracketSample
+	for i := range sample {
+		sample[i] = orderKey(x[i*stride])
+	}
+	cut, _, _ := kthLargestKey(sample[:], r)
+	tau := keyValue(cut)
+	if tau != tau {
+		return nil, false // a NaN cut keeps everything
+	}
+	// A block's worth of slack past the limit lets the sweep check for
+	// overflow once per block.
+	const block = 4096
+	limit := 2 * n / bracketMaxShare
+	if cap(b.at) < limit+block {
+		b.at = make([]int, limit+block)
+	}
+	at := b.at[:limit+block]
+	c := 0
+	for lo := 0; lo < n; lo += block {
+		c += keptInto(at[c:], x[lo:min(lo+block, n)], lo, tau)
+		if c > limit {
+			b.Missed = true
+			return nil, false
+		}
+	}
+	at = at[:c]
+	keys := b.keys[:0]
+	for _, i := range at {
+		keys = append(keys, orderKey(x[i]))
+	}
+	b.keys, b.at = keys, at
+	if len(keys) < k {
+		b.Missed = true
+		return nil, false
+	}
+	// Negative NaNs survive the sweep but key below every number, so
+	// the bracket held only if the k-th winner keys at or above the cut.
+	kth, ties, maybeNaN := kthLargestKey(keys, k-1)
+	if kth < cut {
+		b.Missed = true
+		return nil, false
+	}
+	// Every NaN of x survived, so the survivors' histogram speaks for x.
+	b.MaybeNaN = maybeNaN
+	return compactWinners(at, keys, kth, ties), true
+}
+
+// keptInto is the bracket's sweep over one block: it writes to at
+// (len(at) ≥ len(x)) the index, offset by base, of every value that is
+// !(v < tau) and returns how many. Every index is stored and the count
+// advances only past a kept one, so the loop does not branch on the
+// data; out of line, it keeps its counters in registers.
+//
+//go:noinline
+func keptInto(at []int, x []float32, base int, tau float32) int {
+	at = at[:len(x)]
+	c := 0
+	for i, v := range x {
+		at[c] = base + i
+		c += kept(v, tau)
+	}
+	return c
+}
+
+// kept is 1 when !(v < tau), else 0, computed without a branch.
+func kept(v, tau float32) int {
+	k := 0
+	if !(v < tau) {
+		k = 1
+	}
+	return k
+}
+
+// radixSelect is the full select: it radix-selects over order-
+// preserving integer keys in two sweeps of x. A histogram of the
+// leading 11 key bits finds the bucket holding the k-th largest key;
+// the second sweep emits every index above that bucket and keeps the
+// bucket itself — the only keys still undecided — aside, where the
+// remaining bits are resolved and whose winners are merged back in
+// index order. O(n) with no heap and no sort, where TopK's heap costs
+// O(n log k) plus an O(k log k) extraction. It needs 1 ≤ k ≤ len(x)
+// and sets b.MaybeNaN from the histogram.
+func (b *TopKBuf) radixSelect(x []float32, k int) []int {
 	const lowBits = 21
 	var hist [1 << 11]uint32
 	for _, v := range x {
 		hist[orderKey(v)>>lowBits]++
 	}
+	b.MaybeNaN = nonFinite(&hist)
 	// need counts the winners still to be found at or below bucket top.
 	need := uint32(k)
 	top := uint32(len(hist) - 1)
 	for ; need > hist[top]; top-- {
 		need -= hist[top]
 	}
-	if cap(buf.out) < k {
-		buf.out = make([]int, 0, k)
+	if cap(b.out) < k {
+		b.out = make([]int, 0, k)
 	}
-	out, side := buf.out[:0], buf.side[:0]
+	out, at := b.out[:0], b.at[:0]
 	for i, v := range x {
-		key := orderKey(v)
-		if d := key >> lowBits; d > top {
+		if d := orderKey(v) >> lowBits; d > top {
 			out = append(out, i)
 		} else if d == top {
-			side = append(side, keyed{i, key})
+			at = append(at, i)
 		}
 	}
-	buf.side = side
-	// After each pass, kth&mask is the next digits of the k-th largest
-	// key and need counts how many winners share them.
-	kth, mask := top<<lowBits, uint32(1<<32-1<<lowBits)
-	for _, d := range [2]struct{ shift, width uint32 }{{10, 11}, {0, 10}} {
-		hist = [1 << 11]uint32{}
-		digits := uint32(1)<<d.width - 1
-		for _, e := range side {
-			if e.key&mask == kth {
-				hist[e.key>>d.shift&digits]++
-			}
-		}
-		b := digits
-		for ; need > hist[b]; b-- {
-			need -= hist[b]
-		}
-		kth |= b << d.shift
-		mask |= digits << d.shift
+	keys := b.keys[:0]
+	for _, i := range at {
+		keys = append(keys, orderKey(x[i]))
 	}
-	// Keep the bucket's winners — above the k-th key, plus its
-	// lowest-indexed ties — then merge the two ascending runs from the
-	// back: out[:above] and the winners fill out[:k] exactly.
-	won := side[:0]
-	for _, e := range side {
-		if e.key > kth {
-			won = append(won, e)
-		} else if e.key == kth && need > 0 {
-			need--
-			won = append(won, e)
-		}
-	}
+	b.keys, b.at = keys, at
+	kth, ties, _ := kthLargestKey(keys, int(need)-1)
+	won := compactWinners(at, keys, kth, ties)
+	// Merge the two ascending runs from the back: out[:above] and the
+	// bucket's winners fill out[:k] exactly.
 	i, j := len(out)-1, len(won)-1
 	out = out[:len(out)+len(won)]
 	for p := len(out) - 1; j >= 0; p-- {
-		if i >= 0 && out[i] > won[j].idx {
+		if i >= 0 && out[i] > won[j] {
 			out[p] = out[i]
 			i--
 		} else {
-			out[p] = won[j].idx
+			out[p] = won[j]
 			j--
 		}
 	}
-	buf.out = out
+	b.out = out
 	return out
+}
+
+// compactWinners keeps, in place and in order, the entries of at whose
+// keys are winners — above kth, or equal to it while ties last — and
+// returns them. The store is unconditional and the count advances only
+// past a winner, so the pass does not branch on the keys' order.
+func compactWinners(at []int, keys []uint32, kth, ties uint32) []int {
+	w := 0
+	for p, key := range keys {
+		take := key > kth
+		if key == kth && ties > 0 {
+			take = true
+			ties--
+		}
+		at[w] = at[p]
+		if take {
+			w++
+		}
+	}
+	return at[:w]
+}
+
+// kthLargestKey returns the r-th largest (0-based) of keys, 0 ≤ r <
+// len(keys), by a descent over their 11/11/10-bit digits that counts
+// in place instead of moving keys; ties is how many of the r+1 largest
+// keys equal it, and maybeNaN is nonFinite of the leading digit's
+// histogram.
+func kthLargestKey(keys []uint32, r int) (kth, ties uint32, maybeNaN bool) {
+	need := uint32(r + 1)
+	var mask uint32
+	for pass, d := range [3]struct{ shift, width uint32 }{{21, 11}, {10, 11}, {0, 10}} {
+		var hist [1 << 11]uint32
+		digits := uint32(1)<<d.width - 1
+		for _, key := range keys {
+			inc := uint32(0)
+			if key&mask == kth {
+				inc = 1
+			}
+			hist[key>>d.shift&digits] += inc
+		}
+		if pass == 0 {
+			maybeNaN = nonFinite(&hist)
+		}
+		bkt := digits
+		for ; need > hist[bkt]; bkt-- {
+			need -= hist[bkt]
+		}
+		kth |= bkt << d.shift
+		mask |= digits << d.shift
+	}
+	return kth, need, maybeNaN
+}
+
+// nonFinite reports whether a histogram of leading 11-bit key digits
+// counted a NaN or an infinity: buckets 0–3 hold exactly the negative
+// NaNs and -Inf, 2044–2047 exactly +Inf and the positive NaNs.
+func nonFinite(hist *[1 << 11]uint32) bool {
+	return hist[0]|hist[1]|hist[2]|hist[3]|hist[2044]|hist[2045]|hist[2046]|hist[2047] != 0
 }
 
 // orderKey maps v to a uint32 whose unsigned order is v's float order
@@ -158,6 +322,14 @@ func orderKey(v float32) uint32 {
 		return 1 << 31
 	}
 	return b ^ (uint32(int32(b)>>31) | 1<<31)
+}
+
+// keyValue inverts orderKey; the folded zero comes back as +0.
+func keyValue(key uint32) float32 {
+	if key>>31 != 0 {
+		return math.Float32frombits(key ^ 1<<31)
+	}
+	return math.Float32frombits(^key)
 }
 
 // extract heap-sorts the retained items (best first) and writes their
@@ -196,14 +368,17 @@ func AboveThreshold(x []float32, threshold float32) []int {
 
 // AboveThresholdInto is AboveThreshold appending into dst[:0]; the
 // grown slice is returned so callers can keep it as reusable scratch.
-func AboveThresholdInto(dst []int, x []float32, threshold float32) []int {
+// nan reports whether x holds a NaN, which no threshold keeps.
+func AboveThresholdInto(dst []int, x []float32, threshold float32) (idx []int, nan bool) {
 	dst = dst[:0]
 	for i, v := range x {
 		if v >= threshold {
 			dst = append(dst, i)
+		} else if v != v {
+			nan = true
 		}
 	}
-	return dst
+	return dst, nan
 }
 
 type heapItem struct {

@@ -183,16 +183,16 @@ func TestTopKSetIntoIsSortedTopK(t *testing.T) {
 func TestAboveThresholdIntoMatchesAndReuses(t *testing.T) {
 	x := []float32{1, 5, 2, 5, -1}
 	var dst []int
-	dst = AboveThresholdInto(dst, x, 5)
+	dst, _ = AboveThresholdInto(dst, x, 5)
 	if !eqInts(dst, []int{1, 3}) {
 		t.Fatalf("AboveThresholdInto = %v", dst)
 	}
 	// Reuse with a lower threshold: previous contents must not leak.
-	dst = AboveThresholdInto(dst, x, 1)
+	dst, _ = AboveThresholdInto(dst, x, 1)
 	if !eqInts(dst, []int{0, 1, 2, 3}) {
 		t.Fatalf("AboveThresholdInto reuse = %v", dst)
 	}
-	if got := AboveThresholdInto(dst, x, 100); len(got) != 0 {
+	if got, _ := AboveThresholdInto(dst, x, 100); len(got) != 0 {
 		t.Fatalf("AboveThresholdInto empty = %v", got)
 	}
 }
@@ -213,5 +213,215 @@ func TestTopKZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("TopKSetInto steady state allocates %v/op", allocs)
+	}
+	// The bracketed path, long enough to take it, keeps its pool.
+	big := make([]float32, 1<<17)
+	for i := range big {
+		big[i] = r.NormFloat32()
+	}
+	TopKSetInto(big, 2000, &buf)
+	allocs = testing.AllocsPerRun(20, func() {
+		TopKSetInto(big, 2000, &buf)
+	})
+	if allocs != 0 {
+		t.Fatalf("bracketed TopKSetInto steady state allocates %v/op", allocs)
+	}
+}
+
+// bracketCase is one input of the bracketed select's conformance table.
+type bracketCase struct {
+	name string
+	fill func(r *xrand.RNG, i, n int) float32
+}
+
+// bracketCases are the inputs TopKSetInto's sampled bracket is pinned
+// on: the common case (random values, where the bracket holds), every
+// special value the key order has to place, and inputs ordered so the
+// strided sample reads them wrong.
+func bracketCases() []bracketCase {
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	negNaN := math.Float32frombits(0xffc00001)
+	negZero := math.Float32frombits(1 << 31)
+	special := []float32{inf, -inf, nan, negNaN, 0, negZero, 1, -1}
+	return []bracketCase{
+		{"normal", func(r *xrand.RNG, _, _ int) float32 { return r.NormFloat32() }},
+		{"all-equal", func(*xrand.RNG, int, int) float32 { return 0.5 }},
+		{"signed-zeros", func(r *xrand.RNG, _, _ int) float32 { return []float32{0, negZero}[r.Intn(2)] }},
+		{"specials", func(r *xrand.RNG, _, _ int) float32 {
+			if r.Intn(4) == 0 {
+				return special[r.Intn(len(special))]
+			}
+			return r.NormFloat32()
+		}},
+		// Negative NaNs key below every number, so the bracket still
+		// holds: its own histogram must report them.
+		{"negative-nans", func(r *xrand.RNG, _, _ int) float32 {
+			if r.Intn(16) == 0 {
+				return negNaN
+			}
+			return r.NormFloat32()
+		}},
+		{"nan-both-signs", func(r *xrand.RNG, _, _ int) float32 {
+			switch r.Intn(16) {
+			case 0:
+				return nan
+			case 1:
+				return negNaN
+			}
+			return r.NormFloat32()
+		}},
+		// Ties at the k-th value with larger values on either side.
+		{"ties", func(r *xrand.RNG, _, _ int) float32 { return float32(r.Intn(64)) }},
+		{"ascending", func(_ *xrand.RNG, i, _ int) float32 { return float32(i) }},
+		{"descending", func(_ *xrand.RNG, i, _ int) float32 { return -float32(i) }},
+		// Peaks exactly where the strided sample looks: the sample sees
+		// only maxima and cuts above almost everything.
+		{"sawtooth-down", func(_ *xrand.RNG, i, n int) float32 { return -float32(i % (n / bracketSample)) }},
+		// Troughs where it looks: the sample sees only minima and the
+		// cut keeps nearly everything.
+		{"sawtooth-up", func(_ *xrand.RNG, i, n int) float32 { return float32(i % (n / bracketSample)) }},
+	}
+}
+
+// TestTopKSetIntoBracketTable pins the bracketed select to the full
+// radix select, index for index, on every case around the size where
+// bracketing starts, at k = 1, n/8−1, n and a serving-like n/50.
+func TestTopKSetIntoBracketTable(t *testing.T) {
+	r := xrand.New(47)
+	var buf, ref TopKBuf
+	for _, n := range []int{bracketMinN - 1, bracketMinN, bracketMinN + 1} {
+		for _, c := range bracketCases() {
+			x := make([]float32, n)
+			nonFinite := false
+			for i := range x {
+				x[i] = c.fill(r, i, n)
+				nonFinite = nonFinite || math.IsNaN(float64(x[i])) || math.IsInf(float64(x[i]), 0)
+			}
+			for _, k := range []int{1, n/8 - 1, n / 50, n} {
+				want := ref.radixSelect(x, k)
+				got := TopKSetInto(x, k, &buf)
+				if !eqInts(got, want) {
+					t.Fatalf("%s n=%d k=%d: bracketed select differs from the radix select", c.name, n, k)
+				}
+				if buf.MaybeNaN != nonFinite || ref.MaybeNaN != nonFinite {
+					t.Fatalf("%s n=%d k=%d: MaybeNaN %v (radix select %v), input holds NaN or Inf: %v",
+						c.name, n, k, buf.MaybeNaN, ref.MaybeNaN, nonFinite)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKSetIntoBracketPaths checks the table is not vacuous: on
+// random values the bracket holds on its own, while a sawtooth whose
+// maxima are exactly the sampled values leaves it short of k and the
+// fallback runs — with the right answer and Missed set.
+func TestTopKSetIntoBracketPaths(t *testing.T) {
+	const n = 1 << 20
+	r := xrand.New(53)
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = r.NormFloat32()
+	}
+	var buf, ref TopKBuf
+	k := n / 50
+	if _, ok := buf.bracketed(x, k); !ok || buf.Missed {
+		t.Fatalf("bracket did not hold on random values (missed=%v)", buf.Missed)
+	}
+	if len(buf.keys) > 2*k {
+		t.Fatalf("bracket kept %d values for k=%d", len(buf.keys), k)
+	}
+	// Only the bracketSample sampled positions reach the maximum, so a
+	// cut at it keeps bracketSample values: one fewer than k.
+	for i := range x {
+		x[i] = -float32(i % (n / bracketSample))
+	}
+	k = bracketSample + 1
+	want := ref.radixSelect(x, k)
+	if got := TopKSetInto(x, k, &buf); !eqInts(got, want) || !buf.Missed {
+		t.Fatalf("sawtooth: missed=%v, result identical=%v", buf.Missed, eqInts(got, want))
+	}
+	// Negative NaNs survive the bracket's sweep but rank below every
+	// number: padding a short pool with them must not pass for k values.
+	for i := range x {
+		x[i] = -1
+		if i%(n/bracketSample) == 0 {
+			x[i] = 0
+		} else if i%997 == 0 {
+			x[i] = math.Float32frombits(0xffc00001)
+		}
+	}
+	want = ref.radixSelect(x, k)
+	if got := TopKSetInto(x, k, &buf); !eqInts(got, want) || !buf.Missed {
+		t.Fatalf("NaN-padded pool: missed=%v, result identical=%v", buf.Missed, eqInts(got, want))
+	}
+	if TopKSetInto(x, 1, &buf); buf.Missed {
+		t.Fatal("Missed not cleared by the next call")
+	}
+}
+
+// BenchmarkTopKSetInto times the set select at the xc670k serving
+// shape (l = 670 091, m = 13 401 ≈ 2 %) on normal logits: the
+// bracketed select against the full radix select it falls back to.
+func BenchmarkTopKSetInto(b *testing.B) {
+	const n, k = 670091, 13401
+	r := xrand.New(59)
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = r.NormFloat32()
+	}
+	var buf TopKBuf
+	b.Run("bracketed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			TopKSetInto(x, k, &buf)
+		}
+	})
+	b.Run("radix", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			buf.radixSelect(x, k)
+		}
+	})
+}
+
+// FuzzTopKSetInto drives the same comparison from raw float32 bit
+// patterns (every NaN and Inf included) tiled with a fuzzed period,
+// salted with random values, at lengths around the bracketing size.
+func FuzzTopKSetInto(f *testing.F) {
+	f.Add(uint64(1), uint16(1), uint32(1310), uint16(0), []byte{0, 0, 0x80, 0x3f})
+	f.Add(uint64(2), uint16(0), uint32(8191), uint16(16), []byte{0, 0, 0xc0, 0xff, 0, 0, 0x80, 0x7f})
+	f.Add(uint64(3), uint16(2), uint32(1<<16), uint16(7), []byte{1, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, seed uint64, extra uint16, k uint32, salt uint16, data []byte) {
+		words := len(data) / 4
+		if words == 0 {
+			return
+		}
+		n := bracketMinN - 1 + int(extra)%(1<<12)
+		r := xrand.New(seed)
+		x := make([]float32, n)
+		for i := range x {
+			w := i % words
+			x[i] = math.Float32frombits(uint32(data[4*w]) | uint32(data[4*w+1])<<8 | uint32(data[4*w+2])<<16 | uint32(data[4*w+3])<<24)
+			if salt > 0 && r.Intn(int(salt)+1) == 0 {
+				x[i] = r.NormFloat32()
+			}
+		}
+		kk := 1 + int(k)%n
+		var buf, ref TopKBuf
+		want := ref.radixSelect(x, kk)
+		if got := TopKSetInto(x, kk, &buf); !eqInts(got, want) {
+			t.Fatalf("n=%d k=%d: bracketed select differs from the radix select", n, kk)
+		}
+	})
+}
+
+// TestAboveThresholdIntoReportsNaN: the threshold select says whether
+// the input held a NaN, which no threshold keeps.
+func TestAboveThresholdIntoReportsNaN(t *testing.T) {
+	x := []float32{1, float32(math.NaN()), 5}
+	if idx, nan := AboveThresholdInto(nil, x, 2); !eqInts(idx, []int{2}) || !nan {
+		t.Fatalf("AboveThresholdInto = %v, nan=%v", idx, nan)
+	}
+	if _, nan := AboveThresholdInto(nil, x[:1], 0); nan {
+		t.Fatal("NaN reported for a NaN-free input")
 	}
 }
