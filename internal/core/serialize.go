@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -26,6 +27,13 @@ import (
 const (
 	screenerMagic   = "ENMCSCR1"
 	classifierMagic = "ENMCCLS1"
+
+	// maxProjectionEntries caps a screener artifact's k·d. P is
+	// regenerated from the seed, so no byte of the file backs its
+	// entries: without a cap a 20 KB header can ask for terabytes.
+	// 2^26 entries (≈ 90 MB of index lists, well under a second to
+	// draw) is 256× the largest Table 2 shape (d = 1 024, k = 256).
+	maxProjectionEntries = 1 << 26
 )
 
 // WriteTo serializes the screener. Serializing is read-only: an
@@ -94,6 +102,9 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if uint64(l)*uint64(k) > 1<<33 || uint64(k)*uint64(d) > maxProjectionEntries {
+		return nil, fmt.Errorf("core: implausible screener shape l=%d d=%d k=%d", l, d, k)
+	}
 	var qLen uint32
 	if err := readAll(br, &qLen); err != nil {
 		return nil, err
@@ -101,12 +112,15 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	if int(qLen) != int(l)*int(k) {
 		return nil, fmt.Errorf("core: quantized weight length %d, want %d", qLen, int(l)*int(k))
 	}
-	qBytes := make([]byte, qLen)
-	if _, err := io.ReadFull(br, qBytes); err != nil {
-		return nil, err
+	// Grown as the bytes arrive, so a truncated file cannot size a
+	// 4 GB buffer from its header; every block after this one is at
+	// most 4 bytes per byte read here.
+	var qBytes bytes.Buffer
+	if _, err := io.CopyN(&qBytes, br, int64(qLen)); err != nil {
+		return nil, fmt.Errorf("core: reading quantized weights: %w", err)
 	}
 	q := make([]int8, qLen)
-	for i, b := range qBytes {
+	for i, b := range qBytes.Bytes() {
 		q[i] = int8(b)
 	}
 	scales, err := readFloats(br, int(l))

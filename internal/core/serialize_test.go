@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"enmc/internal/quant"
@@ -158,7 +161,7 @@ func TestWriteToDoesNotMutate(t *testing.T) {
 // synthScreener builds a frozen screener with deterministic
 // pseudo-random weights directly (no training), so the round-trip
 // property test can sweep precisions and odd shapes cheaply.
-func synthScreener(t *testing.T, l, d, k int, bits quant.Bits, perTensor bool, seed uint64) *Screener {
+func synthScreener(t testing.TB, l, d, k int, bits quant.Bits, perTensor bool, seed uint64) *Screener {
 	t.Helper()
 	scr, err := newScreener(Config{
 		Categories: l, Hidden: d, Reduced: k,
@@ -259,6 +262,93 @@ func TestScreenerTruncatedStream(t *testing.T) {
 	if _, err := ReadScreener(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full stream rejected: %v", err)
 	}
+}
+
+// screenerHeader returns a screener artifact's header, up to and
+// including the quantized-weight length.
+func screenerHeader(l, d, k uint32, qLen uint32) []byte {
+	b := []byte(screenerMagic)
+	for _, v := range []uint32{l, d, k, uint32(quant.INT4)} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	b = append(b, 0)                           // per-row scales
+	b = binary.LittleEndian.AppendUint64(b, 1) // projection seed
+	return binary.LittleEndian.AppendUint32(b, qLen)
+}
+
+// hugeProjectionArtifact is a 20.5 KB screener with l = 1, k = 4 096,
+// d = 4 000 000 000 and a valid body: nothing in it is large but the
+// k·d projection its header asks to be regenerated from the seed.
+func hugeProjectionArtifact() []byte {
+	const l, d, k = 1, 4_000_000_000, 4096
+	b := screenerHeader(l, d, k, l*k)
+	b = append(b, make([]byte, l*k)...)    // quantized weights
+	for _, n := range []int{l, l, l * k} { // scales, bias, master weights
+		b = binary.LittleEndian.AppendUint32(b, uint32(n))
+		for i := 0; i < n; i++ {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1))
+		}
+	}
+	return b
+}
+
+// TestReadScreenerRejectsHugeShapes: a header alone must not size an
+// allocation. The projection P is regenerated from the seed, so a
+// small artifact could once ask for a k·d one that killed the process
+// (runtime: out of memory, not a recoverable panic); and the quantized
+// weights were allocated at the header's length before any of them
+// was read.
+func TestReadScreenerRejectsHugeShapes(t *testing.T) {
+	if _, err := ReadScreener(bytes.NewReader(hugeProjectionArtifact())); err == nil {
+		t.Fatal("screener with a 4 096 × 4e9 projection accepted")
+	}
+
+	// l·k = 2^31 weight bytes announced, none sent.
+	trunc := screenerHeader(1<<20, 2048, 2048, 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadScreener(bytes.NewReader(trunc))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated screener accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("a %d-byte truncated artifact allocated %d bytes", len(trunc), n)
+	}
+}
+
+// FuzzReadScreener: arbitrary bytes must yield an error or a screener
+// whose re-encoding reads back to the same bytes — never a panic or
+// an out-of-memory death. The committed corpus holds
+// hugeProjectionArtifact.
+func FuzzReadScreener(f *testing.F) {
+	for _, bits := range []quant.Bits{quant.INT2, quant.INT4, quant.INT8} {
+		var buf bytes.Buffer
+		if _, err := synthScreener(f, 5, 9, 3, bits, bits == quant.INT8, 2).WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scr, err := ReadScreener(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var a, b bytes.Buffer
+		if _, err := scr.WriteTo(&a); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadScreener(bytes.NewReader(a.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded screener rejected: %v", err)
+		}
+		if _, err := again.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatal("re-encoding is not stable")
+		}
+	})
 }
 
 // TestSerializeBadMagicAndVersion: a wrong magic and a bumped format

@@ -2,6 +2,7 @@ package decode
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -532,4 +533,54 @@ func (c *countingScorer) ScoreStep(ctx context.Context, h []float32, m, k int) (
 func (c *countingScorer) Close() {
 	c.inner.Close()
 	c.onClose()
+}
+
+// TestSessionGarbage: in steady state a greedy session (Open, 32
+// steps, Close) at an l ≥ 32k shape allocates less than l bytes, a
+// quarter of one l-length float32 vector. A scorer that allocated
+// its mixed vector per session made 4·l bytes of garbage each, so the
+// heap grew with the sessions served.
+func TestSessionGarbage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under -race")
+	}
+	const l, d, steps = 32768, 32, 32
+	inst := workload.Generate(
+		workload.Spec{Name: "decode-garbage", Categories: l, Hidden: d, LatentRank: 8, ZipfS: 1},
+		workload.GenOptions{Seed: 5, Train: 1, Valid: 1, Test: 1})
+	scr, err := core.ProjectedScreener(inst.Classifier, core.Config{
+		Categories: l, Hidden: d, Reduced: 8, Precision: quant.INT4, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(Config{TopM: 24}, workload.NewDecoderFor(inst.Classifier, 7, steps), func() Scorer {
+		return NewLocalScorer(inst.Classifier, scr, LocalScorerConfig{})
+	})
+	defer svc.Shutdown()
+	session := func() {
+		sess, err := svc.Open(Greedy, 1, inst.Test[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fin, err := sess.Run(context.Background(), steps, func(Token) error { return nil }); err != nil || !fin {
+			t.Fatalf("run: finished %v, %v", fin, err)
+		}
+		if err := svc.Close(sess.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // fill the pools
+		session()
+	}
+	const n = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		session()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= l {
+		t.Fatalf("a %d-step session at l = %d allocates %d bytes, want < %d", steps, l, per, l)
+	}
 }

@@ -3,6 +3,7 @@ package decode
 import (
 	"context"
 	"math"
+	"sync"
 
 	"enmc/internal/activation"
 	"enmc/internal/core"
@@ -50,12 +51,13 @@ type LocalScorer struct {
 	verifyEvery int
 	step        int
 
-	mixed   []float32
-	exact   []float32
-	ref     []float32
-	classes []int
-	lps     []float64
-	buf     tensor.TopKBuf
+	mixed    []float32 // l screened-then-merged logits, from mixedPool
+	mixedBuf *[]float32
+	exact    []float32
+	ref      []float32
+	classes  []int
+	lps      []float64
+	buf      tensor.TopKBuf
 }
 
 // LocalScorerConfig tunes a LocalScorer. Zero values select sensible
@@ -75,15 +77,28 @@ type LocalScorerConfig struct {
 	VerifyEvery int
 }
 
+// mixedPool recycles the l-length mixed vectors of closed scorers: a
+// fresh one per session is 4·l bytes of garbage (129 KB at
+// GNMT-E32K), so the heap would grow with the sessions served — the
+// faster the decode path, the fatter it reads.
+var mixedPool sync.Pool // of *[]float32
+
 // NewLocalScorer builds a scorer over an in-process model. Call Close
-// to return the pooled scratch.
+// to return the pooled scratch and mixed vector.
 func NewLocalScorer(cls *core.Classifier, scr *core.Screener, cfg LocalScorerConfig) *LocalScorer {
+	l := cls.Categories()
+	buf, _ := mixedPool.Get().(*[]float32)
+	if buf == nil || cap(*buf) < l {
+		b := make([]float32, l)
+		buf = &b
+	}
 	s := &LocalScorer{
 		cls:         cls,
 		scr:         scr,
 		sc:          core.GetScratch(),
 		verifyEvery: cfg.VerifyEvery,
-		mixed:       make([]float32, cls.Categories()),
+		mixed:       (*buf)[:l],
+		mixedBuf:    buf,
 	}
 	if s.verifyEvery == 0 {
 		s.verifyEvery = 64
@@ -98,6 +113,8 @@ func (s *LocalScorer) Close() {
 	if s.sc != nil {
 		s.sc.Release()
 		s.sc = nil
+		mixedPool.Put(s.mixedBuf)
+		s.mixed, s.mixedBuf = nil, nil
 	}
 }
 

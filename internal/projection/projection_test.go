@@ -1,6 +1,8 @@
 package projection
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -42,13 +44,54 @@ func TestDeterministicBySeed(t *testing.T) {
 	}
 }
 
+// drawTrits re-draws New's entries from xrand independently of the
+// package: one r.Intn(6) per entry in row-major order, 0 → +1,
+// 1 → -1, else 0. Artifacts store only the seed, so a change to New's
+// draw order must fail the tests built on this.
+func drawTrits(k, d int, seed uint64) []int8 {
+	r := xrand.New(seed)
+	t := make([]int8, k*d)
+	for i := range t {
+		switch r.Intn(6) {
+		case 0:
+			t[i] = 1
+		case 1:
+			t[i] = -1
+		}
+	}
+	return t
+}
+
+// scalarApply is the trit-at-a-time definition of P·h: ascending j,
+// add on +1, subtract on -1, one scale per output.
+func scalarApply(trits []int8, k, d int, h []float32) []float32 {
+	scale := float32(math.Sqrt(3 / float64(k)))
+	out := make([]float32, k)
+	for i := range out {
+		var acc float32
+		for j := 0; j < d; j++ {
+			switch trits[i*d+j] {
+			case 1:
+				acc += h[j]
+			case -1:
+				acc -= h[j]
+			}
+		}
+		out[i] = acc * scale
+	}
+	return out
+}
+
 func TestEntriesAreTernary(t *testing.T) {
-	p := New(10, 50, 7)
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 50; j++ {
-			v := p.At(i, j)
-			if v != -1 && v != 0 && v != 1 {
-				t.Fatalf("entry (%d,%d) = %d", i, j, v)
+	for _, sh := range [][2]int{{10, 50}, {3, 7}, {16, 16}} {
+		k, d := sh[0], sh[1]
+		p := New(k, d, 7)
+		trits := drawTrits(k, d, 7)
+		for i := 0; i < k; i++ {
+			for j := 0; j < d; j++ {
+				if got, want := p.At(i, j), int(trits[i*d+j]); got != want {
+					t.Fatalf("%dx%d entry (%d,%d) = %d, re-drawn %d", k, d, i, j, got, want)
+				}
 			}
 		}
 	}
@@ -87,36 +130,151 @@ func TestApplyMatchesDense(t *testing.T) {
 	}
 }
 
-// TestApplyBitIdenticalToScalar pins the byte-walking kernel to the
-// trit-at-a-time scalar definition exactly (same ascending-j addition
-// order), across D values that exercise the unaligned head, the
-// aligned body, and the tail.
+// specials are the values whose arithmetic differs between acc + (-x)
+// and acc - x (NaNs: the sign of the result) or that make a row NaN on
+// their own (Inf - Inf), plus the signed zeros.
+var specials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.Float32frombits(0x7fc00000), math.Float32frombits(0xffc00000), // quiet NaNs of both signs
+	math.Float32frombits(0x7f800001), math.Float32frombits(0xff812345), // signalling NaNs with payloads
+	1.5,
+}
+
+// TestApplyBitIdenticalToScalar pins Apply to the trit-at-a-time
+// definition with Float32bits equality: over d % 4 ∈ {0, 1, 2, 3},
+// all-zero rows and k = d, on normal inputs, all-±0 inputs, and every
+// ordered pair of special values placed under one +1 and one -1 entry
+// of the same row (so +Inf under both is Inf - Inf, and a NaN meets
+// each sign).
 func TestApplyBitIdenticalToScalar(t *testing.T) {
 	r := xrand.New(13)
+	var shapes [][2]int
 	for _, k := range []int{1, 3, 8} {
-		for _, d := range []int{1, 2, 3, 4, 5, 7, 8, 9, 33, 130} {
-			p := New(k, d, uint64(k*1000+d))
+		for _, d := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 33, 130} {
+			shapes = append(shapes, [2]int{k, d})
+		}
+	}
+	for _, n := range []int{4, 17, 64} {
+		shapes = append(shapes, [2]int{n, n})
+	}
+	zeroRows, mixedShapes := 0, 0
+	for _, sh := range shapes {
+		k, d := sh[0], sh[1]
+		seed := uint64(k*1000 + d)
+		p := New(k, d, seed)
+		trits := drawTrits(k, d, seed)
+
+		var hs [][]float32
+		normal := func() []float32 {
 			h := make([]float32, d)
 			for i := range h {
 				h[i] = r.NormFloat32()
 			}
-			got := make([]float32, k)
-			p.Apply(got, h)
-			for i := 0; i < k; i++ {
-				var acc float32
-				for j := 0; j < d; j++ {
-					switch p.At(i, j) {
-					case 1:
-						acc += h[j]
-					case -1:
-						acc -= h[j]
-					}
+			return h
+		}
+		hs = append(hs, normal(), normal())
+		for _, z := range specials[:2] {
+			h := make([]float32, d)
+			for i := range h {
+				h[i] = z
+			}
+			hs = append(hs, h)
+		}
+		plus, minus := -1, -1
+		for i := 0; i < k; i++ {
+			row := trits[i*d : (i+1)*d]
+			nz := 0
+			for _, v := range row {
+				if v != 0 {
+					nz++
 				}
-				if want := acc * p.Scale; got[i] != want {
-					t.Fatalf("k=%d d=%d row %d: kernel %v != scalar %v", k, d, i, got[i], want)
+			}
+			if nz == 0 {
+				zeroRows++
+			}
+			pc, mc := -1, -1
+			for j, v := range row {
+				if v == 1 && pc < 0 {
+					pc = j
+				}
+				if v == -1 && mc < 0 {
+					mc = j
+				}
+			}
+			if pc >= 0 && mc >= 0 && plus < 0 {
+				plus, minus = pc, mc
+				mixedShapes++
+			}
+		}
+		if plus >= 0 {
+			for _, a := range specials {
+				for _, b := range specials {
+					h := normal()
+					h[plus], h[minus] = a, b
+					hs = append(hs, h)
 				}
 			}
 		}
+
+		got := make([]float32, k)
+		for _, h := range hs {
+			p.Apply(got, h)
+			want := scalarApply(trits, k, d, h)
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%dx%d row %d, h=%v: Apply %v (%#x) != scalar %v (%#x)",
+						k, d, i, h, got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+	if zeroRows == 0 || mixedShapes == 0 {
+		t.Fatalf("shapes cover %d all-zero rows and %d shapes with a mixed-sign row; want both > 0", zeroRows, mixedShapes)
+	}
+}
+
+// FuzzApply checks Apply against the scalar definition, bit for bit,
+// on arbitrary float32 bit patterns (NaN payloads included) at small
+// shapes.
+func FuzzApply(f *testing.F) {
+	f.Add(uint8(3), uint8(7), uint64(1), []byte{0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff, 0, 0, 0x80, 0x7f})
+	f.Add(uint8(8), uint8(33), uint64(2), []byte{0, 0, 0, 0x80, 1, 0, 0x80, 0xff, 0, 0, 0xc0, 0x3f})
+	f.Add(uint8(16), uint8(16), uint64(3), []byte{})
+	f.Fuzz(func(t *testing.T, k8, d8 uint8, seed uint64, data []byte) {
+		k, d := 1+int(k8%16), 1+int(d8%80)
+		h := make([]float32, d)
+		for j := 0; j < d && 4*j+4 <= len(data); j++ {
+			h[j] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*j:]))
+		}
+		got := New(k, d, seed).ApplyNew(h)
+		want := scalarApply(drawTrits(k, d, seed), k, d, h)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%dx%d seed %d row %d: Apply %#x != scalar %#x",
+					k, d, seed, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	})
+}
+
+func BenchmarkApply(b *testing.B) {
+	for _, sh := range [][2]int{{256, 1024}, {128, 512}} {
+		k, d := sh[0], sh[1]
+		b.Run(fmt.Sprintf("%dx%d", k, d), func(b *testing.B) {
+			p := New(k, d, 1)
+			r := xrand.New(2)
+			h := make([]float32, d)
+			for i := range h {
+				h[i] = r.NormFloat32()
+			}
+			dst := make([]float32, k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Apply(dst, h)
+			}
+		})
 	}
 }
 
@@ -125,6 +283,8 @@ func TestApplyZeroAlloc(t *testing.T) {
 	h := make([]float32, 128)
 	dst := make([]float32, 32)
 	allocs := testing.AllocsPerRun(20, func() { p.Apply(dst, h) })
+	h[3] = float32(math.NaN())
+	allocs += testing.AllocsPerRun(20, func() { p.Apply(dst, h) })
 	if allocs != 0 {
 		t.Fatalf("Apply allocates %v/op", allocs)
 	}
