@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race fuzz bench bench-smoke bench-selftest vet fmt check ci cover clean report report-check
+.PHONY: all build test test-purego race fuzz bench bench-smoke bench-selftest vet fmt testkit-check check ci cover clean report report-check
 
 all: build
 
@@ -17,9 +17,9 @@ test:
 # kernels compiled out (-tags purego): the scalar fallbacks — quant's
 # blocked screen, tensor's Dot-loop gather — must pass the same
 # bit-identity, driver, serving and serializer tests the AVX2 and SSE
-# kernels pass in `make test`.
+# kernels pass in `make test`, the testkit conformance table among them.
 test-purego:
-	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server
+	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server ./internal/testkit/...
 
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on. It includes the in-process scenario tests of
@@ -55,6 +55,15 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# internal/testkit (the Prometheus parser, leak guard, fault transport,
+# in-process fleet) is for _test.go files only: fail if any command or
+# the root package links it.
+testkit-check:
+	@out="$$($(GO) list -deps ./cmd/... . | grep '^enmc/internal/testkit')"; \
+	if [ -n "$$out" ]; then \
+		echo "testkit linked into a binary or the root package:"; echo "$$out"; exit 1; \
+	fi
+
 # Pre-commit gate: vet, formatting, and the race-enabled test suite.
 check: vet fmt race
 	@echo "check OK"
@@ -62,7 +71,7 @@ check: vet fmt race
 # What CI runs on every push/PR — the same gate as `make check` plus
 # an explicit build, plain and purego test passes and the stale-report
 # gate, kept here so the CI workflow can't drift from the Makefile.
-ci: vet fmt build test test-purego race bench-selftest report-check
+ci: vet fmt testkit-check build test test-purego race bench-selftest report-check
 	@echo "ci OK"
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a nested

@@ -13,11 +13,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -33,6 +31,8 @@ import (
 	"enmc/internal/registry"
 	"enmc/internal/server"
 	"enmc/internal/telemetry"
+	"enmc/internal/testkit"
+	"enmc/internal/testkit/fleet"
 	"enmc/internal/workload"
 )
 
@@ -71,26 +71,6 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-// noLeaks records the goroutine count and, after every later cleanup
-// (servers stopped, fleets closed, clients idle), waits up to 2 s for
-// the count to return to it.
-func noLeaks(t *testing.T) {
-	t.Helper()
-	base := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(2 * time.Second)
-		for runtime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				buf := make([]byte, 1<<20)
-				t.Errorf("%d goroutines still running, %d before the test:\n%s",
-					runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-				return
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	})
 }
 
 // served is one run of the server in a goroutine, and the client the
@@ -148,53 +128,16 @@ func (s *served) stop(t *testing.T) {
 	})
 }
 
-// replica is one in-process shard worker on a listener the test owns.
-type replica struct {
-	addr    string
-	handler http.Handler
-	srv     *http.Server
-	done    chan struct{}
-	screens atomic.Int64 // screen RPCs this replica received
-}
-
-// listen serves the replica on addr ("127.0.0.1:0" the first time, its
-// old address on a restart).
-func (r *replica) listen(t *testing.T, addr string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.addr = ln.Addr().String()
-	r.srv = &http.Server{Handler: r.handler}
-	r.done = make(chan struct{})
-	go func(srv *http.Server, done chan struct{}) {
-		defer close(done)
-		_ = srv.Serve(ln) // ErrServerClosed after kill
-	}(r.srv, r.done)
-}
-
-// kill drops the listener and every open connection at once, as a
-// crashed process would.
-func (r *replica) kill() {
-	_ = r.srv.Close() // the listener and connections are all it owns
-	<-r.done
-}
-
-// fleet is 3 shards × 2 replicas of the demo model, each shard built
-// exactly as enmc-shard builds it from the same -demo-* flags.
-type fleet struct {
-	shards [3][2]*replica
-}
-
-// startFleet starts the fleet; with reqLog non-nil every worker writes
-// its JSON request log there.
-func startFleet(t *testing.T, reqLog io.Writer) *fleet {
+// startFleet starts 3 shards × 2 replicas of the demo model, each
+// shard built exactly as enmc-shard builds it from the same -demo-*
+// flags; with reqLog non-nil every worker writes its JSON request log
+// there.
+func startFleet(t *testing.T, reqLog io.Writer) *fleet.Fleet {
 	t.Helper()
 	inst := workload.Demo(demoClasses, demoDim, demoSeed)
-	f := &fleet{}
-	for i := range f.shards {
-		sh, err := distributed.ShardOne(inst.Classifier, len(f.shards), i, inst.Train, core.Config{
+	shards := make([]distributed.Shard, 3)
+	for i := range shards {
+		sh, err := distributed.ShardOne(inst.Classifier, len(shards), i, inst.Train, core.Config{
 			Hidden:    demoDim,
 			Reduced:   demoDim / 4,
 			Precision: quant.INT4,
@@ -203,43 +146,13 @@ func startFleet(t *testing.T, reqLog io.Writer) *fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for j := range f.shards[i] {
-			w, err := cluster.NewWorker(sh)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reqLog != nil {
-				w.SetRequestLog(telemetry.NewRequestLog(reqLog, telemetry.RequestLogOptions{JSON: true}))
-			}
-			rep := &replica{}
-			inner := w.Handler()
-			rep.handler = http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
-				if req.URL.Path == "/v1/shard/screen" {
-					rep.screens.Add(1)
-				}
-				inner.ServeHTTP(rw, req)
-			})
-			rep.listen(t, "127.0.0.1:0")
-			f.shards[i][j] = rep
-		}
+		shards[i] = sh
 	}
-	t.Cleanup(func() {
-		for i := range f.shards {
-			for _, rep := range f.shards[i] {
-				rep.kill()
-			}
+	return fleet.Start(t, shards, 2, func(w *cluster.Worker) {
+		if reqLog != nil {
+			w.SetRequestLog(telemetry.NewRequestLog(reqLog, telemetry.RequestLogOptions{JSON: true}))
 		}
 	})
-	return f
-}
-
-// spec is the -cluster shard map.
-func (f *fleet) spec() string {
-	groups := make([]string, len(f.shards))
-	for i := range f.shards {
-		groups[i] = f.shards[i][0].addr + "," + f.shards[i][1].addr
-	}
-	return strings.Join(groups, ";")
 }
 
 func newClient(t *testing.T) *http.Client {
@@ -377,14 +290,14 @@ func getJSON(t *testing.T, c *http.Client, url string, v any) {
 
 // scrape fetches a /metrics endpoint and requires it to parse and
 // validate as Prometheus text exposition.
-func scrape(t *testing.T, c *http.Client, url string) *telemetry.PromText {
+func scrape(t *testing.T, c *http.Client, url string) *testkit.PromText {
 	t.Helper()
 	resp, err := c.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	p, err := telemetry.ParsePrometheus(resp.Body)
+	p, err := testkit.ParsePrometheus(resp.Body)
 	if err != nil {
 		t.Fatalf("%s does not parse: %v", url, err)
 	}
@@ -396,7 +309,7 @@ func scrape(t *testing.T, c *http.Client, url string) *telemetry.PromText {
 
 // total sums every sample of a metric family: all label sets, and a
 // histogram's _count when given its bare name.
-func total(p *telemetry.PromText, name string) float64 {
+func total(p *testkit.PromText, name string) float64 {
 	var sum float64
 	for _, s := range p.Samples {
 		if s.Name == name || s.Name == name+"_count" {
@@ -452,10 +365,10 @@ func decodeSession(c *http.Client, base string, req server.DecodeRequest) (decod
 // degrades to a 200 flagged partial with missing_shards [1]; restarting
 // them on the same addresses restores full merges and clean load.
 func TestClusterScenario(t *testing.T) {
-	noLeaks(t)
+	testkit.NoLeaks(t)
 	f := startFleet(t, nil)
 	c := newClient(t)
-	s := startServe(t, c, "-cluster", f.spec(), "-cluster-health-interval", "100ms")
+	s := startServe(t, c, "-cluster", f.Spec(), "-cluster-health-interval", "100ms")
 
 	var ok, bad, partial atomic.Int64
 	load := func() (stop func()) {
@@ -477,7 +390,7 @@ func TestClusterScenario(t *testing.T) {
 
 	stop := load()
 	waitFor(t, "warm-up load", 30*time.Second, func() bool { return ok.Load() >= 50 })
-	f.shards[0][1].kill()
+	f.Shards[0][1].Kill()
 	killedAt := ok.Load()
 	waitFor(t, "load after the replica kill", 30*time.Second, func() bool { return ok.Load() >= killedAt+200 })
 	stop()
@@ -485,8 +398,8 @@ func TestClusterScenario(t *testing.T) {
 		t.Fatalf("one replica down: %d non-200s and %d partial merges of %d", b, p, ok.Load()+b+p)
 	}
 
-	f.shards[1][0].kill()
-	f.shards[1][1].kill()
+	f.Shards[1][0].Kill()
+	f.Shards[1][1].Kill()
 	r, err := classify(c, s.api, "", make([]float32, demoDim))
 	if err != nil {
 		t.Fatal(err)
@@ -496,8 +409,8 @@ func TestClusterScenario(t *testing.T) {
 			r.status, r.Partial, r.MissingShards)
 	}
 
-	f.shards[1][0].listen(t, f.shards[1][0].addr)
-	f.shards[1][1].listen(t, f.shards[1][1].addr)
+	f.Shards[1][0].Restart(t)
+	f.Shards[1][1].Restart(t)
 	waitFor(t, "full merges after the restart", 30*time.Second, func() bool {
 		r, err := classify(c, s.api, "", make([]float32, demoDim))
 		return err == nil && r.status == http.StatusOK && !r.Partial
@@ -518,7 +431,7 @@ func TestClusterScenario(t *testing.T) {
 // cluster, killing a replica mid-session drops no stream and re-pins
 // sessions (cluster_session_repin rises on the debug /metrics).
 func TestDecodeScenario(t *testing.T) {
-	noLeaks(t)
+	testkit.NoLeaks(t)
 	c := newClient(t)
 	h0 := randVec(rand.New(rand.NewSource(1)), demoDim)
 
@@ -592,7 +505,7 @@ func TestDecodeScenario(t *testing.T) {
 	capped.stop(t)
 
 	f := startFleet(t, nil)
-	cs := startServe(t, c, append([]string{"-cluster", f.spec(), "-cluster-health-interval", "100ms",
+	cs := startServe(t, c, append([]string{"-cluster", f.Spec(), "-cluster-health-interval", "100ms",
 		"-decode", "-decode-maxlen", "24", "-debug-addr", "127.0.0.1:0"}, demoFlags...)...)
 	repin := func() float64 { return total(scrape(t, c, cs.debug+"/metrics"), "cluster_session_repin") }
 	before := repin()
@@ -601,7 +514,7 @@ func TestDecodeScenario(t *testing.T) {
 	// probability 2^-16.
 	stop := decodeLoad(16, cs.api, server.DecodeRequest{})
 	waitFor(t, "cluster sessions", 30*time.Second, func() bool { return sessions.Load() >= 16 })
-	f.shards[0][1].kill()
+	f.Shards[0][1].Kill()
 	killedAt := sessions.Load()
 	waitFor(t, "sessions after the replica kill", 30*time.Second, func() bool { return sessions.Load() >= killedAt+16 })
 	stop()
@@ -621,13 +534,13 @@ func TestDecodeScenario(t *testing.T) {
 // on at least two process lanes; router and shard request logs are
 // structured; /v1/slo lists /v1/classify.
 func TestMetricsScenario(t *testing.T) {
-	noLeaks(t)
+	testkit.NoLeaks(t)
 	prev := telemetry.Global()
 	t.Cleanup(func() { telemetry.SetGlobal(prev) })
 	shardLog := &syncBuffer{}
 	f := startFleet(t, shardLog)
 	c := newClient(t)
-	s := startServe(t, c, "-cluster", f.spec(), "-cluster-health-interval", "100ms",
+	s := startServe(t, c, "-cluster", f.Spec(), "-cluster-health-interval", "100ms",
 		"-trace", "-log-json", "-slow-log", "100ms", "-debug-addr", "127.0.0.1:0")
 
 	advanced := []string{"cluster_shard_rpc_total", "server_http_requests", "server_http_classify_ns",
@@ -679,10 +592,10 @@ func TestMetricsScenario(t *testing.T) {
 			t.Errorf("%s: slo_requests_window{endpoint=\"/v1/classify\"} = %v, want >= %d", url, window, ok.Load())
 		}
 	}
-	for i := range f.shards {
-		for j, rep := range f.shards[i] {
-			scrape(t, c, "http://"+rep.addr+"/metrics")
-			if rep.screens.Load() == 0 {
+	for i := range f.Shards {
+		for j, rep := range f.Shards[i] {
+			scrape(t, c, "http://"+rep.Addr+"/metrics")
+			if rep.Screens.Load() == 0 {
 				t.Errorf("shard %d replica %d received no screens", i, j)
 			}
 		}
@@ -788,7 +701,7 @@ func registryFixture(t *testing.T) (*registry.Store, *workload.Instance) {
 // /v1/model then shows v2 with exactly one more swap and one more
 // canary rejection; no request fails throughout.
 func TestSwapScenario(t *testing.T) {
-	noLeaks(t)
+	testkit.NoLeaks(t)
 	store, inst := registryFixture(t)
 	publish(t, store, inst, "v3-bad", "v1", 1, quant.INT2, 1)
 	publish(t, store, inst, "v4-corrupt", "v2", demoDim/4, quant.INT4, 2)
@@ -878,7 +791,7 @@ const tenantsGen2 = `{"tenants": [
 // v1 while alice gets the active v2; and /v1/tenants lists alice and
 // bob.
 func TestQoSScenario(t *testing.T) {
-	noLeaks(t)
+	testkit.NoLeaks(t)
 	store, _ := registryFixture(t)
 	tenantsPath := filepath.Join(t.TempDir(), "tenants.json")
 	if err := os.WriteFile(tenantsPath, []byte(tenantsGen1), 0o644); err != nil {

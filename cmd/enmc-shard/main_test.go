@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -19,6 +18,7 @@ import (
 	"enmc/internal/core"
 	"enmc/internal/distributed"
 	"enmc/internal/quant"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -71,7 +71,7 @@ func screen(t *testing.T, c *http.Client, base string, frame []byte) [][]cluster
 // request log carries req_id; SIGTERM turns /readyz to 503 before the
 // listener goes, and run then returns nil. No goroutine outlives run.
 func TestShardScenario(t *testing.T) {
-	base := runtime.NumGoroutine()
+	testkit.NoLeaks(t)
 	stderr := &syncBuffer{}
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
@@ -159,17 +159,5 @@ func TestShardScenario(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
-	}
-
-	refSrv.Close()
-	c.CloseIdleConnections()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines still running, %d before the test:\n%s",
-				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }

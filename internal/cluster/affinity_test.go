@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"enmc/internal/decode"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
 // TestAffinitySticky: once a session pins, every subsequent scatter
 // for that session lands on the pinned replicas only.
 func TestAffinitySticky(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, shards, _ := fixture(t)
 	var hits [fixShards][2]atomic.Int64
 	urls, _ := startWorkers(t, shards, 2, func(shard, rep int, h http.Handler) http.Handler {
@@ -66,6 +68,7 @@ func TestAffinitySticky(t *testing.T) {
 // session onto a survivor via the ordinary failover path, and the
 // re-pin is counted.
 func TestAffinityRepinOnFailure(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, srvs := startWorkers(t, shards, 2, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls})
@@ -99,6 +102,7 @@ func TestAffinityRepinOnFailure(t *testing.T) {
 // the router-backed scorer: tokens flow, the greedy choice matches
 // the router's merged argmax, and the session's affinity pins.
 func TestDecodeScorerOverCluster(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, _ := startWorkers(t, shards, 2, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls})

@@ -14,6 +14,7 @@ import (
 	"enmc/internal/distributed"
 	"enmc/internal/quant"
 	"enmc/internal/server"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -174,6 +175,7 @@ func TestParseShardMap(t *testing.T) {
 // --- worker endpoint behavior ---
 
 func TestWorkerEndpoints(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, shards, _ := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
@@ -221,66 +223,11 @@ func TestWorkerEndpoints(t *testing.T) {
 
 // --- end-to-end: scatter-gather merge is bit-identical ---
 
-// TestRouterMatchesInProcess: with every shard healthy, the networked
-// router's merged top-k must be bit-identical to the in-process
-// scatter over the SAME shards and per-shard budget, and — at full
-// screening budget, where approximation vanishes — bit-identical to
-// single-node core.ClassifyApprox over the global model.
-func TestRouterMatchesInProcess(t *testing.T) {
-	inst, shards, global := fixture(t)
-	urls, _ := startWorkers(t, shards, 1, nil)
-	r := dialT(t, RouterConfig{ShardMap: urls})
-
-	if r.Hidden() != fixHidden || r.Categories() != fixClasses || r.Shards() != fixShards {
-		t.Fatalf("geometry: hidden %d classes %d shards %d", r.Hidden(), r.Categories(), r.Shards())
-	}
-	if v := r.ModelVersion(); v != "vtest" {
-		t.Fatalf("version = %q", v)
-	}
-	if r.VersionSkew() {
-		t.Fatal("uniform cluster reports skew")
-	}
-
-	ctx := context.Background()
-	batch := inst.Test[:4]
-	const m, topK = 24, 5
-	outs, p, err := r.ClassifyBatchPartial(ctx, batch, m, topK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Partial || len(p.MissingShards) != 0 {
-		t.Fatalf("healthy cluster reported partial %+v", p)
-	}
-	per := (m + fixShards - 1) / fixShards
-	for i, h := range batch {
-		want, err := distributed.Classify(shards, h, per, topK)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertOutcome(t, i, outs[i], want)
-	}
-
-	// Full budget: every shard ships its whole slice exactly, so the
-	// router's top-k must equal the single-node exact top-k
-	// core.ClassifyApprox produces when screening keeps everything.
-	outs, _, err = r.ClassifyBatchPartial(ctx, batch, fixClasses, topK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range batch {
-		res := core.ClassifyApprox(inst.Classifier, global, h, core.TopM(fixClasses))
-		pool := make([]distributed.Candidate, len(res.Candidates))
-		for j, c := range res.Candidates {
-			pool[j] = distributed.Candidate{Class: c, Logit: res.Exact[j]}
-		}
-		assertOutcome(t, i, outs[i], distributed.Merge(pool, topK))
-	}
-}
-
 // TestRouterPartialOnShardDown: killing every replica of one shard
 // must degrade, not fail — the reply is the correctly-merged top-k of
 // the surviving shards, flagged partial with the dead shard listed.
 func TestRouterPartialOnShardDown(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, srvs := startWorkers(t, shards, 2, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 2 * time.Second})
@@ -326,6 +273,7 @@ func TestRouterPartialOnShardDown(t *testing.T) {
 // TestRouterAllShardsDown: when no shard has a reachable replica the
 // query errors rather than returning an empty merge.
 func TestRouterAllShardsDown(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, srvs := startWorkers(t, shards, 1, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls})
@@ -346,6 +294,7 @@ func TestRouterAllShardsDown(t *testing.T) {
 // TestRouterFailover: a dead first replica must fail over to the live
 // one within a single query — no probe loop involved.
 func TestRouterFailover(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, srvs := startWorkers(t, shards, 2, nil)
 	// Kill replica 0 of every shard; replica order for the first query
@@ -384,6 +333,7 @@ func TestRouterFailover(t *testing.T) {
 // same-replica retry (MaxAttempts cycles the one-entry order), so a
 // transient 500 does not degrade the response.
 func TestRouterRetrySameReplica(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	var flaked sync.Map // shard → true once it has already failed one screen
 	urls, _ := startWorkers(t, shards, 1, func(shard, _ int, h http.Handler) http.Handler {
@@ -418,6 +368,7 @@ func TestRouterRetrySameReplica(t *testing.T) {
 // must launch the second replica and its answer must win well before
 // the stalled attempt's timeout.
 func TestRouterHedge(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	stop := make(chan struct{})
 	urls, _ := startWorkers(t, shards, 2, func(_, rep int, h http.Handler) http.Handler {
@@ -465,6 +416,7 @@ func TestRouterHedge(t *testing.T) {
 // successes re-admit — and an ejected replica is still reachable as a
 // last resort, so a fully-ejected shard keeps serving.
 func TestRouterHealthEjectAndReadmit(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	var down sync.Map // shard index → readiness off
 	urls, _ := startWorkers(t, shards, 1, func(shard, _ int, h http.Handler) http.Handler {
@@ -531,6 +483,7 @@ func TestRouterHealthEjectAndReadmit(t *testing.T) {
 // TestRouterCancellation: a context cancelled mid-scatter surfaces
 // ctx.Err(), not a partial result.
 func TestRouterCancellation(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	stop := make(chan struct{})
 	urls, _ := startWorkers(t, shards, 1, func(_, _ int, h http.Handler) http.Handler {
@@ -560,8 +513,21 @@ func TestRouterCancellation(t *testing.T) {
 // with no reachable replica) must be rejected at Dial, before any
 // query can silently lose classes.
 func TestDialValidation(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, shards, _ := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
+
+	// A good map: Dial learns the geometry and the uniform version.
+	r := dialT(t, RouterConfig{ShardMap: urls})
+	if r.Hidden() != fixHidden || r.Categories() != fixClasses || r.Shards() != fixShards {
+		t.Fatalf("geometry: hidden %d classes %d shards %d", r.Hidden(), r.Categories(), r.Shards())
+	}
+	if v := r.ModelVersion(); v != "vtest" {
+		t.Fatalf("version = %q", v)
+	}
+	if r.VersionSkew() {
+		t.Fatal("uniform cluster reports skew")
+	}
 
 	// Gap: shards 0 and 2 without 1.
 	if _, err := Dial(context.Background(), RouterConfig{
@@ -599,6 +565,14 @@ func TestDialValidation(t *testing.T) {
 // router against replies a correct worker would never send.
 func stubShard(t *testing.T, info ShardInfo, cands []WireCandidate) string {
 	t.Helper()
+	return stubShardAs(t, info, info, cands)
+}
+
+// stubShardAs is stubShard with a reply that claims the identity
+// reply instead of info: a replica restarted as another shard behind
+// the same address.
+func stubShardAs(t *testing.T, info, reply ShardInfo, cands []WireCandidate) string {
+	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/shard/info", func(rw http.ResponseWriter, _ *http.Request) {
 		writeJSON(rw, http.StatusOK, info)
@@ -615,40 +589,69 @@ func stubShard(t *testing.T, info ShardInfo, cands []WireCandidate) string {
 		for i := range items {
 			items[i] = cands
 		}
-		reply, err := AppendScreenResponse(nil, &ScreenResponse{
-			Offset: info.Offset, Classes: info.Classes, Version: info.Version, Items: items,
+		out, err := AppendScreenResponse(nil, &ScreenResponse{
+			Offset: reply.Offset, Classes: reply.Classes, Version: reply.Version, Items: items,
 		})
 		if err != nil {
 			t.Error(err)
 		}
 		rw.Header().Set("Content-Type", ContentTypeScreenV2)
-		_, _ = rw.Write(reply)
+		_, _ = rw.Write(out)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv.URL
 }
 
-// TestRouterDedupesOverlappingReplies: a shard replying with a class
-// outside its slice (a lying worker) must not double-count — the
-// merge keeps one entry per class, at its highest logit.
+// TestRouterDedupesOverlappingReplies: a reply is merged only if it
+// comes from the shard the router dialed. A replica whose candidates
+// leave its slice (shard A, rows [0,2), reporting class 3 at logit 9),
+// or whose reply claims another slice, is a failed attempt: the shard
+// fails over to an honest replica, and ends partial when it has none.
+// A class repeated inside one reply still collapses to its highest
+// logit.
 func TestRouterDedupesOverlappingReplies(t *testing.T) {
-	a := stubShard(t, ShardInfo{Offset: 0, Classes: 2, Hidden: 3, Version: "v1"},
-		[]WireCandidate{{Class: 3, Logit: 9}, {Class: 0, Logit: 1}}) // class 3 is shard B's row
-	b := stubShard(t, ShardInfo{Offset: 2, Classes: 2, Hidden: 3, Version: "v2"},
-		[]WireCandidate{{Class: 3, Logit: 1}, {Class: 2, Logit: 5}})
-	r := dialT(t, RouterConfig{ShardMap: [][]string{{a}, {b}}})
+	testkit.NoLeaks(t)
+	infoA := ShardInfo{Offset: 0, Classes: 2, Hidden: 3, Version: "v1"}
+	infoB := ShardInfo{Offset: 2, Classes: 2, Hidden: 3, Version: "v2"}
+	outOfSlice := stubShard(t, infoA, []WireCandidate{{Class: 3, Logit: 9}, {Class: 0, Logit: 1}})
+	asShardB := stubShardAs(t, infoA, infoB, []WireCandidate{{Class: 1, Logit: 8}})
+	honestA := stubShard(t, infoA, []WireCandidate{{Class: 1, Logit: 2}, {Class: 0, Logit: 1}})
+	b := stubShard(t, infoB, []WireCandidate{{Class: 3, Logit: 1}, {Class: 2, Logit: 5}, {Class: 3, Logit: 4}})
+	batch := [][]float32{{1, 2, 3}}
+	want := []distributed.Candidate{{Class: 2, Logit: 5}, {Class: 3, Logit: 4}, {Class: 1, Logit: 2}, {Class: 0, Logit: 1}}
 
-	outs, p, err := r.ClassifyBatchPartial(context.Background(), [][]float32{{1, 2, 3}}, 4, 10)
-	if err != nil {
-		t.Fatal(err)
+	for _, liar := range []string{outOfSlice, asShardB} {
+		// The liar is replica 0, so the first query tries it first.
+		r := dialT(t, RouterConfig{ShardMap: [][]string{{liar, honestA}, {b}}})
+		failBefore := mFailoverTotal.Value()
+		outs, p, err := r.ClassifyBatchPartial(context.Background(), batch, 4, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Partial {
+			t.Fatalf("partial = %+v with an honest replica of shard A up", p)
+		}
+		if d := mFailoverTotal.Value() - failBefore; d != 1 {
+			t.Fatalf("failover_total delta %d, want 1", d)
+		}
+		assertOutcome(t, 0, outs[0], want)
+
+		// With the liar alone, shard A's slice is missing, never
+		// scored by the wrong replica.
+		r = dialT(t, RouterConfig{ShardMap: [][]string{{liar}, {b}}})
+		outs, p, err = r.ClassifyBatchPartial(context.Background(), batch, 4, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.Partial || len(p.MissingShards) != 1 || p.MissingShards[0] != 0 {
+			t.Fatalf("partial = %+v, want shard 0 missing", p)
+		}
+		assertOutcome(t, 0, outs[0], want[:2])
 	}
-	if p.Partial {
-		t.Fatalf("partial = %+v", p)
-	}
-	assertOutcome(t, 0, outs[0], []distributed.Candidate{{Class: 3, Logit: 9}, {Class: 2, Logit: 5}, {Class: 0, Logit: 1}})
 
 	// Mixed versions across shards = rolling update in flight.
+	r := dialT(t, RouterConfig{ShardMap: [][]string{{honestA}, {b}}})
 	if v := r.ModelVersion(); v != "v1,v2" {
 		t.Fatalf("ModelVersion = %q", v)
 	}
@@ -661,6 +664,7 @@ func TestRouterDedupesOverlappingReplies(t *testing.T) {
 // contributes nothing — the merge is the other shards' candidates,
 // and the response is NOT partial (the shard answered).
 func TestRouterEmptyShardReply(t *testing.T) {
+	testkit.NoLeaks(t)
 	a := stubShard(t, ShardInfo{Offset: 0, Classes: 2, Hidden: 3},
 		[]WireCandidate{{Class: 1, Logit: 4}})
 	b := stubShard(t, ShardInfo{Offset: 2, Classes: 2, Hidden: 3}, []WireCandidate{})

@@ -462,10 +462,14 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 
 	outs := make([]server.Outcome, len(batch))
 	pool := make([]distributed.Candidate, 0, len(r.shards)*per)
+	// top_k = 0 still ranks one, as server.Local does: its head is the
+	// class. (MergeDedup reads a topK <= 0 as "keep everything".)
+	topK = max(topK, 0)
+	rank := max(topK, 1)
 	// One top-k backing array for the whole batch instead of one
-	// allocation per item: MergeDedup returns at most topK, so the
-	// arena never regrows and the three-index subslices stay stable.
-	// The caller owns the returned Outcomes, so this cannot be pooled.
+	// allocation per item: each item keeps at most topK, so the arena
+	// never regrows and the three-index subslices stay stable. The
+	// caller owns the returned Outcomes, so this cannot be pooled.
 	ckAll := make([]server.Candidate, 0, len(batch)*topK)
 	for i := range batch {
 		pool = pool[:0]
@@ -477,11 +481,11 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 				pool = append(pool, distributed.Candidate{Class: c.Class, Logit: c.Logit})
 			}
 		}
-		// MergeDedup, not Merge: wire replies are untrusted, and a
-		// mis-wired shard map can double-cover a class row.
-		merged := distributed.MergeDedup(pool, topK)
+		// MergeDedup, not Merge: checkReply keeps every candidate in
+		// its shard's slice, but a reply may still repeat a class.
+		merged := distributed.MergeDedup(pool, rank)
 		start := len(ckAll)
-		for _, c := range merged {
+		for _, c := range merged[:min(topK, len(merged))] {
 			ckAll = append(ckAll, server.Candidate{Class: c.Class, Logit: c.Logit})
 		}
 		o := server.Outcome{TopK: ckAll[start:len(ckAll):len(ckAll)]}
@@ -647,9 +651,9 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 	if err != nil {
 		return fail(err)
 	}
-	if len(sr.Items) != nItems {
+	if err := s.checkReply(sr, nItems); err != nil {
 		sc.Release()
-		return fail(fmt.Errorf("cluster: shard %d replica %s: %d items in reply, want %d", s.id, rep.url, len(sr.Items), nItems))
+		return fail(fmt.Errorf("cluster: shard %d replica %s: %w", s.id, rep.url, err))
 	}
 	mRPCNs.Observe(float64(time.Since(start)))
 	if tr.Enabled() {
@@ -678,6 +682,30 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 	v := sr.Version
 	s.version.Store(&v)
 	return sr, sc, nil
+}
+
+// checkReply holds a decoded reply to the shard's identity: the item
+// count the router sent, the slice geometry learned at Dial, and every
+// candidate inside that slice. A replica restarted as another shard
+// behind the same address answers with someone else's slice; merging
+// it would score that slice twice and this one never, so the reply is
+// a failed attempt instead and the shard fails over (or ends partial).
+func (s *routerShard) checkReply(sr *ScreenResponse, nItems int) error {
+	if len(sr.Items) != nItems {
+		return fmt.Errorf("%d items in reply, want %d", len(sr.Items), nItems)
+	}
+	if sr.Offset != s.offset || sr.Classes != s.classes {
+		return fmt.Errorf("reply serves rows [%d,%d), want [%d,%d)",
+			sr.Offset, sr.Offset+sr.Classes, s.offset, s.offset+s.classes)
+	}
+	for _, item := range sr.Items {
+		for _, c := range item {
+			if c.Class < s.offset || c.Class >= s.offset+s.classes {
+				return fmt.Errorf("candidate class %d outside rows [%d,%d)", c.Class, s.offset, s.offset+s.classes)
+			}
+		}
+	}
+	return nil
 }
 
 // screenRPC is one HTTP round trip to one replica. Bodies are read to

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"enmc/internal/core"
+	"enmc/internal/testkit"
 )
 
 // --- the screen endpoint speaks one codec ---
@@ -73,6 +74,7 @@ func postScreen(t testing.TB, client *http.Client, base string, c screenCase) (i
 // whatever the Accept header says — whose candidates are the shard's
 // own pipeline bit for bit; every refusal carries a JSON error body.
 func TestWorkerScreenContentTypes(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
@@ -194,6 +196,7 @@ func FuzzWorkerScreenBody(f *testing.F) {
 // one per replica, counted in shard_rpc_errors, never repeated in
 // another codec — and leaves the replicas serving well-formed traffic.
 func TestWorker400IsAnRPCFailure(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	var mu sync.Mutex
 	posts := map[int][]string{} // replica → Content-Type of each screen POST
@@ -253,6 +256,7 @@ func TestWireBodyTryAcquireAfterRelease(t *testing.T) {
 // next decode into a recycled scratch rewrote the string under
 // distinctVersions — a data race this test trips under -race.
 func TestModelVersionConcurrentWithQueries(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 5 * time.Second})
@@ -293,6 +297,7 @@ func TestModelVersionConcurrentWithQueries(t *testing.T) {
 // frame) must ride ONE TCP connection. A body or reply left unread
 // makes the transport open a fresh connection per RPC.
 func TestKeepAliveConnectionReuse(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, shards, _ := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
@@ -343,6 +348,7 @@ func TestKeepAliveConnectionReuse(t *testing.T) {
 // sort.Slice costs a handful per item; the former per-item `ck :=
 // make(...)` and JSON decode pushed this past 40.
 func TestRouterFastPathAllocs(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 5 * time.Second})

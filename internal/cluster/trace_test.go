@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"enmc/internal/telemetry"
+	"enmc/internal/testkit"
 )
 
 // TestWorkerSpansOnlyWhenTraced: a shard reply carries spans iff the
@@ -70,6 +71,7 @@ func TestWorkerSpansOnlyWhenTraced(t *testing.T) {
 // PID 0, shards PID 1+i) sharing one trace ID, with worker spans
 // nested inside their RPC span.
 func TestDistributedTraceCapture(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 
@@ -145,6 +147,7 @@ func TestDistributedTraceCapture(t *testing.T) {
 // TestUntracedRouterSendsNoHeaders: without a trace context the RPC
 // carries no trace headers, so workers stay on the global-tracer path.
 func TestUntracedRouterSendsNoHeaders(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
 	sawTrace := false
 	urls, _ := startWorkers(t, shards, 1, func(_, _ int, h http.Handler) http.Handler {
@@ -177,7 +180,7 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/metrics: HTTP %d", rec.Code)
 	}
-	p, err := telemetry.ParsePrometheus(rec.Body)
+	p, err := testkit.ParsePrometheus(rec.Body)
 	if err != nil {
 		t.Fatalf("worker scrape does not parse: %v", err)
 	}

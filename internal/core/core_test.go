@@ -263,25 +263,6 @@ func TestClassifyApproxMergesExactValues(t *testing.T) {
 	}
 }
 
-func TestClassifyApproxAllCandidatesEqualsFull(t *testing.T) {
-	cls, samples := testModel(t, 80, 32, 20)
-	scr, _, err := TrainScreener(cls, samples, testConfig(80, 32), TrainOptions{Epochs: 4, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := samples[1]
-	res := ClassifyApprox(cls, scr, h, TopM(80))
-	full := cls.Logits(h)
-	for i := range full {
-		if res.Mixed[i] != full[i] {
-			t.Fatalf("m=l should reproduce full logits exactly at %d", i)
-		}
-	}
-	if res.Predict() != cls.Predict(h) {
-		t.Fatal("prediction mismatch at m=l")
-	}
-}
-
 // TestScreeningRecall verifies the core hypothesis: with a modest
 // candidate budget, screening recovers the true top-1 almost always.
 func TestScreeningRecall(t *testing.T) {

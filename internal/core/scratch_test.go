@@ -2,11 +2,9 @@ package core
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -137,32 +135,6 @@ func approxModel(t testing.TB) (*Classifier, *Screener, []float32) {
 	return cls, scr, samples[0]
 }
 
-// TestClassifyApproxIntoMatchesClassifyApprox checks the arena-backed
-// pipeline returns exactly what the allocating one does, under both
-// selection policies, across repeated reuse of one scratch.
-func TestClassifyApproxIntoMatchesClassifyApprox(t *testing.T) {
-	cls, scr, h := approxModel(t)
-	sc := GetScratch()
-	defer sc.Release()
-	for _, sel := range []Selection{TopM(16), Threshold(0.5), TopM(3)} {
-		want := ClassifyApprox(cls, scr, h, sel)
-		got := ClassifyApproxInto(cls, scr, h, sel, sc)
-		if len(got.Mixed) != len(want.Mixed) || len(got.Candidates) != len(want.Candidates) {
-			t.Fatalf("%v: shape mismatch", sel)
-		}
-		for i := range want.Mixed {
-			if got.Mixed[i] != want.Mixed[i] {
-				t.Fatalf("%v: mixed[%d] %v != %v", sel, i, got.Mixed[i], want.Mixed[i])
-			}
-		}
-		for i := range want.Candidates {
-			if got.Candidates[i] != want.Candidates[i] || got.Exact[i] != want.Exact[i] {
-				t.Fatalf("%v: candidate %d mismatch", sel, i)
-			}
-		}
-	}
-}
-
 // TestClassifyApproxIntoZeroAlloc is the allocation contract of the
 // hot path: with a warmed scratch pinned to the serial kernels
 // (MaxShards=1 — the saturated-server configuration), steady-state
@@ -179,125 +151,6 @@ func TestClassifyApproxIntoZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state ClassifyApproxInto allocates %v/op, want 0", allocs)
-	}
-}
-
-// TestClassifyBatchVisitCtxMatchesBatch checks the batch driver
-// delivers every item, in order, with the same numbers as the
-// caller-owned single-item pipeline.
-func TestClassifyBatchVisitCtxMatchesBatch(t *testing.T) {
-	checkBatchVisitMatchesApprox(t, 256, 9, 12)
-}
-
-// TestClassifyBatchCtxMatchesBatch is the same check on a smaller
-// model with a narrower candidate budget (64 rows, m=6).
-func TestClassifyBatchCtxMatchesBatch(t *testing.T) {
-	checkBatchVisitMatchesApprox(t, 64, 24, 6)
-}
-
-func checkBatchVisitMatchesApprox(t *testing.T, l, items, m int) {
-	t.Helper()
-	cls, samples := testModel(t, l, 32, items)
-	scr, _, err := TrainScreener(cls, samples, testConfig(l, 32), TrainOptions{Epochs: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := TopM(m)
-
-	type snap struct {
-		pred  int
-		cands []int
-		top1  float32
-	}
-	got := make([]*snap, len(samples))
-	err = ClassifyBatchVisitCtx(context.Background(), cls, scr, samples, sel, nil,
-		func(i int, r *Result, sc *Scratch) {
-			got[i] = &snap{
-				pred:  r.Predict(),
-				cands: append([]int(nil), r.Candidates...),
-				top1:  r.Mixed[sc.TopK(r.Mixed, 1)[0]],
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range samples {
-		w := ClassifyApprox(cls, scr, h, sel)
-		g := got[i]
-		if g == nil {
-			t.Fatalf("item %d not visited", i)
-		}
-		if g.pred != w.Predict() {
-			t.Fatalf("item %d: pred %d != %d", i, g.pred, w.Predict())
-		}
-		if len(g.cands) != len(w.Candidates) {
-			t.Fatalf("item %d: candidate count", i)
-		}
-		for j := range g.cands {
-			if g.cands[j] != w.Candidates[j] {
-				t.Fatalf("item %d: candidates differ", i)
-			}
-		}
-		if g.top1 != w.Mixed[w.TopPredictions(1)[0]] {
-			t.Fatalf("item %d: top-1 logit differs", i)
-		}
-	}
-}
-
-// TestClassifyBatchVisitCtxTilesBitIdentical is the tiled driver's
-// contract: whatever the batch size (around the tile width) and worker
-// count make of the tiling, every item is visited exactly once with
-// the Mixed, Candidates and Exact that ClassifyApproxInto produces for
-// it, bit for bit.
-func TestClassifyBatchVisitCtxTilesBitIdentical(t *testing.T) {
-	cls, samples := testModel(t, 203, 32, 17) // 203 rows: three edge rows past the last 8-row group
-	scr, _, err := TrainScreener(cls, samples, testConfig(203, 32), TrainOptions{Epochs: 1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel := TopM(12)
-	ref := GetScratch()
-	defer ref.Release()
-	want := make([]*Result, len(samples))
-	for i, h := range samples {
-		want[i] = ClassifyApproxInto(cls, scr, h, sel, ref).clone()
-	}
-	const T = quant.BatchTile
-	for _, procs := range []int{1, 2, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		for _, b := range []int{1, 2, 3, T, T + 1, 16, 17} {
-			visits := make([]int32, b)
-			err := ClassifyBatchVisitCtx(context.Background(), cls, scr, samples[:b], sel, nil,
-				func(i int, r *Result, _ *Scratch) {
-					atomic.AddInt32(&visits[i], 1)
-					w := want[i]
-					if len(r.Mixed) != len(w.Mixed) || len(r.Candidates) != len(w.Candidates) || len(r.Exact) != len(w.Exact) {
-						t.Errorf("procs=%d B=%d item %d: shape mismatch", procs, b, i)
-						return
-					}
-					for k := range w.Mixed {
-						if math.Float32bits(r.Mixed[k]) != math.Float32bits(w.Mixed[k]) {
-							t.Errorf("procs=%d B=%d item %d: mixed[%d] differs", procs, b, i, k)
-							return
-						}
-					}
-					for k := range w.Candidates {
-						if r.Candidates[k] != w.Candidates[k] || math.Float32bits(r.Exact[k]) != math.Float32bits(w.Exact[k]) {
-							t.Errorf("procs=%d B=%d item %d: candidate %d differs", procs, b, i, k)
-							return
-						}
-					}
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, n := range visits {
-				if n != 1 {
-					t.Fatalf("procs=%d B=%d: item %d visited %d times", procs, b, i, n)
-				}
-			}
-		}
-		runtime.GOMAXPROCS(prev)
 	}
 }
 

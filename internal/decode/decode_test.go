@@ -11,6 +11,7 @@ import (
 	"enmc/internal/core"
 	"enmc/internal/metrics"
 	"enmc/internal/quant"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -58,12 +59,14 @@ func pumpAll(t *testing.T, svc *Service, mode Mode, width int, h0 []float32) ([]
 	return toks, hits, misses
 }
 
-// TestCachedBitIdentity is the tentpole invariant: greedy decoding
-// through the candidate cache must emit the exact token sequence of
-// (a) uncached screened decoding and (b) the single-shot
-// ClassifyApproxInto serving path — on every probe sentence — while
-// the cache demonstrates a >50% hit rate.
-func TestCachedBitIdentity(t *testing.T) {
+// TestCacheHitRate: a greedy session through the candidate cache
+// emits the token sequence the decoder gives with the single-shot
+// ClassifyApproxInto as its classifier, on every probe sentence, while
+// the cache hits on more than half its lookups; the zero-value config
+// uses no cache. (That a scorer's scores are bit-identical with and
+// without the cache is a row of the testkit conformance table.)
+func TestCacheHitRate(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, scr, dec := testModel(t)
 	cached := newTestService(inst, scr, dec, 4*24)
 	uncached := newTestService(inst, scr, dec, 0) // the zero value: no cache
@@ -80,17 +83,13 @@ func TestCachedBitIdentity(t *testing.T) {
 	for i, h0 := range inst.Test {
 		got, h, m := pumpAll(t, cached, Greedy, 1, h0)
 		hits, misses = hits+h, misses+m
-		plain, ph, pm := pumpAll(t, uncached, Greedy, 1, h0)
-		if ph != 0 || pm != 0 {
+		if _, ph, pm := pumpAll(t, uncached, Greedy, 1, h0); ph != 0 || pm != 0 {
 			t.Fatalf("probe %d: zero-value scorer used a cache (%d hits, %d misses)", i, ph, pm)
 		}
 		want := dec.Decode(h0, dec.MaxLen(), ref)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("probe %d: cached token %d = %d, reference %d", i, j, got[j], want[j])
-			}
-			if plain[j] != want[j] {
-				t.Fatalf("probe %d: uncached token %d = %d, reference %d", i, j, plain[j], want[j])
 			}
 		}
 	}
@@ -104,6 +103,7 @@ func TestCachedBitIdentity(t *testing.T) {
 // TestBeamWidthOneMatchesGreedy: a width-1 beam session walks the
 // same path as a greedy session.
 func TestBeamWidthOneMatchesGreedy(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, scr, dec := testModel(t)
 	svc := newTestService(inst, scr, dec, 0)
 	defer svc.Shutdown()
@@ -121,6 +121,7 @@ func TestBeamWidthOneMatchesGreedy(t *testing.T) {
 // TestBeamSessionFrames: a beam session emits one frame per step and
 // finishes with the best hypothesis exposed through Tokens().
 func TestBeamSessionFrames(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, scr, dec := testModel(t)
 	svc := newTestService(inst, scr, dec, 0)
 	defer svc.Shutdown()
@@ -239,6 +240,7 @@ func demoModel(t testing.TB) (*workload.Instance, *core.Screener, *workload.Deco
 // token screening quality is a gate, not a dashboard. Both shapes must
 // stay at or above 0.50.
 func TestAgreementBLEU(t *testing.T) {
+	testkit.NoLeaks(t)
 	for _, tc := range []struct {
 		name  string
 		model func(testing.TB) (*workload.Instance, *core.Screener, *workload.Decoder)
@@ -292,6 +294,7 @@ func (s *stubScorer) Close() { s.closed = true }
 // TestDeadlineLadder: slow steps walk m down to the floor; fast steps
 // recover it back to top-m.
 func TestDeadlineLadder(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
 	stub := &stubScorer{sleep: 2 * time.Millisecond}
 	svc := NewService(Config{TopM: 32, MFloor: 8, TokenBudget: time.Millisecond}, dec, func() Scorer { return stub })
@@ -361,6 +364,7 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 // TestSessionAdmission: the MaxSessions limit turns into
 // ErrSessionLimit, and closing a session frees a slot.
 func TestSessionAdmission(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
 	svc := NewService(Config{MaxSessions: 2}, dec, func() Scorer { return &stubScorer{} })
 	defer svc.Shutdown()
@@ -388,6 +392,7 @@ func TestSessionAdmission(t *testing.T) {
 // TestRunBusy: a second pump on the same session is rejected, not
 // queued.
 func TestRunBusy(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
 	svc := NewService(Config{}, dec, func() Scorer { return &stubScorer{sleep: 5 * time.Millisecond} })
 	defer svc.Shutdown()
@@ -419,6 +424,7 @@ func TestRunBusy(t *testing.T) {
 // stops the pump with ErrEvicted and finalizes the scorer exactly
 // once.
 func TestEvictionMidDecode(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
 	stub := &stubScorer{sleep: time.Millisecond}
 	svc := NewService(Config{}, dec, func() Scorer { return stub })
@@ -456,6 +462,7 @@ func TestEvictionMidDecode(t *testing.T) {
 // TestTTLEviction: idle sessions are swept; the evicted counter and
 // active gauge move.
 func TestTTLEviction(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
 	svc := NewService(Config{TTL: 20 * time.Millisecond, SweepEvery: 5 * time.Millisecond},
 		dec, func() Scorer { return &stubScorer{} })
@@ -481,6 +488,7 @@ func TestTTLEviction(t *testing.T) {
 // mid-stream. Every scorer must be closed exactly once and the
 // service must drain cleanly.
 func TestSessionHammer(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst, scr, dec := testModel(t)
 	var opened, closed atomic.Int64
 	svc := NewService(
@@ -541,6 +549,7 @@ func (c *countingScorer) Close() {
 // its mixed vector per session made 4·l bytes of garbage each, so the
 // heap grew with the sessions served.
 func TestSessionGarbage(t *testing.T) {
+	testkit.NoLeaks(t)
 	if raceEnabled {
 		t.Skip("sync.Pool drops a random share of Puts under -race")
 	}

@@ -240,6 +240,13 @@ func (s *Store) ReadManifest(version string) (Manifest, error) {
 	if m.Version != version {
 		return m, fmt.Errorf("registry: manifest in %q names version %q", version, m.Version)
 	}
+	// Artifacts live in the version directory: a listed name that is
+	// a path would send Verify outside it.
+	for name := range m.Files {
+		if name == "." || name == ".." || name != filepath.Base(name) {
+			return m, fmt.Errorf("registry: version %q: manifest lists file %q", version, name)
+		}
+	}
 	return m, nil
 }
 

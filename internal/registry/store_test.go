@@ -13,7 +13,7 @@ import (
 
 // trained builds a small real model (classifier + trained screener +
 // samples) for store tests.
-func trained(t *testing.T, seed uint64) (*core.Classifier, *core.Screener, [][]float32) {
+func trained(t testing.TB, seed uint64) (*core.Classifier, *core.Screener, [][]float32) {
 	t.Helper()
 	inst := workload.Generate(
 		workload.Spec{Name: "registry-test", Categories: 48, Hidden: 16, LatentRank: 4, ZipfS: 1},
@@ -214,4 +214,66 @@ func TestManifestTamperRejected(t *testing.T) {
 	if _, err := store.Load("v1"); err == nil {
 		t.Fatal("missing artifact loaded")
 	}
+}
+
+// FuzzManifest writes every input over a published version's
+// manifest.json and reads the version back. A manifest is accepted
+// only if it names its own version and lists plain file names (no
+// path can lead Verify or Load outside the version directory); an
+// accepted manifest whose version loads describes the loaded shapes.
+func FuzzManifest(f *testing.F) {
+	store, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	cls, scr, samples := trained(f, 7)
+	if _, err := store.Publish(Manifest{Version: "v1"}, cls, scr, samples[:4]); err != nil {
+		f.Fatal(err)
+	}
+	path := filepath.Join(store.Dir("v1"), ManifestFile)
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(orig)
+	for _, seed := range []string{
+		`{"version":"v2"}`,
+		`{"version":"v1","precision_bits":3,"categories":-1,"files":{"classifier.bin":{"sha256":"00","size":-1}}}`,
+		`{"version":"v1","files":{"../../escape":{"sha256":"","size":0}}}`,
+		`{"version":"v1","files":{"":{}}}`,
+		`{"version":"v1"`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, err := store.ReadManifest("v1")
+		if err != nil {
+			return
+		}
+		if m.Version != "v1" {
+			t.Fatalf("%q: manifest of v1 names %q", raw, m.Version)
+		}
+		for name := range m.Files {
+			if name != filepath.Base(name) || name == "." || name == ".." || name == "" {
+				t.Fatalf("%q: accepted file name %q", raw, name)
+			}
+		}
+		_ = m.PrecisionString()
+		_ = store.Verify("v1")
+		if _, err := store.Versions(); err != nil {
+			t.Fatalf("%q: Versions: %v", raw, err)
+		}
+		loaded, err := store.Load("v1")
+		if err != nil {
+			return
+		}
+		if loaded.Classifier.Categories() != m.Categories || loaded.Screener.Cfg.Reduced != m.Reduced {
+			t.Fatalf("%q: loaded %dx%d k=%d against manifest %+v", raw,
+				loaded.Classifier.Categories(), loaded.Classifier.Hidden(), loaded.Screener.Cfg.Reduced, m)
+		}
+	})
 }

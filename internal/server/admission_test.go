@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"enmc/internal/tenant"
+	"enmc/internal/testkit"
 )
 
 // One admission path: /v1/classify_batch is an n-item entry in the
@@ -102,6 +103,7 @@ func gated(t *testing.T, cfg Config) (*Server, *fakeBackend, *httptest.Server, f
 // batch finds no room for its items and is refused 429 "overloaded",
 // exactly as a single would be.
 func TestBatchQueueFull(t *testing.T) {
+	testkit.NoLeaks(t)
 	s, fb, ts, open := gated(t, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 8, FlushWorkers: 1})
 	done := make(chan struct{}, 64)
 	launched := saturateClass(t, s, fb, tenant.Standard, 8, func() {
@@ -122,6 +124,7 @@ func TestBatchQueueFull(t *testing.T) {
 // backend only through the flush workers — never more than
 // FlushWorkers calls at once — and each batch reaches it whole.
 func TestBatchFlushConcurrency(t *testing.T) {
+	testkit.NoLeaks(t)
 	s, fb, ts, open := gated(t, Config{MaxBatch: 2, QueueCap: 8, FlushWorkers: 1})
 	const posts = 4
 	codes := make(chan int, posts)
@@ -167,6 +170,7 @@ func TestBatchFlushConcurrency(t *testing.T) {
 // TestBackendErrorBothEndpoints: a failing backend answers 503
 // "backend" with Retry-After on both classify endpoints.
 func TestBackendErrorBothEndpoints(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, fail: errors.New("backend down")}
 	s, err := New(fb, Config{MaxDelay: time.Millisecond})
 	if err != nil {
@@ -185,6 +189,7 @@ func TestBackendErrorBothEndpoints(t *testing.T) {
 // in the queue count toward its depth, so past ShedFrac of capacity a
 // standard-class single is shed.
 func TestBatchEntriesShed(t *testing.T) {
+	testkit.NoLeaks(t)
 	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
 		{Name: "int", Key: "k-int", Class: "interactive"},
 		{Name: "std", Key: "k-std", Class: "standard"},

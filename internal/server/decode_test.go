@@ -13,6 +13,7 @@ import (
 	"enmc/internal/core"
 	"enmc/internal/decode"
 	"enmc/internal/quant"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -21,6 +22,15 @@ import (
 // backend — decode traffic never touches the batcher.
 func decodeFixture(t *testing.T, cfg decode.Config) (*Server, *httptest.Server, *workload.Instance) {
 	t.Helper()
+	s, _, inst := decodeServer(t, cfg)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts, inst
+}
+
+// decodeServer is decodeFixture without the listener.
+func decodeServer(tb testing.TB, cfg decode.Config) (*Server, *decode.Service, *workload.Instance) {
+	tb.Helper()
 	inst := workload.Generate(
 		workload.Spec{Name: "decode-serve", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
 		workload.GenOptions{Seed: 11, Train: 128, Valid: 8, Test: 8})
@@ -28,7 +38,7 @@ func decodeFixture(t *testing.T, cfg decode.Config) (*Server, *httptest.Server, 
 		Categories: 96, Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 3,
 	}, core.TrainOptions{Epochs: 3, Seed: 4})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if cfg.TopM == 0 {
 		cfg.TopM = 12
@@ -37,16 +47,58 @@ func decodeFixture(t *testing.T, cfg decode.Config) (*Server, *httptest.Server, 
 	svc := decode.NewService(cfg, dec, func() decode.Scorer {
 		return decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{CacheSlots: 4 * cfg.TopM})
 	})
-	t.Cleanup(svc.Shutdown)
+	tb.Cleanup(svc.Shutdown)
 	s, err := New(&fakeBackend{hidden: 32, categories: 96}, Config{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	t.Cleanup(func() { s.Drain() })
+	tb.Cleanup(func() { s.Drain() })
 	s.SetDecode(svc)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts, inst
+	return s, svc, inst
+}
+
+// FuzzDecodeBody sends every input to /v1/decode: the answer is a
+// client error (400, 404, 409, 410, 429) or a 200 stream that ends in a
+// done frame — never a panic or a 5xx.
+func FuzzDecodeBody(f *testing.F) {
+	h0 := strings.TrimSuffix(strings.Repeat("0.25,", 32), ",")
+	for _, seed := range []string{
+		`{"h0":[` + h0 + `],"stream":"ndjson"}`,
+		`{"h0":[` + h0 + `],"mode":"beam","width":3,"max_tokens":2}`,
+		`{"h0":[` + h0 + `],"mode":"beam","width":1000000000}`,
+		`{"h0":[` + h0 + `],"mode":"sample"}`,
+		`{"h0":[` + h0 + `],"max_tokens":-5,"stream":"sse"}`,
+		`{"h0":[1,2,3]}`,
+		`{"h0":[1e39]}`,
+		`{"session":"nope"}`,
+		`{"session":"nope","close":true}`,
+		`{"close":true}`,
+		`{"h0":`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, svc, _ := decodeServer(f, decode.Config{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decode", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusGone, http.StatusTooManyRequests:
+			return
+		default:
+			t.Fatalf("%q: status %d %s", body, rec.Code, rec.Body)
+		}
+		out := rec.Body.String()
+		i := strings.LastIndex(out, `{"session"`)
+		var done DecodeDone
+		if i < 0 || json.Unmarshal([]byte(strings.TrimSpace(out[i:])), &done) != nil || !done.Done {
+			t.Fatalf("%q: 200 without a done frame: %s", body, out)
+		}
+		// A stream cut short by max_tokens leaves its session open:
+		// close it, so the inputs that follow are not refused 429.
+		_ = svc.Close(done.Session)
+	})
 }
 
 func postDecode(t *testing.T, ts *httptest.Server, req DecodeRequest) *http.Response {
@@ -106,6 +158,7 @@ func readNDJSON(t *testing.T, resp *http.Response) ([]DecodeFrame, DecodeDone) {
 // frame per token, a terminal done object, tokens consistent, and the
 // finished session's slot freed immediately.
 func TestDecodeNDJSONGreedy(t *testing.T) {
+	testkit.NoLeaks(t)
 	s, ts, inst := decodeFixture(t, decode.Config{})
 	maxLen := s.DecodeService().MaxLen()
 	resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[0], Stream: "ndjson"})
@@ -147,6 +200,7 @@ func TestDecodeNDJSONGreedy(t *testing.T) {
 // TestDecodeSSEFrames: the default stream is SSE — event-typed frames
 // with data: payloads that parse back to the same schema.
 func TestDecodeSSEFrames(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, ts, inst := decodeFixture(t, decode.Config{})
 	resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[1], Mode: "beam", Width: 3, MaxTokens: 4})
 	defer resp.Body.Close()
@@ -210,6 +264,7 @@ func TestDecodeSSEFrames(t *testing.T) {
 // TestDecodeSessionLimit: MaxSessions exhausted answers 429 with a
 // Retry-After hint, and closing a session frees the slot.
 func TestDecodeSessionLimit(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, ts, inst := decodeFixture(t, decode.Config{MaxSessions: 1})
 	resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[0], MaxTokens: 1, Stream: "ndjson"})
 	if resp.StatusCode != http.StatusOK {
@@ -249,6 +304,7 @@ func TestDecodeSessionLimit(t *testing.T) {
 // no service → 501, unknown session → 404, bad mode → 400, draining →
 // 503 for new sessions.
 func TestDecodeErrorStatuses(t *testing.T) {
+	testkit.NoLeaks(t)
 	bare, err := New(&fakeBackend{hidden: 8, categories: 32}, Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -9,9 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"enmc/internal/telemetry"
-
 	"net/http/httptest"
+
+	"enmc/internal/telemetry"
+	"enmc/internal/testkit"
 )
 
 func newObsServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -31,6 +32,7 @@ func newObsServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // rejections, and 503s alike — and a caller-supplied ID is echoed
 // back instead of replaced.
 func TestRequestIDEcho(t *testing.T) {
+	testkit.NoLeaks(t)
 	s, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
 
 	resp, err := postClassify(ts, classifyBody(t, 8))
@@ -89,6 +91,7 @@ func TestRequestIDEcho(t *testing.T) {
 // TestMetricsEndpoint: /metrics serves valid exposition text that the
 // package's own parser accepts, with request counters present.
 func TestMetricsEndpoint(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
 	resp, err := postClassify(ts, classifyBody(t, 8))
 	if err != nil {
@@ -104,7 +107,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	p, err := telemetry.ParsePrometheus(resp.Body)
+	p, err := testkit.ParsePrometheus(resp.Body)
 	if err != nil {
 		t.Fatalf("scrape does not parse: %v", err)
 	}
@@ -126,6 +129,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestSLOEndpoint: GET /v1/slo reports the rolling window, and errors
 // move the burn rate.
 func TestSLOEndpoint(t *testing.T) {
+	testkit.NoLeaks(t)
 	_, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
 	for i := 0; i < 3; i++ {
 		resp, err := postClassify(ts, classifyBody(t, 8))
@@ -178,6 +182,7 @@ func TestSLOEndpoint(t *testing.T) {
 // request produces one JSON record whose req_id matches the response
 // header.
 func TestRequestLogEmitted(t *testing.T) {
+	testkit.NoLeaks(t)
 	var mu syncBuffer
 	_, ts := newObsServer(t, Config{
 		MaxDelay:   time.Millisecond,
@@ -213,6 +218,7 @@ func TestRequestLogEmitted(t *testing.T) {
 // TestTraceSpanPerRequest: with a global tracer installed, each
 // request records an HTTP span carrying a trace ID.
 func TestTraceSpanPerRequest(t *testing.T) {
+	testkit.NoLeaks(t)
 	tr := telemetry.NewTracer()
 	telemetry.SetGlobal(tr)
 	defer telemetry.SetGlobal(nil)

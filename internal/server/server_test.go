@@ -15,6 +15,7 @@ import (
 	"enmc/internal/core"
 	"enmc/internal/quant"
 	"enmc/internal/tenant"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -89,6 +90,7 @@ func postClassify(ts *httptest.Server, body []byte) (*http.Response, error) {
 // TestFlushOnTimeout: a lone request must not wait for the batch to
 // fill — MaxDelay bounds its queueing and it flushes as a batch of 1.
 func TestFlushOnTimeout(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32}
 	s, err := New(fb, Config{MaxBatch: 64, MaxDelay: 30 * time.Millisecond})
 	if err != nil {
@@ -127,6 +129,7 @@ func TestFlushOnTimeout(t *testing.T) {
 // the queue is filling the batch — MaxBatch concurrent requests must
 // all return promptly in one flush.
 func TestFlushOnSize(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32}
 	s, err := New(fb, Config{MaxBatch: 4, MaxDelay: 10 * time.Second})
 	if err != nil {
@@ -172,6 +175,7 @@ func TestFlushOnSize(t *testing.T) {
 // 429 with Retry-After — never hang or queue unboundedly — and the
 // admitted requests must still complete once capacity frees up.
 func TestSaturation429(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
 	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 2, FlushWorkers: 1})
 	if err != nil {
@@ -242,6 +246,7 @@ func TestSaturation429(t *testing.T) {
 // /healthz stays live), reject new work with 503, and complete every
 // already-admitted request.
 func TestReadinessDuringDrain(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
 	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 8})
 	if err != nil {
@@ -326,6 +331,7 @@ func TestReadinessDuringDrain(t *testing.T) {
 // must be answered 200; concurrent arrivals may only see 200, 429 or
 // 503 — never a hang or another failure.
 func TestDrainZeroFailures(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32}
 	s, err := New(fb, Config{MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 64})
 	if err != nil {
@@ -527,6 +533,7 @@ func TestBatchEndpointDeadline(t *testing.T) {
 // TestValidation covers the 4xx surface: wrong dimension, bad JSON,
 // wrong method, oversized and empty batches.
 func TestValidation(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32}
 	s, err := New(fb, Config{QueueCap: 4})
 	if err != nil {
@@ -572,6 +579,7 @@ func TestValidation(t *testing.T) {
 // Local backend, core worker pool — over a real trained screener and
 // checks the served prediction matches direct classification.
 func TestEndToEndLocalBackend(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst := workload.Generate(
 		workload.Spec{Name: "serve-test", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
 		workload.GenOptions{Seed: 11, Train: 128, Valid: 8, Test: 8})

@@ -13,6 +13,7 @@ import (
 
 	"enmc/internal/core"
 	"enmc/internal/quant"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -22,6 +23,7 @@ import (
 // that actually served it (only v1 before the swap completes, only
 // v2 after, never anything else).
 func TestSwappableHotSwapUnderTraffic(t *testing.T) {
+	testkit.NoLeaks(t)
 	old := &fakeBackend{hidden: 8, categories: 32}
 	sw, err := NewSwappable(old, "v1")
 	if err != nil {
@@ -185,6 +187,7 @@ func TestSwapShapeMismatch(t *testing.T) {
 // TestModelEndpoint: GET /v1/model reports the active version and
 // shapes; non-GET is rejected.
 func TestModelEndpoint(t *testing.T) {
+	testkit.NoLeaks(t)
 	sw, err := NewSwappable(&fakeBackend{hidden: 8, categories: 32}, "v7")
 	if err != nil {
 		t.Fatal(err)
@@ -227,6 +230,7 @@ func TestModelEndpoint(t *testing.T) {
 // registry wired, 200 with the new active version on success, 409
 // with the old version still serving on a rejected candidate.
 func TestReloadEndpoint(t *testing.T) {
+	testkit.NoLeaks(t)
 	sw, err := NewSwappable(&fakeBackend{hidden: 8, categories: 32}, "v1")
 	if err != nil {
 		t.Fatal(err)
@@ -332,6 +336,7 @@ func (*skewBackend) VersionSkew() bool    { return true }
 // classify response and on /v1/model, bare or behind a Swappable that
 // carries no version label of its own.
 func TestSkewSurfacedOverHTTP(t *testing.T) {
+	testkit.NoLeaks(t)
 	bare := &skewBackend{fakeBackend{hidden: 8, categories: 32}}
 	wrapped, err := NewSwappable(&skewBackend{fakeBackend{hidden: 8, categories: 32}}, "")
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"enmc/internal/quant"
 	"enmc/internal/telemetry"
 	"enmc/internal/tenant"
+	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
 
@@ -89,6 +90,7 @@ func wantRejection(t *testing.T, resp *http.Response, status int, reason string)
 // the bucket's real refill time and reason "quota"; other tenants are
 // unaffected; the rejection is attributed in /v1/tenants.
 func TestTenantQuota429(t *testing.T) {
+	testkit.NoLeaks(t)
 	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
 		{Name: "tiny", Key: "k-tiny", Class: "interactive", Rate: 0.25, Burst: 1},
 		{Name: "big", Key: "k-big", Class: "interactive", Rate: 1000},
@@ -181,6 +183,7 @@ func TestTenantQuota429(t *testing.T) {
 // TestQuotaChargesBatchItems: /v1/classify_batch charges one token
 // per item, so a batch larger than the remaining quota throttles.
 func TestQuotaChargesBatchItems(t *testing.T) {
+	testkit.NoLeaks(t)
 	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
 		{Name: "cap", Key: "k", Rate: 0.5, Burst: 4},
 	}})
@@ -214,6 +217,7 @@ func TestQuotaChargesBatchItems(t *testing.T) {
 // TestDrainingReasons: once drain begins, classify and classify_batch
 // answer 503 with Retry-After and reason "draining".
 func TestDrainingReasons(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32}
 	s, err := New(fb, Config{})
 	if err != nil {
@@ -267,6 +271,7 @@ func saturateClass(t *testing.T, s *Server, fb *fakeBackend, class tenant.Class,
 // "overloaded" (and still carries Retry-After — the contract the
 // audit enforces on every 429/503 path).
 func TestOverloadReason(t *testing.T) {
+	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
 	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 1, FlushWorkers: 1})
 	if err != nil {
@@ -305,6 +310,7 @@ func TestOverloadReason(t *testing.T) {
 // values from one server — on both the micro-batched and the
 // caller-batched paths.
 func TestPinnedModelRouting(t *testing.T) {
+	testkit.NoLeaks(t)
 	active := &versionedFake{fakeBackend: fakeBackend{hidden: 8, categories: 32}, version: "v2"}
 	old := &versionedFake{fakeBackend: fakeBackend{hidden: 8, categories: 32}, version: "v1"}
 	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
@@ -368,6 +374,7 @@ func TestPinnedModelRouting(t *testing.T) {
 // "session_quota"; closing the session (or its eviction) frees the
 // slot.
 func TestDecodeSessionTenantQuota(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst := workload.Generate(
 		workload.Spec{Name: "decode-tenant", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
 		workload.GenOptions{Seed: 11, Train: 128, Valid: 8, Test: 8})
@@ -425,6 +432,7 @@ func TestDecodeSessionTenantQuota(t *testing.T) {
 // TestDecodeServiceLimitReason: the service-wide session cap keeps
 // its 429 but now carries reason "session_limit".
 func TestDecodeServiceLimitReason(t *testing.T) {
+	testkit.NoLeaks(t)
 	inst := workload.Generate(
 		workload.Spec{Name: "decode-limit", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
 		workload.GenOptions{Seed: 11, Train: 128, Valid: 8, Test: 8})
@@ -470,6 +478,7 @@ func TestDecodeServiceLimitReason(t *testing.T) {
 // TestWFQClassesSeparateQueues: saturating the batch class must not
 // reject interactive admissions — the queues are per class.
 func TestWFQClassesSeparateQueues(t *testing.T) {
+	testkit.NoLeaks(t)
 	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
 		{Name: "int", Key: "k-int", Class: "interactive"},
 		{Name: "bat", Key: "k-bat", Class: "batch"},

@@ -7,11 +7,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"enmc/internal/testkit"
 )
 
-func parseAndValidate(t *testing.T, text string) *PromText {
+func parseAndValidate(t *testing.T, text string) *testkit.PromText {
 	t.Helper()
-	p, err := ParsePrometheus(strings.NewReader(text))
+	p, err := testkit.ParsePrometheus(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, text)
 	}
@@ -218,7 +220,7 @@ func TestParsePrometheusRejectsMalformed(t *testing.T) {
 		"ok notanumber\n",
 	}
 	for _, text := range bad {
-		if _, err := ParsePrometheus(strings.NewReader(text)); err == nil {
+		if _, err := testkit.ParsePrometheus(strings.NewReader(text)); err == nil {
 			t.Errorf("parser accepted malformed input %q", text)
 		}
 	}
@@ -233,7 +235,7 @@ func TestValidateCatchesBrokenHistograms(t *testing.T) {
 		"bare sample":    "# TYPE h histogram\nh 3\n",
 	}
 	for name, text := range cases {
-		p, err := ParsePrometheus(strings.NewReader(text))
+		p, err := testkit.ParsePrometheus(strings.NewReader(text))
 		if err != nil {
 			t.Fatalf("%s: should parse (validation is separate): %v", name, err)
 		}

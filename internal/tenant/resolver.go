@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -143,6 +144,11 @@ func (r *Resolver) Reload() error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
 		return fmt.Errorf("tenant: %s: %w", r.path, err)
+	}
+	// One object and nothing after it: a file holding two configs, or
+	// one followed by debris, is not silently read as its first.
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("tenant: %s: data after the config object", r.path)
 	}
 	t, err := buildTable(f, r.cur.Load())
 	if err != nil {

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -192,4 +193,69 @@ func TestStatsLazyAndStable(t *testing.T) {
 	if sums[0].Pinned != "v1" {
 		t.Fatalf("summary pin %q", sums[0].Pinned)
 	}
+}
+
+// FuzzTenantConfig writes every input over a live resolver's config
+// file and reloads it. A rejected file leaves the previous generation
+// serving; an accepted one resolves each configured key to its tenant,
+// lists the tenants name-sorted with the default last, and charges
+// quotas without a panic or a negative Retry-After.
+func FuzzTenantConfig(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenants":[{"name":"a","key":"k","class":"batch","rate":5,"burst":2}]}`,
+		`{"tenants":[{"name":"a","key":"k"},{"name":"b","key":"k"}]}`,
+		`{"tenants":[{"name":"a","key":"k","class":"gold"}]}`,
+		`{"tenants":[{"name":"a","key":"k","rate":-1}]}`,
+		`{"tenants":[{"name":"a","key":"k","rate":1e-300,"burst":-4}],"default":{"name":"d","rate":1e300}}`,
+		`{"tenants":[],"default":{"class":"interactive","max_sessions":-1}}`,
+		`{"tenants":[{"name":"a","key":"k","max_sessions":1,"model_version":"v9"}],"extra":1}`,
+		`{"tenants":null}`,
+		`{`,
+	} {
+		f.Add([]byte(seed))
+	}
+	path := filepath.Join(f.TempDir(), "tenants.json")
+	good := []byte(`{"tenants":[{"name":"acme","key":"k-acme","class":"interactive"}]}`)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if err := os.WriteFile(path, good, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadResolver(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Reload(); err != nil {
+			if got := r.Resolve("k-acme").Name; got != "acme" {
+				t.Fatalf("%q rejected (%v), yet k-acme resolves to %q", raw, err, got)
+			}
+			return
+		}
+		var file File
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatalf("%q accepted but does not decode: %v", raw, err)
+		}
+		for _, s := range file.Tenants {
+			if got := r.Resolve(s.Key); got.Name != s.Name {
+				t.Fatalf("%q: key %q resolves to %q, want %q", raw, s.Key, got.Name, s.Name)
+			}
+		}
+		all := r.Tenants()
+		if len(all) != len(file.Tenants)+1 || all[len(all)-1] != r.Resolve("") {
+			t.Fatalf("%q: %d tenants listed for %d configured, default last", raw, len(all), len(file.Tenants))
+		}
+		for i, ten := range all {
+			if i > 0 && i < len(all)-1 && all[i-1].Name >= ten.Name {
+				t.Fatalf("%q: tenants not name-sorted: %q before %q", raw, all[i-1].Name, ten.Name)
+			}
+			if ok, retry := ten.Allow(1); !ok && retry < 1 {
+				t.Fatalf("%q: tenant %q refused with Retry-After %d", raw, ten.Name, retry)
+			}
+			if ten.AcquireSession() {
+				ten.ReleaseSession()
+			}
+		}
+	})
 }

@@ -3,7 +3,6 @@ package enmc
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -60,23 +59,6 @@ func TestMetricsSnapshotAfterBatch(t *testing.T) {
 	// The snapshot is JSON-marshalable (the -metrics contract).
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot marshal: %v", err)
-	}
-}
-
-// TestClassifyBatchParallelMatchesSerial verifies the worker pool is
-// bit-identical to per-item Classify (run with -race for the
-// concurrency proof).
-func TestClassifyBatchParallelMatchesSerial(t *testing.T) {
-	cls, scr, test := trainedModel(t)
-	got := ClassifyBatch(cls, scr, test, TopM(12))
-	for i, h := range test {
-		want := Classify(cls, scr, h, TopM(12))
-		if !reflect.DeepEqual(got[i].Logits, want.Logits) {
-			t.Fatalf("item %d logits diverge under parallel batch", i)
-		}
-		if !reflect.DeepEqual(got[i].Candidates, want.Candidates) {
-			t.Fatalf("item %d candidates diverge under parallel batch", i)
-		}
 	}
 }
 
