@@ -14,12 +14,14 @@ test:
 	$(GO) test ./...
 
 # The packages on the classify path once more with the assembly
-# kernels compiled out (-tags purego): the scalar fallbacks — quant's
-# blocked screen, tensor's Dot-loop gather — must pass the same
+# kernels compiled out (-tags purego): the portable kernels — quant's
+# Go nibble-image kernel, tensor's Dot-loop gather — must pass the same
 # bit-identity, driver, serving and serializer tests the AVX2 and SSE
-# kernels pass in `make test`, the testkit conformance table among them.
+# kernels pass in `make test`, the testkit conformance table among them,
+# and the simulator bridge (image, funcsim, compiler) holds the Go
+# kernel to the DIMM emulation over the same nibble image.
 test-purego:
-	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server ./internal/testkit/...
+	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server ./internal/testkit/... ./internal/image ./internal/funcsim ./internal/compiler
 
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on. It includes the in-process scenario tests of

@@ -12,6 +12,7 @@ import (
 
 	"enmc/internal/enmc"
 	"enmc/internal/isa"
+	"enmc/internal/quant"
 )
 
 // Task describes one batched classification offload.
@@ -94,32 +95,35 @@ func (t Task) Split(totalRanks int) RankShare {
 }
 
 // Layout is the per-rank address map the compiler assumes; the host
-// writes it into the status registers during initialization.
+// writes it into the status registers during initialization. The
+// screening weights and the INT4 feature are stored in the host's
+// chunked nibble image (quant.RowBytes(k) bytes per row), so the
+// modelled DIMM streams the bytes the host kernel streams.
 type Layout struct {
-	ScrWBase  uint64 // quantized screening weights (row-major tiles)
+	ScrWBase  uint64 // screening weights (image rows), then per-row scales and biases
 	FullWBase uint64 // FP32 classifier rows
-	FeatBase  uint64 // input features (INT4 then FP32 copies)
+	FeatBase  uint64 // input features (INT4 image row, then FP32 copy)
 	OutBase   uint64 // spill/output region
 }
 
 // LayoutFor exposes the per-rank address map Compile assumes for a
-// shard of rows classifier rows with INT4 screening weights and the
-// default hardware's burst alignment. The image package uses it to
-// build DRAM images that agree with compiled programs.
+// shard of rows classifier rows with the default hardware's burst
+// alignment. The image package uses it to build DRAM images that
+// agree with compiled programs.
 func LayoutFor(t Task, rows int) Layout {
 	share := RankShare{Rows: rows, Candidates: max(t.Candidates, 1)}
-	return layoutFor(t, enmc.Default(), share, 0.5)
+	return layoutFor(t, enmc.Default(), share)
 }
 
 // layoutFor packs the rank's regions back to back.
-func layoutFor(t Task, hw enmc.Config, share RankShare, screenBytesPerElem float64) Layout {
+func layoutFor(t Task, hw enmc.Config, share RankShare) Layout {
 	align := func(x uint64) uint64 {
 		b := uint64(hw.DRAM.BurstBytes)
 		return (x + b - 1) / b * b
 	}
-	scrBytes := uint64(float64(share.Rows*t.Reduced)*screenBytesPerElem) + uint64(share.Rows*8)
+	scrBytes := uint64(share.Rows) * uint64(quant.RowBytes(t.Reduced)+8)
 	fullBytes := uint64(share.Rows) * uint64(t.Hidden) * 4
-	featBytes := uint64(t.Batch) * (uint64(t.Reduced) + uint64(t.Hidden)*4)
+	featBytes := uint64(t.Batch) * uint64(quant.RowBytes(t.Reduced)+t.Hidden*4)
 	var l Layout
 	l.ScrWBase = 0
 	l.FullWBase = align(l.ScrWBase + scrBytes)
@@ -170,13 +174,12 @@ func Compile(t Task, hw enmc.Config, target Target, share RankShare, mode Mode) 
 	if err := hw.Validate(); err != nil {
 		return nil, err
 	}
-	// Screening weights are stored INT4-packed for every target (the
-	// memory format is the algorithm's); what differs is the datapath
-	// that consumes them. Homogeneous designs dequantize into their
-	// FP32 lanes and become compute-bound — the paper's stated
-	// limitation of prior NMPs.
-	const screenBytes = 0.5
-	lay := layoutFor(t, hw, share, screenBytes)
+	// Screening weights are stored as the INT4 nibble image for every
+	// target (the memory format is the algorithm's); what differs is
+	// the datapath that consumes them. Homogeneous designs dequantize
+	// into their FP32 lanes and become compute-bound — the paper's
+	// stated limitation of prior NMPs.
+	lay := layoutFor(t, hw, share)
 	p := &Program{Target: target, Mode: mode, Task: t, Share: share, Layout: lay}
 
 	p.Init = initProgram(t, lay)
@@ -184,7 +187,7 @@ func Compile(t Task, hw enmc.Config, target Target, share RankShare, mode Mode) 
 	e := &emitter{hw: hw}
 	switch mode {
 	case ModeScreened:
-		compileScreened(e, t, target, share, lay, screenBytes)
+		compileScreened(e, t, target, share, lay)
 	case ModeFull:
 		compileFull(e, t, target, share, lay)
 	default:
@@ -211,20 +214,22 @@ func initProgram(t Task, lay Layout) []enmc.Op {
 }
 
 // compileScreened emits the two-phase pipeline for every batch item.
-func compileScreened(e *emitter, t Task, target Target, share RankShare, lay Layout, screenBytes float64) {
+func compileScreened(e *emitter, t Task, target Target, share RankShare, lay Layout) {
 	buf := e.hw.BufBytes
 	psumOutputs := buf / 4 // accumulator entries per PSUM tile
+	rowBytes := quant.RowBytes(t.Reduced)
 
 	screenUnitWeightOp := isa.Compute(isa.OpMULADDINT4, isa.BufFeatINT4, isa.BufWgtINT4)
 	screenLoadBuf := isa.BufWgtINT4
 	featLoadBuf := isa.BufFeatINT4
 	filterBuf := isa.BufPsumINT4
-	// An INT4 tile of B bytes holds 2·B nibble operands, which the
-	// Screener consumes in one MULADD_INT4. A homogeneous datapath
-	// dequantizes the same tile into FP32 lanes, where one MULADD_FP32
-	// covers only B/4 operands — 8 compute ops per tile. That 8×
-	// op-count blowup is exactly why the paper says prior NMPs
-	// "hardly meet the throughput requirement in the screening phase".
+	// An INT4 tile of B bytes holds B·k/RowBytes(k) weights (2·B when
+	// k fills whole chunks), which the Screener consumes in one
+	// MULADD_INT4. A homogeneous datapath dequantizes the same tile
+	// into FP32 lanes, where one MULADD_FP32 covers only B/4 operands —
+	// 8 compute ops per tile. That 8× op-count blowup is exactly why
+	// the paper says prior NMPs "hardly meet the throughput requirement
+	// in the screening phase".
 	if !target.ScreenOnINT4 {
 		screenUnitWeightOp = isa.Compute(isa.OpMULADDFP32, isa.BufFeatFP32, isa.BufWgtFP32)
 		screenLoadBuf = isa.BufWgtFP32
@@ -238,8 +243,8 @@ func compileScreened(e *emitter, t Task, target Target, share RankShare, lay Lay
 			e.emitB(screenUnitWeightOp, tile)
 			return
 		}
-		totalElems := tile * 2 // dequantized nibble operands
-		per := buf / 4         // FP32 operands per compute op
+		totalElems := tile * t.Reduced / rowBytes // dequantized weights, pad excluded
+		per := buf / 4                            // FP32 operands per compute op
 		for done := 0; done < totalElems; done += per {
 			e.emitB(screenUnitWeightOp, min(per, totalElems-done)*4)
 		}
@@ -251,17 +256,13 @@ func compileScreened(e *emitter, t Task, target Target, share RankShare, lay Lay
 	emitScreen := func(applyPerItem int) {
 		// Screening features for the item(s).
 		e.setPhase(enmc.PhaseFeature)
-		featBytes := int(float64(t.Reduced) * screenBytes)
-		if featBytes < 1 {
-			featBytes = 1
-		}
-		for off := 0; off < featBytes; off += buf {
-			e.emitB(isa.Ldr(featLoadBuf, lay.FeatBase+uint64(off)), min(buf, featBytes-off))
+		for off := 0; off < rowBytes; off += buf {
+			e.emitB(isa.Ldr(featLoadBuf, lay.FeatBase+uint64(off)), min(buf, rowBytes-off))
 		}
 		// Stream the rank's screening weight tiles.
 		e.setPhase(enmc.PhaseScreen)
 		outTiles := ceil(share.Rows, psumOutputs)
-		bytesPerOutTile := int(float64(psumOutputs*t.Reduced) * screenBytes)
+		bytesPerOutTile := psumOutputs * rowBytes
 		addr := lay.ScrWBase
 		for ot := 0; ot < outTiles; ot++ {
 			e.setPhase(enmc.PhaseScreen)
@@ -284,14 +285,13 @@ func compileScreened(e *emitter, t Task, target Target, share RankShare, lay Lay
 		// Candidates-only classification: chunk-outer so the feature
 		// chunk is reused across candidate rows.
 		e.setPhase(enmc.PhaseExact)
-		rowBytes := t.Hidden * 4
-		chunks := ceil(rowBytes, buf)
+		fullRowBytes := t.Hidden * 4
+		chunks := ceil(fullRowBytes, buf)
 		first := true
 		for c := 0; c < chunks; c++ {
-			chunkBytes := min(buf, rowBytes-c*buf)
-			// The FP32 feature copy sits after the packed INT4 one
-			// ((k+1)/2 bytes).
-			featAddr := lay.FeatBase + uint64((t.Reduced+1)/2) + uint64(c*buf)
+			chunkBytes := min(buf, fullRowBytes-c*buf)
+			// The FP32 feature copy sits after the INT4 image row.
+			featAddr := lay.FeatBase + uint64(rowBytes) + uint64(c*buf)
 			in := isa.Ldr(isa.BufFeatFP32, featAddr)
 			if first && target.DualModule {
 				e.emitSyncB(in, chunkBytes)
@@ -309,7 +309,7 @@ func compileScreened(e *emitter, t Task, target Target, share RankShare, lay Lay
 				// the host lays out contiguously, so the gather has
 				// DRAM-row locality. Vary the base per item.
 				row := (item*31 + cand) % max(share.Rows, 1)
-				wAddr := lay.FullWBase + uint64(row)*uint64(rowBytes) + uint64(c*buf)
+				wAddr := lay.FullWBase + uint64(row)*uint64(fullRowBytes) + uint64(c*buf)
 				e.emitB(isa.Ldr(isa.BufWgtFP32, wAddr), chunkBytes)
 				e.emitB(isa.Compute(isa.OpMULADDFP32, isa.BufFeatFP32, isa.BufWgtFP32), chunkBytes)
 			}
@@ -393,17 +393,3 @@ func compileFull(e *emitter, t Task, target Target, share RankShare, lay Layout)
 }
 
 func ceil(a, b int) int { return (a + b - 1) / b }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

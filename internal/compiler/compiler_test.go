@@ -6,6 +6,7 @@ import (
 
 	"enmc/internal/enmc"
 	"enmc/internal/isa"
+	"enmc/internal/quant"
 	"enmc/internal/xrand"
 )
 
@@ -275,11 +276,11 @@ func TestWeightTrafficConservation(t *testing.T) {
 			}
 		}
 		// Screening weights: ceil over out-tiles of 64 rows, each
-		// rows×k/2 bytes, loaded exactly once (ENMC reuses across
-		// the batch).
+		// 64 image rows of quant.RowBytes(k) bytes, loaded exactly
+		// once (ENMC reuses across the batch).
 		psum := hw().BufBytes / 4
 		outTiles := (share.Rows + psum - 1) / psum
-		wantScreen := int64(outTiles) * int64(psum) * int64(task.Reduced) / 2
+		wantScreen := int64(outTiles) * int64(psum) * int64(quant.RowBytes(task.Reduced))
 		if screenBytes != wantScreen {
 			t.Logf("screen bytes %d, want %d (rows=%d k=%d)", screenBytes, wantScreen, share.Rows, task.Reduced)
 			return false

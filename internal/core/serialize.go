@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,17 +14,21 @@ import (
 
 // Binary serialization for trained artifacts, so a deployment flow
 // can train once and ship the screener image to inference hosts: the
-// quantized weights (one byte per element at every precision),
-// per-row scales, the float bias, the float master weights (so
-// distillation can resume), and the projection matrix reconstructed
-// deterministically from its seed.
+// quantized weights in the form the kernels stream (quant.Payload: the
+// chunked nibble image at INT2/INT4, half a byte per weight plus row
+// padding; one byte per weight at INT8), per-row scales, the float
+// bias, the float master weights (so distillation can resume), and the
+// projection matrix reconstructed deterministically from its seed.
 //
 // All integers are little-endian. Each artifact starts with a magic
-// and a version byte so mismatches fail loudly instead of decoding
-// garbage.
+// whose last byte is the format version, so mismatches fail loudly
+// instead of decoding garbage. Readers never size an allocation from a
+// header alone: every block grows as its bytes arrive (growFor).
 
 const (
-	screenerMagic   = "ENMCSCR1"
+	// screenerMagic is version 2, whose weight block is quant.Payload.
+	// Other versions are rejected by name.
+	screenerMagic   = "ENMCSCR2"
 	classifierMagic = "ENMCCLS1"
 
 	// maxProjectionEntries caps a screener artifact's k·d. P is
@@ -56,25 +59,16 @@ func (s *Screener) WriteTo(w io.Writer) (int64, error) {
 	); err != nil {
 		return cw.n, err
 	}
-	// Quantized weights, one byte per element (valid for every
-	// supported precision; the INT4 nibble-packing is a DRAM-image
-	// concern, not a file-format one).
-	q := make([]byte, len(qw.Q))
-	for i, v := range qw.Q {
-		q[i] = byte(v)
-	}
-	if err := writeAll(cw, uint32(len(q)), q); err != nil {
+	p := qw.Payload()
+	if err := writeAll(cw, uint32(len(p)), p); err != nil {
 		return cw.n, err
 	}
-	if err := writeFloats(cw, qw.Scales); err != nil {
-		return cw.n, err
-	}
-	if err := writeFloats(cw, s.Bt); err != nil {
-		return cw.n, err
-	}
-	// Master float weights (optional but kept: retraining resumes).
-	if err := writeFloats(cw, s.Wt.Data); err != nil {
-		return cw.n, err
+	// Scales, bias, and the master float weights (kept: retraining
+	// resumes).
+	for _, xs := range [][]float32{qw.Scales, s.Bt, s.Wt.Data} {
+		if err := writeFloats(cw, xs); err != nil {
+			return cw.n, err
+		}
 	}
 	return cw.n, bw.Flush()
 }
@@ -87,6 +81,9 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 		return nil, fmt.Errorf("core: reading screener magic: %w", err)
 	}
 	if string(magic) != screenerMagic {
+		if string(magic[:7]) == screenerMagic[:7] {
+			return nil, fmt.Errorf("core: screener format version %q, this build reads only %q: re-export the artifact", magic, screenerMagic)
+		}
 		return nil, fmt.Errorf("core: bad screener magic %q", magic)
 	}
 	var l, d, k, prec uint32
@@ -109,19 +106,12 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	if err := readAll(br, &qLen); err != nil {
 		return nil, err
 	}
-	if int(qLen) != int(l)*int(k) {
-		return nil, fmt.Errorf("core: quantized weight length %d, want %d", qLen, int(l)*int(k))
+	if want := quant.PayloadBytes(cfg.Precision, int(l), int(k)); int(qLen) != want {
+		return nil, fmt.Errorf("core: quantized weight block of %d bytes, want %d", qLen, want)
 	}
-	// Grown as the bytes arrive, so a truncated file cannot size a
-	// 4 GB buffer from its header; every block after this one is at
-	// most 4 bytes per byte read here.
-	var qBytes bytes.Buffer
-	if _, err := io.CopyN(&qBytes, br, int64(qLen)); err != nil {
+	payload, err := readBytes(br, int(qLen))
+	if err != nil {
 		return nil, fmt.Errorf("core: reading quantized weights: %w", err)
-	}
-	q := make([]int8, qLen)
-	for i, b := range qBytes.Bytes() {
-		q[i] = int8(b)
 	}
 	scales, err := readFloats(br, int(l))
 	if err != nil {
@@ -135,19 +125,17 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	scr := &Screener{
+	qw, err := quant.FromPayload(cfg.Precision, int(l), int(k), scales, payload)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return &Screener{
 		Cfg: cfg,
 		P:   projection.New(cfg.Reduced, cfg.Hidden, cfg.Seed),
 		Wt:  &tensor.Matrix{Rows: cfg.Categories, Cols: cfg.Reduced, Data: master},
 		Bt:  bias,
-		QW: &quant.Matrix{
-			Bits: cfg.Precision, Rows: cfg.Categories, Cols: cfg.Reduced,
-			Scales: scales, Q: q,
-		},
-	}
-	scr.QW.BuildAccel()
-	return scr, nil
+		QW:  qw,
+	}, nil
 }
 
 // WriteTo serializes the full classifier (large: l×d float32).
@@ -241,6 +229,37 @@ func writeFloats(w io.Writer, xs []float32) error {
 	return nil
 }
 
+// growFor returns s with capacity for at least need of the want
+// elements a header announced, never allocating far ahead of the bytes
+// that back it: capacity steps up 8× at a time while it stays under
+// want/8, then jumps to want. A truncated or lying header thus costs at
+// most 64× the bytes that arrived, an honest one at most an eighth of
+// the block in transient copies.
+func growFor[T any](s []T, need, want int) []T {
+	if need <= cap(s) {
+		return s
+	}
+	c := max(need, 8*cap(s))
+	if c > want/8 {
+		c = want
+	}
+	return append(make([]T, 0, c), s...)
+}
+
+// readBytes reads an n-byte block, growing it as the bytes arrive.
+func readBytes(r io.Reader, n int) ([]byte, error) {
+	var out []byte
+	for len(out) < n {
+		chunk := min(32*1024, n-len(out))
+		out = growFor(out, len(out)+chunk, n)
+		if _, err := io.ReadFull(r, out[len(out):len(out)+chunk]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+chunk]
+	}
+	return out, nil
+}
+
 func readFloats(r io.Reader, want int) ([]float32, error) {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
@@ -249,20 +268,17 @@ func readFloats(r io.Reader, want int) ([]float32, error) {
 	if int(n) != want {
 		return nil, fmt.Errorf("core: float block length %d, want %d", n, want)
 	}
-	out := make([]float32, n)
+	out := make([]float32, 0, min(want, 1024))
 	buf := make([]byte, 4*1024)
-	for off := 0; off < int(n); {
-		chunk := len(buf) / 4
-		if rem := int(n) - off; rem < chunk {
-			chunk = rem
-		}
+	for len(out) < want {
+		chunk := min(len(buf)/4, want-len(out))
 		if _, err := io.ReadFull(r, buf[:chunk*4]); err != nil {
 			return nil, err
 		}
+		out = growFor(out, len(out)+chunk, want)
 		for i := 0; i < chunk; i++ {
-			out[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
 		}
-		off += chunk
 	}
 	return out, nil
 }
@@ -317,13 +333,13 @@ func ReadFeatures(r io.Reader) ([][]float32, error) {
 	if n == 0 || d == 0 || uint64(n)*uint64(d) > 1<<32 {
 		return nil, fmt.Errorf("core: implausible feature block %dx%d", n, d)
 	}
-	out := make([][]float32, n)
-	for i := range out {
+	var out [][]float32 // appended, not pre-sized: n comes from the header
+	for i := uint32(0); i < n; i++ {
 		f, err := readFloats(br, int(d))
 		if err != nil {
 			return nil, err
 		}
-		out[i] = f
+		out = append(out, f)
 	}
 	return out, nil
 }

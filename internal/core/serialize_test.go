@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"enmc/internal/quant"
+	"enmc/internal/tensor"
 	"enmc/internal/xrand"
 )
 
@@ -181,20 +184,53 @@ func synthScreener(t testing.TB, l, d, k int, bits quant.Bits, perTensor bool, s
 	return scr
 }
 
+// screenOracle recomputes Screen(h) from the master weights alone,
+// never reading QW: the quantizer's rule gives each weight's level
+// (scale = max|w|/MaxLevel over the row, or the whole matrix when
+// PerTensor, 1 where that is zero; level = w/scale rounded half away
+// from zero and clamped), and a plain int32 dot product ends in the
+// kernels' epilogue.
+func screenOracle(scr *Screener, h []float32) []float32 {
+	maxLevel := scr.Cfg.Precision.MaxLevel()
+	qx := quant.QuantizeVector(scr.Project(h), scr.Cfg.Precision)
+	out := make([]float32, scr.Wt.Rows)
+	for i := range out {
+		src := scr.Wt.Row(i)
+		if scr.Cfg.PerTensor {
+			src = scr.Wt.Data
+		}
+		s := tensor.MaxAbs(src) / float32(maxLevel)
+		if s == 0 {
+			s = 1
+		}
+		var acc int32
+		for j, w := range scr.Wt.Row(i) {
+			v, level := w/s, int32(0)
+			if v >= 0 {
+				level = min(int32(v+0.5), maxLevel)
+			} else {
+				level = max(int32(v-0.5), -maxLevel)
+			}
+			acc += level * int32(qx.Q[j])
+		}
+		out[i] = float32(float32(acc)*s*qx.Scale) + scr.Bt[i]
+	}
+	return out
+}
+
 // TestSerializeRoundTripProperty sweeps every supported precision ×
 // odd (non-power-of-two, non-multiple-of-4) shapes and checks the
-// round trip is bit-identical: config, master weights, and screen
-// outputs on random inputs — against the original and against the
-// same weights with no acceleration structure (a hand-assembled
-// quant.Matrix screens on the scalar kernel), so a rebuilt nibble
-// image that disagreed with Q would show; equal StreamBytes says the
-// deserializer called BuildAccel and dispatches the kernel the
-// original does.
+// round trip is bit-identical: config, master weights, the weight
+// block itself, and screen outputs on random inputs — against the
+// original and against screenOracle, which recomputes every level from
+// the master weights, so an image that decoded to other levels than
+// the quantizer chose would show.
 func TestSerializeRoundTripProperty(t *testing.T) {
 	shapes := []struct{ l, d, k int }{
 		{7, 11, 3},   // tiny, everything odd
-		{33, 17, 5},  // four 8-row kernel groups plus one scalar edge row
+		{33, 17, 5},  // four 8-row kernel groups plus one edge row
 		{61, 32, 31}, // k just under a power of two
+		{9, 80, 70},  // one whole 64-column chunk plus a tail
 	}
 	for _, bits := range []quant.Bits{quant.INT2, quant.INT4, quant.INT8} {
 		for _, perTensor := range []bool{false, true} {
@@ -220,18 +256,16 @@ func TestSerializeRoundTripProperty(t *testing.T) {
 						t.Fatalf("INT%d %dx%dx%d: master weights corrupted", bits, sh.l, sh.d, sh.k)
 					}
 				}
-				if a, b := scr.QW.StreamBytes(), got.QW.StreamBytes(); a != b {
-					t.Fatalf("INT%d %dx%dx%d: StreamBytes %d before, %d after the round trip", bits, sh.l, sh.d, sh.k, a, b)
+				if !bytes.Equal(scr.QW.Payload(), got.QW.Payload()) {
+					t.Fatalf("INT%d %dx%dx%d: weight block changed across the round trip", bits, sh.l, sh.d, sh.k)
 				}
-				scalar := *got
-				scalar.QW = &quant.Matrix{Bits: got.QW.Bits, Rows: got.QW.Rows, Cols: got.QW.Cols, Scales: got.QW.Scales, Q: got.QW.Q}
 				r := xrand.New(uint64(sh.d))
 				for trial := 0; trial < 3; trial++ {
 					h := make([]float32, sh.d)
 					for i := range h {
 						h[i] = r.NormFloat32()
 					}
-					a, b, c := scr.Screen(h), got.Screen(h), scalar.Screen(h)
+					a, b, c := scr.Screen(h), got.Screen(h), screenOracle(got, h)
 					for i := range a {
 						if a[i] != b[i] || a[i] != c[i] {
 							t.Fatalf("INT%d perTensor=%v %dx%dx%d: screen diverged at %d",
@@ -265,7 +299,7 @@ func TestScreenerTruncatedStream(t *testing.T) {
 }
 
 // screenerHeader returns a screener artifact's header, up to and
-// including the quantized-weight length.
+// including the quantized-weight block length.
 func screenerHeader(l, d, k uint32, qLen uint32) []byte {
 	b := []byte(screenerMagic)
 	for _, v := range []uint32{l, d, k, uint32(quant.INT4)} {
@@ -276,14 +310,15 @@ func screenerHeader(l, d, k uint32, qLen uint32) []byte {
 	return binary.LittleEndian.AppendUint32(b, qLen)
 }
 
-// hugeProjectionArtifact is a 20.5 KB screener with l = 1, k = 4 096,
+// hugeProjectionArtifact is a 18.5 KB screener with l = 1, k = 4 096,
 // d = 4 000 000 000 and a valid body: nothing in it is large but the
 // k·d projection its header asks to be regenerated from the seed.
 func hugeProjectionArtifact() []byte {
 	const l, d, k = 1, 4_000_000_000, 4096
-	b := screenerHeader(l, d, k, l*k)
-	b = append(b, make([]byte, l*k)...)    // quantized weights
-	for _, n := range []int{l, l, l * k} { // scales, bias, master weights
+	weights := quant.PayloadBytes(quant.INT4, l, k)
+	b := screenerHeader(l, d, k, uint32(weights))
+	b = append(b, bytes.Repeat([]byte{0x88}, weights)...) // every level 0
+	for _, n := range []int{l, l, l * k} {                // scales, bias, master weights
 		b = binary.LittleEndian.AppendUint32(b, uint32(n))
 		for i := 0; i < n; i++ {
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(1))
@@ -303,17 +338,56 @@ func TestReadScreenerRejectsHugeShapes(t *testing.T) {
 		t.Fatal("screener with a 4 096 × 4e9 projection accepted")
 	}
 
-	// l·k = 2^31 weight bytes announced, none sent.
-	trunc := screenerHeader(1<<20, 2048, 2048, 1<<31)
+	// l·RowBytes(k) = 2^30 weight bytes announced, none sent.
+	trunc := screenerHeader(1<<20, 2048, 2048, 1<<30)
+	assertSmallAlloc(t, "truncated screener", func() error {
+		_, err := ReadScreener(bytes.NewReader(trunc))
+		return err
+	})
+}
+
+// assertSmallAlloc runs read, which must fail, and fails the test if it
+// allocated 1 MB or more on the way.
+func assertSmallAlloc(t *testing.T, what string, read func() error) {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := ReadScreener(bytes.NewReader(trunc))
+	err := read()
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("truncated screener accepted")
+		t.Fatalf("%s accepted", what)
 	}
-	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
-		t.Fatalf("a %d-byte truncated artifact allocated %d bytes", len(trunc), n)
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("%s allocated %d bytes", what, n)
+	}
+}
+
+// TestReadersGrowAsBytesArrive: ReadClassifier and ReadFeatures must
+// not size a buffer from a header before its payload arrives. Each of
+// these 20-byte files announces 256 MB to 1.5 GB (a header within the
+// plausibility caps can announce tens of GB, a fatal out-of-memory
+// error rather than a returned one) and must cost less than 1 MB.
+func TestReadersGrowAsBytesArrive(t *testing.T) {
+	header := func(magic string, vs ...uint32) []byte {
+		b := []byte(magic)
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		what string
+		data []byte
+		read func(io.Reader) error
+	}{
+		{"classifier of 65 536 × 1 024", header(classifierMagic, 1<<16, 1<<10, 1<<26),
+			func(r io.Reader) error { _, err := ReadClassifier(r); return err }},
+		{"one feature of 2^28 floats", header(featuresMagic, 1, 1<<28, 1<<28),
+			func(r io.Reader) error { _, err := ReadFeatures(r); return err }},
+		{"2^26 features of 64 floats", header(featuresMagic, 1<<26, 64, 64),
+			func(r io.Reader) error { _, err := ReadFeatures(r); return err }},
+	} {
+		assertSmallAlloc(t, c.what, func() error { return c.read(bytes.NewReader(c.data)) })
 	}
 }
 
@@ -334,21 +408,72 @@ func FuzzReadScreener(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var a, b bytes.Buffer
-		if _, err := scr.WriteTo(&a); err != nil {
-			t.Fatal(err)
-		}
-		again, err := ReadScreener(bytes.NewReader(a.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded screener rejected: %v", err)
-		}
-		if _, err := again.WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatal("re-encoding is not stable")
-		}
+		reencodeStable(t, scr.WriteTo, func(r io.Reader) (io.WriterTo, error) { return ReadScreener(r) })
 	})
+}
+
+// FuzzReadClassifier: arbitrary bytes must yield an error or a
+// classifier whose re-encoding reads back to the same bytes — never a
+// panic or an out-of-memory death. The committed corpus holds the
+// truncated huge headers of TestReadersGrowAsBytesArrive.
+func FuzzReadClassifier(f *testing.F) {
+	cls, _ := testModel(f, 6, 5, 1)
+	var buf bytes.Buffer
+	if _, err := cls.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cls, err := ReadClassifier(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		reencodeStable(t, cls.WriteTo, func(r io.Reader) (io.WriterTo, error) { return ReadClassifier(r) })
+	})
+}
+
+// FuzzReadFeatures is FuzzReadClassifier for feature sets.
+func FuzzReadFeatures(f *testing.F) {
+	var buf bytes.Buffer
+	if _, err := WriteFeatures(&buf, [][]float32{{1, -2, 3}, {0.5, 0, -0.25}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		feats, err := ReadFeatures(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		reencodeStable(t, featureSet(feats).WriteTo, func(r io.Reader) (io.WriterTo, error) {
+			feats, err := ReadFeatures(r)
+			return featureSet(feats), err
+		})
+	})
+}
+
+// featureSet gives a feature set the io.WriterTo the fuzz targets share.
+type featureSet [][]float32
+
+func (fs featureSet) WriteTo(w io.Writer) (int64, error) { return WriteFeatures(w, fs) }
+
+// reencodeStable checks the fuzz property: an accepted input, written
+// once, reads back and writes the same bytes again.
+func reencodeStable(t *testing.T, write func(io.Writer) (int64, error), read func(io.Reader) (io.WriterTo, error)) {
+	t.Helper()
+	var a, b bytes.Buffer
+	if _, err := write(&a); err != nil {
+		t.Fatal(err)
+	}
+	again, err := read(bytes.NewReader(a.Bytes()))
+	if err != nil {
+		t.Fatalf("re-encoded input rejected: %v", err)
+	}
+	if _, err := again.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("re-encoding is not stable")
+	}
 }
 
 // TestSerializeBadMagicAndVersion: a wrong magic and a bumped format
@@ -360,9 +485,13 @@ func TestSerializeBadMagicAndVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := append([]byte(nil), buf.Bytes()...)
-	b[7] = '2' // "ENMCSCR1" -> "ENMCSCR2": a future format version
+	b[7] = '3' // "ENMCSCR2" -> "ENMCSCR3": a future format version
 	if _, err := ReadScreener(bytes.NewReader(b)); err == nil {
 		t.Fatal("bumped screener format version accepted")
+	}
+	b[7] = '1' // version 1, one byte per weight: rejected by name
+	if _, err := ReadScreener(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "ENMCSCR1") {
+		t.Fatalf("version 1 screener: error %v, want one naming ENMCSCR1", err)
 	}
 	copy(b, "XXXXXXXX")
 	if _, err := ReadScreener(bytes.NewReader(b)); err == nil {

@@ -1,10 +1,11 @@
 // Package funcsim is a functional (value-level) machine for the ENMC
 // DIMM: it interprets compiled instruction streams against a
 // byte-addressable rank memory, actually moving data through the
-// modeled buffers — LDR unpacks tiles from memory, MUL_ADD_INT4 runs
-// the nibble MAC array into the partial-sum accumulators, FILTER
-// dequantizes, thresholds and emits candidate indices, and the FP32
-// executor path computes exact candidate logits.
+// modeled buffers — LDR moves tiles of the nibble image from memory,
+// MUL_ADD_INT4 decodes them through quant.UnpackRow and runs the MAC
+// array into the partial-sum accumulators, FILTER dequantizes,
+// thresholds and emits candidate indices, and the FP32 executor path
+// computes exact candidate logits.
 //
 // Together with the timing engine (internal/enmc, which charges
 // cycles but does not interpret values) this completes the simulator:
@@ -18,7 +19,7 @@
 // counters); the machine mirrors that microstate, assuming the
 // compiler's canonical streaming order (row-major tiles within
 // 64-row output tiles). The dequantization scales and biases live in
-// the metadata block after the packed weights, which the FILTER
+// the metadata block after the weights, which the FILTER
 // microcode reads — exactly how per-row scale factors reach
 // comparator hardware.
 package funcsim
@@ -43,8 +44,10 @@ type Machine struct {
 	regs [isa.NumRegs]uint64
 
 	// Screener state.
-	featI4  []int8  // quantized projected feature (k nibbles)
-	wgtTile []int8  // last-loaded weight tile (nibbles)
+	featImg []byte  // the feature buffer: one nibble-image row
+	featI4  []int8  // its k decoded levels
+	wgt     []byte  // loaded weight-image bytes the MAC array has not consumed
+	row     []int8  // one decoded weight row
 	psumI32 []int32 // integer accumulators, one per output row
 	outTile int     // current 64-row output tile index
 	// Outputs.
@@ -71,7 +74,9 @@ func New(hw enmc.Config, img *image.FullImage) *Machine {
 		Z:           make([]float32, 0, l),
 		psumF32:     map[int]float32{},
 		ExactLogits: map[int]float32{},
+		featImg:     make([]byte, quant.RowBytes(img.K)),
 		featI4:      make([]int8, img.K),
+		row:         make([]int8, img.K),
 		lastWgtRow:  -1,
 	}
 }
@@ -115,17 +120,19 @@ func (m *Machine) exec(op enmc.Op) error {
 		addr := int(in.Data)
 		switch in.Buf0 {
 		case isa.BufFeatINT4:
-			if addr+nbytes > len(mem) {
-				return fmt.Errorf("feature load beyond image (%d+%d)", addr, nbytes)
+			off := addr - int(m.img.Layout.FeatBase)
+			if off < 0 || off+nbytes > len(m.featImg) || addr+nbytes > len(mem) {
+				return fmt.Errorf("feature load outside the INT4 feature (%d+%d)", addr, nbytes)
 			}
-			copy(m.featI4, quant.UnpackINT4(mem[addr:addr+nbytes], min(m.img.K, nbytes*2)))
+			copy(m.featImg[off:], mem[addr:addr+nbytes])
+			quant.UnpackRow(m.featI4, m.featImg)
 		case isa.BufWgtINT4:
 			if addr+nbytes > len(mem) {
 				return fmt.Errorf("weight load beyond image (%d+%d)", addr, nbytes)
 			}
-			m.wgtTile = quant.UnpackINT4(mem[addr:addr+nbytes], nbytes*2)
+			m.wgt = append(m.wgt, mem[addr:addr+nbytes]...)
 		case isa.BufFeatFP32:
-			m.chunkBase = addr - int(m.img.Layout.FeatBase) - (m.img.K+1)/2
+			m.chunkBase = addr - m.img.FeatF32()
 			if m.chunkBase < 0 {
 				return fmt.Errorf("FP32 feature chunk before feature base")
 			}
@@ -143,28 +150,24 @@ func (m *Machine) exec(op enmc.Op) error {
 		}
 
 	case isa.OpMULADDINT4:
-		// The MAC array consumes the loaded tile: whole rows of k
-		// nibbles accumulate into consecutive PSUM entries.
-		k := m.img.K
-		if len(m.wgtTile)%k != 0 {
-			return fmt.Errorf("weight tile of %d nibbles not row-aligned (k=%d)", len(m.wgtTile), k)
-		}
-		for r := 0; r+k <= len(m.wgtTile); r += k {
+		// The MAC array consumes the loaded bytes a whole image row at
+		// a time, each into the next PSUM entry; a row split across
+		// tiles waits for the rest of its bytes.
+		rowBytes := quant.RowBytes(m.img.K)
+		for ; len(m.wgt) >= rowBytes; m.wgt = m.wgt[rowBytes:] {
+			quant.UnpackRow(m.row, m.wgt)
 			var acc int32
-			row := m.wgtTile[r : r+k]
-			for j, w := range row {
+			for j, w := range m.row {
 				acc += int32(w) * int32(m.featI4[j])
 			}
 			m.psumI32 = append(m.psumI32, acc)
 		}
-		m.wgtTile = nil
 
 	case isa.OpFILTER:
 		// Dequantize the accumulated rows, apply bias, threshold.
 		th := m.Threshold()
 		featScale := math.Float32frombits(uint32(m.regs[isa.RegFeatSize]))
-		k := m.img.K
-		metaBase := int(m.img.Layout.ScrWBase) + (m.img.Rows*k+1)/2
+		metaBase := m.img.MetaBase()
 		biasBase := metaBase + 4*m.img.Rows
 		for i, acc := range m.psumI32 {
 			row := m.outTile*(m.hw.BufBytes/4) + i
@@ -217,11 +220,4 @@ func readFloats(mem []byte, addr, n int) []float32 {
 		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(mem[addr+4*i:]))
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

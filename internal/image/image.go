@@ -1,7 +1,7 @@
 // Package image builds the DRAM image of a rank's screener shard —
 // the bytes the host writes into the ENMC DIMM's address space during
 // initialization (Fig. 10 phase 1) — and functionally emulates the
-// Screener datapath over that image: stream packed INT4 weight rows,
+// Screener datapath over that image: stream the INT4 nibble-image rows,
 // multiply-accumulate in int32 against the quantized projected
 // feature, dequantize once per output, add the bias, and threshold-
 // filter candidates.
@@ -23,6 +23,7 @@ import (
 	"enmc/internal/compiler"
 	"enmc/internal/core"
 	"enmc/internal/quant"
+	"enmc/internal/tensor"
 )
 
 // RankImage is a byte-addressable slice of one rank's DRAM contents
@@ -36,11 +37,12 @@ type RankImage struct {
 }
 
 // BuildRank lays out rows [rowStart, rowStart+rows) of the screener
-// into a rank image following the compiler's address map: packed INT4
-// weights at ScrWBase (row-major, two nibbles per byte), then one
-// float32 scale and one float32 bias per row; the quantized projected
-// feature for hidden vector h goes at FeatBase. The screener must be
-// INT4 (the hardware's format).
+// into a rank image following the compiler's address map: the shard's
+// rows of the screener's nibble image at ScrWBase (the bytes the host
+// kernel streams, copied as one slice), then one float32 scale and one
+// float32 bias per row; the quantized projected feature for hidden
+// vector h goes at FeatBase as one image row of the same layout. The
+// screener must be INT4 (the hardware's format).
 func BuildRank(scr *core.Screener, rowStart, rows int, h []float32) (*RankImage, *quant.Vector, error) {
 	if scr.QW == nil {
 		return nil, nil, fmt.Errorf("image: screener not frozen")
@@ -62,42 +64,41 @@ func BuildRank(scr *core.Screener, rowStart, rows int, h []float32) (*RankImage,
 	}
 	lay := compiler.LayoutFor(task, rows)
 
-	// Quantize the projected feature exactly as Screen does.
-	ph := scr.Project(h)
-	qh := quant.QuantizeVector(ph, quant.INT4)
+	// Quantize the projected feature once, as a one-row matrix (the
+	// rule QuantizeVector applies in Screen), which stores the image
+	// row; qh is read back from it.
+	fm := quant.QuantizeMatrix(&tensor.Matrix{Rows: 1, Cols: k, Data: scr.Project(h)}, quant.INT4)
+	feat := fm.Payload()
+	qh := &quant.Vector{Bits: quant.INT4, Scale: fm.Scales[0], Q: make([]int8, k)}
+	fm.RowInto(qh.Q, 0)
 
-	featBytes := (k + 1) / 2
-	size := int(lay.FeatBase) + featBytes
+	rowBytes := quant.RowBytes(k)
 	img := &RankImage{
-		Mem:      make([]byte, size),
+		Mem:      make([]byte, int(lay.FeatBase)+len(feat)),
 		Layout:   lay,
 		RowStart: rowStart,
 		Rows:     rows,
 		K:        k,
 	}
-
-	// Weights: packed nibbles, row-major over the shard.
-	shard := make([]int8, 0, rows*k)
-	for r := 0; r < rows; r++ {
-		shard = append(shard, scr.QW.Row(rowStart+r)...)
-	}
-	copy(img.Mem[lay.ScrWBase:], quant.PackINT4(shard))
-
-	// Scales then biases, contiguous after the packed weights.
-	metaBase := int(lay.ScrWBase) + (rows*k+1)/2
+	copy(img.Mem[lay.ScrWBase:], scr.QW.Payload()[rowStart*rowBytes:(rowStart+rows)*rowBytes])
+	// Scales then biases, contiguous after the weights.
+	metaBase := img.MetaBase()
 	for r := 0; r < rows; r++ {
 		binary.LittleEndian.PutUint32(img.Mem[metaBase+4*r:], math.Float32bits(scr.QW.Scales[rowStart+r]))
+		binary.LittleEndian.PutUint32(img.Mem[metaBase+4*(rows+r):], math.Float32bits(scr.Bt[rowStart+r]))
 	}
-	biasBase := metaBase + 4*rows
-	for r := 0; r < rows; r++ {
-		binary.LittleEndian.PutUint32(img.Mem[biasBase+4*r:], math.Float32bits(scr.Bt[rowStart+r]))
-	}
-
-	// Quantized feature.
-	copy(img.Mem[lay.FeatBase:], quant.PackINT4(qh.Q))
-
+	copy(img.Mem[lay.FeatBase:], feat)
 	return img, qh, nil
 }
+
+// MetaBase is the address of the per-row scales, right after the
+// shard's weights; the biases follow the scales.
+func (img *RankImage) MetaBase() int {
+	return int(img.Layout.ScrWBase) + img.Rows*quant.RowBytes(img.K)
+}
+
+// FeatF32 is the address of the FP32 feature, right after the INT4 one.
+func (img *RankImage) FeatF32() int { return int(img.Layout.FeatBase) + quant.RowBytes(img.K) }
 
 // Screen emulates the Screener datapath over the image: for every
 // stored row, an int32 accumulation of nibble products against the
@@ -105,20 +106,18 @@ func BuildRank(scr *core.Screener, rowStart, rows int, h []float32) (*RankImage,
 // filter over the results. Returned candidate indices are
 // shard-local.
 func (img *RankImage) Screen(featScale float32, threshold float32) (z []float32, candidates []int) {
-	k := img.K
-	lay := img.Layout
-	feat := quant.UnpackINT4(img.Mem[lay.FeatBase:int(lay.FeatBase)+(k+1)/2], k)
-
-	metaBase := int(lay.ScrWBase) + (img.Rows*k+1)/2
+	k, rowBytes := img.K, quant.RowBytes(img.K)
+	feat, w := make([]int8, k), make([]int8, k)
+	quant.UnpackRow(feat, img.Mem[img.Layout.FeatBase:])
+	metaBase := img.MetaBase()
 	biasBase := metaBase + 4*img.Rows
 
 	z = make([]float32, img.Rows)
-	weights := quant.UnpackINT4(img.Mem[lay.ScrWBase:int(lay.ScrWBase)+(img.Rows*k+1)/2], img.Rows*k)
 	for r := 0; r < img.Rows; r++ {
+		quant.UnpackRow(w, img.Mem[int(img.Layout.ScrWBase)+r*rowBytes:])
 		var acc int32
-		row := weights[r*k : (r+1)*k]
-		for j, w := range row {
-			acc += int32(w) * int32(feat[j])
+		for j, q := range w {
+			acc += int32(q) * int32(feat[j])
 		}
 		scale := math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[metaBase+4*r:]))
 		bias := math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[biasBase+4*r:]))
@@ -154,7 +153,7 @@ func BuildFull(cls *core.Classifier, scr *core.Screener, rowStart, rows int, h [
 		return nil, nil, fmt.Errorf("image: classifier hidden %d != screener %d", d, scr.Cfg.Hidden)
 	}
 	// Grow the memory to cover FullW rows and the FP32 feature.
-	featF32 := int(base.Layout.FeatBase) + (scr.Cfg.Reduced+1)/2
+	featF32 := base.FeatF32()
 	need := featF32 + d*4
 	if end := int(base.Layout.FullWBase) + rows*d*4; end > need {
 		need = end
@@ -184,7 +183,7 @@ func BuildFull(cls *core.Classifier, scr *core.Screener, rowStart, rows int, h [
 // it at deployment; here the screener was distilled to carry it).
 func (img *FullImage) Candidates(cands []int, bias []float32) []float32 {
 	d := img.Hidden
-	featF32 := int(img.Layout.FeatBase) + (img.K+1)/2
+	featF32 := img.FeatF32()
 	h := make([]float32, d)
 	for j := range h {
 		h[j] = math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[featF32+4*j:]))

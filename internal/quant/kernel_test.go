@@ -3,6 +3,7 @@ package quant
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,16 +11,84 @@ import (
 	"enmc/internal/xrand"
 )
 
-// refMatVec is the plain scalar GEMV (one row, one column at a time)
-// the blocked/unrolled kernel must reproduce bit-for-bit: int32
-// accumulation is associative, so any summation order gives the same
-// integer, and the final float multiply is identical.
+// dotInt32 is row i's raw integer accumulation against x, read
+// through RowInto.
+func dotInt32(m *Matrix, i int, x []int8) int32 {
+	q := make([]int8, m.Cols)
+	m.RowInto(q, i)
+	var acc int32
+	for j, v := range q {
+		acc += int32(v) * int32(x[j])
+	}
+	return acc
+}
+
+// dequantize reconstructs m's float32 matrix through RowInto.
+func dequantize(m *Matrix) *tensor.Matrix {
+	out := tensor.NewMatrix(m.Rows, m.Cols)
+	q := make([]int8, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		m.RowInto(q, i)
+		for j, v := range q {
+			out.Row(i)[j] = float32(v) * m.Scales[i]
+		}
+	}
+	return out
+}
+
+// refMatVec is the plain GEMV over dotInt32, one row at a time.
 func refMatVec(m *Matrix, x *Vector) []float32 {
 	out := make([]float32, m.Rows)
 	for i := 0; i < m.Rows; i++ {
-		out[i] = float32(m.DotInt32(i, x.Q)) * m.Scales[i] * x.Scale
+		out[i] = float32(dotInt32(m, i, x.Q)) * m.Scales[i] * x.Scale
 	}
 	return out
+}
+
+// levelOracle recomputes a matrix's levels and scales from its float
+// source with the quantizers' rule — scale = max|v|/MaxLevel over the
+// row (or the whole matrix), 1 where that is zero, level =
+// clampRound(v/scale) — and never reads Q or the nibble image.
+func levelOracle(w *tensor.Matrix, bits Bits, perTensor bool) (levels [][]int8, scales []float32) {
+	maxLevel := bits.MaxLevel()
+	for i := 0; i < w.Rows; i++ {
+		src := w.Row(i)
+		if perTensor {
+			src = w.Data
+		}
+		s := tensor.MaxAbs(src) / float32(maxLevel)
+		if s == 0 {
+			s = 1
+		}
+		row := make([]int8, w.Cols)
+		for j, v := range w.Row(i) {
+			row[j] = clampRound(v/s, maxLevel)
+		}
+		levels, scales = append(levels, row), append(scales, s)
+	}
+	return levels, scales
+}
+
+// oracleMatVec is the plain GEMV over oracle levels, one column at a
+// time, ending in the kernels' epilogue.
+func oracleMatVec(levels [][]int8, scales []float32, x *Vector, b []float32) []float32 {
+	out := make([]float32, len(levels))
+	for i, row := range levels {
+		var acc int32
+		for j, q := range row {
+			acc += int32(q) * int32(x.Q[j])
+		}
+		out[i] = dequant(acc, scales[i], x.Scale, b, i)
+	}
+	return out
+}
+
+func randMatrix(r *xrand.RNG, rows, cols int) *tensor.Matrix {
+	w := tensor.NewMatrix(rows, cols)
+	for i := range w.Data {
+		w.Data[i] = r.NormFloat32()
+	}
+	return w
 }
 
 func randQuantized(r *xrand.RNG, rows, cols int, bits Bits) (*Matrix, *Vector) {
@@ -35,21 +104,84 @@ func randQuantized(r *xrand.RNG, rows, cols int, bits Bits) (*Matrix, *Vector) {
 }
 
 // TestMatVecBitIdenticalToScalar sweeps odd shapes around the 4-row
-// block and 8-wide unroll boundaries at every supported precision.
+// block, the 8-wide unroll, the 8-row kernel groups and the 64-column
+// chunks at every supported precision against the level oracle.
 func TestMatVecBitIdenticalToScalar(t *testing.T) {
 	r := xrand.New(21)
 	for _, bits := range []Bits{INT2, INT4, INT8} {
 		for _, rows := range []int{1, 2, 3, 4, 5, 7, 8, 9, 37} {
-			// 67/255/256/257/600 straddle the nibble image's
-			// 64-column chunks: whole chunks with and without a tail.
 			for _, cols := range []int{1, 3, 7, 8, 9, 15, 16, 17, 67, 255, 256, 257, 600} {
-				qm, qx := randQuantized(r, rows, cols, bits)
+				w := randMatrix(r, rows, cols)
+				x := make([]float32, cols)
+				for i := range x {
+					x[i] = r.NormFloat32()
+				}
+				qm, qx := QuantizeMatrix(w, bits), QuantizeVector(x, bits)
 				got := make([]float32, rows)
 				qm.MatVec(got, qx)
-				want := refMatVec(qm, qx)
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%v %dx%d row %d: blocked %v != scalar %v", bits, rows, cols, i, got[i], want[i])
+				levels, scales := levelOracle(w, bits, false)
+				for i, want := range oracleMatVec(levels, scales, qx, nil) {
+					if math.Float32bits(got[i]) != math.Float32bits(want) {
+						t.Fatalf("%v %dx%d row %d: MatVec %v != oracle %v", bits, rows, cols, i, got[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelsMatchLevelOracle holds every INT2/INT4 path — the AVX2
+// kernels where the build and CPU have them, dotPackedGo with them off
+// — to the level oracle, which never reads the image: MatVecRange over
+// two shards cut off the 8-row groups and MatVecBatchRange at every
+// batch size 1…9, with and without a bias, per-row and per-tensor
+// scales, INT4- and INT8-level activations.
+func TestKernelsMatchLevelOracle(t *testing.T) {
+	const sentinel = float32(-1e30)
+	r := xrand.New(71)
+	on := useAVX2
+	scalarOnly(t)
+	for _, avx2 := range slices.Compact([]bool{on, false}) {
+		useAVX2 = avx2
+		for _, bits := range []Bits{INT2, INT4} {
+			for _, k := range []int{1, 7, 31, 32, 33, 63, 64, 65, 128, 375} {
+				for _, rows := range []int{1, 7, 8, 9, 203} {
+					perTensor := (k+rows)%2 == 0
+					w := randMatrix(r, rows, k)
+					qm := QuantizeMatrix(w, bits)
+					var b []float32
+					if perTensor {
+						qm = QuantizeMatrixPerTensor(w, bits)
+					} else {
+						b = randMatrix(r, 1, rows).Data
+					}
+					levels, scales := levelOracle(w, bits, perTensor)
+					xs := make([]Vector, 2*BatchTile+1)
+					want, got := make([][]float32, len(xs)), make([][]float32, len(xs))
+					for v := range xs {
+						QuantizeVectorInto(&xs[v], randMatrix(r, 1, k).Data, []Bits{INT4, INT8}[v%2])
+						want[v] = oracleMatVec(levels, scales, &xs[v], b)
+						got[v] = make([]float32, rows)
+					}
+					what := fmt.Sprintf("AVX2 %v %v %dx%d perTensor=%v", avx2, bits, rows, k, perTensor)
+					fill := func(n int) {
+						for v := 0; v < n; v++ {
+							for i := range got[v] {
+								got[v][i] = sentinel
+							}
+						}
+					}
+					fill(len(xs))
+					for v := range xs {
+						cut := rows / 3
+						qm.MatVecRange(got[v], &xs[v], b, 0, cut)
+						qm.MatVecRange(got[v], &xs[v], b, cut, rows)
+					}
+					compareBits(t, what+" MatVecRange", got, want)
+					for batch := 1; batch <= len(xs); batch++ {
+						fill(batch)
+						qm.MatVecBatchRange(got[:batch], xs[:batch], b, 0, rows)
+						compareBits(t, fmt.Sprintf("%s batch %d", what, batch), got[:batch], want[:batch])
 					}
 				}
 			}
@@ -216,7 +348,7 @@ func TestQuantizeVectorIntoReuse(t *testing.T) {
 // TestBiasEpilogueMatchesAdd is the bias fold's contract: MatVecRange
 // and MatVecBatchRange with a bias produce, bit for bit, MatVec followed
 // by tensor.Add — on the AVX2 single-vector and tile kernels and on the
-// scalar kernel, over disjoint row shards, at INT2/INT4/INT8. The
+// Go kernels, over disjoint row shards, at INT2/INT4/INT8. The
 // biases span magnitudes far above and below the products', so a
 // fused multiply-add (one rounding instead of two) would show.
 func TestBiasEpilogueMatchesAdd(t *testing.T) {
@@ -274,7 +406,7 @@ func compareBits(t *testing.T, what string, got, want [][]float32) {
 	for v := range want {
 		for i := range want[v] {
 			if math.Float32bits(got[v][i]) != math.Float32bits(want[v][i]) {
-				t.Fatalf("%s vector %d row %d: %v, MatVec+Add %v", what, v, i, got[v][i], want[v][i])
+				t.Fatalf("%s vector %d row %d: %v, want %v", what, v, i, got[v][i], want[v][i])
 			}
 		}
 	}

@@ -35,21 +35,25 @@ func scalarOnly(t *testing.T) {
 	t.Cleanup(func() { useAVX2 = old })
 }
 
-// checkPacked runs MatVecBatchRange — the tile kernel, the
-// single-vector kernel for the batch remainder and the scalar edge
-// rows — for every batch size 1…len(xs) over each row range and
-// compares every output bit with matVecRangeBlocked, the oracle; rows
-// outside the range must stay untouched.
+// checkPacked runs MatVecBatchRange on the dispatched kernels — the
+// tile kernel, the single-vector kernel for the batch remainder and
+// dotPackedGo for the rows past the last 8-row group — for every batch
+// size 1…len(xs) over each row range and compares every output bit
+// with dotPackedGo alone, the reference; rows outside the range must
+// stay untouched.
 func checkPacked(t testing.TB, m *Matrix, xs []Vector, ranges ...[2]int) {
 	t.Helper()
 	const sentinel = float32(-1e30)
 	want := make([][]float32, len(xs))
 	got := make([][]float32, len(xs))
+	avx2 := useAVX2
+	useAVX2 = false
 	for b := range xs {
 		want[b] = make([]float32, m.Rows)
-		m.matVecRangeBlocked(want[b], &xs[b], nil, 0, m.Rows)
+		m.MatVec(want[b], &xs[b])
 		got[b] = make([]float32, m.Rows)
 	}
+	useAVX2 = avx2
 	for _, rg := range ranges {
 		lo, hi := rg[0], rg[1]
 		for batch := 1; batch <= len(xs); batch++ {
@@ -111,21 +115,16 @@ func TestPackedKernelTable(t *testing.T) {
 			}
 		}
 		for _, rows := range packedRows {
-			random, ones := tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols)
+			random, ones, negOnes := tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols)
 			for i := range random.Data {
-				random.Data[i], ones.Data[i] = r.NormFloat32(), 1
+				random.Data[i], ones.Data[i], negOnes.Data[i] = r.NormFloat32(), 1, -1
 			}
 			ranges := [][2]int{{0, rows}}
 			if rows > 9 {
 				ranges = append(ranges, [2]int{3, rows - 5}, [2]int{257, 257 + 17})
 			}
 			for _, bits := range []Bits{INT2, INT4} {
-				wmax := QuantizeMatrix(ones, bits)
-				wmin := QuantizeMatrix(ones, bits)
-				for i := range wmin.Q {
-					wmin.Q[i] = -wmin.Q[i]
-				}
-				wmin.BuildAccel()
+				wmax, wmin := QuantizeMatrix(ones, bits), QuantizeMatrix(negOnes, bits)
 				for _, op := range []struct {
 					m  *Matrix
 					xs []Vector
@@ -137,7 +136,7 @@ func TestPackedKernelTable(t *testing.T) {
 					{wmin, pos127},
 					{wmax, neg128},
 				} {
-					if op.m.packed == nil {
+					if op.m.image == nil {
 						t.Fatalf("%v %dx%d: no nibble image", bits, rows, cols)
 					}
 					checkPacked(t, op.m, op.xs, ranges...)
@@ -166,19 +165,21 @@ func FuzzMatVecPacked(f *testing.F) {
 		if len(wdata) == 0 || len(xdata) == 0 {
 			return
 		}
-		m.Q = make([]int8, m.Rows*m.Cols)
-		for i := range m.Q {
+		stride := RowBytes(m.Cols)
+		m.image = make([]byte, m.Rows*stride)
+		for i := 0; i < m.Rows*m.Cols; i++ {
 			nib := wdata[i/2%len(wdata)] >> (i % 2 * 4) & 0x0f
-			m.Q[i] = int8(nib<<4) >> 4
+			q := int8(nib<<4) >> 4
 			if int2 {
-				m.Q[i] %= 2 // −1, 0 or 1
+				q %= 2 // −1, 0 or 1
 			}
+			r, j := i/m.Cols, i%m.Cols
+			m.image[r*stride+j/chunkCols*chunkBytes+j%chunkBytes] |= byte(q+8) << (j % chunkCols / chunkBytes * 4)
 		}
 		m.Scales = make([]float32, m.Rows)
 		for i := range m.Scales {
 			m.Scales[i] = 1 / float32(1+i%7)
 		}
-		m.BuildAccel()
 		xs := make([]Vector, 1+int(batch)%(2*BatchTile+1))
 		for b := range xs {
 			xs[b] = Vector{Bits: INT8, Scale: 1 / float32(3+b), Q: make([]int8, m.Cols)}
@@ -194,67 +195,35 @@ func FuzzMatVecPacked(f *testing.F) {
 	})
 }
 
-// TestBuildAccelRejectsUnpackable: a value no nibble can hold (a
-// corrupt artifact, a hand-built matrix) leaves the image unbuilt and
-// MatVec on the scalar kernel, still correct.
-func TestBuildAccelRejectsUnpackable(t *testing.T) {
-	qm, qx := randQuantized(xrand.New(3), 16, 70, INT4)
-	qm.Q[5*70+69] = 9
-	qm.BuildAccel()
-	if qm.packed != nil {
-		t.Fatal("BuildAccel packed a weight outside [-8, 7]")
-	}
-	got := make([]float32, qm.Rows)
-	qm.MatVec(got, qx)
-	for i, w := range refMatVec(qm, qx) {
-		if got[i] != w {
-			t.Fatalf("row %d: %v != %v", i, got[i], w)
-		}
-	}
-}
-
-// TestParallelQuantizeMatchesSerial: the quantizers and BuildAccel split
-// their rows across up to GOMAXPROCS goroutines; Q, Scales and the
-// nibble image must be the bytes the single-goroutine run produces —
-// including the verdict that one unpackable value, wherever its block,
-// leaves the matrix without an image.
+// TestParallelQuantizeMatchesSerial: the quantizers split their rows
+// across up to GOMAXPROCS goroutines; Q or the nibble image, and
+// Scales, must be the bytes the single-goroutine run produces.
 func TestParallelQuantizeMatchesSerial(t *testing.T) {
 	r := xrand.New(41)
 	w := tensor.NewMatrix(2051, 130) // four blocks at GOMAXPROCS 4, with an odd last one
 	for i := range w.Data {
 		w.Data[i] = float32(r.NormFloat64())
 	}
-	build := func(procs int, perTensor bool, bits Bits, poison int) *Matrix {
+	build := func(procs int, perTensor bool, bits Bits) *Matrix {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		quantize := QuantizeMatrix
 		if perTensor {
-			quantize = QuantizeMatrixPerTensor
+			return QuantizeMatrixPerTensor(w, bits)
 		}
-		qm := quantize(w, bits)
-		if poison >= 0 {
-			qm.Q[poison] = 9
-			qm.BuildAccel()
-		}
-		return qm
+		return QuantizeMatrix(w, bits)
 	}
 	for _, bits := range []Bits{INT2, INT4, INT8} {
 		for _, perTensor := range []bool{false, true} {
-			for _, poison := range []int{-1, 3, 1000*130 + 129, len(w.Data) - 1} {
-				serial, parallel := build(1, perTensor, bits, poison), build(4, perTensor, bits, poison)
-				what := fmt.Sprintf("%v perTensor=%v poison=%d", bits, perTensor, poison)
-				if !slices.Equal(serial.Q, parallel.Q) {
-					t.Fatalf("%s: Q differs", what)
-				}
-				for i := range serial.Scales {
-					if math.Float32bits(serial.Scales[i]) != math.Float32bits(parallel.Scales[i]) {
-						t.Fatalf("%s: scale %d differs", what, i)
-					}
-				}
-				if !bytes.Equal(serial.packed, parallel.packed) {
-					t.Fatalf("%s: nibble image differs", what)
-				}
-				if wantImage := bits <= INT4 && poison < 0; (parallel.packed != nil) != wantImage {
-					t.Fatalf("%s: image built = %v, want %v", what, parallel.packed != nil, wantImage)
+			serial, parallel := build(1, perTensor, bits), build(4, perTensor, bits)
+			what := fmt.Sprintf("%v perTensor=%v", bits, perTensor)
+			if !slices.Equal(serial.Q, parallel.Q) {
+				t.Fatalf("%s: Q differs", what)
+			}
+			if !bytes.Equal(serial.image, parallel.image) {
+				t.Fatalf("%s: nibble image differs", what)
+			}
+			for i := range serial.Scales {
+				if math.Float32bits(serial.Scales[i]) != math.Float32bits(parallel.Scales[i]) {
+					t.Fatalf("%s: scale %d differs", what, i)
 				}
 			}
 		}
@@ -280,34 +249,32 @@ func TestMatVecReadsLiveQ(t *testing.T) {
 	}
 }
 
-// TestStreamBytesFollowsDispatch: StreamBytes is what the dispatched
-// kernel reads — the padded nibble image of the 8-row groups plus Q
-// for the rows past the last one on the AVX2 path, Q otherwise, a
-// 4-byte scale per row either way — and Bytes stays the packed payload.
+// TestStreamBytesFollowsDispatch: StreamBytes is what every kernel
+// reads, whichever is dispatched — the padded nibble image at
+// INT2/INT4, Q at INT8, a 4-byte scale per row either way — and Bytes
+// stays the modelled packed payload.
 func TestStreamBytesFollowsDispatch(t *testing.T) {
 	qm, _ := randQuantized(xrand.New(4), 21, 70, INT4)
 	q8, _ := randQuantized(xrand.New(4), 21, 70, INT8)
-	const scalar = 21*70 + 4*21
-	if got := q8.StreamBytes(); got != scalar {
-		t.Fatalf("INT8 StreamBytes = %d, want %d", got, scalar)
-	}
+	const image, int8s = 21*2*chunkBytes + 4*21, 21*70 + 4*21
 	if got := qm.Bytes(); got != 21*70/2 {
 		t.Fatalf("Bytes = %d, want %d", got, 21*70/2)
 	}
-	if useAVX2 {
-		const packed = 16*2*chunkBytes + 5*70 + 4*21
-		if got := qm.StreamBytes(); got != packed {
-			t.Fatalf("AVX2 StreamBytes = %d, want %d", got, packed)
-		}
-		if got := qm.BatchStreamBytes(2*BatchTile + 1); got != 3*packed {
-			t.Fatalf("AVX2 BatchStreamBytes(9) = %d, want %d", got, 3*packed)
-		}
-	}
+	on := useAVX2
 	scalarOnly(t)
-	if got := qm.StreamBytes(); got != scalar {
-		t.Fatalf("scalar StreamBytes = %d, want %d", got, scalar)
-	}
-	if got := qm.BatchStreamBytes(2*BatchTile + 1); got != 9*scalar {
-		t.Fatalf("scalar BatchStreamBytes(9) = %d, want %d", got, 9*scalar)
+	for _, avx2 := range []bool{on, false} {
+		useAVX2 = avx2
+		if got := qm.StreamBytes(); got != image {
+			t.Fatalf("AVX2 %v: INT4 StreamBytes = %d, want %d", avx2, got, image)
+		}
+		if got := qm.BatchStreamBytes(2*BatchTile + 1); got != 3*image {
+			t.Fatalf("AVX2 %v: INT4 BatchStreamBytes(9) = %d, want %d", avx2, got, 3*image)
+		}
+		if got := q8.StreamBytes(); got != int8s {
+			t.Fatalf("AVX2 %v: INT8 StreamBytes = %d, want %d", avx2, got, int8s)
+		}
+		if got := q8.BatchStreamBytes(2*BatchTile + 1); got != 9*int8s {
+			t.Fatalf("AVX2 %v: INT8 BatchStreamBytes(9) = %d, want %d", avx2, got, 9*int8s)
+		}
 	}
 }

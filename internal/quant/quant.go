@@ -2,20 +2,24 @@
 // ENMC Screener. The paper runs the screening phase in INT4
 // (Section 5.2, Table 3) after finding in Fig. 12(b) that 4-bit
 // fixed-point preserves approximation quality; this package provides
-// symmetric linear quantizers for INT2/INT4/INT8, packed INT4
-// storage, and an integer MAC kernel that mirrors the hardware
-// datapath: int8 operands, int32 accumulation, one dequantization per
-// output element. INT2/INT4 matrices also carry a 4-bit-per-weight
-// nibble image that an AVX2 assembly kernel streams on amd64 (not
-// under -tags purego); the scalar kernel over Q runs everywhere else
-// and produces the same bits.
+// symmetric linear quantizers for INT2/INT4/INT8 and an integer MAC
+// kernel that mirrors the hardware datapath: int8 operands, int32
+// accumulation, one dequantization per output element.
+//
+// An INT2/INT4 matrix has one form, the chunked nibble image (see
+// Matrix): the GEMV kernels stream it, the serialized artifact stores
+// it and the simulated DIMM holds it, so every layer counts the same
+// bytes. Other packages reach the layout only through RowBytes,
+// UnpackRow and Payload. On amd64 with AVX2 (not under -tags purego)
+// an assembly kernel streams the image; a Go kernel with the same
+// contract takes everything else and is the assembly's reference.
+// INT8 matrices keep one byte per weight in Q.
 package quant
 
 import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"enmc/internal/tensor"
 )
@@ -65,11 +69,7 @@ func QuantizeVector(x []float32, bits Bits) *Vector {
 // QuantizeVector.
 func QuantizeVectorInto(dst *Vector, x []float32, bits Bits) {
 	maxLevel := bits.MaxLevel()
-	maxAbs := tensor.MaxAbs(x)
-	scale := maxAbs / float32(maxLevel)
-	if scale == 0 {
-		scale = 1
-	}
+	scale := scaleFor(tensor.MaxAbs(x), maxLevel)
 	if cap(dst.Q) < len(x) {
 		dst.Q = make([]int8, len(x))
 	}
@@ -79,6 +79,15 @@ func QuantizeVectorInto(dst *Vector, x []float32, bits Bits) {
 	}
 	dst.Bits = bits
 	dst.Scale = scale
+}
+
+// scaleFor is the quantization step that maps maxAbs to maxLevel; an
+// all-zero input gets 1 so dequantization stays well-defined.
+func scaleFor(maxAbs float32, maxLevel int32) float32 {
+	if s := maxAbs / float32(maxLevel); s != 0 {
+		return s
+	}
+	return 1
 }
 
 // Dequantize reconstructs the float32 vector.
@@ -97,33 +106,44 @@ type Matrix struct {
 	Bits       Bits
 	Rows, Cols int
 	Scales     []float32 // len Rows
-	Q          []int8    // len Rows*Cols
 
-	// packed is the nibble image the AVX2 kernel streams (INT2/INT4
-	// only), built by BuildAccel: row-major, 4 bits per weight stored
-	// as q+8, each row padded to whole chunks of chunkCols columns;
-	// byte b of a chunk holds column b in its low nibble and column
-	// b+32 in its high nibble, so one 32-byte load unpacks into two
-	// vectors that line up with 64 consecutive activations. Matrices
-	// assembled by hand (e.g. by the deserializer, until it calls
-	// BuildAccel) leave it nil; MatVec then runs the scalar-blocked
-	// kernel over Q.
-	packed []byte
+	// Q holds INT8 weights, one byte each (len Rows*Cols). It is nil
+	// at INT2/INT4.
+	Q []int8
+
+	// image holds INT2/INT4 weights (nil at INT8): row-major,
+	// RowBytes(Cols) bytes per row, 4 bits per weight stored as q+8,
+	// each row padded with zero nibbles to whole chunks of chunkCols
+	// columns; byte b of a chunk holds column b in its low nibble and
+	// column b+32 in its high nibble, so one 32-byte load unpacks into
+	// two vectors that line up with 64 consecutive activations.
+	image []byte
 }
 
 // Geometry of the nibble image and of one assembly call.
 const (
 	chunkCols  = 64  // columns per chunk
 	chunkBytes = 32  // bytes per chunk: two nibbles per byte
-	groupRows  = 8   // the assembly takes whole groups of this many rows
-	blockRows  = 256 // rows per assembly call (its int32 sums live on the stack)
+	groupRows  = 8   // dotPacked8 takes whole groups of this many rows
+	blockRows  = 256 // rows per kernel call (its int32 sums live on the stack)
 )
 
-// stride is the byte length of one padded row of the nibble image.
-func (m *Matrix) stride() int { return (m.Cols + chunkCols - 1) / chunkCols * chunkBytes }
+// RowBytes is the byte length of one row of a cols-wide nibble image.
+func RowBytes(cols int) int { return (cols + chunkCols - 1) / chunkCols * chunkBytes }
 
-// usePacked reports whether MatVec dispatches the AVX2 kernel.
-func (m *Matrix) usePacked() bool { return useAVX2 && m.packed != nil }
+// nibbleAt returns column j's stored nibble (q+8, or 0 past the last
+// column) of the image row that starts at row[0].
+func nibbleAt(row []byte, j int) byte {
+	return row[j/chunkCols*chunkBytes+j%chunkBytes] >> (j % chunkCols / chunkBytes * 4) & 0x0f
+}
+
+// UnpackRow decodes the first len(dst) columns of the image row src
+// into their levels.
+func UnpackRow(dst []int8, src []byte) {
+	for j := range dst {
+		dst[j] = int8(nibbleAt(src, j)) - 8
+	}
+}
 
 // forRowBlocks calls fn(lo, hi) over a partition of the rows [0, rows)
 // of a cols-wide matrix into contiguous blocks, one goroutine per
@@ -150,119 +170,67 @@ func forRowBlocks(rows, cols int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// BuildAccel (re)builds the nibble image from Q. It is called by the
-// quantizers and must be called by anything else that assembles a
-// matrix and wants the fast kernel (the deserializer does). INT8 has
-// no image, and neither has a matrix holding a value no nibble can
-// (possible only in hand-built or corrupt input): both screen on the
-// scalar-blocked kernel.
-func (m *Matrix) BuildAccel() {
-	m.packed = nil
-	if m.Bits > INT4 || len(m.Q) == 0 {
-		return
-	}
-	stride := m.stride()
-	img := make([]byte, m.Rows*stride)
-	var unpackable atomic.Bool // some block met a value that fits no nibble
-	forRowBlocks(m.Rows, m.Cols, func(lo, hi int) {
-		var seen uint8 // OR of every stored q+8: past 15, some q fits no nibble
-		for i := lo; i < hi; i++ {
-			row, dst := m.Row(i), img[i*stride:(i+1)*stride]
-			for ; len(row) >= chunkCols; row, dst = row[chunkCols:], dst[chunkBytes:] {
-				low, high, d := row[:chunkBytes], row[chunkBytes:chunkCols], dst[:chunkBytes]
-				for b := range d {
-					l, h := uint8(low[b]+8), uint8(high[b]+8)
-					d[b] = l | h<<4
-					seen |= l | h
-				}
-			}
-			for j, q := range row { // the partial last chunk
-				nib := uint8(q + 8)
-				dst[j%chunkBytes] |= nib << (j / chunkBytes * 4)
-				seen |= nib
-			}
-		}
-		if seen > 15 {
-			unpackable.Store(true)
-		}
-	})
-	if !unpackable.Load() {
-		m.packed = img
-	}
-}
-
 // QuantizeMatrix quantizes m row-wise at the given precision.
 func QuantizeMatrix(m *tensor.Matrix, bits Bits) *Matrix {
-	qm := &Matrix{
-		Bits:   bits,
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		Scales: make([]float32, m.Rows),
-		Q:      make([]int8, m.Rows*m.Cols),
-	}
 	maxLevel := bits.MaxLevel()
-	forRowBlocks(m.Rows, m.Cols, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := m.Row(i)
-			scale := tensor.MaxAbs(row) / float32(maxLevel)
-			if scale == 0 {
-				scale = 1
-			}
-			qm.Scales[i] = scale
-			qrow := qm.Q[i*m.Cols : (i+1)*m.Cols]
-			for j, v := range row {
-				qrow[j] = clampRound(v/scale, maxLevel)
-			}
-		}
-	})
-	qm.BuildAccel()
-	return qm
+	return quantize(m, bits, func(row []float32) float32 { return scaleFor(tensor.MaxAbs(row), maxLevel) })
 }
 
 // QuantizeMatrixPerTensor quantizes with one shared scale, the
 // cheaper hardware option; kept for the per-row vs per-tensor
 // ablation.
 func QuantizeMatrixPerTensor(m *tensor.Matrix, bits Bits) *Matrix {
-	qm := &Matrix{
-		Bits:   bits,
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		Scales: make([]float32, m.Rows),
-		Q:      make([]int8, m.Rows*m.Cols),
-	}
+	scale := scaleFor(tensor.MaxAbs(m.Data), bits.MaxLevel())
+	return quantize(m, bits, func([]float32) float32 { return scale })
+}
+
+// quantize stores every row of w at scale scaleOf(row), in one pass
+// straight into Q or the nibble image.
+func quantize(w *tensor.Matrix, bits Bits, scaleOf func(row []float32) float32) *Matrix {
 	maxLevel := bits.MaxLevel()
-	scale := tensor.MaxAbs(m.Data) / float32(maxLevel)
-	if scale == 0 {
-		scale = 1
+	qm := &Matrix{Bits: bits, Rows: w.Rows, Cols: w.Cols, Scales: make([]float32, w.Rows)}
+	if bits == INT8 {
+		qm.Q = make([]int8, w.Rows*w.Cols)
+	} else {
+		qm.image = make([]byte, w.Rows*RowBytes(w.Cols))
 	}
-	for i := range qm.Scales {
-		qm.Scales[i] = scale
-	}
-	forRowBlocks(m.Rows, m.Cols, func(lo, hi int) {
-		q := qm.Q[lo*m.Cols : hi*m.Cols]
-		for i, v := range m.Data[lo*m.Cols : hi*m.Cols] {
-			q[i] = clampRound(v/scale, maxLevel)
+	forRowBlocks(w.Rows, w.Cols, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			row := w.Row(i)
+			s := scaleOf(row)
+			qm.Scales[i] = s
+			if bits == INT8 {
+				q := qm.Q[i*w.Cols : (i+1)*w.Cols]
+				for j, v := range row {
+					q[j] = clampRound(v/s, maxLevel)
+				}
+				continue
+			}
+			dst := qm.image[i*RowBytes(w.Cols) : (i+1)*RowBytes(w.Cols)]
+			for ; len(row) >= chunkCols; row, dst = row[chunkCols:], dst[chunkBytes:] {
+				low, high, d := row[:chunkBytes], row[chunkBytes:chunkCols], dst[:chunkBytes]
+				for b := range d {
+					d[b] = nibble(low[b], s, maxLevel) | nibble(high[b], s, maxLevel)<<4
+				}
+			}
+			for j, v := range row { // the partial last chunk
+				dst[j%chunkBytes] |= nibble(v, s, maxLevel) << (j / chunkBytes * 4)
+			}
 		}
 	})
-	qm.BuildAccel()
 	return qm
 }
 
-// Row returns quantized row i sharing storage.
-func (m *Matrix) Row(i int) []int8 { return m.Q[i*m.Cols : (i+1)*m.Cols] }
+// nibble is v's level at scale s as the image stores it.
+func nibble(v, s float32, maxLevel int32) byte { return byte(clampRound(v/s, maxLevel) + 8) }
 
-// Dequantize reconstructs a float32 matrix.
-func (m *Matrix) Dequantize() *tensor.Matrix {
-	out := tensor.NewMatrix(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		s := m.Scales[i]
-		src := m.Row(i)
-		dst := out.Row(i)
-		for j, q := range src {
-			dst[j] = float32(q) * s
-		}
+// RowInto writes row i's levels into dst[:Cols].
+func (m *Matrix) RowInto(dst []int8, i int) {
+	if m.Bits == INT8 {
+		copy(dst[:m.Cols], m.Q[i*m.Cols:(i+1)*m.Cols])
+		return
 	}
-	return out
+	UnpackRow(dst[:m.Cols], m.image[i*RowBytes(m.Cols):])
 }
 
 // Bytes reports the packed storage footprint of the quantized
@@ -271,36 +239,83 @@ func (m *Matrix) Bytes() int64 {
 	return (int64(m.Rows)*int64(m.Cols)*int64(m.Bits) + 7) / 8
 }
 
-// StreamBytes reports the bytes one MatVec actually reads from the
-// matrix with the kernel it dispatches: on the AVX2 path the padded
-// nibble image (half a byte per weight) for the whole 8-row groups and
-// Q for the rows past the last one, Q at a byte per weight otherwise,
-// plus one 4-byte scale per row either way. This is the traffic a
-// roofline should be computed from.
+// StreamBytes reports the bytes one MatVec reads from the matrix:
+// the whole nibble image at INT2/INT4 (every kernel streams it) or Q
+// at INT8 — one of the two is empty — plus one 4-byte scale per row.
+// This is the traffic a roofline should be computed from.
 func (m *Matrix) StreamBytes() int64 {
-	weights := int64(len(m.Q))
-	if m.usePacked() {
-		edge := m.Rows % groupRows
-		weights = int64(m.Rows-edge)*int64(m.stride()) + int64(edge)*int64(m.Cols)
-	}
-	return weights + 4*int64(m.Rows)
+	return int64(len(m.image)+len(m.Q)) + 4*int64(m.Rows)
 }
 
 // BatchStreamBytes is StreamBytes for a MatVecBatch of b quantized
-// vectors: one stream per full tile plus one per remainder vector.
+// vectors: at INT2/INT4 one stream per full tile plus one per
+// remainder vector, at INT8 one per vector.
 func (m *Matrix) BatchStreamBytes(b int) int64 {
-	if m.usePacked() {
+	if m.Bits != INT8 {
 		b = b/BatchTile + b%BatchTile
 	}
 	return int64(b) * m.StreamBytes()
+}
+
+// PayloadBytes is the length of the weight block Payload returns for
+// a rows×cols matrix at the given precision.
+func PayloadBytes(bits Bits, rows, cols int) int {
+	if bits == INT8 {
+		return rows * cols
+	}
+	return rows * RowBytes(cols)
+}
+
+// Payload returns the weights as an artifact stores them: the nibble
+// image itself at INT2/INT4 (shared, not copied), Q's bytes at INT8.
+func (m *Matrix) Payload() []byte {
+	if m.Bits != INT8 {
+		return m.image
+	}
+	p := make([]byte, len(m.Q))
+	for i, q := range m.Q {
+		p[i] = byte(q)
+	}
+	return p
+}
+
+// FromPayload is Payload's inverse; the matrix adopts p and scales.
+// At INT2/INT4 it rejects a data nibble outside the precision's levels
+// and a non-zero pad nibble, so Payload returns exactly the p that
+// FromPayload accepted.
+func FromPayload(bits Bits, rows, cols int, scales []float32, p []byte) (*Matrix, error) {
+	maxLevel := bits.MaxLevel()
+	if len(p) != PayloadBytes(bits, rows, cols) || len(scales) != rows {
+		return nil, fmt.Errorf("quant: %v %dx%d payload of %d bytes with %d scales", bits, rows, cols, len(p), len(scales))
+	}
+	m := &Matrix{Bits: bits, Rows: rows, Cols: cols, Scales: scales}
+	if bits == INT8 {
+		m.Q = make([]int8, len(p))
+		for i, b := range p {
+			m.Q[i] = int8(b)
+		}
+		return m, nil
+	}
+	stride := RowBytes(cols)
+	for i := 0; i < rows; i++ {
+		row := p[i*stride : (i+1)*stride]
+		for j := 0; j < 2*stride; j++ {
+			nib := int32(nibbleAt(row, j))
+			if j < cols && (nib < 8-maxLevel || nib > 8+maxLevel) || j >= cols && nib != 0 {
+				return nil, fmt.Errorf("quant: %v row %d column %d stores nibble %d", bits, i, j, nib)
+			}
+		}
+	}
+	m.image = p
+	return m, nil
 }
 
 // MatVec computes dst = dequant(m)·dequant(x) using the integer
 // datapath: per-row int32 accumulation of int8 products, then a
 // single float multiply by (rowScale · xScale). This is bit-exact
 // with what the Screener MAC array computes. Which kernel does the
-// accumulation (see matVecRange) does not show: integer addition is
-// associative, so every one returns the scalar loop's row sums.
+// accumulation does not show: integer addition is associative, so
+// every one returns the same row sums.
 func (m *Matrix) MatVec(dst []float32, x *Vector) {
 	m.MatVecRange(dst, x, nil, 0, m.Rows)
 }
@@ -320,20 +335,11 @@ func (m *Matrix) MatVecRange(dst []float32, x *Vector, b []float32, lo, hi int) 
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("quant: MatVecRange rows [%d,%d) of %d", lo, hi, m.Rows))
 	}
-	m.matVecRange(dst, x, b, lo, hi)
-}
-
-// matVecRange dispatches: whole 8-row groups go to the AVX2 kernel
-// when the nibble image exists and the CPU has AVX2; everything else —
-// INT8, hand-assembled matrices, the rows left over, other platforms —
-// takes the scalar-blocked kernel. Both produce the same int32 row
-// sums, so the choice is invisible in the output bits.
-func (m *Matrix) matVecRange(dst []float32, x *Vector, b []float32, lo, hi int) {
-	if n := (hi - lo) &^ (groupRows - 1); n > 0 && m.usePacked() {
-		m.matVecPacked([][]float32{dst}, []Vector{*x}, b, lo, lo+n)
-		lo += n
+	if m.Bits == INT8 {
+		m.matVecRangeBlocked(dst, x, b, lo, hi)
+		return
 	}
-	m.matVecRangeBlocked(dst, x, b, lo, hi)
+	m.matVecPacked([][]float32{dst}, []Vector{*x}, b, lo, hi)
 }
 
 // dequant is the epilogue every kernel ends a row with: the row's
@@ -351,11 +357,9 @@ func dequant(acc int32, s, xs float32, b []float32, i int) float32 {
 	return v
 }
 
-// matVecRangeBlocked is the portable 4-row-blocked, 8-wide-unrolled
-// scalar kernel over Q: activation loads are amortized across four
-// weight rows and the unroll breaks the accumulation dependency chain.
-// It is the fallback for whatever the AVX2 kernel does not take and
-// the oracle that kernel is tested against.
+// matVecRangeBlocked is the INT8 kernel over Q, 4-row-blocked and
+// 8-wide-unrolled: activation loads are amortized across four weight
+// rows and the unroll breaks the accumulation dependency chain.
 func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, b []float32, lo, hi int) {
 	xq := x.Q
 	n := len(xq)
@@ -412,98 +416,13 @@ func (m *Matrix) matVecRangeBlocked(dst []float32, x *Vector, b []float32, lo, h
 	}
 }
 
-// DotInt32 exposes the raw integer accumulation for one row, used by
-// the cycle simulator to count MAC operations faithfully.
-func (m *Matrix) DotInt32(row int, x []int8) int32 {
-	r := m.Row(row)
-	if len(x) != len(r) {
-		panic("quant: DotInt32 length mismatch")
-	}
-	var acc int32
-	for j, q := range r {
-		acc += int32(q) * int32(x[j])
-	}
-	return acc
-}
-
+// clampRound rounds v half away from zero and clamps it to ±maxLevel.
 func clampRound(v float32, maxLevel int32) int8 {
-	var r int32
+	r := int32(v - 0.5)
 	if v >= 0 {
 		r = int32(v + 0.5)
-	} else {
-		r = int32(v - 0.5)
 	}
-	if r > maxLevel {
-		r = maxLevel
-	}
-	if r < -maxLevel {
-		r = -maxLevel
-	}
-	return int8(r)
-}
-
-// PackINT4 packs int8 nibbles (each in [-8,7]) two per byte, low
-// nibble first — the DRAM image format for screener weights.
-func PackINT4(q []int8) []byte {
-	out := make([]byte, (len(q)+1)/2)
-	for i, v := range q {
-		nib := byte(v) & 0x0f
-		if i%2 == 0 {
-			out[i/2] = nib
-		} else {
-			out[i/2] |= nib << 4
-		}
-	}
-	return out
-}
-
-// UnpackINT4 reverses PackINT4; n is the element count.
-func UnpackINT4(packed []byte, n int) []int8 {
-	out := make([]int8, n)
-	for i := 0; i < n; i++ {
-		var nib byte
-		if i%2 == 0 {
-			nib = packed[i/2] & 0x0f
-		} else {
-			nib = packed[i/2] >> 4
-		}
-		// Sign-extend the nibble.
-		out[i] = int8(nib<<4) >> 4
-	}
-	return out
-}
-
-// PackINT2 packs 2-bit values (each in [-1, 1]) four per byte, lowest
-// crumb first — the DRAM image format for INT2 screening weights.
-// Values are stored as sign-magnitude crumbs: 00=0, 01=+1, 11=-1.
-func PackINT2(q []int8) []byte {
-	out := make([]byte, (len(q)+3)/4)
-	for i, v := range q {
-		var crumb byte
-		switch {
-		case v > 0:
-			crumb = 0b01
-		case v < 0:
-			crumb = 0b11
-		}
-		out[i/4] |= crumb << (uint(i%4) * 2)
-	}
-	return out
-}
-
-// UnpackINT2 reverses PackINT2; n is the element count.
-func UnpackINT2(packed []byte, n int) []int8 {
-	out := make([]int8, n)
-	for i := 0; i < n; i++ {
-		crumb := packed[i/4] >> (uint(i%4) * 2) & 0b11
-		switch crumb {
-		case 0b01:
-			out[i] = 1
-		case 0b11:
-			out[i] = -1
-		}
-	}
-	return out
+	return int8(max(-maxLevel, min(r, maxLevel)))
 }
 
 // BatchTile is the number of activation vectors the batch-major
@@ -520,12 +439,12 @@ func (m *Matrix) MatVecBatch(dsts [][]float32, xs []Vector) {
 }
 
 // MatVecBatchRange is MatVecRange for a batch of vectors, streaming
-// the weights once per tile of BatchTile vectors instead of once per
-// vector: the weight-stationary reuse that makes ENMC's batch-4
-// offloads cost barely more than batch-1. Whatever the tile kernel
-// does not take — see matVecRange — and a batch remainder shorter than
-// a tile run on the single-vector kernels, so every output bit matches
-// MatVecRange. b, if non-nil, is added to every vector's rows.
+// the nibble image once per tile of BatchTile vectors instead of once
+// per vector: the weight-stationary reuse that makes ENMC's batch-4
+// offloads cost barely more than batch-1. A batch remainder shorter
+// than a tile, and every INT8 vector, runs on its own, so every output
+// bit matches MatVecRange. b, if non-nil, is added to every vector's
+// rows.
 func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, b []float32, lo, hi int) {
 	if len(dsts) != len(xs) {
 		panic("quant: MatVecBatchRange batch size mismatch")
@@ -538,31 +457,31 @@ func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, b []float32, lo
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("quant: MatVecBatchRange rows [%d,%d) of %d", lo, hi, m.Rows))
 	}
-	t := 0
-	if n := (hi - lo) &^ (groupRows - 1); n > 0 && m.usePacked() {
-		for ; t+BatchTile <= len(xs); t += BatchTile {
-			m.matVecPacked(dsts[t:t+BatchTile], xs[t:t+BatchTile], b, lo, lo+n)
-			for v := t; v < t+BatchTile; v++ {
-				m.matVecRangeBlocked(dsts[v], &xs[v], b, lo+n, hi)
-			}
+	if m.Bits == INT8 {
+		for t := range xs {
+			m.matVecRangeBlocked(dsts[t], &xs[t], b, lo, hi)
 		}
+		return
+	}
+	t := 0
+	for ; t+BatchTile <= len(xs); t += BatchTile {
+		m.matVecPacked(dsts[t:t+BatchTile], xs[t:t+BatchTile], b, lo, hi)
 	}
 	for ; t < len(xs); t++ {
-		m.matVecRange(dsts[t], &xs[t], b, lo, hi)
+		m.matVecPacked(dsts[t:t+1], xs[t:t+1], b, lo, hi)
 	}
 }
 
-// matVecPacked runs the AVX2 kernel over rows [lo,hi) — whole 8-row
-// groups — for one vector or a tile of BatchTile. The assembly returns
-// raw int32 sums of (q+8)·x per row; the nibble offset 8·Σx is removed
-// here, exactly, and the epilogue is the very expression
-// matVecRangeBlocked uses (dequant, spelled out so the bias test is
-// hoisted out of the row loop), so the outputs are bit-identical. A
-// row's last partial chunk is multiplied against a zero-padded copy of
-// the activations' tail (the image pads with nibble 0, any value would
-// do).
+// matVecPacked runs the nibble-image GEMV over rows [lo,hi) for one
+// vector or a tile of BatchTile. With AVX2, dotPacked8 takes the whole
+// 8-row groups of a single vector and dotPackedTile every row of a
+// tile; dotPackedGo takes the rest. All three return raw int32 sums of
+// (q+8)·x per row; the nibble offset 8·Σx is removed here, exactly,
+// and the epilogue is dequant, spelled out so the bias test is hoisted
+// out of the row loop. A row's last partial chunk is multiplied
+// against a zero-padded copy of the activations' tail.
 func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi int) {
-	stride, full := m.stride(), m.Cols/chunkCols
+	stride, full, nx := RowBytes(m.Cols), m.Cols/chunkCols, len(xs)
 	var (
 		tails [BatchTile][chunkCols]int8
 		tail  *int8
@@ -581,27 +500,95 @@ func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi
 			tail = &tails[0][0]
 		}
 	}
+	goTails := tails[:nx]
+	if tail == nil {
+		goTails = nil
+	}
 	for ; lo < hi; lo += blockRows {
 		n := min(blockRows, hi-lo)
-		w := &m.packed[lo*stride]
-		if len(xs) == 1 {
-			dotPacked8(w, stride, full, xp[0], tail, n/groupRows, &acc[0])
-		} else {
-			dotPackedTile(w, stride, full, &xp, tail, n, &acc[0])
+		w := m.image[lo*stride : (lo+n)*stride]
+		done := 0
+		switch {
+		case !useAVX2:
+		case nx == 1:
+			if done = n &^ (groupRows - 1); done > 0 {
+				dotPacked8(&w[0], stride, full, xp[0], tail, done/groupRows, &acc[0])
+			}
+		case nx == BatchTile:
+			dotPackedTile(&w[0], stride, full, &xp, tail, n, &acc[0])
+			done = n
+		}
+		if done < n {
+			dotPackedGo(w[done*stride:], stride, full, xs, goTails, acc[done*nx:n*nx])
 		}
 		scales := m.Scales[lo : lo+n]
 		for t := range xs {
 			dst, xscale, off := dsts[t][lo:lo+n], xs[t].Scale, nib8[t]
 			if b == nil {
 				for r, s := range scales {
-					dst[r] = float32(acc[r*len(xs)+t]-off) * s * xscale
+					dst[r] = float32(acc[r*nx+t]-off) * s * xscale
 				}
 				continue
 			}
 			bias := b[lo : lo+n]
 			for r, s := range scales {
-				dst[r] = float32(float32(acc[r*len(xs)+t]-off)*s*xscale) + bias[r]
+				dst[r] = float32(float32(acc[r*nx+t]-off)*s*xscale) + bias[r]
 			}
 		}
 	}
+}
+
+// dotPackedGo is the portable kernel and the assembly's reference,
+// under the same contract: for each of len(out)/len(xs) image rows
+// starting at w (stride bytes apart) and each vector t, out[r·len(xs)+t]
+// is the int32 sum of (q+8)·x over the row's chunks whole chunks read
+// against xs[t].Q, then — if tails is non-nil — one more chunk read
+// against tails[t]. Rows go four at a time, so each activation load
+// serves four rows, as in the INT8 kernel.
+func dotPackedGo(w []byte, stride, chunks int, xs []Vector, tails [][chunkCols]int8, out []int32) {
+	nx, rows := len(xs), len(out)/len(xs)
+	for t := range xs {
+		for r := 0; r < rows; r += 4 {
+			var acc [4]int32
+			g, row := min(4, rows-r), w[r*stride:]
+			for c := 0; c < chunks; c++ {
+				dotChunks(row[c*chunkBytes:], stride, g, (*[chunkCols]int8)(xs[t].Q[c*chunkCols:]), &acc)
+			}
+			if tails != nil {
+				dotChunks(row[chunks*chunkBytes:], stride, g, &tails[t], &acc)
+			}
+			for i := 0; i < g; i++ {
+				out[(r+i)*nx+t] = acc[i]
+			}
+		}
+	}
+}
+
+// dotChunks adds to acc[i], for each of the g ≤ 4 rows i, the sum of
+// (q+8)·x over the 64 columns of the chunk at w[i·stride:][0:32].
+func dotChunks(w []byte, stride, g int, x *[chunkCols]int8, acc *[4]int32) {
+	if g < 4 {
+		for i := 0; i < g; i++ {
+			var a int32
+			for b, v := range (*[chunkBytes]byte)(w[i*stride:]) {
+				a += int32(v&0x0f)*int32(x[b]) + int32(v>>4)*int32(x[b+chunkBytes])
+			}
+			acc[i] += a
+		}
+		return
+	}
+	w0, w1 := (*[chunkBytes]byte)(w), (*[chunkBytes]byte)(w[stride:])
+	w2, w3 := (*[chunkBytes]byte)(w[2*stride:]), (*[chunkBytes]byte)(w[3*stride:])
+	var a0, a1, a2, a3 int32
+	for b := 0; b < chunkBytes; b++ {
+		lo, hi := int32(x[b]), int32(x[b+chunkBytes])
+		a0 += int32(w0[b]&0x0f)*lo + int32(w0[b]>>4)*hi
+		a1 += int32(w1[b]&0x0f)*lo + int32(w1[b]>>4)*hi
+		a2 += int32(w2[b]&0x0f)*lo + int32(w2[b]>>4)*hi
+		a3 += int32(w3[b]&0x0f)*lo + int32(w3[b]>>4)*hi
+	}
+	acc[0] += a0
+	acc[1] += a1
+	acc[2] += a2
+	acc[3] += a3
 }

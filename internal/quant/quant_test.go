@@ -1,9 +1,10 @@
 package quant
 
 import (
+	"bytes"
 	"math"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"enmc/internal/tensor"
 	"enmc/internal/xrand"
@@ -75,7 +76,7 @@ func TestMatVecMatchesDequantizedFloat(t *testing.T) {
 	qm.MatVec(got, qx)
 
 	want := make([]float32, 12)
-	qm.Dequantize().MatVec(want, qx.Dequantize())
+	dequantize(qm).MatVec(want, qx.Dequantize())
 	for i := range got {
 		if math.Abs(float64(got[i]-want[i])) > 1e-3 {
 			t.Fatalf("integer MatVec != dequantized float at %d: %v vs %v", i, got[i], want[i])
@@ -114,8 +115,8 @@ func TestPerRowBeatsPerTensorOnSkewedRows(t *testing.T) {
 			m.Row(i)[j] = r.NormFloat32() * scale
 		}
 	}
-	perRow := tensor.MSE(QuantizeMatrix(m, INT4).Dequantize().Data, m.Data)
-	perTensor := tensor.MSE(QuantizeMatrixPerTensor(m, INT4).Dequantize().Data, m.Data)
+	perRow := tensor.MSE(dequantize(QuantizeMatrix(m, INT4)).Data, m.Data)
+	perTensor := tensor.MSE(dequantize(QuantizeMatrixPerTensor(m, INT4)).Data, m.Data)
 	if perRow >= perTensor {
 		t.Fatalf("per-row MSE %v not better than per-tensor %v", perRow, perTensor)
 	}
@@ -136,40 +137,10 @@ func TestDotInt32MatchesMatVec(t *testing.T) {
 	dst := make([]float32, 4)
 	qm.MatVec(dst, qx)
 	for i := 0; i < 4; i++ {
-		want := float32(qm.DotInt32(i, qx.Q)) * qm.Scales[i] * qx.Scale
+		want := float32(dotInt32(qm, i, qx.Q)) * qm.Scales[i] * qx.Scale
 		if dst[i] != want {
-			t.Fatalf("row %d: MatVec %v != DotInt32 path %v", i, dst[i], want)
+			t.Fatalf("row %d: MatVec %v != dotInt32 path %v", i, dst[i], want)
 		}
-	}
-}
-
-func TestPackUnpackINT4(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := r.Intn(65)
-		q := make([]int8, n)
-		for i := range q {
-			q[i] = int8(r.Intn(15) - 7) // [-7, 7]
-		}
-		got := UnpackINT4(PackINT4(q), n)
-		for i := range q {
-			if got[i] != q[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPackINT4Sizes(t *testing.T) {
-	if len(PackINT4(make([]int8, 5))) != 3 {
-		t.Fatal("odd-length packing size")
-	}
-	if len(PackINT4(nil)) != 0 {
-		t.Fatal("empty packing")
 	}
 }
 
@@ -193,34 +164,78 @@ func TestClampSaturates(t *testing.T) {
 	}
 }
 
-func TestPackUnpackINT2(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := xrand.New(seed)
-		n := r.Intn(67)
-		q := make([]int8, n)
-		for i := range q {
-			q[i] = int8(r.Intn(3) - 1) // {-1, 0, 1}
-		}
-		got := UnpackINT2(PackINT2(q), n)
-		for i := range q {
-			if got[i] != q[i] {
-				return false
+// TestNibbleMatrixHasNoQ: an INT2/INT4 matrix exists only as the nibble
+// image — RowBytes(Cols) bytes per row, Q nil — and an INT8 one only as
+// Q, whichever quantizer built it.
+func TestNibbleMatrixHasNoQ(t *testing.T) {
+	m := tensor.NewMatrix(5, 70)
+	for _, bits := range []Bits{INT2, INT4, INT8} {
+		for _, qm := range []*Matrix{QuantizeMatrix(m, bits), QuantizeMatrixPerTensor(m, bits)} {
+			if bits == INT8 {
+				if len(qm.Q) != 5*70 || qm.image != nil {
+					t.Fatalf("INT8: len(Q) = %d, image %d bytes", len(qm.Q), len(qm.image))
+				}
+				continue
+			}
+			if qm.Q != nil || len(qm.image) != 5*RowBytes(70) {
+				t.Fatalf("%v: Q %v, image %d bytes, want nil and %d", bits, qm.Q, len(qm.image), 5*RowBytes(70))
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if RowBytes(1) != 32 || RowBytes(64) != 32 || RowBytes(65) != 64 || RowBytes(375) != 192 {
+		t.Fatal("RowBytes does not pad rows to whole 64-column chunks of 32 bytes")
 	}
-	if len(PackINT2(make([]int8, 5))) != 2 {
-		t.Fatal("INT2 packing size")
+}
+
+// TestPayloadRoundTrip: FromPayload accepts what Payload returns at
+// every precision and rebuilds the same weights; RowInto decodes them
+// to the levels the quantizer chose.
+func TestPayloadRoundTrip(t *testing.T) {
+	r := xrand.New(12)
+	w := tensor.NewMatrix(9, 130)
+	for i := range w.Data {
+		w.Data[i] = r.NormFloat32()
 	}
-	// INT2 quantization output is always packable: levels are ±1/0.
-	v := QuantizeVector([]float32{3, -2, 0.01, -0.4}, INT2)
-	back := UnpackINT2(PackINT2(v.Q), 4)
-	for i := range v.Q {
-		if back[i] != v.Q[i] {
-			t.Fatal("INT2 round trip through quantizer")
+	for _, bits := range []Bits{INT2, INT4, INT8} {
+		qm := QuantizeMatrix(w, bits)
+		p := qm.Payload()
+		if len(p) != PayloadBytes(bits, 9, 130) {
+			t.Fatalf("%v: payload %d bytes, PayloadBytes %d", bits, len(p), PayloadBytes(bits, 9, 130))
+		}
+		back, err := FromPayload(bits, 9, 130, qm.Scales, append([]byte(nil), p...))
+		if err != nil {
+			t.Fatalf("%v: %v", bits, err)
+		}
+		if !bytes.Equal(back.Payload(), p) {
+			t.Fatalf("%v: payload changed across FromPayload", bits)
+		}
+		levels, _ := levelOracle(w, bits, false)
+		got := make([]int8, 130)
+		for i := range levels {
+			back.RowInto(got, i)
+			if !slices.Equal(got, levels[i]) {
+				t.Fatalf("%v row %d: RowInto %v, want %v", bits, i, got, levels[i])
+			}
+		}
+	}
+}
+
+// TestFromPayloadRejects: a nibble outside the precision's levels, a
+// non-zero pad nibble and a block of the wrong length are all errors.
+func TestFromPayloadRejects(t *testing.T) {
+	qm, _ := randQuantized(xrand.New(13), 3, 70, INT2)
+	for _, c := range []struct {
+		what string
+		edit func(p []byte) []byte
+	}{
+		{"INT2 level 2", func(p []byte) []byte { p[5] = p[5]&0xf0 | 10; return p }},
+		{"level −8", func(p []byte) []byte { p[RowBytes(70)+1] &= 0xf0; return p }},
+		{"pad nibble", func(p []byte) []byte { p[2*RowBytes(70)+chunkBytes+6] |= 8; return p }}, // column 70
+		{"short block", func(p []byte) []byte { return p[:len(p)-1] }},
+	} {
+		p := c.edit(append([]byte(nil), qm.Payload()...))
+		if _, err := FromPayload(INT2, 3, 70, qm.Scales, p); err == nil {
+			t.Fatalf("%s accepted", c.what)
 		}
 	}
 }

@@ -11,7 +11,7 @@
 //	<root>/<version>/manifest.json   — shapes, precision, seq, parent,
 //	                                   SHA-256 + size per artifact
 //	<root>/<version>/classifier.bin  — core.Classifier (ENMCCLS1)
-//	<root>/<version>/screener.bin    — core.Screener  (ENMCSCR1)
+//	<root>/<version>/screener.bin    — core.Screener  (ENMCSCR2)
 //	<root>/<version>/probe.bin       — held-out probe features
 //	                                   (ENMCFEA1, optional)
 //	<root>/.tmp-*                    — in-flight publishes (atomic
