@@ -142,8 +142,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	tenantsPath := fs.String("tenants", "", "tenant config JSON (multi-tenant QoS: API keys, classes, quotas, pins; SIGHUP re-reads)")
 	shedFrac := fs.Float64("shed-frac", 0.75, "higher-class queue fraction past which lower classes are shed at admission")
 
-	maxBatch := fs.Int("max-batch", 32, "micro-batch flush size")
-	maxDelay := fs.Duration("max-delay", 2*time.Millisecond, "micro-batch flush delay")
+	maxBatch := fs.Int("max-batch", 32, "most items one micro-batch flush gathers while every flush worker is busy")
 	queueCap := fs.Int("queue-cap", 256, "per-class admission queue bound in items (429 past it; also the largest /v1/classify_batch)")
 	flushWorkers := fs.Int("flush-workers", 2, "concurrent batch flushes")
 	topM := fs.Int("m", 0, "screening budget TopM (default classes/64)")
@@ -246,7 +245,6 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	srv, err := server.New(backend, server.Config{
 		PinnedBackend: pinnedBackend,
 		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
 		QueueCap:      *queueCap,
 		FlushWorkers:  *flushWorkers,
 		TopM:          *topM,
@@ -324,8 +322,8 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.Printf("serving %d classes × %d dims on %s (queue=%d batch=%d/%s)",
-		backend.Categories(), backend.Hidden(), ln.Addr(), *queueCap, *maxBatch, *maxDelay)
+	logger.Printf("serving %d classes × %d dims on %s (queue=%d batch=%d)",
+		backend.Categories(), backend.Hidden(), ln.Addr(), *queueCap, *maxBatch)
 	if listening != nil {
 		listening(ln.Addr().String(), dbg)
 	}

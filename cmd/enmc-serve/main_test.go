@@ -799,7 +799,7 @@ func TestQoSScenario(t *testing.T) {
 	}
 	c := newClient(t)
 	s := startServe(t, c, "-model-root", store.Root(), "-model-version", "v2", "-canary-floor", "0.5",
-		"-tenants", tenantsPath, "-queue-cap", "8", "-max-batch", "8", "-flush-workers", "1", "-max-delay", "2ms")
+		"-tenants", tenantsPath, "-queue-cap", "8", "-max-batch", "8", "-flush-workers", "1")
 
 	// pressure reads the labeled tenant counters: shed + degraded +
 	// throttled in the batch class and in all, and alice's admissions.

@@ -422,15 +422,18 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 	wb.refs.Store(1)
 	defer wb.release()
 
-	replies := make([]*ScreenResponse, len(r.shards))
-	scratches := make([]*WireScratch, len(r.shards))
-	errs := make([]error, len(r.shards))
+	// One result per shard, in one allocation.
+	legs := make([]struct {
+		rep *ScreenResponse
+		sc  *WireScratch
+		err error
+	}, len(r.shards))
 	var wg sync.WaitGroup
 	for i, s := range r.shards {
 		wg.Add(1)
 		go func(i int, s *routerShard) {
 			defer wg.Done()
-			replies[i], scratches[i], errs[i] = r.callShard(ctx, s, wb, len(batch), aff)
+			legs[i].rep, legs[i].sc, legs[i].err = r.callShard(ctx, s, wb, len(batch), aff)
 		}(i, s)
 	}
 	wg.Wait()
@@ -438,9 +441,9 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 	// loop below copies everything it keeps, so the scratch goes back
 	// to the pool on every exit past this point.
 	defer func() {
-		for _, sc := range scratches {
-			if sc != nil {
-				sc.Release()
+		for _, l := range legs {
+			if l.sc != nil {
+				l.sc.Release()
 			}
 		}
 	}()
@@ -450,10 +453,10 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 
 	var missing []int
 	var lastErr error
-	for i, e := range errs {
-		if e != nil {
+	for i, l := range legs {
+		if l.err != nil {
 			missing = append(missing, i)
-			lastErr = e
+			lastErr = l.err
 		}
 	}
 	if len(missing) == len(r.shards) {
@@ -473,11 +476,11 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 	ckAll := make([]server.Candidate, 0, len(batch)*topK)
 	for i := range batch {
 		pool = pool[:0]
-		for _, rep := range replies {
-			if rep == nil {
+		for _, l := range legs {
+			if l.rep == nil {
 				continue
 			}
-			for _, c := range rep.Items[i] {
+			for _, c := range l.rep.Items[i] {
 				pool = append(pool, distributed.Candidate{Class: c.Class, Logit: c.Logit})
 			}
 		}

@@ -104,7 +104,7 @@ func gated(t *testing.T, cfg Config) (*Server, *fakeBackend, *httptest.Server, f
 // exactly as a single would be.
 func TestBatchQueueFull(t *testing.T) {
 	testkit.NoLeaks(t)
-	s, fb, ts, open := gated(t, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 8, FlushWorkers: 1})
+	s, fb, ts, open := gated(t, Config{MaxBatch: 1, QueueCap: 8, FlushWorkers: 1})
 	done := make(chan struct{}, 64)
 	launched := saturateClass(t, s, fb, tenant.Standard, 8, func() {
 		go func() {
@@ -172,7 +172,7 @@ func TestBatchFlushConcurrency(t *testing.T) {
 func TestBackendErrorBothEndpoints(t *testing.T) {
 	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, fail: errors.New("backend down")}
-	s, err := New(fb, Config{MaxDelay: time.Millisecond})
+	s, err := New(fb, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func FuzzClassifyBody(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s, err := New(&fakeBackend{hidden: dim, categories: 8}, Config{QueueCap: queueCap, MaxDelay: time.Millisecond})
+	s, err := New(&fakeBackend{hidden: dim, categories: 8}, Config{QueueCap: queueCap})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -81,10 +81,10 @@ type reply struct {
 // batcher is the dynamic micro-batching scheduler: requests are
 // admitted into a per-class weighted-fair queue (deficit round robin
 // over items — see internal/tenant), a collector goroutine drains it
-// in DRR order into class-homogeneous batches (flushing when MaxBatch
-// items accumulate or the oldest has waited MaxDelay), and a small
-// pool of flush workers fans each batch into the backend's
-// worker-pool ClassifyBatch.
+// in DRR order into class-homogeneous batches (handed over the moment
+// a flush worker is idle, growing toward MaxBatch items only while
+// every worker is busy), and a small pool of flush workers fans each
+// batch into the backend's worker-pool ClassifyBatch.
 type batcher struct {
 	cfg     Config
 	backend Backend
@@ -145,13 +145,16 @@ func (b *batcher) drain() {
 	b.wg.Wait()
 }
 
-// collect is the batching loop: DRR picks the class of the next
-// flush, then the batch is gathered class-homogeneously (PopClass —
-// the class borrows against future quanta for the batch's tail) until
-// it holds MaxBatch items or MaxDelay has elapsed, and handed to a
-// flush worker. Entries are whole, so a flush can exceed MaxBatch by
-// less than one entry. A flush never mixes classes, so one screening
-// budget applies to the whole batch.
+// collect is the batching loop. DRR picks the class of the next
+// flush and the batch takes every entry of that class already queued
+// (PopClass — the class borrows against future quanta for the batch's
+// tail), up to MaxBatch items. The batch then goes to the first idle
+// flush worker; while every worker is busy it keeps gathering arrivals
+// of its class. It is work-conserving: a batch never waits while a
+// worker is free, and it grows only while it could not be flushed
+// anyway. Entries are whole, so a flush can exceed MaxBatch by less
+// than one entry. A flush never mixes classes, so one screening budget
+// applies to the whole batch.
 func (b *batcher) collect() {
 	defer b.wg.Done()
 	for {
@@ -164,48 +167,42 @@ func (b *batcher) collect() {
 			continue
 		}
 		b.popped(r)
-		pending := []*request{r}
-		items := len(r.hs)
-		if items > 1 || b.q.Closed() {
-			// A caller-formed batch has already amortized, and a draining
-			// queue has no arrivals to wait for: gather what is already
-			// queued, never wait.
-			for items < b.cfg.MaxBatch {
-				r2, ok := b.q.PopClass(class)
-				if !ok {
-					break
-				}
-				b.popped(r2)
-				pending = append(pending, r2)
-				items += len(r2.hs)
+		pending, items := b.gather([]*request{r}, len(r.hs), class)
+		ready := b.q.Ready()
+		for sent := false; !sent; {
+			if items >= b.cfg.MaxBatch {
+				ready = nil // full: wait for a worker only
 			}
-			b.flush <- pending
-			continue
-		}
-		timer := time.NewTimer(b.cfg.MaxDelay)
-	gather:
-		for items < b.cfg.MaxBatch {
-			if r2, ok := b.q.PopClass(class); ok {
-				b.popped(r2)
-				pending = append(pending, r2)
-				items += len(r2.hs)
-				continue
-			}
-			// The class queue is momentarily empty: wait for another
-			// arrival (any class signals Ready; only same-class items
-			// join this batch) or the batch deadline.
+			// b.flush is unbuffered: the send succeeds exactly when a
+			// flush worker is idle. Any arrival (of any class) signals
+			// Ready; only same-class entries join. A closed Ready means
+			// no more arrivals: take what is queued and flush.
 			select {
-			case _, open := <-b.q.Ready():
+			case b.flush <- pending:
+				sent = true
+			case _, open := <-ready:
 				if !open {
-					break gather
+					ready = nil
 				}
-			case <-timer.C:
-				break gather
+				pending, items = b.gather(pending, items, class)
 			}
 		}
-		timer.Stop()
-		b.flush <- pending
 	}
+}
+
+// gather appends the class's already-queued entries to pending until
+// it holds MaxBatch items or the class queue is empty.
+func (b *batcher) gather(pending []*request, items int, class tenant.Class) ([]*request, int) {
+	for items < b.cfg.MaxBatch {
+		r, ok := b.q.PopClass(class)
+		if !ok {
+			break
+		}
+		b.popped(r)
+		pending = append(pending, r)
+		items += len(r.hs)
+	}
+	return pending, items
 }
 
 func (b *batcher) popped(r *request) {
@@ -230,7 +227,7 @@ func (b *batcher) flushWorker() {
 func (b *batcher) doFlush(batch []*request) {
 	start := time.Now()
 	m, degraded := b.effectiveM(batch[0].class)
-	live := make([]*request, 0, len(batch))
+	live := batch[:0] // filtered in place: the batch is the flush's own
 	items := 0
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
@@ -246,19 +243,22 @@ func (b *batcher) doFlush(batch []*request) {
 	}
 	fctx, release := flushContext(live)
 	defer release()
-	// Partition by pinned model version (insertion-ordered; almost
-	// always the single "" group serving the active model) so one
-	// flush can serve tenants pinned to different registry versions.
-	versions := []string{}
-	groups := map[string][]*request{}
-	for _, r := range live {
-		if _, ok := groups[r.pinned]; !ok {
-			versions = append(versions, r.pinned)
+	// Partition by pinned model version, in order of first appearance,
+	// so one flush can serve tenants pinned to different registry
+	// versions. Almost every flush is the single "" group serving the
+	// active model: it is filtered in place and rest stays nil.
+	for len(live) > 0 {
+		ver := live[0].pinned
+		group, rest := live[:0], []*request(nil)
+		for _, r := range live {
+			if r.pinned == ver {
+				group = append(group, r)
+			} else {
+				rest = append(rest, r)
+			}
 		}
-		groups[r.pinned] = append(groups[r.pinned], r)
-	}
-	for _, ver := range versions {
-		b.flushGroup(fctx, groups[ver], ver, m, degraded, start, items)
+		b.flushGroup(fctx, group, ver, m, degraded, start, items)
+		live = rest
 	}
 	mFlushSize.Observe(float64(items))
 	mFlushNs.Observe(float64(time.Since(start)))
@@ -314,11 +314,13 @@ func (b *batcher) flushGroup(fctx context.Context, group []*request, pinned stri
 			return
 		}
 	}
-	hs := make([][]float32, 0, batchSize)
-	maxK := 1
-	for _, r := range group {
-		hs = append(hs, r.hs...)
-		maxK = max(maxK, r.topK)
+	hs, maxK := group[0].hs, max(1, group[0].topK)
+	if len(group) > 1 {
+		hs = make([][]float32, 0, batchSize)
+		for _, r := range group {
+			hs = append(hs, r.hs...)
+			maxK = max(maxK, r.topK)
+		}
 	}
 	outs, version, partial, err := classifyTagged(fctx, backend, hs, m, maxK)
 	off := 0

@@ -33,7 +33,7 @@ func newObsServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // back instead of replaced.
 func TestRequestIDEcho(t *testing.T) {
 	testkit.NoLeaks(t)
-	s, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
+	s, ts := newObsServer(t, Config{})
 
 	resp, err := postClassify(ts, classifyBody(t, 8))
 	if err != nil {
@@ -92,7 +92,7 @@ func TestRequestIDEcho(t *testing.T) {
 // package's own parser accepts, with request counters present.
 func TestMetricsEndpoint(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
+	_, ts := newObsServer(t, Config{})
 	resp, err := postClassify(ts, classifyBody(t, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // move the burn rate.
 func TestSLOEndpoint(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
+	_, ts := newObsServer(t, Config{})
 	for i := 0; i < 3; i++ {
 		resp, err := postClassify(ts, classifyBody(t, 8))
 		if err != nil {
@@ -185,7 +185,6 @@ func TestRequestLogEmitted(t *testing.T) {
 	testkit.NoLeaks(t)
 	var mu syncBuffer
 	_, ts := newObsServer(t, Config{
-		MaxDelay:   time.Millisecond,
 		RequestLog: telemetry.NewRequestLog(&mu, telemetry.RequestLogOptions{JSON: true}),
 	})
 	resp, err := postClassify(ts, classifyBody(t, 8))
@@ -223,7 +222,7 @@ func TestTraceSpanPerRequest(t *testing.T) {
 	telemetry.SetGlobal(tr)
 	defer telemetry.SetGlobal(nil)
 
-	_, ts := newObsServer(t, Config{MaxDelay: time.Millisecond})
+	_, ts := newObsServer(t, Config{})
 	resp, err := postClassify(ts, classifyBody(t, 8))
 	if err != nil {
 		t.Fatal(err)

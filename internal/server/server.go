@@ -63,14 +63,12 @@ var (
 // Config tunes the serving layer. Zero values take the documented
 // defaults in New.
 type Config struct {
-	// MaxBatch flushes the micro-batch queue at this many pending
-	// items (default 32). A caller batch is never split, so a flush
-	// can exceed it by less than one batch.
+	// MaxBatch caps the items one flush gathers (default 32). A batch
+	// never waits for company: it goes as soon as a flush worker is
+	// idle and grows toward MaxBatch only while every worker is busy.
+	// A caller batch is never split, so a flush can exceed it by less
+	// than one batch.
 	MaxBatch int
-	// MaxDelay flushes the queue when the batch has been open this
-	// long (default 2ms) — the latency bound a single idle request
-	// pays for batching.
-	MaxDelay time.Duration
 	// QueueCap bounds each priority class's admission queue in items;
 	// a request whose items do not fit answers 429, and a batch of more
 	// than QueueCap items 400 (default 256).
@@ -117,9 +115,6 @@ type Config struct {
 func (c *Config) defaults(categories int) {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -87,51 +88,83 @@ func postClassify(ts *httptest.Server, body []byte) (*http.Response, error) {
 	return ts.Client().Post(ts.URL+"/v1/classify", "application/json", bytes.NewReader(body))
 }
 
-// TestFlushOnTimeout: a lone request must not wait for the batch to
-// fill — MaxDelay bounds its queueing and it flushes as a batch of 1.
-func TestFlushOnTimeout(t *testing.T) {
-	testkit.NoLeaks(t)
-	fb := &fakeBackend{hidden: 8, categories: 32}
-	s, err := New(fb, Config{MaxBatch: 64, MaxDelay: 30 * time.Millisecond})
-	if err != nil {
+// submit admits an entry of n items straight into the batcher and
+// returns its reply channel. The channel holds two replies, so a
+// duplicate answer is counted instead of blocking the flush worker.
+func submit(t *testing.T, s *Server, n int) chan reply {
+	t.Helper()
+	r := &request{ctx: context.Background(), hs: batchOf(n, 8).Batch, topK: 1, enq: time.Now(),
+		resp: make(chan reply, 2), class: tenant.Standard}
+	if err := s.b.enqueue(r); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Drain()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	return r.resp
+}
 
-	start := time.Now()
-	resp, err := postClassify(ts, classifyBody(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var out ClassifyResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.BatchSize != 1 {
-		t.Fatalf("batch_size = %d, want 1", out.BatchSize)
-	}
-	if elapsed < 25*time.Millisecond {
-		t.Fatalf("flushed after %s: did not wait for MaxDelay", elapsed)
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("flush took %s", elapsed)
+// waitFor polls cond every millisecond and fails the test if it does
+// not hold within 2 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 
-// TestFlushOnSize: with a long MaxDelay, the only fast path out of
-// the queue is filling the batch — MaxBatch concurrent requests must
-// all return promptly in one flush.
-func TestFlushOnSize(t *testing.T) {
+// TestCoalesceWhileBusy: a batch grows only while every flush worker
+// is busy. With the one worker held by the head entry, the next entry
+// is held for it and every same-class arrival joins that batch, up to
+// MaxBatch items; the rest of the backlog forms the following flush.
+// Caller batches coalesce the same way as singles.
+func TestCoalesceWhileBusy(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBatch int
+		head     int   // items of the entry that holds the worker
+		held     int   // items of the entry the collector then holds
+		arrivals []int // items of the entries that arrive after it
+		queued   int   // items left queued once the held batch is full
+		want     []int // backend batch sizes
+	}{
+		{"singles", 32, 1, 1, []int{1, 1}, 0, []int{1, 3}},
+		{"caller-batches", 32, 2, 3, []int{2, 1}, 0, []int{2, 6}},
+		{"backlog-past-max-batch", 4, 1, 1, []int{1, 1, 1, 1, 1}, 2, []int{1, 4, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testkit.NoLeaks(t)
+			s, fb, _, open := gated(t, Config{MaxBatch: tc.maxBatch, FlushWorkers: 1})
+			replies := []chan reply{submit(t, s, tc.head)}
+			waitFor(t, "the head entry to reach the backend", func() bool { return fb.calls.Load() == 1 })
+			replies = append(replies, submit(t, s, tc.held))
+			waitFor(t, "the collector to take the held entry", func() bool { return s.b.q.Len() == 0 })
+			// Long past any batching timer: the held entry must still be
+			// waiting for the worker, not flushed alone.
+			time.Sleep(10 * time.Millisecond)
+			for _, n := range tc.arrivals {
+				replies = append(replies, submit(t, s, n))
+			}
+			waitFor(t, "the arrivals to join the held batch", func() bool { return s.b.q.Len() == tc.queued })
+			open()
+			for i, ch := range replies {
+				if rep := <-ch; rep.err != nil {
+					t.Fatalf("entry %d: %v", i, rep.err)
+				}
+			}
+			fb.mu.Lock()
+			defer fb.mu.Unlock()
+			if fmt.Sprint(fb.sizes) != fmt.Sprint(tc.want) {
+				t.Fatalf("backend batch sizes %v, want %v", fb.sizes, tc.want)
+			}
+		})
+	}
+}
+
+// TestNoWaitWhenIdle: on an idle server a lone request goes to the
+// backend at once — there is no batching timer to wait out.
+func TestNoWaitWhenIdle(t *testing.T) {
 	testkit.NoLeaks(t)
-	fb := &fakeBackend{hidden: 8, categories: 32}
-	s, err := New(fb, Config{MaxBatch: 4, MaxDelay: 10 * time.Second})
+	s, err := New(&fakeBackend{hidden: 8, categories: 32}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,35 +172,67 @@ func TestFlushOnSize(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	start := time.Now()
-	var wg sync.WaitGroup
-	sizes := make([]int, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := postClassify(ts, classifyBody(t, 8))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			var out ClassifyResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Error(err)
-				return
-			}
-			sizes[i] = out.BatchSize
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("size-triggered flush took %s", elapsed)
-	}
-	for i, sz := range sizes {
-		if sz != 4 {
-			t.Fatalf("request %d: batch_size = %d, want 4 (sizes %v)", i, sz, sizes)
+	var queued []int64
+	fast := 0
+	for i := 0; i < 10; i++ {
+		var out ClassifyResponse
+		if code := post(ts, "/v1/classify", "", ClassifyRequest{H: make([]float32, 8), TopK: 1}, &out); code != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, code)
 		}
+		if out.BatchSize != 1 {
+			t.Fatalf("request %d: batch_size = %d, want 1", i, out.BatchSize)
+		}
+		queued = append(queued, out.QueueUs)
+		if out.QueueUs < 1000 {
+			fast++
+		}
+	}
+	if fast < 9 {
+		t.Fatalf("queue_us %v: %d of 10 lone requests waited under 1 ms, want >= 9", queued, fast)
+	}
+}
+
+// TestDrainWhileBatchHeld: Drain while the collector holds a batch for
+// the busy worker. With MaxBatch 32 the held batch is still open, so
+// the closed queue is what ends its gathering; with MaxBatch 4 it is
+// full and more entries wait behind it. Either way every admitted
+// entry is answered exactly once.
+func TestDrainWhileBatchHeld(t *testing.T) {
+	for _, tc := range []struct {
+		maxBatch int
+		queued   int // items still queued behind the held batch
+	}{{32, 0}, {4, 8}} {
+		t.Run(fmt.Sprintf("max-batch-%d", tc.maxBatch), func(t *testing.T) {
+			testkit.NoLeaks(t)
+			s, fb, _, open := gated(t, Config{MaxBatch: tc.maxBatch, FlushWorkers: 1})
+			replies := []chan reply{submit(t, s, 1)}
+			waitFor(t, "the head entry to reach the backend", func() bool { return fb.calls.Load() == 1 })
+			for i := 0; i < 8; i++ { // 12 items: 1, 2, 1, 2, ...
+				replies = append(replies, submit(t, s, 1+i%2))
+			}
+			waitFor(t, "the collector to hold a batch", func() bool { return s.b.q.Len() == tc.queued })
+			drained := make(chan struct{})
+			go func() { s.Drain(); close(drained) }()
+			waitFor(t, "the queue to close", s.b.q.Closed)
+			time.Sleep(5 * time.Millisecond) // let the collector see the closed queue
+			open()
+			select {
+			case <-drained:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Drain did not return")
+			}
+			for i, ch := range replies {
+				if len(ch) != 1 {
+					t.Fatalf("entry %d answered %d times, want once", i, len(ch))
+				}
+				if rep := <-ch; rep.err != nil {
+					t.Fatalf("entry %d: %v", i, rep.err)
+				}
+			}
+			if err := s.b.enqueue(&request{ctx: context.Background(), hs: batchOf(1, 8).Batch, resp: make(chan reply, 1), class: tenant.Standard}); err != ErrDraining {
+				t.Fatalf("enqueue after Drain: %v, want ErrDraining", err)
+			}
+		})
 	}
 }
 
@@ -177,7 +242,7 @@ func TestFlushOnSize(t *testing.T) {
 func TestSaturation429(t *testing.T) {
 	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
-	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 2, FlushWorkers: 1})
+	s, err := New(fb, Config{MaxBatch: 1, QueueCap: 2, FlushWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +313,7 @@ func TestSaturation429(t *testing.T) {
 func TestReadinessDuringDrain(t *testing.T) {
 	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
-	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 8})
+	s, err := New(fb, Config{MaxBatch: 1, QueueCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +398,7 @@ func TestReadinessDuringDrain(t *testing.T) {
 func TestDrainZeroFailures(t *testing.T) {
 	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32}
-	s, err := New(fb, Config{MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 64})
+	s, err := New(fb, Config{MaxBatch: 8, QueueCap: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +523,7 @@ func TestShedPolicy(t *testing.T) {
 // or gated must get 504, not hang.
 func TestClassifyDeadline(t *testing.T) {
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
-	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 8})
+	s, err := New(fb, Config{MaxBatch: 1, QueueCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +658,7 @@ func TestEndToEndLocalBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(backend, Config{TopM: 8, MaxDelay: time.Millisecond})
+	s, err := New(backend, Config{TopM: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,5 +753,37 @@ func TestLocalClassIsArgMaxAtEveryTopK(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// nopBackend answers every item with one preallocated outcome, so an
+// allocation count over a flush is the batcher's own.
+type nopBackend struct{ outs []Outcome }
+
+func (nopBackend) Hidden() int     { return 8 }
+func (nopBackend) Categories() int { return 32 }
+func (n nopBackend) ClassifyBatch(_ context.Context, batch [][]float32, _, _ int) ([]Outcome, error) {
+	return n.outs[:len(batch)], nil
+}
+
+// TestFlushAllocs pins the fixed cost of a flush, which a lone request
+// pays in full: a one-item, unpinned flush allocates only the flush
+// context and its watchers.
+func TestFlushAllocs(t *testing.T) {
+	b := &batcher{cfg: Config{MaxBatch: 32, TopM: 1, MFloor: 1, QueueCap: 8, Watermark: 0.5},
+		backend: nopBackend{outs: make([]Outcome, 1)}, q: tenant.NewWFQ[*request](8, tenant.DefaultWeights)}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := &request{ctx: ctx, hs: batchOf(1, 8).Batch, topK: 1, resp: make(chan reply, 1), class: tenant.Standard}
+	batch := []*request{r}
+	allocs := testing.AllocsPerRun(200, func() {
+		b.doFlush(batch)
+		<-r.resp
+	})
+	// All 8 are flushContext's: the cancellable context and its
+	// requester watchers. Copying the request list, partitioning it by
+	// pinned version or gathering a lone entry's vectors would add more.
+	if allocs > 8 {
+		t.Fatalf("%v allocs per 1-item flush, want <= 8", allocs)
 	}
 }

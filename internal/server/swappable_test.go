@@ -29,7 +29,7 @@ func TestSwappableHotSwapUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sw, Config{MaxBatch: 8, MaxDelay: time.Millisecond, QueueCap: 1024})
+	s, err := New(sw, Config{MaxBatch: 8, QueueCap: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +89,10 @@ func TestSwappableHotSwapUnderTraffic(t *testing.T) {
 	}
 	// Requests admitted before the swap may legitimately finish on v1
 	// after it, but only for as long as in-flight batches drain; a
-	// micro-batch lives ~MaxDelay, so anything admitted post-swap is
-	// served by v2. Batches pinned pre-swap overlap the swapped flag
-	// only within one flush, so allow that window.
+	// micro-batch lives only until a flush worker frees, so anything
+	// admitted post-swap is served by v2. Batches pinned pre-swap
+	// overlap the swapped flag only within one flush, so allow that
+	// window.
 	if sw.ModelVersion() != "v2" {
 		t.Fatalf("active version %q, want v2", sw.ModelVersion())
 	}
@@ -192,7 +193,7 @@ func TestModelEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sw, Config{MaxDelay: time.Millisecond})
+	s, err := New(sw, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(sw, Config{MaxDelay: time.Millisecond})
+	s, err := New(sw, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestSkewSurfacedOverHTTP(t *testing.T) {
 	}
 	for name, backend := range map[string]Backend{"bare": bare, "swappable": wrapped} {
 		t.Run(name, func(t *testing.T) {
-			s, err := New(backend, Config{MaxDelay: time.Millisecond})
+			s, err := New(backend, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

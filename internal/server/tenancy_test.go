@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -96,7 +98,7 @@ func TestTenantQuota429(t *testing.T) {
 		{Name: "big", Key: "k-big", Class: "interactive", Rate: 1000},
 	}})
 	fb := &fakeBackend{hidden: 8, categories: 32}
-	s, err := New(fb, Config{Tenants: res, MaxBatch: 4, MaxDelay: time.Millisecond})
+	s, err := New(fb, Config{Tenants: res, MaxBatch: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func saturateClass(t *testing.T, s *Server, fb *fakeBackend, class tenant.Class,
 func TestOverloadReason(t *testing.T) {
 	testkit.NoLeaks(t)
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
-	s, err := New(fb, Config{MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 1, FlushWorkers: 1})
+	s, err := New(fb, Config{MaxBatch: 1, QueueCap: 1, FlushWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,8 +320,7 @@ func TestPinnedModelRouting(t *testing.T) {
 		{Name: "frozen", Key: "k-frozen", Class: "batch", ModelVersion: "v1"},
 	}})
 	s, err := New(active, Config{
-		Tenants:  res,
-		MaxDelay: time.Millisecond,
+		Tenants: res,
 		PinnedBackend: func(version string) (Backend, error) {
 			if version != "v1" {
 				t.Fatalf("pin resolver asked for %q", version)
@@ -366,6 +367,43 @@ func TestPinnedModelRouting(t *testing.T) {
 	}
 	if old.calls.Load() == 0 {
 		t.Fatal("pinned backend never invoked")
+	}
+}
+
+// TestFlushPartitionsByPin: one flush that mixes pinned versions
+// reaches each version's backend as one batch, in order of first
+// appearance, and every entry gets its own items' outcomes back.
+func TestFlushPartitionsByPin(t *testing.T) {
+	active := &versionedFake{fakeBackend: fakeBackend{hidden: 8, categories: 32}, version: "v2"}
+	old := &versionedFake{fakeBackend: fakeBackend{hidden: 8, categories: 32}, version: "v1"}
+	b := &batcher{cfg: Config{MaxBatch: 32, TopM: 1, MFloor: 1, QueueCap: 32, Watermark: 0.5},
+		backend: active, q: tenant.NewWFQ[*request](32, tenant.DefaultWeights),
+		pinnedBackend: func(string) (Backend, error) { return old, nil }}
+	pins := []string{"v1", "", "v1", "", ""}
+	var batch []*request
+	for i, pin := range pins {
+		batch = append(batch, &request{ctx: context.Background(), hs: batchOf(i+1, 8).Batch, topK: 1,
+			resp: make(chan reply, 1), class: tenant.Standard, pinned: pin})
+	}
+	b.doFlush(append([]*request(nil), batch...))
+	// The fake's outcome for the k-th item of a backend batch is class k.
+	next := map[string]int{}
+	for i, r := range batch {
+		rep := <-r.resp
+		want := map[string]string{"v1": "v1", "": "v2"}[r.pinned]
+		if rep.err != nil || rep.version != want || len(rep.outs) != i+1 || rep.batch != 15 {
+			t.Fatalf("entry %d: err %v version %q, %d outcomes, batch %d; want %q, %d, 15",
+				i, rep.err, rep.version, len(rep.outs), rep.batch, want, i+1)
+		}
+		for k, o := range rep.outs {
+			if o.Class != next[r.pinned]+k {
+				t.Fatalf("entry %d item %d: class %d, want %d", i, k, o.Class, next[r.pinned]+k)
+			}
+		}
+		next[r.pinned] += i + 1
+	}
+	if fmt.Sprint(old.sizes, active.sizes) != "[4] [11]" {
+		t.Fatalf("backend batches v1 %v, v2 %v; want [4] and [11]", old.sizes, active.sizes)
 	}
 }
 
@@ -484,7 +522,7 @@ func TestWFQClassesSeparateQueues(t *testing.T) {
 		{Name: "bat", Key: "k-bat", Class: "batch"},
 	}})
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
-	s, err := New(fb, Config{Tenants: res, MaxBatch: 1, MaxDelay: time.Millisecond, QueueCap: 2, FlushWorkers: 1})
+	s, err := New(fb, Config{Tenants: res, MaxBatch: 1, QueueCap: 2, FlushWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
