@@ -18,15 +18,16 @@ test:
 # Go nibble-image kernel, tensor's Dot-loop gather — must pass the same
 # bit-identity, driver, serving and serializer tests the AVX2 and SSE
 # kernels pass in `make test`, the testkit conformance table among them,
-# and the simulator bridge (image, funcsim, compiler) holds the Go
-# kernel to the DIMM emulation over the same nibble image.
+# and the simulator bridge (funcsim running compiled programs over
+# image's DRAM images, compiler) holds the Go kernel to the functional
+# DIMM over the same nibble image.
 test-purego:
 	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server ./internal/testkit/... ./internal/image ./internal/funcsim ./internal/compiler
 
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on. It includes the in-process scenario tests of
 # cmd/enmc-serve, cmd/enmc-shard and cmd/enmc-train (replica failover,
-# hot swap, decode re-pin, observability, multi-tenant QoS, checkpoint
+# hot swap, decode failover, observability, multi-tenant QoS, checkpoint
 # resume).
 race:
 	$(GO) test -race ./...

@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "", "comma-separated experiments to run (fig4,fig5a,fig5b,fig11,fig12,fig13,fig14,fig15,table2,table3,table4,table5,ablations,ext-scaleout,ext-host,ext-beam,ext-gpu); empty = all")
+	run := flag.String("run", "", "comma-separated experiments to run ("+strings.Join(enmc.ExperimentNames(), ",")+"); empty = all")
 	quick := flag.Bool("quick", false, "shrink algorithm-level workloads for a fast smoke run")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := flag.Uint64("seed", 42, "random seed for workload generation")
@@ -55,40 +55,7 @@ func main() {
 		defer enmc.SetGlobalTracer(nil)
 	}
 
-	qo := experiments.QualityOptions{Seed: *seed}
-	po := experiments.PerfOptions{}
-	if *quick {
-		qo.LTarget = 384
-		qo.MaxHidden = 128
-		qo.TrainSamples = 96
-		qo.TestSamples = 48
-		qo.Epochs = 4
-		po.SampleRows = 2048
-	}
-
-	type exp struct {
-		name string
-		run  func() (*experiments.Table, error)
-	}
-	all := []exp{
-		{"table2", wrap(experiments.Table2)},
-		{"table3", wrap(experiments.Table3)},
-		{"table4", wrap(experiments.Table4)},
-		{"table5", wrap(experiments.Table5)},
-		{"fig4", wrap(experiments.Fig4)},
-		{"fig5a", wrap(experiments.Fig5a)},
-		{"fig5b", wrap(experiments.Fig5b)},
-		{"fig11", func() (*experiments.Table, error) { return experiments.Fig11(qo) }},
-		{"fig12", func() (*experiments.Table, error) { return experiments.Fig12(qo) }},
-		{"fig13", func() (*experiments.Table, error) { return experiments.Fig13(po) }},
-		{"fig14", func() (*experiments.Table, error) { return experiments.Fig14(po) }},
-		{"fig15", func() (*experiments.Table, error) { return experiments.Fig15(po) }},
-		{"ablations", func() (*experiments.Table, error) { return experiments.Ablations(qo) }},
-		{"ext-scaleout", func() (*experiments.Table, error) { return experiments.ExtScaleOut(po) }},
-		{"ext-host", func() (*experiments.Table, error) { return experiments.ExtHostInterface(po) }},
-		{"ext-beam", func() (*experiments.Table, error) { return experiments.ExtBeam(qo) }},
-		{"ext-gpu", func() (*experiments.Table, error) { return experiments.ExtGPU(po) }},
-	}
+	qo, po := experiments.Options(*seed, *quick)
 
 	want := map[string]bool{}
 	if *run != "" {
@@ -97,21 +64,21 @@ func main() {
 		}
 	}
 
-	for _, e := range all {
-		if len(want) > 0 && !want[e.name] {
+	for _, e := range experiments.Registry {
+		if len(want) > 0 && !want[e.Name] {
 			continue
 		}
 		start := time.Now()
-		t, err := e.run()
+		t, err := e.Run(qo, po)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		if *csv {
 			fmt.Printf("# %s\n%s\n", t.Title, t.CSV())
 		} else {
 			fmt.Println(t)
-			fmt.Printf("[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+			fmt.Printf("[%s completed in %v]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 		}
 	}
 
@@ -140,8 +107,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-func wrap(f func() *experiments.Table) func() (*experiments.Table, error) {
-	return func() (*experiments.Table, error) { return f(), nil }
 }

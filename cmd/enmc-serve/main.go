@@ -287,7 +287,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 			}
 			dec := workload.NewDecoderFor(workload.Demo(*demoClasses, *demoDim, *demoSeed).Classifier, *decodeSeed, *decodeMaxLen)
 			decodeSvc = decode.NewService(dcfg, dec, func() decode.Scorer { return router.NewDecodeScorer() })
-			logger.Printf("decode sessions enabled over the cluster (per-token scatter, session affinity)")
+			logger.Printf("decode sessions enabled over the cluster (per-token scatter)")
 		default:
 			dec := workload.NewDecoderFor(localCls, *decodeSeed, *decodeMaxLen)
 			decodeSvc = decode.NewService(dcfg, dec, func() decode.Scorer {

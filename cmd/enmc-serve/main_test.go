@@ -428,8 +428,9 @@ func TestClusterScenario(t *testing.T) {
 // an SSE session streams 5 token frames then done; greedy and beam
 // (width 4) NDJSON load finishes every stream; -decode-max-sessions 1
 // refuses a second session with 429 + Retry-After. Over the 3×2
-// cluster, killing a replica mid-session drops no stream and re-pins
-// sessions (cluster_session_repin rises on the debug /metrics).
+// cluster, killing a replica mid-session drops no stream: the tokens
+// that hit it fail over (cluster_failover_total rises on the debug
+// /metrics).
 func TestDecodeScenario(t *testing.T) {
 	testkit.NoLeaks(t)
 	c := newClient(t)
@@ -507,13 +508,10 @@ func TestDecodeScenario(t *testing.T) {
 	f := startFleet(t, nil)
 	cs := startServe(t, c, append([]string{"-cluster", f.Spec(), "-cluster-health-interval", "100ms",
 		"-decode", "-decode-maxlen", "24", "-debug-addr", "127.0.0.1:0"}, demoFlags...)...)
-	repin := func() float64 { return total(scrape(t, c, cs.debug+"/metrics"), "cluster_session_repin") }
-	before := repin()
-	// A session re-pins only if it was pinned to the killed replica, a
-	// coin flip per session: with 16 open at the kill, all miss it with
-	// probability 2^-16.
+	failovers := func() float64 { return total(scrape(t, c, cs.debug+"/metrics"), "cluster_failover_total") }
 	stop := decodeLoad(16, cs.api, server.DecodeRequest{})
 	waitFor(t, "cluster sessions", 30*time.Second, func() bool { return sessions.Load() >= 16 })
+	before := failovers()
 	f.Shards[0][1].Kill()
 	killedAt := sessions.Load()
 	waitFor(t, "sessions after the replica kill", 30*time.Second, func() bool { return sessions.Load() >= killedAt+16 })
@@ -521,8 +519,8 @@ func TestDecodeScenario(t *testing.T) {
 	if b, d := bad.Load(), dropped.Load(); b != 0 || d != 0 {
 		t.Fatalf("replica killed mid-session: %d failed and %d cut streams", b, d)
 	}
-	if after := repin(); after <= before {
-		t.Fatalf("cluster_session_repin %v → %v: no session re-pinned off the killed replica", before, after)
+	if after := failovers(); after <= before {
+		t.Fatalf("cluster_failover_total %v → %v: no token failed over off the killed replica", before, after)
 	}
 	cs.stop(t)
 }

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"enmc/internal/core"
+	"enmc/internal/experiments"
 	"enmc/internal/workload"
 )
 
@@ -220,6 +222,19 @@ func TestRunExperimentPublic(t *testing.T) {
 		if names[i] < names[i-1] {
 			t.Fatal("names not sorted")
 		}
+	}
+}
+
+// TestExperimentNamesMatchBench: ExperimentNames lists exactly the
+// experiments enmc-bench runs, each once.
+func TestExperimentNamesMatchBench(t *testing.T) {
+	var bench []string
+	for _, e := range experiments.Registry {
+		bench = append(bench, e.Name)
+	}
+	slices.Sort(bench)
+	if names := ExperimentNames(); !slices.Equal(bench, names) || len(slices.Compact(slices.Clone(names))) != len(names) {
+		t.Fatalf("enmc-bench runs %v, ExperimentNames %v", bench, names)
 	}
 }
 

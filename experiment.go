@@ -9,63 +9,29 @@ import (
 
 // RunExperiment regenerates one of the paper's tables or figures (or
 // one of this repository's extension experiments) and returns it as
-// formatted text. Names match cmd/enmc-bench: table2…table5,
-// fig4…fig15, ablations, ext-scaleout, ext-host. Quick mode shrinks
-// the algorithm-level workloads for a fast smoke run.
+// formatted text. Names are cmd/enmc-bench's (see ExperimentNames);
+// quick runs the preset of `enmc-bench -quick`, which shrinks the
+// algorithm-level workloads for a fast smoke run.
 func RunExperiment(name string, quick bool) (string, error) {
-	qo := experiments.QualityOptions{Seed: 42}
-	po := experiments.PerfOptions{}
-	if quick {
-		qo.LTarget = 384
-		qo.MaxHidden = 128
-		qo.TrainSamples = 256
-		qo.TestSamples = 48
-		qo.Epochs = 6
-		po.SampleRows = 2048
+	for _, e := range experiments.Registry {
+		if e.Name != name {
+			continue
+		}
+		t, err := e.Run(experiments.Options(42, quick))
+		if err != nil {
+			return "", err
+		}
+		return t.String(), nil
 	}
-	f, ok := experimentRegistry(qo, po)[name]
-	if !ok {
-		return "", fmt.Errorf("enmc: unknown experiment %q (see ExperimentNames)", name)
-	}
-	t, err := f()
-	if err != nil {
-		return "", err
-	}
-	return t.String(), nil
+	return "", fmt.Errorf("enmc: unknown experiment %q (see ExperimentNames)", name)
 }
 
 // ExperimentNames lists the runnable experiments in sorted order.
 func ExperimentNames() []string {
-	reg := experimentRegistry(experiments.QualityOptions{}, experiments.PerfOptions{})
-	names := make([]string, 0, len(reg))
-	for n := range reg {
-		names = append(names, n)
+	names := make([]string, len(experiments.Registry))
+	for i, e := range experiments.Registry {
+		names[i] = e.Name
 	}
 	sort.Strings(names)
 	return names
-}
-
-func experimentRegistry(qo experiments.QualityOptions, po experiments.PerfOptions) map[string]func() (*experiments.Table, error) {
-	wrap := func(f func() *experiments.Table) func() (*experiments.Table, error) {
-		return func() (*experiments.Table, error) { return f(), nil }
-	}
-	return map[string]func() (*experiments.Table, error){
-		"table2":       wrap(experiments.Table2),
-		"table3":       wrap(experiments.Table3),
-		"table4":       wrap(experiments.Table4),
-		"table5":       wrap(experiments.Table5),
-		"fig4":         wrap(experiments.Fig4),
-		"fig5a":        wrap(experiments.Fig5a),
-		"fig5b":        wrap(experiments.Fig5b),
-		"fig11":        func() (*experiments.Table, error) { return experiments.Fig11(qo) },
-		"fig12":        func() (*experiments.Table, error) { return experiments.Fig12(qo) },
-		"fig13":        func() (*experiments.Table, error) { return experiments.Fig13(po) },
-		"fig14":        func() (*experiments.Table, error) { return experiments.Fig14(po) },
-		"fig15":        func() (*experiments.Table, error) { return experiments.Fig15(po) },
-		"ablations":    func() (*experiments.Table, error) { return experiments.Ablations(qo) },
-		"ext-scaleout": func() (*experiments.Table, error) { return experiments.ExtScaleOut(po) },
-		"ext-host":     func() (*experiments.Table, error) { return experiments.ExtHostInterface(po) },
-		"ext-beam":     func() (*experiments.Table, error) { return experiments.ExtBeam(qo) },
-		"ext-gpu":      func() (*experiments.Table, error) { return experiments.ExtGPU(po) },
-	}
 }

@@ -398,13 +398,6 @@ func (r *Router) ClassifyBatch(ctx context.Context, batch [][]float32, m, topK i
 // missing shard ids listed. Only all-shards-down (or cancellation)
 // returns an error.
 func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m, topK int) ([]server.Outcome, server.Partial, error) {
-	return r.classifyBatchAffine(ctx, batch, m, topK, nil)
-}
-
-// classifyBatchAffine is ClassifyBatchPartial with an optional decode
-// session affinity: each shard tries the session's pinned replica
-// first and re-pins to whichever replica actually answered.
-func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, topK int, aff *Affinity) ([]server.Outcome, server.Partial, error) {
 	if len(batch) == 0 {
 		return nil, server.Partial{}, nil
 	}
@@ -433,7 +426,7 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 		wg.Add(1)
 		go func(i int, s *routerShard) {
 			defer wg.Done()
-			legs[i].rep, legs[i].sc, legs[i].err = r.callShard(ctx, s, wb, len(batch), aff)
+			legs[i].rep, legs[i].sc, legs[i].err = r.callShard(ctx, s, wb, len(batch))
 		}(i, s)
 	}
 	wg.Wait()
@@ -510,27 +503,13 @@ func (r *Router) classifyBatchAffine(ctx context.Context, batch [][]float32, m, 
 // flight is slower than the shard's recent latency suggests it
 // should be. First success wins; losers are cancelled, and any
 // pooled decode scratch they produce is reaped back to the pool.
-func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nItems int, aff *Affinity) (*ScreenResponse, *WireScratch, error) {
+func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nItems int) (*ScreenResponse, *WireScratch, error) {
 	op := orderPool.Get().(*[]*replica)
 	order := s.replicaOrderInto(*op)
 	defer func() {
 		*op = order[:0]
 		orderPool.Put(op)
 	}()
-	// Session affinity: front the pinned replica while it is healthy.
-	// An ejected pin keeps the normal failover order — the success
-	// path below re-pins the session to whoever answers.
-	if p := aff.pin(s.id); p >= 0 && p < len(s.replicas) {
-		if pinned := s.replicas[p]; pinned.healthy.Load() {
-			for i, rep := range order {
-				if rep == pinned {
-					copy(order[1:i+1], order[:i])
-					order[0] = pinned
-					break
-				}
-			}
-		}
-	}
 	attempts := r.cfg.MaxAttempts
 	if attempts <= 0 {
 		attempts = len(order)
@@ -544,7 +523,6 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 	type attemptResult struct {
 		resp *ScreenResponse
 		sc   *WireScratch
-		rep  *replica
 		err  error
 	}
 	ch := make(chan attemptResult, attempts)
@@ -554,7 +532,7 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 		launched++
 		go func() {
 			resp, sc, err := r.rpcOnce(cctx, s, rep, wb, nItems)
-			ch <- attemptResult{resp, sc, rep, err}
+			ch <- attemptResult{resp, sc, err}
 		}()
 	}
 	launch()
@@ -597,14 +575,6 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 		case ar := <-ch:
 			done++
 			if ar.err == nil {
-				if aff != nil {
-					for idx, rep := range s.replicas {
-						if rep == ar.rep {
-							aff.record(s.id, idx)
-							break
-						}
-					}
-				}
 				reap()
 				return ar.resp, ar.sc, nil
 			}

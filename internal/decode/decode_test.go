@@ -2,12 +2,15 @@ package decode
 
 import (
 	"context"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"enmc/internal/activation"
 	"enmc/internal/core"
 	"enmc/internal/metrics"
 	"enmc/internal/quant"
@@ -115,6 +118,122 @@ func TestBeamWidthOneMatchesGreedy(t *testing.T) {
 				t.Fatalf("token %d: greedy %d beam %d", j, g[j], b[j])
 			}
 		}
+	}
+}
+
+// TestBeamProperties holds the beam search's invariants, one row
+// each, on a full-budget service: at m = l every logit is exact, so
+// the log-probabilities are the classifier's own softmax.
+func TestBeamProperties(t *testing.T) {
+	testkit.NoLeaks(t)
+	inst, scr, dec := testModel(t)
+	svc := NewService(Config{TopM: inst.Classifier.Categories()}, dec, func() Scorer {
+		return NewLocalScorer(inst.Classifier, scr, LocalScorerConfig{})
+	})
+	defer svc.Shutdown()
+	// beam pumps n steps through a fresh session and returns the best
+	// hypothesis, its log-probability and the frames emitted.
+	beam := func(t *testing.T, width, n int, h0 []float32) ([]int, float64, int) {
+		t.Helper()
+		sess, err := svc.Open(Beam, width, h0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer svc.Close(sess.ID)
+		frames := 0
+		fin, err := sess.Run(context.Background(), n, func(Token) error { frames++; return nil })
+		if err != nil || !fin {
+			t.Fatalf("width %d: fin=%v err=%v", width, fin, err)
+		}
+		return sess.Tokens(), sess.BestLogProb(), frames
+	}
+	for _, tc := range []struct {
+		name  string
+		check func(t *testing.T)
+	}{
+		{"wider never scores worse", func(t *testing.T) {
+			for _, h := range inst.Test[:4] {
+				_, one, _ := beam(t, 1, dec.MaxLen(), h)
+				_, four, _ := beam(t, 4, dec.MaxLen(), h)
+				if four < one-1e-9 {
+					t.Fatalf("beam-4 logprob %v below beam-1 %v", four, one)
+				}
+			}
+		}},
+		{"deterministic", func(t *testing.T) {
+			a, lpA, _ := beam(t, 3, dec.MaxLen(), inst.Test[1])
+			b, lpB, _ := beam(t, 3, dec.MaxLen(), inst.Test[1])
+			if !slices.Equal(a, b) || math.Float64bits(lpA) != math.Float64bits(lpB) {
+				t.Fatalf("two runs differ: %v (%v) vs %v (%v)", a, lpA, b, lpB)
+			}
+		}},
+		{"width 0 clamps to 1", func(t *testing.T) {
+			zero, lpZero, _ := beam(t, 0, dec.MaxLen(), inst.Test[0])
+			one, lpOne, _ := beam(t, 1, dec.MaxLen(), inst.Test[0])
+			if !slices.Equal(zero, one) || math.Float64bits(lpZero) != math.Float64bits(lpOne) {
+				t.Fatalf("width 0 %v (%v), width 1 %v (%v)", zero, lpZero, one, lpOne)
+			}
+		}},
+		{"length beyond MaxLen clamps", func(t *testing.T) {
+			toks, _, frames := beam(t, 2, dec.MaxLen()+76, inst.Test[0])
+			if frames != dec.MaxLen() || len(toks) != dec.MaxLen() {
+				t.Fatalf("%d frames, %d tokens, want %d", frames, len(toks), dec.MaxLen())
+			}
+		}},
+		{"empty scorer collapses the beam", func(t *testing.T) {
+			empty := NewService(Config{}, dec, func() Scorer { return emptyScorer{} })
+			defer empty.Shutdown()
+			sess, err := empty.Open(Beam, 2, inst.Test[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(context.Background(), 4, func(Token) error { return nil }); err == nil || sess.Step() != 0 {
+				t.Fatalf("err %v after %d steps, want the beam to collapse on the first", err, sess.Step())
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.check)
+	}
+}
+
+// emptyScorer ranks no classes.
+type emptyScorer struct{}
+
+func (emptyScorer) ScoreStep(_ context.Context, _ []float32, m, _ int) (StepScore, error) {
+	return StepScore{M: m}, nil
+}
+func (emptyScorer) Close() {}
+
+// TestScorerLogProbsAreDistribution: at m = l and k = l a step's
+// log-probabilities are the classifier's softmax, ranked descending,
+// and sum to one.
+func TestScorerLogProbsAreDistribution(t *testing.T) {
+	inst, scr, _ := testModel(t)
+	l := inst.Classifier.Categories()
+	s := NewLocalScorer(inst.Classifier, scr, LocalScorerConfig{})
+	defer s.Close()
+	h := inst.Test[0]
+	sc, err := s.ScoreStep(context.Background(), h, l, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Classes) != l {
+		t.Fatalf("%d classes, want %d", len(sc.Classes), l)
+	}
+	p := make([]float32, l)
+	activation.Softmax(p, inst.Classifier.Logits(h))
+	var sum float64
+	for i, c := range sc.Classes {
+		if i > 0 && sc.LogProbs[i] > sc.LogProbs[i-1] {
+			t.Fatalf("log-probs not descending at %d: %v", i, sc.LogProbs[:i+1])
+		}
+		if math.Abs(math.Exp(sc.LogProbs[i])-float64(p[c])) > 1e-6 {
+			t.Fatalf("class %d: exp(logprob) %v, softmax %v", c, math.Exp(sc.LogProbs[i]), p[c])
+		}
+		sum += math.Exp(sc.LogProbs[i])
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("probabilities sum to %v", sum)
 	}
 }
 

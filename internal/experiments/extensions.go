@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"enmc/internal/activation"
 	"enmc/internal/compiler"
 	"enmc/internal/core"
 	"enmc/internal/cpuhost"
+	"enmc/internal/decode"
 	"enmc/internal/distributed"
 	"enmc/internal/enmc"
 	"enmc/internal/host"
@@ -241,7 +244,9 @@ func Ablations(o QualityOptions) (*Table, error) {
 // ExtBeam evaluates the paper's beam-search use case (Section 3:
 // "we only use the top-K values … where K is the beam search size"):
 // beam decoding with a screened scorer versus the exact scorer, at
-// several beam widths and candidate budgets.
+// several beam widths and candidate budgets. Both arms run the served
+// search, decode.Session: the screened arm on decode.LocalScorer (the
+// /v1/decode path), the exact arm on exactScorer.
 func ExtBeam(o QualityOptions) (*Table, error) {
 	o.defaults()
 	t := &Table{
@@ -252,38 +257,47 @@ func ExtBeam(o QualityOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := p.dec
-	n := o.Sentences
-	if n > len(p.inst.Test) {
-		n = len(p.inst.Test)
+	// beam decodes from the first o.Sentences test vectors and returns
+	// each best hypothesis and the sum of their log-probabilities.
+	beam := func(width, m int, newScorer func() decode.Scorer) (seqs [][]int, lp float64, err error) {
+		svc := decode.NewService(decode.Config{TopM: m}, p.dec, newScorer)
+		defer svc.Shutdown()
+		for _, h0 := range p.inst.Test[:min(o.Sentences, len(p.inst.Test))] {
+			sess, err := svc.Open(decode.Beam, width, h0)
+			if err == nil {
+				_, err = sess.Run(context.Background(), o.SentenceLen, func(decode.Token) error { return nil })
+			}
+			if err != nil {
+				return nil, 0, err
+			}
+			seqs, lp = append(seqs, sess.Tokens()), lp+sess.BestLogProb()
+			svc.Close(sess.ID)
+		}
+		return seqs, lp, nil
+	}
+	exact := func() decode.Scorer { return &exactScorer{cls: p.inst.Classifier} }
+	screened := func() decode.Scorer {
+		return decode.NewLocalScorer(p.inst.Classifier, p.scr, decode.LocalScorerConfig{})
 	}
 
 	for _, width := range []int{1, 2, 4} {
-		exactScorer := p.inst.ExactScorer(width)
-		var refs []workload.Hypothesis
-		for i := 0; i < n; i++ {
-			refs = append(refs, dec.BeamDecode(p.inst.Test[i], o.SentenceLen, width, exactScorer))
+		refs, lpExact, err := beam(width, 0, exact)
+		if err != nil {
+			return nil, err
 		}
 		for _, frac := range []float64{0.02, 0.05} {
-			m := int(frac * float64(p.spec.Categories))
-			if m < width {
-				m = width
+			hyps, lpAS, err := beam(width, max(int(frac*float64(p.spec.Categories)), width), screened)
+			if err != nil {
+				return nil, err
 			}
-			asScorer := workload.ScorerFrom(func(h []float32) []float32 {
-				return core.ClassifyApprox(p.inst.Classifier, p.scr, h, core.TopM(m)).Mixed
-			}, width)
 			match, total := 0, 0
-			var lpAS, lpExact float64
-			for i := 0; i < n; i++ {
-				hyp := dec.BeamDecode(p.inst.Test[i], o.SentenceLen, width, asScorer)
-				for t := range hyp.Tokens {
-					if t < len(refs[i].Tokens) && hyp.Tokens[t] == refs[i].Tokens[t] {
+			for i, hyp := range hyps {
+				for t, tok := range hyp {
+					if t < len(refs[i]) && tok == refs[i][t] {
 						match++
 					}
 					total++
 				}
-				lpAS += hyp.LogProb
-				lpExact += refs[i].LogProb
 			}
 			ratio := 1.0
 			if lpExact != 0 {
@@ -297,6 +311,26 @@ func ExtBeam(o QualityOptions) (*Table, error) {
 		"agreement near 1 means screening preserves the whole beam, not just the argmax — the top-K accuracy requirement of Section 3")
 	return t, nil
 }
+
+// exactScorer is ExtBeam's reference decode.Scorer: the top-k of the
+// full classifier's logits under their softmax, with no candidate
+// budget.
+type exactScorer struct {
+	cls *core.Classifier
+	buf tensor.TopKBuf
+}
+
+func (s *exactScorer) ScoreStep(_ context.Context, h []float32, m, k int) (decode.StepScore, error) {
+	z := s.cls.Logits(h)
+	lse := activation.LogSumExp(z)
+	sc := decode.StepScore{Classes: tensor.TopKInto(z, k, &s.buf), M: m}
+	for _, c := range sc.Classes {
+		sc.LogProbs = append(sc.LogProbs, float64(z[c])-lse)
+	}
+	return sc, nil
+}
+
+func (s *exactScorer) Close() {}
 
 // ExtGPU reproduces the Fig. 3 motivation quantitatively: full
 // classification time on a V100-class GPU versus the CPU and the ENMC

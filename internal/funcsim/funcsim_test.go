@@ -107,26 +107,25 @@ func TestCompiledExecutorComputesExactLogits(t *testing.T) {
 	if len(m.ExactLogits) == 0 {
 		t.Fatal("executor produced no logits")
 	}
-	// Chunked accumulation sums chunk sub-dots; recompute the same
-	// way for bit-exact comparison.
 	for row, got := range m.ExactLogits {
-		w := inst.Classifier.W.Row(row)
-		var want float32
-		for c := 0; c < len(w); c += hw.BufBytes / 4 {
-			end := c + hw.BufBytes/4
-			if end > len(w) {
-				end = len(w)
-			}
-			var acc float32
-			for j := c; j < end; j++ {
-				acc += w[j] * h[j]
-			}
-			want += acc
-		}
-		if got != want {
+		if want := chunkedDot(inst.Classifier.W.Row(row), h, hw.BufBytes/4); got != want {
 			t.Fatalf("row %d: executor %v != classifier %v", row, got, want)
 		}
 	}
+}
+
+// chunkedDot is the executor's FP32 summation order: chunk sub-dots
+// of the given width, summed — so a comparison can be bit for bit.
+func chunkedDot(w, h []float32, chunk int) float32 {
+	var sum float32
+	for c := 0; c < len(w); c += chunk {
+		var acc float32
+		for j := c; j < min(c+chunk, len(w)); j++ {
+			acc += w[j] * h[j]
+		}
+		sum += acc
+	}
+	return sum
 }
 
 func TestMachineRejectsBadPrograms(t *testing.T) {

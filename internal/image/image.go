@@ -1,18 +1,15 @@
 // Package image builds the DRAM image of a rank's screener shard —
 // the bytes the host writes into the ENMC DIMM's address space during
-// initialization (Fig. 10 phase 1) — and functionally emulates the
-// Screener datapath over that image: stream the INT4 nibble-image rows,
-// multiply-accumulate in int32 against the quantized projected
-// feature, dequantize once per output, add the bias, and threshold-
-// filter candidates.
+// initialization (Fig. 10 phase 1): the INT4 nibble-image rows, their
+// scales and biases, the FP32 classifier rows and the query's
+// features, at the addresses the compiler assumes.
 //
-// The emulator exists as a correctness bridge between the repo's two
-// halves: TestImageMatchesCore proves, bit for bit, that the byte
-// layout the compiler assumes and the integer datapath the engine
-// charges cycles for compute exactly what core.Screener.Screen
-// computes in software. A timing simulator whose data layout cannot
-// produce the algorithm's numbers is charging cycles for the wrong
-// machine; this package rules that out.
+// The image is the correctness bridge between the repo's two halves:
+// funcsim.Machine runs compiled programs over it and must reproduce
+// core.Screener.Screen and the classifier's exact logits bit for bit.
+// A timing simulator whose data layout cannot produce the algorithm's
+// numbers is charging cycles for the wrong machine; that check rules
+// it out.
 package image
 
 import (
@@ -100,41 +97,12 @@ func (img *RankImage) MetaBase() int {
 // FeatF32 is the address of the FP32 feature, right after the INT4 one.
 func (img *RankImage) FeatF32() int { return int(img.Layout.FeatBase) + quant.RowBytes(img.K) }
 
-// Screen emulates the Screener datapath over the image: for every
-// stored row, an int32 accumulation of nibble products against the
-// feature, one dequantizing multiply, a bias add — then the threshold
-// filter over the results. Returned candidate indices are
-// shard-local.
-func (img *RankImage) Screen(featScale float32, threshold float32) (z []float32, candidates []int) {
-	k, rowBytes := img.K, quant.RowBytes(img.K)
-	feat, w := make([]int8, k), make([]int8, k)
-	quant.UnpackRow(feat, img.Mem[img.Layout.FeatBase:])
-	metaBase := img.MetaBase()
-	biasBase := metaBase + 4*img.Rows
-
-	z = make([]float32, img.Rows)
-	for r := 0; r < img.Rows; r++ {
-		quant.UnpackRow(w, img.Mem[int(img.Layout.ScrWBase)+r*rowBytes:])
-		var acc int32
-		for j, q := range w {
-			acc += int32(q) * int32(feat[j])
-		}
-		scale := math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[metaBase+4*r:]))
-		bias := math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[biasBase+4*r:]))
-		z[r] = float32(acc)*scale*featScale + bias
-		if z[r] >= threshold {
-			candidates = append(candidates, r)
-		}
-	}
-	return z, candidates
-}
-
 // Bytes reports the image size.
 func (img *RankImage) Bytes() int { return len(img.Mem) }
 
 // FullImage extends a rank image with the FP32 classifier rows at
 // FullWBase and the full-precision feature at its slot, so the
-// Executor phase can be emulated too.
+// Executor phase has its operands too.
 type FullImage struct {
 	*RankImage
 	Hidden int
@@ -174,28 +142,4 @@ func BuildFull(cls *core.Classifier, scr *core.Screener, rowStart, rows int, h [
 		binary.LittleEndian.PutUint32(base.Mem[featF32+4*j:], math.Float32bits(v))
 	}
 	return &FullImage{RankImage: base, Hidden: d}, qh, nil
-}
-
-// Candidates emulates the Executor phase: gather the FP32 weight rows
-// of the shard-local candidate indices from the image and compute
-// their exact logits against the full-precision feature. Bias comes
-// from the screener's bias block (the classifier bias is folded into
-// it at deployment; here the screener was distilled to carry it).
-func (img *FullImage) Candidates(cands []int, bias []float32) []float32 {
-	d := img.Hidden
-	featF32 := img.FeatF32()
-	h := make([]float32, d)
-	for j := range h {
-		h[j] = math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[featF32+4*j:]))
-	}
-	out := make([]float32, len(cands))
-	for i, c := range cands {
-		off := int(img.Layout.FullWBase) + c*d*4
-		var acc float32
-		for j := 0; j < d; j++ {
-			acc += math.Float32frombits(binary.LittleEndian.Uint32(img.Mem[off+4*j:])) * h[j]
-		}
-		out[i] = acc + bias[c]
-	}
-	return out
 }

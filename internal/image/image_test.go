@@ -1,9 +1,16 @@
-package image
+package image_test
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"enmc/internal/compiler"
 	"enmc/internal/core"
+	"enmc/internal/enmc"
+	"enmc/internal/funcsim"
+	"enmc/internal/image"
+	"enmc/internal/isa"
 	"enmc/internal/quant"
 	"enmc/internal/tensor"
 	"enmc/internal/workload"
@@ -21,60 +28,154 @@ func trainedScreener(t *testing.T) (*core.Screener, *workload.Instance) {
 	return scr, inst
 }
 
-// TestImageMatchesCore is the correctness bridge: the DRAM image's
-// emulated datapath must reproduce core.Screener.Screen bit for bit,
-// shard by shard.
+// shardRows is the rank share of the tests below: four ranks of 128
+// rows split the 512 categories, so every rank but the first holds its
+// rows at rowStart ≠ 0.
+const shardRows = 128
+
+// runRank builds the full image of the rank holding rows
+// [rowStart, rowStart+shardRows) for query h and runs the compiled
+// screened program over it on the functional DIMM, with the
+// candidate threshold th.
+func runRank(t *testing.T, scr *core.Screener, inst *workload.Instance, rowStart int, h []float32, th float32) *funcsim.Machine {
+	t.Helper()
+	hw := enmc.Default()
+	img, qh, err := image.BuildFull(inst.Classifier, scr, rowStart, shardRows, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := compiler.Task{Categories: 512, Hidden: 128, Reduced: 32, Candidates: 8, Batch: 1}
+	prog, err := compiler.Compile(task, hw, compiler.ENMCTarget(),
+		compiler.RankShare{Rows: shardRows, Candidates: 8}, compiler.ModeScreened)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := funcsim.New(hw, img)
+	pre := []enmc.Op{
+		{I: isa.Init(isa.RegThreshold, uint64(math.Float32bits(th)))},
+		{I: isa.Init(isa.RegFeatSize, uint64(math.Float32bits(qh.Scale)))},
+	}
+	if err := m.Run(append(append(pre, prog.Init...), prog.Ops...)); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Z) != shardRows {
+		t.Fatalf("rowStart %d: machine produced %d outputs", rowStart, len(m.Z))
+	}
+	return m
+}
+
+// TestImageMatchesCore is the correctness bridge: the compiled
+// program over each rank's DRAM image must reproduce that rank's rows
+// of core.Screener.Screen bit for bit, shard by shard.
 func TestImageMatchesCore(t *testing.T) {
 	scr, inst := trainedScreener(t)
-	for _, h := range inst.Test[:6] {
+	for _, h := range inst.Test[:4] {
 		want := scr.Screen(h)
-		// Four shards of 128 rows each, like four ranks.
-		for rowStart := 0; rowStart < 512; rowStart += 128 {
-			img, qh, err := BuildRank(scr, rowStart, 128, h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := img.Screen(qh.Scale, 1e30)
-			for r := 0; r < 128; r++ {
-				if got[r] != want[rowStart+r] {
-					t.Fatalf("row %d: image datapath %v != core %v", rowStart+r, got[r], want[rowStart+r])
+		for rowStart := 0; rowStart < 512; rowStart += shardRows {
+			m := runRank(t, scr, inst, rowStart, h, 1e30)
+			for r, got := range m.Z {
+				if math.Float32bits(got) != math.Float32bits(want[rowStart+r]) {
+					t.Fatalf("row %d: image datapath %v != core %v", rowStart+r, got, want[rowStart+r])
 				}
 			}
 		}
 	}
 }
 
-// TestThresholdFilterMatchesSelection: the image's comparator pass
-// must agree with core's threshold selection on the same shard.
+// TestThresholdFilterMatchesSelection: each rank's FILTER pass, under
+// the global threshold, keeps exactly core's threshold selection among
+// its rows (as shard-local indices).
 func TestThresholdFilterMatchesSelection(t *testing.T) {
 	scr, inst := trainedScreener(t)
 	h := inst.Test[0]
 	z := scr.Screen(h)
-	th := tensor.TopK(z, 20) // pick a threshold near the 20th value
-	threshold := z[th[len(th)-1]]
+	th := z[tensor.TopK(z, 20)[19]] // threshold at the 20th value
+	for rowStart := 0; rowStart < 512; rowStart += shardRows {
+		m := runRank(t, scr, inst, rowStart, h, th)
+		want := core.SelectCandidates(z[rowStart:rowStart+shardRows], core.Threshold(th))
+		if !slices.Equal(m.Candidates, want) {
+			t.Fatalf("rowStart %d: candidates %v, core %v", rowStart, m.Candidates, want)
+		}
+	}
+}
 
-	img, qh, err := BuildRank(scr, 0, 512, h)
-	if err != nil {
-		t.Fatal(err)
+// TestExecutorEmulationMatchesClassifier: the FP32 phase over each
+// rank's image reads that rank's own classifier rows and reproduces
+// their exact logits. The executor sums chunk sub-dots, not
+// tensor.Dot's unrolled order, so the reference is chunkedDot.
+func TestExecutorEmulationMatchesClassifier(t *testing.T) {
+	scr, inst := trainedScreener(t)
+	h := inst.Test[2]
+	chunk := enmc.Default().BufBytes / 4
+	for rowStart := 0; rowStart < 512; rowStart += shardRows {
+		m := runRank(t, scr, inst, rowStart, h, 1e30)
+		if len(m.ExactLogits) == 0 {
+			t.Fatalf("rowStart %d: executor produced no logits", rowStart)
+		}
+		for row, got := range m.ExactLogits {
+			if want := chunkedDot(inst.Classifier.W.Row(rowStart+row), h, chunk); got != want {
+				t.Fatalf("row %d: executor %v != classifier %v", rowStart+row, got, want)
+			}
+		}
 	}
-	_, cands := img.Screen(qh.Scale, threshold)
-	want := core.SelectCandidates(z, core.Threshold(threshold))
-	if len(cands) != len(want) {
-		t.Fatalf("candidate counts differ: %d vs %d", len(cands), len(want))
+}
+
+// chunkedDot is the executor's FP32 summation order: chunk sub-dots
+// of the given width, summed — so a comparison can be bit for bit.
+func chunkedDot(w, h []float32, chunk int) float32 {
+	var sum float32
+	for c := 0; c < len(w); c += chunk {
+		var acc float32
+		for j := c; j < min(c+chunk, len(w)); j++ {
+			acc += w[j] * h[j]
+		}
+		sum += acc
 	}
-	for i := range cands {
-		if cands[i] != want[i] {
-			t.Fatalf("candidate %d: %d vs %d", i, cands[i], want[i])
+	return sum
+}
+
+// TestFullPipelineOverImage runs the screen and filter phases on all
+// four ranks and merges them as the host does: the merged candidates
+// are the ones core's top-25 pipeline recomputes exactly, and the
+// ranks' screened logits are its mixed vector everywhere else, bit for
+// bit, so the image pipeline and core reach the same decision.
+func TestFullPipelineOverImage(t *testing.T) {
+	scr, inst := trainedScreener(t)
+	for _, h := range inst.Test[:8] {
+		soft := core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(25))
+		z := scr.Screen(h)
+		th := z[tensor.TopK(z, 25)[24]]
+		var cands []int
+		mixed := make([]float32, 0, 512)
+		for rowStart := 0; rowStart < 512; rowStart += shardRows {
+			m := runRank(t, scr, inst, rowStart, h, th)
+			for _, c := range m.Candidates {
+				cands = append(cands, rowStart+c)
+			}
+			mixed = append(mixed, m.Z...)
+		}
+		want := slices.Clone(soft.Candidates)
+		slices.Sort(want)
+		if !slices.Equal(cands, want) {
+			t.Fatalf("image candidates %v, core %v", cands, want)
+		}
+		for i, c := range soft.Candidates {
+			mixed[c] = soft.Exact[i]
+		}
+		for i := range mixed {
+			if math.Float32bits(mixed[i]) != math.Float32bits(soft.Mixed[i]) {
+				t.Fatalf("class %d: image pipeline %v != core %v", i, mixed[i], soft.Mixed[i])
+			}
 		}
 	}
 }
 
 func TestBuildRankValidation(t *testing.T) {
 	scr, inst := trainedScreener(t)
-	if _, _, err := BuildRank(scr, -1, 10, inst.Test[0]); err == nil {
+	if _, _, err := image.BuildRank(scr, -1, 10, inst.Test[0]); err == nil {
 		t.Fatal("negative shard accepted")
 	}
-	if _, _, err := BuildRank(scr, 500, 100, inst.Test[0]); err == nil {
+	if _, _, err := image.BuildRank(scr, 500, 100, inst.Test[0]); err == nil {
 		t.Fatal("overflowing shard accepted")
 	}
 	// INT8 screener cannot be laid out in the INT4 image format.
@@ -83,14 +184,14 @@ func TestBuildRankValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := BuildRank(scr8, 0, 10, inst.Test[0]); err == nil {
+	if _, _, err := image.BuildRank(scr8, 0, 10, inst.Test[0]); err == nil {
 		t.Fatal("INT8 screener accepted into INT4 image")
 	}
 }
 
 func TestImageSizeMatchesLayout(t *testing.T) {
 	scr, inst := trainedScreener(t)
-	img, _, err := BuildRank(scr, 0, 256, inst.Test[0])
+	img, _, err := image.BuildRank(scr, 0, 256, inst.Test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,68 +200,5 @@ func TestImageSizeMatchesLayout(t *testing.T) {
 	wantMin := int(img.Layout.FeatBase)
 	if img.Bytes() < wantMin {
 		t.Fatalf("image %d bytes, layout needs ≥ %d", img.Bytes(), wantMin)
-	}
-}
-
-// TestExecutorEmulationMatchesClassifier: the candidate phase over
-// the image must reproduce the classifier's exact logits — but not in
-// the naive order: tensor.Dot uses 4-way unrolled accumulation, so we
-// compare against a plain serial dot product, which is what the image
-// emulation computes.
-func TestExecutorEmulationMatchesClassifier(t *testing.T) {
-	scr, inst := trainedScreener(t)
-	h := inst.Test[2]
-	img, qh, err := BuildFull(inst.Classifier, scr, 0, 512, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, _ := img.Screen(qh.Scale, 1e30)
-	_ = z
-	cands := []int{3, 100, 511, 0, 42}
-	got := img.Candidates(cands, inst.Classifier.B)
-	for i, c := range cands {
-		var want float32
-		row := inst.Classifier.W.Row(c)
-		for j := range row {
-			want += row[j] * h[j]
-		}
-		want += inst.Classifier.B[c]
-		if got[i] != want {
-			t.Fatalf("candidate %d: image %v vs serial %v", c, got[i], want)
-		}
-	}
-}
-
-// TestFullPipelineOverImage runs both phases over the image and
-// checks the end decision agrees with core's software pipeline.
-func TestFullPipelineOverImage(t *testing.T) {
-	scr, inst := trainedScreener(t)
-	agree := 0
-	for _, h := range inst.Test[:8] {
-		img, qh, err := BuildFull(inst.Classifier, scr, 0, 512, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Screen on the image, take top-25 via threshold on the 25th
-		// value of the software screen (same budget as core).
-		soft := core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(25))
-		zImg, _ := img.Screen(qh.Scale, 1e30)
-		th := zImg[tensor.TopK(zImg, 25)[24]]
-		_, cands := img.Screen(qh.Scale, th)
-		exact := img.Candidates(cands, inst.Classifier.B)
-		// The image pipeline's best candidate must match core's
-		// prediction (both use exact logits for candidates).
-		best, bestV := -1, float32(0)
-		for i, c := range cands {
-			if best < 0 || exact[i] > bestV {
-				best, bestV = c, exact[i]
-			}
-		}
-		if best == soft.Predict() {
-			agree++
-		}
-	}
-	if agree < 7 {
-		t.Fatalf("image pipeline agreed with core on %d/8", agree)
 	}
 }

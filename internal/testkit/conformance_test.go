@@ -22,6 +22,11 @@ package testkit_test
 // cannot carry a NaN to a server). `make test-purego` runs the table
 // with the assembly kernels compiled out.
 //
+// TestNonFiniteInputs covers what the HTTP endpoints receive instead
+// of a vector a float32 can hold: a NaN token, a value past float32's
+// range and the string "Infinity" each answer 400 wherever a vector
+// goes.
+//
 // A new execution path adds a row here. When a row fails, fix the
 // path, not the row.
 
@@ -30,8 +35,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -185,6 +193,56 @@ func TestConformance(t *testing.T) {
 				conformSingleNode(t, f)
 				conformSharded(t, f)
 			})
+		}
+	}
+}
+
+// TestNonFiniteInputs sends each non-finite token in h on
+// /v1/classify, in one item of /v1/classify_batch and in h0 on
+// /v1/decode: every one answers 400, never 200 or 5xx. The finite row
+// is the control: the same bodies with a plain number answer 200.
+func TestNonFiniteInputs(t *testing.T) {
+	testkit.NoLeaks(t)
+	f := newModel(t, 32, quant.INT4)
+	local, err := server.NewLocal(f.cls, f.scr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := server.New(local, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	svc := decode.NewService(decode.Config{}, workload.NewDecoderFor(f.cls, 7, 4), func() decode.Scorer {
+		return decode.NewLocalScorer(f.cls, f.scr, decode.LocalScorerConfig{})
+	})
+	defer svc.Shutdown()
+	s.SetDecode(svc)
+
+	vec := func(tok string) string {
+		v := strings.Split(strings.Repeat("0.5,", 32), ",")[:32]
+		v[3] = tok
+		return "[" + strings.Join(v, ",") + "]"
+	}
+	for _, in := range []struct {
+		name, tok string
+		want      int
+	}{
+		{"finite", "0.25", http.StatusOK},
+		{"NaN", "NaN", http.StatusBadRequest},
+		{"float32 overflow", "1e39", http.StatusBadRequest},
+		{"Infinity", `"Infinity"`, http.StatusBadRequest},
+	} {
+		for _, req := range []struct{ path, body string }{
+			{"/v1/classify", `{"h":` + vec(in.tok) + `,"top_k":3}`},
+			{"/v1/classify_batch", `{"batch":[` + vec("0.5") + `,` + vec(in.tok) + `],"top_k":3}`},
+			{"/v1/decode", `{"h0":` + vec(in.tok) + `,"max_tokens":2}`},
+		} {
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, req.path, strings.NewReader(req.body)))
+			if rec.Code != in.want {
+				t.Errorf("%s in %s: status %d, want %d: %s", in.name, req.path, rec.Code, in.want, rec.Body)
+			}
 		}
 	}
 }

@@ -1,82 +1,65 @@
-package workload
+package workload_test
 
 import (
-	"math"
+	"context"
 	"testing"
 
 	"enmc/internal/activation"
+	"enmc/internal/core"
+	"enmc/internal/decode"
+	"enmc/internal/tensor"
+	"enmc/internal/workload"
 )
 
-func beamSetup(t *testing.T) (*Instance, *Decoder) {
-	t.Helper()
-	spec := Spec{Name: "beam", Categories: 200, Hidden: 32, LatentRank: 12, ZipfS: 1}
-	inst := Generate(spec, GenOptions{Seed: 8, Train: 8, Valid: 4, Test: 6})
-	return inst, NewDecoder(inst, 3, 12)
+// exactStep scores a decode step on the full classifier's logits: the
+// top-k classes and their log-probabilities under its softmax.
+type exactStep struct {
+	cls *core.Classifier
+	buf tensor.TopKBuf
 }
 
+func (s *exactStep) ScoreStep(_ context.Context, h []float32, m, k int) (decode.StepScore, error) {
+	z := s.cls.Logits(h)
+	lse := activation.LogSumExp(z)
+	sc := decode.StepScore{Classes: tensor.TopKInto(z, k, &s.buf), M: m}
+	for _, c := range sc.Classes {
+		sc.LogProbs = append(sc.LogProbs, float64(z[c])-lse)
+	}
+	return sc, nil
+}
+
+func (s *exactStep) Close() {}
+
+// TestBeamWidthOneEqualsGreedy: the served beam search at width 1,
+// on the exact scorer, emits the sequence the offline greedy decoder
+// (Decoder.Decode, which the BLEU experiments run) gives with the
+// full classifier's argmax.
 func TestBeamWidthOneEqualsGreedy(t *testing.T) {
-	inst, dec := beamSetup(t)
-	score := inst.ExactScorer(1)
-	greedy := dec.Decode(inst.Test[0], 10, inst.Classifier.Predict)
-	beam := dec.BeamDecode(inst.Test[0], 10, 1, score)
-	if len(beam.Tokens) != len(greedy) {
-		t.Fatalf("lengths %d vs %d", len(beam.Tokens), len(greedy))
-	}
-	for i := range greedy {
-		if beam.Tokens[i] != greedy[i] {
-			t.Fatalf("beam-1 diverged from greedy at %d", i)
+	spec := workload.Spec{Name: "beam", Categories: 200, Hidden: 32, LatentRank: 12, ZipfS: 1}
+	inst := workload.Generate(spec, workload.GenOptions{Seed: 8, Train: 8, Valid: 4, Test: 6})
+	dec := workload.NewDecoder(inst, 3, 12)
+	svc := decode.NewService(decode.Config{}, dec, func() decode.Scorer {
+		return &exactStep{cls: inst.Classifier}
+	})
+	defer svc.Shutdown()
+	for i, h0 := range inst.Test {
+		greedy := dec.Decode(h0, dec.MaxLen(), inst.Classifier.Predict)
+		sess, err := svc.Open(decode.Beam, 1, h0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestWiderBeamNeverScoresWorse(t *testing.T) {
-	inst, dec := beamSetup(t)
-	for _, h := range inst.Test[:4] {
-		one := dec.BeamDecode(h, 8, 1, inst.ExactScorer(1))
-		four := dec.BeamDecode(h, 8, 4, inst.ExactScorer(4))
-		if four.LogProb < one.LogProb-1e-9 {
-			t.Fatalf("beam-4 logprob %v below beam-1 %v", four.LogProb, one.LogProb)
+		if fin, err := sess.Run(context.Background(), dec.MaxLen(), func(decode.Token) error { return nil }); err != nil || !fin {
+			t.Fatalf("probe %d: finished %v, err %v", i, fin, err)
 		}
-	}
-}
-
-func TestBeamDeterministic(t *testing.T) {
-	inst, dec := beamSetup(t)
-	a := dec.BeamDecode(inst.Test[1], 8, 3, inst.ExactScorer(3))
-	b := dec.BeamDecode(inst.Test[1], 8, 3, inst.ExactScorer(3))
-	for i := range a.Tokens {
-		if a.Tokens[i] != b.Tokens[i] {
-			t.Fatal("beam search not deterministic")
+		beam := sess.Tokens()
+		svc.Close(sess.ID)
+		if len(beam) != len(greedy) {
+			t.Fatalf("probe %d: lengths %d vs %d", i, len(beam), len(greedy))
 		}
-	}
-}
-
-func TestBeamEdgeCases(t *testing.T) {
-	inst, dec := beamSetup(t)
-	// Width 0 clamps to 1; length clamps to MaxLen.
-	h := dec.BeamDecode(inst.Test[0], 100, 0, inst.ExactScorer(1))
-	if len(h.Tokens) != dec.MaxLen() {
-		t.Fatalf("length %d, want clamped %d", len(h.Tokens), dec.MaxLen())
-	}
-}
-
-func TestTopKLogProbsIsDistribution(t *testing.T) {
-	z := []float32{1, 3, 2, -1}
-	classes, lps := topKLogProbs(z, 4)
-	if classes[0] != 1 || classes[1] != 2 || classes[2] != 0 || classes[3] != 3 {
-		t.Fatalf("order %v", classes)
-	}
-	var sum float64
-	for _, lp := range lps {
-		sum += math.Exp(lp)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("probabilities sum %v", sum)
-	}
-	// Consistent with direct softmax.
-	p := make([]float32, 4)
-	activation.Softmax(p, z)
-	if math.Abs(math.Exp(lps[0])-float64(p[1])) > 1e-6 {
-		t.Fatal("logprob disagrees with softmax")
+		for j := range greedy {
+			if beam[j] != greedy[j] {
+				t.Fatalf("probe %d: beam-1 diverged from greedy at %d", i, j)
+			}
+		}
 	}
 }

@@ -132,50 +132,3 @@ func (dec *Decoder) DecodeWithStates(h0 []float32, length int, classify func(h [
 	}
 	return out, states
 }
-
-// DecodeScratch owns the reusable storage of DecodeWithStatesInto:
-// the token slice, a flat state arena and its per-step views, and the
-// rolling hidden state. The zero value is ready to use; results alias
-// the scratch and are overwritten by the next decode through it.
-type DecodeScratch struct {
-	tokens []int
-	states []float32 // flat arena, length*d
-	views  [][]float32
-	cur    []float32 // rolling hidden state
-}
-
-// DecodeWithStatesInto is DecodeWithStates running entirely in the
-// caller's scratch: zero allocations in steady state. The returned
-// token and state slices alias ds and stay valid only until the next
-// decode through the same scratch.
-func (dec *Decoder) DecodeWithStatesInto(h0 []float32, length int, classify func(h []float32) int, ds *DecodeScratch) ([]int, [][]float32) {
-	if length > dec.MaxLen() {
-		length = dec.MaxLen()
-	}
-	d := dec.hidden
-	if cap(ds.tokens) < length {
-		ds.tokens = make([]int, length)
-	}
-	if cap(ds.states) < length*d {
-		ds.states = make([]float32, length*d)
-	}
-	if cap(ds.views) < length {
-		ds.views = make([][]float32, length)
-	}
-	if cap(ds.cur) < d {
-		ds.cur = make([]float32, d)
-	}
-	tokens, arena, views := ds.tokens[:length], ds.states[:length*d], ds.views[:length]
-	cur := ds.cur[:d]
-	dec.NormalizeStartInto(cur, h0)
-	for t := 0; t < length; t++ {
-		slot := arena[t*d : (t+1)*d]
-		copy(slot, cur)
-		views[t] = slot
-		y := classify(slot)
-		tokens[t] = y
-		// slot holds h_t, so the transition can write h_{t+1} over cur.
-		dec.StepInto(cur, slot, y, t)
-	}
-	return tokens, views
-}
