@@ -34,7 +34,7 @@ func main() {
 	seed := flag.Uint64("seed", 42, "random seed for workload generation")
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON of the algorithm pipeline to this file")
 	metrics := flag.Bool("metrics", false, "dump the telemetry registry as JSON to stderr after the run")
-	pprofAddr := flag.String("pprof", "", "serve pprof/expvar/metrics HTTP on this address (e.g. localhost:6060)")
+	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars and Prometheus /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if *pprofAddr != "" {

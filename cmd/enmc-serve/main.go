@@ -312,7 +312,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 			return err
 		}
 		defer stop()
-		logger.Printf("debug endpoint on http://%s (pprof, /metrics, /debug/vars, /debug/spans)", dbg)
+		logger.Printf("debug endpoint on http://%s (Prometheus /metrics, /debug/spans, pprof, stdlib /debug/vars)", dbg)
 	}
 
 	ln, err := net.Listen("tcp", *addr)

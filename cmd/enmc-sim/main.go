@@ -40,7 +40,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the full SimResult (incl. energy breakdown) as JSON")
 	traceOut := flag.String("trace", "", "write Chrome trace-event JSON of the simulated rank to this file")
 	metrics := flag.Bool("metrics", false, "dump the telemetry registry as JSON to stderr after the run")
-	pprofAddr := flag.String("pprof", "", "serve pprof/expvar/metrics HTTP on this address (e.g. localhost:6060)")
+	pprofAddr := flag.String("pprof", "", "serve /debug/pprof, /debug/vars and Prometheus /metrics on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if *pprofAddr != "" {

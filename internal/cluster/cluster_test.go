@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"enmc/internal/distributed"
 	"enmc/internal/quant"
 	"enmc/internal/server"
+	"enmc/internal/telemetry"
 	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
@@ -218,6 +220,43 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	if c := get("/healthz").StatusCode; c != http.StatusOK {
 		t.Fatalf("healthz while draining = %d", c)
+	}
+}
+
+// TestWorkerUnknownPathsBounded: the worker keys its SLO by route, so
+// distinct unknown /v1/* paths share one label and a scrape publishes
+// no gauges for them.
+func TestWorkerUnknownPathsBounded(t *testing.T) {
+	testkit.NoLeaks(t)
+	_, shards, _ := fixture(t)
+	w, err := NewWorker(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	get := func(path string) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	const n = 200
+	get("/v1/shard/nope-0")
+	get("/metrics")
+	gauges := len(telemetry.Default().Snapshot().Gauges)
+	for i := 1; i < n; i++ {
+		get(fmt.Sprintf("/v1/shard/nope-%d", i))
+	}
+	get("/metrics")
+	if got := len(telemetry.Default().Snapshot().Gauges); got != gauges {
+		t.Errorf("%d unknown paths took the registry from %d to %d gauges", n, gauges, got)
+	}
+	eps := w.slo.Summary().Endpoints
+	if len(eps) != 1 || eps[0].Endpoint != telemetry.Unmatched || eps[0].Requests != n {
+		t.Errorf("worker SLO endpoints = %+v, want one %q with %d requests", eps, telemetry.Unmatched, n)
 	}
 }
 
@@ -431,11 +470,8 @@ func TestRouterHealthEjectAndReadmit(t *testing.T) {
 		})
 	})
 	r := dialT(t, RouterConfig{
-		ShardMap:         urls,
-		HealthInterval:   10 * time.Millisecond,
-		HealthTimeout:    500 * time.Millisecond,
-		FailThreshold:    2,
-		ReadmitThreshold: 2,
+		ShardMap:       urls,
+		HealthInterval: 100 * time.Millisecond,
 	})
 	if got := r.HealthyShards(); got != fixShards {
 		t.Fatalf("healthy shards at start = %d", got)

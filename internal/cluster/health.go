@@ -7,10 +7,16 @@ import (
 	"time"
 )
 
+// failThreshold consecutive failed /readyz probes eject a replica;
+// readmitThreshold consecutive successes re-admit it.
+const (
+	failThreshold    = 3
+	readmitThreshold = 2
+)
+
 // probeLoop is the per-replica health state machine. The replica
-// starts admitted (optimistic); FailThreshold consecutive failed
-// /readyz probes eject it, ReadmitThreshold consecutive successes
-// re-admit it. Ejection only changes failover ORDER — the data path
+// starts admitted (optimistic) and moves on the thresholds above.
+// Ejection only changes failover ORDER — the data path
 // still falls back to ejected replicas once the healthy ones are
 // exhausted — so a probe-lag window can degrade latency but never
 // availability.
@@ -27,7 +33,7 @@ func (r *Router) probeLoop(s *routerShard, rep *replica) {
 			if r.probeOnce(rep) {
 				fails = 0
 				succs++
-				if !rep.healthy.Load() && succs >= r.cfg.ReadmitThreshold {
+				if !rep.healthy.Load() && succs >= readmitThreshold {
 					rep.healthy.Store(true)
 					mReplicaReadmit.Inc()
 					mShardsHealthy.Set(float64(r.HealthyShards()))
@@ -35,7 +41,7 @@ func (r *Router) probeLoop(s *routerShard, rep *replica) {
 			} else {
 				succs = 0
 				fails++
-				if rep.healthy.Load() && fails >= r.cfg.FailThreshold {
+				if rep.healthy.Load() && fails >= failThreshold {
 					rep.healthy.Store(false)
 					mReplicaEjected.Inc()
 					mShardsHealthy.Set(float64(r.HealthyShards()))
@@ -46,10 +52,10 @@ func (r *Router) probeLoop(s *routerShard, rep *replica) {
 }
 
 // probeOnce is a single readiness probe: a 200 from /readyz within
-// HealthTimeout. A draining worker answers 503, so graceful
+// one HealthInterval. A draining worker answers 503, so graceful
 // shutdowns eject through the same path as crashes.
 func (r *Router) probeOnce(rep *replica) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.HealthInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil)
 	if err != nil {

@@ -35,17 +35,9 @@ type RouterConfig struct {
 	// the first has not answered after this long, capped at Timeout
 	// (default 0: disabled).
 	HedgeAfter time.Duration
-	// HealthInterval is the per-replica /readyz probe period
-	// (default 500ms; negative disables probing).
+	// HealthInterval is the per-replica /readyz probe period and
+	// bounds one probe (default 500ms; negative disables probing).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe (default HealthInterval).
-	HealthTimeout time.Duration
-	// FailThreshold ejects a replica after this many consecutive
-	// probe failures (default 3).
-	FailThreshold int
-	// ReadmitThreshold re-admits an ejected replica after this many
-	// consecutive probe successes (default 2).
-	ReadmitThreshold int
 	// Client overrides the HTTP client (default: pooled transport).
 	Client *http.Client
 	// Tracer receives per-shard RPC spans on TrackClusterBase+i;
@@ -59,18 +51,6 @@ func (c *RouterConfig) defaults() {
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 500 * time.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = c.HealthInterval
-		if c.HealthTimeout <= 0 {
-			c.HealthTimeout = 500 * time.Millisecond
-		}
-	}
-	if c.FailThreshold <= 0 {
-		c.FailThreshold = 3
-	}
-	if c.ReadmitThreshold <= 0 {
-		c.ReadmitThreshold = 2
 	}
 }
 

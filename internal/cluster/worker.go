@@ -77,8 +77,9 @@ func (w *Worker) Handler() http.Handler { return w.instrument(w.mux) }
 
 // instrument is the worker-side analogue of the server middleware:
 // health probes and scrapes pass through, shard RPCs get a request
-// ID echoed, an SLO observation, and a structured log record.
-func (w *Worker) instrument(next http.Handler) http.Handler {
+// ID echoed, an SLO observation keyed by the matched route, and a
+// structured log record.
+func (w *Worker) instrument(next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(rw, r)
@@ -93,7 +94,7 @@ func (w *Worker) instrument(next http.Handler) http.Handler {
 		sr := &telemetry.StatusRecorder{ResponseWriter: rw}
 		next.ServeHTTP(sr, r)
 		latency := time.Since(start)
-		w.slo.Observe(r.URL.Path, sr.Status(), latency)
+		w.slo.Observe(telemetry.Endpoint(next, r), sr.Status(), latency)
 		tc, _ := telemetry.ExtractTrace(r.Header)
 		w.reqLog.Load().Log(telemetry.RequestEvent{
 			RequestID:    reqID,

@@ -583,8 +583,7 @@ func TestEvictionMidDecode(t *testing.T) {
 func TestTTLEviction(t *testing.T) {
 	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
-	svc := NewService(Config{TTL: 20 * time.Millisecond, SweepEvery: 5 * time.Millisecond},
-		dec, func() Scorer { return &stubScorer{} })
+	svc := NewService(Config{TTL: 20 * time.Millisecond}, dec, func() Scorer { return &stubScorer{} })
 	defer svc.Shutdown()
 	sess, err := svc.Open(Greedy, 1, inst.Test[0])
 	if err != nil {
@@ -602,6 +601,25 @@ func TestTTLEviction(t *testing.T) {
 	}
 }
 
+// TestTinyTTL: a TTL under 4ns (TTL/4 = 0) must not panic the sweep
+// ticker, and idle sessions are still evicted.
+func TestTinyTTL(t *testing.T) {
+	testkit.NoLeaks(t)
+	inst, _, dec := testModel(t)
+	svc := NewService(Config{TTL: time.Nanosecond}, dec, func() Scorer { return &stubScorer{} })
+	defer svc.Shutdown()
+	if _, err := svc.Open(Greedy, 1, inst.Test[0]); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for svc.Active() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("session not evicted within 2s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSessionHammer is the -race stress: concurrent sessions decoding
 // while the sweeper evicts aggressively and contexts cancel
 // mid-stream. Every scorer must be closed exactly once and the
@@ -611,7 +629,7 @@ func TestSessionHammer(t *testing.T) {
 	inst, scr, dec := testModel(t)
 	var opened, closed atomic.Int64
 	svc := NewService(
-		Config{MaxSessions: 32, TTL: 10 * time.Millisecond, SweepEvery: 2 * time.Millisecond, TopM: 16},
+		Config{MaxSessions: 32, TTL: 10 * time.Millisecond, TopM: 16},
 		dec, func() Scorer {
 			opened.Add(1)
 			return &countingScorer{inner: NewLocalScorer(inst.Classifier, scr, LocalScorerConfig{}), onClose: func() { closed.Add(1) }}

@@ -15,10 +15,9 @@ type Config struct {
 	// MaxSessions is the admission limit; Open returns
 	// ErrSessionLimit (HTTP 429 upstream) beyond it. Default 256.
 	MaxSessions int
-	// TTL evicts sessions idle longer than this. Default 60s.
+	// TTL evicts sessions idle longer than this; the eviction scan
+	// runs every TTL/4, at least 1ms apart. Default 60s.
 	TTL time.Duration
-	// SweepEvery is the eviction scan period. Default TTL/4.
-	SweepEvery time.Duration
 	// TokenBudget is the per-token deadline driving the degradation
 	// ladder; 0 disables the ladder.
 	TokenBudget time.Duration
@@ -37,9 +36,6 @@ func (c *Config) defaults() {
 	}
 	if c.TTL <= 0 {
 		c.TTL = 60 * time.Second
-	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.TTL / 4
 	}
 	if c.TopM <= 0 {
 		c.TopM = 24
@@ -88,9 +84,6 @@ func NewService(cfg Config, dec *workload.Decoder, newScorer func() Scorer) *Ser
 	go s.sweep()
 	return s
 }
-
-// Config returns the resolved configuration.
-func (s *Service) Config() Config { return s.cfg }
 
 // MaxLen returns the decoder's maximum sequence length.
 func (s *Service) MaxLen() int { return s.dec.MaxLen() }
@@ -239,7 +232,7 @@ func (s *Service) Shutdown() {
 // flag + CAS, and a pump that holds the session finalizes it itself.
 func (s *Service) sweep() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.SweepEvery)
+	t := time.NewTicker(max(s.cfg.TTL/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {

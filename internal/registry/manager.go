@@ -35,17 +35,11 @@ type Options struct {
 	// with the serving model drops below this fraction (default 0.9).
 	// 0 keeps the default; negative disables the gate.
 	AgreementFloor float64
-	// ProbeBudget is the screening budget m used when classifying the
-	// probe set (default 4×ProbeTopK).
-	ProbeBudget int
 	// Probe overrides the held-out probe features; when nil the
 	// manager uses the active version's shipped probe set, or
-	// synthesizes ProbeCount deterministic Gaussian probes.
+	// synthesizes synthProbes deterministic Gaussian probes. The
+	// canary classifies them under screening budget 4×ProbeTopK.
 	Probe [][]float32
-	// ProbeCount sizes the synthesized fallback probe set (default 64).
-	ProbeCount int
-	// ProbeSeed seeds the synthesized probes (default 1).
-	ProbeSeed uint64
 	// Tracer receives registry.load / registry.canary / registry.swap
 	// spans on TrackRegistry; nil falls back to the global tracer.
 	Tracer *telemetry.Tracer
@@ -60,16 +54,14 @@ func (o *Options) defaults() {
 	if o.AgreementFloor == 0 {
 		o.AgreementFloor = 0.9
 	}
-	if o.ProbeBudget <= 0 {
-		o.ProbeBudget = 4 * o.ProbeTopK
-	}
-	if o.ProbeCount <= 0 {
-		o.ProbeCount = 64
-	}
-	if o.ProbeSeed == 0 {
-		o.ProbeSeed = 1
-	}
 }
+
+// synthProbes and synthSeed size and seed the synthesized fallback
+// probe set.
+const (
+	synthProbes = 64
+	synthSeed   = 1
+)
 
 // CanaryError reports a candidate rejected by the canary gate. The
 // previous version keeps serving (Reload returns it as active).
@@ -159,9 +151,9 @@ func (m *Manager) probeSet(loaded *Loaded) [][]float32 {
 	if len(loaded.Probe) > 0 {
 		return loaded.Probe
 	}
-	rng := xrand.New(m.opt.ProbeSeed)
+	rng := xrand.New(synthSeed)
 	d := loaded.Classifier.Hidden()
-	probe := make([][]float32, m.opt.ProbeCount)
+	probe := make([][]float32, synthProbes)
 	for i := range probe {
 		h := make([]float32, d)
 		for j := range h {
@@ -310,10 +302,7 @@ func (m *Manager) agreement(ctx context.Context, cand *Loaded) float64 {
 	if l := cand.Classifier.Categories(); k > l {
 		k = l
 	}
-	budget := m.opt.ProbeBudget
-	if budget < k {
-		budget = k
-	}
+	budget := 4 * m.opt.ProbeTopK
 	if len(m.probe) == 0 {
 		return 1
 	}

@@ -102,7 +102,7 @@ func newBatcher(cfg Config, backend Backend) *batcher {
 		cfg:           cfg,
 		backend:       backend,
 		pinnedBackend: cfg.PinnedBackend,
-		q:             tenant.NewWFQ[*request](cfg.QueueCap, cfg.ClassWeights),
+		q:             tenant.NewWFQ[*request](cfg.QueueCap, tenant.DefaultWeights),
 		flush:         make(chan []*request),
 	}
 	b.wg.Add(1 + cfg.FlushWorkers)

@@ -131,7 +131,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		if !ten.AcquireSession() {
 			ts.Throttled.Inc()
 			mStatus429.Inc()
-			s.retryAfterHeader(w)
+			retryAfterHeader(w)
 			writeErrorReason(w, http.StatusTooManyRequests, "session_quota",
 				fmt.Sprintf("tenant %s at its session cap (%d)", ten.Name, ten.MaxSessions()))
 			return
@@ -145,7 +145,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 			ten.ReleaseSession()
 			ts.Throttled.Inc()
 			mStatus429.Inc()
-			s.retryAfterHeader(w)
+			retryAfterHeader(w)
 			writeErrorReason(w, http.StatusTooManyRequests, "session_limit", err.Error())
 			return
 		default:

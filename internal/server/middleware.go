@@ -45,14 +45,17 @@ func metaFrom(ctx context.Context) *reqMeta {
 
 // instrument wraps the mux with the per-request observability
 // pipeline. Non-/v1/ paths (health probes, /metrics itself) pass
-// through untouched so scrapes and probes never pollute the SLO.
-func (s *Server) instrument(next http.Handler) http.Handler {
+// through untouched so scrapes and probes never pollute the SLO. The
+// SLO windows and the trace span are keyed by the route the mux
+// matched, so unknown paths share one label.
+func (s *Server) instrument(next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
 			next.ServeHTTP(w, r)
 			return
 		}
 		start := time.Now()
+		endpoint := telemetry.Endpoint(next, r)
 
 		// Request identity: honor a caller-supplied ID (so a proxy's ID
 		// survives), else mint one; echo it on every response including
@@ -85,32 +88,24 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 
 		status := sw.Status()
 		latency := time.Since(start)
-		s.slo.Observe(r.URL.Path, status, latency)
+		s.slo.Observe(endpoint, status, latency)
 		// The tenant's own SLO window rolls alongside the global one.
-		s.tstats.For(meta.tenant).Observe(r.URL.Path, status, latency)
-		tenantName := meta.tenant.Name
-		if meta.tenant.Anonymous() {
-			// Back-compat: an explicit X-Enmc-Tenant label still tags
-			// logs for callers without an API key.
-			if h := r.Header.Get("X-Enmc-Tenant"); h != "" {
-				tenantName = h
-			}
-		}
+		s.tstats.For(meta.tenant).Observe(endpoint, status, latency)
 		if tr.Enabled() {
 			tr.Add(telemetry.Span{
-				Name:   "HTTP " + r.URL.Path,
+				Name:   "HTTP " + endpoint,
 				Cat:    "http",
 				TID:    telemetry.TrackHTTP,
 				Start:  spanStart,
 				Dur:    tr.Now() - spanStart,
 				Trace:  tc.TraceID,
-				Tenant: tenantName,
+				Tenant: meta.tenant.Name,
 			})
 		}
 		s.reqLog.Log(telemetry.RequestEvent{
 			RequestID:     reqID,
 			TraceID:       tc.TraceID,
-			Tenant:        tenantName,
+			Tenant:        meta.tenant.Name,
 			Method:        r.Method,
 			Path:          r.URL.Path,
 			Status:        status,

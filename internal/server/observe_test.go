@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync"
@@ -175,6 +176,49 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 	if ep.P99Ms <= 0 {
 		t.Errorf("p99 = %g, want > 0", ep.P99Ms)
+	}
+}
+
+// TestUnknownPathsBounded: distinct unknown /v1/* paths share one SLO
+// label, so neither the global nor the tenant's window, nor the gauges
+// a /metrics scrape publishes, grow with outside input.
+func TestUnknownPathsBounded(t *testing.T) {
+	testkit.NoLeaks(t)
+	s, ts := newObsServer(t, Config{})
+	get := func(path string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if path != "/metrics" && resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+	const n = 200
+	get("/v1/nope-0")
+	get("/metrics")
+	gauges := len(telemetry.Default().Snapshot().Gauges)
+	for i := 1; i < n; i++ {
+		get(fmt.Sprintf("/v1/nope-%d", i))
+	}
+	get("/metrics")
+	if got := len(telemetry.Default().Snapshot().Gauges); got != gauges {
+		t.Errorf("%d unknown paths took the registry from %d to %d gauges", n, gauges, got)
+	}
+	eps := s.slo.Summary().Endpoints
+	if len(eps) != 1 || eps[0].Endpoint != telemetry.Unmatched || eps[0].Requests != n {
+		t.Errorf("global SLO endpoints = %+v, want one %q with %d requests", eps, telemetry.Unmatched, n)
+	}
+	tenants := s.tstats.Summaries(nil)
+	if len(tenants) == 0 {
+		t.Fatal("no tenant SLO window")
+	}
+	for _, sum := range tenants {
+		if len(sum.SLO.Endpoints) != 1 {
+			t.Errorf("tenant %q tracks %d endpoints, want 1", sum.Tenant, len(sum.SLO.Endpoints))
+		}
 	}
 }
 

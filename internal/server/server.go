@@ -37,7 +37,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -85,10 +84,6 @@ type Config struct {
 	// Watermark is the queue-depth fraction of QueueCap past which
 	// degradation engages (default 0.5).
 	Watermark float64
-	// MaxTopK caps the per-request top_k (default 64).
-	MaxTopK int
-	// RetryAfter is the hint sent with 429/503 (default 1s).
-	RetryAfter time.Duration
 	// RequestLog emits one structured record per /v1/* request (nil:
 	// request logging off — the nil receiver records nothing).
 	RequestLog *telemetry.RequestLog
@@ -99,10 +94,6 @@ type Config struct {
 	// single-tenant resolver — every request is the anonymous
 	// standard-class tenant with no quota).
 	Tenants *tenant.Resolver
-	// ClassWeights overrides the DRR quantum per priority class,
-	// indexed like tenant.Classes (zero entries take
-	// tenant.DefaultWeights: 8/4/1).
-	ClassWeights [tenant.NumClasses]int
 	// ShedFrac is the fraction of a higher class's queue capacity past
 	// which lower classes are shed at admission (default 0.75).
 	ShedFrac float64
@@ -111,6 +102,13 @@ type Config struct {
 	// rejects pinned tenants' requests with an explanatory error.
 	PinnedBackend func(version string) (Backend, error)
 }
+
+// maxTopK caps the per-request top_k; retryAfterSecs is the
+// Retry-After hint, in whole seconds, on every 429/503.
+const (
+	maxTopK        = 64
+	retryAfterSecs = "1"
+)
 
 func (c *Config) defaults(categories int) {
 	if c.MaxBatch <= 0 {
@@ -136,12 +134,6 @@ func (c *Config) defaults(categories int) {
 	}
 	if c.Watermark <= 0 || c.Watermark >= 1 {
 		c.Watermark = 0.5
-	}
-	if c.MaxTopK <= 0 {
-		c.MaxTopK = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.ShedFrac <= 0 || c.ShedFrac >= 1 {
 		c.ShedFrac = 0.75
@@ -236,9 +228,6 @@ func (s *Server) SetReloader(f ReloadFunc) {
 // the observability middleware (request IDs, trace spans, SLO
 // observation, request logging — see middleware.go).
 func (s *Server) Handler() http.Handler { return s.handler }
-
-// SLOTracker returns the server's rolling-window SLO tracker.
-func (s *Server) SLOTracker() *telemetry.SLO { return s.slo }
 
 // Draining reports whether Drain has begun.
 func (s *Server) Draining() bool {
@@ -587,8 +576,8 @@ func (s *Server) clampTopK(k int) int {
 	if k <= 0 {
 		k = 1
 	}
-	if k > s.cfg.MaxTopK {
-		k = s.cfg.MaxTopK
+	if k > maxTopK {
+		k = maxTopK
 	}
 	if l := s.backend.Categories(); k > l {
 		k = l
@@ -596,14 +585,9 @@ func (s *Server) clampTopK(k int) int {
 	return k
 }
 
-// retryAfterHeader sets the configured Retry-After hint (whole
-// seconds, min 1) — every 429/503 carries one.
-func (s *Server) retryAfterHeader(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+// retryAfterHeader sets the Retry-After hint every 429/503 carries.
+func retryAfterHeader(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", retryAfterSecs)
 }
 
 // writeUnavailable maps admission and flush errors, all with a
@@ -611,7 +595,7 @@ func (s *Server) retryAfterHeader(w http.ResponseWriter) {
 // load shed → 429, draining → 503, and any other error — the backend's
 // or a pinned version's — → 503 "backend".
 func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
-	s.retryAfterHeader(w)
+	retryAfterHeader(w)
 	code, reason := http.StatusServiceUnavailable, "backend"
 	switch err {
 	case ErrOverloaded:

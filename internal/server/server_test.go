@@ -289,8 +289,8 @@ func TestSaturation429(t *testing.T) {
 			ok++
 		case http.StatusTooManyRequests:
 			too++
-			if retryAfter[i] == "" {
-				t.Fatalf("429 without Retry-After")
+			if retryAfter[i] != "1" {
+				t.Fatalf("429 Retry-After %q, want 1", retryAfter[i])
 			}
 		default:
 			t.Fatalf("request %d: status %d", i, c)
@@ -372,8 +372,8 @@ func TestReadinessDuringDrain(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("during drain: status = %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("503 Retry-After %q, want 1", ra)
 	}
 
 	select {
@@ -500,7 +500,7 @@ func TestShedPolicy(t *testing.T) {
 	cfg := Config{QueueCap: 100, ShedFrac: 0.75}
 	cfg.defaults(64)
 	// A bare batcher (no collector) so pushed depths stay put.
-	b := &batcher{cfg: cfg, q: tenant.NewWFQ[*request](cfg.QueueCap, cfg.ClassWeights)}
+	b := &batcher{cfg: cfg, q: tenant.NewWFQ[*request](cfg.QueueCap, tenant.DefaultWeights)}
 
 	if b.shouldShed(tenant.Batch) || b.shouldShed(tenant.Interactive) {
 		t.Fatal("shed with empty queues")
@@ -714,6 +714,55 @@ func TestEndToEndLocalBackend(t *testing.T) {
 		if r.Class != direct {
 			t.Fatalf("batch item %d: served %d != direct %d", i, r.Class, direct)
 		}
+	}
+}
+
+// echoTopK answers every item with as many candidates as it was
+// asked for, so a response shows the top_k the server passed down.
+type echoTopK struct{ categories int }
+
+func (e echoTopK) Hidden() int     { return 8 }
+func (e echoTopK) Categories() int { return e.categories }
+func (e echoTopK) ClassifyBatch(_ context.Context, batch [][]float32, _, topK int) ([]Outcome, error) {
+	out := make([]Outcome, len(batch))
+	for i := range out {
+		out[i].TopK = make([]Candidate, topK)
+	}
+	return out, nil
+}
+
+// TestTopKClamp: a top_k past the cap answers maxTopK (64) candidates
+// on both classify endpoints, and l candidates when l < 64.
+func TestTopKClamp(t *testing.T) {
+	testkit.NoLeaks(t)
+	for _, tc := range []struct{ categories, want int }{{1000, 64}, {32, 32}} {
+		s, err := New(echoTopK{tc.categories}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		var one ClassifyResponse
+		if code := post(ts, "/v1/classify", "", ClassifyRequest{H: make([]float32, 8), TopK: 1000}, &one); code != http.StatusOK {
+			t.Fatalf("l=%d classify: status %d", tc.categories, code)
+		}
+		if len(one.TopK) != tc.want {
+			t.Fatalf("l=%d classify: %d candidates, want %d", tc.categories, len(one.TopK), tc.want)
+		}
+		var batch ClassifyBatchResponse
+		req := ClassifyBatchRequest{Batch: [][]float32{make([]float32, 8), make([]float32, 8), make([]float32, 8)}, TopK: 1000}
+		if code := post(ts, "/v1/classify_batch", "", req, &batch); code != http.StatusOK {
+			t.Fatalf("l=%d classify_batch: status %d", tc.categories, code)
+		}
+		if len(batch.Results) != 3 {
+			t.Fatalf("l=%d classify_batch: %d results", tc.categories, len(batch.Results))
+		}
+		for i, r := range batch.Results {
+			if len(r.TopK) != tc.want {
+				t.Fatalf("l=%d classify_batch item %d: %d candidates, want %d", tc.categories, i, len(r.TopK), tc.want)
+			}
+		}
+		ts.Close()
+		s.Drain()
 	}
 }
 

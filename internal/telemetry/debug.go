@@ -1,39 +1,12 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the default registry's snapshot as the expvar
-// variable "enmc" (visible at /debug/vars). Idempotent.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("enmc", expvar.Func(func() interface{} {
-			return Default().Snapshot()
-		}))
-	})
-}
-
-// MetricsJSONHandler serves the default registry snapshot as indented
-// JSON — the pre-Prometheus dump format, kept for scripts.
-func MetricsJSONHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(Default().Snapshot()); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
-}
 
 // SpansHandler serves the global tracer's recorded spans as Chrome
 // trace-event JSON (load in Perfetto / chrome://tracing). With
@@ -60,18 +33,16 @@ func SpansHandler() http.Handler {
 // ServeDebug starts an HTTP server on addr exposing:
 //
 //	/debug/pprof/*  — net/http/pprof profiles
-//	/debug/vars     — expvar, including the "enmc" registry snapshot
+//	/debug/vars     — the standard library's expvar (memstats, cmdline)
 //	/debug/spans    — global tracer as Chrome trace JSON (?drain=1)
 //	/metrics        — the default registry in Prometheus text format,
 //	                  after running this call's collect hooks
-//	/metrics.json   — the same snapshot as plain JSON
 //
 // Each call serves its own mux, so two debug servers in one process
 // each run their own collectors. It returns the bound address (useful
 // with ":0") once the listener is live, and a stop function that closes
 // the listener and its connections and waits for the server goroutine.
 func ServeDebug(addr string, collect ...func()) (bound string, stop func(), err error) {
-	PublishExpvar()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -81,7 +52,6 @@ func ServeDebug(addr string, collect ...func()) (bound string, stop func(), err 
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/debug/spans", SpansHandler())
 	mux.Handle("/metrics", PrometheusHandler(Default(), collect...))
-	mux.Handle("/metrics.json", MetricsJSONHandler())
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

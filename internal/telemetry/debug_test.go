@@ -45,7 +45,7 @@ func TestServeDebugPerCallCollectors(t *testing.T) {
 	if a, b := hitsA.Load(), hitsB.Load(); a != 1 || b != 1 {
 		t.Fatalf("scraping A ran collectors A=%d B=%d, want 1 and 1", a, b)
 	}
-	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1", "/debug/vars", "/metrics.json"} {
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/goroutine?debug=1", "/debug/vars"} {
 		get(addrB, path)
 	}
 

@@ -22,9 +22,7 @@ import (
 type RequestEvent struct {
 	RequestID string
 	TraceID   string
-	// Tenant is the caller identity (X-Enmc-Tenant) — recorded now so
-	// logs are already per-tenant attributable when multi-tenant QoS
-	// (ROADMAP item 3) lands.
+	// Tenant is the caller's tenant, resolved from its API key.
 	Tenant  string
 	Method  string
 	Path    string
@@ -53,8 +51,6 @@ type RequestLogOptions struct {
 	// Slow is the latency threshold past which a request logs at
 	// Warn with slow=true (0 disables slow marking).
 	Slow time.Duration
-	// Level is the minimum level emitted (default Info).
-	Level slog.Level
 }
 
 // RequestLog emits one structured record per request.
@@ -65,12 +61,11 @@ type RequestLog struct {
 
 // NewRequestLog builds a request logger writing to w.
 func NewRequestLog(w io.Writer, opts RequestLogOptions) *RequestLog {
-	ho := &slog.HandlerOptions{Level: opts.Level}
 	var h slog.Handler
 	if opts.JSON {
-		h = slog.NewJSONHandler(w, ho)
+		h = slog.NewJSONHandler(w, nil)
 	} else {
-		h = slog.NewTextHandler(w, ho)
+		h = slog.NewTextHandler(w, nil)
 	}
 	return &RequestLog{l: slog.New(h), slow: opts.Slow}
 }
@@ -97,9 +92,6 @@ func (l *RequestLog) Log(e RequestEvent) {
 		level = slog.LevelError
 	case slow || e.Status >= 400:
 		level = slog.LevelWarn
-	}
-	if !l.l.Enabled(context.Background(), level) {
-		return
 	}
 	attrs := make([]slog.Attr, 0, 16)
 	attrs = append(attrs,

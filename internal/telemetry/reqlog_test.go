@@ -94,16 +94,3 @@ func TestRequestLogTextModeAndNil(t *testing.T) {
 		t.Error("nil RequestLog reports a slow threshold")
 	}
 }
-
-func TestRequestLogLevelFilter(t *testing.T) {
-	var buf bytes.Buffer
-	rl := NewRequestLog(&buf, RequestLogOptions{JSON: true, Level: 4 /* warn */})
-	rl.Log(RequestEvent{Status: 200})
-	if buf.Len() != 0 {
-		t.Fatalf("info record emitted past warn floor: %s", buf.String())
-	}
-	rl.Log(RequestEvent{Status: 503})
-	if buf.Len() == 0 {
-		t.Fatal("error record suppressed by warn floor")
-	}
-}

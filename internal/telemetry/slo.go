@@ -26,13 +26,10 @@ import (
 
 // SLOConfig tunes a tracker. Zero values take the defaults.
 type SLOConfig struct {
-	// Window is the full rolling window (default 5m).
+	// Window is the full rolling window (default 5m): a ring of
+	// Window/30 buckets of at least 1s, whose last Window/10 (at least
+	// one bucket) is the short "fast" burn-rate window.
 	Window time.Duration
-	// BucketDur is the ring granularity (default Window/30).
-	BucketDur time.Duration
-	// FastWindow is the short burn-rate window (default Window/10,
-	// min one bucket).
-	FastWindow time.Duration
 	// Availability is the success-rate objective (default 0.999):
 	// non-5xx responses / all responses.
 	Availability float64
@@ -46,18 +43,6 @@ type SLOConfig struct {
 func (c *SLOConfig) defaults() {
 	if c.Window <= 0 {
 		c.Window = 5 * time.Minute
-	}
-	if c.BucketDur <= 0 {
-		c.BucketDur = c.Window / 30
-	}
-	if c.BucketDur < time.Second {
-		c.BucketDur = time.Second
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = c.Window / 10
-	}
-	if c.FastWindow < c.BucketDur {
-		c.FastWindow = c.BucketDur
 	}
 	if c.Availability <= 0 || c.Availability >= 1 {
 		c.Availability = 0.999
@@ -89,7 +74,9 @@ type sloEndpoint struct {
 // arithmetic, which is noise at HTTP-request granularity.
 type SLO struct {
 	cfg    SLOConfig
-	bounds []float64 // latency histogram bounds shared by all buckets
+	bucket time.Duration // ring granularity
+	fast   time.Duration // short burn-rate window
+	bounds []float64     // latency histogram bounds shared by all buckets
 
 	mu        sync.Mutex
 	endpoints map[string]*sloEndpoint
@@ -101,19 +88,19 @@ type SLO struct {
 // NewSLO builds a tracker.
 func NewSLO(cfg SLOConfig) *SLO {
 	cfg.defaults()
+	bucket := max(cfg.Window/30, time.Second)
 	return &SLO{
 		cfg:       cfg,
+		bucket:    bucket,
+		fast:      max(cfg.Window/10, bucket),
 		bounds:    LatencyBuckets(),
 		endpoints: map[string]*sloEndpoint{},
 		now:       time.Now,
 	}
 }
 
-// Config returns the tracker's resolved configuration.
-func (s *SLO) Config() SLOConfig { return s.cfg }
-
 func (s *SLO) nBuckets() int {
-	n := int(s.cfg.Window / s.cfg.BucketDur)
+	n := int(s.cfg.Window / s.bucket)
 	if n < 1 {
 		n = 1
 	}
@@ -125,7 +112,7 @@ func (s *SLO) Observe(endpoint string, status int, latency time.Duration) {
 	if s == nil {
 		return
 	}
-	epoch := s.now().UnixNano() / int64(s.cfg.BucketDur)
+	epoch := s.now().UnixNano() / int64(s.bucket)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ep := s.endpoints[endpoint]
@@ -187,7 +174,7 @@ type EndpointSLO struct {
 	// ErrorBurnRate is ErrorRate / (1 - Availability): 1.0 spends
 	// the availability budget exactly at the sustainable pace.
 	ErrorBurnRate float64 `json:"error_burn_rate"`
-	// FastBurnRate is the same ratio over the short FastWindow
+	// FastBurnRate is the same ratio over the short fast window
 	// suffix — the "is it still burning right now" signal.
 	FastBurnRate float64 `json:"fast_burn_rate"`
 	// SlowRate is the fraction of successes over LatencyObjective;
@@ -216,14 +203,14 @@ func (s *SLO) Summary() SLOSummary {
 		return out
 	}
 	out.WindowSeconds = s.cfg.Window.Seconds()
-	out.FastWindowSeconds = s.cfg.FastWindow.Seconds()
+	out.FastWindowSeconds = s.fast.Seconds()
 	out.Availability = s.cfg.Availability
 	out.LatencyObjectiveMs = float64(s.cfg.LatencyObjective) / 1e6
 	out.LatencyTarget = s.cfg.LatencyTarget
 
-	nowEpoch := s.now().UnixNano() / int64(s.cfg.BucketDur)
+	nowEpoch := s.now().UnixNano() / int64(s.bucket)
 	oldest := nowEpoch - int64(s.nBuckets()) + 1
-	fastOldest := nowEpoch - int64(s.cfg.FastWindow/s.cfg.BucketDur) + 1
+	fastOldest := nowEpoch - int64(s.fast/s.bucket) + 1
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,7 +297,7 @@ func (s *SLO) Publish(reg *Registry) {
 	}
 	sum := s.Summary()
 	slowWin := s.cfg.Window.String()
-	fastWin := s.cfg.FastWindow.String()
+	fastWin := s.fast.String()
 	for _, e := range sum.Endpoints {
 		l := map[string]string{"endpoint": e.Endpoint}
 		lw := map[string]string{"endpoint": e.Endpoint, "window": slowWin}

@@ -25,7 +25,7 @@ func findEndpoint(t *testing.T, sum SLOSummary, name string) EndpointSLO {
 }
 
 func TestSLOErrorBurnRate(t *testing.T) {
-	s, _ := testSLO(SLOConfig{Window: time.Minute, BucketDur: time.Second, Availability: 0.99})
+	s, _ := testSLO(SLOConfig{Window: time.Minute, Availability: 0.99})
 	for i := 0; i < 99; i++ {
 		s.Observe("/v1/classify", 200, time.Millisecond)
 	}
@@ -45,7 +45,7 @@ func TestSLOErrorBurnRate(t *testing.T) {
 }
 
 func TestSLOWindowAgesOut(t *testing.T) {
-	s, now := testSLO(SLOConfig{Window: 30 * time.Second, BucketDur: time.Second})
+	s, now := testSLO(SLOConfig{Window: 30 * time.Second})
 	s.Observe("/v1/classify", 500, time.Millisecond)
 	if e := findEndpoint(t, s.Summary(), "/v1/classify"); e.Errors != 1 {
 		t.Fatalf("fresh error not counted: %+v", e)
@@ -63,8 +63,7 @@ func TestSLOWindowAgesOut(t *testing.T) {
 }
 
 func TestSLOFastWindow(t *testing.T) {
-	s, now := testSLO(SLOConfig{Window: 100 * time.Second, BucketDur: time.Second,
-		FastWindow: 10 * time.Second, Availability: 0.9})
+	s, now := testSLO(SLOConfig{Window: 100 * time.Second, Availability: 0.9})
 	// Old errors: inside the full window, outside the fast window.
 	s.Observe("/v1/x", 500, 0)
 	s.Observe("/v1/x", 500, 0)
@@ -83,8 +82,7 @@ func TestSLOFastWindow(t *testing.T) {
 }
 
 func TestSLOLatencyQuantilesAndSlowRate(t *testing.T) {
-	s, _ := testSLO(SLOConfig{Window: time.Minute, BucketDur: time.Second,
-		LatencyObjective: 100 * time.Millisecond, LatencyTarget: 0.9})
+	s, _ := testSLO(SLOConfig{Window: time.Minute, LatencyObjective: 100 * time.Millisecond, LatencyTarget: 0.9})
 	// 90 fast successes, 10 slow ones, plus errors whose (fast) latency
 	// must not pollute the quantiles.
 	for i := 0; i < 90; i++ {
@@ -113,7 +111,7 @@ func TestSLOLatencyQuantilesAndSlowRate(t *testing.T) {
 }
 
 func TestSLOPublishGauges(t *testing.T) {
-	s, _ := testSLO(SLOConfig{Window: time.Minute, BucketDur: time.Second, Availability: 0.99})
+	s, _ := testSLO(SLOConfig{Window: time.Minute, Availability: 0.99})
 	s.Observe("/v1/classify", 200, time.Millisecond)
 	s.Observe("/v1/classify", 500, time.Millisecond)
 	reg := NewRegistry()
@@ -138,10 +136,14 @@ func TestSLOPublishGauges(t *testing.T) {
 
 func TestSLOConfigDefaults(t *testing.T) {
 	s := NewSLO(SLOConfig{})
-	cfg := s.Config()
-	if cfg.Window != 5*time.Minute || cfg.BucketDur != 10*time.Second ||
-		cfg.FastWindow != 30*time.Second || cfg.Availability != 0.999 ||
+	cfg := s.cfg
+	if cfg.Window != 5*time.Minute || s.bucket != 10*time.Second ||
+		s.fast != 30*time.Second || cfg.Availability != 0.999 ||
 		cfg.LatencyObjective != 250*time.Millisecond || cfg.LatencyTarget != 0.99 {
-		t.Fatalf("defaults resolved to %+v", cfg)
+		t.Fatalf("defaults resolved to %+v, bucket %v, fast %v", cfg, s.bucket, s.fast)
+	}
+	// A short window keeps 1s buckets and a one-bucket fast window.
+	if s := NewSLO(SLOConfig{Window: 5 * time.Second}); s.bucket != time.Second || s.fast != time.Second {
+		t.Fatalf("5s window: bucket %v, fast %v, want 1s and 1s", s.bucket, s.fast)
 	}
 }

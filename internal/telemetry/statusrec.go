@@ -42,3 +42,17 @@ func (r *StatusRecorder) Flush() {
 		f.Flush()
 	}
 }
+
+// Unmatched is the one SLO endpoint label every request without a
+// route shares.
+const Unmatched = "unmatched"
+
+// Endpoint is the SLO label for r: the pattern mux routes it to, or
+// Unmatched, so the labels a server tracks are its routes and never
+// grow with outside input.
+func Endpoint(mux *http.ServeMux, r *http.Request) string {
+	if _, pattern := mux.Handler(r); pattern != "" {
+		return pattern
+	}
+	return Unmatched
+}

@@ -28,10 +28,6 @@ type Tenant struct {
 	// quota flip never loses track of in-flight sessions.
 	sessions    *atomic.Int64
 	maxSessions int
-
-	// anonymous marks the built-in fallback identity (no Default
-	// entry configured).
-	anonymous bool
 }
 
 // Allow charges cost tokens against the tenant's rate quota. For
@@ -78,9 +74,6 @@ func (t *Tenant) Sessions() int64 { return t.sessions.Load() }
 
 // MaxSessions returns the tenant's decode-session cap (0 = uncapped).
 func (t *Tenant) MaxSessions() int { return t.maxSessions }
-
-// Anonymous reports whether this is the built-in fallback identity.
-func (t *Tenant) Anonymous() bool { return t.anonymous }
 
 // table is one immutable resolved config generation.
 type table struct {
@@ -185,14 +178,13 @@ func buildTable(f File, prev *table) (*table, error) {
 			carried[prev.def.Name] = prev.def.sessions
 		}
 	}
-	build := func(s Spec, anonymous bool) *Tenant {
+	build := func(s Spec) *Tenant {
 		class, _ := ParseClass(s.Class)
 		t := &Tenant{
 			Name:        s.Name,
 			Class:       class,
 			Pinned:      s.ModelVersion,
 			maxSessions: s.MaxSessions,
-			anonymous:   anonymous,
 		}
 		if s.Rate > 0 {
 			t.bucket = NewBucket(s.Rate, s.Burst)
@@ -206,7 +198,7 @@ func buildTable(f File, prev *table) (*table, error) {
 	}
 	tab := &table{byKey: make(map[string]*Tenant, len(f.Tenants))}
 	for _, s := range f.Tenants {
-		t := build(s, false)
+		t := build(s)
 		tab.byKey[s.Key] = t
 		tab.all = append(tab.all, t)
 	}
@@ -216,9 +208,9 @@ func buildTable(f File, prev *table) (*table, error) {
 		if d.Name == "" {
 			d.Name = "default"
 		}
-		tab.def = build(d, false)
+		tab.def = build(d)
 	} else {
-		tab.def = build(Spec{Name: "anonymous"}, true)
+		tab.def = build(Spec{Name: "anonymous"})
 	}
 	return tab, nil
 }

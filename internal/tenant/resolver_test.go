@@ -46,7 +46,7 @@ func TestResolveAnonymousFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	anon := r.Resolve("")
-	if !anon.Anonymous() || anon.Class != Standard {
+	if anon.Name != "anonymous" || anon.Class != Standard {
 		t.Fatalf("fallback = %+v", anon)
 	}
 	if ok, _ := anon.Allow(1); !ok {

@@ -92,12 +92,11 @@ func EnableDRAMMetrics() { dram.EnableMetrics(telemetry.Default()) }
 func DisableDRAMMetrics() { dram.DisableMetrics() }
 
 // ServeDebug starts an HTTP observability endpoint on addr
-// (host:port, ":0" picks a free port) exposing net/http/pprof
-// profiles under /debug/pprof/, expvar under /debug/vars (including
-// the registry snapshot as the "enmc" var), and the registry in
-// Prometheus text at /metrics (plain JSON at /metrics.json). It
-// returns the bound address; the
-// server runs until the process exits.
+// (host:port, ":0" picks a free port) exposing the registry in
+// Prometheus text at /metrics, net/http/pprof profiles under
+// /debug/pprof/, the standard library's expvar under /debug/vars and
+// the global tracer's spans at /debug/spans. It returns the bound
+// address; the server runs until the process exits.
 func ServeDebug(addr string) (string, error) {
 	bound, _, err := telemetry.ServeDebug(addr)
 	return bound, err
