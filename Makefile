@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race fuzz bench bench-smoke bench-selftest vet fmt testkit-check check ci cover clean report report-check
+.PHONY: all build test test-purego race fuzz bench bench-smoke bench-selftest vet vet-cross fmt testkit-check check ci cover clean report report-check
 
 all: build
 
@@ -52,6 +52,13 @@ bench:
 vet:
 	$(GO) vet ./...
 
+# go vet for two other platforms, so the files that build only on
+# Linux (internal/tensor's huge-page advice) keep a portable twin that
+# compiles.
+vet-cross:
+	GOOS=darwin GOARCH=arm64 $(GO) vet ./...
+	GOOS=windows GOARCH=amd64 $(GO) vet ./...
+
 fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
@@ -74,7 +81,7 @@ check: vet fmt race
 # What CI runs on every push/PR — the same gate as `make check` plus
 # an explicit build, plain and purego test passes and the stale-report
 # gate, kept here so the CI workflow can't drift from the Makefile.
-ci: vet fmt testkit-check build test test-purego race bench-selftest report-check
+ci: vet vet-cross fmt testkit-check build test test-purego race bench-selftest report-check
 	@echo "ci OK"
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a nested

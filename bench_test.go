@@ -645,10 +645,14 @@ func BenchmarkStreamRead(b *testing.B) {
 // rows, more than this host's 260 MB L3 — so the rows come from DRAM,
 // where a probe that re-gathers one fixed set (bench/'s core.exact_us,
 // tensor.gather_us) reads them from L3. GB/s is stated against
-// BenchmarkStreamRead at 256 MB.
+// BenchmarkStreamRead at 256 MB. huge-frac is the share of W the kernel
+// put on transparent huge pages (tensor.AdviseHugePages; 0 where THP is
+// "never" or off Linux), which sets how many candidate rows pay a page
+// walk: compare GB/s only between runs with the same huge-frac.
 func BenchmarkGatherRows(b *testing.B) {
 	s := perfShapes[1]
 	w := perfClassifier(b, s).W
+	hugeFrac := float64(tensor.HugePageBytes(w.Data)) / float64(4*len(w.Data))
 	h := perfHidden(s)
 	r := xrand.New(77)
 	sets := make([][]int, 16)
@@ -680,6 +684,7 @@ func BenchmarkGatherRows(b *testing.B) {
 			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
 			b.ReportMetric(ns/float64(procs), "ns/item")
 			b.ReportMetric(float64(procs*s.m*s.d*4)/ns, "GB/s")
+			b.ReportMetric(hugeFrac, "huge-frac")
 		})
 	}
 }

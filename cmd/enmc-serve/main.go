@@ -74,6 +74,7 @@ import (
 	"enmc/internal/server"
 	"enmc/internal/telemetry"
 	"enmc/internal/tenant"
+	"enmc/internal/tensor"
 	"enmc/internal/workload"
 )
 
@@ -209,6 +210,9 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 		var err error
 		if localCls, localScr, err = buildModel(logger, *clsPath, *scrPath, *featPath, *demoClasses, *demoDim, *demoSeed, *epochs, *bits); err != nil {
 			return err
+		}
+		if s := tensor.HugePageSummary(localCls.W.Data); s != "" {
+			logger.Printf("classifier weights: %s", s)
 		}
 		if backend, err = server.NewLocal(localCls, localScr); err != nil {
 			return err

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -82,6 +83,15 @@ type served struct {
 	stderr     *syncBuffer
 	done       chan error
 	stopOnce   sync.Once
+}
+
+// checkWeightsLine: a server holding a classifier logs how much of it
+// sits on huge pages once it has loaded it, on Linux and nowhere else.
+func checkWeightsLine(t *testing.T, log string) {
+	t.Helper()
+	if got := strings.Contains(log, "MB on huge pages (THP "); got != (runtime.GOOS == "linux") {
+		t.Errorf("huge-page line logged: %v on %s:\n%s", got, runtime.GOOS, log)
+	}
 }
 
 // startServe runs the server on a loopback port with args and waits
@@ -437,6 +447,7 @@ func TestDecodeScenario(t *testing.T) {
 	h0 := randVec(rand.New(rand.NewSource(1)), demoDim)
 
 	s := startServe(t, c, append([]string{"-decode", "-decode-maxlen", "24"}, demoFlags...)...)
+	checkWeightsLine(t, s.stderr.String())
 	body, err := json.Marshal(server.DecodeRequest{H0: h0, MaxTokens: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -717,6 +728,7 @@ func TestSwapScenario(t *testing.T) {
 
 	c := newClient(t)
 	s := startServe(t, c, "-model-root", store.Root(), "-model-version", "v1", "-canary-floor", "0.5")
+	checkWeightsLine(t, s.stderr.String())
 	var base server.ModelStatusResponse
 	getJSON(t, c, s.api+"/v1/model", &base)
 

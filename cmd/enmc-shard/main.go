@@ -52,6 +52,7 @@ import (
 	"enmc/internal/quant"
 	"enmc/internal/registry"
 	"enmc/internal/telemetry"
+	"enmc/internal/tensor"
 	"enmc/internal/workload"
 )
 
@@ -107,6 +108,9 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 		*demoClasses, *demoDim, *demoSeed)
 	if err != nil {
 		return err
+	}
+	if s := tensor.HugePageSummary(cls.W.Data); s != "" {
+		logger.Printf("classifier weights: %s", s)
 	}
 	if *label != "" {
 		version = *label

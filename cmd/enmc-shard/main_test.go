@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -138,6 +139,9 @@ func TestShardScenario(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), `"req_id"`) {
 		t.Fatalf("no JSON request log with req_id:\n%s", stderr)
+	}
+	if got := strings.Contains(stderr.String(), "MB on huge pages (THP "); got != (runtime.GOOS == "linux") {
+		t.Fatalf("huge-page line logged: %v on %s:\n%s", got, runtime.GOOS, stderr)
 	}
 
 	sig <- syscall.SIGTERM

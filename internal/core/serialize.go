@@ -113,15 +113,15 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reading quantized weights: %w", err)
 	}
-	scales, err := readFloats(br, int(l))
+	scales, err := readFloats(br, int(l), nil)
 	if err != nil {
 		return nil, err
 	}
-	bias, err := readFloats(br, int(l))
+	bias, err := readFloats(br, int(l), nil)
 	if err != nil {
 		return nil, err
 	}
-	master, err := readFloats(br, int(l)*int(k))
+	master, err := readFloats(br, int(l)*int(k), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +154,10 @@ func (c *Classifier) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, bw.Flush()
 }
 
-// ReadClassifier deserializes a classifier written by WriteTo.
+// ReadClassifier deserializes a classifier written by WriteTo. Its
+// weight block is advised onto transparent huge pages as soon as it is
+// allocated at full size (tensor.AdviseHugePages), before the first
+// weights are copied in: the exact gather reads scattered rows of W.
 func ReadClassifier(r io.Reader) (*Classifier, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(classifierMagic))
@@ -171,11 +174,11 @@ func ReadClassifier(r io.Reader) (*Classifier, error) {
 	if rows == 0 || cols == 0 || uint64(rows)*uint64(cols) > 1<<33 {
 		return nil, fmt.Errorf("core: implausible classifier shape %dx%d", rows, cols)
 	}
-	data, err := readFloats(br, int(rows)*int(cols))
+	data, err := readFloats(br, int(rows)*int(cols), tensor.AdviseHugePages)
 	if err != nil {
 		return nil, err
 	}
-	bias, err := readFloats(br, int(rows))
+	bias, err := readFloats(br, int(rows), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -234,8 +237,10 @@ func writeFloats(w io.Writer, xs []float32) error {
 // that back it: capacity steps up 8× at a time while it stays under
 // want/8, then jumps to want. A truncated or lying header thus costs at
 // most 64× the bytes that arrived, an honest one at most an eighth of
-// the block in transient copies.
-func growFor[T any](s []T, need, want int) []T {
+// the block in transient copies. A non-nil final is called on the block
+// that holds all want elements as soon as it is allocated, before the
+// old elements are copied into it.
+func growFor[T any](s []T, need, want int, final func([]T)) []T {
 	if need <= cap(s) {
 		return s
 	}
@@ -243,7 +248,11 @@ func growFor[T any](s []T, need, want int) []T {
 	if c > want/8 {
 		c = want
 	}
-	return append(make([]T, 0, c), s...)
+	out := make([]T, c)
+	if final != nil && c == want {
+		final(out)
+	}
+	return out[:copy(out, s)]
 }
 
 // readBytes reads an n-byte block, growing it as the bytes arrive.
@@ -251,7 +260,7 @@ func readBytes(r io.Reader, n int) ([]byte, error) {
 	var out []byte
 	for len(out) < n {
 		chunk := min(32*1024, n-len(out))
-		out = growFor(out, len(out)+chunk, n)
+		out = growFor(out, len(out)+chunk, n, nil)
 		if _, err := io.ReadFull(r, out[len(out):len(out)+chunk]); err != nil {
 			return nil, err
 		}
@@ -260,7 +269,10 @@ func readBytes(r io.Reader, n int) ([]byte, error) {
 	return out, nil
 }
 
-func readFloats(r io.Reader, want int) ([]float32, error) {
+// readFloats reads a length-prefixed float block of want elements,
+// growing it as the bytes arrive; final, when non-nil, sees the
+// full-size block before anything is written to it.
+func readFloats(r io.Reader, want int, final func([]float32)) ([]float32, error) {
 	var n uint32
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
 		return nil, err
@@ -275,7 +287,7 @@ func readFloats(r io.Reader, want int) ([]float32, error) {
 		if _, err := io.ReadFull(r, buf[:chunk*4]); err != nil {
 			return nil, err
 		}
-		out = growFor(out, len(out)+chunk, want)
+		out = growFor(out, len(out)+chunk, want, final)
 		for i := 0; i < chunk; i++ {
 			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
 		}
@@ -335,7 +347,7 @@ func ReadFeatures(r io.Reader) ([][]float32, error) {
 	}
 	var out [][]float32 // appended, not pre-sized: n comes from the header
 	for i := uint32(0); i < n; i++ {
-		f, err := readFloats(br, int(d))
+		f, err := readFloats(br, int(d), nil)
 		if err != nil {
 			return nil, err
 		}

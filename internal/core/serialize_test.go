@@ -6,11 +6,14 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"enmc/internal/quant"
 	"enmc/internal/tensor"
+	"enmc/internal/testkit"
 	"enmc/internal/xrand"
 )
 
@@ -100,6 +103,56 @@ func TestClassifierRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReadClassifierAdvisesHugePages: a served classifier's weight
+// block (here 16 MiB) lies in a mapping whose VmFlags carry "hg", and
+// reading it changes no bit.
+func TestReadClassifierAdvisesHugePages(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("transparent huge pages are Linux only")
+	}
+	const rows, cols = 8192, 512
+	w := tensor.NewMatrix(rows, cols)
+	r := xrand.New(5)
+	for i := range w.Data {
+		w.Data[i] = r.NormFloat32()
+	}
+	bias := make([]float32, rows)
+	for i := range bias {
+		bias[i] = r.NormFloat32()
+	}
+	cls, err := NewClassifier(w, bias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cls.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadClassifier(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got.W.Data {
+		if math.Float32bits(v) != math.Float32bits(w.Data[i]) {
+			t.Fatalf("W[%d] = %v after the round trip, want %v", i, v, w.Data[i])
+		}
+	}
+	for i, v := range got.B {
+		if math.Float32bits(v) != math.Float32bits(bias[i]) {
+			t.Fatalf("B[%d] = %v after the round trip, want %v", i, v, bias[i])
+		}
+	}
+	mid := uintptr(unsafe.Pointer(&got.W.Data[len(got.W.Data)/2]))
+	m, err := testkit.MappingAt(mid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(m.Flags, "hg") {
+		t.Fatalf("mapping [%#x,%#x) holding a read 16 MiB W has VmFlags %v, want hg", m.Lo, m.Hi, m.Flags)
+	}
+	t.Logf("%s", tensor.HugePageSummary(got.W.Data))
 }
 
 func TestDeserializeRejectsGarbage(t *testing.T) {

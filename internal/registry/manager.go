@@ -8,6 +8,7 @@ import (
 	"enmc/internal/core"
 	"enmc/internal/server"
 	"enmc/internal/telemetry"
+	"enmc/internal/tensor"
 	"enmc/internal/xrand"
 )
 
@@ -129,7 +130,18 @@ func NewManager(store *Store, version string, opt Options) (*Manager, error) {
 	m.probe = m.probeSet(loaded)
 	mActiveVersion.Set(float64(loaded.Manifest.Seq))
 	m.logf("registry: serving version %q (seq %d, %s)", loaded.Manifest.Version, loaded.Manifest.Seq, loaded.Manifest.PrecisionString())
+	m.logWeights(loaded)
 	return m, nil
+}
+
+// logWeights logs how much of a loaded version's W the kernel put on
+// huge pages, and the host's THP mode; nothing off Linux. A version
+// loaded into heap memory that was used before shows less than one
+// loaded into fresh memory (tensor.AdviseHugePages).
+func (m *Manager) logWeights(l *Loaded) {
+	if s := tensor.HugePageSummary(l.Classifier.W.Data); s != "" {
+		m.logf("registry: version %q classifier weights: %s", l.Manifest.Version, s)
+	}
 }
 
 // Swappable returns the serving backend wrapper.
@@ -240,6 +252,7 @@ func (m *Manager) Reload(ctx context.Context, version string) (string, error) {
 	mSwapTotal.Inc()
 	mActiveVersion.Set(float64(loaded.Manifest.Seq))
 	m.logf("registry: swapped %q -> %q (seq %d)", prev, version, loaded.Manifest.Seq)
+	m.logWeights(loaded)
 	return version, nil
 }
 

@@ -1,0 +1,112 @@
+package tensor
+
+import (
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"enmc/internal/testkit"
+)
+
+// TestHugeSpanTable: the advised range is 2 MiB-aligned, never leaves
+// the slice, and is empty below four huge pages.
+func TestHugeSpanTable(t *testing.T) {
+	const mb = 1 << 20
+	for _, base := range []uintptr{0x7f0000000000, 0x7f0000000000 + 4, 0x7f0000000000 + hugePageBytes - 4,
+		0x7f0000000000 + hugePageBytes/2, 0xc000400000 + 4096} {
+		for _, n := range []uintptr{0, 4, mb, 2 * mb, 6 * mb, 8*mb - 4, 8 * mb, 8*mb + 4, 10 * mb, 32*mb + 12, 1370 * mb} {
+			off, size := hugeSpan(base, n)
+			lo, hi := base+off, base+off+size
+			switch {
+			case n < minHugeBytes && size != 0:
+				t.Errorf("base %#x n %d: advised %d bytes below the %d-byte floor", base, n, size, minHugeBytes)
+			case n < minHugeBytes:
+			case size == 0:
+				t.Errorf("base %#x n %d: nothing advised", base, n)
+			case lo < base || hi > base+n:
+				t.Errorf("base %#x n %d: advised [%#x,%#x) leaves the slice", base, n, lo, hi)
+			case lo%hugePageBytes != 0 || size%hugePageBytes != 0:
+				t.Errorf("base %#x n %d: advised [%#x,%#x) not 2 MiB-aligned", base, n, lo, hi)
+			case size < n-2*hugePageBytes:
+				t.Errorf("base %#x n %d: advised %d bytes, less than the aligned interior", base, n, size)
+			}
+		}
+	}
+}
+
+func addrOf(x []float32) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(x))) }
+
+// TestNewMatrixAdvisesHugePages: a 32 MiB matrix lies in a mapping
+// whose VmFlags carry "hg". How much of it the kernel actually put on
+// huge pages depends on the THP mode and on fragmentation, so that is
+// only logged.
+func TestNewMatrixAdvisesHugePages(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("transparent huge pages are Linux only")
+	}
+	m := NewMatrix(8192, 1024)
+	got, err := testkit.MappingAt(addrOf(m.Data[len(m.Data)/2:]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(got.Flags, "hg") {
+		t.Fatalf("mapping [%#x,%#x) holding a 32 MiB matrix has VmFlags %v, want hg", got.Lo, got.Hi, got.Flags)
+	}
+	for i := range m.Data {
+		m.Data[i] = 1
+	}
+	// HugePageBytes against testkit's parser, read on both sides of it
+	// in case khugepaged collapses a page in between.
+	size := int64(len(m.Data)) * 4
+	lo, hi := addrOf(m.Data), addrOf(m.Data)+uintptr(size)
+	want := func() int64 {
+		ms, err := testkit.Mappings()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for _, g := range ms {
+			if g.Lo < hi && lo < g.Hi {
+				sum += g.AnonHugeBytes
+			}
+		}
+		return min(sum, size)
+	}
+	w0 := want()
+	hp := HugePageBytes(m.Data)
+	w1 := want()
+	if hp < min(w0, w1) || hp > max(w0, w1) {
+		t.Fatalf("HugePageBytes = %d, smaps says %d then %d", hp, w0, w1)
+	}
+	t.Logf("THP %s: %d of %d bytes on huge pages; %s", thpMode(), hp, len(m.Data)*4, HugePageSummary(m.Data))
+}
+
+// TestHugePageAdviceKeepsMappingsBounded: advice splits a heap mapping
+// where it starts and ends, and the heap reuses freed ranges, so
+// allocating and dropping advised matrices must not grow the mapping
+// count without bound.
+func TestHugePageAdviceKeepsMappingsBounded(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("transparent huge pages are Linux only")
+	}
+	count := func() int {
+		ms, err := testkit.Mappings()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ms)
+	}
+	runtime.GC()
+	before := count()
+	for i := 0; i < 1000; i++ {
+		m := NewMatrix(2048+256*(i%5), 1024) // 8–12 MiB
+		m.Data[len(m.Data)-1] = 1
+	}
+	runtime.GC()
+	after := count()
+	t.Logf("mappings: %d before, %d after 1000 advised matrices", before, after)
+	if after > before+16 {
+		t.Fatalf("mappings grew from %d to %d over 1000 advised matrices", before, after)
+	}
+}

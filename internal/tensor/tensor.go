@@ -19,12 +19,16 @@ type Matrix struct {
 	Data       []float32 // len == Rows*Cols
 }
 
-// NewMatrix allocates a zeroed Rows×Cols matrix.
+// NewMatrix allocates a zeroed Rows×Cols matrix. A matrix of 8 MiB or
+// more — a classifier's W — is advised onto transparent huge pages
+// (AdviseHugePages) before anything writes to it.
 func NewMatrix(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
+	data := make([]float32, rows*cols)
+	AdviseHugePages(data)
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // FromRows builds a matrix from a slice of equal-length rows.

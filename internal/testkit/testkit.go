@@ -11,6 +11,8 @@
 //     servers, routers or sessions.
 //   - FaultTransport: a seeded fault-injecting http.RoundTripper
 //     (delay, stall, reset after headers, body cut mid-frame).
+//   - Mappings / MappingAt: this process's /proc/self/smaps, for the
+//     tests that check which heap ranges carry huge-page advice.
 //
 // The in-process shard fleet lives in testkit/fleet (it imports
 // internal/cluster), and conformance_test.go holds the bit-identity
