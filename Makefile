@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race fuzz bench bench-smoke bench-selftest vet vet-cross fmt testkit-check check ci cover clean report report-check
+.PHONY: all build test test-purego race fuzz fuzz-kernels bench bench-smoke bench-selftest vet vet-cross fmt testkit-check check ci cover clean report report-check
 
 all: build
 
@@ -45,6 +45,14 @@ fuzz:
 		done; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz failures:$$failed"; exit 1; fi
+
+# The two fuzz targets that hold the assembly kernels to their Go
+# references — quant's nibble-image GEMV with its dequantization
+# epilogue, tensor's row gather — past their seed corpora, 15 s each.
+# Cheap enough for every push; `make fuzz` runs all targets nightly.
+fuzz-kernels:
+	$(GO) test -run '^$$' -fuzz '^FuzzMatVecPacked$$' -fuzztime 15s ./internal/quant
+	$(GO) test -run '^$$' -fuzz '^FuzzMatVecRows$$' -fuzztime 15s ./internal/tensor
 
 bench:
 	$(GO) test -bench . -benchtime 100x -benchmem ./...

@@ -507,9 +507,11 @@ func BenchmarkScreen(b *testing.B) {
 // nibble image plus 2.7 MB of scales per stream) for a single vector,
 // one tile and a batch of tiles. ns/item falls once a tile shares each
 // weight stream; GB/s is the traffic actually streamed
-// (BatchStreamBytes) and reads against BenchmarkStreamRead, this
-// host's sequential-read roof: the single-vector kernel runs near it,
-// the tile kernel trades bandwidth for four vectors per byte.
+// (BatchStreamBytes). BenchmarkStreamRead's scalar read falls short of
+// even the single-vector kernel, so it is no roof for either: with the
+// image cached, both kernels are bound by the instructions they run
+// per row and vector, about as many in a tile as alone (DESIGN.md §4),
+// which is why a tile is only 1.1–1.3× cheaper per item.
 func BenchmarkMatVecBatch(b *testing.B) {
 	s := perfShapes[1]
 	qw := perfScreener(b, s).QW

@@ -20,9 +20,18 @@ func hasAVX2() bool
 func dotPacked8(w *byte, stride, chunks int, x, tail *int8, groups int, out *int32)
 
 // dotPackedTile is dotPacked8 for BatchTile vectors and any number of
-// rows: each weight chunk is loaded and unpacked once and multiplied
-// into all four. tail, if non-nil, holds the four vectors' last chunks
-// back to back; out[4r+t] is row r against vector t.
+// rows up to blockRows: each weight chunk is loaded and unpacked once
+// and multiplied into all four. tail, if non-nil, holds the four
+// vectors' last chunks back to back; out[t·blockRows+r] is row r
+// against vector t.
 //
 //go:noescape
 func dotPackedTile(w *byte, stride, chunks int, xs *[BatchTile]*int8, tail *int8, rows int, out *int32)
+
+// dequant8 is the epilogue of both kernels for 8·groups rows: dst[r] =
+// float32(acc[r]−off)·scales[r]·xs, rounded to float32, plus bias[r]
+// when bias is non-nil — dequant's expression and order, so every
+// output bit matches it.
+//
+//go:noescape
+func dequant8(acc *int32, off int32, xs float32, scales, bias *float32, groups int, dst *float32)

@@ -14,6 +14,23 @@
 //
 // so neither the saturating multiply-add nor the int16 add can ever
 // clip, for any int8 activation, and the widening happens every chunk.
+// Both kernels write raw int32 row sums: dotPacked8 one per row,
+// dotPackedTile vector-major, vector t's sums TILELD bytes after
+// vector t−1's (the Go side's blockRows int32s).
+//
+// dequant8 is the epilogue both kernels' sums go through: it writes
+// exactly the 8·groups floats dst[0 : 8·groups], and reads as many
+// sums, scales and (when bias is non-nil) biases. Per lane of 8 rows
+//
+//	v   = VCVTDQ2PS(acc − off)                    int32 wraps as Go's does; rounds to nearest
+//	v   = v · scales[r]                           VMULPS, rounded
+//	v   = v · xs                                  VMULPS, rounded
+//	v   = v + bias[r]                             VADDPS, rounded; skipped when bias is nil
+//
+// which is Go's float32(float32(acc−off)·s·xs) + b step for step: no
+// FMA, each operation rounded to float32 before the next, so the output
+// equals quant's dequant bit for bit. Go runs the same expression on
+// the ≤ 7 rows left over.
 
 DATA nibMask<>+0(SB)/8, $0x0f0f0f0f0f0f0f0f
 DATA nibMask<>+8(SB)/8, $0x0f0f0f0f0f0f0f0f
@@ -26,6 +43,10 @@ DATA ones16<>+8(SB)/8, $0x0001000100010001
 DATA ones16<>+16(SB)/8, $0x0001000100010001
 DATA ones16<>+24(SB)/8, $0x0001000100010001
 GLOBL ones16<>(SB), RODATA|NOPTR, $32
+
+// TILELD is the distance between two vectors' sums in dotPackedTile's
+// output: blockRows (256) int32s.
+#define TILELD 1024
 
 // Y14 = nibble mask, Y15 = int16 ones in both kernels.
 
@@ -148,6 +169,7 @@ reduce8:
 	MAC((xreg)(DX*1), 32(xreg)(DX*1), acc, t0, t1)
 
 // func dotPackedTile(w *byte, stride, chunks int, xs *[4]*int8, tail *int8, rows int, out *int32)
+// rows ≤ 256; out[t·256 + r] is row r against vector t.
 TEXT ·dotPackedTile(SB), NOSPLIT, $0-56
 	MOVQ    w+0(FP), SI
 	MOVQ    stride+8(FP), BX
@@ -206,11 +228,64 @@ reduce4:
 	VPHADDD      Y2, Y0, Y0  // vectors 0..3, once per 128-bit half
 	VEXTRACTI128 $1, Y0, X1
 	VPADDD       X1, X0, X0
-	VMOVDQU      X0, (DI)
-	ADDQ         $16, DI
+	VMOVD        X0, (DI)
+	VPEXTRD      $1, X0, TILELD(DI)
+	VPEXTRD      $2, X0, 2*TILELD(DI)
+	VPEXTRD      $3, X0, 3*TILELD(DI)
+	ADDQ         $4, DI
 	ADDQ         BX, SI
 	DECQ         CX
 	JNZ          row4
+	VZEROUPPER
+	RET
+
+// func dequant8(acc *int32, off int32, xs float32, scales, bias *float32, groups int, dst *float32)
+TEXT ·dequant8(SB), NOSPLIT, $0-48
+	MOVQ         acc+0(FP), SI
+	MOVL         off+8(FP), AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14
+	VMOVSS       xs+12(FP), X15
+	VBROADCASTSS X15, Y15
+	MOVQ         scales+16(FP), DX
+	MOVQ         bias+24(FP), R8
+	MOVQ         groups+32(FP), CX
+	MOVQ         dst+40(FP), DI
+	TESTQ        CX, CX
+	JZ           dqdone
+	TESTQ        R8, R8
+	JZ           dqplain
+
+dqbias:
+	VMOVDQU   (SI), Y0
+	VPSUBD    Y14, Y0, Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS    (DX), Y0, Y0
+	VMULPS    Y15, Y0, Y0
+	VADDPS    (R8), Y0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	ADDQ      $32, R8
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       dqbias
+	JMP       dqdone
+
+dqplain:
+	VMOVDQU   (SI), Y0
+	VPSUBD    Y14, Y0, Y0
+	VCVTDQ2PS Y0, Y0
+	VMULPS    (DX), Y0, Y0
+	VMULPS    Y15, Y0, Y0
+	VMOVUPS   Y0, (DI)
+	ADDQ      $32, SI
+	ADDQ      $32, DX
+	ADDQ      $32, DI
+	DECQ      CX
+	JNZ       dqplain
+
+dqdone:
 	VZEROUPPER
 	RET
 

@@ -13,3 +13,7 @@ func dotPacked8(w *byte, stride, chunks int, x, tail *int8, groups int, out *int
 func dotPackedTile(w *byte, stride, chunks int, xs *[BatchTile]*int8, tail *int8, rows int, out *int32) {
 	panic("quant: no assembly kernel in this build")
 }
+
+func dequant8(acc *int32, off int32, xs float32, scales, bias *float32, groups int, dst *float32) {
+	panic("quant: no assembly kernel in this build")
+}

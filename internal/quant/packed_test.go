@@ -2,6 +2,7 @@ package quant
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -35,43 +36,57 @@ func scalarOnly(t *testing.T) {
 	t.Cleanup(func() { useAVX2 = old })
 }
 
+// outside marks the rows a call must not write: a signalling NaN,
+// which no arithmetic result can equal (a NaN that comes out of an
+// add or multiply is always quiet).
+var outside = math.Float32frombits(0x7fa5a5a5)
+
 // checkPacked runs MatVecBatchRange on the dispatched kernels — the
-// tile kernel, the single-vector kernel for the batch remainder and
-// dotPackedGo for the rows past the last 8-row group — for every batch
-// size 1…len(xs) over each row range and compares every output bit
-// with dotPackedGo alone, the reference; rows outside the range must
-// stay untouched.
-func checkPacked(t testing.TB, m *Matrix, xs []Vector, ranges ...[2]int) {
+// tile kernel, the single-vector kernel for the batch remainder, the
+// assembly epilogue for whole 8-row groups, and dotPackedGo and the Go
+// epilogue for the rows past them — for every batch size 1…len(xs)
+// over each row range, once without a bias and once with bias if it is
+// non-nil, and compares every output bit with the scalar path
+// (dotPackedGo and the Go epilogue alone), the reference; rows outside
+// the range must stay untouched.
+func checkPacked(t testing.TB, m *Matrix, xs []Vector, bias []float32, ranges ...[2]int) {
 	t.Helper()
-	const sentinel = float32(-1e30)
+	biases := [][]float32{nil}
+	if bias != nil {
+		biases = append(biases, bias)
+	}
 	want := make([][]float32, len(xs))
 	got := make([][]float32, len(xs))
-	avx2 := useAVX2
-	useAVX2 = false
 	for b := range xs {
 		want[b] = make([]float32, m.Rows)
-		m.MatVec(want[b], &xs[b])
 		got[b] = make([]float32, m.Rows)
 	}
-	useAVX2 = avx2
-	for _, rg := range ranges {
-		lo, hi := rg[0], rg[1]
-		for batch := 1; batch <= len(xs); batch++ {
-			for b := 0; b < batch; b++ {
-				for i := range got[b] {
-					got[b][i] = sentinel
-				}
-			}
-			m.MatVecBatchRange(got[:batch], xs[:batch], nil, lo, hi)
-			for b := 0; b < batch; b++ {
-				for i, g := range got[b] {
-					w := sentinel
-					if i >= lo && i < hi {
-						w = want[b][i]
+	for _, bias := range biases {
+		avx2 := useAVX2
+		useAVX2 = false
+		for b := range xs {
+			m.MatVecRange(want[b], &xs[b], bias, 0, m.Rows)
+		}
+		useAVX2 = avx2
+		for _, rg := range ranges {
+			lo, hi := rg[0], rg[1]
+			for batch := 1; batch <= len(xs); batch++ {
+				for b := 0; b < batch; b++ {
+					for i := range got[b] {
+						got[b][i] = outside
 					}
-					if math.Float32bits(g) != math.Float32bits(w) {
-						t.Fatalf("%v %dx%d rows [%d,%d) batch %d vector %d row %d: got %v, want %v",
-							m.Bits, m.Rows, m.Cols, lo, hi, batch, b, i, g, w)
+				}
+				m.MatVecBatchRange(got[:batch], xs[:batch], bias, lo, hi)
+				for b := 0; b < batch; b++ {
+					for i, g := range got[b] {
+						w := outside
+						if i >= lo && i < hi {
+							w = want[b][i]
+						}
+						if math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("%v %dx%d rows [%d,%d) bias %v batch %d vector %d row %d: got %v, want %v",
+								m.Bits, m.Rows, m.Cols, lo, hi, bias != nil, batch, b, i, g, w)
+						}
 					}
 				}
 			}
@@ -79,16 +94,47 @@ func checkPacked(t testing.TB, m *Matrix, xs []Vector, ranges ...[2]int) {
 	}
 }
 
+// edgeBias is a bias of n entries that cycles through NaN, ±Inf, −0,
+// ±the smallest subnormal, ±1e30 and two ordinary values: eleven
+// entries, so each lands on every lane of an 8-row group in turn.
+func edgeBias(r *xrand.RNG, n int) []float32 {
+	b := make([]float32, n)
+	for i := range b {
+		switch i % 11 {
+		case 0:
+			b[i] = float32(math.NaN())
+		case 1:
+			b[i] = float32(math.Inf(1))
+		case 2:
+			b[i] = float32(math.Inf(-1))
+		case 3:
+			b[i] = float32(math.Copysign(0, -1))
+		case 4:
+			b[i] = math.Float32frombits(1)
+		case 5:
+			b[i] = -math.Float32frombits(1)
+		case 6:
+			b[i] = 1e30
+		case 7:
+			b[i] = -1e30
+		default:
+			b[i] = r.NormFloat32()
+		}
+	}
+	return b
+}
+
 // TestPackedKernelTable is the one table both kernels are held to:
-// assembly against matVecRangeBlocked by Float32bits over the shape
-// grid × INT2/INT4 × operand patterns × B ∈ 1…9 × the full range and
-// sub-ranges with odd bounds. Random weights (per-row and per-tensor
-// scales) against INT4- and INT8-magnitude activations are the common
-// case; the constant patterns are the adversarial ones: every stored
-// nibble at its extreme against activations at ±127 — and at the −128
-// only a hand-built vector can hold — drive VPMADDUBSW's pair sums
-// and the int16 chunk sum to their bounds, where saturation or a carry
-// would show.
+// assembly against the Go path by Float32bits over the shape grid ×
+// INT2/INT4 × operand patterns × B ∈ 1…9 × the full range and
+// sub-ranges with odd bounds, each without a bias and with edgeBias's.
+// Random weights (per-row and per-tensor scales) against INT4- and
+// INT8-magnitude activations are the common case; the constant
+// patterns are the adversarial ones: every stored nibble at its
+// extreme against activations at ±127 — and at the −128 only a
+// hand-built vector can hold — drive VPMADDUBSW's pair sums and the
+// int16 chunk sum to their bounds, where saturation or a carry would
+// show.
 func TestPackedKernelTable(t *testing.T) {
 	needAVX2(t)
 	const batch = 2*BatchTile + 1
@@ -115,6 +161,7 @@ func TestPackedKernelTable(t *testing.T) {
 			}
 		}
 		for _, rows := range packedRows {
+			bias := edgeBias(r, rows)
 			random, ones, negOnes := tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols)
 			for i := range random.Data {
 				random.Data[i], ones.Data[i], negOnes.Data[i] = r.NormFloat32(), 1, -1
@@ -139,7 +186,7 @@ func TestPackedKernelTable(t *testing.T) {
 					if op.m.image == nil {
 						t.Fatalf("%v %dx%d: no nibble image", bits, rows, cols)
 					}
-					checkPacked(t, op.m, op.xs, ranges...)
+					checkPacked(t, op.m, op.xs, bias, ranges...)
 				}
 			}
 		}
@@ -148,15 +195,21 @@ func TestPackedKernelTable(t *testing.T) {
 
 // FuzzMatVecPacked drives the same comparison from raw bytes: weights
 // are arbitrary nibbles (−8 included, which no quantizer emits),
-// activations arbitrary int8.
+// activations arbitrary int8, and the bias arbitrary float32 bits,
+// four bytes of bdata per row, cycled (under four bytes, no bias).
 func FuzzMatVecPacked(f *testing.F) {
+	edge := edgeBias(xrand.New(3), 11)
+	seedBias := make([]byte, 4*len(edge))
+	for i, v := range edge {
+		binary.LittleEndian.PutUint32(seedBias[4*i:], math.Float32bits(v))
+	}
 	for i, cols := range packedCols {
 		for j, rows := range packedRows {
 			f.Add(uint16(rows), uint16(cols), uint16(j), uint16(rows-i%2), uint8(i+j), i%2 == 0,
-				[]byte{0xf0, 0x7f, 0x88, byte(i), byte(j)}, []byte{0x7f, 0x80, 0x81, byte(i * j)})
+				[]byte{0xf0, 0x7f, 0x88, byte(i), byte(j)}, []byte{0x7f, 0x80, 0x81, byte(i * j)}, seedBias[:4*((i+j)%12)])
 		}
 	}
-	f.Fuzz(func(t *testing.T, rows, cols, lo, hi uint16, batch uint8, int2 bool, wdata, xdata []byte) {
+	f.Fuzz(func(t *testing.T, rows, cols, lo, hi uint16, batch uint8, int2 bool, wdata, xdata, bdata []byte) {
 		needAVX2(t)
 		m := &Matrix{Bits: INT4, Rows: 1 + int(rows)%600, Cols: 1 + int(cols)%4200}
 		if int2 {
@@ -187,11 +240,18 @@ func FuzzMatVecPacked(f *testing.F) {
 				xs[b].Q[i] = int8(xdata[(i+b*m.Cols)%len(xdata)])
 			}
 		}
+		var bias []float32
+		if n := len(bdata) / 4; n > 0 {
+			bias = make([]float32, m.Rows)
+			for i := range bias {
+				bias[i] = math.Float32frombits(binary.LittleEndian.Uint32(bdata[4*(i%n):]))
+			}
+		}
 		l, h := int(lo)%(m.Rows+1), int(hi)%(m.Rows+1)
 		if l > h {
 			l, h = h, l
 		}
-		checkPacked(t, m, xs, [2]int{l, h})
+		checkPacked(t, m, xs, bias, [2]int{l, h})
 	})
 }
 

@@ -121,6 +121,8 @@ type Matrix struct {
 }
 
 // Geometry of the nibble image and of one assembly call.
+// kernel_amd64.s hard-codes blockRows in TILELD, the distance between
+// two vectors' sums in the tile kernel's output.
 const (
 	chunkCols  = 64  // columns per chunk
 	chunkBytes = 32  // bytes per chunk: two nibbles per byte
@@ -342,13 +344,15 @@ func (m *Matrix) MatVecRange(dst []float32, x *Vector, b []float32, lo, hi int) 
 	m.matVecPacked([][]float32{dst}, []Vector{*x}, b, lo, hi)
 }
 
-// dequant is the epilogue every kernel ends a row with: the row's
-// int32 sum times the row and vector scales, plus the row's bias when
-// b is non-nil. The float32 conversion rounds the product before the
-// add, which forbids fusing the two into an FMA (the Go spec allows
-// that contraction across an unconverted x*y + z, and the compiler
-// performs it on FMA targets such as arm64): the sum is the one MatVec
-// followed by tensor.Add computes, bit for bit.
+// dequant is the epilogue the Go kernels end a row with, and the
+// expression dequant8 (kernel_amd64.s) evaluates eight rows at a time
+// in the same order: the row's int32 sum times the row scale, times
+// the vector scale, plus the row's bias when b is non-nil. The float32
+// conversion rounds the product before the add, which forbids fusing
+// the two into an FMA (the Go spec allows that contraction across an
+// unconverted x*y + z, and the compiler performs it on FMA targets
+// such as arm64): the sum is the one MatVec followed by tensor.Add
+// computes, bit for bit.
 func dequant(acc int32, s, xs float32, b []float32, i int) float32 {
 	v := float32(acc) * s * xs
 	if b != nil {
@@ -473,13 +477,18 @@ func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, b []float32, lo
 }
 
 // matVecPacked runs the nibble-image GEMV over rows [lo,hi) for one
-// vector or a tile of BatchTile. With AVX2, dotPacked8 takes the whole
-// 8-row groups of a single vector and dotPackedTile every row of a
-// tile; dotPackedGo takes the rest. All three return raw int32 sums of
-// (q+8)·x per row; the nibble offset 8·Σx is removed here, exactly,
-// and the epilogue is dequant, spelled out so the bias test is hoisted
-// out of the row loop. A row's last partial chunk is multiplied
-// against a zero-padded copy of the activations' tail.
+// vector or a tile of BatchTile, in blocks of at most blockRows rows.
+// With AVX2, dotPacked8 takes the whole 8-row groups of a single vector
+// and dotPackedTile every row of a tile; dotPackedGo takes the rest.
+// All three write raw int32 sums of (q+8)·x per row, vector t's into
+// acc[t]. The epilogue then turns each sum into
+// float32(float32(acc−8·Σx)·s·xs) + b (dequant's expression): in
+// assembly (dequant8) for the block's whole 8-row groups, and in Go
+// for the ≤ 7 rows left over and wherever the assembly is not built —
+// the two are bit-identical by test (TestPackedKernelTable,
+// TestBiasEpilogueMatchesAdd, FuzzMatVecPacked). A row's last partial
+// chunk is multiplied against a zero-padded copy of the activations'
+// tail.
 func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi int) {
 	stride, full, nx := RowBytes(m.Cols), m.Cols/chunkCols, len(xs)
 	var (
@@ -487,7 +496,7 @@ func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi
 		tail  *int8
 		xp    [BatchTile]*int8
 		nib8  [BatchTile]int32
-		acc   [blockRows * BatchTile]int32
+		acc   [BatchTile][blockRows]int32
 	)
 	for t := range xs {
 		q := xs[t].Q
@@ -507,59 +516,59 @@ func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi
 	for ; lo < hi; lo += blockRows {
 		n := min(blockRows, hi-lo)
 		w := m.image[lo*stride : (lo+n)*stride]
-		done := 0
+		done, asm := 0, 0
 		switch {
 		case !useAVX2:
 		case nx == 1:
 			if done = n &^ (groupRows - 1); done > 0 {
-				dotPacked8(&w[0], stride, full, xp[0], tail, done/groupRows, &acc[0])
+				dotPacked8(&w[0], stride, full, xp[0], tail, done/groupRows, &acc[0][0])
 			}
+			asm = done
 		case nx == BatchTile:
-			dotPackedTile(&w[0], stride, full, &xp, tail, n, &acc[0])
-			done = n
+			dotPackedTile(&w[0], stride, full, &xp, tail, n, &acc[0][0])
+			done, asm = n, n&^(groupRows-1)
 		}
 		if done < n {
-			dotPackedGo(w[done*stride:], stride, full, xs, goTails, acc[done*nx:n*nx])
+			dotPackedGo(w, stride, full, xs, goTails, acc[:nx], done, n)
 		}
 		scales := m.Scales[lo : lo+n]
+		var bias []float32
+		var bp *float32
+		if b != nil {
+			bias = b[lo : lo+n]
+			bp = &bias[0]
+		}
 		for t := range xs {
 			dst, xscale, off := dsts[t][lo:lo+n], xs[t].Scale, nib8[t]
-			if b == nil {
-				for r, s := range scales {
-					dst[r] = float32(acc[r*nx+t]-off) * s * xscale
-				}
-				continue
+			if asm > 0 {
+				dequant8(&acc[t][0], off, xscale, &scales[0], bp, asm/groupRows, &dst[0])
 			}
-			bias := b[lo : lo+n]
-			for r, s := range scales {
-				dst[r] = float32(float32(acc[r*nx+t]-off)*s*xscale) + bias[r]
+			for r := asm; r < n; r++ {
+				dst[r] = dequant(acc[t][r]-off, scales[r], xscale, bias, r)
 			}
 		}
 	}
 }
 
 // dotPackedGo is the portable kernel and the assembly's reference,
-// under the same contract: for each of len(out)/len(xs) image rows
-// starting at w (stride bytes apart) and each vector t, out[r·len(xs)+t]
-// is the int32 sum of (q+8)·x over the row's chunks whole chunks read
+// under the same contract: for each row r in [lo,hi) of the image rows
+// starting at w (stride bytes apart) and each vector t, out[t][r] is
+// the int32 sum of (q+8)·x over the row's chunks whole chunks read
 // against xs[t].Q, then — if tails is non-nil — one more chunk read
 // against tails[t]. Rows go four at a time, so each activation load
 // serves four rows, as in the INT8 kernel.
-func dotPackedGo(w []byte, stride, chunks int, xs []Vector, tails [][chunkCols]int8, out []int32) {
-	nx, rows := len(xs), len(out)/len(xs)
+func dotPackedGo(w []byte, stride, chunks int, xs []Vector, tails [][chunkCols]int8, out [][blockRows]int32, lo, hi int) {
 	for t := range xs {
-		for r := 0; r < rows; r += 4 {
+		for r := lo; r < hi; r += 4 {
 			var acc [4]int32
-			g, row := min(4, rows-r), w[r*stride:]
+			g, row := min(4, hi-r), w[r*stride:]
 			for c := 0; c < chunks; c++ {
 				dotChunks(row[c*chunkBytes:], stride, g, (*[chunkCols]int8)(xs[t].Q[c*chunkCols:]), &acc)
 			}
 			if tails != nil {
 				dotChunks(row[chunks*chunkBytes:], stride, g, &tails[t], &acc)
 			}
-			for i := 0; i < g; i++ {
-				out[(r+i)*nx+t] = acc[i]
-			}
+			copy(out[t][r:r+g], acc[:g])
 		}
 	}
 }

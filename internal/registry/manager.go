@@ -135,9 +135,10 @@ func NewManager(store *Store, version string, opt Options) (*Manager, error) {
 }
 
 // logWeights logs how much of a loaded version's W the kernel put on
-// huge pages, and the host's THP mode; nothing off Linux. A version
-// loaded into heap memory that was used before shows less than one
-// loaded into fresh memory (tensor.AdviseHugePages).
+// huge pages, and the host's THP mode; nothing off Linux. Fresh and
+// reused heap memory are advised alike (tensor.AdviseHugePages); less
+// than all of W shows where THP is off or the kernel found no free
+// 2 MiB pages.
 func (m *Manager) logWeights(l *Loaded) {
 	if s := tensor.HugePageSummary(l.Classifier.W.Data); s != "" {
 		m.logf("registry: version %q classifier weights: %s", l.Manifest.Version, s)

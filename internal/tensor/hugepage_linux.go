@@ -9,7 +9,17 @@ import (
 	"unsafe"
 )
 
-func adviseHuge(b []byte) { _ = syscall.Madvise(b, syscall.MADV_HUGEPAGE) }
+// adviseHuge first drops whatever pages of b are resident
+// (MADV_DONTNEED), then advises b onto huge pages. The runtime may
+// have faulted b in on 4 KB pages already, by clearing a reused heap
+// block before returning it; advice alone would leave those pages as
+// they are. b is all zeros and unwritten, and a dropped page of private
+// anonymous memory reads back as zeros, so the drop changes no value;
+// the first write then faults b in on huge pages.
+func adviseHuge(b []byte) {
+	_ = syscall.Madvise(b, syscall.MADV_DONTNEED)
+	_ = syscall.Madvise(b, syscall.MADV_HUGEPAGE)
+}
 
 // HugePageBytes reports how many bytes of x the kernel backs with
 // transparent huge pages: the AnonHugePages of every mapping in

@@ -35,6 +35,47 @@ func TestHugeSpanTable(t *testing.T) {
 	}
 }
 
+// TestFirstAdvice: a range is a first advice unless one earlier range,
+// or a run of touching or overlapping ones, covers it.
+func TestFirstAdvice(t *testing.T) {
+	advised.Lock()
+	saved := advised.spans
+	advised.spans = nil
+	advised.Unlock()
+	t.Cleanup(func() {
+		advised.Lock()
+		advised.spans = saved
+		advised.Unlock()
+	})
+	for _, c := range []struct {
+		lo, hi uintptr
+		first  bool
+	}{
+		{10, 20, true},
+		{10, 20, false},
+		{12, 18, false},
+		{30, 40, true},
+		{15, 35, true}, // bridges the two: [10, 40)
+		{10, 40, false},
+		{40, 50, true}, // touches: [10, 50)
+		{11, 49, false},
+		{5, 10, true},
+		{5, 50, false},
+		{60, 70, true},
+		{45, 65, true},
+		{5, 70, false},
+		{4, 70, true},
+		{0, 71, true},
+	} {
+		if got := firstAdvice(c.lo, c.hi); got != c.first {
+			t.Fatalf("firstAdvice(%d, %d) = %v, want %v (spans %v)", c.lo, c.hi, got, c.first, advised.spans)
+		}
+	}
+	if want := [][2]uintptr{{0, 71}}; !slices.Equal(advised.spans, want) {
+		t.Fatalf("spans %v, want %v", advised.spans, want)
+	}
+}
+
 func addrOf(x []float32) uintptr { return uintptr(unsafe.Pointer(unsafe.SliceData(x))) }
 
 // TestNewMatrixAdvisesHugePages: a 32 MiB matrix lies in a mapping
@@ -80,6 +121,61 @@ func TestNewMatrixAdvisesHugePages(t *testing.T) {
 		t.Fatalf("HugePageBytes = %d, smaps says %d then %d", hp, w0, w1)
 	}
 	t.Logf("THP %s: %d of %d bytes on huge pages; %s", thpMode(), hp, len(m.Data)*4, HugePageSummary(m.Data))
+}
+
+// TestNewMatrixDropsReusedPages is the reused-block case: a block of
+// the same size is written and dropped first, so the runtime can hand
+// its pages back and clear them — faulting them in on 4 KB pages —
+// before NewMatrix advises them. The advised interior must then hold no
+// resident page until the first write, which faults it in on huge
+// pages where THP allows (logged, as that also depends on
+// fragmentation).
+func TestNewMatrixDropsReusedPages(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("transparent huge pages are Linux only")
+	}
+	const rows, cols = 8192, 1024 // 32 MiB
+	// What earlier tests dropped is freed first, so that old is placed
+	// among it and NewMatrix reuses old's pages or theirs; forgetting
+	// what they advised makes every range a first advice.
+	runtime.GC()
+	advised.Lock()
+	advised.spans = nil
+	advised.Unlock()
+	old := make([]float32, rows*cols)
+	for i := range old {
+		old[i] = 1
+	}
+	oldAddr := addrOf(old)
+	runtime.KeepAlive(old)
+	old = nil
+	runtime.GC()
+	m := NewMatrix(rows, cols)
+	off, n := hugeSpan(addrOf(m.Data), uintptr(len(m.Data))*4)
+	lo, hi := addrOf(m.Data)+off, addrOf(m.Data)+off+n
+	// The mappings that hold the interior may reach past it (a
+	// neighbour advised earlier can share its VmFlags and so its
+	// mapping): what they hold outside bounds what may be resident.
+	ms, err := testkit.Mappings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rss, outside int64
+	for _, g := range ms {
+		if g.Lo < hi && lo < g.Hi {
+			rss += g.RssBytes
+			outside += int64(g.Hi-g.Lo) - int64(min(g.Hi, hi)-max(g.Lo, lo))
+		}
+	}
+	if rss > outside {
+		t.Fatalf("advised interior [%#x,%#x) of a reused block (old block at %#x): %d bytes resident before the first write, at most %d allowed",
+			lo, hi, oldAddr, rss, outside)
+	}
+	for i := range m.Data {
+		m.Data[i] = 2
+	}
+	t.Logf("at the dropped block's address: %v; THP %s: %d of %d bytes on huge pages after the first write",
+		oldAddr == addrOf(m.Data), thpMode(), HugePageBytes(m.Data), len(m.Data)*4)
 }
 
 // TestHugePageAdviceKeepsMappingsBounded: advice splits a heap mapping

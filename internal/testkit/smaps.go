@@ -12,6 +12,7 @@ import (
 type Mapping struct {
 	Lo, Hi        uintptr  // address range [Lo, Hi)
 	Flags         []string // VmFlags: "hg" marks MADV_HUGEPAGE advice
+	RssBytes      int64    // Rss: bytes resident in memory
 	AnonHugeBytes int64    // AnonHugePages: bytes the kernel put on huge pages
 }
 
@@ -48,10 +49,14 @@ func Mappings() ([]Mapping, error) {
 		switch key {
 		case "VmFlags:":
 			m.Flags = fields[1:]
-		case "AnonHugePages:":
+		case "Rss:", "AnonHugePages:":
 			if len(fields) > 1 {
 				kb, _ := strconv.ParseInt(fields[1], 10, 64)
-				m.AnonHugeBytes = kb << 10
+				if key == "Rss:" {
+					m.RssBytes = kb << 10
+				} else {
+					m.AnonHugeBytes = kb << 10
+				}
 			}
 		}
 	}
