@@ -113,9 +113,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	featPath := fs.String("features", "", "serialized features to train the screener from when -screener is absent (WriteFeatures format)")
 
 	clusterMap := fs.String("cluster", "", "route to networked enmc-shard workers: replica URLs comma-separated, shards semicolon-separated (e.g. 'h1:9090,h2:9090;h3:9091,h4:9091')")
-	clusterTimeout := fs.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout")
-	clusterAttempts := fs.Int("cluster-attempts", 0, "attempts per shard per query incl. failover (default: one per replica, min 2)")
-	clusterHedge := fs.Duration("cluster-hedge", 0, "hedge a shard RPC onto another replica after this delay (0 disables)")
+	clusterTimeout := fs.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout (a shard tries every replica once, at least twice in all)")
 	clusterHealthEvery := fs.Duration("cluster-health-interval", 500*time.Millisecond, "per-replica /readyz probe period")
 
 	modelRoot := fs.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
@@ -173,8 +171,6 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 		router, err = cluster.Dial(dialCtx, cluster.RouterConfig{
 			ShardMap:       shardMap,
 			Timeout:        *clusterTimeout,
-			MaxAttempts:    *clusterAttempts,
-			HedgeAfter:     *clusterHedge,
 			HealthInterval: *clusterHealthEvery,
 		})
 		cancel()

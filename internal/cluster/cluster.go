@@ -16,8 +16,8 @@
 // The Router is production-shaped, not a toy fan-out: a static shard
 // map with R replicas per shard, per-replica health probing with
 // consecutive-failure ejection and re-admission, per-attempt
-// timeouts with bounded retry-then-failover across replicas, hedged
-// requests after a fixed delay, and partial-failure
+// timeouts with sequential failover across replicas (every replica
+// once, at least two attempts per shard), and partial-failure
 // degradation — when every replica of a shard is down the merged
 // top-k of the surviving shards is served with the response marked
 // partial instead of failing the query.
@@ -31,13 +31,12 @@ import (
 )
 
 // Telemetry instruments on the default registry. shard_rpc_total
-// counts attempts (including hedges and failover retries), so
-// shard_rpc_total - hedge_fired - failover_total approximates the
-// first-attempt rate.
+// counts attempts (failover retries included) and failover_total
+// every attempt after a shard leg's first, so shard_rpc_total -
+// failover_total is exactly the first-attempt count.
 var (
 	mShardRPCTotal    = telemetry.Default().Counter("cluster.shard_rpc_total")
 	mShardRPCErrors   = telemetry.Default().Counter("cluster.shard_rpc_errors")
-	mHedgeFired       = telemetry.Default().Counter("cluster.hedge_fired")
 	mFailoverTotal    = telemetry.Default().Counter("cluster.failover_total")
 	mPartialResponses = telemetry.Default().Counter("cluster.partial_responses")
 	mShardsHealthy    = telemetry.Default().Gauge("cluster.shards_healthy")

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -369,7 +370,7 @@ func TestRouterFailover(t *testing.T) {
 }
 
 // TestRouterRetrySameReplica: a single-replica shard gets a bounded
-// same-replica retry (MaxAttempts cycles the one-entry order), so a
+// same-replica retry (a leg makes at least two attempts), so a
 // transient 500 does not degrade the response.
 func TestRouterRetrySameReplica(t *testing.T) {
 	testkit.NoLeaks(t)
@@ -386,7 +387,7 @@ func TestRouterRetrySameReplica(t *testing.T) {
 			h.ServeHTTP(rw, req)
 		})
 	})
-	r := dialT(t, RouterConfig{ShardMap: urls, MaxAttempts: 2})
+	r := dialT(t, RouterConfig{ShardMap: urls})
 
 	outs, p, err := r.ClassifyBatchPartial(context.Background(), inst.Test[:1], 24, 5)
 	if err != nil {
@@ -403,51 +404,77 @@ func TestRouterRetrySameReplica(t *testing.T) {
 	assertOutcome(t, 0, outs[0], want)
 }
 
-// TestRouterHedge: when the first replica stalls, the hedge timer
-// must launch the second replica and its answer must win well before
-// the stalled attempt's timeout.
-func TestRouterHedge(t *testing.T) {
+// TestRouterAttemptBudget pins the failover rule: a shard leg tries
+// every replica once and makes at least two attempts, so a
+// single-replica shard retries its replica once, a three-replica
+// shard tries each replica once, and a healthy shard is asked once.
+func TestRouterAttemptBudget(t *testing.T) {
 	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
-	stop := make(chan struct{})
-	urls, _ := startWorkers(t, shards, 2, func(_, rep int, h http.Handler) http.Handler {
-		if rep != 0 {
-			return h
-		}
+	var hits [fixShards][3]atomic.Int32
+	var failing atomic.Int32 // the shard whose replicas all answer 500
+	urls, _ := startWorkers(t, shards, 3, func(shard, rep int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
 			if req.URL.Path == "/v1/shard/screen" {
-				stall(req, stop)
-				return
+				hits[shard][rep].Add(1)
+				if int(failing.Load()) == shard {
+					http.Error(rw, "down", http.StatusInternalServerError)
+					return
+				}
 			}
 			h.ServeHTTP(rw, req)
 		})
 	})
-	// LIFO cleanup: registered after startWorkers, so the stalled
-	// handlers unblock before httptest's Close waits on them.
-	t.Cleanup(func() { close(stop) })
-	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 10 * time.Second, HedgeAfter: 15 * time.Millisecond, MaxAttempts: 2})
+	for _, c := range []struct {
+		name      string
+		failing   int
+		replicas  int // of the failing shard; the others serve one
+		wantHits  [3]int32
+		failovers int64
+	}{
+		{"one replica", 0, 1, [3]int32{2, 0, 0}, 1},
+		{"three replicas", 1, 3, [3]int32{1, 1, 1}, 2},
+	} {
+		shardMap := make([][]string, fixShards)
+		for i := range shardMap {
+			shardMap[i] = urls[i][:1]
+		}
+		shardMap[c.failing] = urls[c.failing][:c.replicas]
+		r := dialT(t, RouterConfig{ShardMap: shardMap})
+		failing.Store(int32(c.failing))
+		for i := range hits {
+			for j := range hits[i] {
+				hits[i][j].Store(0)
+			}
+		}
+		rpcBefore, failBefore := mShardRPCTotal.Value(), mFailoverTotal.Value()
 
-	hedgeBefore := mHedgeFired.Value()
-	start := time.Now()
-	outs, p, err := r.ClassifyBatchPartial(context.Background(), inst.Test[:1], 24, 5)
-	if err != nil {
-		t.Fatal(err)
+		_, p, err := r.ClassifyBatchPartial(context.Background(), inst.Test[:1], 24, 5)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(p.MissingShards) != 1 || p.MissingShards[0] != c.failing {
+			t.Fatalf("%s: missing shards %v, want [%d]", c.name, p.MissingShards, c.failing)
+		}
+		for i := range hits {
+			want := [3]int32{1, 0, 0}
+			if i == c.failing {
+				want = c.wantHits
+			}
+			for j := range hits[i] {
+				if got := hits[i][j].Load(); got != want[j] {
+					t.Fatalf("%s: shard %d replica %d took %d screen RPCs, want %d", c.name, i, j, got, want[j])
+				}
+			}
+		}
+		failovers := mFailoverTotal.Value() - failBefore
+		if failovers != c.failovers {
+			t.Fatalf("%s: failover_total advanced by %d, want %d", c.name, failovers, c.failovers)
+		}
+		if first := mShardRPCTotal.Value() - rpcBefore - failovers; first != fixShards {
+			t.Fatalf("%s: shard_rpc_total - failover_total = %d, want %d first attempts", c.name, first, fixShards)
+		}
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hedge did not preempt the stalled replica (took %s)", elapsed)
-	}
-	if p.Partial {
-		t.Fatalf("hedged query degraded to partial: %+v", p)
-	}
-	if mHedgeFired.Value() <= hedgeBefore {
-		t.Fatal("hedge_fired did not advance")
-	}
-	per := (24 + fixShards - 1) / fixShards
-	want, err := distributed.Classify(shards, inst.Test[0], per, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertOutcome(t, 0, outs[0], want)
 }
 
 // TestRouterHealthEjectAndReadmit drives the per-replica probe state
@@ -532,7 +559,7 @@ func TestRouterCancellation(t *testing.T) {
 		})
 	})
 	t.Cleanup(func() { close(stop) })
-	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 10 * time.Second, MaxAttempts: 1})
+	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 10 * time.Second})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -24,17 +24,9 @@ type RouterConfig struct {
 	// ShardMap is the static topology: ShardMap[i] lists shard i's
 	// replica base URLs (see ParseShardMap).
 	ShardMap [][]string
-	// Timeout bounds one RPC attempt to one replica (default 2s).
+	// Timeout bounds one RPC attempt to one replica (default 2s). A
+	// shard leg tries every replica once, and at least twice in all.
 	Timeout time.Duration
-	// MaxAttempts bounds the attempts per shard per query — the
-	// first try plus retry/failover/hedge relaunches (default: one
-	// per replica, minimum 2). Attempts cycle through the replica
-	// order, so a single-replica shard gets a same-replica retry.
-	MaxAttempts int
-	// HedgeAfter launches a hedge attempt on another replica when
-	// the first has not answered after this long, capped at Timeout
-	// (default 0: disabled).
-	HedgeAfter time.Duration
 	// HealthInterval is the per-replica /readyz probe period and
 	// bounds one probe (default 500ms; negative disables probing).
 	HealthInterval time.Duration
@@ -105,8 +97,8 @@ func (s *routerShard) replicaOrderInto(order []*replica) []*replica {
 	return order
 }
 
-// wireBody is the scatter payload shared by every shard, hedge, and
-// failover retry of one micro-batch: the frame is encoded once into a
+// wireBody is the scatter payload shared by every shard and failover
+// retry of one micro-batch: the frame is encoded once into a
 // pooled buffer. The refcount returns the pooled buffer when the last
 // reader is done; readers are counted per HTTP request body (see
 // reqBody), because Body.Close is the only point the transport
@@ -372,11 +364,11 @@ func (r *Router) ClassifyBatch(ctx context.Context, batch [][]float32, m, topK i
 
 // ClassifyBatchPartial implements server.PartialBackend: scatter the
 // batch across every shard concurrently, gather the per-shard exact
-// candidate pairs, and merge the global top-k. When every replica of
-// a shard fails, the query degrades instead of failing: the merged
-// top-k of the surviving shards is returned with Partial set and the
-// missing shard ids listed. Only all-shards-down (or cancellation)
-// returns an error.
+// candidate pairs, and merge the global top-k. When a shard's leg
+// runs out of attempts (every replica once, at least two in all), the
+// query degrades instead of failing: the merged top-k of the
+// surviving shards is returned with Partial set and the missing shard
+// ids listed. Only all-shards-down (or cancellation) returns an error.
 func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m, topK int) ([]server.Outcome, server.Partial, error) {
 	if len(batch) == 0 {
 		return nil, server.Partial{}, nil
@@ -385,8 +377,7 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 	if per < 1 {
 		per = 1
 	}
-	// One encode per micro-batch, shared by every shard, hedge, and
-	// retry.
+	// One encode per micro-batch, shared by every shard and retry.
 	bin, err := AppendScreenRequest(GetEncodeBuf(), per, batch)
 	if err != nil {
 		return nil, server.Partial{}, err
@@ -477,12 +468,10 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 	return outs, p, nil
 }
 
-// callShard runs one shard's scatter leg: try replicas in failover
-// order with a per-attempt timeout, relaunching on error (bounded by
-// MaxAttempts) and hedging onto the next replica when the attempt in
-// flight is slower than the shard's recent latency suggests it
-// should be. First success wins; losers are cancelled, and any
-// pooled decode scratch they produce is reaped back to the pool.
+// callShard runs one shard's scatter leg: replicas in failover order,
+// one attempt at a time, each under the per-attempt timeout, until one
+// answers. Every replica gets one try and the leg at least two, so a
+// single-replica shard retries its replica once.
 func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nItems int) (*ScreenResponse, *WireScratch, error) {
 	op := orderPool.Get().(*[]*replica)
 	order := s.replicaOrderInto(*op)
@@ -490,85 +479,21 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 		*op = order[:0]
 		orderPool.Put(op)
 	}()
-	attempts := r.cfg.MaxAttempts
-	if attempts <= 0 {
-		attempts = len(order)
-		if attempts < 2 {
-			attempts = 2
-		}
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // reap any attempt still in flight when we return
-
-	type attemptResult struct {
-		resp *ScreenResponse
-		sc   *WireScratch
-		err  error
-	}
-	ch := make(chan attemptResult, attempts)
-	launched, done := 0, 0
-	launch := func() {
-		rep := order[launched%len(order)]
-		launched++
-		go func() {
-			resp, sc, err := r.rpcOnce(cctx, s, rep, wb, nItems)
-			ch <- attemptResult{resp, sc, err}
-		}()
-	}
-	launch()
-	// Late finishers (cancelled hedges, loser attempts) may still
-	// deliver a decoded response after we return; their scratch has to
-	// go back to the pool or the pool churns under hedging load.
-	reap := func() {
-		if extra := launched - done; extra > 0 {
-			go func() {
-				for i := 0; i < extra; i++ {
-					if ar := <-ch; ar.sc != nil {
-						ar.sc.Release()
-					}
-				}
-			}()
-		}
-	}
-
-	var hedgeC <-chan time.Time
-	if hd := min(r.cfg.HedgeAfter, r.cfg.Timeout); hd > 0 && attempts > 1 {
-		t := time.NewTimer(hd)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	inflight := 1
 	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
-			reap()
-			return nil, nil, ctx.Err()
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < attempts {
-				mHedgeFired.Inc()
-				launch()
-				inflight++
-			}
-		case ar := <-ch:
-			done++
-			if ar.err == nil {
-				reap()
-				return ar.resp, ar.sc, nil
-			}
-			lastErr = ar.err
-			inflight--
-			if launched < attempts {
-				mFailoverTotal.Inc()
-				launch()
-				inflight++
-			} else if inflight == 0 {
-				return nil, nil, lastErr
-			}
+	for i := range max(len(order), 2) {
+		if i > 0 {
+			mFailoverTotal.Inc()
 		}
+		resp, sc, err := r.rpcOnce(ctx, s, order[i%len(order)], wb, nItems)
+		if err == nil {
+			return resp, sc, nil
+		}
+		if ctx.Err() != nil {
+			return nil, nil, ctx.Err()
+		}
+		lastErr = err
 	}
+	return nil, nil, lastErr
 }
 
 // rpcOnce is one attempt against one replica under the per-attempt

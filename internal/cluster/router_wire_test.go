@@ -341,7 +341,7 @@ func TestKeepAliveConnectionReuse(t *testing.T) {
 // --- router fast-path allocation guard ---
 
 // TestRouterFastPathAllocs bounds the router's per-item garbage on
-// the all-healthy, no-hedge fast path. The absolute number includes
+// the all-healthy fast path. The absolute number includes
 // net/http client machinery (connection pool bookkeeping, header
 // maps), so the guard is on the MARGINAL allocations per extra batch
 // item — the part the merge loop and codec own. MergeDedup's
@@ -378,8 +378,8 @@ func TestRouterFastPathAllocs(t *testing.T) {
 	}
 	// Coarse absolute ceiling so fixed-cost regressions (per-RPC JSON
 	// bodies, per-query slices) cannot hide behind the marginal guard.
-	if small > 700 {
-		t.Fatalf("router fast path allocates %.0f/op for a 1-item batch across %d shards, want ≤ 700", small, fixShards)
+	if small > 450 {
+		t.Fatalf("router fast path allocates %.0f/op for a 1-item batch across %d shards, want ≤ 450", small, fixShards)
 	}
 }
 

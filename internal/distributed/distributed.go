@@ -259,27 +259,4 @@ func (c Config) Run(task compiler.Task, mode compiler.Mode) (Result, error) {
 	return out, nil
 }
 
-// ScaleOutEfficiency runs the task on 1..maxNodes nodes and returns
-// the parallel efficiency curve speedup(n)/n — the quantity that
-// shows where the network starts to dominate.
-func (c Config) ScaleOutEfficiency(task compiler.Task, mode compiler.Mode, maxNodes int) ([]float64, error) {
-	single := c
-	single.Nodes = 1
-	base, err := single.Run(task, mode)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, 0, maxNodes)
-	for n := 1; n <= maxNodes; n++ {
-		cn := c
-		cn.Nodes = n
-		r, err := cn.Run(task, mode)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, base.TotalSeconds/r.TotalSeconds/float64(n))
-	}
-	return out, nil
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -163,24 +163,6 @@ func TestRunPerformance(t *testing.T) {
 	}
 }
 
-func TestScaleOutEfficiencyDecays(t *testing.T) {
-	task := compiler.Task{Categories: 2_000_000, Hidden: 512, Reduced: 128, Candidates: 40000, Batch: 1}
-	eff, err := perfConfig().ScaleOutEfficiency(task, compiler.ModeScreened, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eff) != 8 {
-		t.Fatalf("efficiency points = %d", len(eff))
-	}
-	if eff[0] < 0.99 || eff[0] > 1.01 {
-		t.Fatalf("single-node efficiency %v, want 1", eff[0])
-	}
-	// Efficiency must decay as the network grows relative to compute.
-	if eff[7] >= eff[0] {
-		t.Fatalf("efficiency did not decay: %v", eff)
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	bad := perfConfig()
 	bad.Nodes = 0

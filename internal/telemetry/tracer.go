@@ -26,7 +26,7 @@ const (
 	// in a distributed capture.
 	TrackHTTP = 150
 	// TrackClusterBase is the first cluster-router span lane: shard
-	// i's RPCs (attempts, hedges, failovers) land on lane
+	// i's RPC attempts (first tries and failovers) land on lane
 	// TrackClusterBase+i, one swim-lane per shard so a slow or
 	// flapping shard is visible at a glance in the trace viewer.
 	TrackClusterBase = 200
