@@ -20,9 +20,10 @@ test:
 # kernels pass in `make test`, the testkit conformance table among them,
 # and the simulator bridge (funcsim running compiled programs over
 # image's DRAM images, compiler) holds the Go kernel to the functional
-# DIMM over the same nibble image.
+# DIMM over the same nibble image. The root package's Example outputs —
+# the public pipeline's answers — must not change either.
 test-purego:
-	$(GO) test -tags purego ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server ./internal/testkit/... ./internal/image ./internal/funcsim ./internal/compiler
+	$(GO) test -tags purego . ./internal/quant ./internal/tensor ./internal/core ./internal/decode ./internal/distributed ./internal/server ./internal/testkit/... ./internal/image ./internal/funcsim ./internal/compiler
 
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on. It includes the in-process scenario tests of

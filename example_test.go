@@ -1,8 +1,10 @@
 package enmc_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"enmc"
 )
@@ -80,6 +82,55 @@ func Example() {
 	// candidates recomputed exactly: 4 of 64
 }
 
+// ExampleCalibrateThreshold selects candidates the way the DIMM's
+// comparator array does — every class whose screened logit clears a
+// threshold — with the threshold calibrated offline so that
+// validation queries keep about eight classes.
+func ExampleCalibrateThreshold() {
+	cls, samples, query := buildToyModel()
+	scr, err := enmc.TrainScreener(cls, samples, enmc.ScreenerConfig{Seed: 1, Epochs: 8})
+	if err != nil {
+		panic(err)
+	}
+	th := enmc.CalibrateThreshold(scr, samples[32:64], 8)
+	res := enmc.Classify(cls, scr, query, enmc.Threshold(th))
+	fmt.Println("screened prediction:", res.Predict())
+	fmt.Println("screened top-3:     ", res.TopK(3))
+	fmt.Println("candidates above the threshold:", len(res.Candidates), "of", cls.Categories())
+	// Output:
+	// screened prediction: 7
+	// screened top-3:      [7 1 36]
+	// candidates above the threshold: 13 of 64
+}
+
+// ExampleSaveScreener ships a trained screener from the training host
+// to the inference host (the paper's Fig. 10 initialization): the
+// restored copy classifies exactly as the original does.
+func ExampleSaveScreener() {
+	cls, samples, query := buildToyModel()
+	scr, err := enmc.TrainScreener(cls, samples, enmc.ScreenerConfig{Seed: 1, Epochs: 8})
+	if err != nil {
+		panic(err)
+	}
+	var wire bytes.Buffer
+	if err := enmc.SaveScreener(scr, &wire); err != nil {
+		panic(err)
+	}
+	fmt.Println("serialized screener:", wire.Len(), "bytes")
+	restored, err := enmc.LoadScreener(&wire)
+	if err != nil {
+		panic(err)
+	}
+	before := enmc.Classify(cls, scr, query, enmc.TopM(4))
+	after := enmc.Classify(cls, restored, query, enmc.TopM(4))
+	fmt.Println("prediction before saving, after loading:", before.Predict(), after.Predict())
+	fmt.Println("same candidates:", slices.Equal(before.Candidates, after.Candidates))
+	// Output:
+	// serialized screener: 3633 bytes
+	// prediction before saving, after loading: 7 7
+	// same candidates: true
+}
+
 // ExampleSimulate runs the cycle-level system simulation for a
 // Transformer-scale classification offload on the ENMC design and on
 // the TensorDIMM baseline.
@@ -101,7 +152,8 @@ func ExampleSimulate() {
 }
 
 // ExampleAssembleProgram assembles a minimal ENMC program (Table 1
-// mnemonics) and executes it on one simulated rank.
+// mnemonics), prints its disassembly, and executes it on one
+// simulated rank.
 func ExampleAssembleProgram() {
 	prog, err := enmc.AssembleProgram(`
 LDR wgt_i4, 0x0
@@ -112,6 +164,12 @@ RETURN
 	if err != nil {
 		panic(err)
 	}
+	fmt.Print(prog.Disassemble())
+	again, err := enmc.AssembleProgram(prog.Disassemble())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("reassembled:", again.Len(), "instructions, same text:", again.Disassemble() == prog.Disassemble())
 	res, err := prog.RunOnDIMM()
 	if err != nil {
 		panic(err)
@@ -119,6 +177,11 @@ RETURN
 	fmt.Println("instructions:", res.Instructions)
 	fmt.Println("INT4 MACs:   ", res.INT4MACs)
 	// Output:
+	// LDR wgt_i4, 0x0
+	// MUL_ADD_INT4 feat_i4, wgt_i4
+	// FILTER psum_i4
+	// RETURN
+	// reassembled: 4 instructions, same text: true
 	// instructions: 4
 	// INT4 MACs:    512
 }

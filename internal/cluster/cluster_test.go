@@ -544,7 +544,7 @@ func TestRouterHealthEjectAndReadmit(t *testing.T) {
 }
 
 // TestRouterCancellation: a context cancelled mid-scatter surfaces
-// ctx.Err(), not a partial result.
+// ctx.Err(), not a partial result, and counts no shard RPC error.
 func TestRouterCancellation(t *testing.T) {
 	testkit.NoLeaks(t)
 	inst, shards, _ := fixture(t)
@@ -561,6 +561,7 @@ func TestRouterCancellation(t *testing.T) {
 	t.Cleanup(func() { close(stop) })
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 10 * time.Second})
 
+	errBefore := mShardRPCErrors.Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(30 * time.Millisecond)
@@ -569,6 +570,10 @@ func TestRouterCancellation(t *testing.T) {
 	_, _, err := r.ClassifyBatchPartial(ctx, inst.Test[:1], 12, 3)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// The caller hung up; no shard failed.
+	if d := mShardRPCErrors.Value() - errBefore; d != 0 {
+		t.Fatalf("shard_rpc_errors rose by %d across a caller's cancel, want 0", d)
 	}
 }
 

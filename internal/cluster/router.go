@@ -502,7 +502,9 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 // the worker on the wire headers and the worker's returned spans are
 // rebased under this attempt's span on the shard's process lane
 // (PID 1+id). Any non-200 — a 415 or 400 from a worker that does not
-// speak this frame included — is an ordinary failed attempt.
+// speak this frame included — is an ordinary failed attempt, and so is
+// a per-attempt timeout; an attempt cut short because the caller's ctx
+// ended is no shard failure and bumps no error count.
 //
 // The returned WireScratch owns the decoded response's backing
 // memory; the caller releases it once done with the response.
@@ -515,6 +517,10 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 	defer cancel()
 	start := time.Now()
 	fail := func(err error) (*ScreenResponse, *WireScratch, error) {
+		if ctx.Err() != nil {
+			// The caller gave up, not the shard: no error, no FAIL span.
+			return nil, nil, err
+		}
 		mShardRPCErrors.Inc()
 		if tr.Enabled() {
 			tr.Add(telemetry.Span{

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"enmc/internal/core"
+	"enmc/internal/telemetry"
 	"enmc/internal/testkit"
 )
 
@@ -121,6 +122,31 @@ func TestWorkerScreenContentTypes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkerScreenCanceled: a screen the router has already abandoned
+// answers 499 and leaves no error in the worker's SLO window.
+func TestWorkerScreenCanceled(t *testing.T) {
+	inst, shards, _ := fixture(t)
+	w, err := NewWorker(shards[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/shard/screen",
+		bytes.NewReader(screenFrame(t, 8, inst.Test[:3]))).WithContext(ctx)
+	req.Header.Set("Content-Type", ContentTypeScreenV2)
+	rec := httptest.NewRecorder()
+	w.Handler().ServeHTTP(rec, req)
+	if rec.Code != telemetry.StatusClientClosed {
+		t.Fatalf("status = %d, want 499: %s", rec.Code, rec.Body)
+	}
+	for _, ep := range w.slo.Summary().Endpoints {
+		if ep.Errors != 0 {
+			t.Errorf("worker SLO endpoint %s: %d errors, want 0", ep.Endpoint, ep.Errors)
+		}
 	}
 }
 

@@ -239,8 +239,9 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 			resp.Items[i] = cands
 		})
 	if err != nil {
-		// Router gave up (timeout/cancel): the reply will not be read.
-		writeError(rw, http.StatusGatewayTimeout, err.Error())
+		// The router abandoned the leg (its caller hung up or the
+		// attempt timed out): the reply will not be read.
+		writeError(rw, telemetry.StatusClientClosed, err.Error())
 		return
 	}
 	if traced {

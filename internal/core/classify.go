@@ -251,13 +251,3 @@ func ClassifyBatchVisitCtx(ctx context.Context, cls *Classifier, scr *Screener, 
 	}
 	return nil
 }
-
-// SigmoidProbabilities normalizes the mixed vector element-wise with
-// the logistic function — the multi-label output the recommendation
-// workloads use (paper Section 4.1: "our method is capable to other
-// non-linear functions used in classification such as sigmoid").
-func (r *Result) SigmoidProbabilities() []float32 {
-	p := make([]float32, len(r.Mixed))
-	activation.Sigmoid(p, r.Mixed)
-	return p
-}

@@ -121,17 +121,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestParamAndCostScale(t *testing.T) {
-	c := Config{Categories: 100, Hidden: 512, Reduced: 128, Precision: quant.INT4}
-	if got := c.ParamScale(); math.Abs(got-0.25) > 1e-9 {
-		t.Fatalf("ParamScale = %v", got)
-	}
-	// The paper's operating point: 0.25 scale at INT4 → ~3.1%.
-	if got := c.CostScale(); math.Abs(got-0.03125) > 1e-9 {
-		t.Fatalf("CostScale = %v", got)
-	}
-}
-
 func TestProjectedScreenerApproximates(t *testing.T) {
 	cls, samples := testModel(t, 100, 64, 4)
 	scr, err := ProjectedScreener(cls, testConfig(100, 64))
@@ -325,7 +314,8 @@ func TestCostAccounting(t *testing.T) {
 	if full.FP32MACs != 512000 {
 		t.Fatalf("full MACs = %v", full.FP32MACs)
 	}
-	approx := ApproxClassificationCost(1000, 512, 128, 20, quant.INT4)
+	approx := ScreeningCost(1000, 512, 128, quant.INT4)
+	approx.Add(CandidateCost(20, 512))
 	if approx.Bytes >= full.Bytes {
 		t.Fatalf("approx bytes %v not below full %v", approx.Bytes, full.Bytes)
 	}
@@ -453,13 +443,5 @@ func TestScreenBatchMatchesScreen(t *testing.T) {
 				t.Fatalf("batch %d row %d: %v vs %v", b, i, got[b][i], want[i])
 			}
 		}
-	}
-}
-
-func TestSigmoidProbabilities(t *testing.T) {
-	r := &Result{Mixed: []float32{0, 100, -100}}
-	p := r.SigmoidProbabilities()
-	if p[0] < 0.49 || p[0] > 0.51 || p[1] < 0.99 || p[2] > 0.01 {
-		t.Fatalf("sigmoid probabilities = %v", p)
 	}
 }

@@ -85,11 +85,3 @@ func CandidateCost(m, d int) OpCount {
 		Bytes:    float64(m)*float64(d)*4 + float64(m)*4,
 	}
 }
-
-// ApproxClassificationCost is screening + candidates-only
-// classification, the end-to-end approximate pipeline.
-func ApproxClassificationCost(l, d, k, m int, bits quant.Bits) OpCount {
-	c := ScreeningCost(l, d, k, bits)
-	c.Add(CandidateCost(m, d))
-	return c
-}

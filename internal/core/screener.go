@@ -37,20 +37,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ParamScale reports the screener parameter-count ratio k/d — the
-// x-axis of Fig. 12(a); the paper selects 0.25.
-func (c Config) ParamScale() float64 {
-	return float64(c.Reduced) / float64(c.Hidden)
-}
-
-// CostScale reports the screening compute/traffic overhead relative
-// to full classification: (k/d)·(bits/32). At the paper's operating
-// point (scale 0.25, INT4) this is 3.125%, matching the 3.1%
-// screening overhead quoted in Section 7.1.
-func (c Config) CostScale() float64 {
-	return c.ParamScale() * float64(c.Precision) / 32
-}
-
 // Screener holds the trained screening module. Wt and Bt are the
 // float32 master parameters (what SGD updates); QW is the quantized
 // deployment copy the hardware streams.

@@ -74,10 +74,6 @@ func (s *Server) SetDecode(svc *decode.Service) {
 	s.decodeSvc.Store(svc)
 }
 
-// DecodeService returns the installed decode service (nil when decode
-// is not enabled).
-func (s *Server) DecodeService() *decode.Service { return s.decodeSvc.Load() }
-
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { mDecodeNs.Observe(float64(time.Since(start))) }()

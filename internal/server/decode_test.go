@@ -159,8 +159,10 @@ func readNDJSON(t *testing.T, resp *http.Response) ([]DecodeFrame, DecodeDone) {
 // finished session's slot freed immediately.
 func TestDecodeNDJSONGreedy(t *testing.T) {
 	testkit.NoLeaks(t)
-	s, ts, inst := decodeFixture(t, decode.Config{})
-	maxLen := s.DecodeService().MaxLen()
+	s, svc, inst := decodeServer(t, decode.Config{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	maxLen := svc.MaxLen()
 	resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[0], Stream: "ndjson"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)

@@ -416,8 +416,9 @@ func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 // every item, resolves the tenant and charges it len(hs) quota tokens,
 // enqueues one entry of len(hs) items, waits for the entry's flush or
 // the client, and fills the request metadata. On failure it has
-// written the error (400, quota 429, writeUnavailable's table, or 504
-// once the client's context is done) and reports false.
+// written the error (400, quota 429, writeUnavailable's table, 499 once
+// the client has hung up, or 504 once its deadline has passed) and
+// reports false.
 func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32, topK int) (reply, *tenant.Tenant, bool) {
 	if len(hs) == 0 || len(hs) > s.cfg.QueueCap {
 		writeError(w, http.StatusBadRequest,
@@ -481,6 +482,10 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32
 			ts.Degraded.Inc()
 		}
 		return rep, ten, true
+	case ctx.Err() == context.Canceled:
+		// The client hung up: not the server's fault, and nobody
+		// reads the answer.
+		writeError(w, telemetry.StatusClientClosed, ctx.Err().Error())
 	case ctx.Err() != nil:
 		mStatus5xx.Inc()
 		writeError(w, http.StatusGatewayTimeout, ctx.Err().Error())

@@ -15,6 +15,7 @@ import (
 
 	"enmc/internal/core"
 	"enmc/internal/quant"
+	"enmc/internal/telemetry"
 	"enmc/internal/tenant"
 	"enmc/internal/testkit"
 	"enmc/internal/workload"
@@ -545,6 +546,41 @@ func TestClassifyDeadline(t *testing.T) {
 	}
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504", rec.Code)
+	}
+}
+
+// TestClassifyCanceled: a client that hangs up while its request is
+// gated gets 499, which is no 5xx and no error in the SLO window.
+func TestClassifyCanceled(t *testing.T) {
+	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
+	s, err := New(fb, Config{MaxBatch: 1, QueueCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { close(fb.gate); s.Drain() }()
+
+	before := mStatus5xx.Value()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(30*time.Millisecond, cancel)
+	req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(classifyBody(t, 8))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != telemetry.StatusClientClosed {
+		t.Fatalf("status = %d, want 499", rec.Code)
+	}
+	if d := mStatus5xx.Value() - before; d != 0 {
+		t.Errorf("status_5xx rose by %d", d)
+	}
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/slo", nil))
+	var sum telemetry.SLOSummary
+	if err := json.Unmarshal(rec.Body.Bytes(), &sum); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range sum.Endpoints {
+		if ep.Errors != 0 {
+			t.Errorf("SLO endpoint %s: %d errors, want 0", ep.Endpoint, ep.Errors)
+		}
 	}
 }
 

@@ -24,6 +24,12 @@ import (
 // (slow AND fast) burn is what distinguishes an ongoing incident
 // from the tail of a resolved one.
 
+// StatusClientClosed (nginx's 499) answers a request whose client hung
+// up before the answer was ready. Nobody reads it and the server did
+// nothing wrong, so the SLO windows count it as neither a success nor
+// an error.
+const StatusClientClosed = 499
+
 // SLOConfig tunes a tracker. Zero values take the defaults.
 type SLOConfig struct {
 	// Window is the full rolling window (default 5m): a ring of
@@ -107,9 +113,10 @@ func (s *SLO) nBuckets() int {
 	return n
 }
 
-// Observe records one served request. Nil-safe.
+// Observe records one served request; a StatusClientClosed answer is
+// not recorded. Nil-safe.
 func (s *SLO) Observe(endpoint string, status int, latency time.Duration) {
-	if s == nil {
+	if s == nil || status == StatusClientClosed {
 		return
 	}
 	epoch := s.now().UnixNano() / int64(s.bucket)

@@ -225,16 +225,6 @@ func TestTopKMatchesSort(t *testing.T) {
 	}
 }
 
-func TestAboveThreshold(t *testing.T) {
-	got := AboveThreshold([]float32{1, 5, 2, 5}, 5)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("AboveThreshold = %v", got)
-	}
-	if AboveThreshold(nil, 0) != nil {
-		t.Fatal("AboveThreshold(nil)")
-	}
-}
-
 func randMatrix(r *xrand.RNG, rows, cols int) *Matrix {
 	m := NewMatrix(rows, cols)
 	for i := range m.Data {

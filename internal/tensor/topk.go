@@ -353,22 +353,11 @@ func (b *TopKBuf) extract() []int {
 	return b.out
 }
 
-// AboveThreshold returns, in ascending index order, all indices i
-// with x[i] >= threshold. This models the Screener's threshold
-// filter.
-func AboveThreshold(x []float32, threshold float32) []int {
-	var out []int
-	for i, v := range x {
-		if v >= threshold {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// AboveThresholdInto is AboveThreshold appending into dst[:0]; the
-// grown slice is returned so callers can keep it as reusable scratch.
-// nan reports whether x holds a NaN, which no threshold keeps.
+// AboveThresholdInto writes, in ascending index order, all indices i
+// with x[i] >= threshold into dst[:0] — the Screener's threshold
+// filter. The grown slice is returned so callers can keep it as
+// reusable scratch. nan reports whether x holds a NaN, which no
+// threshold keeps.
 func AboveThresholdInto(dst []int, x []float32, threshold float32) (idx []int, nan bool) {
 	dst = dst[:0]
 	for i, v := range x {

@@ -195,6 +195,9 @@ func TestAboveThresholdIntoMatchesAndReuses(t *testing.T) {
 	if got, _ := AboveThresholdInto(dst, x, 100); len(got) != 0 {
 		t.Fatalf("AboveThresholdInto empty = %v", got)
 	}
+	if got, _ := AboveThresholdInto(nil, nil, 0); got != nil {
+		t.Fatalf("AboveThresholdInto(nil, nil) = %v", got)
+	}
 }
 
 func TestTopKZeroAllocSteadyState(t *testing.T) {
