@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race fuzz fuzz-kernels bench bench-smoke bench-selftest vet vet-cross fmt testkit-check loc check ci cover clean report report-check
+.PHONY: all build test test-purego race fuzz fuzz-kernels bench bench-smoke bench-selftest experiments-check vet vet-cross fmt testkit-check loc check ci cover clean report report-check
 
 all: build
 
@@ -97,9 +97,10 @@ check: vet fmt race
 	@echo "check OK"
 
 # What CI runs on every push/PR — the same gate as `make check` plus
-# an explicit build, plain and purego test passes and the stale-report
-# gate, kept here so the CI workflow can't drift from the Makefile.
-ci: vet vet-cross fmt testkit-check build test test-purego race bench-selftest report-check
+# an explicit build, plain and purego test passes, the experiment
+# tables and the stale-report gate, kept here so the CI workflow can't
+# drift from the Makefile.
+ci: vet vet-cross fmt testkit-check build test test-purego race bench-selftest experiments-check report-check
 	@echo "ci OK"
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a nested
@@ -109,6 +110,21 @@ ci: vet vet-cross fmt testkit-check build test test-purego race bench-selftest r
 bench-selftest:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
+
+# The algorithm-side tables EXPERIMENTS.md reports — Fig. 11, Fig. 12
+# and the ablations — rerun and diffed against the outputs committed
+# under internal/experiments/testdata/, timing line dropped. A change
+# that moves a quality number fails here; one that means to regenerates
+# the file with the same pipeline (`> internal/experiments/testdata/<run>.golden`).
+EXPERIMENTS = fig11 fig12 ablations
+experiments-check:
+	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/enmc-bench" ./cmd/enmc-bench && \
+	for run in $(EXPERIMENTS); do \
+		"$$bin/enmc-bench" -run $$run | grep -v '^\[.* completed in .*\]$$' | \
+			diff -u internal/experiments/testdata/$$run.golden - || exit 1; \
+		echo "$$run matches internal/experiments/testdata/$$run.golden"; \
+	done
 
 # One-iteration benchmark pass: compiles and runs every benchmark
 # once so perf regressions are at least visible per-PR (CI uploads

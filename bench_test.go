@@ -172,14 +172,10 @@ func BenchmarkAblationLearnedVsProjected(b *testing.B) {
 	inst := ablationModel(b)
 	cfg := core.Config{Categories: 768, Hidden: 128, Reduced: 32, Precision: quant.INT4, Seed: 3}
 	agreement := func(scr *core.Screener) float64 {
-		var top1 []int
-		var exact [][]int
-		for _, h := range inst.Test {
-			res := core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(38))
-			top1 = append(top1, res.Predict())
-			exact = append(exact, []int{inst.Classifier.Predict(h)})
-		}
-		return metrics.TopKAgreement(top1, exact)
+		q, _ := metrics.ScreenQuality(context.Background(), inst.Classifier, inst.Test, 1, func(h []float32) *core.Result {
+			return core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(38))
+		})
+		return q.Top1
 	}
 	b.Run("learned", func(b *testing.B) {
 		var agree float64

@@ -47,9 +47,10 @@
 // (internal/registry): the initial version loads at startup
 // (-model-version pins it; default newest), and SIGHUP or POST
 // /v1/model/reload hot-swaps to a new version behind a canary gate —
-// a candidate whose top-K agreement with the serving model on the
-// held-out probe set falls below -canary-floor is rejected and the
-// current version keeps serving (automatic rollback).
+// a candidate whose screened recall@5 at the served m (-m) against its
+// own full classifier, on the held-out probe set, falls below
+// -canary-floor × the serving model's is rejected and the current
+// version keeps serving (automatic rollback).
 package main
 
 import (
@@ -118,8 +119,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 
 	modelRoot := fs.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
 	modelVersion := fs.String("model-version", "", "registry version to serve at startup (default newest)")
-	canaryFloor := fs.Float64("canary-floor", 0.9, "reject a reload whose probe top-K agreement falls below this (negative: disable)")
-	canaryTopK := fs.Int("canary-topk", 5, "K for the canary top-K agreement")
+	canaryFloor := fs.Float64("canary-floor", 0.9, "reject a reload whose screened recall@5 at -m, against its own classifier, falls below this fraction of the serving model's (negative: disable)")
 	canaryProbe := fs.String("canary-probe", "", "probe feature file (WriteFeatures format; default: version's shipped probe)")
 
 	demoClasses := fs.Int("demo-classes", 4096, "demo model: class count")
@@ -193,10 +193,10 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 			}
 		}
 		mgr, err = registry.NewManager(store, *modelVersion, registry.Options{
-			ProbeTopK:      *canaryTopK,
-			AgreementFloor: *canaryFloor,
-			Probe:          probe,
-			Logf:           logger.Printf,
+			TopM:        *topM,
+			RecallFloor: *canaryFloor,
+			Probe:       probe,
+			Logf:        logger.Printf,
 		})
 		if err != nil {
 			return err

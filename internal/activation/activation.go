@@ -1,5 +1,5 @@
-// Package activation implements the non-linear output functions of
-// the classification layer — softmax and sigmoid — plus the Taylor
+// Package activation implements the classification layer's output
+// function — softmax, and its log-sum-exp — plus the Taylor
 // approximation of exp the ENMC Executor's special-function unit uses
 // (the paper approximates exp with a 4th-order Taylor expansion,
 // Section 6.2).
@@ -45,16 +45,6 @@ func LogSumExp(z []float32) float64 {
 		sum += math.Exp(float64(v) - m)
 	}
 	return m + math.Log(sum)
-}
-
-// Sigmoid writes 1/(1+exp(-z)) element-wise into dst.
-func Sigmoid(dst, z []float32) {
-	if len(dst) != len(z) {
-		panic("activation: Sigmoid length mismatch")
-	}
-	for i, v := range z {
-		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
 }
 
 const ln2 = 0.6931471805599453

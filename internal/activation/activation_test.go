@@ -86,18 +86,6 @@ func TestLogSumExp(t *testing.T) {
 	}
 }
 
-func TestSigmoid(t *testing.T) {
-	z := []float32{0, 100, -100}
-	p := make([]float32, 3)
-	Sigmoid(p, z)
-	if math.Abs(float64(p[0])-0.5) > 1e-6 {
-		t.Fatalf("sigmoid(0) = %v", p[0])
-	}
-	if p[1] < 0.999 || p[2] > 0.001 {
-		t.Fatalf("sigmoid saturation: %v", p)
-	}
-}
-
 func TestTaylorExpAccurate(t *testing.T) {
 	for _, x := range []float32{0, -0.1, -0.5, -1, 0.3, -5, -20, 2.7} {
 		got := float64(TaylorExp(x))

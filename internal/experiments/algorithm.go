@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"enmc/internal/core"
@@ -9,7 +10,6 @@ import (
 	"enmc/internal/metrics"
 	"enmc/internal/quant"
 	"enmc/internal/svdsoftmax"
-	"enmc/internal/tensor"
 	"enmc/internal/workload"
 )
 
@@ -119,17 +119,6 @@ func prepare(spec workload.Spec, o QualityOptions) (prepared, error) {
 	}
 	p.scr = scr
 	return p, nil
-}
-
-// exactTopK precomputes the full classifier's logits and top-k sets.
-func (p prepared) exactState(k int) (logits [][]float32, topk [][]int, top1 []int) {
-	for _, h := range p.inst.Test {
-		z := p.inst.Classifier.Logits(h)
-		logits = append(logits, z)
-		topk = append(topk, tensor.TopK(z, k))
-		top1 = append(top1, tensor.ArgMax(z))
-	}
-	return logits, topk, top1
 }
 
 // Fig11 regenerates the quality-vs-speedup comparison of Approximate
@@ -261,13 +250,9 @@ func panelMetric(p prepared, o QualityOptions) (string, func(func(h []float32) *
 			return f3(metrics.BLEU(cands, refs))
 		}
 	case "Recommendation":
-		_, topk, _ := p.exactState(5)
 		return "P@1", func(classify func(h []float32) *core.Result) string {
-			var top1 []int
-			for _, h := range p.inst.Test {
-				top1 = append(top1, classify(h).Predict())
-			}
-			return f3(metrics.TopKAgreement(top1, topk))
+			q, _ := metrics.ScreenQuality(context.Background(), p.inst.Classifier, p.inst.Test, 5, classify)
+			return f3(q.Top1InK)
 		}
 	default: // language modeling → perplexity
 		return "PPL", func(classify func(h []float32) *core.Result) string {
@@ -298,37 +283,26 @@ func Fig12(o QualityOptions) (*Table, error) {
 		Header: []string{"panel", "setting", "PPL", "top-1 agreement"},
 	}
 
-	exactTop1 := make([][]int, len(inst.Test))
-	var exactLogits [][]float32
-	for i, h := range inst.Test {
-		z := inst.Classifier.Logits(h)
-		exactLogits = append(exactLogits, z)
-		exactTop1[i] = []int{tensor.ArgMax(z)}
-	}
-	t.AddRow("-", "exact", f2(metrics.Perplexity(exactLogits, inst.Labels)), "1.000")
-
-	eval := func(scr *core.Screener, float32Screen bool) (string, string) {
+	// eval returns the perplexity of classify's answers and their top-1
+	// agreement with the exact classifier.
+	eval := func(classify func(h []float32) *core.Result) (string, string) {
 		var logits [][]float32
-		var top1 []int
-		for _, h := range inst.Test {
-			var res *core.Result
-			if float32Screen {
-				zt := scr.ScreenFloat(h)
-				cands := core.SelectCandidates(zt, core.TopM(m))
-				exact := inst.Classifier.LogitsRows(cands, h)
-				for j, c := range cands {
-					zt[c] = exact[j]
-				}
-				res = &core.Result{Mixed: zt, Candidates: cands}
-			} else {
-				res = core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(m))
-			}
+		q, _ := metrics.ScreenQuality(context.Background(), inst.Classifier, inst.Test, 1, func(h []float32) *core.Result {
+			res := classify(h)
 			logits = append(logits, res.Mixed)
-			top1 = append(top1, res.Predict())
-		}
-		return f2(metrics.Perplexity(logits, inst.Labels)),
-			f3(metrics.TopKAgreement(top1, exactTop1))
+			return res
+		})
+		return f2(metrics.Perplexity(logits, inst.Labels)), f3(q.Top1)
 	}
+	screened := func(scr *core.Screener) func(h []float32) *core.Result {
+		return func(h []float32) *core.Result {
+			return core.ClassifyApprox(inst.Classifier, scr, h, core.TopM(m))
+		}
+	}
+	ppl, agree := eval(func(h []float32) *core.Result {
+		return &core.Result{Mixed: inst.Classifier.Logits(h)}
+	})
+	t.AddRow("-", "exact", ppl, agree)
 
 	train := func(k int, bits quant.Bits) (*core.Screener, error) {
 		cfg := core.Config{
@@ -347,7 +321,7 @@ func Fig12(o QualityOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ppl, agree := eval(scr, false)
+		ppl, agree := eval(screened(scr))
 		t.AddRow("(a) scale", fmt.Sprintf("k/d=1/%d", div), ppl, agree)
 	}
 
@@ -356,14 +330,22 @@ func Fig12(o QualityOptions) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ppl, agree := eval(scr, true)
+	// FP32: the same screener's float weights, before quantization.
+	ppl, agree = eval(func(h []float32) *core.Result {
+		zt := scr.ScreenFloat(h)
+		cands := core.SelectCandidates(zt, core.TopM(m))
+		for j, z := range inst.Classifier.LogitsRows(cands, h) {
+			zt[cands[j]] = z
+		}
+		return &core.Result{Mixed: zt, Candidates: cands}
+	})
 	t.AddRow("(b) precision", "FP32", ppl, agree)
 	for _, bits := range []quant.Bits{quant.INT8, quant.INT4, quant.INT2} {
 		scr, err := train(spec.Hidden/4, bits)
 		if err != nil {
 			return nil, err
 		}
-		ppl, agree := eval(scr, false)
+		ppl, agree := eval(screened(scr))
 		t.AddRow("(b) precision", bits.String(), ppl, agree)
 	}
 	t.Notes = append(t.Notes,

@@ -131,13 +131,10 @@ func Ablations(o QualityOptions) (*Table, error) {
 	const m = 38 // 5% budget
 
 	agreement := func(scr *core.Screener, sel core.Selection) float64 {
-		var top1 []int
-		exact := make([][]int, 0, len(inst.Test))
-		for _, h := range inst.Test {
-			top1 = append(top1, core.ClassifyApprox(inst.Classifier, scr, h, sel).Predict())
-			exact = append(exact, []int{tensor.ArgMax(inst.Classifier.Logits(h))})
-		}
-		return metrics.TopKAgreement(top1, exact)
+		q, _ := metrics.ScreenQuality(context.Background(), inst.Classifier, inst.Test, 1, func(h []float32) *core.Result {
+			return core.ClassifyApprox(inst.Classifier, scr, h, sel)
+		})
+		return q.Top1
 	}
 
 	learned, _, err := core.TrainScreener(inst.Classifier, inst.Train, cfg, core.TrainOptions{Epochs: o.Epochs, Seed: o.Seed + 1})

@@ -1,14 +1,17 @@
 // Package metrics implements the quality measures of the paper's
 // algorithm-level evaluation (Fig. 11 and Fig. 12): perplexity for
-// language modeling, corpus BLEU for translation, precision@k for
-// multi-label recommendation, and top-k agreement between an
-// approximate classifier and the exact one.
+// language modeling, corpus BLEU for translation, and ScreenQuality,
+// how well a screened answer reproduces the exact classifier's — the
+// one quality probe the experiments and the registry's canary share.
 package metrics
 
 import (
+	"context"
 	"math"
 
 	"enmc/internal/activation"
+	"enmc/internal/core"
+	"enmc/internal/tensor"
 )
 
 // Perplexity returns exp(mean cross-entropy) of the given pre-softmax
@@ -28,71 +31,56 @@ func Perplexity(logits [][]float32, labels []int) float64 {
 	return math.Exp(nll / float64(len(logits)))
 }
 
-// TopKAgreement returns the fraction of samples whose approximate
-// top-1 class appears in the exact classifier's top-k set. With k=1
-// this is exact-match accuracy against the full model.
-func TopKAgreement(approxTop1 []int, exactTopK [][]int) float64 {
-	if len(approxTop1) != len(exactTopK) {
-		panic("metrics: TopKAgreement length mismatch")
-	}
-	if len(approxTop1) == 0 {
-		return math.NaN()
-	}
-	hits := 0
-	for i, a := range approxTop1 {
-		for _, e := range exactTopK[i] {
-			if a == e {
-				hits++
-				break
+// Quality is how closely screened answers reproduce the exact
+// classifier's over a probe set. Each field is a fraction in [0, 1],
+// NaN over an empty probe set.
+type Quality struct {
+	// RecallAtK is the mean |screened top-k ∩ exact top-k| / k.
+	RecallAtK float64
+	// Top1 is the fraction of probes whose screened top-1 is the
+	// exact top-1.
+	Top1 float64
+	// Top1InK is the fraction whose screened top-1 is in the exact
+	// top-k — the statistic Fig. 11 prints as "P@1".
+	Top1InK float64
+}
+
+// ScreenQuality scores classify's answers against cls's full logits
+// over probes, ranking both with the rule Result.TopPredictions uses
+// (tensor.TopK: ties toward the lower index); k ≥ 1 is clamped to the
+// class count. It holds one probe's vectors at a time, so memory stays
+// O(l) at any probe count, and classify's Result need only stay valid
+// until classify is called again. The only error is ctx.Err(), once
+// the context ends.
+func ScreenQuality(ctx context.Context, cls *core.Classifier, probes [][]float32, k int, classify func(h []float32) *core.Result) (Quality, error) {
+	k = min(k, cls.Categories())
+	var screenedBuf, exactBuf tensor.TopKBuf
+	var hits, top1, top1InK int
+	for _, h := range probes {
+		if err := ctx.Err(); err != nil {
+			return Quality{}, err
+		}
+		screened := tensor.TopKInto(classify(h).Mixed, k, &screenedBuf)
+		exact := tensor.TopKInto(cls.Logits(h), k, &exactBuf)
+		if screened[0] == exact[0] {
+			top1++
+		}
+		for _, s := range screened {
+			for _, e := range exact {
+				if s == e {
+					hits++
+					if s == screened[0] {
+						top1InK++
+					}
+					break
+				}
 			}
 		}
 	}
-	return float64(hits) / float64(len(approxTop1))
-}
-
-// PrecisionAtK returns mean |approx_i ∩ exact_i| / k over samples,
-// the multi-label metric used for the Amazon-670K workload.
-func PrecisionAtK(approx, exact [][]int, k int) float64 {
-	if len(approx) != len(exact) {
-		panic("metrics: PrecisionAtK length mismatch")
-	}
-	if len(approx) == 0 || k <= 0 {
-		return math.NaN()
-	}
-	var total float64
-	for i := range approx {
-		ex := make(map[int]bool, len(exact[i]))
-		for _, e := range exact[i] {
-			ex[e] = true
-		}
-		hits := 0
-		a := approx[i]
-		if len(a) > k {
-			a = a[:k]
-		}
-		for _, v := range a {
-			if ex[v] {
-				hits++
-			}
-		}
-		total += float64(hits) / float64(k)
-	}
-	return total / float64(len(approx))
-}
-
-// Accuracy returns the fraction of predictions equal to labels.
-func Accuracy(pred, labels []int) float64 {
-	if len(pred) != len(labels) {
-		panic("metrics: Accuracy length mismatch")
-	}
-	if len(pred) == 0 {
-		return math.NaN()
-	}
-	hits := 0
-	for i := range pred {
-		if pred[i] == labels[i] {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(pred))
+	n := float64(len(probes))
+	return Quality{
+		RecallAtK: float64(hits) / (n * float64(k)),
+		Top1:      float64(top1) / n,
+		Top1InK:   float64(top1InK) / n,
+	}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"enmc/internal/core"
+	"enmc/internal/metrics"
 	"enmc/internal/server"
 	"enmc/internal/telemetry"
 	"enmc/internal/tensor"
@@ -24,22 +25,22 @@ var (
 	mRetiredTotal  = telemetry.Default().Counter("registry.retired_total")
 	mPinnedLoaded  = telemetry.Default().Counter("registry.pinned_loaded")
 	mActiveVersion = telemetry.Default().Gauge("registry.active_version")
-	mCanaryAgree   = telemetry.Default().Gauge("registry.canary_agreement")
+	mCanaryRecall  = telemetry.Default().Gauge("registry.canary_recall")
 )
 
 // Options tunes the lifecycle manager.
 type Options struct {
-	// ProbeTopK is the K in the canary's top-K agreement (default 5,
-	// clamped to the class count).
-	ProbeTopK int
-	// AgreementFloor rejects a candidate whose mean top-K agreement
-	// with the serving model drops below this fraction (default 0.9).
-	// 0 keeps the default; negative disables the gate.
-	AgreementFloor float64
+	// TopM is the screening budget the server serves at, and so the
+	// one the canary screens at (default server.DefaultTopM of the
+	// initial version's class count, as server.Config defaults it).
+	TopM int
+	// RecallFloor rejects a candidate whose canary recall@canaryK falls
+	// below this fraction of the serving model's (default 0.9). 0 keeps
+	// the default; negative disables the gate.
+	RecallFloor float64
 	// Probe overrides the held-out probe features; when nil the
 	// manager uses the active version's shipped probe set, or
-	// synthesizes synthProbes deterministic Gaussian probes. The
-	// canary classifies them under screening budget 4×ProbeTopK.
+	// synthesizes synthProbes deterministic Gaussian probes.
 	Probe [][]float32
 	// Tracer receives registry.load / registry.canary / registry.swap
 	// spans on TrackRegistry; nil falls back to the global tracer.
@@ -48,38 +49,41 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 }
 
-func (o *Options) defaults() {
-	if o.ProbeTopK <= 0 {
-		o.ProbeTopK = 5
+func (o *Options) defaults(categories int) {
+	if o.TopM <= 0 {
+		o.TopM = server.DefaultTopM(categories)
 	}
-	if o.AgreementFloor == 0 {
-		o.AgreementFloor = 0.9
+	if o.RecallFloor == 0 {
+		o.RecallFloor = 0.9
 	}
 }
 
 // synthProbes and synthSeed size and seed the synthesized fallback
-// probe set.
+// probe set; canaryK is the K of the canary's recall@K.
 const (
 	synthProbes = 64
 	synthSeed   = 1
+	canaryK     = 5
 )
 
-// CanaryError reports a candidate rejected by the canary gate. The
-// previous version keeps serving (Reload returns it as active).
+// CanaryError reports a candidate rejected by the canary gate: its
+// Recall fell below Want, RecallFloor × the serving model's recall.
+// The previous version keeps serving (Reload returns it as active).
 type CanaryError struct {
-	Version   string
-	Agreement float64
-	Floor     float64
+	Version string
+	Recall  float64
+	Want    float64
 }
 
 func (e *CanaryError) Error() string {
-	return fmt.Sprintf("registry: version %q rejected by canary: top-K agreement %.3f below floor %.3f",
-		e.Version, e.Agreement, e.Floor)
+	return fmt.Sprintf("registry: version %q rejected by canary: screened recall@%d %.3f below %.3f",
+		e.Version, canaryK, e.Recall, e.Want)
 }
 
 // Manager owns the serving model's lifecycle: it loads versions from
-// a Store off the request path, canary-validates candidates against
-// the serving model, and swaps the server.Swappable backend with the
+// a Store off the request path, canary-validates candidates (each
+// one's screened answer against its own full classifier, relative to
+// the serving model's), and swaps the server.Swappable backend with the
 // drain ordering the serving layer guarantees.
 type Manager struct {
 	store *Store
@@ -102,7 +106,6 @@ type Manager struct {
 // a fresh Swappable, and returns the manager. The Swappable is the
 // server backend; Reload is the server's ReloadFunc.
 func NewManager(store *Store, version string, opt Options) (*Manager, error) {
-	opt.defaults()
 	if store == nil {
 		return nil, fmt.Errorf("registry: nil store")
 	}
@@ -118,6 +121,7 @@ func NewManager(store *Store, version string, opt Options) (*Manager, error) {
 		mLoadFailed.Inc()
 		return nil, err
 	}
+	opt.defaults(loaded.Classifier.Categories())
 	backend, err := server.NewLocal(loaded.Classifier, loaded.Screener)
 	if err != nil {
 		return nil, err
@@ -216,20 +220,31 @@ func (m *Manager) Reload(ctx context.Context, version string) (string, error) {
 		return m.active.Version, err
 	}
 
-	// Canary gate: classify the held-out probe set on both models and
-	// require the candidate's top-K to agree with the serving model's.
-	if m.opt.AgreementFloor > 0 {
+	// Canary gate: screen the held-out probe set at the served m on
+	// both models, each scored against its own full classifier, and
+	// require the candidate's recall to hold RecallFloor of the serving
+	// model's. A context that ends mid-canary aborts the reload.
+	if m.opt.RecallFloor > 0 {
 		canaryStart := tr.Now()
-		agree := m.agreement(ctx, loaded)
+		recall, err := m.selfRecall(ctx, loaded)
+		var serving float64
+		if err == nil {
+			serving, err = m.selfRecall(ctx, m.cur)
+		}
 		tr.AddSince("registry.canary."+version, telemetry.TrackRegistry, canaryStart)
-		mCanaryAgree.Set(agree)
-		if agree < m.opt.AgreementFloor {
+		if err != nil {
+			m.logf("registry: reload %q: canary interrupted: %v (still serving %q)", version, err, m.active.Version)
+			return m.active.Version, err
+		}
+		mCanaryRecall.Set(recall)
+		if want := m.opt.RecallFloor * serving; recall < want {
 			mCanaryReject.Inc()
-			err := &CanaryError{Version: version, Agreement: agree, Floor: m.opt.AgreementFloor}
+			err := &CanaryError{Version: version, Recall: recall, Want: want}
 			m.logf("registry: reload %q: %v (still serving %q)", version, err, m.active.Version)
 			return m.active.Version, err
 		}
-		m.logf("registry: reload %q: canary passed (agreement %.3f >= %.3f)", version, agree, m.opt.AgreementFloor)
+		m.logf("registry: reload %q: canary passed (recall@%d %.3f, serving %.3f, floor %.2f)",
+			version, canaryK, recall, serving, m.opt.RecallFloor)
 	}
 
 	backend, err := server.NewLocal(loaded.Classifier, loaded.Screener)
@@ -308,43 +323,17 @@ func (m *Manager) BackendFor(version string) (server.Backend, error) {
 	return b, nil
 }
 
-// agreement computes the canary statistic: the mean over the probe
-// set of |topK(candidate) ∩ topK(serving)| / K, both models screened
-// under the same budget.
-func (m *Manager) agreement(ctx context.Context, cand *Loaded) float64 {
-	k := m.opt.ProbeTopK
-	if l := cand.Classifier.Categories(); k > l {
-		k = l
-	}
-	budget := 4 * m.opt.ProbeTopK
-	if len(m.probe) == 0 {
-		return 1
-	}
-	var sum float64
-	n := 0
-	for _, h := range m.probe {
-		if ctx.Err() != nil {
-			break
-		}
-		curTop := core.ClassifyApprox(m.cur.Classifier, m.cur.Screener, h, core.TopM(budget)).TopPredictions(k)
-		candTop := core.ClassifyApprox(cand.Classifier, cand.Screener, h, core.TopM(budget)).TopPredictions(k)
-		in := make(map[int]bool, k)
-		for _, c := range curTop {
-			in[c] = true
-		}
-		hits := 0
-		for _, c := range candTop {
-			if in[c] {
-				hits++
-			}
-		}
-		sum += float64(hits) / float64(k)
-		n++
-	}
-	if n == 0 {
-		return 1
-	}
-	return sum / float64(n)
+// selfRecall is the canary statistic of one model: the recall@canaryK
+// of its screened answer at the served m against its own full
+// classifier, over the probe set.
+func (m *Manager) selfRecall(ctx context.Context, l *Loaded) (float64, error) {
+	sc := core.GetScratch()
+	defer sc.Release()
+	sel := core.TopM(m.opt.TopM)
+	q, err := metrics.ScreenQuality(ctx, l.Classifier, m.probe, canaryK, func(h []float32) *core.Result {
+		return core.ClassifyApproxInto(l.Classifier, l.Screener, h, sel, sc)
+	})
+	return q.RecallAtK, err
 }
 
 func (m *Manager) logf(format string, args ...interface{}) {

@@ -1,7 +1,9 @@
 package registry
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"enmc/internal/core"
+	"enmc/internal/metrics"
 	"enmc/internal/quant"
 	"enmc/internal/server"
 	"enmc/internal/telemetry"
@@ -32,21 +35,53 @@ func publishGeneration(t *testing.T, store *Store, version, parent string, inst 
 	}
 }
 
-// publishGarbage publishes a model whose classifier disagrees with
-// the serving one (independent random weights), so its canary
-// agreement is near-zero.
-func publishGarbage(t *testing.T, store *Store, version string, categories, hidden int, seed uint64) {
+// publishRetrained publishes an independently trained model: a
+// classifier of its own, with a healthy screener distilled from it on
+// the serving model's training features. Its top-5 overlaps the
+// serving model's far below 0.9, but the canary scores each model
+// against its own classifier, so it passes.
+func publishRetrained(t *testing.T, store *Store, version string, inst *workload.Instance, seed uint64) *core.Classifier {
 	t.Helper()
-	bad := workload.Generate(
-		workload.Spec{Name: "garbage", Categories: categories, Hidden: hidden, LatentRank: 4, ZipfS: 1},
-		workload.GenOptions{Seed: seed, Train: 64, Valid: 4, Test: 4})
-	scr, _, err := core.TrainScreener(bad.Classifier, bad.Train, core.Config{
-		Categories: categories, Hidden: hidden, Reduced: 8, Precision: quant.INT4, Seed: seed + 1,
-	}, core.TrainOptions{Epochs: 1, Seed: seed + 2})
+	other := workload.Generate(
+		workload.Spec{Name: "retrained", Categories: inst.Classifier.Categories(), Hidden: inst.Classifier.Hidden(), LatentRank: 6, ZipfS: 1},
+		workload.GenOptions{Seed: seed, Train: 4, Valid: 4, Test: 4})
+	other.Train, other.Valid = inst.Train, inst.Valid
+	publishGeneration(t, store, version, "", other, 3, seed+1)
+	return other.Classifier
+}
+
+// publishBitFlipped publishes version with the serving classifier and a
+// healthy screener whose per-row scales have their sign bit flipped:
+// serialized, corrupted past the header, read back and published, so
+// the manifest hashes the corrupted bytes and the load passes.
+func publishBitFlipped(t *testing.T, store *Store, version string, inst *workload.Instance, seed uint64) {
+	t.Helper()
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
+		Categories: inst.Classifier.Categories(), Hidden: inst.Classifier.Hidden(),
+		Reduced: 8, Precision: quant.INT4, Seed: seed,
+	}, core.TrainOptions{Epochs: 3, Seed: seed + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Publish(Manifest{Version: version}, bad.Classifier, scr, nil); err != nil {
+	var buf bytes.Buffer
+	if _, err := scr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The header is the magic, four uint32 shape fields, the per-tensor
+	// flag, the uint64 seed and the uint32 length of the weight
+	// payload. The scales follow the payload as a uint32 count and
+	// little-endian float32s.
+	const header = 8 + 4*4 + 1 + 8 + 4
+	img := buf.Bytes()
+	scales := header + int(binary.LittleEndian.Uint32(img[header-4:header])) + 4
+	for i := 0; i < inst.Classifier.Categories(); i++ {
+		img[scales+4*i+3] ^= 0x80
+	}
+	bad, err := core.ReadScreener(bytes.NewReader(img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Publish(Manifest{Version: version}, inst.Classifier, bad, inst.Valid); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,7 +96,7 @@ func managerFixture(t *testing.T) (*Store, *workload.Instance, *Manager) {
 		workload.Spec{Name: "mgr-test", Categories: 64, Hidden: 24, LatentRank: 6, ZipfS: 1},
 		workload.GenOptions{Seed: 41, Train: 128, Valid: 16, Test: 8})
 	publishGeneration(t, store, "v1", "", inst, 3, 100)
-	mgr, err := NewManager(store, "", Options{ProbeTopK: 3, AgreementFloor: 0.5, Logf: t.Logf})
+	mgr, err := NewManager(store, "", Options{RecallFloor: 0.5, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,20 +134,24 @@ func TestManagerReloadAndCanaryAccept(t *testing.T) {
 	}
 }
 
-// TestManagerCanaryReject: a low-agreement candidate is rejected, the
-// old version keeps serving, and the rejection is counted.
+// TestManagerCanaryReject: a candidate whose screener is bit-flipped
+// (checksums valid) is rejected, the old version keeps serving, and
+// the rejection is counted.
 func TestManagerCanaryReject(t *testing.T) {
 	store, inst, mgr := managerFixture(t)
 	baseRejects := telemetry.Default().Counter("registry.canary_rejected").Value()
-	publishGarbage(t, store, "v2-bad", inst.Classifier.Categories(), inst.Classifier.Hidden(), 999)
+	publishBitFlipped(t, store, "v2-bad", inst, 999)
 
 	active, err := mgr.Reload(context.Background(), "v2-bad")
 	var ce *CanaryError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v, want CanaryError", err)
 	}
-	if ce.Agreement >= ce.Floor {
-		t.Fatalf("agreement %v not below floor %v", ce.Agreement, ce.Floor)
+	if ce.Recall >= ce.Want {
+		t.Fatalf("recall %v not below %v", ce.Recall, ce.Want)
+	}
+	if got := telemetry.Default().Gauge("registry.canary_recall").Value(); got != ce.Recall {
+		t.Fatalf("canary_recall gauge = %v, want the rejected recall %v", got, ce.Recall)
 	}
 	if active != "v1" || mgr.Swappable().ModelVersion() != "v1" {
 		t.Fatalf("after rejection: active = %q, swappable = %q", active, mgr.Swappable().ModelVersion())
@@ -125,6 +164,67 @@ func TestManagerCanaryReject(t *testing.T) {
 	outs, err := mgr.Swappable().ClassifyBatch(context.Background(), inst.Test[:1], 4, 1)
 	if err != nil || len(outs) != 1 {
 		t.Fatalf("old version stopped serving: %v", err)
+	}
+}
+
+// TestManagerCanaryAcceptsRetrained: an independently trained model
+// with a healthy screener disagrees with the serving model's top-5 but
+// finds its own, so the canary passes it and it swaps in.
+func TestManagerCanaryAcceptsRetrained(t *testing.T) {
+	store, inst, mgr := managerFixture(t)
+	cls := publishRetrained(t, store, "v2-retrained", inst, 999)
+	overlap, err := metrics.ScreenQuality(context.Background(), inst.Classifier, inst.Valid, 5, func(h []float32) *core.Result {
+		return &core.Result{Mixed: cls.Logits(h)}
+	})
+	if err != nil || overlap.RecallAtK >= 0.5 {
+		t.Fatalf("retrained top-5 overlap with the serving model = %.3f (%v), want a model that disagrees", overlap.RecallAtK, err)
+	}
+	t.Logf("retrained top-5 overlap with the serving model: %.3f", overlap.RecallAtK)
+	active, err := mgr.Reload(context.Background(), "v2-retrained")
+	if err != nil || active != "v2-retrained" {
+		t.Fatalf("retrained candidate: active = %q, err = %v", active, err)
+	}
+}
+
+// cancelAfterFirstCheck is a context whose Err is nil on its first
+// call and context.Canceled on every later one: a caller who hangs up
+// after Reload's entry check, while the candidate loads or the canary
+// runs.
+type cancelAfterFirstCheck struct {
+	context.Context
+	calls atomic.Int32
+}
+
+func (c *cancelAfterFirstCheck) Err() error {
+	if c.calls.Add(1) == 1 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestManagerReloadCanceledMidCanary: a reload whose context ends
+// during the canary returns the context's error and swaps nothing in —
+// not even a candidate the canary would pass — and it is not counted
+// as a canary rejection.
+func TestManagerReloadCanceledMidCanary(t *testing.T) {
+	store, inst, mgr := managerFixture(t)
+	publishGeneration(t, store, "v2", "v1", inst, 4, 200)
+	baseRejects := telemetry.Default().Counter("registry.canary_rejected").Value()
+	baseSwaps := telemetry.Default().Counter("registry.swap_total").Value()
+
+	ctx := &cancelAfterFirstCheck{Context: context.Background()}
+	active, err := mgr.Reload(ctx, "v2")
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if active != "v1" || mgr.Swappable().ModelVersion() != "v1" {
+		t.Fatalf("after a canceled reload: active = %q, swappable = %q", active, mgr.Swappable().ModelVersion())
+	}
+	if got := telemetry.Default().Counter("registry.swap_total").Value(); got != baseSwaps {
+		t.Fatalf("swap_total = %d, want %d", got, baseSwaps)
+	}
+	if got := telemetry.Default().Counter("registry.canary_rejected").Value(); got != baseRejects {
+		t.Fatalf("canary_rejected = %d, want %d", got, baseRejects)
 	}
 }
 
@@ -210,7 +310,7 @@ func TestManagerTracerSpans(t *testing.T) {
 	publishGeneration(t, store, "v2", "v1", inst, 4, 600)
 
 	tr := telemetry.NewTracer()
-	mgr, err := NewManager(store, "v1", Options{AgreementFloor: 0.3, Tracer: tr})
+	mgr, err := NewManager(store, "v1", Options{RecallFloor: 0.3, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

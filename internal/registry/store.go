@@ -1,8 +1,9 @@
 // Package registry is the model lifecycle subsystem: a versioned
 // on-disk store of trained ENMC artifacts plus an in-process manager
 // that loads candidate versions off the request path, gates them
-// behind a canary validation (top-K agreement against the serving
-// model on a held-out probe set), and hot-swaps the serving backend
+// behind a canary validation (the candidate's screened recall@5 at the
+// served m against its own classifier, relative to the serving
+// model's, on a held-out probe set), and hot-swaps the serving backend
 // with zero dropped requests — in-flight batches finish on the old
 // version, which is retired only after its last reference drains.
 //

@@ -75,8 +75,7 @@ type Config struct {
 	// FlushWorkers is the number of batches that may be in flight on
 	// the backend concurrently (default 2).
 	FlushWorkers int
-	// TopM is the screening budget at idle (default Categories/64,
-	// min 1).
+	// TopM is the screening budget at idle (default DefaultTopM).
 	TopM int
 	// MFloor is the degradation floor TopM shrinks toward under
 	// pressure (default max(1, TopM/4)).
@@ -110,6 +109,13 @@ const (
 	retryAfterSecs = "1"
 )
 
+// DefaultTopM is the screening budget served when none is configured:
+// categories/64, at least 1. The registry's canary screens at the
+// same m.
+func DefaultTopM(categories int) int {
+	return max(categories/64, 1)
+}
+
 func (c *Config) defaults(categories int) {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
@@ -121,10 +127,7 @@ func (c *Config) defaults(categories int) {
 		c.FlushWorkers = 2
 	}
 	if c.TopM <= 0 {
-		c.TopM = categories / 64
-		if c.TopM < 1 {
-			c.TopM = 1
-		}
+		c.TopM = DefaultTopM(categories)
 	}
 	if c.MFloor <= 0 {
 		c.MFloor = c.TopM / 4
