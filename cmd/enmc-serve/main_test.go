@@ -538,8 +538,8 @@ func TestDecodeScenario(t *testing.T) {
 
 // TestMetricsScenario: run(-cluster -trace -log-json -debug-addr) over
 // the 3×2 cluster under load. Router and replica scrapes parse and
-// validate with the serving counters advanced; every replica received
-// screens; every response carries X-Request-Id; one trace ID has spans
+// validate with the serving counters advanced — requests counted ok and
+// none counted fault; every replica received screens; every response carries X-Request-Id; one trace ID has spans
 // on at least two process lanes; router and shard request logs are
 // structured; /v1/slo lists /v1/classify.
 func TestMetricsScenario(t *testing.T) {
@@ -552,8 +552,12 @@ func TestMetricsScenario(t *testing.T) {
 	s := startServe(t, c, "-cluster", f.Spec(), "-cluster-health-interval", "100ms",
 		"-trace", "-log-json", "-slow-log", "100ms", "-debug-addr", "127.0.0.1:0")
 
-	advanced := []string{"cluster_shard_rpc_total", "server_http_requests", "server_http_classify_ns",
+	advanced := []string{"cluster_shard_rpc_total", "server_http_classify_ns",
 		"server_queue_wait_ns", "cluster_worker_traced_requests"}
+	requests := func(p *testkit.PromText, outcome string) float64 {
+		v, _ := p.Value("server_http_requests", map[string]string{"outcome": outcome})
+		return v
+	}
 	// The debug listener goes first: its scrape must publish this
 	// server's SLO window by itself.
 	endpoints := []string{s.debug + "/metrics", s.api + "/metrics"}
@@ -562,6 +566,7 @@ func TestMetricsScenario(t *testing.T) {
 	for _, name := range advanced {
 		before[name] = total(p0, name)
 	}
+	okBefore, faultBefore := requests(p0, "ok"), requests(p0, "fault")
 
 	var ok, bad, noID atomic.Int64
 	stop := hammer(4, func(rng *rand.Rand) {
@@ -588,6 +593,10 @@ func TestMetricsScenario(t *testing.T) {
 			if got := total(p, name); got <= before[name] {
 				t.Errorf("%s: %s did not advance (%v → %v)", url, name, before[name], got)
 			}
+		}
+		if ok, fault := requests(p, "ok"), requests(p, "fault"); ok <= okBefore || fault != faultBefore {
+			t.Errorf("%s: server_http_requests{outcome=\"ok\"} %v → %v, {outcome=\"fault\"} %v → %v; want ok to advance, fault to stay",
+				url, okBefore, ok, faultBefore, fault)
 		}
 		// A gauge the scrape sets from this server's SLO window, which
 		// holds every request the load sent.

@@ -35,14 +35,13 @@ import (
 // every attempt after a shard leg's first, so shard_rpc_total -
 // failover_total is exactly the first-attempt count.
 var (
-	mShardRPCTotal    = telemetry.Default().Counter("cluster.shard_rpc_total")
-	mShardRPCErrors   = telemetry.Default().Counter("cluster.shard_rpc_errors")
-	mFailoverTotal    = telemetry.Default().Counter("cluster.failover_total")
-	mPartialResponses = telemetry.Default().Counter("cluster.partial_responses")
-	mShardsHealthy    = telemetry.Default().Gauge("cluster.shards_healthy")
-	mReplicaEjected   = telemetry.Default().Counter("cluster.replica_ejected")
-	mReplicaReadmit   = telemetry.Default().Counter("cluster.replica_readmitted")
-	mRPCNs            = telemetry.Default().Histogram("cluster.shard_rpc_ns", telemetry.LatencyBuckets())
+	mShardRPCTotal  = telemetry.Default().Counter("cluster.shard_rpc_total")
+	mShardRPCErrors = telemetry.Default().Counter("cluster.shard_rpc_errors")
+	mFailoverTotal  = telemetry.Default().Counter("cluster.failover_total")
+	mShardsHealthy  = telemetry.Default().Gauge("cluster.shards_healthy")
+	mReplicaEjected = telemetry.Default().Counter("cluster.replica_ejected")
+	mReplicaReadmit = telemetry.Default().Counter("cluster.replica_readmitted")
+	mRPCNs          = telemetry.Default().Histogram("cluster.shard_rpc_ns", telemetry.LatencyBuckets())
 )
 
 // --- wire structs (/v1/shard/*; codec.go frames the screen pair) ---

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,17 +316,7 @@ func (r *Router) HealthyShards() int {
 // ModelVersion implements server.Versioned: the uniform shard
 // version, or the distinct versions joined with "," while a rolling
 // update is in flight.
-func (r *Router) ModelVersion() string {
-	vs := r.distinctVersions()
-	out := ""
-	for i, v := range vs {
-		if i > 0 {
-			out += ","
-		}
-		out += v
-	}
-	return out
-}
+func (r *Router) ModelVersion() string { return strings.Join(r.distinctVersions(), ",") }
 
 // VersionSkew implements server.SkewReporter.
 func (r *Router) VersionSkew() bool { return len(r.distinctVersions()) > 1 }
@@ -411,10 +402,6 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 			}
 		}
 	}()
-	if err := ctx.Err(); err != nil {
-		return nil, server.Partial{}, err
-	}
-
 	var missing []int
 	var lastErr error
 	for i, l := range legs {
@@ -422,6 +409,10 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 			missing = append(missing, i)
 			lastErr = l.err
 		}
+	}
+	if lastErr != nil && telemetry.OutcomeOfErr(ctx, lastErr) != telemetry.Fault {
+		// The caller ended the request, not the shards: no partial merge.
+		return nil, server.Partial{}, ctx.Err()
 	}
 	if len(missing) == len(r.shards) {
 		return nil, server.Partial{}, fmt.Errorf("cluster: all %d shards unreachable: %w", len(r.shards), lastErr)
@@ -461,11 +452,7 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 		}
 		outs[i] = o
 	}
-	p := server.Partial{Partial: len(missing) > 0, MissingShards: missing}
-	if p.Partial {
-		mPartialResponses.Inc()
-	}
-	return outs, p, nil
+	return outs, server.Partial{Partial: len(missing) > 0, MissingShards: missing}, nil
 }
 
 // callShard runs one shard's scatter leg: replicas in failover order,
@@ -488,8 +475,8 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 		if err == nil {
 			return resp, sc, nil
 		}
-		if ctx.Err() != nil {
-			return nil, nil, ctx.Err()
+		if telemetry.OutcomeOfErr(ctx, err) != telemetry.Fault {
+			return nil, nil, ctx.Err() // the caller's end, not the shard's
 		}
 		lastErr = err
 	}
@@ -517,7 +504,7 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 	defer cancel()
 	start := time.Now()
 	fail := func(err error) (*ScreenResponse, *WireScratch, error) {
-		if ctx.Err() != nil {
+		if telemetry.OutcomeOfErr(ctx, err) != telemetry.Fault {
 			// The caller gave up, not the shard: no error, no FAIL span.
 			return nil, nil, err
 		}

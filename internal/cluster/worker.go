@@ -12,11 +12,12 @@ import (
 
 	"enmc/internal/core"
 	"enmc/internal/distributed"
+	"enmc/internal/server"
 	"enmc/internal/telemetry"
 )
 
 var (
-	mWorkerRequests = telemetry.Default().Counter("cluster.worker.screen_requests")
+	mWorkerRequests = telemetry.OutcomeCounters(telemetry.Default(), "cluster.worker.requests")
 	mWorkerItems    = telemetry.Default().Counter("cluster.worker.screen_items")
 	mWorkerTraced   = telemetry.Default().Counter("cluster.worker.traced_requests")
 )
@@ -76,9 +77,10 @@ func (w *Worker) SetRequestLog(l *telemetry.RequestLog) {
 func (w *Worker) Handler() http.Handler { return w.instrument(w.mux) }
 
 // instrument is the worker-side analogue of the server middleware:
-// health probes and scrapes pass through, shard RPCs get a request
-// ID echoed, an SLO observation keyed by the matched route, and a
-// structured log record.
+// health probes and scrapes pass through, and /v1/* requests get a
+// request ID echoed, then — from the one outcome the StatusRecorder
+// reports — a count in cluster.worker.requests{outcome=…}, an SLO
+// observation keyed by the matched route, and a structured log record.
 func (w *Worker) instrument(next *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if !strings.HasPrefix(r.URL.Path, "/v1/") {
@@ -94,7 +96,9 @@ func (w *Worker) instrument(next *http.ServeMux) http.Handler {
 		sr := &telemetry.StatusRecorder{ResponseWriter: rw}
 		next.ServeHTTP(sr, r)
 		latency := time.Since(start)
-		w.slo.Observe(telemetry.Endpoint(next, r), sr.Status(), latency)
+		outcome := sr.Outcome()
+		mWorkerRequests[outcome].Inc()
+		w.slo.Observe(telemetry.Endpoint(next, r), outcome, latency)
 		tc, _ := telemetry.ExtractTrace(r.Header)
 		w.reqLog.Load().Log(telemetry.RequestEvent{
 			RequestID:    reqID,
@@ -102,6 +106,7 @@ func (w *Worker) instrument(next *http.ServeMux) http.Handler {
 			Method:       r.Method,
 			Path:         r.URL.Path,
 			Status:       sr.Status(),
+			Outcome:      outcome,
 			Latency:      latency,
 			ModelVersion: w.shard.Version,
 		})
@@ -164,7 +169,6 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 		writeError(rw, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	mWorkerRequests.Inc()
 	if !strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeScreenV2) {
 		_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, MaxFrameBytes))
 		writeError(rw, http.StatusUnsupportedMediaType, "POST "+ContentTypeScreenV2)
@@ -239,9 +243,9 @@ func (w *Worker) handleScreen(rw http.ResponseWriter, r *http.Request) {
 			resp.Items[i] = cands
 		})
 	if err != nil {
-		// The router abandoned the leg (its caller hung up or the
-		// attempt timed out): the reply will not be read.
-		writeError(rw, telemetry.StatusClientClosed, err.Error())
+		// 499 when the router abandoned the leg (its caller hung up or
+		// the attempt timed out): the reply will not be read.
+		server.WriteFailure(rw, r, err)
 		return
 	}
 	if traced {

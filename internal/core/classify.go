@@ -18,15 +18,14 @@ import (
 // always live: recording is a few atomic ops with no allocations, so
 // the hot path pays nothing measurable when nobody reads them.
 var (
-	mClassifyCount  = telemetry.Default().Counter("core.classify.count")
-	mClassifyNs     = telemetry.Default().Histogram("core.classify.latency_ns", telemetry.LatencyBuckets())
-	mScreenNs       = telemetry.Default().Histogram("core.classify.screen_ns", telemetry.LatencyBuckets())
-	mSelectNs       = telemetry.Default().Histogram("core.classify.select_ns", telemetry.LatencyBuckets())
-	mExactNs        = telemetry.Default().Histogram("core.classify.exact_ns", telemetry.LatencyBuckets())
-	mCandidates     = telemetry.Default().Histogram("core.classify.candidates", telemetry.CountBuckets())
-	mBatchNs        = telemetry.Default().Histogram("core.classify.batch_ns", telemetry.LatencyBuckets())
-	mBatchSize      = telemetry.Default().Histogram("core.classify.batch_size", telemetry.CountBuckets())
-	mBatchCancelled = telemetry.Default().Counter("core.classify.batch_cancelled")
+	mClassifyCount = telemetry.Default().Counter("core.classify.count")
+	mClassifyNs    = telemetry.Default().Histogram("core.classify.latency_ns", telemetry.LatencyBuckets())
+	mScreenNs      = telemetry.Default().Histogram("core.classify.screen_ns", telemetry.LatencyBuckets())
+	mSelectNs      = telemetry.Default().Histogram("core.classify.select_ns", telemetry.LatencyBuckets())
+	mExactNs       = telemetry.Default().Histogram("core.classify.exact_ns", telemetry.LatencyBuckets())
+	mCandidates    = telemetry.Default().Histogram("core.classify.candidates", telemetry.CountBuckets())
+	mBatchNs       = telemetry.Default().Histogram("core.classify.batch_ns", telemetry.LatencyBuckets())
+	mBatchSize     = telemetry.Default().Histogram("core.classify.batch_size", telemetry.CountBuckets())
 	// The two fallbacks of the one-sweep select (see SelectCandidatesInto
 	// and Scratch.RankMixed): each counts an item that paid a second
 	// sweep of its l logits because a bound failed.
@@ -199,7 +198,8 @@ func batchShardBudget(items int) (workers, maxShards int) {
 // Cancellation is honored between tiles and between the items of a
 // tile: once ctx is done nothing further starts and the call returns
 // ctx.Err(). Cancelled batches still observe batch_ns/batch_size (with
-// the visited item count) and bump core.classify.batch_cancelled.
+// the visited item count); what the cancellation means is the caller's
+// to judge (telemetry.OutcomeOfErr).
 func ClassifyBatchVisitCtx(ctx context.Context, cls *Classifier, scr *Screener, batch [][]float32, sel Selection, tr *telemetry.Tracer, visit func(i int, res *Result, sc *Scratch)) error {
 	start := time.Now()
 	workers, maxShards := batchShardBudget(len(batch))
@@ -245,9 +245,5 @@ func ClassifyBatchVisitCtx(ctx context.Context, cls *Classifier, scr *Screener, 
 	wg.Wait()
 	mBatchNs.Observe(float64(time.Since(start)))
 	mBatchSize.Observe(float64(n.visited.Load()))
-	if err := ctx.Err(); err != nil {
-		mBatchCancelled.Inc()
-		return err
-	}
-	return nil
+	return ctx.Err()
 }

@@ -28,9 +28,6 @@ var (
 var (
 	mQueueDepth = telemetry.Default().Gauge("server.queue.depth")
 	mEnqueued   = telemetry.Default().Counter("server.queue.enqueued")
-	mRejected   = telemetry.Default().Counter("server.queue.rejected")
-	mShed       = telemetry.Default().Counter("server.queue.shed")
-	mExpired    = telemetry.Default().Counter("server.queue.expired")
 	mQueueNs    = telemetry.Default().Histogram("server.queue.wait_ns", telemetry.LatencyBuckets())
 	mFlushSize  = telemetry.Default().Histogram("server.batch.size", telemetry.CountBuckets())
 	mFlushNs    = telemetry.Default().Histogram("server.batch.flush_ns", telemetry.LatencyBuckets())
@@ -119,7 +116,6 @@ func newBatcher(cfg Config, backend Backend) *batcher {
 // its class queue.
 func (b *batcher) enqueue(r *request) error {
 	if b.shouldShed(r.class) {
-		mShed.Inc()
 		return ErrShed
 	}
 	n := len(r.hs)
@@ -132,7 +128,6 @@ func (b *batcher) enqueue(r *request) error {
 	case tenant.ErrClosed:
 		return ErrDraining
 	default: // tenant.ErrQueueFull
-		mRejected.Inc()
 		return ErrOverloaded
 	}
 }
@@ -231,7 +226,6 @@ func (b *batcher) doFlush(batch []*request) {
 	items := 0
 	for _, r := range batch {
 		if err := r.ctx.Err(); err != nil {
-			mExpired.Inc()
 			r.resp <- reply{err: err}
 			continue
 		}

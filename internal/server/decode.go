@@ -77,7 +77,6 @@ func (s *Server) SetDecode(svc *decode.Service) {
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { mDecodeNs.Observe(float64(time.Since(start))) }()
-	mRequests.Inc()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
@@ -109,7 +108,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	var sess *decode.Session
 	if body.Session == "" {
 		if s.Draining() {
-			s.writeUnavailable(w, ErrDraining)
+			writeUnavailable(w, r, ErrDraining)
 			return
 		}
 		mode := decode.Mode(body.Mode)
@@ -121,14 +120,13 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		// the session leaves the service (close, eviction, shutdown).
 		ten := s.tenantFor(r)
 		ts := s.tstats.For(ten)
-		if !s.allowQuota(w, ten, ts, 1) {
+		if !s.allowQuota(w, r, ten, ts, 1) {
 			return
 		}
 		if !ten.AcquireSession() {
 			ts.Throttled.Inc()
-			mStatus429.Inc()
 			retryAfterHeader(w)
-			writeErrorReason(w, http.StatusTooManyRequests, "session_quota",
+			writeErrorReason(w, r, http.StatusTooManyRequests, "session_quota",
 				fmt.Sprintf("tenant %s at its session cap (%d)", ten.Name, ten.MaxSessions()))
 			return
 		}
@@ -140,9 +138,8 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, decode.ErrSessionLimit):
 			ten.ReleaseSession()
 			ts.Throttled.Inc()
-			mStatus429.Inc()
 			retryAfterHeader(w)
-			writeErrorReason(w, http.StatusTooManyRequests, "session_limit", err.Error())
+			writeErrorReason(w, r, http.StatusTooManyRequests, "session_limit", err.Error())
 			return
 		default:
 			ten.ReleaseSession()
@@ -171,22 +168,19 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	}
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	// frames counts the frames begun: the first write commits the 200,
+	// and everything before it can still surface as a real status.
 	frames := 0
 	emit := func(tok decode.Token) error {
-		// The first write commits the 200; everything before that can
-		// still surface as a proper status code.
+		frames++
 		err := writeFrame(w, enc, sse, "token", DecodeFrame{
 			Session: sess.ID, T: tok.Step, Token: tok.Token,
 			LogProb: tok.LogProb, M: tok.M, Degraded: tok.Degraded,
 		})
-		if err != nil {
-			return err
-		}
-		frames++
-		if flusher != nil {
+		if err == nil && flusher != nil {
 			flusher.Flush()
 		}
-		return nil
+		return err
 	}
 	finished, runErr := sess.Run(r.Context(), n, emit)
 	if meta := metaFrom(r.Context()); meta != nil {
@@ -195,16 +189,28 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 			meta.errMsg = runErr.Error()
 		}
 	}
-	if frames == 0 {
-		// Nothing streamed yet: map the failure onto a real status.
-		switch {
-		case errors.Is(runErr, decode.ErrBusy):
-			writeError(w, http.StatusConflict, runErr.Error())
-			return
-		case errors.Is(runErr, decode.ErrEvicted):
-			writeError(w, http.StatusGone, runErr.Error())
-			return
+	evicted := errors.Is(runErr, decode.ErrEvicted)
+	switch {
+	case runErr == nil:
+	case frames > 0 && evicted:
+		// Closed mid-stream: the prefix stands, and the done frame says so.
+	case frames > 0:
+		// The 200 is committed: the done frame carries the error, and
+		// the mark tells the middleware what it was.
+		telemetry.Mark(w, telemetry.OutcomeOfErr(r.Context(), runErr))
+	case errors.Is(runErr, decode.ErrBusy):
+		writeError(w, http.StatusConflict, runErr.Error())
+		return
+	case evicted:
+		writeError(w, http.StatusGone, runErr.Error())
+		return
+	default:
+		// A session this request opened and could not start is spent.
+		if body.Session == "" {
+			_ = svc.Close(sess.ID)
 		}
+		WriteFailure(w, r, runErr)
+		return
 	}
 	done := DecodeDone{
 		Session:  sess.ID,
@@ -212,13 +218,13 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		Steps:    sess.Step(),
 		Tokens:   sess.Tokens(),
 		Finished: finished,
-		Evicted:  errors.Is(runErr, decode.ErrEvicted),
+		Evicted:  evicted,
 		LogProb:  sess.BestLogProb(),
 	}
 	if hits, misses := sess.CacheStats(); hits+misses > 0 {
 		done.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
-	if runErr != nil && !done.Evicted {
+	if runErr != nil && !evicted {
 		done.Error = runErr.Error()
 	}
 	if err := writeFrame(w, enc, sse, "done", done); err == nil && flusher != nil {

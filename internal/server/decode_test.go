@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"enmc/internal/core"
 	"enmc/internal/decode"
 	"enmc/internal/quant"
+	"enmc/internal/telemetry"
 	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
@@ -354,5 +357,67 @@ func TestDecodeErrorStatuses(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining open: status = %d, want 503", resp.StatusCode)
+	}
+}
+
+// failingScorer answers its first ok steps with class 0, then fails
+// every step.
+type failingScorer struct{ ok int }
+
+func (f *failingScorer) ScoreStep(context.Context, []float32, int, int) (decode.StepScore, error) {
+	if f.ok == 0 {
+		return decode.StepScore{}, errors.New("scorer: shard unreachable")
+	}
+	f.ok--
+	return decode.StepScore{Classes: []int{0}, LogProbs: []float64{-1}, M: 1}, nil
+}
+
+func (f *failingScorer) Close() {}
+
+// TestDecodeScorerFault: a scorer that fails before the first frame
+// answers 503 "backend" with Retry-After, frees the session it opened
+// and adds one fault to /v1/decode's SLO window; one that fails after
+// two frames keeps its 200, reports the error in the done frame, and
+// is still counted a fault.
+func TestDecodeScorerFault(t *testing.T) {
+	testkit.NoLeaks(t)
+	for _, ok := range []int{0, 2} {
+		inst := workload.Generate(workload.Spec{Name: "decode-fault", Categories: 16, Hidden: 8, LatentRank: 4, ZipfS: 1},
+			workload.GenOptions{Seed: 1, Train: 8, Valid: 2, Test: 2})
+		svc := decode.NewService(decode.Config{TopM: 4}, workload.NewDecoderFor(inst.Classifier, 7, 6),
+			func() decode.Scorer { return &failingScorer{ok: ok} })
+		s, ts := newObsServer(t, Config{})
+		t.Cleanup(svc.Shutdown)
+		s.SetDecode(svc)
+		faults := mRequests[telemetry.Fault].Value()
+
+		resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[0], Stream: "ndjson"})
+		if ok == 0 {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+				t.Fatalf("fault before the first frame: status %d, Retry-After %q, want 503 with one",
+					resp.StatusCode, resp.Header.Get("Retry-After"))
+			}
+			if n := svc.Active(); n != 0 {
+				t.Errorf("%d sessions left open", n)
+			}
+		} else {
+			frames, done := readNDJSON(t, resp)
+			if resp.StatusCode != http.StatusOK || len(frames) != ok || done.Error == "" {
+				t.Fatalf("fault after %d frames: status %d, %d frames, done error %q", ok, resp.StatusCode, len(frames), done.Error)
+			}
+		}
+		var ep telemetry.EndpointSLO
+		for _, e := range s.slo.Summary().Endpoints {
+			if e.Endpoint == "/v1/decode" {
+				ep = e
+			}
+		}
+		if ep.Requests != 1 || ep.Errors != 1 {
+			t.Errorf("ok=%d: /v1/decode window requests %d errors %d, want 1 and 1", ok, ep.Requests, ep.Errors)
+		}
+		if d := mRequests[telemetry.Fault].Value() - faults; d != 1 {
+			t.Errorf("ok=%d: requests{outcome=fault} +%d, want +1", ok, d)
+		}
 	}
 }

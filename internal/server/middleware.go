@@ -12,23 +12,21 @@ import (
 
 // Observability middleware: every /v1/* request gets a request ID
 // (echoed on X-Request-Id even for 429/5xx), a distributed trace
-// context when tracing is on, an SLO observation, one TrackHTTP span,
-// and one structured request-log record. Handlers report serving
-// metadata (batch size, model version, fan-out outcome) back to the
-// middleware through the reqMeta pointer stashed in the context.
+// context when tracing is on, one TrackHTTP span, and — from the one
+// outcome its StatusRecorder reports — an SLO observation, a count in
+// server.http.requests{outcome=…} and one request-log record. Handlers
+// report serving metadata back through the reqMeta in the context.
+
+// mRequests counts every /v1/* answer by outcome.
+var mRequests = telemetry.OutcomeCounters(telemetry.Default(), "server.http.requests")
 
 // reqMeta is the per-request metadata channel between handlers and
 // the instrument middleware. Handlers fill what they know; the
 // middleware reads it after the handler returns.
 type reqMeta struct {
-	items    int
-	batch    int
-	queueNs  int64
-	version  string
-	degraded bool
-	partial  bool
-	missing  []int
-	errMsg   string
+	items  int
+	rep    reply // the classify flush's answer
+	errMsg string
 	// tenant is the identity the middleware resolved from the API key
 	// before invoking the handler — one resolution per request.
 	tenant *tenant.Tenant
@@ -86,11 +84,12 @@ func (s *Server) instrument(next *http.ServeMux) http.Handler {
 		sw := &telemetry.StatusRecorder{ResponseWriter: w}
 		next.ServeHTTP(sw, r.WithContext(ctx))
 
-		status := sw.Status()
+		outcome := sw.Outcome()
 		latency := time.Since(start)
-		s.slo.Observe(endpoint, status, latency)
+		mRequests[outcome].Inc()
+		s.slo.Observe(endpoint, outcome, latency)
 		// The tenant's own SLO window rolls alongside the global one.
-		s.tstats.For(meta.tenant).Observe(endpoint, status, latency)
+		s.tstats.For(meta.tenant).Observe(endpoint, outcome, latency)
 		if tr.Enabled() {
 			tr.Add(telemetry.Span{
 				Name:   "HTTP " + endpoint,
@@ -108,15 +107,15 @@ func (s *Server) instrument(next *http.ServeMux) http.Handler {
 			Tenant:        meta.tenant.Name,
 			Method:        r.Method,
 			Path:          r.URL.Path,
-			Status:        status,
+			Status:        sw.Status(),
+			Outcome:       outcome,
 			Latency:       latency,
 			Items:         meta.items,
-			BatchSize:     meta.batch,
-			QueueNs:       meta.queueNs,
-			ModelVersion:  meta.version,
-			Degraded:      meta.degraded,
-			Partial:       meta.partial,
-			MissingShards: meta.missing,
+			BatchSize:     meta.rep.batch,
+			QueueNs:       meta.rep.queuedNs,
+			ModelVersion:  meta.rep.version,
+			Degraded:      meta.rep.degraded,
+			MissingShards: meta.rep.partial.MissingShards,
 			Err:           meta.errMsg,
 		})
 	})

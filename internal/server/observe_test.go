@@ -115,8 +115,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("scrape invalid: %v", err)
 	}
-	if v, ok := p.Value("server_http_requests", nil); !ok || v < 1 {
-		t.Errorf("server_http_requests = %g (found=%v), want >= 1", v, ok)
+	if v, ok := p.Value("server_http_requests", map[string]string{"outcome": "ok"}); !ok || v < 1 {
+		t.Errorf("server_http_requests{outcome=\"ok\"} = %g (found=%v), want >= 1", v, ok)
 	}
 	if _, ok := p.Value("server_http_classify_ns_bucket", map[string]string{"le": "+Inf"}); !ok {
 		t.Error("classify latency histogram missing from scrape")
@@ -127,61 +127,75 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestSLOEndpoint: GET /v1/slo reports the rolling window, and errors
-// move the burn rate.
+// TestSLOEndpoint: GET /v1/slo reports the rolling window of the
+// answers that are the server's to own. Malformed bodies (bad_input)
+// and a draining server's 503s (shed) enter it neither as requests
+// nor as errors; each is counted under its own outcome.
 func TestSLOEndpoint(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, ts := newObsServer(t, Config{})
-	for i := 0; i < 3; i++ {
-		resp, err := postClassify(ts, classifyBody(t, 8))
+	s, ts := newObsServer(t, Config{})
+	classifyWindow := func() (ep telemetry.EndpointSLO) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/v1/slo")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sum telemetry.SLOSummary
+		if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
+			t.Fatal(err)
+		}
+		if sum.WindowSeconds <= 0 || sum.Availability <= 0 {
+			t.Fatalf("summary missing config: %+v", sum)
+		}
+		for _, e := range sum.Endpoints {
+			if e.Endpoint == "/v1/classify" {
+				ep = e
+			}
+		}
+		return ep
+	}
+	post := func(body []byte, want int) {
+		t.Helper()
+		resp, err := postClassify(ts, body)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-	}
-	// A 400 is not an SLO error (client's fault), a 405 isn't either;
-	// both still count as requests on their endpoint.
-	resp, err := ts.Client().Post(ts.URL+"/v1/classify", "application/json", strings.NewReader("{bad"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-
-	resp, err = ts.Client().Get(ts.URL + "/v1/slo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sum telemetry.SLOSummary
-	if err := json.NewDecoder(resp.Body).Decode(&sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.WindowSeconds <= 0 || sum.Availability <= 0 {
-		t.Fatalf("summary missing config: %+v", sum)
-	}
-	var ep *telemetry.EndpointSLO
-	for i := range sum.Endpoints {
-		if sum.Endpoints[i].Endpoint == "/v1/classify" {
-			ep = &sum.Endpoints[i]
+		if resp.StatusCode != want {
+			t.Fatalf("status %d, want %d", resp.StatusCode, want)
 		}
 	}
-	if ep == nil {
-		t.Fatalf("no /v1/classify endpoint in %+v", sum.Endpoints)
+	badIn, shed := mRequests[telemetry.BadInput].Value(), mRequests[telemetry.Shed].Value()
+	for i := 0; i < 5; i++ {
+		post([]byte("{bad"), http.StatusBadRequest)
 	}
-	if ep.Requests != 4 {
-		t.Errorf("requests = %d, want 4", ep.Requests)
+	if ep := classifyWindow(); ep.Requests != 0 {
+		t.Errorf("5 malformed bodies: window holds %d requests (p50 %g ms), want 0", ep.Requests, ep.P50Ms)
 	}
-	if ep.ErrorRate != 0 {
-		t.Errorf("4xx counted as SLO error: rate = %g", ep.ErrorRate)
+	for i := 0; i < 3; i++ {
+		post(classifyBody(t, 8), http.StatusOK)
+	}
+	s.Drain()
+	for i := 0; i < 3; i++ {
+		post(classifyBody(t, 8), http.StatusServiceUnavailable)
+	}
+	ep := classifyWindow()
+	if ep.Requests != 3 || ep.Errors != 0 || ep.ErrorBurnRate != 0 {
+		t.Errorf("3 served + 3 draining 503s: requests %d, errors %d, burn %g, want 3, 0, 0",
+			ep.Requests, ep.Errors, ep.ErrorBurnRate)
 	}
 	if ep.P99Ms <= 0 {
 		t.Errorf("p99 = %g, want > 0", ep.P99Ms)
 	}
+	if db, ds := mRequests[telemetry.BadInput].Value()-badIn, mRequests[telemetry.Shed].Value()-shed; db != 5 || ds != 3 {
+		t.Errorf("requests{outcome=bad_input} +%d, {outcome=shed} +%d, want +5 and +3", db, ds)
+	}
 }
 
-// TestUnknownPathsBounded: distinct unknown /v1/* paths share one SLO
-// label, so neither the global nor the tenant's window, nor the gauges
-// a /metrics scrape publishes, grow with outside input.
+// TestUnknownPathsBounded: distinct unknown /v1/* paths are bad_input
+// answers, so neither the global nor the tenant's window, nor the
+// gauges a /metrics scrape publishes, grow with outside input.
 func TestUnknownPathsBounded(t *testing.T) {
 	testkit.NoLeaks(t)
 	s, ts := newObsServer(t, Config{})
@@ -207,28 +221,23 @@ func TestUnknownPathsBounded(t *testing.T) {
 	if got := len(telemetry.Default().Snapshot().Gauges); got != gauges {
 		t.Errorf("%d unknown paths took the registry from %d to %d gauges", n, gauges, got)
 	}
-	eps := s.slo.Summary().Endpoints
-	if len(eps) != 1 || eps[0].Endpoint != telemetry.Unmatched || eps[0].Requests != n {
-		t.Errorf("global SLO endpoints = %+v, want one %q with %d requests", eps, telemetry.Unmatched, n)
+	if eps := s.slo.Summary().Endpoints; len(eps) != 0 {
+		t.Errorf("global SLO endpoints = %+v, want none", eps)
 	}
-	tenants := s.tstats.Summaries(nil)
-	if len(tenants) == 0 {
-		t.Fatal("no tenant SLO window")
-	}
-	for _, sum := range tenants {
-		if len(sum.SLO.Endpoints) != 1 {
-			t.Errorf("tenant %q tracks %d endpoints, want 1", sum.Tenant, len(sum.SLO.Endpoints))
+	for _, sum := range s.tstats.Summaries(nil) {
+		if len(sum.SLO.Endpoints) != 0 {
+			t.Errorf("tenant %q tracks %d endpoints, want 0", sum.Tenant, len(sum.SLO.Endpoints))
 		}
 	}
 }
 
 // TestRequestLogEmitted: with a RequestLog configured, each /v1/*
 // request produces one JSON record whose req_id matches the response
-// header.
+// header; a draining 503 logs at WARN as shed, with its reason.
 func TestRequestLogEmitted(t *testing.T) {
 	testkit.NoLeaks(t)
 	var mu syncBuffer
-	_, ts := newObsServer(t, Config{
+	s, ts := newObsServer(t, Config{
 		RequestLog: telemetry.NewRequestLog(&mu, telemetry.RequestLogOptions{JSON: true}),
 	})
 	resp, err := postClassify(ts, classifyBody(t, 8))
@@ -255,6 +264,24 @@ func TestRequestLogEmitted(t *testing.T) {
 	}
 	if rec["items"] != float64(1) || rec["batch"] != float64(1) {
 		t.Errorf("serving metadata missing from log: %v", rec)
+	}
+
+	s.Drain()
+	if resp, err = postClassify(ts, classifyBody(t, 8)); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	var lines []string
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if lines = strings.Split(strings.TrimSpace(mu.String()), "\n"); len(lines) == 2 {
+			break
+		}
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec["level"] != "WARN" || rec["outcome"] != "shed" || !strings.HasPrefix(fmt.Sprint(rec["error"]), "draining: ") {
+		t.Errorf("draining 503 logged as %v", rec)
 	}
 }
 

@@ -52,9 +52,6 @@ import (
 var (
 	mClassifyNs      = telemetry.Default().Histogram("server.http.classify_ns", telemetry.LatencyBuckets())
 	mClassifyBatchNs = telemetry.Default().Histogram("server.http.classify_batch_ns", telemetry.LatencyBuckets())
-	mRequests        = telemetry.Default().Counter("server.http.requests")
-	mStatus429       = telemetry.Default().Counter("server.http.status_429")
-	mStatus5xx       = telemetry.Default().Counter("server.http.status_5xx")
 	mSwapTotal       = telemetry.Default().Counter("registry.swap_total")
 	mCanaryRejected  = telemetry.Default().Counter("registry.canary_rejected")
 )
@@ -346,8 +343,9 @@ type ReloadResponse struct {
 type errorBody struct {
 	Error string `json:"error"`
 	// Reason is the machine-readable rejection class, set on every
-	// 429/503: "overloaded", "shed", "quota", "session_limit",
-	// "session_quota", "draining", "backend".
+	// 429/499/503/504: "overloaded", "shed", "quota", "session_limit",
+	// "session_quota", "draining", "backend", "caller_cancelled",
+	// "deadline".
 	Reason string `json:"reason,omitempty"`
 }
 
@@ -399,10 +397,9 @@ func (s *Server) handleClassifyBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// decodePost counts a classify request, requires POST and decodes the
-// JSON body into v. On failure it has answered 405 or 400.
+// decodePost requires POST and decodes the JSON body into v. On
+// failure it has answered 405 or 400.
 func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
-	mRequests.Inc()
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return false
@@ -419,9 +416,8 @@ func decodePost(w http.ResponseWriter, r *http.Request, v any) bool {
 // every item, resolves the tenant and charges it len(hs) quota tokens,
 // enqueues one entry of len(hs) items, waits for the entry's flush or
 // the client, and fills the request metadata. On failure it has
-// written the error (400, quota 429, writeUnavailable's table, 499 once
-// the client has hung up, or 504 once its deadline has passed) and
-// reports false.
+// written the error (400, quota 429 or WriteFailure's table) and
+// reports false. A merge that missed shards is marked Partial.
 func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32, topK int) (reply, *tenant.Tenant, bool) {
 	if len(hs) == 0 || len(hs) > s.cfg.QueueCap {
 		writeError(w, http.StatusBadRequest,
@@ -437,7 +433,7 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32
 	}
 	ten := s.tenantFor(r)
 	ts := s.tstats.For(ten)
-	if !s.allowQuota(w, ten, ts, float64(len(hs))) {
+	if !s.allowQuota(w, r, ten, ts, float64(len(hs))) {
 		return reply{}, nil, false
 	}
 
@@ -455,7 +451,7 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32
 		if err == ErrOverloaded || err == ErrShed {
 			ts.Shed.Inc()
 		}
-		s.writeUnavailable(w, err)
+		writeUnavailable(w, r, err)
 		return reply{}, nil, false
 	}
 	var rep reply
@@ -467,35 +463,20 @@ func (s *Server) classify(w http.ResponseWriter, r *http.Request, hs [][]float32
 		rep.err = ctx.Err()
 	}
 	if meta := metaFrom(ctx); meta != nil {
-		meta.items = len(hs)
-		meta.batch = rep.batch
-		meta.queueNs = rep.queuedNs
-		meta.version = rep.version
-		meta.degraded = rep.degraded
-		meta.partial = rep.partial.Partial
-		meta.missing = rep.partial.MissingShards
-		if rep.err != nil {
-			meta.errMsg = rep.err.Error()
-		}
+		meta.items, meta.rep = len(hs), rep
 	}
-	switch {
-	case rep.err == nil:
-		ts.Admitted.Inc()
-		if rep.degraded {
-			ts.Degraded.Inc()
-		}
-		return rep, ten, true
-	case ctx.Err() == context.Canceled:
-		// The client hung up: not the server's fault, and nobody
-		// reads the answer.
-		writeError(w, telemetry.StatusClientClosed, ctx.Err().Error())
-	case ctx.Err() != nil:
-		mStatus5xx.Inc()
-		writeError(w, http.StatusGatewayTimeout, ctx.Err().Error())
-	default:
-		s.writeUnavailable(w, rep.err)
+	if rep.err != nil {
+		WriteFailure(w, r, rep.err)
+		return reply{}, nil, false
 	}
-	return reply{}, nil, false
+	ts.Admitted.Inc()
+	if rep.degraded {
+		ts.Degraded.Inc()
+	}
+	if rep.partial.Partial {
+		telemetry.Mark(w, telemetry.Partial)
+	}
+	return rep, ten, true
 }
 
 // handleModel reports the active model: GET /v1/model.
@@ -598,33 +579,50 @@ func retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", retryAfterSecs)
 }
 
+// WriteFailure answers work that ended with err, judged against the
+// request's context (telemetry.OutcomeOfErr): 499 once the caller hung
+// up, 504 once its deadline passed, else writeUnavailable's table. The
+// server and the shard worker both answer failures through it.
+func WriteFailure(w http.ResponseWriter, r *http.Request, err error) {
+	switch telemetry.OutcomeOfErr(r.Context(), err) {
+	case telemetry.CallerCancelled:
+		writeErrorReason(w, r, telemetry.StatusClientClosed, "caller_cancelled", err.Error())
+	case telemetry.Deadline:
+		writeErrorReason(w, r, http.StatusGatewayTimeout, "deadline", err.Error())
+	default:
+		writeUnavailable(w, r, err)
+	}
+}
+
 // writeUnavailable maps admission and flush errors, all with a
 // Retry-After hint and a machine-readable reason: full class queue or
-// load shed → 429, draining → 503, and any other error — the backend's
-// or a pinned version's — → 503 "backend".
-func (s *Server) writeUnavailable(w http.ResponseWriter, err error) {
+// load shed → 429, draining → 503 marked Shed, and any other error —
+// the backend's or a pinned version's — → 503 "backend".
+func writeUnavailable(w http.ResponseWriter, r *http.Request, err error) {
 	retryAfterHeader(w)
 	code, reason := http.StatusServiceUnavailable, "backend"
 	switch err {
 	case ErrOverloaded:
 		code, reason = http.StatusTooManyRequests, "overloaded"
-		mStatus429.Inc()
 	case ErrShed:
 		code, reason = http.StatusTooManyRequests, "shed"
-		mStatus429.Inc()
 	case ErrDraining:
 		reason = "draining"
-	default:
-		mStatus5xx.Inc()
+		telemetry.Mark(w, telemetry.Shed)
 	}
-	writeErrorReason(w, code, reason, err.Error())
+	writeErrorReason(w, r, code, reason, err.Error())
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorBody{Error: msg})
 }
 
-func writeErrorReason(w http.ResponseWriter, code int, reason, msg string) {
+// writeErrorReason answers code with a machine-readable reason and
+// puts both in the request's log line.
+func writeErrorReason(w http.ResponseWriter, r *http.Request, code int, reason, msg string) {
+	if meta := metaFrom(r.Context()); meta != nil {
+		meta.errMsg = reason + ": " + msg
+	}
 	writeJSON(w, code, errorBody{Error: msg, Reason: reason})
 }
 

@@ -251,7 +251,7 @@ func TestSaturation429(t *testing.T) {
 	defer ts.Close()
 
 	const n = 12
-	baseRejected := mRejected.Value()
+	baseShed := mRequests[telemetry.Shed].Value()
 	codes := make([]int, n)
 	retryAfter := make([]string, n)
 	var wg sync.WaitGroup
@@ -274,7 +274,7 @@ func TestSaturation429(t *testing.T) {
 	// admitted requests complete.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if mRejected.Value() > baseRejected {
+		if mRequests[telemetry.Shed].Value() > baseShed {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -550,7 +550,8 @@ func TestClassifyDeadline(t *testing.T) {
 }
 
 // TestClassifyCanceled: a client that hangs up while its request is
-// gated gets 499, which is no 5xx and no error in the SLO window.
+// gated gets 499, counted caller_cancelled — not fault — and no error
+// in the SLO window.
 func TestClassifyCanceled(t *testing.T) {
 	fb := &fakeBackend{hidden: 8, categories: 32, gate: make(chan struct{})}
 	s, err := New(fb, Config{MaxBatch: 1, QueueCap: 8})
@@ -559,7 +560,7 @@ func TestClassifyCanceled(t *testing.T) {
 	}
 	defer func() { close(fb.gate); s.Drain() }()
 
-	before := mStatus5xx.Value()
+	faults, cancels := mRequests[telemetry.Fault].Value(), mRequests[telemetry.CallerCancelled].Value()
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(30*time.Millisecond, cancel)
 	req := httptest.NewRequest(http.MethodPost, "/v1/classify", bytes.NewReader(classifyBody(t, 8))).WithContext(ctx)
@@ -568,8 +569,8 @@ func TestClassifyCanceled(t *testing.T) {
 	if rec.Code != telemetry.StatusClientClosed {
 		t.Fatalf("status = %d, want 499", rec.Code)
 	}
-	if d := mStatus5xx.Value() - before; d != 0 {
-		t.Errorf("status_5xx rose by %d", d)
+	if df, dc := mRequests[telemetry.Fault].Value()-faults, mRequests[telemetry.CallerCancelled].Value()-cancels; df != 0 || dc != 1 {
+		t.Errorf("requests{outcome=fault} +%d, {outcome=caller_cancelled} +%d, want +0 and +1", df, dc)
 	}
 	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/slo", nil))

@@ -28,15 +28,14 @@ func (s *Server) Tenants() *tenant.Resolver { return s.tenants }
 // allowQuota charges cost tokens against the tenant's rate quota. On
 // refusal it answers 429 with the bucket's actual refill time as
 // Retry-After and reason "quota", and reports false.
-func (s *Server) allowQuota(w http.ResponseWriter, ten *tenant.Tenant, ts *tenant.TenantStats, cost float64) bool {
+func (s *Server) allowQuota(w http.ResponseWriter, r *http.Request, ten *tenant.Tenant, ts *tenant.TenantStats, cost float64) bool {
 	ok, retry := ten.Allow(cost)
 	if ok {
 		return true
 	}
 	ts.Throttled.Inc()
-	mStatus429.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
-	writeErrorReason(w, http.StatusTooManyRequests, "quota",
+	writeErrorReason(w, r, http.StatusTooManyRequests, "quota",
 		"tenant "+ten.Name+" rate limit exceeded")
 	return false
 }

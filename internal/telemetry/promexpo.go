@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
@@ -52,22 +51,9 @@ func LabeledName(name string, labels map[string]string) string {
 }
 
 // escapeLabelValue applies the exposition-format label escapes.
-func escapeLabelValue(v string) string {
-	var b strings.Builder
-	for _, r := range v {
-		switch r {
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		case '\n':
-			b.WriteString(`\n`)
-		default:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
+func escapeLabelValue(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 // sanitizeMetricName maps an arbitrary instrument name onto the
 // Prometheus name grammar [a-zA-Z_:][a-zA-Z0-9_:]* — dots (the
@@ -106,17 +92,9 @@ func splitLabeled(key string) (base, labels string) {
 	return sanitizeMetricName(key), ""
 }
 
-func formatPromValue(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
+// formatPromValue renders a sample value; strconv already spells the
+// specials as the exposition format does (+Inf, -Inf, NaN).
+func formatPromValue(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // mergeLabels splices extra pairs (pre-escaped, e.g. `le="0.5"`) into
 // an existing canonical label block.
@@ -153,21 +131,18 @@ func WritePrometheus(w io.Writer, snap Snapshot) error {
 	}
 
 	for key, v := range snap.Counters {
-		v := v
 		add(key, "counter", func(w io.Writer, name, labels string) error {
 			_, err := fmt.Fprintf(w, "%s%s %d\n", name, labels, v)
 			return err
 		})
 	}
 	for key, v := range snap.Gauges {
-		v := v
 		add(key, "gauge", func(w io.Writer, name, labels string) error {
 			_, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatPromValue(v))
 			return err
 		})
 	}
 	for key, h := range snap.Histograms {
-		h := h
 		add(key, "histogram", func(w io.Writer, name, labels string) error {
 			cum := int64(0)
 			for _, b := range h.Buckets {

@@ -17,6 +17,7 @@ package telemetry
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -81,17 +82,8 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	// Binary search for the bucket: first bound >= v.
-	lo, hi := 0, len(h.bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo].Add(1)
+	i, _ := slices.BinarySearch(h.bounds, v) // first bound >= v; len(bounds) overflows
+	h.counts[i].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()

@@ -27,6 +27,7 @@ type RequestEvent struct {
 	Method  string
 	Path    string
 	Status  int
+	Outcome Outcome
 	Latency time.Duration
 	// Items is the number of classifications carried (batch size for
 	// /v1/classify_batch, shard batch for /v1/shard/screen, else 1).
@@ -36,9 +37,8 @@ type RequestEvent struct {
 	QueueNs      int64
 	ModelVersion string
 	Degraded     bool
-	// Partial/MissingShards record the shard fan-out outcome: a merge
-	// served without every shard's candidates.
-	Partial       bool
+	// MissingShards lists the shards a Partial answer was merged
+	// without.
 	MissingShards []int
 	Err           string
 }
@@ -49,7 +49,8 @@ type RequestLogOptions struct {
 	// renders logfmt-style text.
 	JSON bool
 	// Slow is the latency threshold past which a request logs at
-	// Warn with slow=true (0 disables slow marking).
+	// Warn (unless it logs at Error) with slow=true (0 disables slow
+	// marking).
 	Slow time.Duration
 }
 
@@ -70,28 +71,24 @@ func NewRequestLog(w io.Writer, opts RequestLogOptions) *RequestLog {
 	return &RequestLog{l: slog.New(h), slow: opts.Slow}
 }
 
-// Slow reports the configured slow-request threshold.
-func (l *RequestLog) Slow() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return l.slow
-}
-
-// Log emits one request record. Severity: 5xx/transport errors log
-// at Error, requests over the slow threshold (and 4xx rejections) at
-// Warn, everything else at Info.
+// Log emits one request record. Severity comes from the outcome:
+// Fault and Deadline log at Error; Shed, BadInput and slow requests at
+// Warn; OK, Partial and CallerCancelled at Info.
 func (l *RequestLog) Log(e RequestEvent) {
 	if l == nil {
 		return
 	}
 	level := slog.LevelInfo
 	slow := l.slow > 0 && e.Latency >= l.slow
-	switch {
-	case e.Status >= 500 || e.Status == 0:
+	switch e.Outcome {
+	case Fault, Deadline:
 		level = slog.LevelError
-	case slow || e.Status >= 400:
+	case Shed, BadInput:
 		level = slog.LevelWarn
+	default:
+		if slow {
+			level = slog.LevelWarn
+		}
 	}
 	attrs := make([]slog.Attr, 0, 16)
 	attrs = append(attrs,
@@ -99,6 +96,7 @@ func (l *RequestLog) Log(e RequestEvent) {
 		slog.String("method", e.Method),
 		slog.String("path", e.Path),
 		slog.Int("status", e.Status),
+		slog.String("outcome", e.Outcome.String()),
 		slog.Int64("latency_us", e.Latency.Microseconds()),
 	)
 	if e.TraceID != "" {
@@ -122,9 +120,8 @@ func (l *RequestLog) Log(e RequestEvent) {
 	if e.Degraded {
 		attrs = append(attrs, slog.Bool("degraded", true))
 	}
-	if e.Partial {
-		attrs = append(attrs, slog.Bool("partial", true),
-			slog.Any("missing_shards", e.MissingShards))
+	if len(e.MissingShards) > 0 {
+		attrs = append(attrs, slog.Any("missing_shards", e.MissingShards))
 	}
 	if slow {
 		attrs = append(attrs, slog.Bool("slow", true))

@@ -23,7 +23,7 @@ func TestRequestLogJSON(t *testing.T) {
 		BatchSize:     8,
 		QueueNs:       42_000,
 		ModelVersion:  "v3",
-		Partial:       true,
+		Outcome:       Partial,
 		MissingShards: []int{2},
 	})
 	var rec map[string]interface{}
@@ -36,7 +36,7 @@ func TestRequestLogJSON(t *testing.T) {
 		"method": "POST", "path": "/v1/classify",
 		"status": float64(200), "latency_us": float64(3000),
 		"items": float64(1), "batch": float64(8), "queue_us": float64(42),
-		"model_version": "v3", "partial": true,
+		"model_version": "v3", "outcome": "partial",
 	}
 	for k, v := range want {
 		if rec[k] != v {
@@ -60,9 +60,13 @@ func TestRequestLogSeverity(t *testing.T) {
 	}{
 		{"ok", RequestEvent{Status: 200, Latency: time.Millisecond}, "INFO", false},
 		{"slow", RequestEvent{Status: 200, Latency: time.Second}, "WARN", true},
-		{"reject", RequestEvent{Status: 429, Latency: time.Millisecond}, "WARN", false},
-		{"server error", RequestEvent{Status: 500, Latency: time.Millisecond}, "ERROR", false},
-		{"transport error", RequestEvent{Status: 0, Err: "dial refused"}, "ERROR", false},
+		{"partial", RequestEvent{Status: 200, Outcome: Partial, Latency: time.Millisecond}, "INFO", false},
+		{"shed", RequestEvent{Status: 429, Outcome: Shed, Latency: time.Millisecond, Err: "shed: load shed"}, "WARN", false},
+		{"drain", RequestEvent{Status: 503, Outcome: Shed, Latency: time.Millisecond}, "WARN", false},
+		{"bad input", RequestEvent{Status: 400, Outcome: BadInput, Latency: time.Millisecond}, "WARN", false},
+		{"caller cancelled", RequestEvent{Status: 499, Outcome: CallerCancelled, Latency: time.Millisecond}, "INFO", false},
+		{"deadline", RequestEvent{Status: 504, Outcome: Deadline, Latency: time.Second}, "ERROR", true},
+		{"server error", RequestEvent{Status: 500, Outcome: Fault, Latency: time.Millisecond}, "ERROR", false},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -78,6 +82,9 @@ func TestRequestLogSeverity(t *testing.T) {
 		if _, present := rec["slow"]; present != c.slow {
 			t.Errorf("%s: slow marker present=%v, want %v", c.name, present, c.slow)
 		}
+		if rec["outcome"] != c.ev.Outcome.String() || rec["error"] != nil && rec["error"] != c.ev.Err {
+			t.Errorf("%s: outcome %v error %v, want %s %q", c.name, rec["outcome"], rec["error"], c.ev.Outcome, c.ev.Err)
+		}
 	}
 }
 
@@ -90,7 +97,4 @@ func TestRequestLogTextModeAndNil(t *testing.T) {
 	}
 	var nilLog *RequestLog
 	nilLog.Log(RequestEvent{Status: 500}) // must not panic
-	if nilLog.Slow() != 0 {
-		t.Error("nil RequestLog reports a slow threshold")
-	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -24,12 +25,6 @@ import (
 // (slow AND fast) burn is what distinguishes an ongoing incident
 // from the tail of a resolved one.
 
-// StatusClientClosed (nginx's 499) answers a request whose client hung
-// up before the answer was ready. Nobody reads it and the server did
-// nothing wrong, so the SLO windows count it as neither a success nor
-// an error.
-const StatusClientClosed = 499
-
 // SLOConfig tunes a tracker. Zero values take the defaults.
 type SLOConfig struct {
 	// Window is the full rolling window (default 5m): a ring of
@@ -37,7 +32,7 @@ type SLOConfig struct {
 	// one bucket) is the short "fast" burn-rate window.
 	Window time.Duration
 	// Availability is the success-rate objective (default 0.999):
-	// non-5xx responses / all responses.
+	// answers that are neither Fault nor Deadline / all counted answers.
 	Availability float64
 	// LatencyObjective and LatencyTarget form the latency SLO: at
 	// least LatencyTarget (default 0.99) of successful requests
@@ -63,16 +58,11 @@ func (c *SLOConfig) defaults() {
 
 // sloBucket is one time slice of one endpoint's traffic.
 type sloBucket struct {
-	epoch    int64 // bucket index since the unix epoch; -1 = empty
+	epoch    int64 // bucket index since the unix epoch; 0 = empty
 	requests int64
-	errors   int64 // 5xx (and transport-level status 0)
-	slow     int64 // successes over LatencyObjective
+	errors   int64 // Fault and Deadline answers
+	slow     int64 // OK/Partial answers over LatencyObjective
 	lat      []int64
-}
-
-// sloEndpoint is one endpoint's ring.
-type sloEndpoint struct {
-	ring []sloBucket
 }
 
 // SLO is a rolling-window tracker over named endpoints. Safe for
@@ -85,7 +75,7 @@ type SLO struct {
 	bounds []float64     // latency histogram bounds shared by all buckets
 
 	mu        sync.Mutex
-	endpoints map[string]*sloEndpoint
+	endpoints map[string][]sloBucket // one ring per endpoint
 
 	// now is stubbed by tests.
 	now func() time.Time
@@ -100,7 +90,7 @@ func NewSLO(cfg SLOConfig) *SLO {
 		bucket:    bucket,
 		fast:      max(cfg.Window/10, bucket),
 		bounds:    LatencyBuckets(),
-		endpoints: map[string]*sloEndpoint{},
+		endpoints: map[string][]sloBucket{},
 		now:       time.Now,
 	}
 }
@@ -113,62 +103,42 @@ func (s *SLO) nBuckets() int {
 	return n
 }
 
-// Observe records one served request; a StatusClientClosed answer is
-// not recorded. Nil-safe.
-func (s *SLO) Observe(endpoint string, status int, latency time.Duration) {
-	if s == nil || status == StatusClientClosed {
+// Observe records one answer by its outcome: Fault and Deadline count
+// as errors, OK and Partial enter the latency quantiles, and Shed,
+// BadInput and CallerCancelled — designed answers, not the server's
+// failures nor its latency — are not recorded at all. Nil-safe.
+func (s *SLO) Observe(endpoint string, o Outcome, latency time.Duration) {
+	if s == nil || o == Shed || o == BadInput || o == CallerCancelled {
 		return
 	}
 	epoch := s.now().UnixNano() / int64(s.bucket)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ep := s.endpoints[endpoint]
-	if ep == nil {
-		ep = &sloEndpoint{ring: make([]sloBucket, s.nBuckets())}
-		for i := range ep.ring {
-			ep.ring[i].epoch = -1
-		}
-		s.endpoints[endpoint] = ep
+	ring := s.endpoints[endpoint]
+	if ring == nil {
+		ring = make([]sloBucket, s.nBuckets())
+		s.endpoints[endpoint] = ring
 	}
-	b := &ep.ring[int(epoch)%len(ep.ring)]
+	b := &ring[int(epoch)%len(ring)]
 	if b.epoch != epoch {
-		// The slot belongs to an old cycle: recycle it in place.
-		*b = sloBucket{epoch: epoch, lat: b.lat[:0]}
-		if cap(b.lat) == 0 {
-			b.lat = make([]int64, 0, len(s.bounds)+1)
+		// The slot is empty or belongs to an old cycle: recycle it in place.
+		if b.lat == nil {
+			b.lat = make([]int64, len(s.bounds)+1)
 		}
-		b.lat = b.lat[:cap(b.lat)]
-		for i := range b.lat {
-			b.lat[i] = 0
-		}
-	}
-	if len(b.lat) != len(s.bounds)+1 {
-		b.lat = make([]int64, len(s.bounds)+1)
+		clear(b.lat)
+		*b = sloBucket{epoch: epoch, lat: b.lat}
 	}
 	b.requests++
-	if status >= 500 || status == 0 {
+	if o == Fault || o == Deadline {
+		// A fast failure must not flatter the latency SLO.
 		b.errors++
-	} else {
-		if latency > s.cfg.LatencyObjective {
-			b.slow++
-		}
-		// Latency quantiles are over answered-successfully requests:
-		// a fast 500 must not flatter the latency SLO.
-		b.lat[latBucket(s.bounds, float64(latency))]++
+		return
 	}
-}
-
-func latBucket(bounds []float64, v float64) int {
-	lo, hi := 0, len(bounds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bounds[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if latency > s.cfg.LatencyObjective {
+		b.slow++
 	}
-	return lo
+	i, _ := slices.BinarySearch(s.bounds, float64(latency))
+	b.lat[i]++
 }
 
 // EndpointSLO is one endpoint's rolling-window summary.
@@ -231,16 +201,16 @@ func (s *SLO) Summary() SLOSummary {
 	latBudget := 1 - s.cfg.LatencyTarget
 	merged := make([]int64, len(s.bounds)+1)
 	for _, name := range names {
-		ep := s.endpoints[name]
+		ring := s.endpoints[name]
 		e := EndpointSLO{Endpoint: name}
 		var slow, ok int64
 		var fastReq, fastErr int64
 		for i := range merged {
 			merged[i] = 0
 		}
-		for i := range ep.ring {
-			b := &ep.ring[i]
-			if b.epoch < oldest { // empty (-1) or aged out
+		for i := range ring {
+			b := &ring[i]
+			if b.epoch < oldest { // empty or aged out
 				continue
 			}
 			e.Requests += b.requests

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"context"
+	"errors"
+	"net/http/httptest"
 	"testing"
 	"time"
 )
@@ -24,29 +27,43 @@ func findEndpoint(t *testing.T, sum SLOSummary, name string) EndpointSLO {
 	return EndpointSLO{}
 }
 
+// TestSLOErrorBurnRate: 99 OK answers and one of each outcome. Only
+// Fault and Deadline burn budget; Shed, BadInput and CallerCancelled
+// are not requests of the window at all.
 func TestSLOErrorBurnRate(t *testing.T) {
-	s, _ := testSLO(SLOConfig{Window: time.Minute, Availability: 0.99})
-	for i := 0; i < 99; i++ {
-		s.Observe("/v1/classify", 200, time.Millisecond)
-	}
-	s.Observe("/v1/classify", 500, time.Millisecond)
+	for _, c := range []struct {
+		o                Outcome
+		requests, errors int64
+	}{
+		{OK, 100, 0}, {Partial, 100, 0}, {Fault, 100, 1}, {Deadline, 100, 1},
+		{Shed, 99, 0}, {BadInput, 99, 0}, {CallerCancelled, 99, 0},
+	} {
+		s, _ := testSLO(SLOConfig{Window: time.Minute, Availability: 0.99})
+		for i := 0; i < 99; i++ {
+			s.Observe("/v1/classify", OK, time.Millisecond)
+		}
+		s.Observe("/v1/classify", c.o, time.Millisecond)
 
-	e := findEndpoint(t, s.Summary(), "/v1/classify")
-	if e.Requests != 100 || e.Errors != 1 {
-		t.Fatalf("requests/errors = %d/%d", e.Requests, e.Errors)
-	}
-	if e.ErrorRate != 0.01 {
-		t.Errorf("error rate = %g, want 0.01", e.ErrorRate)
-	}
-	// 1% observed on a 1% budget: burning at exactly the sustainable pace.
-	if e.ErrorBurnRate < 0.999 || e.ErrorBurnRate > 1.001 {
-		t.Errorf("burn rate = %g, want 1.0", e.ErrorBurnRate)
+		e := findEndpoint(t, s.Summary(), "/v1/classify")
+		if e.Requests != c.requests || e.Errors != c.errors {
+			t.Fatalf("%s: requests/errors = %d/%d, want %d/%d", c.o, e.Requests, e.Errors, c.requests, c.errors)
+		}
+		if c.errors == 0 {
+			continue
+		}
+		if e.ErrorRate != 0.01 {
+			t.Errorf("%s: error rate = %g, want 0.01", c.o, e.ErrorRate)
+		}
+		// 1% observed on a 1% budget: burning at exactly the sustainable pace.
+		if e.ErrorBurnRate < 0.999 || e.ErrorBurnRate > 1.001 {
+			t.Errorf("%s: burn rate = %g, want 1.0", c.o, e.ErrorBurnRate)
+		}
 	}
 }
 
 func TestSLOWindowAgesOut(t *testing.T) {
 	s, now := testSLO(SLOConfig{Window: 30 * time.Second})
-	s.Observe("/v1/classify", 500, time.Millisecond)
+	s.Observe("/v1/classify", Fault, time.Millisecond)
 	if e := findEndpoint(t, s.Summary(), "/v1/classify"); e.Errors != 1 {
 		t.Fatalf("fresh error not counted: %+v", e)
 	}
@@ -56,7 +73,7 @@ func TestSLOWindowAgesOut(t *testing.T) {
 		t.Fatalf("stale traffic still counted after window: %+v", e)
 	}
 	// And the recycled slot starts clean.
-	s.Observe("/v1/classify", 200, time.Millisecond)
+	s.Observe("/v1/classify", OK, time.Millisecond)
 	if e := findEndpoint(t, s.Summary(), "/v1/classify"); e.Requests != 1 || e.Errors != 0 {
 		t.Fatalf("recycled bucket kept stale counts: %+v", e)
 	}
@@ -65,12 +82,12 @@ func TestSLOWindowAgesOut(t *testing.T) {
 func TestSLOFastWindow(t *testing.T) {
 	s, now := testSLO(SLOConfig{Window: 100 * time.Second, Availability: 0.9})
 	// Old errors: inside the full window, outside the fast window.
-	s.Observe("/v1/x", 500, 0)
-	s.Observe("/v1/x", 500, 0)
+	s.Observe("/v1/x", Fault, 0)
+	s.Observe("/v1/x", Deadline, 0)
 	*now = now.Add(50 * time.Second)
 	// Recent traffic is clean.
 	for i := 0; i < 8; i++ {
-		s.Observe("/v1/x", 200, 0)
+		s.Observe("/v1/x", OK, 0)
 	}
 	e := findEndpoint(t, s.Summary(), "/v1/x")
 	if e.ErrorBurnRate <= 0 {
@@ -86,13 +103,14 @@ func TestSLOLatencyQuantilesAndSlowRate(t *testing.T) {
 	// 90 fast successes, 10 slow ones, plus errors whose (fast) latency
 	// must not pollute the quantiles.
 	for i := 0; i < 90; i++ {
-		s.Observe("/v1/classify", 200, 10*time.Millisecond)
+		s.Observe("/v1/classify", OK, 10*time.Millisecond)
 	}
 	for i := 0; i < 10; i++ {
-		s.Observe("/v1/classify", 200, 500*time.Millisecond)
+		s.Observe("/v1/classify", OK, 500*time.Millisecond)
 	}
 	for i := 0; i < 20; i++ {
-		s.Observe("/v1/classify", 500, time.Microsecond)
+		s.Observe("/v1/classify", Fault, time.Microsecond)
+		s.Observe("/v1/classify", BadInput, time.Microsecond)
 	}
 	e := findEndpoint(t, s.Summary(), "/v1/classify")
 	if e.SlowRate != 0.1 {
@@ -112,8 +130,8 @@ func TestSLOLatencyQuantilesAndSlowRate(t *testing.T) {
 
 func TestSLOPublishGauges(t *testing.T) {
 	s, _ := testSLO(SLOConfig{Window: time.Minute, Availability: 0.99})
-	s.Observe("/v1/classify", 200, time.Millisecond)
-	s.Observe("/v1/classify", 500, time.Millisecond)
+	s.Observe("/v1/classify", OK, time.Millisecond)
+	s.Observe("/v1/classify", Fault, time.Millisecond)
 	reg := NewRegistry()
 	s.Publish(reg)
 	snap := reg.Snapshot()
@@ -129,7 +147,7 @@ func TestSLOPublishGauges(t *testing.T) {
 	}
 	// Nil-safety.
 	var nilSLO *SLO
-	nilSLO.Observe("/x", 200, 0)
+	nilSLO.Observe("/x", OK, 0)
 	nilSLO.Publish(reg)
 	_ = nilSLO.Summary()
 }
@@ -145,5 +163,46 @@ func TestSLOConfigDefaults(t *testing.T) {
 	// A short window keeps 1s buckets and a one-bucket fast window.
 	if s := NewSLO(SLOConfig{Window: 5 * time.Second}); s.bucket != time.Second || s.fast != time.Second {
 		t.Fatalf("5s window: bucket %v, fast %v, want 1s and 1s", s.bucket, s.fast)
+	}
+}
+
+// TestOutcomeRules pins the two places an outcome is decided — the
+// status table and the error rule — and a StatusRecorder's mark
+// overriding the table.
+func TestOutcomeRules(t *testing.T) {
+	for status, want := range map[int]Outcome{
+		200: OK, 204: OK, 302: OK, 400: BadInput, 404: BadInput, 409: BadInput,
+		429: Shed, 499: CallerCancelled, 500: Fault, 503: Fault, 504: Deadline,
+	} {
+		if got := OutcomeOf(status); got != want {
+			t.Errorf("OutcomeOf(%d) = %s, want %s", status, got, want)
+		}
+	}
+	live := context.Background()
+	cancelled, cancel := context.WithCancel(live)
+	cancel()
+	expired, cancel := context.WithDeadline(live, time.Unix(0, 0))
+	defer cancel()
+	fail := errors.New("boom")
+	for _, c := range []struct {
+		ctx  context.Context
+		err  error
+		want Outcome
+	}{
+		{live, nil, OK}, {cancelled, nil, OK}, {live, fail, Fault},
+		{cancelled, fail, CallerCancelled}, {expired, context.DeadlineExceeded, Deadline},
+	} {
+		if got := OutcomeOfErr(c.ctx, c.err); got != c.want {
+			t.Errorf("OutcomeOfErr(%v, %v) = %s, want %s", c.ctx.Err(), c.err, got, c.want)
+		}
+	}
+	rec := &StatusRecorder{ResponseWriter: httptest.NewRecorder()}
+	rec.WriteHeader(503)
+	if rec.Outcome() != Fault {
+		t.Errorf("unmarked 503: %s, want fault", rec.Outcome())
+	}
+	Mark(rec, Shed)
+	if rec.Outcome() != Shed {
+		t.Errorf("503 marked shed: %s", rec.Outcome())
 	}
 }

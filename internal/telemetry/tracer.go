@@ -115,9 +115,6 @@ func (t *Tracer) SetProcessName(pid int, name string) {
 		return
 	}
 	t.mu.Lock()
-	if t.procNames == nil {
-		t.procNames = map[int]string{}
-	}
 	t.procNames[pid] = name
 	t.mu.Unlock()
 }

@@ -81,8 +81,8 @@ func (s *Stats) forNameClass(name string, class Class) *TenantStats {
 }
 
 // Observe records one finished request into the tenant's SLO window.
-func (ts *TenantStats) Observe(endpoint string, status int, latency time.Duration) {
-	ts.SLO.Observe(endpoint, status, latency)
+func (ts *TenantStats) Observe(endpoint string, o telemetry.Outcome, latency time.Duration) {
+	ts.SLO.Observe(endpoint, o, latency)
 }
 
 // Summary is the JSON shape of one tenant's /v1/tenants entry.
