@@ -129,8 +129,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	bits := fs.Int("bits", 4, "screening precision: 2, 4 or 8")
 
 	decodeOn := fs.Bool("decode", false, "enable streaming autoregressive decode sessions on POST /v1/decode")
-	decodeMaxSessions := fs.Int("decode-max-sessions", 256, "decode session cap (429 past this)")
-	decodeTTL := fs.Duration("decode-ttl", time.Minute, "idle decode sessions are evicted after this")
+	decodeMaxSessions := fs.Int("decode-max-sessions", 256, "concurrent decode stream cap (429 past this)")
 	decodeDeadline := fs.Duration("decode-deadline", 0, "per-token latency budget: the screening budget m degrades toward the floor before missing it (0: off)")
 	decodeMaxLen := fs.Int("decode-maxlen", 64, "decode sequence length cap")
 	decodeSeed := fs.Uint64("decode-seed", 1, "decoder dynamics seed")
@@ -266,7 +265,6 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	if *decodeOn {
 		dcfg := decode.Config{
 			MaxSessions: *decodeMaxSessions,
-			TTL:         *decodeTTL,
 			TokenBudget: *decodeDeadline,
 			TopM:        *topM,
 			MFloor:      *mFloor,
@@ -296,7 +294,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 					VerifyEvery: *decodeVerify,
 				})
 			})
-			logger.Printf("decode sessions enabled (local scorer, candidate cache)")
+			logger.Printf("decode sessions enabled (local scorer, %d candidate-cache slots per session)", max(*decodeCache, 0))
 		}
 		// Runs before the deferred srv.Drain, after the API listener's
 		// Shutdown: by then every in-flight stream has completed.

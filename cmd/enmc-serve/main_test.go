@@ -436,8 +436,8 @@ func TestClusterScenario(t *testing.T) {
 
 // TestDecodeScenario: streaming decode through run(-decode). Locally,
 // an SSE session streams 5 token frames then done; greedy and beam
-// (width 4) NDJSON load finishes every stream; -decode-max-sessions 1
-// refuses a second session with 429 + Retry-After. Over the 3×2
+// (width 4) NDJSON load finishes every stream. (The session caps are
+// internal/server's tests: they need a stream held open.) Over the 3×2
 // cluster, killing a replica mid-session drops no stream: the tokens
 // that hit it fail over (cluster_failover_total rises on the debug
 // /metrics).
@@ -499,22 +499,6 @@ func TestDecodeScenario(t *testing.T) {
 		}
 	}
 	s.stop(t)
-
-	capped := startServe(t, c, append([]string{"-decode", "-decode-maxlen", "24", "-decode-max-sessions", "1"}, demoFlags...)...)
-	// One token of 24: the session stays open and holds the only slot.
-	if out, err := decodeSession(c, capped.api, server.DecodeRequest{H0: h0, MaxTokens: 1}); err != nil || out.status != http.StatusOK {
-		t.Fatalf("first session: %+v, %v", out, err)
-	}
-	resp, err = c.Post(capped.api+"/v1/decode", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("second session: status %d Retry-After %q, want 429 with a hint",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	capped.stop(t)
 
 	f := startFleet(t, nil)
 	cs := startServe(t, c, append([]string{"-cluster", f.Spec(), "-cluster-health-interval", "100ms",

@@ -1,6 +1,7 @@
 // Package decode is the streaming autoregressive serving layer: it
-// turns the single-shot screening classifier into a stateful decode
-// service. A session owns the decoder hidden state, an optional beam,
+// turns the single-shot screening classifier into a decode service. A
+// session lives for one stream: its owner opens it, runs it and closes
+// it. It owns the decoder hidden state, an optional beam,
 // a pooled core.Scratch, and a hot-class candidate cache that packs
 // the classes the screener keeps surviving into a compact arena —
 // consecutive tokens share most of their candidate set, so the exact
@@ -27,10 +28,9 @@ var (
 	mCacheVerified  = reg.Counter("decode.cache_verified")
 	mCacheVerifyBad = reg.Counter("decode.cache_verify_fail")
 
-	mSessionsActive  = reg.Gauge("decode.sessions_active")
-	mSessionsOpened  = reg.Counter("decode.sessions_opened")
-	mSessionsEvicted = reg.Counter("decode.sessions_evicted")
-	mSessionLimit    = reg.Counter("decode.session_limit")
+	mSessionsActive = reg.Gauge("decode.sessions_active")
+	mSessionsOpened = reg.Counter("decode.sessions_opened")
+	mSessionLimit   = reg.Counter("decode.session_limit")
 
 	mTokens       = reg.Counter("decode.tokens_total")
 	mTokenNs      = reg.Histogram("decode.token_ns", telemetry.LatencyBuckets())

@@ -393,7 +393,7 @@ func TestAgreementBLEU(t *testing.T) {
 // stubScorer lets the ladder tests dial step latency.
 type stubScorer struct {
 	sleep  time.Duration
-	closed bool
+	closes int
 }
 
 func (s *stubScorer) ScoreStep(_ context.Context, h []float32, m, k int) (StepScore, error) {
@@ -408,7 +408,7 @@ func (s *stubScorer) ScoreStep(_ context.Context, h []float32, m, k int) (StepSc
 	}
 	return StepScore{Classes: classes, LogProbs: lps, M: m}, nil
 }
-func (s *stubScorer) Close() { s.closed = true }
+func (s *stubScorer) Close() { s.closes++ }
 
 // TestDeadlineLadder: slow steps walk m down to the floor; fast steps
 // recover it back to top-m.
@@ -503,133 +503,53 @@ func TestSessionAdmission(t *testing.T) {
 	if _, err := svc.Open(Greedy, 1, inst.Test[2]); err != nil {
 		t.Fatalf("open after close: %v", err)
 	}
-	if _, err := svc.Get("nope"); err != ErrNotFound {
-		t.Fatalf("lookup of unknown id: %v", err)
+	if err := svc.Close(a.ID); err != ErrNotFound {
+		t.Fatalf("second close: %v, want ErrNotFound", err)
 	}
 }
 
-// TestRunBusy: a second pump on the same session is rejected, not
-// queued.
-func TestRunBusy(t *testing.T) {
-	testkit.NoLeaks(t)
-	inst, _, dec := testModel(t)
-	svc := NewService(Config{}, dec, func() Scorer { return &stubScorer{sleep: 5 * time.Millisecond} })
-	defer svc.Shutdown()
-	sess, err := svc.Open(Greedy, 1, inst.Test[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := sess.Run(context.Background(), 4, func(tok Token) error {
-			if tok.Step == 0 {
-				close(started)
-			}
-			return nil
-		})
-		done <- err
-	}()
-	<-started
-	if _, err := sess.Run(context.Background(), 1, func(Token) error { return nil }); err != ErrBusy {
-		t.Fatalf("concurrent run: %v, want ErrBusy", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEvictionMidDecode: evicting a session with a pump in flight
-// stops the pump with ErrEvicted and finalizes the scorer exactly
-// once.
+// TestEvictionMidDecode: Shutdown with a session running stops it at
+// its next token with ErrEvicted and refuses new sessions; the owner's
+// Close then closes the scorer exactly once.
 func TestEvictionMidDecode(t *testing.T) {
 	testkit.NoLeaks(t)
 	inst, _, dec := testModel(t)
 	stub := &stubScorer{sleep: time.Millisecond}
 	svc := NewService(Config{}, dec, func() Scorer { return stub })
-	defer svc.Shutdown()
 	sess, err := svc.Open(Greedy, 1, inst.Test[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, err := sess.Run(context.Background(), dec.MaxLen(), func(tok Token) error {
-			if tok.Step == 0 {
-				close(started)
-			}
-			return nil
-		})
-		done <- err
-	}()
-	<-started
+	_, err = sess.Run(context.Background(), dec.MaxLen(), func(tok Token) error {
+		if tok.Step == 0 {
+			svc.Shutdown()
+		}
+		return nil
+	})
+	if err != ErrEvicted || sess.Step() != 1 {
+		t.Fatalf("run ended with %v after %d steps, want ErrEvicted after 1", err, sess.Step())
+	}
+	if _, err := svc.Open(Greedy, 1, inst.Test[1]); err != ErrEvicted {
+		t.Fatalf("open after shutdown: %v, want ErrEvicted", err)
+	}
 	if err := svc.Close(sess.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != ErrEvicted {
-		t.Fatalf("pump ended with %v, want ErrEvicted", err)
-	}
-	if !stub.closed {
-		t.Fatal("scorer not finalized after eviction")
-	}
-	if _, err := sess.Run(context.Background(), 1, func(Token) error { return nil }); err != ErrEvicted {
-		t.Fatalf("run after eviction: %v, want ErrEvicted", err)
-	}
-}
-
-// TestTTLEviction: idle sessions are swept; the evicted counter and
-// active gauge move.
-func TestTTLEviction(t *testing.T) {
-	testkit.NoLeaks(t)
-	inst, _, dec := testModel(t)
-	svc := NewService(Config{TTL: 20 * time.Millisecond}, dec, func() Scorer { return &stubScorer{} })
-	defer svc.Shutdown()
-	sess, err := svc.Open(Greedy, 1, inst.Test[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for svc.Active() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session not evicted within 2s")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := svc.Get(sess.ID); err != ErrNotFound {
-		t.Fatalf("evicted session still resolvable: %v", err)
-	}
-}
-
-// TestTinyTTL: a TTL under 4ns (TTL/4 = 0) must not panic the sweep
-// ticker, and idle sessions are still evicted.
-func TestTinyTTL(t *testing.T) {
-	testkit.NoLeaks(t)
-	inst, _, dec := testModel(t)
-	svc := NewService(Config{TTL: time.Nanosecond}, dec, func() Scorer { return &stubScorer{} })
-	defer svc.Shutdown()
-	if _, err := svc.Open(Greedy, 1, inst.Test[0]); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for svc.Active() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session not evicted within 2s")
-		}
-		time.Sleep(time.Millisecond)
+	if stub.closes != 1 || svc.Active() != 0 {
+		t.Fatalf("scorer closed %d times, %d sessions left, want 1 and 0", stub.closes, svc.Active())
 	}
 }
 
 // TestSessionHammer is the -race stress: concurrent sessions decoding
-// while the sweeper evicts aggressively and contexts cancel
-// mid-stream. Every scorer must be closed exactly once and the
-// service must drain cleanly.
+// while contexts cancel mid-stream and Shutdown lands mid-run. Every
+// owner closes its session, so every scorer must be closed exactly
+// once and no session may remain.
 func TestSessionHammer(t *testing.T) {
 	testkit.NoLeaks(t)
 	inst, scr, dec := testModel(t)
 	var opened, closed atomic.Int64
 	svc := NewService(
-		Config{MaxSessions: 32, TTL: 10 * time.Millisecond, TopM: 16},
+		Config{MaxSessions: 32, TopM: 16},
 		dec, func() Scorer {
 			opened.Add(1)
 			return &countingScorer{inner: NewLocalScorer(inst.Classifier, scr, LocalScorerConfig{}), onClose: func() { closed.Add(1) }}
@@ -643,18 +563,19 @@ func TestSessionHammer(t *testing.T) {
 			defer cancel()
 			sess, err := svc.Open(Greedy, 1, inst.Test[i%len(inst.Test)])
 			if err != nil {
-				return // admission limit — fine
+				return // admission limit or shut down — fine
 			}
+			defer svc.Close(sess.ID)
 			sess.Run(ctx, dec.MaxLen(), func(tok Token) error {
 				if tok.Step == 3 && i%3 == 0 {
 					cancel() // client hangs up mid-stream
 				}
+				if tok.Step == 5 && i == 20 {
+					svc.Shutdown()
+				}
 				time.Sleep(time.Millisecond)
 				return nil
 			})
-			if i%2 == 0 {
-				svc.Close(sess.ID)
-			}
 		}(i)
 	}
 	wg.Wait()
@@ -663,7 +584,7 @@ func TestSessionHammer(t *testing.T) {
 		t.Fatalf("scorer leak: %d opened, %d closed", opened.Load(), closed.Load())
 	}
 	if svc.Active() != 0 {
-		t.Fatalf("%d sessions survive shutdown", svc.Active())
+		t.Fatalf("%d sessions survive their owners", svc.Active())
 	}
 }
 

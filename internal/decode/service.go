@@ -1,10 +1,9 @@
 package decode
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"enmc/internal/workload"
@@ -15,9 +14,6 @@ type Config struct {
 	// MaxSessions is the admission limit; Open returns
 	// ErrSessionLimit (HTTP 429 upstream) beyond it. Default 256.
 	MaxSessions int
-	// TTL evicts sessions idle longer than this; the eviction scan
-	// runs every TTL/4, at least 1ms apart. Default 60s.
-	TTL time.Duration
 	// TokenBudget is the per-token deadline driving the degradation
 	// ladder; 0 disables the ladder.
 	TokenBudget time.Duration
@@ -33,9 +29,6 @@ type Config struct {
 func (c *Config) defaults() {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
-	}
-	if c.TTL <= 0 {
-		c.TTL = 60 * time.Second
 	}
 	if c.TopM <= 0 {
 		c.TopM = 24
@@ -54,88 +47,63 @@ func (c *Config) defaults() {
 	}
 }
 
-// Service is the session manager: admission, lookup, TTL eviction,
-// drain. One Service fronts one decoder + scorer family.
+// Service is the session manager: admission and drain. One Service
+// fronts one decoder + scorer family. A session belongs to the
+// goroutine that opened it, which runs it and then closes it.
 type Service struct {
 	cfg       Config
 	dec       *workload.Decoder
 	newScorer func() Scorer
 
-	mu       sync.Mutex
-	sessions map[string]*Session
-	closed   bool
+	// shut is set once by Shutdown; Open refuses, and every session's
+	// Run stops, once it is.
+	shut atomic.Bool
 
-	stop chan struct{}
-	wg   sync.WaitGroup
+	mu       sync.Mutex
+	sessions map[uint64]*Session
+	nextID   uint64
 }
 
 // NewService builds a service over a decoder; newScorer is invoked
 // once per session (each session owns its scorer's mutable state).
 func NewService(cfg Config, dec *workload.Decoder, newScorer func() Scorer) *Service {
 	cfg.defaults()
-	s := &Service{
+	return &Service{
 		cfg:       cfg,
 		dec:       dec,
 		newScorer: newScorer,
-		sessions:  make(map[string]*Session),
-		stop:      make(chan struct{}),
+		sessions:  make(map[uint64]*Session),
 	}
-	s.wg.Add(1)
-	go s.sweep()
-	return s
 }
 
 // MaxLen returns the decoder's maximum sequence length.
 func (s *Service) MaxLen() int { return s.dec.MaxLen() }
 
-// Hidden returns the decoder's hidden dimension.
-func (s *Service) Hidden() int { return s.dec.Hidden() }
-
-func newSessionID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic(err) // crypto/rand never fails on supported platforms
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // Open admits a new session seeded from h0. Width is clamped to
-// [1, MaxWidth] and ignored for greedy sessions.
+// [1, MaxWidth] and ignored for greedy sessions. The caller owns the
+// session and must Close it.
 func (s *Service) Open(mode Mode, width int, h0 []float32) (*Session, error) {
-	return s.OpenOwned(mode, width, h0, nil)
-}
-
-// OpenOwned is Open with an owner-accounting hook: release, when
-// non-nil, is invoked exactly once when the session leaves the
-// service (explicit close, TTL eviction, or shutdown) — never on a
-// failed open. It lets a caller count live sessions against a
-// per-tenant quota without missing evictions the caller never sees.
-func (s *Service) OpenOwned(mode Mode, width int, h0 []float32, release func()) (*Session, error) {
 	if mode != Greedy && mode != Beam {
 		return nil, fmt.Errorf("decode: unknown mode %q", mode)
 	}
 	if len(h0) != s.dec.Hidden() {
 		return nil, fmt.Errorf("decode: h0 has %d dims, want %d", len(h0), s.dec.Hidden())
 	}
-	if width < 1 {
-		width = 1
-	}
-	if width > s.cfg.MaxWidth {
-		width = s.cfg.MaxWidth
+	width = min(max(width, 1), s.cfg.MaxWidth)
+	if s.shut.Load() {
+		return nil, ErrEvicted
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrEvicted
-	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
 		mSessionLimit.Inc()
 		return nil, ErrSessionLimit
 	}
 	d := s.dec.Hidden()
+	s.nextID++
 	sess := &Session{
-		ID:     newSessionID(),
-		svc:    s,
+		ID:     s.nextID,
+		shut:   &s.shut,
 		dec:    s.dec,
 		scorer: s.newScorer(),
 		mode:   mode,
@@ -153,47 +121,25 @@ func (s *Service) OpenOwned(mode Mode, width int, h0 []float32, release func()) 
 		sess.hNext = make([]float32, d)
 		s.dec.NormalizeStartInto(sess.h, h0)
 	}
-	sess.releaseOwner = release
-	sess.touch()
 	s.sessions[sess.ID] = sess
 	mSessionsOpened.Inc()
 	mSessionsActive.Add(1)
 	return sess, nil
 }
 
-// released runs a removed session's owner hook (exactly once per
-// session: every removal path deletes from the map first).
-func released(sess *Session) {
-	if sess.releaseOwner != nil {
-		sess.releaseOwner()
-	}
-}
-
-// Get looks a session up by ID.
-func (s *Service) Get(id string) (*Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return sess, nil
-}
-
-// Close removes and finalizes a session. An in-flight pump notices
-// the eviction flag at its next token and exits with ErrEvicted.
-func (s *Service) Close(id string) error {
+// Close removes a session and closes its scorer: the one place a
+// session leaves the service. Only the session's owner calls it, once
+// it has stopped running the session.
+func (s *Service) Close(id uint64) error {
 	s.mu.Lock()
 	sess, ok := s.sessions[id]
-	if ok {
-		delete(s.sessions, id)
-	}
+	delete(s.sessions, id)
 	s.mu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	sess.evict()
-	released(sess)
+	sess.scorer.Close()
+	mSessionsActive.Add(-1)
 	return nil
 }
 
@@ -204,56 +150,7 @@ func (s *Service) Active() int {
 	return len(s.sessions)
 }
 
-// Shutdown evicts every session and stops the sweeper. Safe to call
-// more than once.
-func (s *Service) Shutdown() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	victims := make([]*Session, 0, len(s.sessions))
-	for id, sess := range s.sessions {
-		victims = append(victims, sess)
-		delete(s.sessions, id)
-	}
-	s.mu.Unlock()
-	close(s.stop)
-	for _, sess := range victims {
-		sess.evict()
-		released(sess)
-	}
-	s.wg.Wait()
-}
-
-// sweep is the TTL evictor. It never blocks on a session: eviction is
-// flag + CAS, and a pump that holds the session finalizes it itself.
-func (s *Service) sweep() {
-	defer s.wg.Done()
-	t := time.NewTicker(max(s.cfg.TTL/4, time.Millisecond))
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-		}
-		deadline := time.Now().Add(-s.cfg.TTL).UnixNano()
-		s.mu.Lock()
-		var victims []*Session
-		for id, sess := range s.sessions {
-			if sess.lastUsed.Load() < deadline {
-				victims = append(victims, sess)
-				delete(s.sessions, id)
-			}
-		}
-		s.mu.Unlock()
-		for _, sess := range victims {
-			sess.evict()
-			released(sess)
-			mSessionsEvicted.Inc()
-		}
-	}
-}
+// Shutdown refuses new sessions and ends the running ones: each stops
+// at its next token with ErrEvicted, and its owner closes it. Safe to
+// call more than once.
+func (s *Service) Shutdown() { s.shut.Store(true) }

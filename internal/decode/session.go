@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,9 +19,7 @@ const (
 )
 
 var (
-	// ErrBusy: another request is pumping this session right now.
-	ErrBusy = errors.New("decode: session busy")
-	// ErrEvicted: the session was TTL-evicted or closed mid-stream.
+	// ErrEvicted: the service was shut down under the session.
 	ErrEvicted = errors.New("decode: session evicted")
 	// ErrSessionLimit: the service is at max-session admission.
 	ErrSessionLimit = errors.New("decode: session limit reached")
@@ -41,20 +38,18 @@ type Token struct {
 
 // Session is one decode stream: it owns the hidden state (and beam),
 // the scorer (with its pooled scratch and candidate cache), and the
-// per-token deadline ladder. A session is pumped by at most one
-// request at a time (Run returns ErrBusy otherwise); the TTL sweeper
-// evicts it between pumps, or flags it for the in-flight pump to
-// notice.
+// per-token deadline ladder. One goroutine owns a session: it opens,
+// runs and closes it. Only the service's shutdown flag is shared.
 type Session struct {
-	ID string
+	ID uint64
 
-	svc    *Service
+	shut *atomic.Bool // the service's: set, Run stops at the next token
+
 	dec    *workload.Decoder
 	scorer Scorer
 	mode   Mode
 	width  int
 
-	mu     sync.Mutex
 	h      []float32
 	hNext  []float32
 	tokens []int
@@ -71,98 +66,23 @@ type Session struct {
 
 	cacheHits   int64
 	cacheMisses int64
-
-	lastUsed atomic.Int64 // unix nanos
-	evicted  atomic.Bool
-	// active is the pump state machine: 0 idle, 1 pumping, -1 dead.
-	// All transitions are CAS-guarded, which is what lets the TTL
-	// sweeper evict without ever blocking on a session whose emit is
-	// stalled on a slow client.
-	active   atomic.Int32
-	doneOnce sync.Once
-
-	// releaseOwner returns the session's slot to its owner's quota
-	// (per-tenant session accounting); nil for unowned sessions. The
-	// service calls it exactly once, when the session leaves the
-	// session map (close, TTL eviction, or shutdown).
-	releaseOwner func()
-}
-
-func (s *Session) touch() { s.lastUsed.Store(time.Now().UnixNano()) }
-
-// finalize releases the scorer exactly once. Only the winner of the
-// idle→dead CAS calls it, so the scorer is never closed while a pump
-// could still be using it.
-func (s *Session) finalize() {
-	s.doneOnce.Do(func() {
-		s.scorer.Close()
-		mSessionsActive.Add(-1)
-	})
-}
-
-// evict flags the session dead and finalizes it if no pump is in
-// flight; otherwise the pump's exit path finalizes. Exactly one side
-// wins the idle→dead CAS.
-func (s *Session) evict() {
-	s.evicted.Store(true)
-	if s.active.CompareAndSwap(0, -1) {
-		s.finalize()
-	}
 }
 
 // Step returns how many tokens the session has emitted.
-func (s *Session) Step() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.step
-}
+func (s *Session) Step() int { return s.step }
 
 // Tokens returns a copy of the emitted sequence — for beam sessions,
 // the current best hypothesis.
-func (s *Session) Tokens() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int(nil), s.tokens...)
-}
+func (s *Session) Tokens() []int { return append([]int(nil), s.tokens...) }
 
 // CacheStats returns cumulative candidate-cache hits and misses.
-func (s *Session) CacheStats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cacheHits, s.cacheMisses
-}
-
-// Finished reports whether the decoder's drift stream is exhausted.
-func (s *Session) Finished() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.step >= s.dec.MaxLen()
-}
+func (s *Session) CacheStats() (hits, misses int64) { return s.cacheHits, s.cacheMisses }
 
 // Run pumps up to n tokens through the session, invoking emit for
 // each. It returns finished=true when the decoder's MaxLen is
-// reached. ErrBusy means another pump holds the session; ErrEvicted
-// means the sweeper (or Close) took it mid-stream — the emitted
-// prefix is still valid.
+// reached. ErrEvicted means the service shut down mid-stream — the
+// emitted prefix is still valid.
 func (s *Session) Run(ctx context.Context, n int, emit func(Token) error) (finished bool, err error) {
-	if !s.active.CompareAndSwap(0, 1) {
-		if s.active.Load() == -1 {
-			return false, ErrEvicted
-		}
-		return false, ErrBusy
-	}
-	defer func() {
-		s.active.CompareAndSwap(1, 0)
-		if s.evicted.Load() && s.active.CompareAndSwap(0, -1) {
-			s.finalize()
-		}
-	}()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.evicted.Load() {
-		return false, ErrEvicted
-	}
-	s.touch()
 	for i := 0; i < n; i++ {
 		if s.step >= s.dec.MaxLen() {
 			return true, nil
@@ -170,7 +90,7 @@ func (s *Session) Run(ctx context.Context, n int, emit func(Token) error) (finis
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		if s.evicted.Load() {
+		if s.shut.Load() {
 			return false, ErrEvicted
 		}
 		t0 := time.Now()
@@ -183,7 +103,6 @@ func (s *Session) Run(ctx context.Context, n int, emit func(Token) error) (finis
 		if err := emit(tok); err != nil {
 			return false, err
 		}
-		s.touch()
 	}
 	return s.step >= s.dec.MaxLen(), nil
 }
@@ -346,8 +265,6 @@ func (s *Session) stepBeam(ctx context.Context) (Token, error) {
 // hypothesis (greedy: sum of emitted log-probs is not tracked — beam
 // only; greedy returns 0).
 func (s *Session) BestLogProb() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.beam != nil && s.beam.n > 0 {
 		return s.beam.lps[0]
 	}

@@ -13,29 +13,25 @@ import (
 
 var mDecodeNs = telemetry.Default().Histogram("server.http.decode_ns", telemetry.LatencyBuckets())
 
-// DecodeRequest is the POST /v1/decode body. An empty Session opens a
-// new session from H0; a non-empty one continues (or, with Close,
-// ends) an existing session.
+// DecodeRequest is the POST /v1/decode body. Each request opens one
+// decode session from H0, streams it, and closes it when the response
+// ends.
 type DecodeRequest struct {
-	Session string    `json:"session,omitempty"`
-	H0      []float32 `json:"h0,omitempty"`
+	H0 []float32 `json:"h0,omitempty"`
 	// Mode is "greedy" (default) or "beam".
 	Mode  string `json:"mode,omitempty"`
 	Width int    `json:"width,omitempty"`
-	// MaxTokens bounds this request's stream; <=0 decodes to the
-	// session's end.
+	// MaxTokens bounds the stream; <=0 decodes to the decoder's
+	// MaxLen.
 	MaxTokens int `json:"max_tokens,omitempty"`
 	// Stream is "sse" (default: text/event-stream with one
 	// "token" event per frame and a final "done" event) or "ndjson"
 	// (one JSON object per line, last object has "done":true).
 	Stream string `json:"stream,omitempty"`
-	// Close ends the session instead of decoding.
-	Close bool `json:"close,omitempty"`
 }
 
 // DecodeFrame is one streamed token event.
 type DecodeFrame struct {
-	Session  string  `json:"session"`
 	T        int     `json:"t"`
 	Token    int     `json:"token"`
 	LogProb  float64 `json:"logprob"`
@@ -43,18 +39,18 @@ type DecodeFrame struct {
 	Degraded bool    `json:"degraded,omitempty"`
 }
 
-// DecodeDone is the stream's terminal event (and the response body
-// for Close requests).
+// DecodeDone is the stream's terminal event.
 type DecodeDone struct {
-	Session string `json:"session"`
-	Done    bool   `json:"done"`
-	Steps   int    `json:"steps"`
-	// Tokens is the full sequence so far — for beam sessions the best
+	Done  bool `json:"done"`
+	Steps int  `json:"steps"`
+	// Tokens is the full sequence — for beam sessions the best
 	// hypothesis, which may disagree with earlier provisional frames.
-	Tokens   []int `json:"tokens,omitempty"`
-	Finished bool  `json:"finished"`
-	Evicted  bool  `json:"evicted,omitempty"`
-	Closed   bool  `json:"closed,omitempty"`
+	Tokens []int `json:"tokens,omitempty"`
+	// Finished says the stream reached the decoder's MaxLen rather
+	// than MaxTokens.
+	Finished bool `json:"finished"`
+	// Evicted says the decode service shut down mid-stream.
+	Evicted bool `json:"evicted,omitempty"`
 	// CacheHitRate is the session's cumulative candidate-cache hit
 	// rate (0 when the scorer has no cache, e.g. cluster mode).
 	CacheHitRate float64 `json:"cache_hit_rate"`
@@ -74,11 +70,13 @@ func (s *Server) SetDecode(svc *decode.Service) {
 	s.decodeSvc.Store(svc)
 }
 
+// handleDecode opens one session, streams it and closes it: every exit
+// after the open returns the session and the tenant's session slot.
 func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { mDecodeNs.Observe(float64(time.Since(start))) }()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	var body DecodeRequest
+	if !decodePost(w, r, &body) {
 		return
 	}
 	svc := s.decodeSvc.Load()
@@ -86,74 +84,47 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotImplemented, "decode service not enabled (-decode)")
 		return
 	}
-	var body DecodeRequest
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+	if s.Draining() {
+		writeUnavailable(w, r, ErrDraining)
 		return
 	}
-
-	if body.Close {
-		if body.Session == "" {
-			writeError(w, http.StatusBadRequest, "close requires a session id")
-			return
-		}
-		if err := svc.Close(body.Session); err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, DecodeDone{Session: body.Session, Done: true, Closed: true})
+	mode := decode.Mode(body.Mode)
+	if mode == "" {
+		mode = decode.Greedy
+	}
+	// A session is one admission: it charges the owner tenant's rate
+	// quota and holds one of its concurrent sessions until the response
+	// ends.
+	ten := s.tenantFor(r)
+	ts := s.tstats.For(ten)
+	if !s.allowQuota(w, r, ten, ts, 1) {
 		return
 	}
-
-	var sess *decode.Session
-	if body.Session == "" {
-		if s.Draining() {
-			writeUnavailable(w, r, ErrDraining)
-			return
-		}
-		mode := decode.Mode(body.Mode)
-		if mode == "" {
-			mode = decode.Greedy
-		}
-		// A new session is one admission: it charges the owner tenant's
-		// rate quota and counts against its concurrent-session cap until
-		// the session leaves the service (close, eviction, shutdown).
-		ten := s.tenantFor(r)
-		ts := s.tstats.For(ten)
-		if !s.allowQuota(w, r, ten, ts, 1) {
-			return
-		}
-		if !ten.AcquireSession() {
-			ts.Throttled.Inc()
-			retryAfterHeader(w)
-			writeErrorReason(w, r, http.StatusTooManyRequests, "session_quota",
-				fmt.Sprintf("tenant %s at its session cap (%d)", ten.Name, ten.MaxSessions()))
-			return
-		}
-		var err error
-		sess, err = svc.OpenOwned(mode, body.Width, body.H0, ten.ReleaseSession)
-		switch {
-		case err == nil:
-			ts.Admitted.Inc()
-		case errors.Is(err, decode.ErrSessionLimit):
-			ten.ReleaseSession()
-			ts.Throttled.Inc()
-			retryAfterHeader(w)
-			writeErrorReason(w, r, http.StatusTooManyRequests, "session_limit", err.Error())
-			return
-		default:
-			ten.ReleaseSession()
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	} else {
-		var err error
-		sess, err = svc.Get(body.Session)
-		if err != nil {
-			writeError(w, http.StatusNotFound, err.Error())
-			return
-		}
+	if !ten.AcquireSession() {
+		ts.Throttled.Inc()
+		retryAfterHeader(w)
+		writeErrorReason(w, r, http.StatusTooManyRequests, "session_quota",
+			fmt.Sprintf("tenant %s at its session cap (%d)", ten.Name, ten.MaxSessions()))
+		return
 	}
+	defer ten.ReleaseSession()
+	sess, err := svc.Open(mode, body.Width, body.H0)
+	switch {
+	case err == nil:
+		ts.Admitted.Inc()
+	case errors.Is(err, decode.ErrSessionLimit):
+		ts.Throttled.Inc()
+		retryAfterHeader(w)
+		writeErrorReason(w, r, http.StatusTooManyRequests, "session_limit", err.Error())
+		return
+	case errors.Is(err, decode.ErrEvicted):
+		writeUnavailable(w, r, ErrDraining)
+		return
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	defer svc.Close(sess.ID)
 
 	n := body.MaxTokens
 	if n <= 0 || n > svc.MaxLen() {
@@ -174,7 +145,7 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	emit := func(tok decode.Token) error {
 		frames++
 		err := writeFrame(w, enc, sse, "token", DecodeFrame{
-			Session: sess.ID, T: tok.Step, Token: tok.Token,
+			T: tok.Step, Token: tok.Token,
 			LogProb: tok.LogProb, M: tok.M, Degraded: tok.Degraded,
 		})
 		if err == nil && flusher != nil {
@@ -193,27 +164,20 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case runErr == nil:
 	case frames > 0 && evicted:
-		// Closed mid-stream: the prefix stands, and the done frame says so.
+		// Shut down mid-stream: the prefix stands, and the done frame
+		// says so.
 	case frames > 0:
 		// The 200 is committed: the done frame carries the error, and
 		// the mark tells the middleware what it was.
 		telemetry.Mark(w, telemetry.OutcomeOfErr(r.Context(), runErr))
-	case errors.Is(runErr, decode.ErrBusy):
-		writeError(w, http.StatusConflict, runErr.Error())
-		return
 	case evicted:
-		writeError(w, http.StatusGone, runErr.Error())
+		writeUnavailable(w, r, ErrDraining)
 		return
 	default:
-		// A session this request opened and could not start is spent.
-		if body.Session == "" {
-			_ = svc.Close(sess.ID)
-		}
 		WriteFailure(w, r, runErr)
 		return
 	}
 	done := DecodeDone{
-		Session:  sess.ID,
 		Done:     true,
 		Steps:    sess.Step(),
 		Tokens:   sess.Tokens(),
@@ -229,11 +193,6 @@ func (s *Server) handleDecode(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := writeFrame(w, enc, sse, "done", done); err == nil && flusher != nil {
 		flusher.Flush()
-	}
-	// A finished session is spent — free its slot immediately instead
-	// of waiting out the TTL.
-	if finished {
-		_ = svc.Close(sess.ID)
 	}
 }
 

@@ -6,9 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,6 +19,7 @@ import (
 	"enmc/internal/decode"
 	"enmc/internal/quant"
 	"enmc/internal/telemetry"
+	"enmc/internal/tenant"
 	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
@@ -61,8 +65,8 @@ func decodeServer(tb testing.TB, cfg decode.Config) (*Server, *decode.Service, *
 }
 
 // FuzzDecodeBody sends every input to /v1/decode: the answer is a
-// client error (400, 404, 409, 410, 429) or a 200 stream that ends in a
-// done frame — never a panic or a 5xx.
+// client error (400, 429) or a 200 stream that ends in a done frame —
+// never a panic or a 5xx — and once it is written no session is left.
 func FuzzDecodeBody(f *testing.F) {
 	h0 := strings.TrimSuffix(strings.Repeat("0.25,", 32), ",")
 	for _, seed := range []string{
@@ -73,9 +77,9 @@ func FuzzDecodeBody(f *testing.F) {
 		`{"h0":[` + h0 + `],"max_tokens":-5,"stream":"sse"}`,
 		`{"h0":[1,2,3]}`,
 		`{"h0":[1e39]}`,
-		`{"session":"nope"}`,
-		`{"session":"nope","close":true}`,
-		`{"close":true}`,
+		`{"h0":[` + h0 + `],"max_tokens":1,"stream":"ndjson"}`,
+		`{"h0":[` + h0 + `],"max_tokens":1000}`,
+		`{}`,
 		`{"h0":`,
 		`[]`,
 	} {
@@ -85,22 +89,22 @@ func FuzzDecodeBody(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/decode", bytes.NewReader(body)))
+		if n := svc.Active(); n != 0 {
+			t.Fatalf("%q: %d sessions left after the response", body, n)
+		}
 		switch rec.Code {
 		case http.StatusOK:
-		case http.StatusBadRequest, http.StatusNotFound, http.StatusConflict, http.StatusGone, http.StatusTooManyRequests:
+		case http.StatusBadRequest, http.StatusTooManyRequests:
 			return
 		default:
 			t.Fatalf("%q: status %d %s", body, rec.Code, rec.Body)
 		}
 		out := rec.Body.String()
-		i := strings.LastIndex(out, `{"session"`)
+		i := strings.LastIndex(out, `{"done":true`)
 		var done DecodeDone
 		if i < 0 || json.Unmarshal([]byte(strings.TrimSpace(out[i:])), &done) != nil || !done.Done {
 			t.Fatalf("%q: 200 without a done frame: %s", body, out)
 		}
-		// A stream cut short by max_tokens leaves its session open:
-		// close it, so the inputs that follow are not refused 429.
-		_ = svc.Close(done.Session)
 	})
 }
 
@@ -158,8 +162,7 @@ func readNDJSON(t *testing.T, resp *http.Response) ([]DecodeFrame, DecodeDone) {
 }
 
 // TestDecodeNDJSONGreedy: a full greedy session over ndjson — one
-// frame per token, a terminal done object, tokens consistent, and the
-// finished session's slot freed immediately.
+// frame per token, a terminal done object, tokens consistent.
 func TestDecodeNDJSONGreedy(t *testing.T) {
 	testkit.NoLeaks(t)
 	s, svc, inst := decodeServer(t, decode.Config{})
@@ -184,7 +187,7 @@ func TestDecodeNDJSONGreedy(t *testing.T) {
 		t.Fatalf("done carries %d tokens, want %d", len(done.Tokens), maxLen)
 	}
 	for i, f := range frames {
-		if f.T != i || f.Token != done.Tokens[i] || f.Session != done.Session {
+		if f.T != i || f.Token != done.Tokens[i] {
 			t.Fatalf("frame %d inconsistent: %+v vs tokens %v", i, f, done.Tokens)
 		}
 		if f.M <= 0 {
@@ -193,12 +196,6 @@ func TestDecodeNDJSONGreedy(t *testing.T) {
 	}
 	if done.CacheHitRate <= 0 {
 		t.Fatalf("expected a warm candidate cache, hit rate %v", done.CacheHitRate)
-	}
-	// Finished sessions are auto-closed: continuing must 404.
-	resp = postDecode(t, ts, DecodeRequest{Session: done.Session, Stream: "ndjson"})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("continue after finish: status = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -255,59 +252,10 @@ func TestDecodeSSEFrames(t *testing.T) {
 	if done.Steps != 4 || done.Finished {
 		t.Fatalf("done = %+v (partial stream must not be finished)", done)
 	}
-	// Continue the same session to the end over ndjson.
-	resp2 := postDecode(t, ts, DecodeRequest{Session: done.Session, Stream: "ndjson"})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("continue status = %d", resp2.StatusCode)
-	}
-	_, done2 := readNDJSON(t, resp2)
-	if !done2.Finished || done2.Steps != 12 {
-		t.Fatalf("continued done = %+v", done2)
-	}
-}
-
-// TestDecodeSessionLimit: MaxSessions exhausted answers 429 with a
-// Retry-After hint, and closing a session frees the slot.
-func TestDecodeSessionLimit(t *testing.T) {
-	testkit.NoLeaks(t)
-	_, ts, inst := decodeFixture(t, decode.Config{MaxSessions: 1})
-	resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[0], MaxTokens: 1, Stream: "ndjson"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first open: status = %d", resp.StatusCode)
-	}
-	_, done := readNDJSON(t, resp)
-
-	resp = postDecode(t, ts, DecodeRequest{H0: inst.Test[1], Stream: "ndjson"})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second open: status = %d, want 429", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-
-	resp = postDecode(t, ts, DecodeRequest{Session: done.Session, Close: true})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("close: status = %d", resp.StatusCode)
-	}
-	var closed DecodeDone
-	if err := json.NewDecoder(resp.Body).Decode(&closed); err != nil {
-		t.Fatal(err)
-	}
-	if !closed.Closed {
-		t.Fatalf("close response = %+v", closed)
-	}
-	resp = postDecode(t, ts, DecodeRequest{H0: inst.Test[2], MaxTokens: 1, Stream: "ndjson"})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("open after close: status = %d", resp.StatusCode)
-	}
-	readNDJSON(t, resp)
 }
 
 // TestDecodeErrorStatuses covers the non-streaming failure mappings:
-// no service → 501, unknown session → 404, bad mode → 400, draining →
-// 503 for new sessions.
+// no service → 501, bad mode or h0 → 400, draining → 503.
 func TestDecodeErrorStatuses(t *testing.T) {
 	testkit.NoLeaks(t)
 	bare, err := New(&fakeBackend{hidden: 8, categories: 32}, Config{})
@@ -324,16 +272,6 @@ func TestDecodeErrorStatuses(t *testing.T) {
 	}
 
 	s, ts, inst := decodeFixture(t, decode.Config{})
-	resp = postDecode(t, ts, DecodeRequest{Session: "nope", Stream: "ndjson"})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown session: status = %d, want 404", resp.StatusCode)
-	}
-	resp = postDecode(t, ts, DecodeRequest{Session: "nope", Close: true})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("close unknown: status = %d, want 404", resp.StatusCode)
-	}
 	resp = postDecode(t, ts, DecodeRequest{H0: inst.Test[0], Mode: "viterbi"})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
@@ -360,46 +298,249 @@ func TestDecodeErrorStatuses(t *testing.T) {
 	}
 }
 
-// failingScorer answers its first ok steps with class 0, then fails
-// every step.
-type failingScorer struct{ ok int }
-
-func (f *failingScorer) ScoreStep(context.Context, []float32, int, int) (decode.StepScore, error) {
-	if f.ok == 0 {
-		return decode.StepScore{}, errors.New("scorer: shard unreachable")
-	}
-	f.ok--
-	return decode.StepScore{Classes: []int{0}, LogProbs: []float64{-1}, M: 1}, nil
+// planScorer answers class 0 at every step, except where its service's
+// plan says otherwise for the step's index: "fail" fails the step,
+// "hold" blocks it until release is closed or the request ends, and
+// "shutdown" shuts the service down under it. It counts its closes.
+type planScorer struct {
+	sd     *stubDecode
+	step   int
+	closes atomic.Int32
 }
 
-func (f *failingScorer) Close() {}
+func (p *planScorer) ScoreStep(ctx context.Context, _ []float32, m, _ int) (decode.StepScore, error) {
+	switch p.sd.plan[p.step] {
+	case "fail":
+		return decode.StepScore{}, errors.New("scorer: shard unreachable")
+	case "hold":
+		select {
+		case <-p.sd.release:
+		case <-ctx.Done():
+			return decode.StepScore{}, ctx.Err()
+		}
+	case "shutdown":
+		p.sd.svc.Shutdown()
+	}
+	p.step++
+	return decode.StepScore{Classes: []int{0}, LogProbs: []float64{-1}, M: m}, nil
+}
+
+func (p *planScorer) Close() { p.closes.Add(1) }
+
+// stubDecode is a decode service of 6-token sessions over planScorers,
+// installed on a server; h0 is a valid start vector.
+type stubDecode struct {
+	svc     *decode.Service
+	h0      []float32
+	plan    map[int]string
+	release chan struct{}
+
+	mu      sync.Mutex
+	scorers []*planScorer
+}
+
+func newStubDecode(t *testing.T, s *Server, cfg decode.Config, plan map[int]string) *stubDecode {
+	t.Helper()
+	inst := workload.Generate(workload.Spec{Name: "decode-stub", Categories: 16, Hidden: 8, LatentRank: 4, ZipfS: 1},
+		workload.GenOptions{Seed: 1, Train: 8, Valid: 2, Test: 2})
+	cfg.TopM = 4
+	sd := &stubDecode{h0: inst.Test[0], plan: plan, release: make(chan struct{})}
+	sd.svc = decode.NewService(cfg, workload.NewDecoderFor(inst.Classifier, 7, 6), func() decode.Scorer {
+		sc := &planScorer{sd: sd}
+		sd.mu.Lock()
+		sd.scorers = append(sd.scorers, sc)
+		sd.mu.Unlock()
+		return sc
+	})
+	t.Cleanup(sd.svc.Shutdown)
+	s.SetDecode(sd.svc)
+	return sd
+}
+
+// settled waits until no session and none of ten's session slots is
+// left, then requires every scorer the service made to be closed once.
+func (sd *stubDecode) settled(t *testing.T, ten *tenant.Tenant) {
+	t.Helper()
+	waitFor(t, "the sessions to end", func() bool { return sd.svc.Active() == 0 && ten.Sessions() == 0 })
+	sd.mu.Lock()
+	defer sd.mu.Unlock()
+	for i, sc := range sd.scorers {
+		if n := sc.closes.Load(); n != 1 {
+			t.Errorf("scorer %d closed %d times, want once", i, n)
+		}
+	}
+}
+
+// openHeld starts an ndjson stream under a plan that holds step 1 and
+// reads its first frame: the stream then waits in its scorer, holding
+// its session, until sd.release is closed.
+func (sd *stubDecode) openHeld(t *testing.T, ts *httptest.Server, key string) *http.Response {
+	t.Helper()
+	resp := postJSON(t, ts, "/v1/decode", key, DecodeRequest{H0: sd.h0, Stream: "ndjson"})
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("held stream: status %d", resp.StatusCode)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+		t.Fatalf("held stream: %v", err)
+	}
+	return resp
+}
+
+// finish releases a held stream and reads it to its end.
+func (sd *stubDecode) finish(t *testing.T, held *http.Response) {
+	t.Helper()
+	close(sd.release)
+	defer held.Body.Close()
+	if _, err := io.Copy(io.Discard, held.Body); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDecodeExitPaths: however a /v1/decode request ends — the stream
+// finished or cut short by max_tokens, the client gone mid-stream, the
+// scorer failing before or after the first frame, the service shut down
+// mid-stream, or the open refused at the tenant's session cap — once
+// the response is over, no session and no tenant session slot is left,
+// and every scorer the service made is closed exactly once.
+func TestDecodeExitPaths(t *testing.T) {
+	testkit.NoLeaks(t)
+	stream := func(t *testing.T, ts *httptest.Server, sd *stubDecode, maxTokens int) ([]DecodeFrame, DecodeDone) {
+		return readNDJSON(t, postJSON(t, ts, "/v1/decode", "k", DecodeRequest{H0: sd.h0, MaxTokens: maxTokens, Stream: "ndjson"}))
+	}
+	for _, tc := range []struct {
+		name string
+		plan map[int]string
+		run  func(t *testing.T, ts *httptest.Server, sd *stubDecode)
+	}{
+		{"finished", nil, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			if frames, done := stream(t, ts, sd, 0); len(frames) != 6 || !done.Finished {
+				t.Fatalf("%d frames, done %+v; want 6, finished", len(frames), done)
+			}
+		}},
+		{"max_tokens", nil, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			if frames, done := stream(t, ts, sd, 2); len(frames) != 2 || done.Finished {
+				t.Fatalf("%d frames, done %+v; want 2, not finished", len(frames), done)
+			}
+		}},
+		{"hang-up", map[int]string{1: "hold"}, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			buf, _ := json.Marshal(DecodeRequest{H0: sd.h0, Stream: "ndjson"})
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/decode", bytes.NewReader(buf))
+			req.Header.Set(tenant.HeaderAPIKey, "k")
+			resp, err := ts.Client().Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if _, err := bufio.NewReader(resp.Body).ReadBytes('\n'); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"fault before the first frame", map[int]string{0: "fail"}, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			wantRejection(t, postJSON(t, ts, "/v1/decode", "k", DecodeRequest{H0: sd.h0}), http.StatusServiceUnavailable, "backend")
+		}},
+		{"fault after the first frame", map[int]string{2: "fail"}, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			if frames, done := stream(t, ts, sd, 0); len(frames) != 2 || done.Error == "" {
+				t.Fatalf("%d frames, done %+v; want 2 and an error", len(frames), done)
+			}
+		}},
+		{"shutdown mid-stream", map[int]string{2: "shutdown"}, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			if frames, done := stream(t, ts, sd, 0); len(frames) != 3 || !done.Evicted || done.Error != "" {
+				t.Fatalf("%d frames, done %+v; want 3, evicted", len(frames), done)
+			}
+		}},
+		{"session_quota", map[int]string{1: "hold"}, func(t *testing.T, ts *httptest.Server, sd *stubDecode) {
+			held := sd.openHeld(t, ts, "k")
+			wantRejection(t, postJSON(t, ts, "/v1/decode", "k", DecodeRequest{H0: sd.h0}), http.StatusTooManyRequests, "session_quota")
+			sd.finish(t, held)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{{Name: "capped", Key: "k", MaxSessions: 1}}})
+			s, ts := newObsServer(t, Config{Tenants: res})
+			sd := newStubDecode(t, s, decode.Config{}, tc.plan)
+			tc.run(t, ts, sd)
+			sd.settled(t, res.Resolve("k"))
+		})
+	}
+}
+
+// TestDecodeSessionLimit: with the service's one session held by a
+// running stream, an open answers 429 "session_limit" with a
+// Retry-After hint; once the stream ends, opens succeed again.
+func TestDecodeSessionLimit(t *testing.T) {
+	testkit.NoLeaks(t)
+	s, ts := newObsServer(t, Config{})
+	sd := newStubDecode(t, s, decode.Config{MaxSessions: 1}, map[int]string{1: "hold"})
+	held := sd.openHeld(t, ts, "")
+	wantRejection(t, postDecode(t, ts, DecodeRequest{H0: sd.h0}), http.StatusTooManyRequests, "session_limit")
+	sd.finish(t, held)
+	sd.settled(t, s.Tenants().Resolve(""))
+	if _, done := readNDJSON(t, postDecode(t, ts, DecodeRequest{H0: sd.h0, MaxTokens: 1, Stream: "ndjson"})); done.Steps != 1 {
+		t.Fatalf("open after the held stream ended: done %+v", done)
+	}
+}
+
+// TestDecodeSessionTenantQuota: a tenant's running streams count
+// against its max_sessions: at the cap an open answers 429
+// "session_quota" while another tenant still opens, and once the
+// stream ends the tenant opens again.
+func TestDecodeSessionTenantQuota(t *testing.T) {
+	testkit.NoLeaks(t)
+	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
+		{Name: "capped", Key: "k", Class: "interactive", MaxSessions: 1},
+		{Name: "other", Key: "o", Class: "interactive"},
+	}})
+	s, ts := newObsServer(t, Config{Tenants: res})
+	sd := newStubDecode(t, s, decode.Config{}, map[int]string{1: "hold"})
+	held := sd.openHeld(t, ts, "k")
+	wantRejection(t, postJSON(t, ts, "/v1/decode", "k", DecodeRequest{H0: sd.h0}), http.StatusTooManyRequests, "session_quota")
+	close(sd.release)
+	readNDJSON(t, postJSON(t, ts, "/v1/decode", "o", DecodeRequest{H0: sd.h0, Stream: "ndjson"}))
+	readNDJSON(t, held)
+	sd.settled(t, res.Resolve("k"))
+	readNDJSON(t, postJSON(t, ts, "/v1/decode", "k", DecodeRequest{H0: sd.h0, Stream: "ndjson"}))
+}
+
+// TestDecodeServiceLimitReason: a session_limit refusal holds no
+// tenant slot — the refused open returns the one it took — so the
+// anonymous tenant holds only the running stream's.
+func TestDecodeServiceLimitReason(t *testing.T) {
+	testkit.NoLeaks(t)
+	s, ts := newObsServer(t, Config{})
+	sd := newStubDecode(t, s, decode.Config{MaxSessions: 1}, map[int]string{1: "hold"})
+	anon := s.Tenants().Resolve("")
+	held := sd.openHeld(t, ts, "")
+	for i := 0; i < 3; i++ {
+		wantRejection(t, postDecode(t, ts, DecodeRequest{H0: sd.h0}), http.StatusTooManyRequests, "session_limit")
+	}
+	if n := anon.Sessions(); n != 1 {
+		t.Fatalf("anonymous tenant holds %d sessions with one stream running, want 1", n)
+	}
+	sd.finish(t, held)
+	sd.settled(t, anon)
+}
 
 // TestDecodeScorerFault: a scorer that fails before the first frame
-// answers 503 "backend" with Retry-After, frees the session it opened
-// and adds one fault to /v1/decode's SLO window; one that fails after
-// two frames keeps its 200, reports the error in the done frame, and
-// is still counted a fault.
+// answers 503 "backend" with Retry-After and adds one fault to
+// /v1/decode's SLO window; one that fails after two frames keeps its
+// 200, reports the error in the done frame, and is still counted a
+// fault.
 func TestDecodeScorerFault(t *testing.T) {
 	testkit.NoLeaks(t)
 	for _, ok := range []int{0, 2} {
-		inst := workload.Generate(workload.Spec{Name: "decode-fault", Categories: 16, Hidden: 8, LatentRank: 4, ZipfS: 1},
-			workload.GenOptions{Seed: 1, Train: 8, Valid: 2, Test: 2})
-		svc := decode.NewService(decode.Config{TopM: 4}, workload.NewDecoderFor(inst.Classifier, 7, 6),
-			func() decode.Scorer { return &failingScorer{ok: ok} })
 		s, ts := newObsServer(t, Config{})
-		t.Cleanup(svc.Shutdown)
-		s.SetDecode(svc)
+		sd := newStubDecode(t, s, decode.Config{}, map[int]string{ok: "fail"})
 		faults := mRequests[telemetry.Fault].Value()
 
-		resp := postDecode(t, ts, DecodeRequest{H0: inst.Test[0], Stream: "ndjson"})
+		resp := postDecode(t, ts, DecodeRequest{H0: sd.h0, Stream: "ndjson"})
 		if ok == 0 {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 				t.Fatalf("fault before the first frame: status %d, Retry-After %q, want 503 with one",
 					resp.StatusCode, resp.Header.Get("Retry-After"))
-			}
-			if n := svc.Active(); n != 0 {
-				t.Errorf("%d sessions left open", n)
 			}
 		} else {
 			frames, done := readNDJSON(t, resp)

@@ -8,9 +8,10 @@
 //	POST /v1/classify        {"h":[...], "top_k":5}  — single item
 //	POST /v1/classify_batch  {"batch":[[...],...], "top_k":5} — a
 //	     caller-formed batch of at most QueueCap items
-//	POST /v1/decode          {"h0":[...]} / {"session":"..."} — open or
-//	     continue a streaming decode session (SSE or NDJSON frames,
-//	     one per emitted token; see decode.go and internal/decode)
+//	POST /v1/decode          {"h0":[...]} — one streaming decode
+//	     session, opened for this request and closed when its response
+//	     ends (SSE or NDJSON frames, one per emitted token; see
+//	     decode.go and internal/decode)
 //	GET  /v1/tenants         — per-tenant QoS counters + SLO windows
 //	GET  /healthz            — liveness (always 200 while serving)
 //	GET  /readyz             — readiness (503 once Drain has begun)

@@ -12,13 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"enmc/internal/core"
-	"enmc/internal/decode"
-	"enmc/internal/quant"
 	"enmc/internal/telemetry"
 	"enmc/internal/tenant"
 	"enmc/internal/testkit"
-	"enmc/internal/workload"
 )
 
 // versionedFake tags a fakeBackend with a model version, like a
@@ -404,112 +400,6 @@ func TestFlushPartitionsByPin(t *testing.T) {
 	}
 	if fmt.Sprint(old.sizes, active.sizes) != "[4] [11]" {
 		t.Fatalf("backend batches v1 %v, v2 %v; want [4] and [11]", old.sizes, active.sizes)
-	}
-}
-
-// TestDecodeSessionTenantQuota: decode session opens count against
-// the owner tenant's session cap; the cap rejects with 429 reason
-// "session_quota"; closing the session (or its eviction) frees the
-// slot.
-func TestDecodeSessionTenantQuota(t *testing.T) {
-	testkit.NoLeaks(t)
-	inst := workload.Generate(
-		workload.Spec{Name: "decode-tenant", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
-		workload.GenOptions{Seed: 11, Train: 128, Valid: 8, Test: 8})
-	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
-		Categories: 96, Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 3,
-	}, core.TrainOptions{Epochs: 3, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := workload.NewDecoderFor(inst.Classifier, 7, 12)
-	svc := decode.NewService(decode.Config{TopM: 12}, dec, func() decode.Scorer {
-		return decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{})
-	})
-	defer svc.Shutdown()
-
-	res := tenantResolver(t, tenant.File{Tenants: []tenant.Spec{
-		{Name: "capped", Key: "k", Class: "interactive", MaxSessions: 1},
-	}})
-	s, err := New(&fakeBackend{hidden: 32, categories: 96}, Config{Tenants: res})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Drain()
-	s.SetDecode(svc)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	h0 := make([]float32, 32)
-	open := DecodeRequest{H0: h0, MaxTokens: 1, Stream: "ndjson"}
-	resp := postJSON(t, ts, "/v1/decode", "k", open)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first open: %d", resp.StatusCode)
-	}
-	_, done := readNDJSON(t, resp)
-	if done.Session == "" || done.Finished {
-		t.Fatalf("expected a live session, got %+v", done)
-	}
-
-	// The tenant is at its cap of 1.
-	resp = postJSON(t, ts, "/v1/decode", "k", open)
-	wantRejection(t, resp, http.StatusTooManyRequests, "session_quota")
-
-	// Close frees the slot through the ownership hook.
-	resp = postJSON(t, ts, "/v1/decode", "k", DecodeRequest{Session: done.Session, Close: true})
-	resp.Body.Close()
-	resp = postJSON(t, ts, "/v1/decode", "k", open)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("open after close: %d", resp.StatusCode)
-	}
-	_, done2 := readNDJSON(t, resp)
-	resp = postJSON(t, ts, "/v1/decode", "k", DecodeRequest{Session: done2.Session, Close: true})
-	resp.Body.Close()
-}
-
-// TestDecodeServiceLimitReason: the service-wide session cap keeps
-// its 429 but now carries reason "session_limit".
-func TestDecodeServiceLimitReason(t *testing.T) {
-	testkit.NoLeaks(t)
-	inst := workload.Generate(
-		workload.Spec{Name: "decode-limit", Categories: 96, Hidden: 32, LatentRank: 8, ZipfS: 1},
-		workload.GenOptions{Seed: 11, Train: 128, Valid: 8, Test: 8})
-	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
-		Categories: 96, Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 3,
-	}, core.TrainOptions{Epochs: 3, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := workload.NewDecoderFor(inst.Classifier, 7, 12)
-	svc := decode.NewService(decode.Config{TopM: 12, MaxSessions: 1}, dec, func() decode.Scorer {
-		return decode.NewLocalScorer(inst.Classifier, scr, decode.LocalScorerConfig{})
-	})
-	defer svc.Shutdown()
-	s, err := New(&fakeBackend{hidden: 32, categories: 96}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Drain()
-	s.SetDecode(svc)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	open := DecodeRequest{H0: make([]float32, 32), MaxTokens: 1, Stream: "ndjson"}
-	resp := postJSON(t, ts, "/v1/decode", "", open)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first open: %d", resp.StatusCode)
-	}
-	_, done := readNDJSON(t, resp)
-	resp = postJSON(t, ts, "/v1/decode", "", open)
-	wantRejection(t, resp, http.StatusTooManyRequests, "session_limit")
-	resp = postJSON(t, ts, "/v1/decode", "", DecodeRequest{Session: done.Session, Close: true})
-	resp.Body.Close()
-
-	// The anonymous tenant's counter must be back at zero (the release
-	// hook ran), so a fresh open succeeds.
-	anon := s.Tenants().Resolve("")
-	if anon.Sessions() != 0 {
-		t.Fatalf("anonymous tenant still holds %d sessions after close", anon.Sessions())
 	}
 }
 

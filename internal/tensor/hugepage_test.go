@@ -185,6 +185,11 @@ func TestNewMatrixDropsReusedPages(t *testing.T) {
 // advised by the end of the loop are counted: every piece a split
 // leaves does, while mappings elsewhere in the process (the race
 // runtime's, say) cannot be split by the advice and are not its cost.
+// Each matrix is collected before the next is made, so the heap does
+// reuse its range. Without that, a collection that lags behind the
+// allocations (a loaded -race run) leaves a dozen matrices live at
+// once, each advised at its own address, and the count measures how
+// far the heap grew, not what the advice costs.
 func TestHugePageAdviceKeepsMappingsBounded(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("transparent huge pages are Linux only")
@@ -212,6 +217,7 @@ func TestHugePageAdviceKeepsMappingsBounded(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		m := NewMatrix(2048+256*(i%5), 1024) // 8–12 MiB
 		m.Data[len(m.Data)-1] = 1
+		runtime.GC()
 	}
 	runtime.GC()
 	before, after := nearAdvised(ms), nearAdvised(mappings())
