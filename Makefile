@@ -47,13 +47,16 @@ fuzz:
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz failures:$$failed"; exit 1; fi
 
-# The two fuzz targets that hold the assembly kernels to their Go
-# references — quant's nibble-image GEMV with its dequantization
-# epilogue, tensor's row gather — past their seed corpora, 15 s each.
-# Cheap enough for every push; `make fuzz` runs all targets nightly.
+# The three fuzz targets that hold the assembly kernels to their Go
+# references — quant's nibble-image GEMV (VNNI and AVX2 tiers) with its
+# dequantization epilogue, tensor's row gather, and tensor's top-m
+# select, whose bracket sweep is the SSE keep mask — past their seed
+# corpora, 15 s each. Cheap enough for every push; `make fuzz` runs all
+# targets nightly.
 fuzz-kernels:
 	$(GO) test -run '^$$' -fuzz '^FuzzMatVecPacked$$' -fuzztime 15s ./internal/quant
 	$(GO) test -run '^$$' -fuzz '^FuzzMatVecRows$$' -fuzztime 15s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz '^FuzzTopKSetInto$$' -fuzztime 15s ./internal/tensor
 
 bench:
 	$(GO) test -bench . -benchtime 100x -benchmem ./...

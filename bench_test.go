@@ -715,6 +715,57 @@ func BenchmarkClassifyApprox(b *testing.B) {
 	}
 }
 
+// BenchmarkServingOrderStages is the classify pipeline's stage split as
+// the xc670k-batch workload meets it: ClassifyBatchVisitCtx over one
+// 16-item batch at the amazon-670k shape, so the screen runs as tiles
+// of four on the batch's workers and every item's select and exact
+// gather follow in serving order. It reports the per-item mean of each
+// stage from the core.classify.{screen,select,exact}_ns histograms the
+// pipeline itself records (the screen is a tile's time split over its
+// items), next to ns/item for the whole batch: the in-loop numbers a
+// kernel's isolated benchmark cannot give, since in the loop the stages
+// share caches and both CPUs.
+func BenchmarkServingOrderStages(b *testing.B) {
+	const items = 16
+	s := perfShapes[1]
+	scr, cls := perfScreener(b, s), perfClassifier(b, s)
+	r := xrand.New(31)
+	batch := make([][]float32, items)
+	for i := range batch {
+		batch[i] = make([]float32, s.d)
+		for j := range batch[i] {
+			batch[i][j] = r.Float32()*2 - 1
+		}
+	}
+	ctx, sel := context.Background(), core.TopM(s.m)
+	visit := func(int, *core.Result, *core.Scratch) {}
+	stages := []string{"screen", "select", "exact"}
+	hists := make([]*telemetry.Histogram, len(stages))
+	for i, st := range stages {
+		hists[i] = telemetry.Default().Histogram("core.classify."+st+"_ns", telemetry.LatencyBuckets())
+	}
+	if err := core.ClassifyBatchVisitCtx(ctx, cls, scr, batch, sel, nil, visit); err != nil {
+		b.Fatal(err)
+	}
+	sums, counts := make([]float64, len(hists)), make([]int64, len(hists))
+	for i, h := range hists {
+		sums[i], counts[i] = h.Sum(), h.Count()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := core.ClassifyBatchVisitCtx(ctx, cls, scr, batch, sel, nil, visit); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
+	for i, h := range hists {
+		if n := h.Count() - counts[i]; n > 0 {
+			b.ReportMetric((h.Sum()-sums[i])/float64(n)/1e3, stages[i]+"-us/item")
+		}
+	}
+}
+
 // BenchmarkServerThroughput drives the serving backend's batch path
 // (the visit API over per-worker scratch arenas) at a moderate shape;
 // one op is an 8-request batch with per-response top-5 extraction.

@@ -270,6 +270,9 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 			MFloor:      *mFloor,
 			MaxWidth:    *decodeWidth,
 		}
+		if dcfg.TopM <= 0 {
+			dcfg.TopM = server.DefaultTopM(backend.Categories())
+		}
 		var decodeSvc *decode.Service
 		switch {
 		case mgr != nil:

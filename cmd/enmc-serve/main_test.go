@@ -520,6 +520,44 @@ func TestDecodeScenario(t *testing.T) {
 	cs.stop(t)
 }
 
+// TestDecodeDefaultM: without -m, decode screens at the classify
+// path's default budget, classes/64 — 16 for a 1024-class demo — and
+// not at the decode package's own fallback of 24.
+func TestDecodeDefaultM(t *testing.T) {
+	testkit.NoLeaks(t)
+	c := newClient(t)
+	s := startServe(t, c, "-decode", "-demo-classes", "1024", "-demo-dim", fmt.Sprint(demoDim),
+		"-demo-seed", fmt.Sprint(demoSeed), "-epochs", "1")
+	body, err := json.Marshal(server.DecodeRequest{H0: randVec(rand.New(rand.NewSource(2)), demoDim), MaxTokens: 3, Stream: "ndjson"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := c.Post(s.api+"/v1/decode", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames := 0
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		var line struct {
+			server.DecodeFrame
+			Done bool `json:"done"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Done {
+			break
+		}
+		if frames++; line.M != 16 {
+			t.Fatalf("frame %d screened at m=%d, want 16 (1024 classes / 64)", line.T, line.M)
+		}
+	}
+	if frames == 0 {
+		t.Fatal("decode stream carried no token frames")
+	}
+}
+
 // TestMetricsScenario: run(-cluster -trace -log-json -debug-addr) over
 // the 3×2 cluster under load. Router and replica scrapes parse and
 // validate with the serving counters advanced — requests counted ok and

@@ -3,7 +3,6 @@ package quant
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,19 +129,18 @@ func TestMatVecBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
-// TestKernelsMatchLevelOracle holds every INT2/INT4 path — the AVX2
-// kernels where the build and CPU have them, dotPackedGo with them off
-// — to the level oracle, which never reads the image: MatVecRange over
+// TestKernelsMatchLevelOracle holds every INT2/INT4 path — the VNNI
+// and AVX2 kernels where the build and CPU have them, dotPackedGo with
+// them off — to the level oracle, which never reads the image: MatVecRange over
 // two shards cut off the 8-row groups and MatVecBatchRange at every
 // batch size 1…9, with and without a bias, per-row and per-tensor
 // scales, INT4- and INT8-level activations.
 func TestKernelsMatchLevelOracle(t *testing.T) {
 	const sentinel = float32(-1e30)
 	r := xrand.New(71)
-	on := useAVX2
-	scalarOnly(t)
-	for _, avx2 := range slices.Compact([]bool{on, false}) {
-		useAVX2 = avx2
+	defer tier{avx2: useAVX2, vnni: useVNNI}.set()
+	for _, kt := range append(asmTiers(), tier{name: "Go"}) {
+		kt.set()
 		for _, bits := range []Bits{INT2, INT4} {
 			for _, k := range []int{1, 7, 31, 32, 33, 63, 64, 65, 128, 375} {
 				for _, rows := range []int{1, 7, 8, 9, 203} {
@@ -163,7 +161,7 @@ func TestKernelsMatchLevelOracle(t *testing.T) {
 						want[v] = oracleMatVec(levels, scales, &xs[v], b)
 						got[v] = make([]float32, rows)
 					}
-					what := fmt.Sprintf("AVX2 %v %v %dx%d perTensor=%v", avx2, bits, rows, k, perTensor)
+					what := fmt.Sprintf("%s %v %dx%d perTensor=%v", kt.name, bits, rows, k, perTensor)
 					fill := func(n int) {
 						for v := 0; v < n; v++ {
 							for i := range got[v] {
@@ -347,8 +345,8 @@ func TestQuantizeVectorIntoReuse(t *testing.T) {
 
 // TestBiasEpilogueMatchesAdd is the bias fold's contract: MatVecRange
 // and MatVecBatchRange with a bias produce, bit for bit, MatVec followed
-// by tensor.Add — on the AVX2 single-vector and tile kernels and on the
-// Go kernels, over disjoint row shards, at INT2/INT4/INT8. The
+// by tensor.Add — on the VNNI and AVX2 single-vector and tile kernels
+// and on the Go kernels, over disjoint row shards, at INT2/INT4/INT8. The
 // biases span magnitudes far above and below the products', so a
 // fused multiply-add (one rounding instead of two) would show.
 func TestBiasEpilogueMatchesAdd(t *testing.T) {
@@ -395,6 +393,10 @@ func TestBiasEpilogueMatchesAdd(t *testing.T) {
 		}
 	}
 	t.Run("dispatched", check)
+	t.Run("avx2", func(t *testing.T) {
+		avx2Only(t)
+		check(t)
+	})
 	t.Run("scalar", func(t *testing.T) {
 		scalarOnly(t)
 		check(t)

@@ -15,10 +15,12 @@ import (
 
 // The shapes every packed-kernel check runs over: columns around the
 // 64-column chunk (tail only, one chunk, chunk + tail, many chunks),
-// rows around the 8-row group and past one 256-row assembly block.
+// rows around the VNNI tile's row pairs (odd and even counts, an odd
+// last row of a block), the 8-row group and past one 256-row assembly
+// block.
 var (
 	packedCols = []int{1, 7, 63, 64, 65, 128, 200, 256, 1000, 4160}
-	packedRows = []int{1, 7, 8, 9, 515}
+	packedRows = []int{1, 2, 3, 7, 8, 9, 17, 257, 515}
 )
 
 // needAVX2 skips a test that is about the assembly kernel where it is
@@ -29,20 +31,58 @@ func needAVX2(t testing.TB) {
 	}
 }
 
-// scalarOnly turns the assembly kernel off for the rest of the test.
+// needVNNI skips a test that is about the VNNI kernels where they are
+// not built or the CPU lacks AVX512_VNNI and AVX512VL.
+func needVNNI(t testing.TB) {
+	if !useVNNI {
+		t.Skip("no VNNI kernel in this build or on this CPU")
+	}
+}
+
+// scalarOnly turns the assembly kernels off for the rest of the test.
 func scalarOnly(t *testing.T) {
 	old := useAVX2
 	useAVX2 = false
 	t.Cleanup(func() { useAVX2 = old })
 }
 
+// avx2Only turns the VNNI tier off for the rest of the test, so the
+// AVX2 kernels run where VNNI would.
+func avx2Only(t *testing.T) {
+	old := useVNNI
+	useVNNI = false
+	t.Cleanup(func() { useVNNI = old })
+}
+
+// tier is one setting of the kernel dispatch.
+type tier struct {
+	name       string
+	avx2, vnni bool
+}
+
+// asmTiers are the assembly tiers this build and CPU can run, best
+// first: VNNI, then AVX2 alone. It is empty where neither is built.
+func asmTiers() []tier {
+	var ts []tier
+	if useVNNI {
+		ts = append(ts, tier{"VNNI", true, true})
+	}
+	if useAVX2 {
+		ts = append(ts, tier{"AVX2", true, false})
+	}
+	return ts
+}
+
+// set switches the dispatch to the tier.
+func (k tier) set() { useAVX2, useVNNI = k.avx2, k.vnni }
+
 // outside marks the rows a call must not write: a signalling NaN,
 // which no arithmetic result can equal (a NaN that comes out of an
 // add or multiply is always quiet).
 var outside = math.Float32frombits(0x7fa5a5a5)
 
-// checkPacked runs MatVecBatchRange on the dispatched kernels — the
-// tile kernel, the single-vector kernel for the batch remainder, the
+// checkPacked runs MatVecBatchRange on each assembly tier — the tile
+// kernel, the single-vector kernel for the batch remainder, the
 // assembly epilogue for whole 8-row groups, and dotPackedGo and the Go
 // epilogue for the rows past them — for every batch size 1…len(xs)
 // over each row range, once without a bias and once with bias if it is
@@ -51,6 +91,7 @@ var outside = math.Float32frombits(0x7fa5a5a5)
 // the range must stay untouched.
 func checkPacked(t testing.TB, m *Matrix, xs []Vector, bias []float32, ranges ...[2]int) {
 	t.Helper()
+	defer tier{avx2: useAVX2, vnni: useVNNI}.set()
 	biases := [][]float32{nil}
 	if bias != nil {
 		biases = append(biases, bias)
@@ -61,31 +102,33 @@ func checkPacked(t testing.TB, m *Matrix, xs []Vector, bias []float32, ranges ..
 		want[b] = make([]float32, m.Rows)
 		got[b] = make([]float32, m.Rows)
 	}
+	tiers := asmTiers()
 	for _, bias := range biases {
-		avx2 := useAVX2
-		useAVX2 = false
+		tier{}.set()
 		for b := range xs {
 			m.MatVecRange(want[b], &xs[b], bias, 0, m.Rows)
 		}
-		useAVX2 = avx2
-		for _, rg := range ranges {
-			lo, hi := rg[0], rg[1]
-			for batch := 1; batch <= len(xs); batch++ {
-				for b := 0; b < batch; b++ {
-					for i := range got[b] {
-						got[b][i] = outside
-					}
-				}
-				m.MatVecBatchRange(got[:batch], xs[:batch], bias, lo, hi)
-				for b := 0; b < batch; b++ {
-					for i, g := range got[b] {
-						w := outside
-						if i >= lo && i < hi {
-							w = want[b][i]
+		for _, k := range tiers {
+			k.set()
+			for _, rg := range ranges {
+				lo, hi := rg[0], rg[1]
+				for batch := 1; batch <= len(xs); batch++ {
+					for b := 0; b < batch; b++ {
+						for i := range got[b] {
+							got[b][i] = outside
 						}
-						if math.Float32bits(g) != math.Float32bits(w) {
-							t.Fatalf("%v %dx%d rows [%d,%d) bias %v batch %d vector %d row %d: got %v, want %v",
-								m.Bits, m.Rows, m.Cols, lo, hi, bias != nil, batch, b, i, g, w)
+					}
+					m.MatVecBatchRange(got[:batch], xs[:batch], bias, lo, hi)
+					for b := 0; b < batch; b++ {
+						for i, g := range got[b] {
+							w := outside
+							if i >= lo && i < hi {
+								w = want[b][i]
+							}
+							if math.Float32bits(g) != math.Float32bits(w) {
+								t.Fatalf("%s %v %dx%d rows [%d,%d) bias %v batch %d vector %d row %d: got %v, want %v",
+									k.name, m.Bits, m.Rows, m.Cols, lo, hi, bias != nil, batch, b, i, g, w)
+							}
 						}
 					}
 				}
@@ -124,8 +167,9 @@ func edgeBias(r *xrand.RNG, n int) []float32 {
 	return b
 }
 
-// TestPackedKernelTable is the one table both kernels are held to:
-// assembly against the Go path by Float32bits over the shape grid ×
+// TestPackedKernelTable is the one table every kernel tier is held to:
+// the VNNI and the AVX2 assembly against the Go path by Float32bits
+// over the shape grid ×
 // INT2/INT4 × operand patterns × B ∈ 1…9 × the full range and
 // sub-ranges with odd bounds, each without a bias and with edgeBias's.
 // Random weights (per-row and per-tensor scales) against INT4- and
@@ -168,7 +212,10 @@ func TestPackedKernelTable(t *testing.T) {
 			}
 			ranges := [][2]int{{0, rows}}
 			if rows > 9 {
-				ranges = append(ranges, [2]int{3, rows - 5}, [2]int{257, 257 + 17})
+				ranges = append(ranges, [2]int{3, rows - 5})
+			}
+			if rows >= 257+17 {
+				ranges = append(ranges, [2]int{257, 257 + 17})
 			}
 			for _, bits := range []Bits{INT2, INT4} {
 				wmax, wmin := QuantizeMatrix(ones, bits), QuantizeMatrix(negOnes, bits)
@@ -187,6 +234,59 @@ func TestPackedKernelTable(t *testing.T) {
 						t.Fatalf("%v %dx%d: no nibble image", bits, rows, cols)
 					}
 					checkPacked(t, op.m, op.xs, bias, ranges...)
+				}
+			}
+		}
+	}
+}
+
+// TestVNNITileWritesOnlyItsRows calls the VNNI tile kernel directly on
+// blocks of 1…9, 255 and 256 rows, with and without a tail chunk: each
+// vector's first rows sums must be dotPackedGo's, and every other int32
+// of the 4×256 output must keep its sentinel — an odd last row stored
+// as a pair would write one past its vector's rows, and past the whole
+// output at vector 3 of a full block.
+func TestVNNITileWritesOnlyItsRows(t *testing.T) {
+	needVNNI(t)
+	const sentinel = -0x5a5a5a5a
+	r := xrand.New(9)
+	for _, cols := range []int{128, 100} {
+		m, _ := randQuantized(r, blockRows, cols, INT4)
+		stride, full := RowBytes(cols), cols/chunkCols
+		xs := make([]Vector, BatchTile)
+		var (
+			xp    [BatchTile]*int8
+			tails [BatchTile][chunkCols]int8
+			tail  *int8
+			goTls [][chunkCols]int8
+			want  [BatchTile][blockRows]int32
+		)
+		for v := range xs {
+			QuantizeVectorInto(&xs[v], randMatrix(r, 1, cols).Data, INT8)
+			xp[v] = &xs[v].Q[0]
+			copy(tails[v][:], xs[v].Q[full*chunkCols:])
+		}
+		if cols%chunkCols != 0 {
+			tail, goTls = &tails[0][0], tails[:]
+		}
+		dotPackedGo(m.image, stride, full, xs, goTls, want[:], 0, blockRows)
+		for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256} {
+			var got [BatchTile][blockRows]int32
+			for v := range got {
+				for i := range got[v] {
+					got[v][i] = sentinel
+				}
+			}
+			dotPackedTileVNNI(&m.image[0], stride, full, &xp, tail, rows, &got[0][0])
+			for v := range got {
+				for i, g := range got[v] {
+					w := int32(sentinel)
+					if i < rows {
+						w = want[v][i]
+					}
+					if g != w {
+						t.Fatalf("%d cols, %d rows: vector %d row %d = %d, want %d", cols, rows, v, i, g, w)
+					}
 				}
 			}
 		}

@@ -11,8 +11,9 @@
 // it and the simulated DIMM holds it, so every layer counts the same
 // bytes. Other packages reach the layout only through RowBytes,
 // UnpackRow and Payload. On amd64 with AVX2 (not under -tags purego)
-// an assembly kernel streams the image; a Go kernel with the same
-// contract takes everything else and is the assembly's reference.
+// an assembly kernel streams the image, on VPDPBUSD where the CPU has
+// AVX512_VNNI and AVX512VL; a Go kernel with the same contract takes
+// everything else and is the assembly's reference.
 // INT8 matrices keep one byte per weight in Q.
 package quant
 
@@ -479,7 +480,8 @@ func (m *Matrix) MatVecBatchRange(dsts [][]float32, xs []Vector, b []float32, lo
 // matVecPacked runs the nibble-image GEMV over rows [lo,hi) for one
 // vector or a tile of BatchTile, in blocks of at most blockRows rows.
 // With AVX2, dotPacked8 takes the whole 8-row groups of a single vector
-// and dotPackedTile every row of a tile; dotPackedGo takes the rest.
+// and dotPackedTile every row of a tile — their VNNI forms where the
+// CPU has AVX512_VNNI — and dotPackedGo takes the rest.
 // All three write raw int32 sums of (q+8)·x per row, vector t's into
 // acc[t]. The epilogue then turns each sum into
 // float32(float32(acc−8·Σx)·s·xs) + b (dequant's expression): in
@@ -520,10 +522,15 @@ func (m *Matrix) matVecPacked(dsts [][]float32, xs []Vector, b []float32, lo, hi
 		switch {
 		case !useAVX2:
 		case nx == 1:
-			if done = n &^ (groupRows - 1); done > 0 {
+			if done = n &^ (groupRows - 1); done > 0 && useVNNI {
+				dotPacked8VNNI(&w[0], stride, full, xp[0], tail, done/groupRows, &acc[0][0])
+			} else if done > 0 {
 				dotPacked8(&w[0], stride, full, xp[0], tail, done/groupRows, &acc[0][0])
 			}
 			asm = done
+		case nx == BatchTile && useVNNI:
+			dotPackedTileVNNI(&w[0], stride, full, &xp, tail, n, &acc[0][0])
+			done, asm = n, n&^(groupRows-1)
 		case nx == BatchTile:
 			dotPackedTile(&w[0], stride, full, &xp, tail, n, &acc[0][0])
 			done, asm = n, n&^(groupRows-1)

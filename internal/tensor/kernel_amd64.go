@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math/bits"
+
 // dotRows4 accumulates four rows against x over their first 4·quads
 // columns: acc[4r+j] is, for row cur[r], the sum over columns ≡ j
 // (mod 4) in ascending order, each product rounded before it is added
@@ -47,4 +49,65 @@ func (m *Matrix) matVecRows(dst []float32, rows []int, x []float32) {
 		}
 	}
 	m.dotRows(dst, rows, x, whole)
+}
+
+// keepMask writes the keep bits of the first 64·words values of x to
+// mask[0:words]: bit j of mask[w] is set when !(x[64w+j] < tau), NaNs
+// included — kept's comparison. Baseline SSE only.
+//
+//go:noescape
+func keepMask(x *float32, words int, tau float32, mask *uint64)
+
+// sweep is sweepKept's contract on keepMask: the keep bits of x go
+// into b.mask (the last partial word from Go), a popcount of them
+// checks the limit, and the survivors' indices are read off the words
+// in ascending order. Each word's first four are stored without a
+// branch — a store past the word's survivors lands in a spare slot or
+// under the next word's — and the cursor moves by the word's popcount;
+// only a word with more than four goes on one by one.
+func (b *TopKBuf) sweep(x []float32, tau float32, limit int) ([]int, bool) {
+	whole, words := len(x)/64, (len(x)+63)/64
+	if cap(b.mask) < words {
+		b.mask = make([]uint64, words)
+	}
+	mask := b.mask[:words]
+	if whole > 0 {
+		keepMask(&x[0], whole, tau, &mask[0])
+	}
+	if whole < words {
+		var w uint64
+		for j, v := range x[64*whole:] {
+			w |= uint64(kept(v, tau)) << j
+		}
+		mask[whole] = w
+	}
+	c := 0
+	for _, w := range mask {
+		c += bits.OnesCount64(w)
+	}
+	if c > limit {
+		return nil, false
+	}
+	if cap(b.at) < c+4 {
+		b.at = make([]int, c+4)
+	}
+	at, p := b.at[:c+4], 0
+	for i, w := range mask {
+		n, base := bits.OnesCount64(w), 64*i
+		a := (*[4]int)(at[p:])
+		a[0] = base + bits.TrailingZeros64(w)
+		w &= w - 1
+		a[1] = base + bits.TrailingZeros64(w)
+		w &= w - 1
+		a[2] = base + bits.TrailingZeros64(w)
+		w &= w - 1
+		a[3] = base + bits.TrailingZeros64(w)
+		w &= w - 1
+		p += n
+		for q := p - n + 4; q < p; q++ {
+			at[q] = base + bits.TrailingZeros64(w)
+			w &= w - 1
+		}
+	}
+	return at[:c], true
 }

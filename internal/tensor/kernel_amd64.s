@@ -87,3 +87,51 @@ done:
 	MOVUPS X2, 32(AX)
 	MOVUPS X3, 48(AX)
 	RET
+
+// The bracket sweep of TopKSetInto: one keep bit per value, set when
+// !(v < tau). CMPPS predicate 5 (NLT) is exactly that comparison, true
+// for a NaN v as the Go expression is. Sixteen compare results pack
+// into sixteen bytes (PACKSSLW, PACKSSWB keep all-ones and zero lanes
+// as they are) and PMOVMSKB reads one bit per byte, in value order, so
+// each 16-bit store is the next sixteen bits of the little-endian
+// uint64 words: bit j of word w is value 64·w + j.
+
+// MASK16(off) writes the keep bits of the sixteen values at off(SI) to
+// off/32(DI).
+#define MASK16(off) \
+	MOVUPS   off(SI), X0     \
+	MOVUPS   off+16(SI), X1  \
+	MOVUPS   off+32(SI), X2  \
+	MOVUPS   off+48(SI), X3  \
+	CMPPS    X8, X0, $5      \
+	CMPPS    X8, X1, $5      \
+	CMPPS    X8, X2, $5      \
+	CMPPS    X8, X3, $5      \
+	PACKSSLW X1, X0          \
+	PACKSSLW X3, X2          \
+	PACKSSWB X2, X0          \
+	PMOVMSKB X0, AX          \
+	MOVW     AX, off/32(DI)
+
+// func keepMask(x *float32, words int, tau float32, mask *uint64)
+TEXT ·keepMask(SB), NOSPLIT, $0-32
+	MOVQ   x+0(FP), SI
+	MOVQ   words+8(FP), CX
+	MOVSS  tau+16(FP), X8
+	SHUFPS $0, X8, X8
+	MOVQ   mask+24(FP), DI
+	TESTQ  CX, CX
+	JZ     maskdone
+
+maskword:
+	MASK16(0)
+	MASK16(64)
+	MASK16(128)
+	MASK16(192)
+	ADDQ $256, SI
+	ADDQ $8, DI
+	DECQ CX
+	JNZ  maskword
+
+maskdone:
+	RET

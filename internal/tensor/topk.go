@@ -31,6 +31,9 @@ type TopKBuf struct {
 	// in index order.
 	keys []uint32
 	at   []int
+	// The bracket sweep's keep bits, one per value of x, least
+	// significant bit first (amd64 only; see sweep).
+	mask []uint64
 
 	// Missed reports that the last TopKSetInto bracketed its input
 	// (see there) and the bracket failed, so the full radix select ran
@@ -135,23 +138,11 @@ func (b *TopKBuf) bracketed(x []float32, k int) ([]int, bool) {
 	if tau != tau {
 		return nil, false // a NaN cut keeps everything
 	}
-	// A block's worth of slack past the limit lets the sweep check for
-	// overflow once per block.
-	const block = 4096
-	limit := 2 * n / bracketMaxShare
-	if cap(b.at) < limit+block {
-		b.at = make([]int, limit+block)
+	at, ok := b.sweep(x, tau, 2*n/bracketMaxShare)
+	if !ok {
+		b.Missed = true
+		return nil, false
 	}
-	at := b.at[:limit+block]
-	c := 0
-	for lo := 0; lo < n; lo += block {
-		c += keptInto(at[c:], x[lo:min(lo+block, n)], lo, tau)
-		if c > limit {
-			b.Missed = true
-			return nil, false
-		}
-	}
-	at = at[:c]
 	keys := b.keys[:0]
 	for _, i := range at {
 		keys = append(keys, orderKey(x[i]))
@@ -171,6 +162,28 @@ func (b *TopKBuf) bracketed(x []float32, k int) ([]int, bool) {
 	// Every NaN of x survived, so the survivors' histogram speaks for x.
 	b.MaybeNaN = maybeNaN
 	return compactWinners(at, keys, kth, ties), true
+}
+
+// sweepKept is the bracket's sweep in Go: it returns, in ascending
+// order and in b.at, the index of every value of x that is !(v < tau),
+// or false once there are more than limit of them. A block's worth of
+// slack past the limit lets it check for overflow once per block.
+// It is the sweep where the assembly is not built and the reference
+// the amd64 sweep is tested against.
+func (b *TopKBuf) sweepKept(x []float32, tau float32, limit int) ([]int, bool) {
+	const block = 4096
+	if cap(b.at) < limit+block {
+		b.at = make([]int, limit+block)
+	}
+	at := b.at[:limit+block]
+	c := 0
+	for lo := 0; lo < len(x); lo += block {
+		c += keptInto(at[c:], x[lo:min(lo+block, len(x))], lo, tau)
+		if c > limit {
+			return nil, false
+		}
+	}
+	return at[:c], true
 }
 
 // keptInto is the bracket's sweep over one block: it writes to at

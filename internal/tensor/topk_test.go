@@ -363,6 +363,63 @@ func TestTopKSetIntoBracketPaths(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesKept holds the bracket's sweep — the SSE keep mask
+// and its bit walk on amd64 — to sweepKept, the Go loop it replaces,
+// index for index: lengths around the 16-value mask groups and the
+// 64-value words, NaN, ±Inf and ±0 on the lane edges, cuts at zero,
+// −0, ±Inf and an ordinary value, and limits exactly at and one below
+// the survivor count.
+func TestSweepMatchesKept(t *testing.T) {
+	r := xrand.New(83)
+	inf := float32(math.Inf(1))
+	specials := []float32{float32(math.NaN()), math.Float32frombits(0xffc00001), inf, -inf, 0, math.Float32frombits(1 << 31)}
+	var buf, ref TopKBuf
+	for _, n := range []int{1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 1000, 4096 + 17} {
+		x := make([]float32, n)
+		for i := range x {
+			x[i] = r.NormFloat32()
+			if laneEdge(i, n) && r.Intn(2) == 0 {
+				x[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		for _, tau := range []float32{0, math.Float32frombits(1 << 31), inf, -inf, 0.5} {
+			want, _ := ref.sweepKept(x, tau, n)
+			for _, limit := range []int{n, len(want), len(want) - 1} {
+				got, ok := buf.sweep(x, tau, limit)
+				if wantOK := len(want) <= limit; ok != wantOK || ok && !eqInts(got, want) {
+					t.Fatalf("n=%d tau=%v limit=%d: sweep kept %v (ok %v), want %v (ok %v)", n, tau, limit, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKSetIntoServingShape pins the bracketed select to the radix
+// select at the xc670k serving geometry (l = 670 091, m = 13 401) on
+// normal logits, where the bracket must hold, and with NaN, ±Inf and
+// −0 salted in.
+func TestTopKSetIntoServingShape(t *testing.T) {
+	const n, k = 670091, 13401
+	r := xrand.New(89)
+	x := make([]float32, n)
+	for i := range x {
+		x[i] = r.NormFloat32()
+	}
+	var buf, ref TopKBuf
+	for _, salted := range []bool{false, true} {
+		if salted {
+			specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(1 << 31)}
+			for i := 0; i < n; i += 1 + r.Intn(997) {
+				x[i] = specials[r.Intn(len(specials))]
+			}
+		}
+		want := ref.radixSelect(x, k)
+		if got := TopKSetInto(x, k, &buf); !eqInts(got, want) || buf.Missed {
+			t.Fatalf("salted=%v: missed=%v, result identical=%v", salted, buf.Missed, eqInts(got, want))
+		}
+	}
+}
+
 // BenchmarkTopKSetInto times the set select at the xc670k serving
 // shape (l = 670 091, m = 13 401 ≈ 2 %) on normal logits: the
 // bracketed select against the full radix select it falls back to.
@@ -386,14 +443,27 @@ func BenchmarkTopKSetInto(b *testing.B) {
 	})
 }
 
+// laneEdge reports whether value i of n sits on an edge of the keep
+// mask's lanes: first or last of a sixteen-value PMOVMSKB group (so
+// also of a 64-bit word), or the last value of the input.
+func laneEdge(i, n int) bool { return i%16 == 0 || i%16 == 15 || i == n-1 }
+
 // FuzzTopKSetInto drives the same comparison from raw float32 bit
 // patterns (every NaN and Inf included) tiled with a fuzzed period,
-// salted with random values, at lengths around the bracketing size.
+// salted with random values, at lengths around the bracketing size —
+// most of them off a multiple of 16, so the sweep's last mask word is
+// partial — and, when edge picks one, with NaN, ±Inf or −0 dropped on
+// a random share of the mask's lane edges.
 func FuzzTopKSetInto(f *testing.F) {
-	f.Add(uint64(1), uint16(1), uint32(1310), uint16(0), []byte{0, 0, 0x80, 0x3f})
-	f.Add(uint64(2), uint16(0), uint32(8191), uint16(16), []byte{0, 0, 0xc0, 0xff, 0, 0, 0x80, 0x7f})
-	f.Add(uint64(3), uint16(2), uint32(1<<16), uint16(7), []byte{1, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, seed uint64, extra uint16, k uint32, salt uint16, data []byte) {
+	f.Add(uint64(1), uint16(1), uint32(1310), uint16(0), uint8(0), []byte{0, 0, 0x80, 0x3f})
+	f.Add(uint64(2), uint16(0), uint32(8191), uint16(16), uint8(1), []byte{0, 0, 0xc0, 0xff, 0, 0, 0x80, 0x7f})
+	f.Add(uint64(3), uint16(2), uint32(1<<16), uint16(7), uint8(2), []byte{1, 0, 0xc0, 0x7f, 0, 0, 0, 0x80, 0, 0, 0, 0})
+	f.Add(uint64(4), uint16(49), uint32(1310), uint16(1), uint8(3), []byte{0, 0, 0x80, 0x3f})
+	f.Add(uint64(5), uint16(4095), uint32(9), uint16(1), uint8(4), []byte{0, 0, 0x80, 0xbf})
+	f.Add(uint64(6), uint16(63), uint32(700), uint16(1), uint8(5), []byte{0, 0, 0x80, 0x3f})
+	negNaN := math.Float32frombits(0xffc00001)
+	specials := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.Float32frombits(1 << 31), negNaN}
+	f.Fuzz(func(t *testing.T, seed uint64, extra uint16, k uint32, salt uint16, edge uint8, data []byte) {
 		words := len(data) / 4
 		if words == 0 {
 			return
@@ -406,6 +476,9 @@ func FuzzTopKSetInto(f *testing.F) {
 			x[i] = math.Float32frombits(uint32(data[4*w]) | uint32(data[4*w+1])<<8 | uint32(data[4*w+2])<<16 | uint32(data[4*w+3])<<24)
 			if salt > 0 && r.Intn(int(salt)+1) == 0 {
 				x[i] = r.NormFloat32()
+			}
+			if e := int(edge) % (len(specials) + 1); e > 0 && laneEdge(i, n) && r.Intn(4) == 0 {
+				x[i] = specials[e-1]
 			}
 		}
 		kk := 1 + int(k)%n
