@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-purego race fuzz fuzz-kernels bench bench-smoke bench-selftest experiments-check vet vet-cross fmt testkit-check loc check ci cover clean report report-check
+.PHONY: all build test test-purego race fuzz fuzz-kernels bench bench-smoke bench-selftest experiments-check vet vet-cross fmt testkit-check deps-check loc check ci cover clean report report-check
 
 all: build
 
@@ -86,6 +86,24 @@ testkit-check:
 		echo "testkit linked into a binary or the root package:"; echo "$$out"; exit 1; \
 	fi
 
+# The serving binaries link serving code only: fail if enmc-serve or
+# enmc-shard links a simulator or experiment package, or if one of
+# those links a serving package. (experiments may link decode: the
+# beam experiment runs the serving decode session.)
+SIMULATOR = dram isa enmc compiler energy nmp system funcsim image host cpuhost experiments
+SERVING = server cluster registry tenant
+deps-check:
+	@sim="$$(echo $(SIMULATOR) | tr ' ' '|')"; serving="$$(echo $(SERVING) | tr ' ' '|')"; \
+	out="$$($(GO) list -deps ./cmd/enmc-serve ./cmd/enmc-shard | grep -E "^enmc/internal/($$sim)$$")"; \
+	if [ -n "$$out" ]; then \
+		echo "simulator package linked into enmc-serve or enmc-shard:"; echo "$$out"; exit 1; \
+	fi; \
+	out="$$($(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' $(addprefix ./internal/,$(SIMULATOR)) | \
+		grep -E " enmc/internal/($$serving)( |$$)" | cut -d' ' -f1)"; \
+	if [ -n "$$out" ]; then \
+		echo "simulator package linking serving code:"; echo "$$out"; exit 1; \
+	fi
+
 # Non-test line counts (wc -l over the non-_test.go files) behind the
 # three size exit lines in ROADMAP.md, so those numbers are computed,
 # not hand-counted. It prints and gates nothing.
@@ -103,7 +121,7 @@ check: vet fmt race
 # an explicit build, plain and purego test passes, the experiment
 # tables and the stale-report gate, kept here so the CI workflow can't
 # drift from the Makefile.
-ci: vet vet-cross fmt testkit-check build test test-purego race bench-selftest experiments-check report-check
+ci: vet vet-cross fmt testkit-check deps-check build test test-purego race bench-selftest experiments-check report-check
 	@echo "ci OK"
 
 # The repository benchmark (bench/, see BENCHMARK.json) is a nested
@@ -115,11 +133,12 @@ bench-selftest:
 	$(GO) -C bench test ./...
 
 # The algorithm-side tables EXPERIMENTS.md reports — Fig. 11, Fig. 12
-# and the ablations — rerun and diffed against the outputs committed
-# under internal/experiments/testdata/, timing line dropped. A change
-# that moves a quality number fails here; one that means to regenerates
+# and the ablations — and the scale-out model's table, rerun and
+# diffed against the outputs committed under
+# internal/experiments/testdata/, timing line dropped. A change that
+# moves one of their numbers fails here; one that means to regenerates
 # the file with the same pipeline (`> internal/experiments/testdata/<run>.golden`).
-EXPERIMENTS = fig11 fig12 ablations
+EXPERIMENTS = fig11 fig12 ablations ext-scaleout
 experiments-check:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 	$(GO) build -o "$$bin/enmc-bench" ./cmd/enmc-bench && \

@@ -136,6 +136,8 @@ func AppendScreenRequest(dst []byte, m int, batch [][]float32) ([]byte, error) {
 	if hidden > maxWireHidden {
 		return nil, wireErrorf("hidden dim %d exceeds limit %d", hidden, maxWireHidden)
 	}
+	// One allocation at most: the frame's size is known up front.
+	dst = slices.Grow(dst, frameHeaderLen+12+4*len(batch)*hidden)
 	start := len(dst)
 	dst = appendHeader(dst, frameKindRequest)
 	dst = appendU32(dst, uint32(m))

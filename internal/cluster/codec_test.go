@@ -448,6 +448,24 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestAppendScreenRequestAllocsOnce: the router encodes each flush's
+// frame onto nil, so the encoder must size the frame in one
+// allocation instead of growing it by appends.
+func TestAppendScreenRequestAllocsOnce(t *testing.T) {
+	batch := testRequestBatch()
+	want := 1.0
+	if raceEnabled {
+		want = 2
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := AppendScreenRequest(nil, 7, batch); err != nil {
+			t.Fatal(err)
+		}
+	}); n != want {
+		t.Fatalf("request encode onto nil allocates %.1f/op, want %.0f", n, want)
+	}
+}
+
 // --- ReadFrame against a streaming reader ---
 
 // onByteReader yields one byte per Read to make sure ReadFrame uses

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -33,9 +32,6 @@ type RouterConfig struct {
 	HealthInterval time.Duration
 	// Client overrides the HTTP client (default: pooled transport).
 	Client *http.Client
-	// Tracer receives per-shard RPC spans on TrackClusterBase+i;
-	// nil falls back to the global tracer at call time.
-	Tracer *telemetry.Tracer
 }
 
 func (c *RouterConfig) defaults() {
@@ -68,13 +64,6 @@ type routerShard struct {
 	next     atomic.Uint32
 }
 
-// orderPool recycles the failover-order backing arrays so the router
-// fast path does not allocate one per shard per query.
-var orderPool = sync.Pool{New: func() any {
-	s := make([]*replica, 0, 8)
-	return &s
-}}
-
 // replicaOrderInto appends the failover sequence for one query into
 // order (reusing its backing array): healthy replicas first, rotated
 // by the round-robin cursor, then ejected ones as a last resort (so a
@@ -96,59 +85,6 @@ func (s *routerShard) replicaOrderInto(order []*replica) []*replica {
 		}
 	}
 	return order
-}
-
-// wireBody is the scatter payload shared by every shard and failover
-// retry of one micro-batch: the frame is encoded once into a
-// pooled buffer. The refcount returns the pooled buffer when the last
-// reader is done; readers are counted per HTTP request body (see
-// reqBody), because Body.Close is the only point the transport
-// guarantees it has stopped reading.
-type wireBody struct {
-	bin  []byte
-	refs atomic.Int32
-}
-
-// acquire takes a ref the caller knows is safe: some live ref (the
-// micro-batch's own, held until ClassifyBatchPartial returns) still
-// pins the buffer. tryAcquire is the guarded form for paths with no
-// such guarantee (GetBody replays): once refs hits 0 the pooled
-// buffer may already belong to another micro-batch, so resurrecting
-// the count would hand out foreign bytes — fail instead.
-func (b *wireBody) acquire() { b.refs.Add(1) }
-
-func (b *wireBody) tryAcquire() bool {
-	for {
-		n := b.refs.Load()
-		if n <= 0 {
-			return false
-		}
-		if b.refs.CompareAndSwap(n, n+1) {
-			return true
-		}
-	}
-}
-
-func (b *wireBody) release() {
-	if b.refs.Add(-1) == 0 && b.bin != nil {
-		PutEncodeBuf(b.bin)
-		b.bin = nil
-	}
-}
-
-// reqBody hands a view of the shared scatter payload to the HTTP
-// client. The transport closes every request body, even on errors,
-// and may still be reading it after Do returns — so the wireBody ref
-// is released on Close, never earlier.
-type reqBody struct {
-	*bytes.Reader
-	wb   *wireBody
-	once sync.Once
-}
-
-func (b *reqBody) Close() error {
-	b.once.Do(b.wb.release)
-	return nil
 }
 
 // Router scatter-gathers classification across networked shard
@@ -231,7 +167,7 @@ func Dial(ctx context.Context, cfg RouterConfig) (*Router, error) {
 	}
 	r.categories = want
 
-	if tr := r.tracer(); tr.Enabled() {
+	if tr := telemetry.Global(); tr.Enabled() {
 		// Process lanes for distributed captures: the router is PID 0,
 		// shard i's remote spans land on PID 1+i (see rpcOnce).
 		tr.SetProcessName(0, "enmc-serve router")
@@ -338,13 +274,6 @@ func (r *Router) distinctVersions() []string {
 	return vs
 }
 
-func (r *Router) tracer() *telemetry.Tracer {
-	if r.cfg.Tracer != nil {
-		return r.cfg.Tracer
-	}
-	return telemetry.Global()
-}
-
 // ClassifyBatch implements server.Backend: the partial flag is
 // dropped — serving layers that can surface it use
 // ClassifyBatchPartial (the server does, via server.PartialBackend).
@@ -369,13 +298,12 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 		per = 1
 	}
 	// One encode per micro-batch, shared by every shard and retry.
-	bin, err := AppendScreenRequest(GetEncodeBuf(), per, batch)
+	// The frame is a plain slice: a transport still reading it after
+	// Do returns keeps it alive, and the garbage collector frees it.
+	bin, err := AppendScreenRequest(nil, per, batch)
 	if err != nil {
 		return nil, server.Partial{}, err
 	}
-	wb := &wireBody{bin: bin}
-	wb.refs.Store(1)
-	defer wb.release()
 
 	// One result per shard, in one allocation.
 	legs := make([]struct {
@@ -388,7 +316,7 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 		wg.Add(1)
 		go func(i int, s *routerShard) {
 			defer wg.Done()
-			legs[i].rep, legs[i].sc, legs[i].err = r.callShard(ctx, s, wb, len(batch))
+			legs[i].rep, legs[i].sc, legs[i].err = r.callShard(ctx, s, bin, len(batch))
 		}(i, s)
 	}
 	wg.Wait()
@@ -459,19 +387,15 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 // one attempt at a time, each under the per-attempt timeout, until one
 // answers. Every replica gets one try and the leg at least two, so a
 // single-replica shard retries its replica once.
-func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nItems int) (*ScreenResponse, *WireScratch, error) {
-	op := orderPool.Get().(*[]*replica)
-	order := s.replicaOrderInto(*op)
-	defer func() {
-		*op = order[:0]
-		orderPool.Put(op)
-	}()
+func (r *Router) callShard(ctx context.Context, s *routerShard, bin []byte, nItems int) (*ScreenResponse, *WireScratch, error) {
+	var buf [8]*replica // the failover order, on the stack up to 8 replicas
+	order := s.replicaOrderInto(buf[:0])
 	var lastErr error
 	for i := range max(len(order), 2) {
 		if i > 0 {
 			mFailoverTotal.Inc()
 		}
-		resp, sc, err := r.rpcOnce(ctx, s, order[i%len(order)], wb, nItems)
+		resp, sc, err := r.rpcOnce(ctx, s, order[i%len(order)], bin, nItems)
 		if err == nil {
 			return resp, sc, nil
 		}
@@ -495,9 +419,9 @@ func (r *Router) callShard(ctx context.Context, s *routerShard, wb *wireBody, nI
 //
 // The returned WireScratch owns the decoded response's backing
 // memory; the caller releases it once done with the response.
-func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *wireBody, nItems int) (*ScreenResponse, *WireScratch, error) {
+func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, bin []byte, nItems int) (*ScreenResponse, *WireScratch, error) {
 	mShardRPCTotal.Inc()
-	tr := r.tracer()
+	tr := telemetry.Global()
 	tc, traced := telemetry.TraceCtxFrom(ctx)
 	spanStart := tr.Now()
 	actx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
@@ -518,7 +442,7 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, wb *
 		}
 		return nil, nil, err
 	}
-	sr, sc, err := r.screenRPC(actx, s, rep, wb, tc, traced)
+	sr, sc, err := r.screenRPC(actx, s, rep, bin, tc, traced)
 	if err != nil {
 		return fail(err)
 	}
@@ -579,28 +503,14 @@ func (s *routerShard) checkReply(sr *ScreenResponse, nItems int) error {
 	return nil
 }
 
-// screenRPC is one HTTP round trip to one replica. Bodies are read to
-// EOF on every path so the connection goes back to the keep-alive
-// pool.
-func (r *Router) screenRPC(ctx context.Context, s *routerShard, rep *replica, wb *wireBody, tc telemetry.TraceCtx, traced bool) (*ScreenResponse, *WireScratch, error) {
-	payload := wb.bin
-	wb.acquire()
-	rb := &reqBody{Reader: bytes.NewReader(payload), wb: wb}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/shard/screen", rb)
+// screenRPC is one HTTP round trip to one replica. Over a
+// *bytes.Reader, net/http sets ContentLength and a GetBody that replays
+// the frame on a stale keep-alive connection. Bodies are read to EOF on
+// every path so the connection goes back to the keep-alive pool.
+func (r *Router) screenRPC(ctx context.Context, s *routerShard, rep *replica, bin []byte, tc telemetry.TraceCtx, traced bool) (*ScreenResponse, *WireScratch, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, rep.url+"/v1/shard/screen", bytes.NewReader(bin))
 	if err != nil {
-		_ = rb.Close()
 		return nil, nil, err
-	}
-	req.ContentLength = int64(len(payload))
-	// GetBody keeps the transport's silent replay on a stale
-	// keep-alive connection working with our custom ReadCloser. A late
-	// replay after every ref is gone (refs 0 → buffer back in the
-	// pool) must not resurrect the payload, hence tryAcquire.
-	req.GetBody = func() (io.ReadCloser, error) {
-		if !wb.tryAcquire() {
-			return nil, errors.New("cluster: scatter payload already released")
-		}
-		return &reqBody{Reader: bytes.NewReader(payload), wb: wb}, nil
 	}
 	req.Header.Set("Content-Type", ContentTypeScreenV2)
 	if traced {

@@ -259,23 +259,6 @@ func TestWorker400IsAnRPCFailure(t *testing.T) {
 	}
 }
 
-// TestWireBodyTryAcquireAfterRelease pins the GetBody soundness fix:
-// once every ref is gone the pooled payload may belong to another
-// micro-batch, so a late replay must fail to re-acquire instead of
-// resurrecting the refcount from zero.
-func TestWireBodyTryAcquireAfterRelease(t *testing.T) {
-	wb := &wireBody{}
-	wb.refs.Store(1)
-	if !wb.tryAcquire() {
-		t.Fatal("tryAcquire failed with a live ref")
-	}
-	wb.release()
-	wb.release()
-	if wb.tryAcquire() {
-		t.Fatal("tryAcquire resurrected a fully released payload")
-	}
-}
-
 // TestModelVersionConcurrentWithQueries hammers the version readers
 // while binary-codec queries recycle decode scratch. Before the fix,
 // rpcOnce stored a pointer INTO pooled WireScratch memory, so the

@@ -76,7 +76,10 @@ func TestDistributedTraceCapture(t *testing.T) {
 	urls, _ := startWorkers(t, shards, 1, nil)
 
 	tr := telemetry.NewTracer()
-	r := dialT(t, RouterConfig{ShardMap: urls, Tracer: tr})
+	prev := telemetry.Global()
+	telemetry.SetGlobal(tr)
+	t.Cleanup(func() { telemetry.SetGlobal(prev) })
+	r := dialT(t, RouterConfig{ShardMap: urls})
 
 	tc := telemetry.NewTraceCtx()
 	ctx := telemetry.WithTraceCtx(context.Background(), tc)
@@ -158,7 +161,10 @@ func TestUntracedRouterSendsNoHeaders(t *testing.T) {
 			h.ServeHTTP(rw, req)
 		})
 	})
-	r := dialT(t, RouterConfig{ShardMap: urls, Tracer: telemetry.NewTracer()})
+	prev := telemetry.Global()
+	telemetry.SetGlobal(telemetry.NewTracer())
+	t.Cleanup(func() { telemetry.SetGlobal(prev) })
+	r := dialT(t, RouterConfig{ShardMap: urls})
 	if _, _, err := r.ClassifyBatchPartial(context.Background(), inst.Test[:1], 12, 3); err != nil {
 		t.Fatal(err)
 	}

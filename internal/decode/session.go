@@ -37,8 +37,8 @@ type Token struct {
 }
 
 // Session is one decode stream: it owns the hidden state (and beam),
-// the scorer (with its pooled scratch and candidate cache), and the
-// per-token deadline ladder. One goroutine owns a session: it opens,
+// the scorer (with its pooled scratch, and a candidate cache only if
+// its config sizes one), and the per-token deadline ladder. One goroutine owns a session: it opens,
 // runs and closes it. Only the service's shutdown flag is shared.
 type Session struct {
 	ID uint64

@@ -1,30 +1,25 @@
-// Package distributed implements the scale-out extension the paper
-// sketches in its related-work discussion: "our design can scale-out
-// from single-node to distributed nodes, where each node keeps an
-// approximate screener". Classes are sharded row-wise across nodes;
-// every node screens its shard locally on its own ENMC memory system,
-// recomputes its local candidates exactly, and ships only the
-// candidate (index, logit) pairs to an aggregator that merges the
-// global top-k — the same decomposition capacity-driven
-// recommendation inference uses (Lui et al., ISPASS 2021).
-//
-// Two layers are provided: a functional layer (Shard/Classify) that
-// proves the sharded computation is equivalent to single-node
-// classification, and a performance layer (Config.Run) that models
-// per-node ENMC simulation plus the scatter/gather network.
+// Package distributed is the class partition and merge behind the
+// scale-out the paper sketches in its related-work discussion: "our
+// design can scale-out from single-node to distributed nodes, where
+// each node keeps an approximate screener". Classes are sharded
+// row-wise across nodes (ShardRange, ShardOne, ShardClassifier); every
+// node screens its shard with its own screener, recomputes its local
+// candidates exactly, and ships only the candidate (class, logit)
+// pairs to an aggregator that merges the global top-k (Merge,
+// MergeDedup) — the same decomposition capacity-driven recommendation
+// inference uses (Lui et al., ISPASS 2021). Classify runs that scatter
+// in process; it is the reference the networked cluster router must
+// match bit for bit. The scale-out performance model lives with its
+// experiment (experiments.ExtScaleOut).
 package distributed
 
 import (
 	"fmt"
 	"sort"
 
-	"enmc/internal/compiler"
 	"enmc/internal/core"
-	"enmc/internal/system"
 	"enmc/internal/tensor"
 )
-
-// --- functional layer ---
 
 // Shard is one node's slice of the class space: a classifier over
 // rows [Offset, Offset+Classifier.Categories) of the global problem,
@@ -187,76 +182,3 @@ func ShardClassifier(cls *core.Classifier, n int, samples [][]float32, cfg core.
 	}
 	return shards, nil
 }
-
-// --- performance layer ---
-
-// Config describes a multi-node deployment.
-type Config struct {
-	Nodes int
-	// System is the per-node ENMC memory system (the Table 3 8×8
-	// topology by default).
-	System system.Config
-	// LinkBandwidthGBs is the per-node network bandwidth (e.g. 12.5
-	// for 100 GbE).
-	LinkBandwidthGBs float64
-	// LinkLatencySec is the one-way message latency.
-	LinkLatencySec float64
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Nodes <= 0 {
-		return fmt.Errorf("distributed: non-positive node count")
-	}
-	if c.LinkBandwidthGBs <= 0 || c.LinkLatencySec < 0 {
-		return fmt.Errorf("distributed: bad network parameters")
-	}
-	return nil
-}
-
-// Result reports a distributed offload.
-type Result struct {
-	Nodes          int
-	PerNodeSeconds float64 // slowest node's local classification
-	ScatterSeconds float64 // broadcast of the query features
-	GatherSeconds  float64 // candidate collection at the aggregator
-	TotalSeconds   float64
-	// EnergyJoules sums all nodes' memory-system energy.
-	EnergyJoules float64
-}
-
-// Run shards the task across nodes and models one batched offload.
-func (c Config) Run(task compiler.Task, mode compiler.Mode) (Result, error) {
-	if err := c.Validate(); err != nil {
-		return Result{}, err
-	}
-	shard := task
-	shard.Categories = ceilDiv(task.Categories, c.Nodes)
-	shard.Candidates = ceilDiv(task.Candidates, c.Nodes)
-	if shard.Candidates > shard.Categories {
-		shard.Candidates = shard.Categories
-	}
-
-	nodeRes, err := c.System.Run(shard, mode)
-	if err != nil {
-		return Result{}, err
-	}
-
-	out := Result{Nodes: c.Nodes, PerNodeSeconds: nodeRes.Seconds}
-	bw := c.LinkBandwidthGBs * 1e9
-
-	// Scatter: the query batch's hidden vectors go to every node.
-	scatterBytes := float64(task.Batch) * float64(task.Hidden) * 4
-	out.ScatterSeconds = c.LinkLatencySec + scatterBytes/bw
-
-	// Gather: each node returns (index, logit) pairs for its local
-	// candidates; the aggregator's fan-in serializes the streams.
-	gatherBytes := float64(c.Nodes) * float64(task.Batch) * float64(shard.Candidates) * 8
-	out.GatherSeconds = c.LinkLatencySec + gatherBytes/bw
-
-	out.TotalSeconds = out.PerNodeSeconds + out.ScatterSeconds + out.GatherSeconds
-	out.EnergyJoules = nodeRes.Energy.TotalJ() * float64(c.Nodes)
-	return out, nil
-}
-
-func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -4,11 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"enmc/internal/compiler"
 	"enmc/internal/core"
-	"enmc/internal/nmp"
 	"enmc/internal/quant"
-	"enmc/internal/system"
 	"enmc/internal/workload"
 )
 
@@ -124,54 +121,5 @@ func TestClassifyCtxErrorPaths(t *testing.T) {
 	broken := []Shard{shards[0], {Offset: shards[1].Offset, Classifier: shards[1].Classifier}}
 	if _, err := Classify(broken, inst.Test[0], 4, 3); err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("incomplete shard 1: err = %v", err)
-	}
-}
-
-func perfConfig() Config {
-	sys := system.Default(nmp.ENMC())
-	sys.SampleRows = 1024
-	return Config{
-		Nodes:            4,
-		System:           sys,
-		LinkBandwidthGBs: 12.5,
-		LinkLatencySec:   5e-6,
-	}
-}
-
-func TestRunPerformance(t *testing.T) {
-	task := compiler.Task{Categories: 1_000_000, Hidden: 512, Reduced: 128, Candidates: 20000, Batch: 1}
-	cfg := perfConfig()
-	res, err := cfg.Run(task, compiler.ModeScreened)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalSeconds <= 0 || res.PerNodeSeconds <= 0 {
-		t.Fatalf("empty result %+v", res)
-	}
-	if res.TotalSeconds < res.PerNodeSeconds {
-		t.Fatal("network time went negative")
-	}
-	// Four nodes must beat one node on a large workload.
-	one := cfg
-	one.Nodes = 1
-	r1, err := one.Run(task, compiler.ModeScreened)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalSeconds >= r1.TotalSeconds {
-		t.Fatalf("4 nodes (%v s) not faster than 1 (%v s)", res.TotalSeconds, r1.TotalSeconds)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := perfConfig()
-	bad.Nodes = 0
-	if _, err := bad.Run(compiler.Task{Categories: 10, Hidden: 4, Reduced: 2, Candidates: 1, Batch: 1}, compiler.ModeScreened); err == nil {
-		t.Fatal("zero nodes accepted")
-	}
-	bad = perfConfig()
-	bad.LinkBandwidthGBs = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero bandwidth accepted")
 	}
 }

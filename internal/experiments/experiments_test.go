@@ -4,6 +4,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"enmc/internal/compiler"
+	"enmc/internal/nmp"
+	"enmc/internal/system"
 )
 
 // tinyQuality keeps the algorithm-level tests fast.
@@ -309,6 +313,27 @@ func TestExtScaleOut(t *testing.T) {
 	// Speedup still grows.
 	if cellFloat(t, tab, 4, 4) <= cellFloat(t, tab, 1, 4) {
 		t.Fatal("speedup should keep growing to 16 nodes")
+	}
+}
+
+// TestScaleOutRun: the scale-out model on a 1M-class task — every
+// term positive, and four nodes faster than one.
+func TestScaleOutRun(t *testing.T) {
+	task := compiler.Task{Categories: 1_000_000, Hidden: 512, Reduced: 128, Candidates: 20000, Batch: 1}
+	sys := system.Default(nmp.ENMC())
+	sys.SampleRows = 1024
+	total := func(nodes int) float64 {
+		node, scatter, gather, err := scaleOutRun(sys, task, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node <= 0 || scatter <= 0 || gather <= 0 {
+			t.Fatalf("%d nodes: empty term node=%v scatter=%v gather=%v", nodes, node, scatter, gather)
+		}
+		return node + scatter + gather
+	}
+	if four, one := total(4), total(1); four >= one {
+		t.Fatalf("4 nodes (%v s) not faster than 1 (%v s)", four, one)
 	}
 }
 

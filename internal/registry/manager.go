@@ -42,9 +42,6 @@ type Options struct {
 	// manager uses the active version's shipped probe set, or
 	// synthesizes synthProbes deterministic Gaussian probes.
 	Probe [][]float32
-	// Tracer receives registry.load / registry.canary / registry.swap
-	// spans on TrackRegistry; nil falls back to the global tracer.
-	Tracer *telemetry.Tracer
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...interface{})
 }
@@ -189,10 +186,7 @@ func (m *Manager) Reload(ctx context.Context, version string) (string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mReloadTotal.Inc()
-	tr := m.opt.Tracer
-	if tr == nil {
-		tr = telemetry.Global()
-	}
+	tr := telemetry.Global() // registry.load / .canary / .swap spans on TrackRegistry
 
 	if version == "" {
 		latest, err := m.store.Latest()

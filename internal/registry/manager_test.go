@@ -310,7 +310,10 @@ func TestManagerTracerSpans(t *testing.T) {
 	publishGeneration(t, store, "v2", "v1", inst, 4, 600)
 
 	tr := telemetry.NewTracer()
-	mgr, err := NewManager(store, "v1", Options{RecallFloor: 0.3, Tracer: tr})
+	prev := telemetry.Global()
+	telemetry.SetGlobal(tr)
+	t.Cleanup(func() { telemetry.SetGlobal(prev) })
+	mgr, err := NewManager(store, "v1", Options{RecallFloor: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
