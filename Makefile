@@ -28,8 +28,8 @@ test-purego:
 # Full race-enabled test run. Slower than `make test`; this is what
 # `make check` gates on. It includes the in-process scenario tests of
 # cmd/enmc-serve, cmd/enmc-shard and cmd/enmc-train (replica failover,
-# hot swap, decode failover, observability, multi-tenant QoS, checkpoint
-# resume).
+# hot swap, decode failover, observability, multi-tenant QoS, one-run
+# registry publish).
 race:
 	$(GO) test -race ./...
 
@@ -132,13 +132,13 @@ bench-selftest:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# The algorithm-side tables EXPERIMENTS.md reports — Fig. 11, Fig. 12
-# and the ablations — and the scale-out model's table, rerun and
-# diffed against the outputs committed under
-# internal/experiments/testdata/, timing line dropped. A change that
+# Every table and figure EXPERIMENTS.md reports — each run in
+# experiments.Registry — rerun and diffed against its output committed
+# under internal/experiments/testdata/, timing line dropped
+# (TestEveryRunHasGolden fails when a run has no golden). A change that
 # moves one of their numbers fails here; one that means to regenerates
 # the file with the same pipeline (`> internal/experiments/testdata/<run>.golden`).
-EXPERIMENTS = fig11 fig12 ablations ext-scaleout
+EXPERIMENTS = $(basename $(notdir $(wildcard internal/experiments/testdata/*.golden)))
 experiments-check:
 	@bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
 	$(GO) build -o "$$bin/enmc-bench" ./cmd/enmc-bench && \

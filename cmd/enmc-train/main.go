@@ -9,21 +9,19 @@
 //	           [-k 128] [-bits 4] [-epochs 8] [-seed 1]
 //	enmc-train -demo                      # generate a demo pair first
 //	enmc-train -classifier cls.bin -features feats.bin \
-//	           -registry ./models -version v2 -parent v1 \
-//	           [-checkpoint-every 2] [-stop-after 4] [-probe 32]
+//	           -registry ./models -version v2 -parent v1 [-probe 32]
 //
 // File formats are the binary formats of SaveClassifier /
 // WriteFeatures (see internal/core). -demo writes demo-cls.bin and
 // demo-feats.bin into the current directory so the flow can be tried
 // without external data.
 //
-// With -registry the run is checkpointed: every -checkpoint-every
-// epochs the screener state lands under <registry>/.ckpt/<version>/,
-// an interrupted run (crash, or -stop-after for testing) resumes from
-// the checkpoint on the next invocation with the same flags, and on
-// completion the version is published atomically (classifier,
-// screener, held-out probe set, checksummed manifest) for enmc-serve
-// to hot-swap in.
+// Either way the command runs one training run (core.TrainScreener).
+// With -registry it first refuses a -version that is already
+// published, holds out the last -probe feature samples (at most a
+// quarter of them) from training, and then publishes the version
+// atomically (classifier, screener, held-out probe set, checksummed
+// manifest) for enmc-serve to hot-swap in.
 package main
 
 import (
@@ -64,8 +62,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	regRoot := fs.String("registry", "", "publish into this versioned model registry instead of -out")
 	version := fs.String("version", "", "registry version to publish (required with -registry)")
 	parent := fs.String("parent", "", "parent version recorded in the manifest")
-	ckptEvery := fs.Int("checkpoint-every", 2, "registry mode: checkpoint every N epochs")
-	stopAfter := fs.Int("stop-after", 0, "registry mode: interrupt after N epochs (testing resume; 0 = run to completion)")
 	probeCount := fs.Int("probe", 32, "registry mode: held-out probe samples reserved from the feature tail")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 
@@ -75,6 +71,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *clsPath == "" || *featPath == "" {
 		return errors.New("usage: enmc-train -classifier cls.bin -features feats.bin [-out scr.bin | -registry dir -version v1]")
 	}
+	var store *registry.Store
+	if *regRoot != "" {
+		if *version == "" {
+			return errors.New("-registry needs -version")
+		}
+		var err error
+		if store, err = registry.Open(*regRoot); err != nil {
+			return err
+		}
+		if err := store.CanPublish(*version); err != nil {
+			return err
+		}
+	}
 
 	cls, err := loadClassifier(*clsPath)
 	if err != nil {
@@ -83,6 +92,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	feats, err := loadFeatures(*featPath)
 	if err != nil {
 		return err
+	}
+	// The probe set comes from the sample tail and is never trained on.
+	var probe [][]float32
+	if store != nil {
+		n := len(feats) - min(max(*probeCount, 0), len(feats)/4)
+		feats, probe = feats[:n], feats[n:]
 	}
 	fmt.Fprintf(stdout, "classifier: %d classes × %d dims; %d training samples\n",
 		cls.Categories(), cls.Hidden(), len(feats))
@@ -98,27 +113,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Precision:  quant.Bits(*bits),
 		Seed:       *seed,
 	}
-	logf := func(format string, args ...interface{}) {
-		fmt.Fprintf(stdout, format+"\n", args...)
-	}
-
-	if *regRoot != "" {
-		if *version == "" {
-			return errors.New("-registry needs -version")
-		}
-		return trainToRegistry(stdout, logf, cls, feats, cfg, *regRoot, *version, *parent, *epochs, *ckptEvery, *stopAfter, *probeCount, *seed)
-	}
-
 	scr, stats, err := core.TrainScreener(cls, feats, cfg, core.TrainOptions{
 		Epochs: *epochs,
 		Seed:   *seed + 1,
-		Logf:   logf,
+		Logf: func(format string, args ...interface{}) {
+			fmt.Fprintf(stdout, format+"\n", args...)
+		},
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "converged: final MSE %.6g over %d epochs\n",
-		stats.EpochLoss[len(stats.EpochLoss)-1], len(stats.EpochLoss))
+	finalLoss := stats.EpochLoss[len(stats.EpochLoss)-1]
+	fmt.Fprintf(stdout, "converged: final MSE %.6g over %d epochs\n", finalLoss, len(stats.EpochLoss))
+
+	if store != nil {
+		m, err := store.Publish(registry.Manifest{
+			Version: *version,
+			Parent:  *parent,
+			Train:   registry.TrainMeta{Epochs: len(stats.EpochLoss), Samples: len(feats), FinalLoss: finalLoss},
+		}, cls, scr, probe)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "published %s/%s (seq %d, %s, probe %d)\n",
+			*regRoot, m.Version, m.Seq, m.PrecisionString(), len(probe))
+		return nil
+	}
 
 	out, err := os.Create(*outPath)
 	if err != nil {
@@ -133,42 +153,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "wrote %s (%.2f MB; %.1f%% of the classifier)\n",
 		*outPath, float64(n)/(1<<20), 100*float64(scr.WeightBytes())/float64(cls.WeightBytes()))
-	return nil
-}
-
-// trainToRegistry runs the checkpointed training flow: resume from an
-// existing checkpoint if one exists, stop early under -stop-after
-// (leaving the checkpoint for the next invocation), publish into the
-// registry on completion.
-func trainToRegistry(stdout io.Writer, logf func(string, ...interface{}), cls *core.Classifier, feats [][]float32, cfg core.Config,
-	root, version, parent string, epochs, ckptEvery, stopAfter, probeCount int, seed uint64) error {
-	store, err := registry.Open(root)
-	if err != nil {
-		return err
-	}
-	if store.HasCheckpoint(version) {
-		fmt.Fprintf(stdout, "resuming %q from checkpoint %s\n", version, store.CheckpointDir(version))
-	}
-	m, published, err := store.TrainRun(cls, feats, registry.TrainSpec{
-		Version:         version,
-		Parent:          parent,
-		Cfg:             cfg,
-		Opt:             core.TrainOptions{Seed: seed + 1, Logf: logf},
-		TotalEpochs:     epochs,
-		CheckpointEvery: ckptEvery,
-		StopAfter:       stopAfter,
-		ProbeCount:      probeCount,
-	})
-	if err != nil {
-		return err
-	}
-	if !published {
-		fmt.Fprintf(stdout, "interrupted after -stop-after; checkpoint at %s — rerun to resume\n",
-			store.CheckpointDir(version))
-		return nil
-	}
-	fmt.Fprintf(stdout, "published %s/%s (seq %d, %s, final MSE %.6g, probe %d)\n",
-		root, m.Version, m.Seq, m.PrecisionString(), m.Train.FinalLoss, probeCount)
 	return nil
 }
 

@@ -126,7 +126,7 @@ func ExampleSaveScreener() {
 	fmt.Println("prediction before saving, after loading:", before.Predict(), after.Predict())
 	fmt.Println("same candidates:", slices.Equal(before.Candidates, after.Candidates))
 	// Output:
-	// serialized screener: 3633 bytes
+	// serialized screener: 2605 bytes
 	// prediction before saving, after loading: 7 7
 	// same candidates: true
 }

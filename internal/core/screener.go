@@ -39,11 +39,14 @@ func (c Config) Validate() error {
 
 // Screener holds the trained screening module. Wt and Bt are the
 // float32 master parameters (what SGD updates); QW is the quantized
-// deployment copy the hardware streams.
+// deployment copy the hardware streams. A screener read from an
+// artifact (ReadScreener) is inference-only: it carries QW and Bt but
+// no Wt, so Freeze and ScreenFloat, which read the master weights,
+// belong to the training side.
 type Screener struct {
 	Cfg Config
 	P   *projection.Sparse
-	Wt  *tensor.Matrix // l×k float master weights
+	Wt  *tensor.Matrix // l×k float master weights; nil when read from an artifact
 	Bt  []float32      // l float bias
 	QW  *quant.Matrix  // quantized W̃ used at inference
 }

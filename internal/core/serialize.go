@@ -16,9 +16,10 @@ import (
 // can train once and ship the screener image to inference hosts: the
 // quantized weights in the form the kernels stream (quant.Payload: the
 // chunked nibble image at INT2/INT4, half a byte per weight plus row
-// padding; one byte per weight at INT8), per-row scales, the float
-// bias, the float master weights (so distillation can resume), and the
-// projection matrix reconstructed deterministically from its seed.
+// padding; one byte per weight at INT8), per-row scales and the float
+// bias, with the projection matrix reconstructed deterministically from
+// its seed. That is the whole deployable screener, the image the host
+// writes into the DIMM; the float master weights stay with training.
 //
 // All integers are little-endian. Each artifact starts with a magic
 // whose last byte is the format version, so mismatches fail loudly
@@ -26,9 +27,10 @@ import (
 // header alone: every block grows as its bytes arrive (growFor).
 
 const (
-	// screenerMagic is version 2, whose weight block is quant.Payload.
-	// Other versions are rejected by name.
-	screenerMagic   = "ENMCSCR2"
+	// screenerMagic is version 3: the quant.Payload weight block, scales
+	// and bias. Other versions (1: one byte per weight; 2: a trailing
+	// block of float master weights) are rejected by name.
+	screenerMagic   = "ENMCSCR3"
 	classifierMagic = "ENMCCLS1"
 
 	// maxProjectionEntries caps a screener artifact's k·d. P is
@@ -63,9 +65,7 @@ func (s *Screener) WriteTo(w io.Writer) (int64, error) {
 	if err := writeAll(cw, uint32(len(p)), p); err != nil {
 		return cw.n, err
 	}
-	// Scales, bias, and the master float weights (kept: retraining
-	// resumes).
-	for _, xs := range [][]float32{qw.Scales, s.Bt, s.Wt.Data} {
+	for _, xs := range [][]float32{qw.Scales, s.Bt} {
 		if err := writeFloats(cw, xs); err != nil {
 			return cw.n, err
 		}
@@ -73,7 +73,8 @@ func (s *Screener) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, bw.Flush()
 }
 
-// ReadScreener deserializes a screener written by WriteTo.
+// ReadScreener deserializes a screener written by WriteTo. The result
+// is inference-only: Wt is nil (see Screener).
 func ReadScreener(r io.Reader) (*Screener, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(screenerMagic))
@@ -121,10 +122,6 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	if err != nil {
 		return nil, err
 	}
-	master, err := readFloats(br, int(l)*int(k), nil)
-	if err != nil {
-		return nil, err
-	}
 	qw, err := quant.FromPayload(cfg.Precision, int(l), int(k), scales, payload)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -132,7 +129,6 @@ func ReadScreener(r io.Reader) (*Screener, error) {
 	return &Screener{
 		Cfg: cfg,
 		P:   projection.New(cfg.Reduced, cfg.Hidden, cfg.Seed),
-		Wt:  &tensor.Matrix{Rows: cfg.Categories, Cols: cfg.Reduced, Data: master},
 		Bt:  bias,
 		QW:  qw,
 	}, nil

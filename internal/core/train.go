@@ -43,12 +43,6 @@ type TrainOptions struct {
 	// InitProjected starts from the analytic least-squares seed
 	// W̃ = (k/d)·W·Pᵀ instead of zeros (see ProjectedScreener).
 	InitProjected bool
-	// InitFrom warm-starts from an existing screener's master
-	// weights (copied, the donor is not mutated) — the resume hook
-	// checkpointed training uses to continue a run across processes.
-	// The donor's Config must equal cfg exactly (same projection
-	// seed, so P is identical). Takes precedence over InitProjected.
-	InitFrom *Screener
 	// Tracer receives one span per training epoch (and one for the
 	// target precomputation); nil falls back to the global tracer.
 	Tracer *telemetry.Tracer
@@ -105,19 +99,9 @@ func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOp
 
 	var scr *Screener
 	var err error
-	switch {
-	case opt.InitFrom != nil:
-		if opt.InitFrom.Cfg != cfg {
-			return nil, nil, fmt.Errorf("core: InitFrom config %+v does not match %+v", opt.InitFrom.Cfg, cfg)
-		}
-		scr, err = newScreener(cfg)
-		if err == nil {
-			copy(scr.Wt.Data, opt.InitFrom.Wt.Data)
-			copy(scr.Bt, opt.InitFrom.Bt)
-		}
-	case opt.InitProjected:
+	if opt.InitProjected {
 		scr, err = ProjectedScreener(cls, cfg)
-	default:
+	} else {
 		scr, err = newScreener(cfg)
 	}
 	if err != nil {

@@ -375,7 +375,7 @@ func TestExtBeam(t *testing.T) {
 		agree := cellFloat(t, tab, i, 2)
 		// The tiny test configuration underfits badly at the 2%
 		// budget; only sanity-check the range here (the full-size run
-		// in bench_results.txt shows 0.79–0.95).
+		// in testdata/ext-beam.golden shows 0.93–1.00).
 		if agree <= 0 || agree > 1.0 {
 			t.Fatalf("row %d: implausible agreement %v", i, agree)
 		}

@@ -12,13 +12,11 @@
 //	<root>/<version>/manifest.json   — shapes, precision, seq, parent,
 //	                                   SHA-256 + size per artifact
 //	<root>/<version>/classifier.bin  — core.Classifier (ENMCCLS1)
-//	<root>/<version>/screener.bin    — core.Screener  (ENMCSCR2)
+//	<root>/<version>/screener.bin    — core.Screener  (ENMCSCR3)
 //	<root>/<version>/probe.bin       — held-out probe features
 //	                                   (ENMCFEA1, optional)
 //	<root>/.tmp-*                    — in-flight publishes (atomic
 //	                                   os.Rename into place)
-//	<root>/.ckpt/<version>/          — interrupted training runs
-//	                                   (see checkpoint.go)
 //
 // A version directory is immutable once published: Publish stages
 // into a temp dir and renames, so readers never observe a partial
@@ -61,7 +59,6 @@ type TrainMeta struct {
 	Epochs    int     `json:"epochs,omitempty"`
 	Samples   int     `json:"samples,omitempty"`
 	FinalLoss float64 `json:"final_loss,omitempty"`
-	Resumed   bool    `json:"resumed,omitempty"`
 }
 
 // Manifest describes one published model version.
@@ -133,20 +130,30 @@ func validVersion(v string) error {
 	return nil
 }
 
+// CanPublish reports why version cannot be published — an invalid
+// name, or a version already published — or nil. Publish makes the
+// same check; a caller makes it first to refuse before training.
+func (s *Store) CanPublish(version string) error {
+	if err := validVersion(version); err != nil {
+		return err
+	}
+	if _, err := os.Stat(s.Dir(version)); err == nil {
+		return fmt.Errorf("registry: version %q already published", version)
+	}
+	return nil
+}
+
 // Publish writes a new immutable version: artifacts are staged into a
 // temp directory, hashed into the manifest, and renamed into place in
 // one atomic step — a crashed publish leaves only a .tmp-* directory
 // that never becomes visible to Versions/Load. probe may be nil.
 // m.Seq, when zero, is assigned one past the current latest.
 func (s *Store) Publish(m Manifest, cls *core.Classifier, scr *core.Screener, probe [][]float32) (Manifest, error) {
-	if err := validVersion(m.Version); err != nil {
+	if err := s.CanPublish(m.Version); err != nil {
 		return m, err
 	}
 	if cls == nil || scr == nil {
 		return m, fmt.Errorf("registry: nil classifier or screener")
-	}
-	if _, err := os.Stat(s.Dir(m.Version)); err == nil {
-		return m, fmt.Errorf("registry: version %q already published", m.Version)
 	}
 	if m.CreatedUnix == 0 {
 		m.CreatedUnix = time.Now().Unix()
@@ -252,7 +259,7 @@ func (s *Store) ReadManifest(version string) (Manifest, error) {
 }
 
 // Versions lists every published version, ordered by Seq (ties by
-// name). Hidden directories (.tmp-*, .ckpt) are skipped.
+// name). Hidden directories (.tmp-*) are skipped.
 func (s *Store) Versions() ([]Manifest, error) {
 	entries, err := os.ReadDir(s.root)
 	if err != nil {
