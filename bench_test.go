@@ -879,9 +879,13 @@ func BenchmarkExtGPUCliff(b *testing.B) {
 
 func BenchmarkDistributedClassify(b *testing.B) {
 	inst := ablationModel(b)
-	shards, err := distributed.ShardClassifier(inst.Classifier, 4, inst.Train,
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train,
 		core.Config{Categories: 768, Hidden: 128, Reduced: 32, Precision: quant.INT4, Seed: 3},
 		core.TrainOptions{Epochs: 4, Seed: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shards, err := distributed.ShardClassifier(inst.Classifier, scr, 4)
 	if err != nil {
 		b.Fatal(err)
 	}

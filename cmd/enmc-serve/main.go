@@ -387,7 +387,7 @@ func buildModel(logger *log.Logger, clsPath, scrPath, featPath string, classes, 
 	if clsPath == "" {
 		logger.Printf("no -classifier given: training a %d×%d demo model", classes, dim)
 		inst := workload.Demo(classes, dim, seed)
-		scr, err := train(inst.Classifier, inst.Train, bits, epochs, seed)
+		scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.Bits(bits), epochs, seed)
 		return inst.Classifier, scr, err
 	}
 	f, err := os.Open(clsPath)
@@ -418,7 +418,7 @@ func buildModel(logger *log.Logger, clsPath, scrPath, featPath string, classes, 
 	if err != nil {
 		return nil, nil, err
 	}
-	scr, err := train(cls, feats, bits, epochs, seed)
+	scr, err := workload.DemoScreener(cls, feats, quant.Bits(bits), epochs, seed)
 	return cls, scr, err
 }
 
@@ -433,15 +433,4 @@ func readFeatures(path string) ([][]float32, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return feats, nil
-}
-
-func train(cls *core.Classifier, feats [][]float32, bits, epochs int, seed uint64) (*core.Screener, error) {
-	scr, _, err := core.TrainScreener(cls, feats, core.Config{
-		Categories: cls.Categories(),
-		Hidden:     cls.Hidden(),
-		Reduced:    cls.Hidden() / 4,
-		Precision:  quant.Bits(bits),
-		Seed:       seed,
-	}, core.TrainOptions{Epochs: epochs, Seed: seed + 1})
-	return scr, err
 }

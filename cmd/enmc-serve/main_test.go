@@ -140,23 +140,18 @@ func (s *served) stop(t *testing.T) {
 
 // startFleet starts 3 shards × 2 replicas of the demo model, each
 // shard built exactly as enmc-shard builds it from the same -demo-*
-// flags; with reqLog non-nil every worker writes its JSON request log
-// there.
+// flags: rows of the one demo screener; with reqLog non-nil every
+// worker writes its JSON request log there.
 func startFleet(t *testing.T, reqLog io.Writer) *fleet.Fleet {
 	t.Helper()
 	inst := workload.Demo(demoClasses, demoDim, demoSeed)
-	shards := make([]distributed.Shard, 3)
-	for i := range shards {
-		sh, err := distributed.ShardOne(inst.Classifier, len(shards), i, inst.Train, core.Config{
-			Hidden:    demoDim,
-			Reduced:   demoDim / 4,
-			Precision: quant.INT4,
-			Seed:      demoSeed,
-		}, core.TrainOptions{Epochs: demoEpochs, Seed: demoSeed + 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards[i] = sh
+	scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.INT4, demoEpochs, demoSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := distributed.ShardClassifier(inst.Classifier, scr, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return fleet.Start(t, shards, 2, func(w *cluster.Worker) {
 		if reqLog != nil {

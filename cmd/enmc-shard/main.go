@@ -1,27 +1,30 @@
 // Command enmc-shard is one cluster shard worker: it owns a
 // contiguous row-slice of the class space (shard -shard-index of
-// -shard-count), screens it locally with its own approximate
-// screener, and serves the compact shard API the enmc-serve cluster
-// router scatter-gathers over (see internal/cluster).
+// -shard-count), screens it with its rows of the model's screener,
+// and serves the compact shard API the enmc-serve cluster router
+// scatter-gathers over (see internal/cluster).
 //
 // Usage:
 //
 //	enmc-shard -shard-index 0 -shard-count 3                    # demo model
 //	enmc-shard -model-root ./models -shard-index 1 -shard-count 3
-//	enmc-shard -classifier cls.bin -features feats.bin -shard-index 2 -shard-count 3
 //
-// The worker loads (or trains) the GLOBAL model, slices its own rows
-// out of it, and trains the shard-local screener with an
-// offset-derived seed — so every worker in a cluster derives
-// bit-identical shard parameters to an in-process
-// distributed.ShardClassifier split of the same model, and the
-// router's merged top-k matches single-node classification.
+// The worker loads the GLOBAL model, classifier and screener, and
+// keeps rows [off,end) of both (distributed.ShardOne): every worker
+// in a cluster holds exactly the rows an in-process
+// distributed.ShardClassifier split of the same model gives it, so
+// the router's merged top-k matches single-node classification at a
+// full budget. A real model reaches a worker through the registry:
 //
-// With -model-root the classifier (and held-out probe features, used
-// for screener distillation unless -features overrides them) come
-// from the PR-4 versioned registry; the manifest version is
-// advertised in every shard reply so the router can surface version
-// skew during a rolling per-shard update.
+//	enmc-train -classifier cls.bin -features feats.bin -registry ./models -version v1
+//	enmc-shard -model-root ./models -shard-index 0 -shard-count 3
+//
+// With -model-root the worker serves the version's own published
+// screener (-model-version pins it; default newest), and advertises
+// the manifest version in every shard reply so the router can surface
+// version skew during a rolling per-shard update. Without it the
+// worker trains the demo model enmc-serve trains from the same
+// -demo-*, -epochs and -bits flags, and keeps its rows of that.
 //
 // Endpoints: POST /v1/shard/screen, GET /v1/shard/info, GET /v1/slo,
 // GET /metrics (Prometheus text), GET /healthz, GET /readyz. A screen
@@ -85,11 +88,8 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	shardIndex := fs.Int("shard-index", 0, "this worker's shard (row-slice) index")
 	shardCount := fs.Int("shard-count", 1, "total shards in the cluster")
 
-	clsPath := fs.String("classifier", "", "serialized GLOBAL classifier (SaveClassifier format)")
-	featPath := fs.String("features", "", "features for shard screener training (WriteFeatures format)")
-	modelRoot := fs.String("model-root", "", "versioned model registry root (classifier + probe from the registry)")
+	modelRoot := fs.String("model-root", "", "versioned model registry root (classifier + screener from the registry)")
 	modelVersion := fs.String("model-version", "", "registry version to serve (default newest)")
-	label := fs.String("label", "", "model version label advertised in shard replies (non-registry mode)")
 
 	logRequests := fs.Bool("log-requests", false, "emit one structured request-log record per shard RPC on stderr")
 	logJSON := fs.Bool("log-json", false, "request log as JSON lines (implies -log-requests; default: text)")
@@ -98,34 +98,20 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	demoClasses := fs.Int("demo-classes", 4096, "demo model: class count")
 	demoDim := fs.Int("demo-dim", 128, "demo model: hidden dimension")
 	demoSeed := fs.Uint64("demo-seed", 7, "demo model: generation/training seed")
-	epochs := fs.Int("epochs", 4, "shard screener distillation epochs")
-	bits := fs.Int("bits", 4, "shard screening precision: 2, 4 or 8")
+	epochs := fs.Int("epochs", 4, "demo model: screener distillation epochs")
+	bits := fs.Int("bits", 4, "demo model: screening precision: 2, 4 or 8")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 
 	logger := log.New(stderr, "", log.LstdFlags)
-	cls, feats, version, err := loadGlobal(logger, *clsPath, *featPath, *modelRoot, *modelVersion,
-		*demoClasses, *demoDim, *demoSeed)
+	shard, err := loadShard(logger, *modelRoot, *modelVersion, *shardCount, *shardIndex,
+		*demoClasses, *demoDim, *demoSeed, *epochs, quant.Bits(*bits))
 	if err != nil {
 		return err
 	}
-	if s := tensor.HugePageSummary(cls.W.Data); s != "" {
+	if s := tensor.HugePageSummary(shard.Classifier.W.Data); s != "" {
 		logger.Printf("classifier weights: %s", s)
 	}
-	if *label != "" {
-		version = *label
-	}
-
-	shard, err := distributed.ShardOne(cls, *shardCount, *shardIndex, feats, core.Config{
-		Hidden:    cls.Hidden(),
-		Reduced:   cls.Hidden() / 4,
-		Precision: quant.Bits(*bits),
-		Seed:      *demoSeed,
-	}, core.TrainOptions{Epochs: *epochs, Seed: *demoSeed + 1})
-	if err != nil {
-		return err
-	}
-	shard.Version = version
 
 	worker, err := cluster.NewWorker(shard)
 	if err != nil {
@@ -172,7 +158,7 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	info := worker.Info()
 	logger.Printf("shard %d/%d serving rows [%d,%d) of %d dims on %s (version %q)",
-		*shardIndex, *shardCount, info.Offset, info.Offset+info.Classes, info.Hidden, ln.Addr(), version)
+		*shardIndex, *shardCount, info.Offset, info.Offset+info.Classes, info.Hidden, ln.Addr(), shard.Version)
 	if listening != nil {
 		listening(ln.Addr().String(), dbg)
 	}
@@ -197,63 +183,42 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	return nil
 }
 
-// loadGlobal resolves the global model this worker slices: registry
-// version, explicit files, or a trained demo instance.
-func loadGlobal(logger *log.Logger, clsPath, featPath, modelRoot, modelVersion string, classes, dim int, seed uint64) (*core.Classifier, [][]float32, string, error) {
-	var feats [][]float32
-	if featPath != "" {
-		f, err := os.Open(featPath)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		defer f.Close()
-		if feats, err = core.ReadFeatures(f); err != nil {
-			return nil, nil, "", fmt.Errorf("%s: %w", featPath, err)
-		}
-	}
-
+// loadShard slices this worker's rows out of the model it serves: a
+// registry version's classifier and published screener, or the demo
+// pair enmc-serve trains from the same flags.
+func loadShard(logger *log.Logger, modelRoot, modelVersion string, n, i, classes, dim int, seed uint64, epochs int, bits quant.Bits) (distributed.Shard, error) {
+	var (
+		cls     *core.Classifier
+		scr     *core.Screener
+		version string
+	)
 	if modelRoot != "" {
 		store, err := registry.Open(modelRoot)
 		if err != nil {
-			return nil, nil, "", err
+			return distributed.Shard{}, err
 		}
 		if modelVersion == "" {
 			latest, err := store.Latest()
 			if err != nil {
-				return nil, nil, "", err
+				return distributed.Shard{}, err
 			}
 			modelVersion = latest.Version
 		}
 		loaded, err := store.Load(modelVersion)
 		if err != nil {
-			return nil, nil, "", err
+			return distributed.Shard{}, err
 		}
-		if feats == nil {
-			feats = loaded.Probe
+		cls, scr, version = loaded.Classifier, loaded.Screener, loaded.Manifest.Version
+	} else {
+		logger.Printf("no -model-root given: training a %d×%d demo model", classes, dim)
+		inst := workload.Demo(classes, dim, seed)
+		var err error
+		if scr, err = workload.DemoScreener(inst.Classifier, inst.Train, bits, epochs, seed); err != nil {
+			return distributed.Shard{}, err
 		}
-		if len(feats) == 0 {
-			return nil, nil, "", fmt.Errorf("version %q ships no probe features; pass -features for shard screener training", modelVersion)
-		}
-		return loaded.Classifier, feats, loaded.Manifest.Version, nil
+		cls = inst.Classifier
 	}
-
-	if clsPath != "" {
-		f, err := os.Open(clsPath)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		defer f.Close()
-		cls, err := core.ReadClassifier(f)
-		if err != nil {
-			return nil, nil, "", fmt.Errorf("%s: %w", clsPath, err)
-		}
-		if len(feats) == 0 {
-			return nil, nil, "", fmt.Errorf("need -features alongside -classifier for shard screener training")
-		}
-		return cls, feats, "", nil
-	}
-
-	logger.Printf("no -classifier/-model-root given: training a %d×%d demo model", classes, dim)
-	inst := workload.Demo(classes, dim, seed)
-	return inst.Classifier, inst.Train, "", nil
+	sh, err := distributed.ShardOne(cls, scr, n, i)
+	sh.Version = version
+	return sh, err
 }

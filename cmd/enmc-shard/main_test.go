@@ -16,9 +16,9 @@ import (
 	"time"
 
 	"enmc/internal/cluster"
-	"enmc/internal/core"
 	"enmc/internal/distributed"
 	"enmc/internal/quant"
+	"enmc/internal/registry"
 	"enmc/internal/testkit"
 	"enmc/internal/workload"
 )
@@ -66,84 +66,30 @@ func screen(t *testing.T, c *http.Client, base string, frame []byte) [][]cluster
 	return items
 }
 
-// TestShardScenario: run with demo flags and -log-json serves its
-// slice of the demo model. /v1/shard/info reports the slice; a screen
-// reply is Float32bits-identical to an in-test ShardOne worker's; the
-// request log carries req_id; SIGTERM turns /readyz to 503 before the
-// listener goes, and run then returns nil. No goroutine outlives run.
-func TestShardScenario(t *testing.T) {
-	testkit.NoLeaks(t)
-	stderr := &syncBuffer{}
-	sig := make(chan os.Signal, 1)
-	done := make(chan error, 1)
+// startShard runs the worker with args on a loopback port and returns
+// its base URL; the test ends it with stop.
+func startShard(t *testing.T, stderr io.Writer, args ...string) (addr string, sig chan os.Signal, done chan error) {
+	t.Helper()
+	sig = make(chan os.Signal, 1)
+	done = make(chan error, 1)
 	bound := make(chan string, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shard-index", "1", "-shard-count", "3",
-			"-demo-classes", "96", "-demo-dim", "32", "-epochs", "2", "-log-json"},
+		done <- run(append([]string{"-addr", "127.0.0.1:0"}, args...),
 			stderr, sig, func(api, _ string) { bound <- "http://" + api })
 	}()
-	var addr string
 	select {
 	case addr = <-bound:
 	case err := <-done:
 		t.Fatalf("run returned before listening: %v\n%s", err, stderr)
 	}
+	return addr, sig, done
+}
 
-	inst := workload.Demo(96, 32, 7)
-	ref, err := distributed.ShardOne(inst.Classifier, 3, 1, inst.Train, core.Config{
-		Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 7,
-	}, core.TrainOptions{Epochs: 2, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := cluster.NewWorker(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSrv := httptest.NewServer(w.Handler())
-	defer refSrv.Close()
-	c := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{}}
-	defer c.CloseIdleConnections()
-
-	resp, err := c.Get(addr + "/v1/shard/info")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var info cluster.ShardInfo
-	err = json.NewDecoder(resp.Body).Decode(&info)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := w.Info(); info != want {
-		t.Fatalf("/v1/shard/info = %+v, want %+v", info, want)
-	}
-
-	frame, err := cluster.AppendScreenRequest(nil, 6, inst.Test[:4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, want := screen(t, c, addr, frame), screen(t, c, refSrv.URL, frame)
-	if len(got) != len(want) {
-		t.Fatalf("%d items, reference %d", len(got), len(want))
-	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) || len(want[i]) == 0 {
-			t.Fatalf("item %d: %d candidates, reference %d", i, len(got[i]), len(want[i]))
-		}
-		for j, wc := range want[i] {
-			if gc := got[i][j]; gc.Class != wc.Class || math.Float32bits(gc.Logit) != math.Float32bits(wc.Logit) {
-				t.Fatalf("item %d candidate %d: %+v, reference %+v", i, j, gc, wc)
-			}
-		}
-	}
-	if !strings.Contains(stderr.String(), `"req_id"`) {
-		t.Fatalf("no JSON request log with req_id:\n%s", stderr)
-	}
-	if got := strings.Contains(stderr.String(), "MB on huge pages (THP "); got != (runtime.GOOS == "linux") {
-		t.Fatalf("huge-page line logged: %v on %s:\n%s", got, runtime.GOOS, stderr)
-	}
-
+// stop sends SIGTERM and requires /readyz to answer 503 before the
+// listener goes, and run then to return nil.
+func stop(t *testing.T, c *http.Client, addr string, sig chan<- os.Signal, done <-chan error) {
+	t.Helper()
+	c.CloseIdleConnections()
 	sig <- syscall.SIGTERM
 	for {
 		resp, err := c.Get(addr + "/readyz")
@@ -164,4 +110,116 @@ func TestShardScenario(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("run did not return after SIGTERM")
 	}
+}
+
+// sameAsWorker requires the worker at addr to answer /v1/shard/info
+// and a screen of hs exactly as a cluster.Worker over ref does: the
+// same slice and version, and every candidate's class and logit bits.
+func sameAsWorker(t *testing.T, c *http.Client, addr string, ref distributed.Shard, hs [][]float32) {
+	t.Helper()
+	w, err := cluster.NewWorker(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSrv := httptest.NewServer(w.Handler())
+	defer refSrv.Close()
+
+	resp, err := c.Get(addr + "/v1/shard/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info cluster.ShardInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := w.Info(); info != want {
+		t.Fatalf("/v1/shard/info = %+v, want %+v", info, want)
+	}
+
+	frame, err := cluster.AppendScreenRequest(nil, 6, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := screen(t, c, addr, frame), screen(t, c, refSrv.URL, frame)
+	if len(got) != len(want) {
+		t.Fatalf("%d items, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) || len(want[i]) == 0 {
+			t.Fatalf("item %d: %d candidates, reference %d", i, len(got[i]), len(want[i]))
+		}
+		for j, wc := range want[i] {
+			if gc := got[i][j]; gc.Class != wc.Class || math.Float32bits(gc.Logit) != math.Float32bits(wc.Logit) {
+				t.Fatalf("item %d candidate %d: %+v, reference %+v", i, j, gc, wc)
+			}
+		}
+	}
+}
+
+// TestShardScenario: run with demo flags and -log-json serves its
+// rows of the demo model enmc-serve trains from the same flags.
+// /v1/shard/info and a screen reply are Float32bits-identical to a
+// worker over rows [off,end) of that screener; the request log carries
+// req_id; SIGTERM turns /readyz to 503 before the listener goes, and
+// run then returns nil. No goroutine outlives run.
+func TestShardScenario(t *testing.T) {
+	testkit.NoLeaks(t)
+	stderr := &syncBuffer{}
+	addr, sig, done := startShard(t, stderr, "-shard-index", "1", "-shard-count", "3",
+		"-demo-classes", "96", "-demo-dim", "32", "-epochs", "2", "-log-json")
+
+	inst := workload.Demo(96, 32, 7)
+	scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.INT4, 2, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := distributed.ShardOne(inst.Classifier, scr, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{}}
+	defer c.CloseIdleConnections()
+	sameAsWorker(t, c, addr, ref, inst.Test[:4])
+	if !strings.Contains(stderr.String(), `"req_id"`) {
+		t.Fatalf("no JSON request log with req_id:\n%s", stderr)
+	}
+	if got := strings.Contains(stderr.String(), "MB on huge pages (THP "); got != (runtime.GOOS == "linux") {
+		t.Fatalf("huge-page line logged: %v on %s:\n%s", got, runtime.GOOS, stderr)
+	}
+	stop(t, c, addr, sig, done)
+}
+
+// TestShardServesPublishedScreener: with -model-root the worker serves
+// its rows of the version's own published screener — one trained on
+// the training set, not on the version's held-out probe set — and
+// advertises the version.
+func TestShardServesPublishedScreener(t *testing.T) {
+	testkit.NoLeaks(t)
+	inst := workload.Demo(96, 32, 3)
+	scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.INT4, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	store, err := registry.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Publish(registry.Manifest{Version: "v1"}, inst.Classifier, scr, inst.Test); err != nil {
+		t.Fatal(err)
+	}
+
+	stderr := &syncBuffer{}
+	addr, sig, done := startShard(t, stderr, "-model-root", root, "-shard-index", "1", "-shard-count", "3")
+	ref, err := distributed.ShardOne(inst.Classifier, scr, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Version = "v1"
+	c := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{}}
+	defer c.CloseIdleConnections()
+	sameAsWorker(t, c, addr, ref, inst.Valid[:4])
+	stop(t, c, addr, sig, done)
 }

@@ -36,18 +36,21 @@ var (
 	fix     struct {
 		inst   *workload.Instance
 		shards []distributed.Shard
-		global *core.Screener
 	}
 )
 
-func fixture(t testing.TB) (*workload.Instance, []distributed.Shard, *core.Screener) {
+// fixture is one trained model and its row shards, built once.
+func fixture(t testing.TB) (*workload.Instance, []distributed.Shard) {
 	t.Helper()
 	fixOnce.Do(func() {
 		spec := workload.Spec{Name: "cluster", Categories: fixClasses, Hidden: fixHidden, LatentRank: 8, ZipfS: 1}
 		fix.inst = workload.Generate(spec, workload.GenOptions{Seed: 11, Train: 96, Valid: 8, Test: 8})
 		cfg := core.Config{Categories: fixClasses, Hidden: fixHidden, Reduced: 8, Precision: quant.INT4, Seed: 5}
-		opt := core.TrainOptions{Epochs: 3, Seed: 6}
-		shards, err := distributed.ShardClassifier(fix.inst.Classifier, fixShards, fix.inst.Train, cfg, opt)
+		scr, _, err := core.TrainScreener(fix.inst.Classifier, fix.inst.Train, cfg, core.TrainOptions{Epochs: 3, Seed: 6})
+		if err != nil {
+			panic(err)
+		}
+		shards, err := distributed.ShardClassifier(fix.inst.Classifier, scr, fixShards)
 		if err != nil {
 			panic(err)
 		}
@@ -55,13 +58,8 @@ func fixture(t testing.TB) (*workload.Instance, []distributed.Shard, *core.Scree
 			shards[i].Version = "vtest"
 		}
 		fix.shards = shards
-		scr, _, err := core.TrainScreener(fix.inst.Classifier, fix.inst.Train, cfg, opt)
-		if err != nil {
-			panic(err)
-		}
-		fix.global = scr
 	})
-	return fix.inst, fix.shards, fix.global
+	return fix.inst, fix.shards
 }
 
 // startWorkers serves each shard from `replicas` httptest servers
@@ -181,7 +179,7 @@ func TestParseShardMap(t *testing.T) {
 
 func TestWorkerEndpoints(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, shards, _ := fixture(t)
+	_, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +229,7 @@ func TestWorkerEndpoints(t *testing.T) {
 // the worker's SLO window — so a scrape publishes no gauges for them.
 func TestWorkerUnknownPathsBounded(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, shards, _ := fixture(t)
+	_, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +272,7 @@ func TestWorkerUnknownPathsBounded(t *testing.T) {
 // a server in front counts the answer partial.
 func TestRouterPartialOnShardDown(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, srvs := startWorkers(t, shards, 2, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 2 * time.Second})
 
@@ -331,7 +329,7 @@ func TestRouterPartialOnShardDown(t *testing.T) {
 // query errors rather than returning an empty merge.
 func TestRouterAllShardsDown(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, srvs := startWorkers(t, shards, 1, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls})
 	for _, group := range srvs {
@@ -352,7 +350,7 @@ func TestRouterAllShardsDown(t *testing.T) {
 // one within a single query — no probe loop involved.
 func TestRouterFailover(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, srvs := startWorkers(t, shards, 2, nil)
 	// Kill replica 0 of every shard; replica order for the first query
 	// starts at the round-robin cursor 0, so attempt 1 hits the corpse.
@@ -391,7 +389,7 @@ func TestRouterFailover(t *testing.T) {
 // transient 500 does not degrade the response.
 func TestRouterRetrySameReplica(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	var flaked sync.Map // shard → true once it has already failed one screen
 	urls, _ := startWorkers(t, shards, 1, func(shard, _ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
@@ -427,7 +425,7 @@ func TestRouterRetrySameReplica(t *testing.T) {
 // shard tries each replica once, and a healthy shard is asked once.
 func TestRouterAttemptBudget(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	var hits [fixShards][3]atomic.Int32
 	var failing atomic.Int32 // the shard whose replicas all answer 500
 	urls, _ := startWorkers(t, shards, 3, func(shard, rep int, h http.Handler) http.Handler {
@@ -500,7 +498,7 @@ func TestRouterAttemptBudget(t *testing.T) {
 // last resort, so a fully-ejected shard keeps serving.
 func TestRouterHealthEjectAndReadmit(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	var down sync.Map // shard index → readiness off
 	urls, _ := startWorkers(t, shards, 1, func(shard, _ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
@@ -565,7 +563,7 @@ func TestRouterHealthEjectAndReadmit(t *testing.T) {
 // is TestFaultOutcomes' "cancel mid-scatter" row.)
 func TestRouterCancellation(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	stop := make(chan struct{})
 	urls, _ := startWorkers(t, shards, 1, func(_, _ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
@@ -595,7 +593,7 @@ func TestRouterCancellation(t *testing.T) {
 // query can silently lose classes.
 func TestDialValidation(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, shards, _ := fixture(t)
+	_, shards := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 
 	// A good map: Dial learns the geometry and the uniform version.
@@ -687,25 +685,27 @@ func stubShardAs(t *testing.T, info, reply ShardInfo, cands []WireCandidate) str
 // TestRouterDedupesOverlappingReplies: a reply is merged only if it
 // comes from the shard the router dialed. A replica whose candidates
 // leave its slice (shard A, rows [0,2), reporting class 3 at logit 9),
-// or whose reply claims another slice, is a failed attempt: the shard
+// whose reply claims another slice, or whose item repeats a class or
+// lists classes out of the ascending order a worker's top-m select
+// returns, is a failed attempt, counted in shard_rpc_errors: the shard
 // fails over to an honest replica, and ends partial when it has none.
-// A class repeated inside one reply still collapses to its highest
-// logit.
 func TestRouterDedupesOverlappingReplies(t *testing.T) {
 	testkit.NoLeaks(t)
 	infoA := ShardInfo{Offset: 0, Classes: 2, Hidden: 3, Version: "v1"}
 	infoB := ShardInfo{Offset: 2, Classes: 2, Hidden: 3, Version: "v2"}
-	outOfSlice := stubShard(t, infoA, []WireCandidate{{Class: 3, Logit: 9}, {Class: 0, Logit: 1}})
+	outOfSlice := stubShard(t, infoA, []WireCandidate{{Class: 0, Logit: 1}, {Class: 3, Logit: 9}})
 	asShardB := stubShardAs(t, infoA, infoB, []WireCandidate{{Class: 1, Logit: 8}})
-	honestA := stubShard(t, infoA, []WireCandidate{{Class: 1, Logit: 2}, {Class: 0, Logit: 1}})
-	b := stubShard(t, infoB, []WireCandidate{{Class: 3, Logit: 1}, {Class: 2, Logit: 5}, {Class: 3, Logit: 4}})
+	repeats := stubShard(t, infoA, []WireCandidate{{Class: 0, Logit: 1}, {Class: 0, Logit: 7}, {Class: 1, Logit: 2}})
+	descending := stubShard(t, infoA, []WireCandidate{{Class: 1, Logit: 2}, {Class: 0, Logit: 1}})
+	honestA := stubShard(t, infoA, []WireCandidate{{Class: 0, Logit: 1}, {Class: 1, Logit: 2}})
+	b := stubShard(t, infoB, []WireCandidate{{Class: 2, Logit: 5}, {Class: 3, Logit: 4}})
 	batch := [][]float32{{1, 2, 3}}
 	want := []distributed.Candidate{{Class: 2, Logit: 5}, {Class: 3, Logit: 4}, {Class: 1, Logit: 2}, {Class: 0, Logit: 1}}
 
-	for _, liar := range []string{outOfSlice, asShardB} {
+	for _, liar := range []string{outOfSlice, asShardB, repeats, descending} {
 		// The liar is replica 0, so the first query tries it first.
 		r := dialT(t, RouterConfig{ShardMap: [][]string{{liar, honestA}, {b}}})
-		failBefore := mFailoverTotal.Value()
+		failBefore, errBefore := mFailoverTotal.Value(), mShardRPCErrors.Value()
 		outs, p, err := r.ClassifyBatchPartial(context.Background(), batch, 4, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -715,6 +715,9 @@ func TestRouterDedupesOverlappingReplies(t *testing.T) {
 		}
 		if d := mFailoverTotal.Value() - failBefore; d != 1 {
 			t.Fatalf("failover_total delta %d, want 1", d)
+		}
+		if d := mShardRPCErrors.Value() - errBefore; d != 1 {
+			t.Fatalf("shard_rpc_errors delta %d, want 1", d)
 		}
 		assertOutcome(t, 0, outs[0], want)
 

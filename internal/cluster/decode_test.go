@@ -14,7 +14,7 @@ import (
 // the router's merged argmax.
 func TestDecodeScorerOverCluster(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, _ := startWorkers(t, shards, 2, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls})
 

@@ -25,7 +25,7 @@ import (
 // exactly what distributed.Classify does.
 func faultQuery(t *testing.T, f testkit.Fault, setup func(*testkit.FaultTransport)) {
 	t.Helper()
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, _ := startWorkers(t, shards, 2, nil)
 	bad, err := url.Parse(urls[1][0])
 	if err != nil {
@@ -116,7 +116,7 @@ func serverOutcomes() (n [telemetry.NumOutcomes]int64) {
 // full answer; only the 500 is an error in the worker's window.
 func TestFaultOutcomes(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	const none = telemetry.NumOutcomes
 	for _, c := range []struct {
 		name    string

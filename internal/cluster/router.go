@@ -349,7 +349,7 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 	outs := make([]server.Outcome, len(batch))
 	pool := make([]distributed.Candidate, 0, len(r.shards)*per)
 	// top_k = 0 still ranks one, as server.Local does: its head is the
-	// class. (MergeDedup reads a topK <= 0 as "keep everything".)
+	// class. (Merge reads a topK <= 0 as "keep everything".)
 	topK = max(topK, 0)
 	rank := max(topK, 1)
 	// One top-k backing array for the whole batch instead of one
@@ -367,9 +367,9 @@ func (r *Router) ClassifyBatchPartial(ctx context.Context, batch [][]float32, m,
 				pool = append(pool, distributed.Candidate{Class: c.Class, Logit: c.Logit})
 			}
 		}
-		// MergeDedup, not Merge: checkReply keeps every candidate in
-		// its shard's slice, but a reply may still repeat a class.
-		merged := distributed.MergeDedup(pool, rank)
+		// checkReply kept each reply's classes strictly ascending
+		// inside its own shard's slice, so no class is in the pool twice.
+		merged := distributed.Merge(pool, rank)
 		start := len(ckAll)
 		for _, c := range merged[:min(topK, len(merged))] {
 			ckAll = append(ckAll, server.Candidate{Class: c.Class, Logit: c.Logit})
@@ -481,10 +481,13 @@ func (r *Router) rpcOnce(ctx context.Context, s *routerShard, rep *replica, bin 
 
 // checkReply holds a decoded reply to the shard's identity: the item
 // count the router sent, the slice geometry learned at Dial, and every
-// candidate inside that slice. A replica restarted as another shard
-// behind the same address answers with someone else's slice; merging
-// it would score that slice twice and this one never, so the reply is
-// a failed attempt instead and the shard fails over (or ends partial).
+// item's classes inside that slice and strictly ascending, the order
+// a worker's top-m select returns them in. A replica restarted as
+// another shard behind the same address answers with someone else's
+// slice; merging it would score that slice twice and this one never,
+// and a repeated class would take two places in the top-k. Such a
+// reply is a failed attempt instead and the shard fails over (or ends
+// partial).
 func (s *routerShard) checkReply(sr *ScreenResponse, nItems int) error {
 	if len(sr.Items) != nItems {
 		return fmt.Errorf("%d items in reply, want %d", len(sr.Items), nItems)
@@ -494,9 +497,12 @@ func (s *routerShard) checkReply(sr *ScreenResponse, nItems int) error {
 			sr.Offset, sr.Offset+sr.Classes, s.offset, s.offset+s.classes)
 	}
 	for _, item := range sr.Items {
-		for _, c := range item {
+		for j, c := range item {
 			if c.Class < s.offset || c.Class >= s.offset+s.classes {
 				return fmt.Errorf("candidate class %d outside rows [%d,%d)", c.Class, s.offset, s.offset+s.classes)
+			}
+			if j > 0 && c.Class <= item[j-1].Class {
+				return fmt.Errorf("candidate class %d after %d: classes not strictly ascending", c.Class, item[j-1].Class)
 			}
 		}
 	}

@@ -76,7 +76,7 @@ func postScreen(t testing.TB, client *http.Client, base string, c screenCase) (i
 // own pipeline bit for bit; every refusal carries a JSON error body.
 func TestWorkerScreenContentTypes(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestWorkerScreenContentTypes(t *testing.T) {
 // TestWorkerScreenCanceled: a screen the router has already abandoned
 // answers 499 and leaves no error in the worker's SLO window.
 func TestWorkerScreenCanceled(t *testing.T) {
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestReadFrameLyingLengthPrefix(t *testing.T) {
 // neither panics nor answers anything but 200 or 400, and a 200 is a
 // frame that decodes to one candidate list per request item.
 func FuzzWorkerScreenBody(f *testing.F) {
-	inst, shards, _ := fixture(f)
+	inst, shards := fixture(f)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		f.Fatal(err)
@@ -223,7 +223,7 @@ func FuzzWorkerScreenBody(f *testing.F) {
 // another codec — and leaves the replicas serving well-formed traffic.
 func TestWorker400IsAnRPCFailure(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	var mu sync.Mutex
 	posts := map[int][]string{} // replica → Content-Type of each screen POST
 	urls, _ := startWorkers(t, shards[:1], 2, func(_, rep int, h http.Handler) http.Handler {
@@ -266,7 +266,7 @@ func TestWorker400IsAnRPCFailure(t *testing.T) {
 // distinctVersions — a data race this test trips under -race.
 func TestModelVersionConcurrentWithQueries(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 5 * time.Second})
 	ctx := context.Background()
@@ -307,7 +307,7 @@ func TestModelVersionConcurrentWithQueries(t *testing.T) {
 // makes the transport open a fresh connection per RPC.
 func TestKeepAliveConnectionReuse(t *testing.T) {
 	testkit.NoLeaks(t)
-	_, shards, _ := fixture(t)
+	_, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)
@@ -353,12 +353,11 @@ func TestKeepAliveConnectionReuse(t *testing.T) {
 // the all-healthy fast path. The absolute number includes
 // net/http client machinery (connection pool bookkeeping, header
 // maps), so the guard is on the MARGINAL allocations per extra batch
-// item — the part the merge loop and codec own. MergeDedup's
-// sort.Slice costs a handful per item; the former per-item `ck :=
-// make(...)` and JSON decode pushed this past 40.
+// item — the part the merge loop and codec own. The former per-item
+// `ck := make(...)` and JSON decode pushed this past 40.
 func TestRouterFastPathAllocs(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 	r := dialT(t, RouterConfig{ShardMap: urls, Timeout: 5 * time.Second})
 	ctx := context.Background()
@@ -405,7 +404,7 @@ func repeatBatch(src [][]float32, n int) [][]float32 {
 // against in-process httptest workers — wire codec, HTTP, merge.
 // Run with -benchmem to watch the allocs/op guard's raw number.
 func BenchmarkRouterFastPath(b *testing.B) {
-	inst, shards, _ := fixture(b)
+	inst, shards := fixture(b)
 	urls := make([][]string, len(shards))
 	for i, sh := range shards {
 		w, err := NewWorker(sh)

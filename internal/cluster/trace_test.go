@@ -16,7 +16,7 @@ import (
 // request shipped a trace context — the untraced hot path pays
 // nothing for tracing.
 func TestWorkerSpansOnlyWhenTraced(t *testing.T) {
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestWorkerSpansOnlyWhenTraced(t *testing.T) {
 // nested inside their RPC span.
 func TestDistributedTraceCapture(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	urls, _ := startWorkers(t, shards, 1, nil)
 
 	tr := telemetry.NewTracer()
@@ -151,7 +151,7 @@ func TestDistributedTraceCapture(t *testing.T) {
 // carries no trace headers, so workers stay on the global-tracer path.
 func TestUntracedRouterSendsNoHeaders(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst, shards, _ := fixture(t)
+	inst, shards := fixture(t)
 	sawTrace := false
 	urls, _ := startWorkers(t, shards, 1, func(_, _ int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
@@ -175,7 +175,7 @@ func TestUntracedRouterSendsNoHeaders(t *testing.T) {
 
 // TestWorkerMetricsEndpoint: the worker scrapes valid exposition too.
 func TestWorkerMetricsEndpoint(t *testing.T) {
-	_, shards, _ := fixture(t)
+	_, shards := fixture(t)
 	w, err := NewWorker(shards[0])
 	if err != nil {
 		t.Fatal(err)

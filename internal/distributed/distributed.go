@@ -2,28 +2,31 @@
 // scale-out the paper sketches in its related-work discussion: "our
 // design can scale-out from single-node to distributed nodes, where
 // each node keeps an approximate screener". Classes are sharded
-// row-wise across nodes (ShardRange, ShardOne, ShardClassifier); every
-// node screens its shard with its own screener, recomputes its local
-// candidates exactly, and ships only the candidate (class, logit)
-// pairs to an aggregator that merges the global top-k (Merge,
-// MergeDedup) — the same decomposition capacity-driven recommendation
-// inference uses (Lui et al., ISPASS 2021). Classify runs that scatter
-// in process; it is the reference the networked cluster router must
-// match bit for bit. The scale-out performance model lives with its
-// experiment (experiments.ExtScaleOut).
+// row-wise across nodes (ShardRange, ShardOne, ShardClassifier): a
+// node holds rows [off,end) of the model's one classifier and one
+// screener, screens them, recomputes its local candidates exactly,
+// and ships only the candidate (class, logit) pairs to an aggregator
+// that merges the global top-k (Merge) — the same decomposition
+// capacity-driven recommendation inference uses (Lui et al., ISPASS
+// 2021). Classify runs that scatter in process; it is the reference
+// the networked cluster router must match bit for bit. The scale-out
+// performance model lives with its experiment
+// (experiments.ExtScaleOut).
 package distributed
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"enmc/internal/core"
+	"enmc/internal/quant"
 	"enmc/internal/tensor"
 )
 
-// Shard is one node's slice of the class space: a classifier over
-// rows [Offset, Offset+Classifier.Categories) of the global problem,
-// with its own locally trained screener.
+// Shard is one node's slice of the class space: rows [Offset,
+// Offset+Classifier.Categories) of the model's classifier and of its
+// screener.
 type Shard struct {
 	Offset     int
 	Classifier *core.Classifier
@@ -68,38 +71,19 @@ func Classify(shards []Shard, h []float32, perShardM, topK int) ([]Candidate, er
 // (ties broken by ascending class) and truncates to topK (topK <= 0
 // keeps everything). It mutates and returns cands. This is the
 // aggregator step shared by the in-process scatter (Classify) and the
-// networked cluster router.
+// networked cluster router; the pool must not repeat a class (shards
+// are disjoint, and the router refuses a reply that repeats one).
 func Merge(cands []Candidate, topK int) []Candidate {
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].Logit != cands[b].Logit {
-			return cands[a].Logit > cands[b].Logit
+	slices.SortFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Logit, a.Logit); c != 0 {
+			return c
 		}
-		return cands[a].Class < cands[b].Class
+		return cmp.Compare(a.Class, b.Class)
 	})
 	if topK > 0 && len(cands) > topK {
 		cands = cands[:topK]
 	}
 	return cands
-}
-
-// MergeDedup is Merge over untrusted replies: in-process shards are
-// disjoint by construction, but a networked shard map can overlap (a
-// misconfigured router, a double reply), so duplicate class entries
-// collapse to their highest logit before ranking.
-func MergeDedup(cands []Candidate, topK int) []Candidate {
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].Class != cands[b].Class {
-			return cands[a].Class < cands[b].Class
-		}
-		return cands[a].Logit > cands[b].Logit
-	})
-	uniq := cands[:0]
-	for _, c := range cands {
-		if len(uniq) == 0 || c.Class != uniq[len(uniq)-1].Class {
-			uniq = append(uniq, c)
-		}
-	}
-	return Merge(uniq, topK)
 }
 
 // ShardCount reports how many non-empty row shards splitting l
@@ -132,38 +116,49 @@ func ShardRange(l, n, i int) (off, end int, err error) {
 	return off, end, nil
 }
 
-// ShardOne builds shard i of an n-way split: the row-slice
-// sub-classifier plus a screener trained locally on the given
-// samples. The per-shard seed is derived from the row offset, so a
-// worker process building only its own shard produces bit-identical
-// parameters to ShardClassifier building all of them.
-func ShardOne(cls *core.Classifier, n, i int, samples [][]float32, cfg core.Config, opt core.TrainOptions) (Shard, error) {
-	off, end, err := ShardRange(cls.Categories(), n, i)
+// ShardOne builds shard i of an n-way split of the model (cls, scr):
+// rows [off,end) of the classifier and of the screener's quantized
+// weights, scales and bias, under the screener's one projection P.
+// A shard trains nothing: it screens exactly its rows of what the
+// whole screener screens.
+// The shard owns copies of its rows (the classifier's through
+// tensor.NewMatrix, so huge-page advice applies): a worker that keeps
+// only its shard lets the rest of the model go.
+func ShardOne(cls *core.Classifier, scr *core.Screener, n, i int) (Shard, error) {
+	l, d := cls.Categories(), cls.Hidden()
+	if scr.Cfg.Categories != l || scr.Cfg.Hidden != d {
+		return Shard{}, fmt.Errorf("distributed: screener l=%d d=%d for a %dx%d classifier",
+			scr.Cfg.Categories, scr.Cfg.Hidden, l, d)
+	}
+	if scr.QW == nil {
+		return Shard{}, fmt.Errorf("distributed: screener not frozen")
+	}
+	off, end, err := ShardRange(l, n, i)
 	if err != nil {
 		return Shard{}, err
 	}
-	sub := &tensor.Matrix{
-		Rows: end - off,
-		Cols: cls.Hidden(),
-		Data: cls.W.Data[off*cls.Hidden() : end*cls.Hidden()],
-	}
-	subCls, err := core.NewClassifier(sub, cls.B[off:end])
+	w := tensor.NewMatrix(end-off, d)
+	copy(w.Data, cls.W.Data[off*d:end*d])
+	subCls, err := core.NewClassifier(w, slices.Clone(cls.B[off:end]))
 	if err != nil {
 		return Shard{}, err
 	}
-	shardCfg := cfg
-	shardCfg.Categories = end - off
-	shardCfg.Seed = cfg.Seed + uint64(off)
-	scr, _, err := core.TrainScreener(subCls, samples, shardCfg, opt)
+	q := scr.QW
+	stride := quant.PayloadBytes(q.Bits, 1, q.Cols)
+	qw, err := quant.FromPayload(q.Bits, end-off, q.Cols, slices.Clone(q.Scales[off:end]),
+		slices.Clone(q.Payload()[off*stride:end*stride]))
 	if err != nil {
 		return Shard{}, err
 	}
-	return Shard{Offset: off, Classifier: subCls, Screener: scr}, nil
+	cfg := scr.Cfg
+	cfg.Categories = end - off
+	subScr := &core.Screener{Cfg: cfg, P: scr.P, Bt: slices.Clone(scr.Bt[off:end]), QW: qw}
+	return Shard{Offset: off, Classifier: subCls, Screener: subScr}, nil
 }
 
-// ShardClassifier splits a global classifier into n row-contiguous
-// shards and trains a screener per shard on the given samples.
-func ShardClassifier(cls *core.Classifier, n int, samples [][]float32, cfg core.Config, opt core.TrainOptions) ([]Shard, error) {
+// ShardClassifier splits the model (cls, scr) into n row-contiguous
+// shards (see ShardOne).
+func ShardClassifier(cls *core.Classifier, scr *core.Screener, n int) ([]Shard, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("distributed: non-positive shard count %d", n)
 	}
@@ -174,7 +169,7 @@ func ShardClassifier(cls *core.Classifier, n int, samples [][]float32, cfg core.
 	count := ShardCount(l, n)
 	shards := make([]Shard, 0, count)
 	for i := 0; i < count; i++ {
-		sh, err := ShardOne(cls, n, i, samples, cfg, opt)
+		sh, err := ShardOne(cls, scr, n, i)
 		if err != nil {
 			return nil, err
 		}

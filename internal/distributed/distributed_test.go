@@ -15,16 +15,31 @@ func testInstance(t *testing.T) *workload.Instance {
 	return workload.Generate(spec, workload.GenOptions{Seed: 13, Train: 256, Valid: 16, Test: 24})
 }
 
-func trainCfg() core.Config {
-	return core.Config{Categories: 480, Hidden: 64, Reduced: 16, Precision: quant.INT4, Seed: 2}
+// testScreener trains the instance's screener for the given epochs.
+func testScreener(t *testing.T, inst *workload.Instance, epochs int) *core.Screener {
+	t.Helper()
+	cfg := core.Config{Categories: 480, Hidden: 64, Reduced: 16, Precision: quant.INT4, Seed: 2}
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, cfg, core.TrainOptions{Epochs: epochs, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return scr
+}
+
+// testShards splits the instance's model, with a screener trained
+// for the given epochs, into n shards.
+func testShards(t *testing.T, inst *workload.Instance, n, epochs int) []Shard {
+	t.Helper()
+	shards, err := ShardClassifier(inst.Classifier, testScreener(t, inst, epochs), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shards
 }
 
 func TestShardClassifierSplits(t *testing.T) {
 	inst := testInstance(t)
-	shards, err := ShardClassifier(inst.Classifier, 4, inst.Train, trainCfg(), core.TrainOptions{Epochs: 6, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := testShards(t, inst, 4, 6)
 	if len(shards) != 4 {
 		t.Fatalf("shards = %d", len(shards))
 	}
@@ -35,11 +50,15 @@ func TestShardClassifierSplits(t *testing.T) {
 	if total != 480 {
 		t.Fatalf("shards cover %d classes", total)
 	}
-	if _, err := ShardClassifier(inst.Classifier, 0, inst.Train, trainCfg(), core.TrainOptions{}); err == nil {
+	scr := shards[0].Screener // any screener: the count is checked first
+	if _, err := ShardClassifier(inst.Classifier, scr, 0); err == nil {
 		t.Fatal("zero shards accepted")
 	}
-	if _, err := ShardClassifier(inst.Classifier, 481, inst.Train, trainCfg(), core.TrainOptions{}); err == nil {
+	if _, err := ShardClassifier(inst.Classifier, scr, 481); err == nil {
 		t.Fatal("more shards than classes accepted")
+	}
+	if _, err := ShardOne(inst.Classifier, scr, 4, 0); err == nil {
+		t.Fatal("a screener of another shape accepted")
 	}
 }
 
@@ -49,10 +68,7 @@ func TestShardClassifierSplits(t *testing.T) {
 // compare both against exact).
 func TestShardedMatchesSingleNode(t *testing.T) {
 	inst := testInstance(t)
-	shards, err := ShardClassifier(inst.Classifier, 4, inst.Train, trainCfg(), core.TrainOptions{Epochs: 8, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := testShards(t, inst, 4, 8)
 	hits := 0
 	for _, h := range inst.Test {
 		merged, err := Classify(shards, h, 12, 5)
@@ -93,10 +109,7 @@ func TestClassifyValidation(t *testing.T) {
 		t.Fatal("incomplete shard accepted")
 	}
 	inst := testInstance(t)
-	shards, err := ShardClassifier(inst.Classifier, 2, inst.Train, trainCfg(), core.TrainOptions{Epochs: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := testShards(t, inst, 2, 2)
 	merged, err := Classify(shards, inst.Test[0], 4, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -114,10 +127,7 @@ func TestClassifyCtxErrorPaths(t *testing.T) {
 		t.Fatal("empty shards accepted")
 	}
 	inst := testInstance(t)
-	shards, err := ShardClassifier(inst.Classifier, 2, inst.Train, trainCfg(), core.TrainOptions{Epochs: 2, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := testShards(t, inst, 2, 2)
 	broken := []Shard{shards[0], {Offset: shards[1].Offset, Classifier: shards[1].Classifier}}
 	if _, err := Classify(broken, inst.Test[0], 4, 3); err == nil || !strings.Contains(err.Error(), "shard 1") {
 		t.Fatalf("incomplete shard 1: err = %v", err)

@@ -1,9 +1,10 @@
 package distributed
 
 import (
+	"slices"
 	"testing"
 
-	"enmc/internal/core"
+	"enmc/internal/quant"
 )
 
 // TestMergeOrderingAndTies: the aggregator must rank descending by
@@ -40,43 +41,25 @@ func TestMergeEmpty(t *testing.T) {
 	if got := Merge(nil, 5); len(got) != 0 {
 		t.Fatalf("merge(nil) = %+v", got)
 	}
-	if got := MergeDedup([]Candidate{}, 5); len(got) != 0 {
-		t.Fatalf("mergeDedup(empty) = %+v", got)
-	}
-}
-
-// TestMergeDedupDuplicateClasses: duplicate class indices across
-// shard replies (a mis-wired networked shard map) collapse to the
-// highest logit before ranking.
-func TestMergeDedupDuplicateClasses(t *testing.T) {
-	in := []Candidate{
-		{Class: 5, Logit: 0.5},
-		{Class: 2, Logit: 0.7},
-		{Class: 5, Logit: 1.0}, // same class, higher logit, other "shard"
-		{Class: 2, Logit: 0.7}, // exact duplicate pair
-	}
-	got := MergeDedup(in, 0)
-	want := []Candidate{{5, 1.0}, {2, 0.7}}
-	if len(got) != len(want) {
-		t.Fatalf("deduped to %d candidates (%+v), want %d", len(got), got, len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("deduped[%d] = %+v, want %+v", i, got[i], want[i])
-		}
+	if got := Merge([]Candidate{}, 5); len(got) != 0 {
+		t.Fatalf("merge(empty) = %+v", got)
 	}
 }
 
 // TestShardRangeAndShardOne: a worker building only its own slice
-// must agree with ShardClassifier building all of them — offsets,
-// shapes, and bit-identical screener parameters.
+// must agree with ShardClassifier building all of them, and each
+// shard holds copies of exactly rows [off,end) of the model's
+// classifier and screener (quantized weights, scales, bias) under the
+// model's one projection.
 func TestShardRangeAndShardOne(t *testing.T) {
 	inst := testInstance(t)
-	all, err := ShardClassifier(inst.Classifier, 3, inst.Train, trainCfg(), core.TrainOptions{Epochs: 2, Seed: 3})
+	whole := testScreener(t, inst, 2)
+	all, err := ShardClassifier(inst.Classifier, whole, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := inst.Classifier.Categories()
+	l, d := inst.Classifier.Categories(), inst.Classifier.Hidden()
+	stride := quant.PayloadBytes(whole.QW.Bits, 1, whole.QW.Cols)
 	covered := 0
 	for i, want := range all {
 		off, end, err := ShardRange(l, 3, i)
@@ -88,21 +71,25 @@ func TestShardRangeAndShardOne(t *testing.T) {
 				i, off, end, want.Offset, want.Offset+want.Classifier.Categories())
 		}
 		covered += end - off
-		one, err := ShardOne(inst.Classifier, 3, i, inst.Train, trainCfg(), core.TrainOptions{Epochs: 2, Seed: 3})
+		one, err := ShardOne(inst.Classifier, whole, 3, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.Offset != want.Offset {
-			t.Fatalf("ShardOne(%d) offset %d, want %d", i, one.Offset, want.Offset)
-		}
-		// Screener parameters must be bit-identical (same derived seed).
-		a, b := one.Screener.Wt.Data, want.Screener.Wt.Data
-		if len(a) != len(b) {
-			t.Fatalf("shard %d screener size %d vs %d", i, len(a), len(b))
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("shard %d screener weight %d differs: %v vs %v", i, j, a[j], b[j])
+		for _, sh := range []Shard{one, want} {
+			scr := sh.Screener
+			if sh.Offset != off || scr.P != whole.P || scr.Cfg.Categories != end-off || scr.Cfg.Seed != whole.Cfg.Seed {
+				t.Fatalf("shard %d: offset %d, %d rows, seed %d, shared P %v",
+					i, sh.Offset, scr.Cfg.Categories, scr.Cfg.Seed, scr.P == whole.P)
+			}
+			if !slices.Equal(sh.Classifier.W.Data, inst.Classifier.W.Data[off*d:end*d]) ||
+				!slices.Equal(sh.Classifier.B, inst.Classifier.B[off:end]) ||
+				!slices.Equal(scr.QW.Payload(), whole.QW.Payload()[off*stride:end*stride]) ||
+				!slices.Equal(scr.QW.Scales, whole.QW.Scales[off:end]) ||
+				!slices.Equal(scr.Bt, whole.Bt[off:end]) {
+				t.Fatalf("shard %d does not hold rows [%d,%d) of the model", i, off, end)
+			}
+			if &sh.Classifier.W.Data[0] == &inst.Classifier.W.Data[off*d] {
+				t.Fatalf("shard %d classifier aliases the model's weights", i)
 			}
 		}
 	}

@@ -27,7 +27,7 @@ import (
 
 // ExtScaleOut evaluates the related-work extension: sharding the
 // classifier across nodes, each with its own ENMC memory system and
-// locally trained screener. Reports speedup and parallel efficiency
+// its rows of the screener. Reports speedup and parallel efficiency
 // over 1–16 nodes for S10M.
 func ExtScaleOut(o PerfOptions) (*Table, error) {
 	o.defaults()

@@ -22,6 +22,9 @@ package testkit_test
 // cannot carry a NaN to a server). `make test-purego` runs the table
 // with the assembly kernels compiled out.
 //
+// TestShardSliceIdentity holds every row shard to its rows of the
+// whole screener's output, the invariant the sharded rows rest on.
+//
 // TestNonFiniteInputs covers what the HTTP endpoints receive instead
 // of a vector a float32 can hold: a NaN token, a value past float32's
 // range and the string "Infinity" each answer 400 wherever a vector
@@ -117,26 +120,14 @@ func newModel(t *testing.T, d int, bits quant.Bits) *model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &model{name: fmt.Sprintf("%v/l=%d,d=%d", bits, l, d), cls: inst.Classifier, scr: scr}
-	for i := 0; i < confShards; i++ {
-		off, end, err := distributed.ShardRange(l, confShards, i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sub, err := core.NewClassifier(&tensor.Matrix{
-			Rows: end - off, Cols: d, Data: inst.Classifier.W.Data[off*d : end*d],
-		}, inst.Classifier.B[off:end])
-		if err != nil {
-			t.Fatal(err)
-		}
-		shardCfg := cfg
-		shardCfg.Categories, shardCfg.Seed = end-off, cfg.Seed+uint64(off)
-		shardScr, err := core.ProjectedScreener(sub, shardCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.shards = append(f.shards, distributed.Shard{Offset: off, Classifier: sub, Screener: shardScr, Version: "conformance"})
+	shards, err := distributed.ShardClassifier(inst.Classifier, scr, confShards)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := range shards {
+		shards[i].Version = "conformance"
+	}
+	f := &model{name: fmt.Sprintf("%v/l=%d,d=%d", bits, l, d), cls: inst.Classifier, scr: scr, shards: shards}
 	poison := []float32{float32(math.Inf(1)), float32(math.NaN()), float32(math.Inf(-1))}
 	for i, h := range inst.Test {
 		f.items = append(f.items, h)
@@ -193,6 +184,49 @@ func TestConformance(t *testing.T) {
 				conformSingleNode(t, f)
 				conformSharded(t, f)
 			})
+		}
+	}
+}
+
+// TestShardSliceIdentity is the invariant a row shard rests on: every
+// shard of an n-way split screens exactly rows [off,end) of what the
+// whole screener screens, bit for bit, at every precision and with
+// per-row or per-tensor scales. l = 203 is a multiple of none of 2,
+// 3, 4, 8 or 64.
+func TestShardSliceIdentity(t *testing.T) {
+	const l, d = confClasses, 32
+	inst := workload.Generate(
+		workload.Spec{Name: "slices", Categories: l, Hidden: d, LatentRank: 8, ZipfS: 1},
+		workload.GenOptions{Seed: 5, Train: 1, Valid: 1, Test: confClean})
+	sc := core.GetScratch()
+	defer sc.Release()
+	for _, bits := range []quant.Bits{quant.INT2, quant.INT4, quant.INT8} {
+		for _, perTensor := range []bool{false, true} {
+			cfg := core.Config{Categories: l, Hidden: d, Reduced: d / 4, Precision: bits, PerTensor: perTensor, Seed: 9}
+			scr, err := core.ProjectedScreener(inst.Classifier, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole := make([]float32, l)
+			for n := 1; n <= 4; n++ {
+				shards, err := distributed.ShardClassifier(inst.Classifier, scr, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, h := range inst.Test {
+					scr.ScreenInto(whole, h, sc)
+					for _, sh := range shards {
+						got := make([]float32, sh.Screener.Cfg.Categories)
+						sh.Screener.ScreenInto(got, h, sc)
+						for j, v := range got {
+							if w := whole[sh.Offset+j]; math.Float32bits(v) != math.Float32bits(w) {
+								t.Fatalf("%v per-tensor=%v, %d shards: row %d = %v, whole screener %v",
+									bits, perTensor, n, sh.Offset+j, v, w)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math"
 
 	"enmc/internal/core"
+	"enmc/internal/quant"
 	"enmc/internal/tensor"
 	"enmc/internal/xrand"
 )
@@ -307,6 +308,22 @@ func Demo(classes, dim int, seed uint64) *Instance {
 	return Generate(
 		Spec{Name: "demo", Categories: classes, Hidden: dim, LatentRank: 32, ZipfS: 1.05},
 		GenOptions{Seed: seed, Train: 512, Valid: 32, Test: 32})
+}
+
+// DemoScreener trains the screener the serving tools pair with cls
+// when no screener is given: k = d/4 at the given precision, distilled
+// over feats for the given epochs, projection seed seed and SGD seed
+// seed+1. enmc-serve's demo model and every enmc-shard demo worker
+// given the same -demo-*, -epochs and -bits flags hold it bit for bit.
+func DemoScreener(cls *core.Classifier, feats [][]float32, bits quant.Bits, epochs int, seed uint64) (*core.Screener, error) {
+	scr, _, err := core.TrainScreener(cls, feats, core.Config{
+		Categories: cls.Categories(),
+		Hidden:     cls.Hidden(),
+		Reduced:    cls.Hidden() / 4,
+		Precision:  bits,
+		Seed:       seed,
+	}, core.TrainOptions{Epochs: epochs, Seed: seed + 1})
+	return scr, err
 }
 
 // zipf draws class indices with probability ∝ 1/(rank+2)^s over a
