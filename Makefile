@@ -89,7 +89,11 @@ testkit-check:
 # The serving binaries link serving code only: fail if enmc-serve or
 # enmc-shard links a simulator or experiment package, or if one of
 # those links a serving package. (experiments may link decode: the
-# beam experiment runs the serving decode session.)
+# beam experiment runs the serving decode session.) They also never
+# train — they load what enmc-train writes or publishes — so fail if
+# `go tool nm` lists core.TrainScreener in either binary (both linked
+# it, with workload.DemoScreener and core.ProjectedScreener, while
+# they trained a demo model at boot).
 SIMULATOR = dram isa enmc compiler energy nmp system funcsim image host cpuhost experiments
 SERVING = server cluster registry tenant
 deps-check:
@@ -102,7 +106,14 @@ deps-check:
 		grep -E " enmc/internal/($$serving)( |$$)" | cut -d' ' -f1)"; \
 	if [ -n "$$out" ]; then \
 		echo "simulator package linking serving code:"; echo "$$out"; exit 1; \
-	fi
+	fi; \
+	bin=$$(mktemp -d) && trap 'rm -rf "$$bin"' EXIT && \
+	for cmd in enmc-serve enmc-shard; do \
+		$(GO) build -o "$$bin/$$cmd" ./cmd/$$cmd && syms="$$($(GO) tool nm "$$bin/$$cmd")" || exit 1; \
+		if echo "$$syms" | grep -q ' enmc/internal/core\.TrainScreener$$'; then \
+			echo "$$cmd links core.TrainScreener: a serving binary loads a model, it never trains one"; exit 1; \
+		fi; \
+	done
 
 # Non-test line counts (wc -l over the non-_test.go files) behind the
 # three size exit lines in ROADMAP.md, so those numbers are computed,

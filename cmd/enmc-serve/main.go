@@ -5,7 +5,6 @@
 //
 // Usage:
 //
-//	enmc-serve                             # demo model, :8080
 //	enmc-serve -classifier cls.bin -screener scr.bin -addr :8080
 //	enmc-serve -model-root ./models        # versioned registry + hot swap
 //	enmc-serve -cluster "h1:9090,h2:9090;h3:9091,h4:9091"
@@ -16,13 +15,26 @@
 //	enmc-serve -debug-addr :6060           # pprof + /metrics sidecar
 //	enmc-serve -trace -log-json            # distributed tracing +
 //	                                       # JSON request log on stderr
-//	enmc-serve -decode                     # streaming autoregressive
+//	enmc-serve -classifier cls.bin -screener scr.bin -decode
+//	                                       # streaming autoregressive
 //	                                       # decode sessions on
 //	                                       # POST /v1/decode (SSE/NDJSON)
+//	enmc-serve -cluster "..." -classifier cls.bin -decode
+//	                                       # decode over the cluster; the
+//	                                       # decoder reads the cluster
+//	                                       # model's classifier rows
 //	enmc-serve -tenants tenants.json       # multi-tenant QoS: API-key
 //	                                       # identity, per-tenant quotas,
 //	                                       # weighted-fair classes,
 //	                                       # pinned model versions
+//
+// The server only loads a model; it never trains one. enmc-train
+// distills the screener once, offline (enmc-train -demo writes a demo
+// classifier and feature file to try the flow on):
+//
+//	enmc-train -demo
+//	enmc-train -classifier demo-cls.bin -features demo-feats.bin -out demo-scr.bin
+//	enmc-serve -classifier demo-cls.bin -screener demo-scr.bin
 //
 // Endpoints: POST /v1/classify, POST /v1/classify_batch, POST
 // /v1/decode (with -decode), GET /v1/model, POST /v1/model/reload,
@@ -55,6 +67,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -70,7 +83,6 @@ import (
 	"enmc/internal/cluster"
 	"enmc/internal/core"
 	"enmc/internal/decode"
-	"enmc/internal/quant"
 	"enmc/internal/registry"
 	"enmc/internal/server"
 	"enmc/internal/telemetry"
@@ -109,9 +121,8 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	sloLatency := fs.Duration("slo-latency", 250*time.Millisecond, "SLO latency objective")
 	sloLatencyTarget := fs.Float64("slo-latency-target", 0.99, "fraction of requests that must beat -slo-latency")
 
-	clsPath := fs.String("classifier", "", "serialized classifier (SaveClassifier format)")
+	clsPath := fs.String("classifier", "", "serialized classifier (SaveClassifier format); with -cluster -decode, the cluster model's classifier the decoder reads")
 	scrPath := fs.String("screener", "", "serialized screener (SaveScreener format)")
-	featPath := fs.String("features", "", "serialized features to train the screener from when -screener is absent (WriteFeatures format)")
 
 	clusterMap := fs.String("cluster", "", "route to networked enmc-shard workers: replica URLs comma-separated, shards semicolon-separated (e.g. 'h1:9090,h2:9090;h3:9091,h4:9091')")
 	clusterTimeout := fs.Duration("cluster-timeout", 2*time.Second, "per-attempt shard RPC timeout (a shard tries every replica once, at least twice in all)")
@@ -120,13 +131,6 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	modelRoot := fs.String("model-root", "", "versioned model registry root (enables hot swap + /v1/model/reload)")
 	modelVersion := fs.String("model-version", "", "registry version to serve at startup (default newest)")
 	canaryFloor := fs.Float64("canary-floor", 0.9, "reject a reload whose screened recall@5 at -m, against its own classifier, falls below this fraction of the serving model's (negative: disable)")
-	canaryProbe := fs.String("canary-probe", "", "probe feature file (WriteFeatures format; default: version's shipped probe)")
-
-	demoClasses := fs.Int("demo-classes", 4096, "demo model: class count")
-	demoDim := fs.Int("demo-dim", 128, "demo model: hidden dimension")
-	demoSeed := fs.Uint64("demo-seed", 7, "demo model: generation/training seed")
-	epochs := fs.Int("epochs", 4, "screener distillation epochs")
-	bits := fs.Int("bits", 4, "screening precision: 2, 4 or 8")
 
 	decodeOn := fs.Bool("decode", false, "enable streaming autoregressive decode sessions on POST /v1/decode")
 	decodeMaxSessions := fs.Int("decode-max-sessions", 256, "concurrent decode stream cap (429 past this)")
@@ -149,6 +153,10 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 
+	if *clusterMap == "" && *modelRoot == "" && (*clsPath == "" || *scrPath == "") {
+		return errors.New("no model to serve: give -model-root, -classifier with -screener, or -cluster " +
+			"(enmc-train -demo writes a demo classifier and features to train a screener from)")
+	}
 	logger := log.New(stderr, "", log.LstdFlags)
 	if *traceOn {
 		// Install before Dial so the cluster router names its process
@@ -185,16 +193,9 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 		if err != nil {
 			return err
 		}
-		var probe [][]float32
-		if *canaryProbe != "" {
-			if probe, err = readFeatures(*canaryProbe); err != nil {
-				return err
-			}
-		}
 		mgr, err = registry.NewManager(store, *modelVersion, registry.Options{
 			TopM:        *topM,
 			RecallFloor: *canaryFloor,
-			Probe:       probe,
 			Logf:        logger.Printf,
 		})
 		if err != nil {
@@ -203,7 +204,10 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 		backend = mgr.Swappable()
 	} else {
 		var err error
-		if localCls, localScr, err = buildModel(logger, *clsPath, *scrPath, *featPath, *demoClasses, *demoDim, *demoSeed, *epochs, *bits); err != nil {
+		if localCls, err = readFile(*clsPath, core.ReadClassifier); err != nil {
+			return err
+		}
+		if localScr, err = readFile(*scrPath, core.ReadScreener); err != nil {
 			return err
 		}
 		if s := tensor.HugePageSummary(localCls.W.Data); s != "" {
@@ -279,14 +283,19 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 			return fmt.Errorf("-decode is not supported with -model-root (hot swap would invalidate session state)")
 		case router != nil:
 			// The decoder dynamics need the classifier rows, which a
-			// router never holds — regenerate the demo model the workers
-			// were sharded from (matching -demo-* flags reproduce it bit
-			// for bit).
-			if router.Categories() != *demoClasses || router.Hidden() != *demoDim {
-				return fmt.Errorf("-decode over -cluster: router serves %d×%d but -demo-classes/-demo-dim say %d×%d; point the demo flags at the cluster's model",
-					router.Categories(), router.Hidden(), *demoClasses, *demoDim)
+			// router never holds: read the cluster model's classifier.
+			if *clsPath == "" {
+				return errors.New("-decode over -cluster needs -classifier: the decoder reads the cluster model's classifier rows")
 			}
-			dec := workload.NewDecoderFor(workload.Demo(*demoClasses, *demoDim, *demoSeed).Classifier, *decodeSeed, *decodeMaxLen)
+			cls, err := readFile(*clsPath, core.ReadClassifier)
+			if err != nil {
+				return err
+			}
+			if router.Categories() != cls.Categories() || router.Hidden() != cls.Hidden() {
+				return fmt.Errorf("-decode over -cluster: router serves %d×%d but -classifier is %d×%d; point it at the cluster's model",
+					router.Categories(), router.Hidden(), cls.Categories(), cls.Hidden())
+			}
+			dec := workload.NewDecoderFor(cls, *decodeSeed, *decodeMaxLen)
 			decodeSvc = decode.NewService(dcfg, dec, func() decode.Scorer { return router.NewDecodeScorer() })
 			logger.Printf("decode sessions enabled over the cluster (per-token scatter)")
 		default:
@@ -381,56 +390,17 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	return nil
 }
 
-// buildModel loads the classifier/screener pair from disk, or trains
-// a synthetic demo pair when no paths are given.
-func buildModel(logger *log.Logger, clsPath, scrPath, featPath string, classes, dim int, seed uint64, epochs, bits int) (*core.Classifier, *core.Screener, error) {
-	if clsPath == "" {
-		logger.Printf("no -classifier given: training a %d×%d demo model", classes, dim)
-		inst := workload.Demo(classes, dim, seed)
-		scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.Bits(bits), epochs, seed)
-		return inst.Classifier, scr, err
-	}
-	f, err := os.Open(clsPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	cls, err := core.ReadClassifier(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", clsPath, err)
-	}
-	if scrPath != "" {
-		g, err := os.Open(scrPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer g.Close()
-		scr, err := core.ReadScreener(g)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", scrPath, err)
-		}
-		return cls, scr, nil
-	}
-	if featPath == "" {
-		return nil, nil, fmt.Errorf("need -screener or -features alongside -classifier")
-	}
-	feats, err := readFeatures(featPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	scr, err := workload.DemoScreener(cls, feats, quant.Bits(bits), epochs, seed)
-	return cls, scr, err
-}
-
-func readFeatures(path string) ([][]float32, error) {
+// readFile decodes the model file at path with read.
+func readFile[T any](path string, read func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	feats, err := core.ReadFeatures(f)
+	v, err := read(f)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return v, fmt.Errorf("%s: %w", path, err)
 	}
-	return feats, nil
+	return v, nil
 }

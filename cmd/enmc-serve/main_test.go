@@ -10,7 +10,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -37,9 +36,9 @@ import (
 	"enmc/internal/workload"
 )
 
-// The demo model every scenario serves: small enough to train in well
-// under a second, large enough that three shards each hold a real
-// slice.
+// The demo model every local and cluster scenario serves: small
+// enough to train in well under a second, large enough that three
+// shards each hold a real slice.
 const (
 	demoClasses = 480
 	demoDim     = 64
@@ -50,11 +49,6 @@ const (
 	// a batch tenant floods the server.
 	qosP99Budget = 500 * time.Millisecond
 )
-
-var demoFlags = []string{
-	"-demo-classes", fmt.Sprint(demoClasses), "-demo-dim", fmt.Sprint(demoDim),
-	"-demo-seed", fmt.Sprint(demoSeed), "-epochs", fmt.Sprint(demoEpochs),
-}
 
 // syncBuffer is an io.Writer several goroutines may log into.
 type syncBuffer struct {
@@ -138,18 +132,51 @@ func (s *served) stop(t *testing.T) {
 	})
 }
 
-// startFleet starts 3 shards × 2 replicas of the demo model, each
-// shard built exactly as enmc-shard builds it from the same -demo-*
-// flags: rows of the one demo screener; with reqLog non-nil every
-// worker writes its JSON request log there.
-func startFleet(t *testing.T, reqLog io.Writer) *fleet.Fleet {
+// scenarioModel is the demo classifier and a screener distilled from
+// its training set, written as the files -classifier and -screener
+// read.
+type scenarioModel struct{ cls, scr string }
+
+// writeModel trains the scenario model and writes it to a temporary
+// directory.
+func writeModel(t *testing.T) scenarioModel {
 	t.Helper()
 	inst := workload.Demo(demoClasses, demoDim, demoSeed)
-	scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.INT4, demoEpochs, demoSeed)
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
+		Categories: demoClasses, Hidden: demoDim, Reduced: demoDim / 4, Precision: quant.INT4, Seed: demoSeed,
+	}, core.TrainOptions{Epochs: demoEpochs, Seed: demoSeed + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := distributed.ShardClassifier(inst.Classifier, scr, 3)
+	dir := t.TempDir()
+	m := scenarioModel{cls: filepath.Join(dir, "cls.bin"), scr: filepath.Join(dir, "scr.bin")}
+	for path, w := range map[string]io.WriterTo{m.cls: inst.Classifier, m.scr: scr} {
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+// startFleet starts 3 shards × 2 replicas of m, each shard built
+// exactly as enmc-shard builds it: its rows of the model's one
+// classifier and screener, as read from m's files; with reqLog non-nil
+// every worker writes its JSON request log there.
+func startFleet(t *testing.T, m scenarioModel, reqLog io.Writer) *fleet.Fleet {
+	t.Helper()
+	cls, err := readFile(m.cls, core.ReadClassifier)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scr, err := readFile(m.scr, core.ReadScreener)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := distributed.ShardClassifier(cls, scr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +398,7 @@ func decodeSession(c *http.Client, base string, req server.DecodeRequest) (decod
 // them on the same addresses restores full merges and clean load.
 func TestClusterScenario(t *testing.T) {
 	testkit.NoLeaks(t)
-	f := startFleet(t, nil)
+	f := startFleet(t, writeModel(t), nil)
 	c := newClient(t)
 	s := startServe(t, c, "-cluster", f.Spec(), "-cluster-health-interval", "100ms")
 
@@ -429,19 +456,21 @@ func TestClusterScenario(t *testing.T) {
 	s.stop(t)
 }
 
-// TestDecodeScenario: streaming decode through run(-decode). Locally,
-// an SSE session streams 5 token frames then done; greedy and beam
-// (width 4) NDJSON load finishes every stream. (The session caps are
-// internal/server's tests: they need a stream held open.) Over the 3×2
-// cluster, killing a replica mid-session drops no stream: the tokens
-// that hit it fail over (cluster_failover_total rises on the debug
-// /metrics).
+// TestDecodeScenario: streaming decode through run(-decode) over one
+// model. Locally (-classifier -screener), an SSE session streams 5
+// token frames then done; greedy and beam (width 4) NDJSON load
+// finishes every stream. (The session caps are internal/server's
+// tests: they need a stream held open.) Over the 3×2 cluster of the
+// same model, decode needs -classifier for the decoder; with it,
+// killing a replica mid-session drops no stream: the tokens that hit
+// it fail over (cluster_failover_total rises on the debug /metrics).
 func TestDecodeScenario(t *testing.T) {
 	testkit.NoLeaks(t)
 	c := newClient(t)
 	h0 := randVec(rand.New(rand.NewSource(1)), demoDim)
+	m := writeModel(t)
 
-	s := startServe(t, c, append([]string{"-decode", "-decode-maxlen", "24"}, demoFlags...)...)
+	s := startServe(t, c, "-classifier", m.cls, "-screener", m.scr, "-decode", "-decode-maxlen", "24")
 	checkWeightsLine(t, s.stderr.String())
 	body, err := json.Marshal(server.DecodeRequest{H0: h0, MaxTokens: 5})
 	if err != nil {
@@ -495,9 +524,14 @@ func TestDecodeScenario(t *testing.T) {
 	}
 	s.stop(t)
 
-	f := startFleet(t, nil)
-	cs := startServe(t, c, append([]string{"-cluster", f.Spec(), "-cluster-health-interval", "100ms",
-		"-decode", "-decode-maxlen", "24", "-debug-addr", "127.0.0.1:0"}, demoFlags...)...)
+	f := startFleet(t, m, nil)
+	sig := make(chan os.Signal, 1)
+	sig <- syscall.SIGTERM // a server that did listen drains at once
+	if err := run([]string{"-addr", "127.0.0.1:0", "-cluster", f.Spec(), "-decode"}, &syncBuffer{}, sig, nil); err == nil || !strings.Contains(err.Error(), "needs -classifier") {
+		t.Fatalf("-cluster -decode without -classifier: run = %v, want an error asking for -classifier", err)
+	}
+	cs := startServe(t, c, "-cluster", f.Spec(), "-cluster-health-interval", "100ms", "-classifier", m.cls,
+		"-decode", "-decode-maxlen", "24", "-debug-addr", "127.0.0.1:0")
 	failovers := func() float64 { return total(scrape(t, c, cs.debug+"/metrics"), "cluster_failover_total") }
 	stop := decodeLoad(16, cs.api, server.DecodeRequest{})
 	waitFor(t, "cluster sessions", 30*time.Second, func() bool { return sessions.Load() >= 16 })
@@ -515,14 +549,35 @@ func TestDecodeScenario(t *testing.T) {
 	cs.stop(t)
 }
 
+// TestServeNeedsModel: the server never trains, so with no model flag
+// run returns an error naming the three ways to give it one and
+// enmc-train -demo, and never listens.
+func TestServeNeedsModel(t *testing.T) {
+	testkit.NoLeaks(t)
+	for _, args := range [][]string{nil, {"-classifier", "cls.bin"}} {
+		sig := make(chan os.Signal, 1)
+		sig <- syscall.SIGTERM // a server that did listen drains at once
+		err := run(append([]string{"-addr", "127.0.0.1:0"}, args...), &syncBuffer{}, sig,
+			func(api, _ string) { t.Errorf("%q: listened on %s without a model", args, api) })
+		if err == nil {
+			t.Fatalf("%q: run returned nil, want a no-model error", args)
+		}
+		for _, want := range []string{"-model-root", "-classifier", "-screener", "-cluster", "enmc-train -demo"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%q: error %q does not name %s", args, err, want)
+			}
+		}
+	}
+}
+
 // TestDecodeDefaultM: without -m, decode screens at the classify
-// path's default budget, classes/64 — 16 for a 1024-class demo — and
-// not at the decode package's own fallback of 24.
+// path's default budget, classes/64 — 7 for the 480-class scenario
+// model — and not at the decode package's own fallback of 24.
 func TestDecodeDefaultM(t *testing.T) {
 	testkit.NoLeaks(t)
 	c := newClient(t)
-	s := startServe(t, c, "-decode", "-demo-classes", "1024", "-demo-dim", fmt.Sprint(demoDim),
-		"-demo-seed", fmt.Sprint(demoSeed), "-epochs", "1")
+	m := writeModel(t)
+	s := startServe(t, c, "-classifier", m.cls, "-screener", m.scr, "-decode")
 	body, err := json.Marshal(server.DecodeRequest{H0: randVec(rand.New(rand.NewSource(2)), demoDim), MaxTokens: 3, Stream: "ndjson"})
 	if err != nil {
 		t.Fatal(err)
@@ -544,8 +599,8 @@ func TestDecodeDefaultM(t *testing.T) {
 		if line.Done {
 			break
 		}
-		if frames++; line.M != 16 {
-			t.Fatalf("frame %d screened at m=%d, want 16 (1024 classes / 64)", line.T, line.M)
+		if frames++; line.M != demoClasses/64 {
+			t.Fatalf("frame %d screened at m=%d, want %d (%d classes / 64)", line.T, line.M, demoClasses/64, demoClasses)
 		}
 	}
 	if frames == 0 {
@@ -564,7 +619,7 @@ func TestMetricsScenario(t *testing.T) {
 	prev := telemetry.Global()
 	t.Cleanup(func() { telemetry.SetGlobal(prev) })
 	shardLog := &syncBuffer{}
-	f := startFleet(t, shardLog)
+	f := startFleet(t, writeModel(t), shardLog)
 	c := newClient(t)
 	s := startServe(t, c, "-cluster", f.Spec(), "-cluster-health-interval", "100ms",
 		"-trace", "-log-json", "-slow-log", "100ms", "-debug-addr", "127.0.0.1:0")

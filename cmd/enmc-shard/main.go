@@ -6,25 +6,20 @@
 //
 // Usage:
 //
-//	enmc-shard -shard-index 0 -shard-count 3                    # demo model
-//	enmc-shard -model-root ./models -shard-index 1 -shard-count 3
+//	enmc-train -classifier cls.bin -features feats.bin -registry ./models -version v1
+//	enmc-shard -model-root ./models -shard-index 0 -shard-count 3
 //
-// The worker loads the GLOBAL model, classifier and screener, and
+// The worker only loads a model; it never trains one. It reads the
+// GLOBAL model from the registry, the version's classifier and its
+// published screener (-model-version pins it; default newest), and
 // keeps rows [off,end) of both (distributed.ShardOne): every worker
 // in a cluster holds exactly the rows an in-process
 // distributed.ShardClassifier split of the same model gives it, so
 // the router's merged top-k matches single-node classification at a
-// full budget. A real model reaches a worker through the registry:
-//
-//	enmc-train -classifier cls.bin -features feats.bin -registry ./models -version v1
-//	enmc-shard -model-root ./models -shard-index 0 -shard-count 3
-//
-// With -model-root the worker serves the version's own published
-// screener (-model-version pins it; default newest), and advertises
-// the manifest version in every shard reply so the router can surface
-// version skew during a rolling per-shard update. Without it the
-// worker trains the demo model enmc-serve trains from the same
-// -demo-*, -epochs and -bits flags, and keeps its rows of that.
+// full budget. It advertises the manifest version in every shard
+// reply so the router can surface version skew during a rolling
+// per-shard update. enmc-train -demo writes a demo classifier and
+// feature file to publish a demo version from.
 //
 // Endpoints: POST /v1/shard/screen, GET /v1/shard/info, GET /v1/slo,
 // GET /metrics (Prometheus text), GET /healthz, GET /readyz. A screen
@@ -37,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -50,13 +46,10 @@ import (
 	"time"
 
 	"enmc/internal/cluster"
-	"enmc/internal/core"
 	"enmc/internal/distributed"
-	"enmc/internal/quant"
 	"enmc/internal/registry"
 	"enmc/internal/telemetry"
 	"enmc/internal/tensor"
-	"enmc/internal/workload"
 )
 
 // readyGrace bounds how long a draining worker keeps its listener
@@ -88,24 +81,22 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	shardIndex := fs.Int("shard-index", 0, "this worker's shard (row-slice) index")
 	shardCount := fs.Int("shard-count", 1, "total shards in the cluster")
 
-	modelRoot := fs.String("model-root", "", "versioned model registry root (classifier + screener from the registry)")
+	modelRoot := fs.String("model-root", "", "versioned model registry root (classifier + screener from the registry; required)")
 	modelVersion := fs.String("model-version", "", "registry version to serve (default newest)")
 
 	logRequests := fs.Bool("log-requests", false, "emit one structured request-log record per shard RPC on stderr")
 	logJSON := fs.Bool("log-json", false, "request log as JSON lines (implies -log-requests; default: text)")
 	slowLog := fs.Duration("slow-log", 250*time.Millisecond, "request-log slow threshold: requests above this log at WARN")
 
-	demoClasses := fs.Int("demo-classes", 4096, "demo model: class count")
-	demoDim := fs.Int("demo-dim", 128, "demo model: hidden dimension")
-	demoSeed := fs.Uint64("demo-seed", 7, "demo model: generation/training seed")
-	epochs := fs.Int("epochs", 4, "demo model: screener distillation epochs")
-	bits := fs.Int("bits", 4, "demo model: screening precision: 2, 4 or 8")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown bound")
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits here
 
+	if *modelRoot == "" {
+		return errors.New("no model to serve: give -model-root " +
+			"(enmc-train -registry publishes a version; enmc-train -demo writes a demo classifier and features)")
+	}
 	logger := log.New(stderr, "", log.LstdFlags)
-	shard, err := loadShard(logger, *modelRoot, *modelVersion, *shardCount, *shardIndex,
-		*demoClasses, *demoDim, *demoSeed, *epochs, quant.Bits(*bits))
+	shard, err := loadShard(*modelRoot, *modelVersion, *shardCount, *shardIndex)
 	if err != nil {
 		return err
 	}
@@ -183,42 +174,25 @@ func run(args []string, stderr io.Writer, sig <-chan os.Signal, listening func(a
 	return nil
 }
 
-// loadShard slices this worker's rows out of the model it serves: a
-// registry version's classifier and published screener, or the demo
-// pair enmc-serve trains from the same flags.
-func loadShard(logger *log.Logger, modelRoot, modelVersion string, n, i, classes, dim int, seed uint64, epochs int, bits quant.Bits) (distributed.Shard, error) {
-	var (
-		cls     *core.Classifier
-		scr     *core.Screener
-		version string
-	)
-	if modelRoot != "" {
-		store, err := registry.Open(modelRoot)
-		if err != nil {
-			return distributed.Shard{}, err
-		}
-		if modelVersion == "" {
-			latest, err := store.Latest()
-			if err != nil {
-				return distributed.Shard{}, err
-			}
-			modelVersion = latest.Version
-		}
-		loaded, err := store.Load(modelVersion)
-		if err != nil {
-			return distributed.Shard{}, err
-		}
-		cls, scr, version = loaded.Classifier, loaded.Screener, loaded.Manifest.Version
-	} else {
-		logger.Printf("no -model-root given: training a %d×%d demo model", classes, dim)
-		inst := workload.Demo(classes, dim, seed)
-		var err error
-		if scr, err = workload.DemoScreener(inst.Classifier, inst.Train, bits, epochs, seed); err != nil {
-			return distributed.Shard{}, err
-		}
-		cls = inst.Classifier
+// loadShard slices this worker's rows out of a registry version's
+// classifier and published screener.
+func loadShard(modelRoot, modelVersion string, n, i int) (distributed.Shard, error) {
+	store, err := registry.Open(modelRoot)
+	if err != nil {
+		return distributed.Shard{}, err
 	}
-	sh, err := distributed.ShardOne(cls, scr, n, i)
-	sh.Version = version
+	if modelVersion == "" {
+		latest, err := store.Latest()
+		if err != nil {
+			return distributed.Shard{}, err
+		}
+		modelVersion = latest.Version
+	}
+	loaded, err := store.Load(modelVersion)
+	if err != nil {
+		return distributed.Shard{}, err
+	}
+	sh, err := distributed.ShardOne(loaded.Classifier, loaded.Screener, n, i)
+	sh.Version = loaded.Manifest.Version
 	return sh, err
 }

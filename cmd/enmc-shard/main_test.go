@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"enmc/internal/cluster"
+	"enmc/internal/core"
 	"enmc/internal/distributed"
 	"enmc/internal/quant"
 	"enmc/internal/registry"
@@ -158,30 +159,48 @@ func sameAsWorker(t *testing.T, c *http.Client, addr string, ref distributed.Sha
 	}
 }
 
-// TestShardScenario: run with demo flags and -log-json serves its
-// rows of the demo model enmc-serve trains from the same flags.
-// /v1/shard/info and a screen reply are Float32bits-identical to a
-// worker over rows [off,end) of that screener; the request log carries
-// req_id; SIGTERM turns /readyz to 503 before the listener goes, and
-// run then returns nil. No goroutine outlives run.
+// publishFixture publishes version v1 of a 96×32 model to a fresh
+// registry root: the classifier, the screener trained on its training
+// set, and its test set as the held-out probe set.
+func publishFixture(t *testing.T) (root string, inst *workload.Instance, scr *core.Screener) {
+	t.Helper()
+	inst = workload.Demo(96, 32, 3)
+	scr, _, err := core.TrainScreener(inst.Classifier, inst.Train, core.Config{
+		Categories: 96, Hidden: 32, Reduced: 8, Precision: quant.INT4, Seed: 3,
+	}, core.TrainOptions{Epochs: 2, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root = t.TempDir()
+	store, err := registry.Open(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Publish(registry.Manifest{Version: "v1"}, inst.Classifier, scr, inst.Test); err != nil {
+		t.Fatal(err)
+	}
+	return root, inst, scr
+}
+
+// TestShardScenario: run -model-root -log-json over the published
+// fixture serves screens, and its request log carries req_id; on
+// Linux it logs the huge-page line. SIGTERM turns /readyz to 503
+// before the listener goes, and run then returns nil. No goroutine
+// outlives run.
 func TestShardScenario(t *testing.T) {
 	testkit.NoLeaks(t)
+	root, inst, _ := publishFixture(t)
 	stderr := &syncBuffer{}
-	addr, sig, done := startShard(t, stderr, "-shard-index", "1", "-shard-count", "3",
-		"-demo-classes", "96", "-demo-dim", "32", "-epochs", "2", "-log-json")
-
-	inst := workload.Demo(96, 32, 7)
-	scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.INT4, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := distributed.ShardOne(inst.Classifier, scr, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr, sig, done := startShard(t, stderr, "-model-root", root, "-shard-index", "1", "-shard-count", "3", "-log-json")
 	c := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{}}
 	defer c.CloseIdleConnections()
-	sameAsWorker(t, c, addr, ref, inst.Test[:4])
+	frame, err := cluster.AppendScreenRequest(nil, 6, inst.Valid[:4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if items := screen(t, c, addr, frame); len(items) != 4 {
+		t.Fatalf("%d items screened, want 4", len(items))
+	}
 	if !strings.Contains(stderr.String(), `"req_id"`) {
 		t.Fatalf("no JSON request log with req_id:\n%s", stderr)
 	}
@@ -191,28 +210,15 @@ func TestShardScenario(t *testing.T) {
 	stop(t, c, addr, sig, done)
 }
 
-// TestShardServesPublishedScreener: with -model-root the worker serves
-// its rows of the version's own published screener — one trained on
-// the training set, not on the version's held-out probe set — and
-// advertises the version.
+// TestShardServesPublishedScreener: run -model-root serves its rows of
+// the version's own published screener — one trained on the training
+// set, not on the version's held-out probe set — and advertises the
+// version: /v1/shard/info and a screen reply are Float32bits-identical
+// to a worker over rows [off,end) of that screener.
 func TestShardServesPublishedScreener(t *testing.T) {
 	testkit.NoLeaks(t)
-	inst := workload.Demo(96, 32, 3)
-	scr, err := workload.DemoScreener(inst.Classifier, inst.Train, quant.INT4, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := t.TempDir()
-	store, err := registry.Open(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := store.Publish(registry.Manifest{Version: "v1"}, inst.Classifier, scr, inst.Test); err != nil {
-		t.Fatal(err)
-	}
-
-	stderr := &syncBuffer{}
-	addr, sig, done := startShard(t, stderr, "-model-root", root, "-shard-index", "1", "-shard-count", "3")
+	root, inst, scr := publishFixture(t)
+	addr, sig, done := startShard(t, &syncBuffer{}, "-model-root", root, "-shard-index", "1", "-shard-count", "3")
 	ref, err := distributed.ShardOne(inst.Classifier, scr, 3, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -222,4 +228,18 @@ func TestShardServesPublishedScreener(t *testing.T) {
 	defer c.CloseIdleConnections()
 	sameAsWorker(t, c, addr, ref, inst.Valid[:4])
 	stop(t, c, addr, sig, done)
+}
+
+// TestShardNeedsModelRoot: a worker never trains, so without
+// -model-root it has no model: run returns an error naming the flag
+// and never listens.
+func TestShardNeedsModelRoot(t *testing.T) {
+	testkit.NoLeaks(t)
+	sig := make(chan os.Signal, 1)
+	sig <- syscall.SIGTERM // a worker that did listen drains at once
+	err := run([]string{"-addr", "127.0.0.1:0", "-shard-count", "3"}, &syncBuffer{}, sig,
+		func(api, _ string) { t.Errorf("listened on %s without a model", api) })
+	if err == nil || !strings.Contains(err.Error(), "-model-root") {
+		t.Fatalf("run = %v, want an error naming -model-root", err)
+	}
 }

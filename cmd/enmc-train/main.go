@@ -1,7 +1,8 @@
 // Command enmc-train distills an approximate screener from a
 // serialized classifier and a feature file, completing the repo's
 // deployment flow: train once, ship the screener image to inference
-// hosts.
+// hosts. It is the only command that trains: enmc-serve and
+// enmc-shard load what it writes or publishes.
 //
 // Usage:
 //
@@ -14,7 +15,11 @@
 // File formats are the binary formats of SaveClassifier /
 // WriteFeatures (see internal/core). -demo writes demo-cls.bin and
 // demo-feats.bin into the current directory so the flow can be tried
-// without external data.
+// without external data:
+//
+//	enmc-train -demo
+//	enmc-train -classifier demo-cls.bin -features demo-feats.bin -out demo-scr.bin
+//	enmc-serve -classifier demo-cls.bin -screener demo-scr.bin
 //
 // Either way the command runs one training run (core.TrainScreener).
 // With -registry it first refuses a -version that is already
@@ -199,5 +204,6 @@ func writeDemo(stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "wrote demo-cls.bin and demo-feats.bin; now run:")
 	fmt.Fprintln(stdout, "  enmc-train -classifier demo-cls.bin -features demo-feats.bin -out demo-scr.bin")
+	fmt.Fprintln(stdout, "  enmc-serve -classifier demo-cls.bin -screener demo-scr.bin")
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"enmc/internal/quant"
@@ -374,12 +375,14 @@ func corr(a, b []float32) float64 {
 }
 
 // TestTrainWorkerCountInvariant: the parallel target precomputation
-// must be bit-identical for any worker count.
+// must be bit-identical for any worker count (GOMAXPROCS).
 func TestTrainWorkerCountInvariant(t *testing.T) {
 	cls, samples := testModel(t, 90, 48, 32)
 	cfg := testConfig(90, 48)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	train := func(workers int) *Screener {
-		scr, _, err := TrainScreener(cls, samples, cfg, TrainOptions{Epochs: 3, Seed: 9, Workers: workers})
+		runtime.GOMAXPROCS(workers)
+		scr, _, err := TrainScreener(cls, samples, cfg, TrainOptions{Epochs: 3, Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,32 +20,22 @@ var (
 	mTrainLoss    = telemetry.Default().Gauge("core.train.last_epoch_loss")
 )
 
+// Eq. 4's SGD minibatch size s and the normalized-LMS step size
+// µ ∈ (0, 1]. The update is scaled by 1/(mean ||P·h||² + ε), which
+// keeps SGD stable regardless of feature magnitude.
+const (
+	trainBatchSize    = 16
+	trainLearningRate = 0.5
+)
+
 // TrainOptions controls Algorithm 1, the SGD distillation of the
 // screener against the frozen full classifier.
 type TrainOptions struct {
 	// Epochs is the number of passes over the sample set. The paper
 	// reports convergence "in several training epochs"; defaults to 5.
 	Epochs int
-	// BatchSize is the SGD minibatch size s in Eq. 4. Defaults to 16.
-	BatchSize int
-	// LearningRate is the normalized-LMS step size µ ∈ (0, 1]. The
-	// update is scaled by 1/(mean ||P·h||² + ε), which keeps SGD
-	// stable regardless of feature magnitude. Defaults to 0.5.
-	LearningRate float32
 	// Seed shuffles the sample order.
 	Seed uint64
-	// Workers parallelizes the target precomputation (the exact
-	// logits z = W·h per sample, the dominant cost at large l·d).
-	// Only the embarrassingly parallel per-sample work is split, so
-	// results are bit-identical for any worker count. Defaults to
-	// GOMAXPROCS.
-	Workers int
-	// InitProjected starts from the analytic least-squares seed
-	// W̃ = (k/d)·W·Pᵀ instead of zeros (see ProjectedScreener).
-	InitProjected bool
-	// Tracer receives one span per training epoch (and one for the
-	// target precomputation); nil falls back to the global tracer.
-	Tracer *telemetry.Tracer
 	// QuantAware enables straight-through-estimator fine-tuning: the
 	// first two thirds of the epochs train the float master as usual,
 	// then the forward pass switches to the quantized weights
@@ -57,18 +47,6 @@ type TrainOptions struct {
 	QuantAware bool
 	// Logf, when non-nil, receives one line per epoch.
 	Logf func(format string, args ...interface{})
-}
-
-func (o *TrainOptions) defaults() {
-	if o.Epochs <= 0 {
-		o.Epochs = 5
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = 16
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 0.5
-	}
 }
 
 // TrainStats reports the distillation trajectory.
@@ -83,7 +61,9 @@ type TrainStats struct {
 // minibatch SGD, holding W, b and P fixed. The returned screener is
 // frozen (quantized) and ready for inference.
 func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOptions) (*Screener, *TrainStats, error) {
-	opt.defaults()
+	if opt.Epochs <= 0 {
+		opt.Epochs = 5
+	}
 	if cls.Categories() != cfg.Categories || cls.Hidden() != cfg.Hidden {
 		return nil, nil, fmt.Errorf("core: classifier %dx%d does not match config l=%d d=%d",
 			cls.Categories(), cls.Hidden(), cfg.Categories, cfg.Hidden)
@@ -97,13 +77,7 @@ func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOp
 		}
 	}
 
-	var scr *Screener
-	var err error
-	if opt.InitProjected {
-		scr, err = ProjectedScreener(cls, cfg)
-	} else {
-		scr, err = newScreener(cfg)
-	}
+	scr, err := newScreener(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,23 +85,15 @@ func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOp
 	l, k := cfg.Categories, cfg.Reduced
 	rng := xrand.New(opt.Seed)
 	stats := &TrainStats{}
-	tr := opt.Tracer
-	if tr == nil {
-		tr = telemetry.Global()
-	}
+	tr := telemetry.Global()
 	precomputeStart := tr.Now()
 
 	// Precompute projections and exact targets once: both are
 	// constant across epochs because W, b and P are frozen. The
-	// per-sample work is independent, so it fans out across workers
-	// with bit-identical results.
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(samples) {
-		workers = len(samples)
-	}
+	// per-sample work (the exact logits z = W·h dominate at large l·d)
+	// is independent, so it fans out across GOMAXPROCS workers with
+	// results bit-identical for any worker count.
+	workers := min(runtime.GOMAXPROCS(0), len(samples))
 	proj := make([][]float32, len(samples))
 	targets := make([][]float32, len(samples))
 	var wg sync.WaitGroup
@@ -161,11 +127,8 @@ func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOp
 		qatActive := opt.QuantAware && epoch >= opt.Epochs*2/3
 		order := rng.Perm(len(samples))
 		var epochSSE float64
-		for start := 0; start < len(order); start += opt.BatchSize {
-			end := start + opt.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
+		for start := 0; start < len(order); start += trainBatchSize {
+			end := min(start+trainBatchSize, len(order))
 			batch := order[start:end]
 
 			for i := range gradW.Data {
@@ -210,7 +173,7 @@ func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOp
 			// gradient carries quantization noise, and large steps
 			// would amplify it.
 			bs := float32(len(batch))
-			lr := opt.LearningRate
+			lr := float32(trainLearningRate)
 			if qatActive {
 				lr *= 0.2
 			}
@@ -245,7 +208,7 @@ func TrainScreener(cls *Classifier, samples [][]float32, cfg Config, opt TrainOp
 // W̃ = (k/d)·W·Pᵀ, b̃ = b — the closed-form least-squares solution
 // under isotropic features, since E[P·Pᵀ] = (d/k)·I for the
 // Achlioptas distribution. It serves as the learned-vs-projected
-// ablation and as an optional SGD warm start.
+// ablation.
 func ProjectedScreener(cls *Classifier, cfg Config) (*Screener, error) {
 	if cls.Categories() != cfg.Categories || cls.Hidden() != cfg.Hidden {
 		return nil, fmt.Errorf("core: classifier %dx%d does not match config l=%d d=%d",

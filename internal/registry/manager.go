@@ -38,10 +38,6 @@ type Options struct {
 	// below this fraction of the serving model's (default 0.9). 0 keeps
 	// the default; negative disables the gate.
 	RecallFloor float64
-	// Probe overrides the held-out probe features; when nil the
-	// manager uses the active version's shipped probe set, or
-	// synthesizes synthProbes deterministic Gaussian probes.
-	Probe [][]float32
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...interface{})
 }
@@ -156,12 +152,9 @@ func (m *Manager) Active() Manifest {
 	return m.active
 }
 
-// probeSet picks the canary probe features: explicit option, then the
-// version's shipped held-out set, then a deterministic synthetic set.
+// probeSet picks the canary probe features: the version's shipped
+// held-out set, else synthProbes deterministic Gaussian probes.
 func (m *Manager) probeSet(loaded *Loaded) [][]float32 {
-	if len(m.opt.Probe) > 0 {
-		return m.opt.Probe
-	}
 	if len(loaded.Probe) > 0 {
 		return loaded.Probe
 	}

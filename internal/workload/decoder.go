@@ -39,11 +39,11 @@ func NewDecoder(inst *Instance, seed uint64, maxLen int) *Decoder {
 }
 
 // NewDecoderFor derives the decoder directly from a classifier — the
-// serving path's constructor, where no Instance exists (the model may
-// come from the registry, or be the demo model a cluster's workers
-// sliced). Identical (seed, classifier) pairs yield bit-identical
-// dynamics, which is what lets a cluster front-end regenerate the
-// same decoder its shard workers' global model implies.
+// serving path's constructor, where no Instance exists (the model is
+// read from a classifier file). Identical (seed, classifier) pairs
+// yield bit-identical dynamics, so a cluster front-end that reads the
+// classifier its shard workers sliced drives the same decoder a
+// single node would.
 func NewDecoderFor(cls *core.Classifier, seed uint64, maxLen int) *Decoder {
 	d := cls.Hidden()
 	rng := xrand.New(seed ^ 0xdec0de)

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"enmc/internal/core"
-	"enmc/internal/quant"
 	"enmc/internal/tensor"
 	"enmc/internal/xrand"
 )
@@ -298,32 +297,14 @@ func Generate(spec Spec, opts GenOptions) *Instance {
 	return inst
 }
 
-// Demo generates the demo model the command-line tools build when no
-// model is given: a classes×dim classifier of latent rank 32 with
+// Demo generates the demo model enmc-train -demo writes out and the
+// tests build: a classes×dim classifier of latent rank 32 with
 // Zipf(1.05) class frequencies, plus 512/32/32 train/valid/test
-// samples. The instance depends only on the arguments, so processes
-// given the same -demo-* flags hold bit-identical classifiers — what
-// lets a cluster router regenerate the model its shard workers sliced.
+// samples. The instance depends only on the arguments.
 func Demo(classes, dim int, seed uint64) *Instance {
 	return Generate(
 		Spec{Name: "demo", Categories: classes, Hidden: dim, LatentRank: 32, ZipfS: 1.05},
 		GenOptions{Seed: seed, Train: 512, Valid: 32, Test: 32})
-}
-
-// DemoScreener trains the screener the serving tools pair with cls
-// when no screener is given: k = d/4 at the given precision, distilled
-// over feats for the given epochs, projection seed seed and SGD seed
-// seed+1. enmc-serve's demo model and every enmc-shard demo worker
-// given the same -demo-*, -epochs and -bits flags hold it bit for bit.
-func DemoScreener(cls *core.Classifier, feats [][]float32, bits quant.Bits, epochs int, seed uint64) (*core.Screener, error) {
-	scr, _, err := core.TrainScreener(cls, feats, core.Config{
-		Categories: cls.Categories(),
-		Hidden:     cls.Hidden(),
-		Reduced:    cls.Hidden() / 4,
-		Precision:  bits,
-		Seed:       seed,
-	}, core.TrainOptions{Epochs: epochs, Seed: seed + 1})
-	return scr, err
 }
 
 // zipf draws class indices with probability ∝ 1/(rank+2)^s over a
